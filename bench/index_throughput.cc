@@ -27,9 +27,9 @@
 #include <utility>
 #include <vector>
 
+#include "bench_env.h"
 #include "simrank/common/json_writer.h"
 #include "simrank/common/memory_tracker.h"
-#include "simrank/common/simd.h"
 #include "simrank/index/segment_reader.h"
 #include "simrank/common/rng.h"
 #include "simrank/common/string_util.h"
@@ -418,10 +418,9 @@ int Main() {
     JsonWriter json;
     json.BeginObject();
     json.Key("bench").String("index_throughput");
-    json.Key("simd_level").String(SimdLevelName(ActiveSimdLevel()));
+    WriteBenchEnvironment(json, uring_serve.used_uring);
     json.Key("io_uring_build_support")
         .Bool(SegmentReader::BuildSupportsIoUring());
-    json.Key("io_uring_used").Bool(uring_serve.used_uring);
     json.Key("cold_serve").BeginObject();
     auto emit_cold = [&json](const char* key, const ColdServe& serve) {
       json.Key(key).BeginObject();

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_env.h"
 #include "simrank/common/json_writer.h"
 #include "simrank/common/rng.h"
 #include "simrank/common/string_util.h"
@@ -289,6 +290,8 @@ int Main() {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").String("profile_overhead");
+  // The server answers from an in-memory index: no io_uring reads.
+  WriteBenchEnvironment(json, /*io_uring_used=*/false);
   json.Key("pair_p50_us_disarmed").Double(disarmed.p50_us);
   json.Key("pair_p99_us_disarmed").Double(disarmed.p99_us);
   json.Key("pair_p50_us_armed").Double(armed.p50_us);

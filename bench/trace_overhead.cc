@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_env.h"
 #include "simrank/common/json_writer.h"
 #include "simrank/common/rng.h"
 #include "simrank/common/string_util.h"
@@ -209,6 +210,8 @@ int Main() {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").String("trace_overhead");
+  // The server answers from an in-memory index: no io_uring reads.
+  WriteBenchEnvironment(json, /*io_uring_used=*/false);
   json.Key("null_scope_ns").Double(null_scope_ns);
   json.Key("hooks_per_request").Uint(kHooksPerRequest);
   json.Key("pair_p50_us_disabled").Double(disabled.p50_us);

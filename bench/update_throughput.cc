@@ -40,8 +40,8 @@
 #include <utility>
 #include <vector>
 
+#include "bench_env.h"
 #include "simrank/common/json_writer.h"
-#include "simrank/common/latency_histogram.h"
 #include "simrank/common/rng.h"
 #include "simrank/common/string_util.h"
 #include "simrank/common/table_printer.h"
@@ -282,14 +282,16 @@ SustainedResult RunSustained(const DiGraph& graph,
   OIPSIM_CHECK_MSG(updater.ok(), "%s",
                    updater.status().ToString().c_str());
 
-  LatencyHistogram query_idle;
-  LatencyHistogram query_loaded;
-  LatencyHistogram patch;
+  // Every latency sample is kept (per reader, merged after the join), so
+  // the reported percentiles are exact.
+  std::vector<std::vector<uint64_t>> query_idle(kSustainedReaders);
+  std::vector<std::vector<uint64_t>> query_loaded(kSustainedReaders);
+  std::vector<uint64_t> patch;
 
   std::atomic<bool> writing{false};
   std::atomic<bool> done{false};
-  auto reader = [&](uint64_t seed) {
-    Rng rng(seed);
+  auto reader = [&](uint32_t id) {
+    Rng rng(1000 + id);
     while (!done.load(std::memory_order_relaxed)) {
       const auto a = static_cast<VertexId>(rng.NextUint64(graph.n()));
       const auto b = static_cast<VertexId>(rng.NextUint64(graph.n()));
@@ -307,17 +309,14 @@ SustainedResult RunSustained(const DiGraph& graph,
       timer.Stop();
       const auto micros =
           static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
-      if (writing.load(std::memory_order_relaxed)) {
-        query_loaded.Record(micros);
-      } else {
-        query_idle.Record(micros);
-      }
+      (writing.load(std::memory_order_relaxed) ? query_loaded : query_idle)[id]
+          .push_back(micros);
     }
   };
   std::vector<std::thread> readers;
   readers.reserve(kSustainedReaders);
   for (uint32_t i = 0; i < kSustainedReaders; ++i) {
-    readers.emplace_back(reader, 1000 + i);
+    readers.emplace_back(reader, i);
   }
   // A short idle window first: the baseline the under-load p99 is
   // compared against.
@@ -335,7 +334,7 @@ SustainedResult RunSustained(const DiGraph& graph,
     timer.Start();
     OIPSIM_CHECK((*updater)->ApplyUpdates(batch).ok());
     timer.Stop();
-    patch.Record(static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
+    patch.push_back(static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
   }
   write_timer.Stop();
   writing.store(false, std::memory_order_relaxed);
@@ -366,13 +365,17 @@ SustainedResult RunSustained(const DiGraph& graph,
   SustainedResult result;
   result.update_qps = kSustainedBatches / write_timer.ElapsedSeconds();
   result.edge_qps = result.update_qps * kSustainedBatchEdges;
-  const LatencyHistogram::Snapshot patch_snapshot = patch.snapshot();
-  result.patch_p50_us = patch_snapshot.QuantileUpperMicros(0.5);
-  result.patch_p99_us = patch_snapshot.QuantileUpperMicros(0.99);
-  result.query_p99_idle_us =
-      query_idle.snapshot().QuantileUpperMicros(0.99);
-  result.query_p99_under_load_us =
-      query_loaded.snapshot().QuantileUpperMicros(0.99);
+  auto merged = [](const std::vector<std::vector<uint64_t>>& per_reader) {
+    std::vector<uint64_t> all;
+    for (const std::vector<uint64_t>& samples : per_reader) {
+      all.insert(all.end(), samples.begin(), samples.end());
+    }
+    return all;
+  };
+  result.patch_p50_us = NearestRank(patch, 0.5);
+  result.patch_p99_us = NearestRank(patch, 0.99);
+  result.query_p99_idle_us = NearestRank(merged(query_idle), 0.99);
+  result.query_p99_under_load_us = NearestRank(merged(query_loaded), 0.99);
   result.auto_compactions = stats.auto_compactions;
   result.compaction_pause_ms = stats.last_compaction_pause_micros / 1e3;
   result.compaction_total_ms = stats.last_compaction_micros / 1e3;
@@ -570,7 +573,8 @@ int Main() {
     JsonWriter json;
     json.BeginObject();
     json.Key("bench").String("update_throughput");
-    json.Key("hardware_threads").Uint(hardware);
+    // Every phase serves an in-memory index: no reads go through io_uring.
+    WriteBenchEnvironment(json, /*io_uring_used=*/false);
     json.Key("single_edge").BeginObject();
     json.Key("patch_ms_per_batch").Double(total_patch * 1e3 /
                                           kGatedBatches);

@@ -9,7 +9,9 @@ Each known BENCH file carries a spec of gated metrics — a dotted key path
 into the JSON plus the direction that counts as better. A fresh value more
 than --max-regression worse than the committed baseline fails the check;
 improvements and non-gated keys (environment echoes, sample counts) are
-reported but never fail. Missing fresh files fail loudly: a bench that
+reported but never fail. Scaling gates print as skipped when the fresh
+file's hardware_threads is narrower than the width they test. Missing
+fresh files fail loudly: a bench that
 silently stopped producing output is itself a regression. Baselines are
 refreshed by running the bench binaries and copying their BENCH_*.json
 over bench/baselines/ in the same commit that changes performance.
@@ -52,6 +54,13 @@ SPECS = {
         "pair_p50_us_disarmed": LOWER,
         "endpoint_simrank_fraction": HIGHER,
     },
+}
+
+# Scaling gates that only mean something on a box at least this wide:
+# when the fresh file's hardware_threads is below the width (or absent),
+# the metric prints as skipped instead of being gated.
+MIN_HARDWARE_THREADS = {
+    ("BENCH_update.json", "thread_scaling.speedup_8t_vs_serial"): 8,
 }
 
 
@@ -114,6 +123,13 @@ def main():
             if not isinstance(base_value, (int, float)) or isinstance(
                     base_value, bool):
                 print(f"-- {filename}:{path}: not in baseline, skipped")
+                continue
+            width = MIN_HARDWARE_THREADS.get((filename, path))
+            threads = fresh.get("hardware_threads")
+            if width is not None and (not isinstance(threads, int)
+                                      or threads < width):
+                print(f"-- {filename}:{path}: skipped ({threads} hardware "
+                      f"threads, gate needs {width})")
                 continue
             if not isinstance(fresh_value, (int, float)) or isinstance(
                     fresh_value, bool):

@@ -359,19 +359,21 @@ void SimRankRouter::RequestStop() {
 void SimRankRouter::Shutdown() {
   StopDiagnostics();
   stop_.store(true, std::memory_order_relaxed);
+  // shutdown() wakes the blocked accept(); the fd is closed and cleared
+  // only after the accept thread, which reads it, has been joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
+  std::list<ConnectionThread> threads;
   {
     std::lock_guard<std::mutex> lock(threads_mutex_);
     threads.swap(connection_threads_);
   }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
+  for (ConnectionThread& handler : threads) {
+    if (handler.thread.joinable()) handler.thread.join();
   }
 }
 
@@ -391,7 +393,18 @@ void SimRankRouter::AcceptLoop() {
     tv.tv_usec = 200 * 1000;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    // Join the handlers whose connections have ended, so threads stay
+    // bounded by the open connections rather than by all ever accepted.
+    std::erase_if(connection_threads_, [](ConnectionThread& handler) {
+      if (!handler.done.load(std::memory_order_acquire)) return false;
+      handler.thread.join();
+      return true;
+    });
+    ConnectionThread& handler = connection_threads_.emplace_back();
+    handler.thread = std::thread([this, fd, &handler] {
+      HandleConnection(fd);
+      handler.done.store(true, std::memory_order_release);
+    });
   }
 }
 

@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -289,8 +290,15 @@ class SimRankRouter {
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::thread accept_thread_;
+  /// A connection handler and the flag it sets as its last act, so the
+  /// accept loop joins finished handlers instead of keeping every one.
+  struct ConnectionThread {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
   std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
+  /// A list: handlers hold a reference to their own (address-stable) node.
+  std::list<ConnectionThread> connection_threads_;
   std::vector<std::unique_ptr<ClientPool>> pools_;  // indexed by port lookup
   std::mutex pools_mutex_;
 

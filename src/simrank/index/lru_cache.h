@@ -61,6 +61,16 @@ class ShardedLruCache {
     return it->second->second;
   }
 
+  /// Returns the cached value without counting a lookup or refreshing its
+  /// recency, or nullopt.
+  std::optional<Value> Peek(const Key& key) const {
+    Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.map.find(key);
+    if (it == shard.map.end()) return std::nullopt;
+    return it->second->second;
+  }
+
   /// Inserts (or refreshes) `key`, evicting the shard's least-recently-used
   /// entry when full.
   void Put(const Key& key, Value value) {
@@ -135,7 +145,7 @@ class ShardedLruCache {
     Stats stats;
   };
 
-  Shard& ShardFor(const Key& key) {
+  Shard& ShardFor(const Key& key) const {
     // Mix the hash so sequential integer keys spread across shards.
     uint64_t h = std::hash<Key>{}(key);
     h ^= h >> 33;

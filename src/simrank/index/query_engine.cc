@@ -43,6 +43,18 @@ QueryEngine::Row QueryEngine::GetFresh(VertexId v, uint64_t sequence) {
   return nullptr;
 }
 
+bool QueryEngine::IsFresh(VertexId v, uint64_t sequence) const {
+  const std::optional<VersionedRow> entry = cache_.Peek(v);
+  return entry && entry->sequence == sequence;
+}
+
+std::optional<double> QueryEngine::CachedPair(VertexId a, VertexId b,
+                                              uint64_t sequence) {
+  if (Row row = GetFresh(a, sequence)) return (*row)[b];
+  if (Row row = GetFresh(b, sequence)) return (*row)[a];
+  return std::nullopt;
+}
+
 Result<double> QueryEngine::PairAtSnapshot(
     VertexId a, VertexId b,
     const std::shared_ptr<const DeltaOverlay>& overlay) {
@@ -51,9 +63,22 @@ Result<double> QueryEngine::PairAtSnapshot(
   const uint64_t sequence = overlay == nullptr ? 0 : overlay->sequence();
   // A resident (and fresh) row of either endpoint already holds the
   // answer.
-  if (Row row = GetFresh(a, sequence)) return (*row)[b];
-  if (Row row = GetFresh(b, sequence)) return (*row)[a];
+  if (std::optional<double> cached = CachedPair(a, b, sequence)) {
+    return *cached;
+  }
   return index_.EstimatePair(a, b, overlay.get());
+}
+
+std::optional<double> QueryEngine::PairFromCache(VertexId a, VertexId b) {
+  if (a >= index_.n() || b >= index_.n()) return std::nullopt;
+  const auto overlay = index_.overlay_snapshot();
+  const uint64_t sequence = overlay == nullptr ? 0 : overlay->sequence();
+  // Uncounted peeks decide, so a miss leaves the counting to the Pair call
+  // that answers instead. A hit then makes Pair's own lookups: counters,
+  // LRU order and trace spans match the computing path. (A row evicted
+  // between the two reads is counted as a miss here and again by Pair.)
+  if (!IsFresh(a, sequence) && !IsFresh(b, sequence)) return std::nullopt;
+  return CachedPair(a, b, sequence);
 }
 
 Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(

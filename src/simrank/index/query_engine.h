@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -63,6 +64,13 @@ class QueryEngine {
   /// endpoints' rows is resident, otherwise O(R·L) from the index.
   Result<double> Pair(VertexId a, VertexId b);
 
+  /// s(a, b) when a resident row computed under the current overlay
+  /// already holds it — bitwise what Pair returns — else nullopt. Never
+  /// computes, so it is cheap enough for an event loop. A miss counts
+  /// nothing in cache_stats(), leaving the count to the Pair call that
+  /// answers instead; a hit counts exactly the lookups Pair would make.
+  std::optional<double> PairFromCache(VertexId a, VertexId b);
+
   /// The full estimated row s(v, ·), computed on miss — via the inverted
   /// position index, touching only vertices that share a walk slot with
   /// `v` — and cached.
@@ -107,6 +115,13 @@ class QueryEngine {
   /// The cached row of `v` if it is resident and was computed under
   /// overlay sequence `sequence`; stale entries read as absent.
   Row GetFresh(VertexId v, uint64_t sequence);
+  /// Whether GetFresh would hit, without counting, tracing or touching the
+  /// LRU order.
+  bool IsFresh(VertexId v, uint64_t sequence) const;
+  /// s(a, b) from the fresh row of `a`, else of `b` — the lookups of
+  /// every pair query, in their order; nullopt when neither is resident.
+  std::optional<double> CachedPair(VertexId a, VertexId b,
+                                   uint64_t sequence);
 
   /// Pair/SingleSource/TopK against one pinned overlay snapshot — the
   /// shared core of the public entry points and the version-consistent

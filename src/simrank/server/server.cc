@@ -28,14 +28,7 @@
 #endif
 
 namespace simrank {
-namespace {
-
-/// Backpressure bounds: when a connection's unsent responses or unparsed
-/// input exceed these, the loop stops *reading* it (TCP pushes back on the
-/// peer) until the backlog drains — no connection can buffer the server
-/// into the ground, which is what lets server.h promise bounded queues.
-constexpr size_t kMaxPendingOutputBytes = 4u << 20;
-constexpr size_t kInputBufferSlackBytes = 64u << 10;
+namespace internal {
 
 /// Parsed arguments of one dispatchable query; only the fields of the
 /// request's endpoint are meaningful. POST bodies travel raw and are
@@ -65,7 +58,22 @@ struct QueryArgs {
   uint64_t trace_id = 0;
   /// Request path, kept only for traced requests (slow-ring target).
   std::string target;
+
+  bool traced() const { return trace_inline || trace_header || trace_sampled; }
 };
+
+}  // namespace internal
+
+namespace {
+
+using internal::QueryArgs;
+
+/// Backpressure bounds: when a connection's unsent responses or unparsed
+/// input exceed these, the loop stops *reading* it (TCP pushes back on the
+/// peer) until the backlog drains — no connection can buffer the server
+/// into the ground, which is what lets server.h promise bounded queues.
+constexpr size_t kMaxPendingOutputBytes = 4u << 20;
+constexpr size_t kInputBufferSlackBytes = 64u << 10;
 
 std::string ErrorBody(std::string_view code, std::string_view message) {
   JsonWriter json;
@@ -95,21 +103,27 @@ std::pair<int, std::string> EngineErrorResponse(const Status& status) {
           ErrorBody(StatusCodeToString(status.code()), status.message())};
 }
 
-std::pair<int, std::string> ExecutePair(QueryEngine& engine,
-                                        const QueryArgs& args) {
-  auto score = engine.Pair(args.a, args.b);
-  if (!score.ok()) return EngineErrorResponse(score.status());
+/// The 200 body of a pair answer. The worker and the loop's cached-pair
+/// path both serialize through here, so they send the same bytes.
+std::string PairBody(VertexId a, VertexId b, double score) {
   TraceScope serialize(TraceStage::kSerialize);
   JsonWriter json;
   json.BeginObject()
       .Key("a")
-      .Uint(args.a)
+      .Uint(a)
       .Key("b")
-      .Uint(args.b)
+      .Uint(b)
       .Key("score")
-      .Double(*score)
+      .Double(score)
       .EndObject();
-  return {200, json.str()};
+  return json.str();
+}
+
+std::pair<int, std::string> ExecutePair(QueryEngine& engine,
+                                        const QueryArgs& args) {
+  auto score = engine.Pair(args.a, args.b);
+  if (!score.ok()) return EngineErrorResponse(score.status());
+  return {200, PairBody(args.a, args.b, *score)};
 }
 
 std::pair<int, std::string> ExecuteSingleSource(QueryEngine& engine,
@@ -645,7 +659,8 @@ struct SimRankServer::Connection {
   std::string access_path;
 };
 
-/// A worker's finished query, handed back to the loop thread.
+/// A finished query's response: handed back to the loop thread by a
+/// worker, or built on it for an inline cached-pair answer.
 struct SimRankServer::Completion {
   int fd = -1;
   uint64_t connection_id = 0;
@@ -1359,8 +1374,7 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
     args.trace_sampled =
         static_cast<double>(draw >> 11) * 0x1.0p-53 < options_.trace_sample;
   }
-  const bool traced =
-      args.trace_inline || args.trace_header || args.trace_sampled;
+  const bool traced = args.traced();
   if (traced) {
     if (args.trace_id == 0) args.trace_id = GenerateTraceId();
     // Reassembled path + query (the parser splits the raw target) so slow
@@ -1389,6 +1403,16 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
                               args.a, args.b, range.begin, range.end)));
       return;
     }
+  }
+
+  const auto dispatched_at = std::chrono::steady_clock::now();
+  // A pair whose answer sits in a fresh cached row costs one row load:
+  // answer it here, with no worker hand-off and no admission (like
+  // /healthz). A miss, and every other query, goes to the pool.
+  if (endpoint == ServerEndpoint::kPair &&
+      args.internal == QueryArgs::Internal::kNone &&
+      AnswerPairFromCache(conn, args, dispatched_at)) {
+    return;
   }
 
   // Admission control: bounded queues, never buffered overload. The global
@@ -1425,7 +1449,6 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
   conn->awaiting = true;
   const int fd = conn->fd;
   const uint64_t connection_id = conn->id;
-  const auto dispatched_at = std::chrono::steady_clock::now();
   // One clock read per *traced* dispatch; untraced requests skip it.
   const uint64_t dispatch_ns = traced ? TraceNowNanos() : 0;
   pool_.Submit([this, fd, connection_id, endpoint, dispatched_at,
@@ -1441,8 +1464,7 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options_.handler_delay_ms));
     }
-    const bool traced =
-        args.trace_inline || args.trace_header || args.trace_sampled;
+    const bool traced = args.traced();
     std::optional<TraceRecorder> recorder;
     if (traced) recorder.emplace(args.trace_id);
     Completion completion;
@@ -1491,33 +1513,8 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
         completion.body = std::move(result.second);
       }
     }
-    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - dispatched_at);
-    latency_[static_cast<size_t>(endpoint)].Record(
-        static_cast<uint64_t>(elapsed.count()));
-    if (traced) {
-      stat_traced_requests_.fetch_add(1, std::memory_order_relaxed);
-      FoldTrace(*recorder);
-      const uint64_t elapsed_us = static_cast<uint64_t>(elapsed.count());
-      const bool slow = options_.slow_query_us > 0 &&
-                        elapsed_us >= options_.slow_query_us;
-      const bool sampled_capture =
-          args.trace_sampled && options_.slow_query_us == 0;
-      if (slow || sampled_capture) {
-        CaptureTrace(*recorder, args.target, elapsed_us);
-      }
-      if (args.trace_inline && completion.body.size() > 2 &&
-          completion.body.front() == '{' && completion.body.back() == '}') {
-        // Splice the trace into the JSON envelope. Only the explicit
-        // ?trace=1 opt-in ever changes a response body.
-        completion.body.insert(completion.body.size() - 1,
-                               ",\"trace\":" + recorder->ToJson());
-      }
-      if (args.trace_header) {
-        completion.headers.emplace_back("X-Simrank-Trace-Json",
-                                        recorder->ToJson());
-      }
-    }
+    FinishQuery(endpoint, args, dispatched_at,
+                traced ? &*recorder : nullptr, &completion);
     {
       std::lock_guard<std::mutex> lock(completions_mutex_);
       completions_.push_back(std::move(completion));
@@ -1526,6 +1523,32 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
     [[maybe_unused]] const auto ignored =
         ::write(wake_fd_, &one, sizeof(one));
   });
+}
+
+bool SimRankServer::AnswerPairFromCache(
+    Connection* conn, const QueryArgs& args,
+    std::chrono::steady_clock::time_point started) {
+  // Traced like the worker path, minus its queue_wait span.
+  const bool traced = args.traced();
+  std::optional<TraceRecorder> recorder;
+  if (traced) recorder.emplace(args.trace_id);
+  Completion completion;
+  {
+    TraceBinding binding(traced ? &*recorder : nullptr);
+    TraceScope root(TraceStage::kRequest,
+                    ServerEndpointName(ServerEndpoint::kPair));
+    const std::optional<double> score = engine_.PairFromCache(args.a, args.b);
+    if (!score.has_value()) return false;
+    completion.status = 200;
+    completion.body = PairBody(args.a, args.b, *score);
+  }
+  FinishQuery(ServerEndpoint::kPair, args, started,
+              traced ? &*recorder : nullptr, &completion);
+  // `awaiting` stays false: pipelined requests behind this one are parsed
+  // in the same pass, and their responses queue after this one.
+  QueueResponse(conn, completion.status, completion.body, completion.headers,
+                completion.content_type);
+  return true;
 }
 
 void SimRankServer::DrainCompletions() {
@@ -1778,6 +1801,10 @@ bool SimRankServer::MaybeCloseAfterEof(Connection*) { return false; }
 void SimRankServer::RouteRequest(Connection*, const HttpRequest&) {}
 void SimRankServer::DispatchQuery(Connection*, ServerEndpoint,
                                   const HttpRequest&) {}
+bool SimRankServer::AnswerPairFromCache(
+    Connection*, const QueryArgs&, std::chrono::steady_clock::time_point) {
+  return false;
+}
 void SimRankServer::DrainCompletions() {}
 void SimRankServer::HandleProfileRequest(Connection*, const HttpRequest&) {}
 void SimRankServer::StartDiagnostics() {}
@@ -2407,6 +2434,39 @@ std::string SimRankServer::BuildSlowBody() const {
   }
   out += "]}";
   return out;
+}
+
+void SimRankServer::FinishQuery(ServerEndpoint endpoint,
+                                const QueryArgs& args,
+                                std::chrono::steady_clock::time_point started,
+                                const TraceRecorder* recorder,
+                                Completion* completion) {
+  const auto elapsed_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count());
+  latency_[static_cast<size_t>(endpoint)].Record(elapsed_us);
+  if (recorder == nullptr) return;
+  stat_traced_requests_.fetch_add(1, std::memory_order_relaxed);
+  FoldTrace(*recorder);
+  const bool slow =
+      options_.slow_query_us > 0 && elapsed_us >= options_.slow_query_us;
+  const bool sampled_capture =
+      args.trace_sampled && options_.slow_query_us == 0;
+  if (slow || sampled_capture) {
+    CaptureTrace(*recorder, args.target, elapsed_us);
+  }
+  std::string& body = completion->body;
+  if (args.trace_inline && body.size() > 2 && body.front() == '{' &&
+      body.back() == '}') {
+    // Splice the trace into the JSON envelope. Only the explicit ?trace=1
+    // opt-in ever changes a response body.
+    body.insert(body.size() - 1, ",\"trace\":" + recorder->ToJson());
+  }
+  if (args.trace_header) {
+    completion->headers.emplace_back("X-Simrank-Trace-Json",
+                                     recorder->ToJson());
+  }
 }
 
 void SimRankServer::FoldTrace(const TraceRecorder& recorder) {

@@ -2,13 +2,14 @@
 //
 // One event-loop thread owns every socket: nonblocking accept on the
 // listener, buffered reads, request parsing (server/http.h), response
-// flushing, keep-alive and pipelining. Query work never runs on the loop:
-// a validated request is *dispatched* to a worker pool and the connection
-// keeps reading-writing other traffic until the worker's completion is
-// handed back through an eventfd-signalled queue. Cheap introspection
-// endpoints (/healthz, /v1/stats) are answered inline on the loop, so they
-// respond even when every worker is busy — that is what makes the stats
-// endpoint usable as an overload probe.
+// flushing, keep-alive and pipelining. Query work that computes never runs
+// on the loop: a validated request is *dispatched* to a worker pool and
+// the connection keeps reading-writing other traffic until the worker's
+// completion is handed back through an eventfd-signalled queue. Cheap
+// introspection endpoints (/healthz, /v1/stats) and pairs answered by a
+// cached row are answered inline on the loop, so they respond even when
+// every worker is busy — that is what makes the stats endpoint usable as
+// an overload probe.
 //
 // Admission control protects cold rows: a request beyond the global
 // in-flight cap is rejected with 429, one beyond its endpoint's in-flight
@@ -43,8 +44,10 @@
 // /healthz, /v1/stats, /metrics, /v1/debug/slow and /v1/debug/timeseries
 // are answered inline; /v1/debug/profile parks the connection and answers
 // from a dedicated capture thread (the loop keeps serving while the
-// profile runs, and profiling a loaded server is the whole point);
-// everything else dispatches to the worker pool under admission control.
+// profile runs, and profiling a loaded server is the whole point). A
+// /v1/pair whose answer sits in a fresh cached row is answered inline too
+// — one row load, no worker hand-off, no in-flight slot; everything else
+// dispatches to the worker pool under admission control.
 // Update/compact serialize inside the IndexUpdater while reads keep
 // flowing against RCU overlay snapshots — queries are never blocked by an
 // in-flight update, and a query admitted mid-update serves either the
@@ -58,6 +61,7 @@
 #define OIPSIM_SIMRANK_SERVER_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -83,6 +87,11 @@
 #include "simrank/server/http.h"
 
 namespace simrank {
+
+namespace internal {
+/// Parsed arguments of one dispatchable query (defined in server.cc).
+struct QueryArgs;
+}  // namespace internal
 
 /// The dispatchable endpoints (inline endpoints are not admission-
 /// controlled and not enumerated here).
@@ -285,7 +294,8 @@ class SimRankServer {
   ServerStats stats() const;
 
   /// Latency snapshot of one dispatchable endpoint (dispatch to
-  /// completion, including queue wait); safe concurrently with Serve.
+  /// completion, including queue wait; inline cached-pair answers
+  /// included); safe concurrently with Serve.
   LatencyHistogram::Snapshot latency(ServerEndpoint endpoint) const {
     return latency_[static_cast<size_t>(endpoint)].snapshot();
   }
@@ -330,6 +340,17 @@ class SimRankServer {
   void RouteRequest(Connection* conn, const HttpRequest& request);
   void DispatchQuery(Connection* conn, ServerEndpoint endpoint,
                      const HttpRequest& request);
+  /// Answers a public pair query on the loop thread when a fresh cached
+  /// row holds it; returns false, having queued nothing, on a miss.
+  bool AnswerPairFromCache(Connection* conn, const internal::QueryArgs& args,
+                           std::chrono::steady_clock::time_point started);
+  /// The tail every answered query shares, inline or worker-run: records
+  /// the endpoint latency since `started` and, given a trace, folds it,
+  /// captures it when slow or sampled, and attaches it to the response
+  /// (?trace=1 body splice, X-Simrank-Trace-Json header). Any thread.
+  void FinishQuery(ServerEndpoint endpoint, const internal::QueryArgs& args,
+                   std::chrono::steady_clock::time_point started,
+                   const TraceRecorder* recorder, Completion* completion);
   /// Parks the connection and runs the profile session on a dedicated
   /// thread; the result comes back through the completion queue.
   void HandleProfileRequest(Connection* conn, const HttpRequest& request);

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -520,6 +523,47 @@ TEST(RouterTest, ThreeShardClusterStaysBitwise) {
   }
   cluster.ExpectSameAsSingleNode("/v1/pair?a=1&b=44");
   cluster.ExpectSameAsSingleNode("/v1/pair?a=16&b=31");
+}
+
+/// Threads of this process (entries of /proc/self/task).
+size_t CountThreads() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+/// Mapped virtual memory of this process in KiB (VmSize): an exited but
+/// never-joined thread keeps its stack mapped.
+uint64_t VirtualKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::strtoull(line.c_str() + 7, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+TEST(RouterTest, ConnectionHandlersAreJoinedAsConnectionsEnd) {
+  ClusterFixture cluster(testing::RandomGraph(60, 240, 11));
+  ASSERT_EQ(HttpGet(cluster.router_port(), "/healthz")->status, 200);
+  const size_t threads_before = CountThreads();
+  const uint64_t virtual_before = VirtualKiB();
+  constexpr int kConnections = 2000;
+  for (int i = 0; i < kConnections; ++i) {
+    auto response = HttpGet(cluster.router_port(), "/healthz");
+    ASSERT_TRUE(response.ok()) << "connection " << i;
+    ASSERT_EQ(response->status, 200);
+  }
+  // A handler may still be winding down its just-closed connection; the
+  // rest were joined as later connections arrived.
+  EXPECT_LE(CountThreads(), threads_before + 8);
+  // 2000 unjoined 8 MiB stacks would add ~16 GiB of mappings.
+  EXPECT_LE(VirtualKiB(), virtual_before + 512 * 1024);
 }
 
 TEST(RouterOptionsTest, ValidateRejectsInconsistentTopologies) {

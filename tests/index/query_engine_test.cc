@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <optional>
 
 #include "simrank/core/naive.h"
 #include "simrank/extra/topk.h"
@@ -304,6 +306,50 @@ TEST(QueryEngineTest, StaleRowsReadAsMissesAfterOverlayPublish) {
   auto pair = engine.Pair(fresh.dst, fresh.src);
   ASSERT_TRUE(pair.ok());
   EXPECT_EQ(*pair, rebuilt->EstimatePair(fresh.dst, fresh.src));
+}
+
+TEST(QueryEngineTest, PairFromCacheNeverComputesAndCountsLikePair) {
+  DiGraph graph = testing::RandomGraph(30, 120, 7);
+  WalkIndex index = BuildIndex(graph, 32);
+  QueryEngine engine(index);
+  QueryEngine reference(index);
+  // Nothing resident: a miss, and nothing counted — the Pair call that
+  // answers instead counts its own lookups.
+  EXPECT_FALSE(engine.PairFromCache(3, 7).has_value());
+  EXPECT_FALSE(engine.PairFromCache(3, 999).has_value());
+  EXPECT_EQ(engine.cache_stats().hits + engine.cache_stats().misses, 0u);
+
+  // With row 7 resident in both engines, every pair touching 7 is a hit,
+  // bitwise Pair's answer, with Pair's accounting (a's lookup first).
+  ASSERT_TRUE(engine.SingleSource(7).ok());
+  ASSERT_TRUE(reference.SingleSource(7).ok());
+  const std::pair<VertexId, VertexId> pairs[] = {
+      {7, 3}, {3, 7}, {7, 7}, {12, 7}};
+  for (const auto& [a, b] : pairs) {
+    const std::optional<double> cached = engine.PairFromCache(a, b);
+    ASSERT_TRUE(cached.has_value()) << a << "," << b;
+    auto direct = reference.Pair(a, b);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(std::memcmp(&*cached, &*direct, sizeof(double)), 0)
+        << a << "," << b;
+  }
+  EXPECT_EQ(engine.cache_stats().hits, reference.cache_stats().hits);
+  EXPECT_EQ(engine.cache_stats().misses, reference.cache_stats().misses);
+
+  // An update stales row 7: the probe misses rather than serve it.
+  const std::string wal_path =
+      ::testing::TempDir() + "query-engine-probe.wal";
+  std::remove(wal_path.c_str());
+  IndexUpdaterOptions updater_options;
+  updater_options.wal_path = wal_path;
+  auto updater = IndexUpdater::Open(index, graph, updater_options);
+  ASSERT_TRUE(updater.ok());
+  VertexId src = 0;
+  while (src == 7 || graph.HasEdge(src, 7)) ++src;
+  ASSERT_TRUE(
+      (*updater)->ApplyUpdates({{{EdgeUpdate::Op::kInsert, src, 7}}}).ok());
+  EXPECT_FALSE(engine.PairFromCache(7, 3).has_value());
+  EXPECT_FALSE(engine.PairFromCache(3, 7).has_value());
 }
 
 TEST(QueryEngineTest, SequenceStaysMonotoneAcrossCancellingBatches) {

@@ -74,6 +74,8 @@ class ServerFixture {
   const DiGraph& graph() const { return graph_; }
   const WalkIndex& index() const { return index_; }
   IndexUpdater* updater() { return updater_.get(); }
+  /// The engine the server answers from.
+  QueryEngine& engine() { return engine_; }
   const std::string& compact_path() const { return compact_path_; }
   /// A second engine over the same index: direct answers unperturbed by
   /// the served engine's cache state (they must agree bitwise anyway).
@@ -736,6 +738,229 @@ TEST(ServerTest, ShutdownWaitsForInflightQueries) {
   EXPECT_EQ(response->status, 200);
   fixture->StopAndJoin();
   EXPECT_TRUE(fixture->serve_status().ok());
+}
+
+/// Sends `targets` as one pipelined burst on a fresh connection and reads
+/// every response, in order.
+std::vector<HttpClientResponse> PipelinedGets(
+    uint16_t port, const std::vector<std::string>& targets) {
+  auto client = LoopbackHttpClient::Connect(port);
+  OIPSIM_CHECK(client.ok());
+  std::string burst;
+  for (const std::string& target : targets) {
+    burst += "GET " + target + " HTTP/1.1\r\n\r\n";
+  }
+  OIPSIM_CHECK(client->SendRaw(burst).ok());
+  std::vector<HttpClientResponse> responses;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    auto response = client->ReadResponse();
+    OIPSIM_CHECK(response.ok());
+    responses.push_back(std::move(*response));
+  }
+  return responses;
+}
+
+/// Worker dispatches so far: inline answers record no queue wait.
+uint64_t Dispatched(ServerFixture& fixture) {
+  return fixture.server().dispatch_latency().count;
+}
+
+// Each inline-pair case compares a server with warmed rows against a
+// second, cold server, which answers every pair through its workers.
+
+TEST(ServerInlinePairTest, PipelinedHitsAndMissesMatchColdServerInOrder) {
+  ServerFixture warm;
+  ServerFixture cold;
+  for (const VertexId v : {5u, 17u}) {
+    ASSERT_TRUE(warm.engine().SingleSource(v).ok());
+  }
+  const std::vector<std::string> targets = {
+      "/v1/pair?a=5&b=9",    // hit on a's row
+      "/v1/pair?a=1&b=2",    // miss
+      "/v1/pair?a=9&b=17",   // hit on b's row
+      "/v1/pair?a=17&b=5",   // hit
+      "/v1/pair?a=3&b=4",    // miss
+      "/v1/pair?a=5&b=999",  // out of range: the worker's 400
+      "/healthz",
+      "/v1/topk?v=5&k=3",
+      "/v1/pair?a=40&b=17",  // hit behind a dispatched query
+  };
+  const uint64_t dispatched_before = Dispatched(warm);
+  const std::vector<HttpClientResponse> served =
+      PipelinedGets(warm.port(), targets);
+  const std::vector<HttpClientResponse> expected =
+      PipelinedGets(cold.port(), targets);
+  ASSERT_EQ(served.size(), expected.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(served[i].status, expected[i].status) << targets[i];
+    EXPECT_EQ(served[i].headers, expected[i].headers) << targets[i];
+    EXPECT_EQ(served[i].body, expected[i].body) << targets[i];
+  }
+  EXPECT_EQ(served[5].status, 400);
+  // Only the two misses, the 400 and the top-k reached a worker.
+  EXPECT_EQ(Dispatched(warm) - dispatched_before, 4u);
+  EXPECT_EQ(warm.server().latency(ServerEndpoint::kPair).count, 7u);
+}
+
+TEST(ServerInlinePairTest, CachedPairSkipsAdmissionMissesKeepIt) {
+  ServerOptions options;
+  options.threads = 1;
+  options.max_inflight = 1;
+  options.handler_delay_ms = 300;
+  ServerFixture fixture(options);
+  ServerFixture cold;
+  ASSERT_TRUE(fixture.engine().SingleSource(5).ok());
+
+  // An uncached pair takes the only worker and the only in-flight slot.
+  auto slow = LoopbackHttpClient::Connect(fixture.port());
+  ASSERT_TRUE(slow.ok());
+  ASSERT_TRUE(
+      slow->SendRaw("GET /v1/pair?a=0&b=1 HTTP/1.1\r\n\r\n").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // A cached pair still answers, from the loop.
+  auto hit = HttpGet(fixture.port(), "/v1/pair?a=9&b=5");
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit->status, 200) << hit->body;
+  // An uncached one still meets admission control.
+  auto rejected = HttpGet(fixture.port(), "/v1/pair?a=2&b=3");
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(rejected->status, 429) << rejected->body;
+
+  auto first = slow->ReadResponse();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->status, 200);
+  EXPECT_EQ(hit->body, HttpGet(cold.port(), "/v1/pair?a=9&b=5")->body);
+  const ServerStats stats = fixture.server().stats();
+  EXPECT_EQ(stats.rejected_inflight, 1u);
+  EXPECT_EQ(stats.requests[static_cast<size_t>(ServerEndpoint::kPair)], 3u);
+}
+
+TEST(ServerInlinePairTest, CacheStatsMatchWorkerPathAccounting) {
+  ServerFixture fixture;
+  ServerFixture cold;
+  // The same stream run directly on a fresh engine: the accounting of a
+  // server whose every read calls Pair/TopK on a worker.
+  QueryEngine direct(fixture.index());
+  struct Read {
+    bool topk;
+    VertexId a;
+    VertexId b;
+  };
+  const Read stream[] = {{true, 5, 0},    {false, 5, 9},   {false, 9, 5},
+                         {false, 1, 2},   {false, 9, 9},   {true, 9, 0},
+                         {false, 9, 5},   {false, 30, 9},  {false, 30, 31},
+                         {false, 5, 999}, {true, 30, 0},   {false, 31, 30}};
+  auto client = LoopbackHttpClient::Connect(fixture.port());
+  auto cold_client = LoopbackHttpClient::Connect(cold.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(cold_client.ok());
+  for (const Read& read : stream) {
+    const std::string target =
+        read.topk ? StrFormat("/v1/topk?v=%u&k=3", read.a)
+                  : StrFormat("/v1/pair?a=%u&b=%u", read.a, read.b);
+    auto served = client->Get(target);
+    auto expected = cold_client->Get(target);
+    ASSERT_TRUE(served.ok());
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(served->body, expected->body) << target;
+    if (read.topk) {
+      (void)direct.TopK(read.a, 3);
+    } else {
+      (void)direct.Pair(read.a, read.b);
+    }
+  }
+  const QueryEngine::CacheStats served = fixture.engine().cache_stats();
+  const QueryEngine::CacheStats expected = direct.cache_stats();
+  EXPECT_GT(served.hits, 0u);
+  EXPECT_EQ(served.hits, expected.hits);
+  EXPECT_EQ(served.misses, expected.misses);
+  EXPECT_EQ(served.evictions, expected.evictions);
+}
+
+TEST(ServerInlinePairTest, UpdateStalesCachedRowForInlinePairs) {
+  ServerFixture fixture(ServerOptions{}, /*fingerprints=*/48,
+                        /*with_updater=*/true);
+  const Edge fresh = fixture.FreshEdge();
+  const VertexId v = fresh.dst;
+  const VertexId other = (v + 7) % fixture.graph().n();
+  const std::string target = StrFormat("/v1/pair?a=%u&b=%u", v, other);
+  ASSERT_TRUE(fixture.engine().SingleSource(v).ok());
+  uint64_t dispatched = Dispatched(fixture);
+  ASSERT_EQ(HttpGet(fixture.port(), target)->status, 200);
+  EXPECT_EQ(Dispatched(fixture), dispatched);  // answered from the row
+
+  ASSERT_EQ(HttpPost(fixture.port(), "/v1/update",
+                     StrFormat("+ %u %u\n", fresh.src, fresh.dst))
+                ->status,
+            200);
+  auto rebuilt = WalkIndex::Build(fixture.updater()->CurrentGraph(),
+                                  fixture.index().options());
+  ASSERT_TRUE(rebuilt.ok());
+  const double expected = rebuilt->EstimatePair(v, other);
+
+  // The pre-update row is not served: a worker computes the answer.
+  dispatched = Dispatched(fixture);
+  auto after = HttpGet(fixture.port(), target);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->status, 200);
+  double served = FindJsonNumber(after->body, "score");
+  EXPECT_EQ(std::memcmp(&served, &expected, sizeof(double)), 0);
+  EXPECT_EQ(Dispatched(fixture), dispatched + 1);
+
+  // Re-cached under the new overlay, the inline answer is the rebuild's.
+  ASSERT_TRUE(fixture.engine().SingleSource(v).ok());
+  dispatched = Dispatched(fixture);
+  auto rewarmed = HttpGet(fixture.port(), target);
+  ASSERT_TRUE(rewarmed.ok());
+  served = FindJsonNumber(rewarmed->body, "score");
+  EXPECT_EQ(std::memcmp(&served, &expected, sizeof(double)), 0);
+  EXPECT_EQ(Dispatched(fixture), dispatched);
+}
+
+TEST(ServerInlinePairTest, TracedHitHasNoQueueWait) {
+  ServerFixture warm;
+  ServerFixture cold;
+  ASSERT_TRUE(warm.engine().SingleSource(5).ok());
+  const std::string target = "/v1/pair?a=5&b=9";
+  auto plain = HttpGet(warm.port(), target);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_EQ(plain->status, 200);
+  EXPECT_EQ(plain->body, HttpGet(cold.port(), target)->body);
+
+  auto traced = HttpGet(warm.port(), target + "&trace=1");
+  ASSERT_TRUE(traced.ok());
+  ASSERT_EQ(traced->status, 200);
+  const std::string prefix = plain->body.substr(0, plain->body.size() - 1);
+  EXPECT_EQ(traced->body.substr(0, prefix.size()), prefix);
+  EXPECT_NE(traced->body.find("\"stage\":\"request\""), std::string::npos);
+  EXPECT_NE(traced->body.find("\"stage\":\"cache_lookup\""),
+            std::string::npos);
+  EXPECT_NE(traced->body.find("\"stage\":\"serialize\""), std::string::npos);
+  EXPECT_NE(traced->body.find("\"cache_hits\":1"), std::string::npos);
+  EXPECT_EQ(traced->body.find("queue_wait"), std::string::npos);
+  // The cold server's trace of the same pair went through a worker.
+  auto cold_traced = HttpGet(cold.port(), target + "&trace=1");
+  ASSERT_TRUE(cold_traced.ok());
+  EXPECT_NE(cold_traced->body.find("\"stage\":\"queue_wait\""),
+            std::string::npos);
+
+  // The header channel leaves an inline body untouched too.
+  auto client = LoopbackHttpClient::Connect(warm.port());
+  ASSERT_TRUE(client.ok());
+  auto header_traced = client->Get(target, {{"X-Simrank-Trace", "beef"}});
+  ASSERT_TRUE(header_traced.ok());
+  EXPECT_EQ(header_traced->body, plain->body);
+  const std::string* json = header_traced->FindHeader("x-simrank-trace-json");
+  ASSERT_NE(json, nullptr);
+  EXPECT_NE(json->find("\"trace_id\":\"000000000000beef\""),
+            std::string::npos);
+  EXPECT_EQ(json->find("queue_wait"), std::string::npos);
+
+  // Inline traces fold into the stage histograms like worker traces.
+  EXPECT_EQ(warm.server().stats().traced_requests, 2u);
+  EXPECT_GE(warm.server().stage_latency(TraceStage::kCacheLookup).count, 2u);
+  EXPECT_EQ(warm.server().stage_latency(TraceStage::kQueueWait).count, 0u);
 }
 
 TEST(ServerTraceTest, InlineTraceSplicesIntoEnvelope) {
