@@ -7,15 +7,14 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "simrank/common/build_info.h"
 #include "simrank/common/json_writer.h"
 #include "simrank/common/memory_tracker.h"
-#include "simrank/common/simd.h"
 #include "simrank/common/string_util.h"
 #include "simrank/graph/graph_io.h"
-#include "simrank/index/segment_reader.h"
 #include "simrank/server/server.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -30,20 +29,6 @@
 
 namespace simrank {
 namespace {
-
-std::string ErrorBody(std::string_view code, std::string_view message) {
-  JsonWriter json;
-  json.BeginObject()
-      .Key("error")
-      .BeginObject()
-      .Key("code")
-      .String(code)
-      .Key("message")
-      .String(message)
-      .EndObject()
-      .EndObject();
-  return json.str();
-}
 
 bool ParseVertexParam(const HttpRequest& request, std::string_view name,
                       uint32_t n, VertexId* out, std::string* error) {
@@ -83,6 +68,17 @@ std::string InjectShardLabels(const std::string& labels, uint32_t shard_id,
       StrFormat("shard=\"%u\",role=\"%s\"", shard_id, role);
   if (labels.empty()) return "{" + injected + "}";
   return "{" + injected + "," + labels.substr(1);
+}
+
+/// X-Simrank-Trace with this thread's trace id when it is traced, so the
+/// shard returns its sub-trace; empty otherwise.
+std::vector<std::pair<std::string, std::string>> TraceHeaders() {
+  std::vector<std::pair<std::string, std::string>> headers;
+  if (const TraceRecorder* recorder = CurrentTraceRecorder()) {
+    headers.emplace_back("X-Simrank-Trace",
+                         TraceIdToHex(recorder->trace_id()));
+  }
+  return headers;
 }
 
 #if OIPSIM_ROUTER_HAVE_SOCKETS
@@ -132,22 +128,9 @@ Status RouterOptions::Validate() const {
     return Status::InvalidArgument(
         "--scrape-timeout-ms must be positive when fleet scraping is on");
   }
-  if (metrics_history_window_s > 0 && metrics_history_interval_ms == 0) {
-    return Status::InvalidArgument(
-        "--metrics-history-interval-ms must be positive");
-  }
-  if (!profile_log_path.empty()) {
-    if (profile_log_hz == 0 || profile_log_hz > CpuProfiler::kMaxHz) {
-      return Status::InvalidArgument(
-          StrFormat("--profile-log-hz=%u is not in [1, %u]", profile_log_hz,
-                    CpuProfiler::kMaxHz));
-    }
-    if (profile_log_period_s == 0) {
-      return Status::InvalidArgument(
-          "--profile-log-period must be positive");
-    }
-  }
-  return Status::OK();
+  return ValidateDiagnosticsOptions(
+      metrics_history_window_s, metrics_history_interval_ms,
+      profile_log_path, profile_log_hz, profile_log_period_s);
 }
 
 std::vector<ScoredVertex> MergeTopK(
@@ -166,14 +149,12 @@ std::vector<ScoredVertex> MergeTopK(
 
 /// A mutex-guarded stack of keep-alive connections to one port. Acquire
 /// pops an idle connection or dials a new one; Release returns it after a
-/// clean exchange. Connections that saw a transport error are simply not
-/// returned — the next Acquire dials fresh.
+/// clean exchange. Connections that saw a transport error, or hold a reply
+/// nobody read, are never returned — the next Acquire dials fresh.
 class SimRankRouter::ClientPool {
  public:
   ClientPool(uint16_t port, uint32_t timeout_ms)
       : port_(port), timeout_ms_(timeout_ms) {}
-
-  uint16_t port() const { return port_; }
 
   Result<LoopbackHttpClient> Acquire() {
     {
@@ -255,16 +236,14 @@ void SimRankRouter::CountResponse(int status) {
 
 Status SimRankRouter::Bind() {
   OIPSIM_RETURN_IF_ERROR(options_.Validate());
-  {
-    std::lock_guard<std::mutex> lock(pools_mutex_);
-    pools_.clear();
-    for (const RouterShard& shard : options_.shards) {
-      pools_.push_back(std::make_unique<ClientPool>(shard.primary_port,
-                                                    options_.timeout_ms));
-      if (shard.replica_port != 0) {
-        pools_.push_back(std::make_unique<ClientPool>(shard.replica_port,
-                                                      options_.timeout_ms));
-      }
+  pools_.clear();
+  for (const RouterShard& shard : options_.shards) {
+    ShardPools& pools = pools_.emplace_back();
+    pools.primary =
+        std::make_unique<ClientPool>(shard.primary_port, options_.timeout_ms);
+    if (shard.replica_port != 0) {
+      pools.replica = std::make_unique<ClientPool>(shard.replica_port,
+                                                   options_.timeout_ms);
     }
   }
   {
@@ -493,48 +472,26 @@ void SimRankRouter::HandleConnection(int fd) {
 }
 
 Result<SimRankRouter::ShardReply> SimRankRouter::SendToPort(
-    uint16_t port, bool post, const std::string& target,
-    std::string_view body, uint64_t trace_id) {
-  // The connection thread carries its recorder in TLS; fan-out threads
-  // have none and pass the id explicitly instead.
-  TraceRecorder* const recorder = CurrentTraceRecorder();
-  uint64_t effective_trace = trace_id;
-  if (effective_trace == 0 && recorder != nullptr) {
-    effective_trace = recorder->trace_id();
-  }
-  std::vector<std::pair<std::string, std::string>> extra_headers;
-  if (effective_trace != 0) {
-    extra_headers.emplace_back("X-Simrank-Trace",
-                               TraceIdToHex(effective_trace));
-  }
-  ClientPool* pool = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(pools_mutex_);
-    for (const auto& candidate : pools_) {
-      if (candidate->port() == port) {
-        pool = candidate.get();
-        break;
-      }
-    }
-  }
-  if (pool == nullptr) {
-    return Status::InvalidArgument(
-        StrFormat("port %u is not a configured shard endpoint", port));
-  }
-  auto client = pool->Acquire();
-  if (!client.ok()) {
-    stat_shard_errors_.fetch_add(1, std::memory_order_relaxed);
-    return client.status();
-  }
-  auto response =
-      post ? client->Post(target, body, "application/octet-stream",
-                          extra_headers)
-           : client->Get(target, extra_headers);
+    ClientPool& pool, bool post, const std::string& target,
+    std::string_view body) {
+  Result<LoopbackHttpClient> client = pool.Acquire();
+  if (!client.ok()) return Complete(pool, client, client.status());
+  const auto headers = TraceHeaders();
+  return Complete(pool, client,
+                  post ? client->Post(target, body,
+                                      "application/octet-stream", headers)
+                       : client->Get(target, headers));
+}
+
+Result<SimRankRouter::ShardReply> SimRankRouter::Complete(
+    ClientPool& pool, Result<LoopbackHttpClient>& client,
+    Result<HttpClientResponse> response) {
   if (!response.ok()) {
     stat_shard_errors_.fetch_add(1, std::memory_order_relaxed);
-    return response.status();  // the dead connection is dropped here
+    if (client.ok()) client = response.status();  // drops the connection
+    return response.status();
   }
-  pool->Release(std::move(*client));
+  pool.Release(std::move(*client));
   ShardReply reply;
   reply.status = response->status;
   reply.body = std::move(response->body);
@@ -548,39 +505,150 @@ Result<SimRankRouter::ShardReply> SimRankRouter::SendToPort(
       ParseUint64(*epoch, &reply.epoch)) {
     reply.have_versions = true;
   }
-  if (effective_trace != 0) {
+  if (TraceRecorder* recorder = CurrentTraceRecorder()) {
+    recorder->Add(TraceCounter::kShardsContacted, 1);
     if (const std::string* child =
             response->FindHeader("x-simrank-trace-json");
         child != nullptr) {
-      reply.trace_json = *child;
-    }
-    if (recorder != nullptr) {
-      recorder->Add(TraceCounter::kShardsContacted, 1);
-      if (!reply.trace_json.empty()) {
-        recorder->AddChildTrace(std::move(reply.trace_json));
-        reply.trace_json.clear();
-      }
+      recorder->AddChildTrace(*child);
     }
   }
   return reply;
 }
 
-Result<SimRankRouter::ShardReply> SimRankRouter::ReadFromShard(
-    uint32_t shard_id, bool post, const std::string& target,
-    std::string_view body, uint64_t trace_id) {
-  const RouterShard& shard = options_.shards[shard_id];
-  auto reply = SendToPort(shard.primary_port, post, target, body, trace_id);
-  if (reply.ok() || shard.replica_port == 0) return reply;
+Result<SimRankRouter::ShardReply> SimRankRouter::FailOver(
+    uint32_t shard_id, Result<ShardReply> reply, bool post,
+    const std::string& target, std::string_view body) {
+  ClientPool* replica = pools_[shard_id].replica.get();
+  if (reply.ok() || replica == nullptr) return reply;
   stat_failovers_.fetch_add(1, std::memory_order_relaxed);
-  return SendToPort(shard.replica_port, post, target, body, trace_id);
+  return SendToPort(*replica, post, target, body);
 }
 
-Result<SimRankRouter::ShardReply> SimRankRouter::FetchRow(VertexId v) {
+Result<SimRankRouter::ShardReply> SimRankRouter::ReadFromShard(
+    uint32_t shard_id, bool post, const std::string& target,
+    std::string_view body) {
+  return FailOver(shard_id,
+                  SendToPort(*pools_[shard_id].primary, post, target, body),
+                  post, target, body);
+}
+
+std::vector<Result<SimRankRouter::ShardReply>> SimRankRouter::Scatter(
+    uint32_t first_shard, uint32_t end_shard, const std::string& target,
+    std::string_view body) {
+  TraceRecorder* const recorder = CurrentTraceRecorder();
+  const auto headers = TraceHeaders();
+  // Every request goes out before any reply is read, so the shards
+  // compute concurrently.
+  std::vector<Result<LoopbackHttpClient>> legs;
+  std::vector<uint64_t> sent_ns;
+  for (uint32_t shard = first_shard; shard < end_shard; ++shard) {
+    sent_ns.push_back(recorder != nullptr ? TraceNowNanos() : 0);
+    Result<LoopbackHttpClient>& leg =
+        legs.emplace_back(pools_[shard].primary->Acquire());
+    if (leg.ok()) {
+      const Status sent = leg->SendPost(target, body,
+                                        "application/octet-stream", headers);
+      if (!sent.ok()) leg = sent;
+    }
+  }
+  // Every leg is read (or its connection dropped by Complete) before the
+  // caller sees any reply: a pooled connection holding an unread reply
+  // would answer the next request with it.
+  std::vector<Result<ShardReply>> replies;
+  for (uint32_t shard = first_shard; shard < end_shard; ++shard) {
+    Result<LoopbackHttpClient>& leg = legs[shard - first_shard];
+    Result<HttpClientResponse> response =
+        leg.ok() ? leg->ReadResponse()
+                 : Result<HttpClientResponse>(leg.status());
+    replies.push_back(FailOver(
+        shard, Complete(*pools_[shard].primary, leg, std::move(response)),
+        /*post=*/true, target, body));
+    if (recorder != nullptr) {
+      const uint64_t start = sent_ns[shard - first_shard];
+      recorder->AddCompletedSpan(TraceStage::kShardExchange, start,
+                                 TraceNowNanos() - start,
+                                 StrFormat("shard=%u", shard));
+    }
+  }
+  return replies;
+}
+
+bool SimRankRouter::ExchangeRow(VertexId v, const std::string& target_prefix,
+                                uint32_t first_shard, uint32_t end_shard,
+                                std::vector<ShardReply>* replies,
+                                RouterResponse* error) {
+  enum class Verdict { kUse, kRetry, kFail };
   const uint32_t owner = options_.plan.OwnerOf(v);
-  TraceScope scope(TraceStage::kRowFetch, StrFormat("shard=%u", owner));
-  return ReadFromShard(owner, /*post=*/false,
-                       StrFormat("/internal/walks?v=%u", v),
-                       std::string_view());
+  // The one reply check for the row and every scattered leg; `row` is
+  // null for the row itself.
+  auto check = [this, owner, error](uint32_t shard, Result<ShardReply>& reply,
+                                    const ShardReply* row) {
+    if (!reply.ok()) {
+      *error = Unavailable(StrFormat("shard %u unreachable: %s", shard,
+                                     reply.status().message().c_str()));
+      return Verdict::kFail;
+    }
+    if (reply->status == 409) return Verdict::kRetry;
+    if (reply->status != 200) {
+      error->status = reply->status;
+      error->body = std::move(reply->body);
+      return Verdict::kFail;
+    }
+    if (!reply->have_versions || reply->epoch != options_.plan.epoch) {
+      error->status = 500;
+      error->body = ErrorBody(
+          "Internal",
+          StrFormat("shard %u is serving plan epoch %llu, router has %llu",
+                    shard, static_cast<unsigned long long>(reply->epoch),
+                    static_cast<unsigned long long>(options_.plan.epoch)));
+      return Verdict::kFail;
+    }
+    if (row != nullptr && reply->fingerprint != row->fingerprint) {
+      error->status = 500;
+      error->body = ErrorBody(
+          "Internal",
+          StrFormat("shard %u reports graph fingerprint %s but the row "
+                    "owner, shard %u, reports %s at the same overlay "
+                    "sequence; the cluster has diverged",
+                    shard, FormatFingerprint(reply->fingerprint).c_str(),
+                    owner, FormatFingerprint(row->fingerprint).c_str()));
+      return Verdict::kFail;
+    }
+    return Verdict::kUse;
+  };
+  for (uint32_t attempt = 0; attempt <= options_.retries; ++attempt) {
+    Result<ShardReply> row = Status::IoError("not attempted");
+    {
+      TraceScope scope(TraceStage::kRowFetch, StrFormat("shard=%u", owner));
+      row = ReadFromShard(owner, /*post=*/false,
+                          StrFormat("/internal/walks?v=%u", v),
+                          std::string_view());
+    }
+    Verdict verdict = check(owner, row, nullptr);
+    if (verdict == Verdict::kUse) {
+      std::vector<Result<ShardReply>> legs = Scatter(
+          first_shard, end_shard,
+          StrFormat("%s&seq=%llu", target_prefix.c_str(),
+                    static_cast<unsigned long long>(row->sequence)),
+          row->body);
+      replies->clear();
+      for (uint32_t i = 0; i < legs.size() && verdict == Verdict::kUse;
+           ++i) {
+        verdict = check(first_shard + i, legs[i], &*row);
+        if (verdict == Verdict::kUse) replies->push_back(std::move(*legs[i]));
+      }
+    }
+    if (verdict == Verdict::kUse) return true;
+    if (verdict == Verdict::kFail) return false;
+    // An update landed between the row fetch and the scatter.
+    stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
+    TraceAdd(TraceCounter::kConflictRetries, 1);
+  }
+  *error = Unavailable(
+      "overlay sequence kept moving during the shard exchange; retry after "
+      "the update burst settles");
+  return false;
 }
 
 SimRankRouter::RouterResponse SimRankRouter::Unavailable(
@@ -618,67 +686,20 @@ bool SimRankRouter::ScorePair(VertexId a, VertexId b, double* score,
     *score = FindJsonNumber(reply->body, "score");
     return true;
   }
-
-  for (uint32_t attempt = 0; attempt <= options_.retries; ++attempt) {
-    auto row = FetchRow(a);
-    if (!row.ok()) {
-      *error = Unavailable(StrFormat("shard %u unreachable: %s", owner_a,
-                                     row.status().message().c_str()));
-      return false;
-    }
-    if (row->status != 200) {
-      error->status = row->status;
-      error->body = std::move(row->body);
-      return false;
-    }
-    if (!row->have_versions || row->epoch != options_.plan.epoch) {
-      error->status = 500;
-      error->body = ErrorBody(
-          "Internal",
-          StrFormat("shard %u is serving plan epoch %llu, router has %llu",
-                    owner_a, static_cast<unsigned long long>(row->epoch),
-                    static_cast<unsigned long long>(options_.plan.epoch)));
-      return false;
-    }
-    Result<ShardReply> reply = Status::IoError("not attempted");
-    {
-      TraceScope exchange(TraceStage::kShardExchange,
-                          StrFormat("shard=%u", owner_b));
-      reply = ReadFromShard(
-          owner_b, /*post=*/true,
-          StrFormat("/internal/pair?b=%u&seq=%llu", b,
-                    static_cast<unsigned long long>(row->sequence)),
-          row->body);
-    }
-    if (!reply.ok()) {
-      *error = Unavailable(StrFormat("shard %u unreachable: %s", owner_b,
-                                     reply.status().message().c_str()));
-      return false;
-    }
-    if (reply->status == 409) {
-      stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
-      TraceAdd(TraceCounter::kConflictRetries, 1);
-      continue;  // an update landed between row fetch and scoring
-    }
-    if (reply->status != 200) {
-      error->status = reply->status;
-      error->body = std::move(reply->body);
-      return false;
-    }
-    if (reply->body.size() != sizeof(double)) {
-      error->status = 500;
-      error->body = ErrorBody(
-          "Internal", StrFormat("shard %u returned a %zu-byte pair score",
-                                owner_b, reply->body.size()));
-      return false;
-    }
-    std::memcpy(score, reply->body.data(), sizeof(double));
-    return true;
+  std::vector<ShardReply> replies;
+  if (!ExchangeRow(a, StrFormat("/internal/pair?b=%u", b), owner_b,
+                   owner_b + 1, &replies, error)) {
+    return false;
   }
-  *error = Unavailable(
-      "overlay sequence kept moving during the cross-shard exchange; "
-      "retry after the update burst settles");
-  return false;
+  if (replies[0].body.size() != sizeof(double)) {
+    error->status = 500;
+    error->body = ErrorBody(
+        "Internal", StrFormat("shard %u returned a %zu-byte pair score",
+                              owner_b, replies[0].body.size()));
+    return false;
+  }
+  std::memcpy(score, replies[0].body.data(), sizeof(double));
+  return true;
 }
 
 SimRankRouter::RouterResponse SimRankRouter::HandlePair(
@@ -719,140 +740,39 @@ SimRankRouter::RouterResponse SimRankRouter::HandleSingleSource(
     response.body = ErrorBody("InvalidArgument", error);
     return response;
   }
-  const size_t num_shards = options_.shards.size();
-  for (uint32_t attempt = 0; attempt <= options_.retries; ++attempt) {
-    auto row = FetchRow(v);
-    if (!row.ok()) {
-      return Unavailable(StrFormat("row owner unreachable: %s",
-                                   row.status().message().c_str()));
-    }
-    if (row->status != 200) {
-      response.status = row->status;
-      response.body = std::move(row->body);
-      return response;
-    }
-    if (!row->have_versions || row->epoch != options_.plan.epoch) {
-      response.status = 500;
-      response.body =
-          ErrorBody("Internal", "row owner is serving a different plan "
-                                "epoch than this router");
-      return response;
-    }
-    const std::string target =
-        StrFormat("/internal/partial?v=%u&seq=%llu", v,
-                  static_cast<unsigned long long>(row->sequence));
-    std::vector<Result<ShardReply>> replies;
-    replies.reserve(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-      replies.emplace_back(Status::IoError("not attempted"));
-    }
-    TraceRecorder* const recorder = CurrentTraceRecorder();
-    const uint64_t fan_trace_id =
-        recorder != nullptr ? recorder->trace_id() : 0;
-    std::vector<uint64_t> fan_start(num_shards, 0);
-    std::vector<uint64_t> fan_duration(num_shards, 0);
-    {
-      std::vector<std::thread> fan;
-      fan.reserve(num_shards);
-      for (size_t i = 0; i < num_shards; ++i) {
-        fan.emplace_back([this, i, &target, &row, &replies, fan_trace_id,
-                          &fan_start, &fan_duration] {
-          // Fan-out threads have no thread-local recorder (recorders are
-          // single-owner); they time the exchange locally and the
-          // connection thread folds the spans in after the join.
-          const uint64_t start = fan_trace_id != 0 ? TraceNowNanos() : 0;
-          replies[i] = ReadFromShard(static_cast<uint32_t>(i), /*post=*/true,
-                                     target, row->body, fan_trace_id);
-          if (fan_trace_id != 0) {
-            fan_start[i] = start;
-            fan_duration[i] = TraceNowNanos() - start;
-          }
-        });
-      }
-      for (std::thread& thread : fan) thread.join();
-    }
-    if (recorder != nullptr) {
-      for (size_t i = 0; i < num_shards; ++i) {
-        recorder->AddCompletedSpan(TraceStage::kShardExchange, fan_start[i],
-                                   fan_duration[i],
-                                   StrFormat("shard=%zu", i));
-        recorder->Add(TraceCounter::kShardsContacted, 1);
-        if (replies[i].ok() && !(*replies[i]).trace_json.empty()) {
-          recorder->AddChildTrace(std::move((*replies[i]).trace_json));
-        }
-      }
-    }
-    bool conflicted = false;
-    uint64_t fingerprint = 0;
-    bool have_fingerprint = false;
-    std::string scores;
-    for (size_t i = 0; i < num_shards; ++i) {
-      if (!replies[i].ok()) {
-        return Unavailable(StrFormat("shard %zu unreachable: %s", i,
-                                     replies[i].status().message().c_str()));
-      }
-      ShardReply& reply = *replies[i];
-      if (reply.status == 409) {
-        conflicted = true;
-        break;
-      }
-      if (reply.status != 200) {
-        response.status = reply.status;
-        response.body = std::move(reply.body);
-        return response;
-      }
-      if (!reply.have_versions || reply.epoch != options_.plan.epoch) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal", StrFormat("shard %zu is serving a different plan "
-                                  "epoch than this router",
-                                  i));
-        return response;
-      }
-      if (have_fingerprint && reply.fingerprint != fingerprint) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal",
-            "shards report different graph fingerprints at the same "
-            "overlay sequence; the cluster has diverged");
-        return response;
-      }
-      fingerprint = reply.fingerprint;
-      have_fingerprint = true;
-      const ShardRange& range = options_.plan.shards[i];
-      const size_t expected =
-          static_cast<size_t>(range.end - range.begin) * sizeof(double);
-      if (reply.body.size() != expected) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal",
-            StrFormat("shard %zu returned %zu score bytes, expected %zu", i,
-                      reply.body.size(), expected));
-        return response;
-      }
-      scores += reply.body;
-    }
-    if (conflicted) {
-      stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
-      TraceAdd(TraceCounter::kConflictRetries, 1);
-      continue;
-    }
-    // The shard ranges partition [0, n) in order, so the concatenated
-    // slices are the full single-node score row, bit for bit.
-    TraceScope merge(TraceStage::kMerge);
-    JsonWriter json;
-    json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
-    const double* values = reinterpret_cast<const double*>(scores.data());
-    const size_t count = scores.size() / sizeof(double);
-    for (size_t i = 0; i < count; ++i) json.Double(values[i]);
-    json.EndArray().EndObject();
-    response.status = 200;
-    response.body = json.str();
+  std::vector<ShardReply> replies;
+  if (!ExchangeRow(v, StrFormat("/internal/partial?v=%u", v), 0,
+                   static_cast<uint32_t>(pools_.size()), &replies,
+                   &response)) {
     return response;
   }
-  return Unavailable(
-      "overlay sequence kept moving during the fan-out; retry after the "
-      "update burst settles");
+  TraceScope merge(TraceStage::kMerge);
+  // The shard ranges partition [0, n) in order, so the concatenated
+  // slices are the full single-node score row, bit for bit.
+  std::string scores;
+  for (size_t i = 0; i < replies.size(); ++i) {
+    const ShardRange& range = options_.plan.shards[i];
+    const size_t expected =
+        static_cast<size_t>(range.end - range.begin) * sizeof(double);
+    if (replies[i].body.size() != expected) {
+      response.status = 500;
+      response.body = ErrorBody(
+          "Internal",
+          StrFormat("shard %zu returned %zu score bytes, expected %zu", i,
+                    replies[i].body.size(), expected));
+      return response;
+    }
+    scores += replies[i].body;
+  }
+  JsonWriter json;
+  json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
+  const double* values = reinterpret_cast<const double*>(scores.data());
+  const size_t count = scores.size() / sizeof(double);
+  for (size_t i = 0; i < count; ++i) json.Double(values[i]);
+  json.EndArray().EndObject();
+  response.status = 200;
+  response.body = json.str();
+  return response;
 }
 
 SimRankRouter::RouterResponse SimRankRouter::HandleTopK(
@@ -873,145 +793,57 @@ SimRankRouter::RouterResponse SimRankRouter::HandleTopK(
         ErrorBody("InvalidArgument", "?k= must be a positive integer");
     return response;
   }
-  const size_t num_shards = options_.shards.size();
-  for (uint32_t attempt = 0; attempt <= options_.retries; ++attempt) {
-    auto row = FetchRow(v);
-    if (!row.ok()) {
-      return Unavailable(StrFormat("row owner unreachable: %s",
-                                   row.status().message().c_str()));
-    }
-    if (row->status != 200) {
-      response.status = row->status;
-      response.body = std::move(row->body);
-      return response;
-    }
-    if (!row->have_versions || row->epoch != options_.plan.epoch) {
-      response.status = 500;
-      response.body =
-          ErrorBody("Internal", "row owner is serving a different plan "
-                                "epoch than this router");
-      return response;
-    }
-    const std::string target = StrFormat(
-        "/internal/topk?v=%u&k=%llu&seq=%llu", v,
-        static_cast<unsigned long long>(k),
-        static_cast<unsigned long long>(row->sequence));
-    std::vector<Result<ShardReply>> replies;
-    replies.reserve(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-      replies.emplace_back(Status::IoError("not attempted"));
-    }
-    TraceRecorder* const recorder = CurrentTraceRecorder();
-    const uint64_t fan_trace_id =
-        recorder != nullptr ? recorder->trace_id() : 0;
-    std::vector<uint64_t> fan_start(num_shards, 0);
-    std::vector<uint64_t> fan_duration(num_shards, 0);
-    {
-      std::vector<std::thread> fan;
-      fan.reserve(num_shards);
-      for (size_t i = 0; i < num_shards; ++i) {
-        fan.emplace_back([this, i, &target, &row, &replies, fan_trace_id,
-                          &fan_start, &fan_duration] {
-          // Fan-out threads have no thread-local recorder (recorders are
-          // single-owner); they time the exchange locally and the
-          // connection thread folds the spans in after the join.
-          const uint64_t start = fan_trace_id != 0 ? TraceNowNanos() : 0;
-          replies[i] = ReadFromShard(static_cast<uint32_t>(i), /*post=*/true,
-                                     target, row->body, fan_trace_id);
-          if (fan_trace_id != 0) {
-            fan_start[i] = start;
-            fan_duration[i] = TraceNowNanos() - start;
-          }
-        });
-      }
-      for (std::thread& thread : fan) thread.join();
-    }
-    if (recorder != nullptr) {
-      for (size_t i = 0; i < num_shards; ++i) {
-        recorder->AddCompletedSpan(TraceStage::kShardExchange, fan_start[i],
-                                   fan_duration[i],
-                                   StrFormat("shard=%zu", i));
-        recorder->Add(TraceCounter::kShardsContacted, 1);
-        if (replies[i].ok() && !(*replies[i]).trace_json.empty()) {
-          recorder->AddChildTrace(std::move((*replies[i]).trace_json));
-        }
-      }
-    }
-    bool conflicted = false;
-    std::vector<std::vector<ScoredVertex>> parts(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-      if (!replies[i].ok()) {
-        return Unavailable(StrFormat("shard %zu unreachable: %s", i,
-                                     replies[i].status().message().c_str()));
-      }
-      ShardReply& reply = *replies[i];
-      if (reply.status == 409) {
-        conflicted = true;
-        break;
-      }
-      if (reply.status != 200) {
-        response.status = reply.status;
-        response.body = std::move(reply.body);
-        return response;
-      }
-      if (!reply.have_versions || reply.epoch != options_.plan.epoch) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal", StrFormat("shard %zu is serving a different plan "
-                                  "epoch than this router",
-                                  i));
-        return response;
-      }
-      if (reply.body.size() % 12 != 0) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal",
-            StrFormat("shard %zu returned a %zu-byte top-k body (not a "
-                      "multiple of 12)",
-                      i, reply.body.size()));
-        return response;
-      }
-      const size_t records = reply.body.size() / 12;
-      parts[i].resize(records);
-      for (size_t r = 0; r < records; ++r) {
-        std::memcpy(&parts[i][r].vertex, reply.body.data() + r * 12,
-                    sizeof(uint32_t));
-        std::memcpy(&parts[i][r].score, reply.body.data() + r * 12 + 4,
-                    sizeof(double));
-      }
-    }
-    if (conflicted) {
-      stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
-      TraceAdd(TraceCounter::kConflictRetries, 1);
-      continue;
-    }
-    TraceScope merge(TraceStage::kMerge);
-    const std::vector<ScoredVertex> top =
-        MergeTopK(parts, static_cast<uint32_t>(k));
-    JsonWriter json;
-    json.BeginObject()
-        .Key("v")
-        .Uint(v)
-        .Key("k")
-        .Uint(k)
-        .Key("results")
-        .BeginArray();
-    for (const ScoredVertex& scored : top) {
-      json.BeginObject()
-          .Key("vertex")
-          .Uint(scored.vertex)
-          .Key("score")
-          .Double(scored.score)
-          .EndObject();
-    }
-    json.EndArray().EndObject();
-    response.status = 200;
-    response.body = json.str();
+  std::vector<ShardReply> replies;
+  if (!ExchangeRow(v,
+                   StrFormat("/internal/topk?v=%u&k=%llu", v,
+                             static_cast<unsigned long long>(k)),
+                   0, static_cast<uint32_t>(pools_.size()), &replies,
+                   &response)) {
     return response;
   }
-  return Unavailable(
-      "overlay sequence kept moving during the fan-out; retry after the "
-      "update burst settles");
+  TraceScope merge(TraceStage::kMerge);
+  std::vector<std::vector<ScoredVertex>> parts(replies.size());
+  for (size_t i = 0; i < replies.size(); ++i) {
+    const std::string& body = replies[i].body;
+    if (body.size() % 12 != 0) {
+      response.status = 500;
+      response.body = ErrorBody(
+          "Internal",
+          StrFormat("shard %zu returned a %zu-byte top-k body (not a "
+                    "multiple of 12)",
+                    i, body.size()));
+      return response;
+    }
+    parts[i].resize(body.size() / 12);
+    for (size_t r = 0; r < parts[i].size(); ++r) {
+      std::memcpy(&parts[i][r].vertex, body.data() + r * 12,
+                  sizeof(uint32_t));
+      std::memcpy(&parts[i][r].score, body.data() + r * 12 + 4,
+                  sizeof(double));
+    }
+  }
+  const std::vector<ScoredVertex> top =
+      MergeTopK(parts, static_cast<uint32_t>(k));
+  JsonWriter json;
+  json.BeginObject()
+      .Key("v")
+      .Uint(v)
+      .Key("k")
+      .Uint(k)
+      .Key("results")
+      .BeginArray();
+  for (const ScoredVertex& scored : top) {
+    json.BeginObject()
+        .Key("vertex")
+        .Uint(scored.vertex)
+        .Key("score")
+        .Double(scored.score)
+        .EndObject();
+  }
+  json.EndArray().EndObject();
+  response.status = 200;
+  response.body = json.str();
+  return response;
 }
 
 SimRankRouter::RouterResponse SimRankRouter::HandleBatchPair(
@@ -1072,8 +904,8 @@ SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
   };
   std::vector<ShardResult> results;
   for (size_t i = 0; i < options_.shards.size(); ++i) {
-    auto reply = SendToPort(options_.shards[i].primary_port, /*post=*/true,
-                            "/v1/update", request.body);
+    auto reply = SendToPort(*pools_[i].primary, /*post=*/true, "/v1/update",
+                            request.body);
     if (!reply.ok()) {
       if (i == 0) {
         return Unavailable(
@@ -1174,16 +1006,7 @@ SimRankRouter::RouterResponse SimRankRouter::BuildStats() {
   json.Key("graph_fingerprint")
       .String(FormatFingerprint(options_.plan.graph_fingerprint));
   json.Key("uptime_seconds").Double(UptimeSeconds());
-  const BuildInfo& build = GetBuildInfo();
-  json.Key("build_info").BeginObject();
-  json.Key("version").String(build.git_describe);
-  json.Key("compiler").String(build.compiler);
-  json.Key("build_type").String(build.build_type);
-  json.Key("cxx_standard").String(build.cxx_standard);
-  json.Key("simd").String(SimdLevelName(ActiveSimdLevel()));
-  json.Key("io_uring_compiled").Bool(SegmentReader::BuildSupportsIoUring());
-  json.Key("io_uring_enabled").Bool(SegmentReader::IoUringEnabled());
-  json.EndObject();
+  WriteBuildInfoJson(json);
   json.Key("requests").BeginObject();
   json.Key("total").Uint(stats.requests_total);
   json.Key("pair").Uint(stats.requests_pair);
@@ -1269,14 +1092,7 @@ SimRankRouter::RouterResponse SimRankRouter::BuildMetrics() {
   type("simrank_router_shards", "gauge");
   counter("simrank_router_shards", "", options_.plan.shards.size());
 
-  const BuildInfo& build = GetBuildInfo();
-  type("simrank_build_info", "gauge");
-  out += StrFormat(
-      "simrank_build_info{version=\"%s\",compiler=\"%s\",build_type=\"%s\","
-      "simd=\"%s\",io_uring=\"%s\",role=\"router\"} 1\n",
-      build.git_describe, build.compiler, build.build_type,
-      SimdLevelName(ActiveSimdLevel()),
-      SegmentReader::IoUringEnabled() ? "true" : "false");
+  out += BuildInfoMetric(",role=\"router\"");
   type("simrank_router_uptime_seconds", "gauge");
   out += StrFormat("simrank_router_uptime_seconds %g\n", UptimeSeconds());
   {
@@ -1561,94 +1377,17 @@ SimRankRouter::RouterResponse SimRankRouter::BuildClusterHealth() {
   return response;
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandleProfile(
-    const HttpRequest& request) {
-  RouterResponse response;
-  double seconds = 2.0;
-  if (const std::string* raw = request.FindParam("seconds")) {
-    if (!ParseDouble(*raw, &seconds) || !(seconds > 0.0) ||
-        seconds > CpuProfiler::kMaxSeconds) {
-      response.status = 400;
-      response.body = ErrorBody(
-          "InvalidArgument",
-          StrFormat("parameter 'seconds' must be in (0, %g]",
-                    CpuProfiler::kMaxSeconds));
-      return response;
-    }
-  }
-  uint64_t hz = CpuProfiler::kDefaultHz;
-  if (const std::string* raw = request.FindParam("hz")) {
-    if (!ParseUint64(*raw, &hz) || hz == 0 || hz > CpuProfiler::kMaxHz) {
-      response.status = 400;
-      response.body =
-          ErrorBody("InvalidArgument",
-                    StrFormat("parameter 'hz' must be in [1, %u]",
-                              CpuProfiler::kMaxHz));
-      return response;
-    }
-  }
-  bool expected = false;
-  if (!profile_busy_.compare_exchange_strong(expected, true)) {
-    response.status = 409;
-    response.body = ErrorBody(
-        "Busy", "a profiling session is already running; retry shortly");
-    return response;
-  }
-  // Blocking is fine here: each router connection has its own thread, so
-  // the sleep stalls only this client.
-  auto profiled =
-      CpuProfiler::Instance().ProfileFor(seconds, static_cast<uint32_t>(hz));
-  profile_busy_.store(false, std::memory_order_release);
-  if (!profiled.ok()) {
-    response.status = 409;
-    response.body = ErrorBody("Busy", profiled.status().message());
-    return response;
-  }
-  const ProfileReport& report = *profiled;
-  response.status = 200;
-  response.content_type = "text/plain";
-  response.body = StrFormat(
-      "# profile duration_seconds=%.3f frequency_hz=%u samples=%llu "
-      "dropped=%llu threads=%u\n",
-      report.duration_seconds, report.frequency_hz,
-      static_cast<unsigned long long>(report.total_samples),
-      static_cast<unsigned long long>(report.dropped_samples),
-      report.armed_threads);
-  response.body += report.collapsed;
-  return response;
-}
-
-SimRankRouter::RouterResponse SimRankRouter::HandleTimeseries(
-    const HttpRequest& request) {
-  RouterResponse response;
-  if (metrics_history_ == nullptr) {
-    response.status = 503;
-    response.body = ErrorBody(
-        "Unavailable", "metrics history is disabled (--metrics-history=0)");
-    return response;
-  }
-  const std::string* metric = request.FindParam("metric");
-  if (metric == nullptr) {
-    response.status = 200;
-    response.body = metrics_history_->ListJson();
-    return response;
-  }
-  uint64_t window = 0;  // 0 = the full configured window
-  const std::string* raw_window = request.FindParam("window");
-  if (raw_window != nullptr && !ParseUint64(*raw_window, &window)) {
-    response.status = 400;
-    response.body = ErrorBody("InvalidArgument",
-                              "parameter 'window' must be a span in seconds");
-    return response;
-  }
-  response.status = 200;
-  response.body = metrics_history_->QueryJson(*metric, window);
-  return response;
-}
-
 SimRankRouter::RouterResponse SimRankRouter::Route(
     const HttpRequest& request) {
   RouterResponse response;
+  auto method_not_allowed = [&request, &response](const char* allowed) {
+    response.status = 405;
+    response.body = ErrorBody(
+        "MethodNotAllowed",
+        StrFormat("%s only accepts %s", request.path.c_str(), allowed));
+    response.headers.emplace_back("Allow", allowed);
+    return response;
+  };
   const bool is_get = request.method == "GET";
   const bool is_post = request.method == "POST";
   if (request.path == "/healthz") {
@@ -1667,38 +1406,43 @@ SimRankRouter::RouterResponse SimRankRouter::Route(
   }
   if (request.path == "/v1/cluster/health") {
     stat_requests_cluster_health_.fetch_add(1, std::memory_order_relaxed);
-    if (!is_get) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use GET");
-      return response;
-    }
+    if (!is_get) return method_not_allowed("GET");
     return BuildClusterHealth();
   }
   if (request.path == "/v1/debug/profile") {
     stat_requests_debug_profile_.fetch_add(1, std::memory_order_relaxed);
-    if (!is_get) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use GET");
+    if (!is_get) return method_not_allowed("GET");
+    double seconds = 0.0;
+    uint32_t hz = 0;
+    if (const Status params = ParseProfileParams(request, &seconds, &hz);
+        !params.ok()) {
+      response.status = 400;
+      response.body = ErrorBody("InvalidArgument", params.message());
       return response;
     }
-    return HandleProfile(request);
+    // Blocks only this connection's thread. The profiler runs one session
+    // at a time, so a concurrent request fails here and answers 409.
+    auto profiled = CpuProfiler::Instance().ProfileFor(seconds, hz);
+    if (!profiled.ok()) {
+      response.status = 409;
+      response.body = ErrorBody("Busy", profiled.status().message());
+      return response;
+    }
+    response.status = 200;
+    response.content_type = "text/plain";
+    response.body = RenderProfileReport(*profiled);
+    return response;
   }
   if (request.path == "/v1/debug/timeseries") {
     stat_requests_debug_timeseries_.fetch_add(1, std::memory_order_relaxed);
-    if (!is_get) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use GET");
-      return response;
-    }
-    return HandleTimeseries(request);
+    if (!is_get) return method_not_allowed("GET");
+    std::tie(response.status, response.body) =
+        AnswerTimeseries(metrics_history_.get(), request);
+    return response;
   }
   if (request.path == "/v1/pair" || request.path == "/v1/single_source" ||
       request.path == "/v1/topk") {
-    if (!is_get) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use GET");
-      return response;
-    }
+    if (!is_get) return method_not_allowed("GET");
     if (request.path == "/v1/pair") {
       stat_requests_pair_.fetch_add(1, std::memory_order_relaxed);
       return HandlePair(request);
@@ -1711,11 +1455,7 @@ SimRankRouter::RouterResponse SimRankRouter::Route(
     return HandleTopK(request);
   }
   if (request.path == "/v1/batch_pair" || request.path == "/v1/update") {
-    if (!is_post) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use POST");
-      return response;
-    }
+    if (!is_post) return method_not_allowed("POST");
     if (request.path == "/v1/batch_pair") {
       stat_requests_batch_pair_.fetch_add(1, std::memory_order_relaxed);
       return HandleBatchPair(request);

@@ -9,11 +9,11 @@
 //     a cross-shard pair fetches a's walk row from its owner
 //     (/internal/walks) and has b's owner score it (/internal/pair), the
 //     double crossing the wire in native binary.
-//   - single_source(v) fetches v's row once, fans it to every shard
+//   - single_source(v) fetches v's row once, scatters it to every shard
 //     (/internal/partial), and concatenates the returned per-range score
 //     slices in shard order — the shard slices are disjoint and
 //     reproduce the single-node row exactly.
-//   - topk(v, k) fans the row the same way (/internal/topk), then merges
+//   - topk(v, k) scatters the row the same way (/internal/topk), then merges
 //     the per-shard top-k candidate lists under ScoredVertexBefore — the
 //     identical (score desc, vertex asc) total order the single-node
 //     engine sorts with, so cross-shard ties break the same way.
@@ -25,11 +25,21 @@
 //     update is durable on all shards. Divergent per-shard results
 //     (sequence, fingerprint) fail the request loudly.
 //
-// Consistency across the fan-out is pinned by overlay sequence: the row
-// fetch reports the owner's sequence, every fanned request carries it,
+// A scatter runs on the connection thread that serves the request: it
+// writes the request to every shard's primary on a pooled keep-alive
+// connection before reading any reply, so the shards compute
+// concurrently, then reads the replies in shard order. No thread is
+// started per request. A dead shard fails at connect or EOF at once; a
+// hung one (alive, not answering) costs one timeout_ms, and k hung shards
+// in one scatter cost up to k, one after another.
+//
+// Consistency across the scatter is pinned by overlay sequence: the row
+// fetch reports the owner's sequence, every scattered request carries it,
 // and a shard whose sequence has moved answers 409 — the router re-fetches
 // and retries, then degrades to 503 + Retry-After. A plan-epoch mismatch
-// in any shard response is a deployment error and fails loudly with 500.
+// in any shard response is a deployment error, and a graph fingerprint
+// that differs from the row owner's means the shards have diverged; both
+// fail loudly with 500.
 //
 // Reads fail over: when a shard's primary is unreachable (connect error or
 // timeout), the router retries the same read against the shard's replica,
@@ -150,7 +160,9 @@ std::vector<ScoredVertex> MergeTopK(
     const std::vector<std::vector<ScoredVertex>>& parts, uint32_t k);
 
 /// The router process: a blocking thread-per-connection HTTP frontend over
-/// a keep-alive client pool to the shards. Bind() then Start(); Shutdown()
+/// keep-alive client pools to the shards. Each connection thread runs its
+/// requests' shard exchanges itself; the only other threads are the
+/// accept loop and the fleet scraper. Bind() then Start(); Shutdown()
 /// stops accepting, joins every connection thread and closes the pools.
 class SimRankRouter {
  public:
@@ -191,7 +203,8 @@ class SimRankRouter {
     std::string content_type = "application/json";
   };
 
-  /// One shard reply with its parsed version headers.
+  /// One shard reply with its parsed version headers. A traced exchange
+  /// has already attached the shard's sub-trace to the recorder.
   struct ShardReply {
     int status = 0;
     std::string body;
@@ -199,38 +212,72 @@ class SimRankRouter {
     uint64_t fingerprint = 0;
     uint64_t epoch = 0;
     bool have_versions = false;
-    /// The shard's X-Simrank-Trace-Json sub-trace, when the exchange was
-    /// issued with a trace id from a fan-out thread (the connection
-    /// thread's own exchanges attach it to the recorder directly).
-    std::string trace_json;
   };
 
-  /// A keep-alive connection pool per target port.
+  /// A keep-alive connection pool to one shard process.
   class ClientPool;
+  /// The pools of one plan shard; `replica` is null without a replica.
+  struct ShardPools {
+    std::unique_ptr<ClientPool> primary;
+    std::unique_ptr<ClientPool> replica;
+  };
 
   void AcceptLoop();
   void HandleConnection(int fd);
   RouterResponse Route(const HttpRequest& request);
   void CountResponse(int status);
 
-  /// One request against a fixed port through the pool. Transport errors
-  /// return a non-ok status (the connection is dropped, not pooled).
-  /// When a trace is active — `trace_id` non-zero (fan-out threads, which
-  /// have no thread-local recorder) or a recorder bound to the calling
-  /// thread — the request carries X-Simrank-Trace and the shard's
-  /// X-Simrank-Trace-Json reply is attached to the recorder (connection
-  /// thread) or returned in ShardReply::trace_json (fan-out thread).
-  Result<ShardReply> SendToPort(uint16_t port, bool post,
+  /// One request to `pool`'s port on a pooled connection. Transport
+  /// errors return a non-ok status (the connection is dropped, not
+  /// pooled). When the calling thread is traced, the request carries
+  /// X-Simrank-Trace and the shard's X-Simrank-Trace-Json reply is
+  /// attached to the recorder.
+  Result<ShardReply> SendToPort(ClientPool& pool, bool post,
                                 const std::string& target,
-                                std::string_view body,
-                                uint64_t trace_id = 0);
+                                std::string_view body);
+
+  /// Finishes an exchange on `client`, taken from `pool`, whose reply read
+  /// gave `response`: a reply releases the connection to the pool and is
+  /// parsed (and traced, see SendToPort); a transport error drops the
+  /// connection and counts in shard_errors.
+  Result<ShardReply> Complete(ClientPool& pool,
+                              Result<LoopbackHttpClient>& client,
+                              Result<HttpClientResponse> response);
+
+  /// `reply` from shard `shard_id`'s primary, or — when it failed in
+  /// transport and the shard has a replica — the same request answered
+  /// by the replica, counted as a failover.
+  Result<ShardReply> FailOver(uint32_t shard_id, Result<ShardReply> reply,
+                              bool post, const std::string& target,
+                              std::string_view body);
 
   /// A read against shard `shard_id`: primary first, replica on transport
   /// failure (counted as a failover).
   Result<ShardReply> ReadFromShard(uint32_t shard_id, bool post,
                                    const std::string& target,
-                                   std::string_view body,
-                                   uint64_t trace_id = 0);
+                                   std::string_view body);
+
+  /// POSTs `body` to `target` on shards [first_shard, end_shard): writes
+  /// every primary's request before reading any reply, then reads the
+  /// replies in shard order, failing a leg over like ReadFromShard. Every
+  /// leg is read before returning. Records one shard_exchange span per
+  /// leg, from send to reply.
+  std::vector<Result<ShardReply>> Scatter(uint32_t first_shard,
+                                          uint32_t end_shard,
+                                          const std::string& target,
+                                          std::string_view body);
+
+  /// Fetches v's walk row from its owner, then scatters
+  /// `target_prefix&seq=<the row's overlay sequence>` with the row as body
+  /// to shards [first_shard, end_shard). Answers 503 for an unreachable
+  /// shard, passes any non-200 answer other than 409 through, and answers
+  /// 500 for a plan epoch other than the router's or a graph fingerprint
+  /// other than the row owner's. A 409 re-fetches the row and retries, up
+  /// to `retries` times, then 503. On success `*replies` holds the 200
+  /// replies in shard order.
+  bool ExchangeRow(VertexId v, const std::string& target_prefix,
+                   uint32_t first_shard, uint32_t end_shard,
+                   std::vector<ShardReply>* replies, RouterResponse* error);
 
   RouterResponse HandlePair(const HttpRequest& request);
   RouterResponse HandleSingleSource(const HttpRequest& request);
@@ -240,8 +287,6 @@ class SimRankRouter {
   RouterResponse BuildStats();
   RouterResponse BuildMetrics();
   RouterResponse BuildClusterHealth();
-  RouterResponse HandleProfile(const HttpRequest& request);
-  RouterResponse HandleTimeseries(const HttpRequest& request);
 
   /// The latest scrape of one fleet target (a shard primary or replica).
   struct TargetState {
@@ -274,10 +319,6 @@ class SimRankRouter {
   void StartDiagnostics();
   void StopDiagnostics();
 
-  /// Fetches v's walk row from its owner (with failover): 200 body is the
-  /// binary row, and the reply's sequence pins the fan-out.
-  Result<ShardReply> FetchRow(VertexId v);
-
   /// Scores one pair, cross-shard if needed. Returns the score through
   /// `*score`; a non-200 RouterResponse otherwise.
   bool ScorePair(VertexId a, VertexId b, double* score,
@@ -299,8 +340,8 @@ class SimRankRouter {
   std::mutex threads_mutex_;
   /// A list: handlers hold a reference to their own (address-stable) node.
   std::list<ConnectionThread> connection_threads_;
-  std::vector<std::unique_ptr<ClientPool>> pools_;  // indexed by port lookup
-  std::mutex pools_mutex_;
+  /// Indexed by shard id; built in Bind() and read-only afterwards.
+  std::vector<ShardPools> pools_;
 
   std::atomic<uint64_t> stat_requests_total_{0};
   std::atomic<uint64_t> stat_requests_pair_{0};
@@ -331,7 +372,6 @@ class SimRankRouter {
   std::unique_ptr<MetricsHistory> metrics_history_;
   std::unique_ptr<MetricsSampler> metrics_sampler_;
   std::unique_ptr<ProfileLogger> profile_logger_;
-  std::atomic<bool> profile_busy_{false};
 };
 
 }  // namespace simrank

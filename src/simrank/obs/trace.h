@@ -10,9 +10,11 @@
 // per-byte accounting inside the probe loops.
 //
 // The recorder is deliberately not propagated into ThreadPool workers:
-// fan-out code (batch queries, router scatter threads) measures child
-// durations locally and records them after the join via
-// AddCompletedSpan, keeping every recorder single-threaded.
+// fan-out code (batch queries) measures child durations locally and
+// records them after the join via AddCompletedSpan, keeping every
+// recorder single-threaded. The router's scatter records its overlapping
+// per-shard legs the same way, each from send to reply, on the one
+// connection thread that runs them all.
 //
 // Serialization is one compact JSON document (spans as a parent-indexed
 // tree, counters, raw child traces from downstream shards) with no
@@ -124,8 +126,9 @@ class TraceRecorder {
   void CloseSpan(int index);
 
   /// Records an already-measured interval (e.g. timed on a fan-out
-  /// thread and reported after the join). `start_ns` is an absolute
-  /// TraceNowNanos() reading.
+  /// thread and reported after the join, or overlapping its siblings like
+  /// the router's scatter legs). `start_ns` is an absolute TraceNowNanos()
+  /// reading.
   void AddCompletedSpan(TraceStage stage, uint64_t start_ns,
                         uint64_t duration_ns, std::string_view detail = {});
 

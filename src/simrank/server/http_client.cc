@@ -208,7 +208,7 @@ Result<HttpClientResponse> LoopbackHttpClient::Get(
   return ReadResponse();
 }
 
-Result<HttpClientResponse> LoopbackHttpClient::Post(
+Status LoopbackHttpClient::SendPost(
     const std::string& target, std::string_view body,
     std::string_view content_type,
     const std::vector<std::pair<std::string, std::string>>& extra_headers) {
@@ -224,8 +224,7 @@ Result<HttpClientResponse> LoopbackHttpClient::Post(
   }
   request += "\r\n";
   request += body;
-  OIPSIM_RETURN_IF_ERROR(SendRaw(request));
-  return ReadResponse();
+  return SendRaw(request);
 }
 
 Result<HttpClientResponse> HttpGet(uint16_t port,
@@ -267,7 +266,7 @@ Result<HttpClientResponse> LoopbackHttpClient::Get(
     const std::vector<std::pair<std::string, std::string>>&) {
   return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
 }
-Result<HttpClientResponse> LoopbackHttpClient::Post(
+Status LoopbackHttpClient::SendPost(
     const std::string&, std::string_view, std::string_view,
     const std::vector<std::pair<std::string, std::string>>&) {
   return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
@@ -281,5 +280,13 @@ Result<HttpClientResponse> HttpPost(uint16_t, const std::string&,
 }
 
 #endif  // OIPSIM_HAVE_SOCKETS
+
+Result<HttpClientResponse> LoopbackHttpClient::Post(
+    const std::string& target, std::string_view body,
+    std::string_view content_type,
+    const std::vector<std::pair<std::string, std::string>>& extra_headers) {
+  OIPSIM_RETURN_IF_ERROR(SendPost(target, body, content_type, extra_headers));
+  return ReadResponse();
+}
 
 }  // namespace simrank

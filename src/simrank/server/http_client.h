@@ -41,8 +41,8 @@ class LoopbackHttpClient {
 
   /// Connects with a per-operation socket timeout: every send/recv on the
   /// connection fails with IoError after `timeout_ms` of no progress
-  /// instead of blocking forever — what the router's scatter-gather fan-out
-  /// needs to bound a dead shard's damage. 0 keeps fully blocking sockets.
+  /// instead of blocking forever — what the router's shard exchanges need
+  /// to bound a dead shard's damage. 0 keeps fully blocking sockets.
   static Result<LoopbackHttpClient> Connect(uint16_t port,
                                             uint32_t timeout_ms);
 
@@ -62,8 +62,17 @@ class LoopbackHttpClient {
           {});
 
   /// Issues `POST target` with a Content-Length body and reads the full
-  /// response.
+  /// response: SendPost, then ReadResponse.
   Result<HttpClientResponse> Post(
+      const std::string& target, std::string_view body,
+      std::string_view content_type = "text/plain",
+      const std::vector<std::pair<std::string, std::string>>& extra_headers =
+          {});
+
+  /// Writes `POST target` without reading the reply, so a caller can put
+  /// requests on several connections before awaiting any of them; the
+  /// reply is then read with ReadResponse.
+  Status SendPost(
       const std::string& target, std::string_view body,
       std::string_view content_type = "text/plain",
       const std::vector<std::pair<std::string, std::string>>& extra_headers =
@@ -76,7 +85,7 @@ class LoopbackHttpClient {
   /// but must still answer everything already sent.
   Status ShutdownWrite();
 
-  /// Reads one response off the wire (pairs with SendRaw).
+  /// Reads one response off the wire (pairs with SendRaw and SendPost).
   Result<HttpClientResponse> ReadResponse();
 
  private:

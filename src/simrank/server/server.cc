@@ -75,20 +75,6 @@ using internal::QueryArgs;
 constexpr size_t kMaxPendingOutputBytes = 4u << 20;
 constexpr size_t kInputBufferSlackBytes = 64u << 10;
 
-std::string ErrorBody(std::string_view code, std::string_view message) {
-  JsonWriter json;
-  json.BeginObject()
-      .Key("error")
-      .BeginObject()
-      .Key("code")
-      .String(code)
-      .Key("message")
-      .String(message)
-      .EndObject()
-      .EndObject();
-  return json.str();
-}
-
 /// HTTP status + body for a query or update that failed inside the engine
 /// or updater. Parse errors are client errors here: the only parsed input
 /// is the request body.
@@ -163,6 +149,30 @@ std::pair<int, std::string> ExecuteTopK(QueryEngine& engine,
   return {200, json.str()};
 }
 
+/// Rejects parameters the endpoint does not define (and duplicates), so a
+/// typo like `/v1/pair?a=1&c=2` fails loudly instead of querying b=0.
+bool CheckAllowedParams(const HttpRequest& request,
+                        std::initializer_list<const char*> allowed,
+                        std::string* error) {
+  std::vector<std::string_view> seen;
+  for (const auto& [key, value] : request.params) {
+    bool known = false;
+    for (const char* name : allowed) known = known || key == name;
+    if (!known) {
+      *error = StrFormat("unknown parameter '%s'", key.c_str());
+      return false;
+    }
+    for (const std::string_view earlier : seen) {
+      if (earlier == key) {
+        *error = StrFormat("duplicate parameter '%s'", key.c_str());
+        return false;
+      }
+    }
+    seen.push_back(key);
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<std::vector<std::pair<VertexId, VertexId>>> ParsePairBatch(
@@ -195,6 +205,137 @@ Result<std::vector<std::pair<VertexId, VertexId>>> ParsePairBatch(
     return Status::InvalidArgument("empty pair batch");
   }
   return pairs;
+}
+
+std::string ErrorBody(std::string_view code, std::string_view message) {
+  JsonWriter json;
+  json.BeginObject()
+      .Key("error")
+      .BeginObject()
+      .Key("code")
+      .String(code)
+      .Key("message")
+      .String(message)
+      .EndObject()
+      .EndObject();
+  return json.str();
+}
+
+Status ValidateDiagnosticsOptions(uint32_t metrics_history_window_s,
+                                  uint32_t metrics_history_interval_ms,
+                                  const std::string& profile_log_path,
+                                  uint32_t profile_log_hz,
+                                  uint32_t profile_log_period_s) {
+  if (metrics_history_window_s > 0) {
+    if (metrics_history_interval_ms == 0) {
+      return Status::InvalidArgument(
+          "--metrics-history-interval-ms must be positive");
+    }
+    const uint64_t points = static_cast<uint64_t>(metrics_history_window_s) *
+                            1000 / metrics_history_interval_ms;
+    if (points > 1u << 20) {
+      return Status::InvalidArgument(
+          StrFormat("metrics history of %llu points per series would pin an "
+                    "unreasonable amount of memory",
+                    static_cast<unsigned long long>(points)));
+    }
+  }
+  if (!profile_log_path.empty()) {
+    if (profile_log_hz == 0 || profile_log_hz > CpuProfiler::kMaxHz) {
+      return Status::InvalidArgument(
+          StrFormat("--profile-log-hz=%u is not in [1, %u]", profile_log_hz,
+                    CpuProfiler::kMaxHz));
+    }
+    if (profile_log_period_s == 0) {
+      return Status::InvalidArgument(
+          "--profile-log-period must be positive");
+    }
+  }
+  return Status::OK();
+}
+
+Status ParseProfileParams(const HttpRequest& request, double* seconds,
+                          uint32_t* hz) {
+  std::string error;
+  if (!CheckAllowedParams(request, {"seconds", "hz"}, &error)) {
+    return Status::InvalidArgument(error);
+  }
+  *seconds = 2.0;
+  if (const std::string* raw = request.FindParam("seconds")) {
+    if (!ParseDouble(*raw, seconds) || !(*seconds > 0.0) ||
+        *seconds > CpuProfiler::kMaxSeconds) {
+      return Status::InvalidArgument(
+          StrFormat("parameter 'seconds' must be in (0, %g]",
+                    CpuProfiler::kMaxSeconds));
+    }
+  }
+  uint64_t rate = CpuProfiler::kDefaultHz;
+  if (const std::string* raw = request.FindParam("hz")) {
+    if (!ParseUint64(*raw, &rate) || rate == 0 ||
+        rate > CpuProfiler::kMaxHz) {
+      return Status::InvalidArgument(StrFormat(
+          "parameter 'hz' must be in [1, %u]", CpuProfiler::kMaxHz));
+    }
+  }
+  *hz = static_cast<uint32_t>(rate);
+  return Status::OK();
+}
+
+std::string RenderProfileReport(const ProfileReport& report) {
+  return StrFormat(
+             "# profile duration_seconds=%.3f frequency_hz=%u samples=%llu "
+             "dropped=%llu threads=%u\n",
+             report.duration_seconds, report.frequency_hz,
+             static_cast<unsigned long long>(report.total_samples),
+             static_cast<unsigned long long>(report.dropped_samples),
+             report.armed_threads) +
+         report.collapsed;
+}
+
+std::pair<int, std::string> AnswerTimeseries(const MetricsHistory* history,
+                                             const HttpRequest& request) {
+  if (history == nullptr) {
+    return {503, ErrorBody("Unavailable",
+                           "metrics history is disabled "
+                           "(--metrics-history=0)")};
+  }
+  const std::string* metric = request.FindParam("metric");
+  if (metric == nullptr) return {200, history->ListJson()};
+  uint64_t window = 0;  // 0 = the full configured window
+  const std::string* raw_window = request.FindParam("window");
+  if (raw_window != nullptr && !ParseUint64(*raw_window, &window)) {
+    return {400, ErrorBody("InvalidArgument",
+                           "parameter 'window' must be a span in seconds")};
+  }
+  return {200, history->QueryJson(*metric, window)};
+}
+
+void WriteBuildInfoJson(JsonWriter& json) {
+  // What exactly is running: resolved at build (version, compiler) and at
+  // startup (SIMD tier, io_uring), so a fleet dashboard can spot a stale
+  // or differently-capable node at a glance.
+  const BuildInfo& build = GetBuildInfo();
+  json.Key("build_info").BeginObject();
+  json.Key("version").String(build.git_describe);
+  json.Key("compiler").String(build.compiler);
+  json.Key("build_type").String(build.build_type);
+  json.Key("cxx_standard").String(build.cxx_standard);
+  json.Key("simd").String(SimdLevelName(ActiveSimdLevel()));
+  json.Key("io_uring_compiled").Bool(SegmentReader::BuildSupportsIoUring());
+  json.Key("io_uring_enabled").Bool(SegmentReader::IoUringEnabled());
+  json.EndObject();
+}
+
+std::string BuildInfoMetric(std::string_view extra_labels) {
+  const BuildInfo& build = GetBuildInfo();
+  return StrFormat(
+             "# TYPE simrank_build_info gauge\n"
+             "simrank_build_info{version=\"%s\",compiler=\"%s\","
+             "build_type=\"%s\",simd=\"%s\",io_uring=\"%s\"",
+             build.git_describe, build.compiler, build.build_type,
+             SimdLevelName(ActiveSimdLevel()),
+             SegmentReader::IoUringEnabled() ? "true" : "false") +
+         std::string(extra_labels) + "} 1\n";
 }
 
 namespace {
@@ -575,17 +716,9 @@ Status ServerOptions::Validate() const {
                   "trace JSON in memory",
                   slow_ring_capacity));
   }
-  if (!profile_log_path.empty()) {
-    if (profile_log_hz == 0 || profile_log_hz > CpuProfiler::kMaxHz) {
-      return Status::InvalidArgument(
-          StrFormat("--profile-log-hz=%u is not in [1, %u]", profile_log_hz,
-                    CpuProfiler::kMaxHz));
-    }
-    if (profile_log_period_s == 0) {
-      return Status::InvalidArgument(
-          "--profile-log-period must be positive");
-    }
-  }
+  OIPSIM_RETURN_IF_ERROR(ValidateDiagnosticsOptions(
+      metrics_history_window_s, metrics_history_interval_ms,
+      profile_log_path, profile_log_hz, profile_log_period_s));
   if (watchdog_interval_ms > 60000) {
     return Status::InvalidArgument(
         StrFormat("--watchdog-interval-ms=%u is longer than any plausible "
@@ -595,20 +728,6 @@ Status ServerOptions::Validate() const {
   if (watchdog_interval_ms > 0 && watchdog_stall_us == 0) {
     return Status::InvalidArgument(
         "--watchdog-stall-us must be positive when the watchdog is armed");
-  }
-  if (metrics_history_window_s > 0) {
-    if (metrics_history_interval_ms == 0) {
-      return Status::InvalidArgument(
-          "--metrics-history-interval-ms must be positive");
-    }
-    const uint64_t points = static_cast<uint64_t>(metrics_history_window_s) *
-                            1000 / metrics_history_interval_ms;
-    if (points > 1u << 20) {
-      return Status::InvalidArgument(
-          StrFormat("metrics history of %llu points per series would pin an "
-                    "unreasonable amount of memory",
-                    static_cast<unsigned long long>(points)));
-    }
   }
   if (debug_stall_limit_ms > 10000) {
     return Status::InvalidArgument(
@@ -1093,27 +1212,9 @@ void SimRankServer::RouteRequest(Connection* conn,
   }
   if (request.path == "/v1/debug/timeseries") {
     stat_requests_debug_timeseries_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_history_ == nullptr) {
-      QueueResponse(conn, 503,
-                    ErrorBody("Unavailable",
-                              "metrics history is disabled "
-                              "(--metrics-history=0)"));
-      return;
-    }
-    const std::string* metric = request.FindParam("metric");
-    if (metric == nullptr) {
-      // No metric selected: list what is recorded.
-      QueueResponse(conn, 200, metrics_history_->ListJson());
-      return;
-    }
-    uint64_t window = 0;  // 0 = the full configured window
-    const std::string* raw_window = request.FindParam("window");
-    if (raw_window != nullptr && !ParseUint64(*raw_window, &window)) {
-      QueueErrorResponse(conn, 400,
-                         "parameter 'window' must be a span in seconds");
-      return;
-    }
-    QueueResponse(conn, 200, metrics_history_->QueryJson(*metric, window));
+    const auto [status, body] =
+        AnswerTimeseries(metrics_history_.get(), request);
+    QueueResponse(conn, status, body);
     return;
   }
   if (request.path == "/v1/debug/stall") {
@@ -1240,30 +1341,6 @@ bool ParseSeqParam(const HttpRequest& request, const char* name,
                        "'%s'",
                        name, raw->c_str());
     return false;
-  }
-  return true;
-}
-
-/// Rejects parameters the endpoint does not define (and duplicates), so a
-/// typo like `/v1/pair?a=1&c=2` fails loudly instead of querying b=0.
-bool CheckAllowedParams(const HttpRequest& request,
-                        std::initializer_list<const char*> allowed,
-                        std::string* error) {
-  std::vector<std::string_view> seen;
-  for (const auto& [key, value] : request.params) {
-    bool known = false;
-    for (const char* name : allowed) known = known || key == name;
-    if (!known) {
-      *error = StrFormat("unknown parameter '%s'", key.c_str());
-      return false;
-    }
-    for (const std::string_view earlier : seen) {
-      if (earlier == key) {
-        *error = StrFormat("duplicate parameter '%s'", key.c_str());
-        return false;
-      }
-    }
-    seen.push_back(key);
   }
   return true;
 }
@@ -1592,30 +1669,12 @@ void SimRankServer::HandleProfileRequest(Connection* conn,
     QueueErrorResponse(conn, 400, "GET endpoints take no request body");
     return;
   }
-  std::string error;
-  if (!CheckAllowedParams(request, {"seconds", "hz"}, &error)) {
-    QueueErrorResponse(conn, 400, error);
+  double seconds = 0.0;
+  uint32_t hz = 0;
+  if (const Status params = ParseProfileParams(request, &seconds, &hz);
+      !params.ok()) {
+    QueueErrorResponse(conn, 400, params.message());
     return;
-  }
-  double seconds = 2.0;
-  if (const std::string* raw = request.FindParam("seconds")) {
-    if (!ParseDouble(*raw, &seconds) || !(seconds > 0.0) ||
-        seconds > CpuProfiler::kMaxSeconds) {
-      QueueErrorResponse(
-          conn, 400,
-          StrFormat("parameter 'seconds' must be in (0, %g]",
-                    CpuProfiler::kMaxSeconds));
-      return;
-    }
-  }
-  uint64_t hz = CpuProfiler::kDefaultHz;
-  if (const std::string* raw = request.FindParam("hz")) {
-    if (!ParseUint64(*raw, &hz) || hz == 0 || hz > CpuProfiler::kMaxHz) {
-      QueueErrorResponse(conn, 400,
-                         StrFormat("parameter 'hz' must be in [1, %u]",
-                                   CpuProfiler::kMaxHz));
-      return;
-    }
   }
   bool expected = false;
   if (!profile_busy_.compare_exchange_strong(expected, true)) {
@@ -1638,8 +1697,7 @@ void SimRankServer::HandleProfileRequest(Connection* conn,
   }
   profile_threads_.clear();
   profile_threads_.emplace_back([this, fd, connection_id, seconds, hz] {
-    auto profiled =
-        CpuProfiler::Instance().ProfileFor(seconds, static_cast<uint32_t>(hz));
+    auto profiled = CpuProfiler::Instance().ProfileFor(seconds, hz);
     profile_busy_.store(false, std::memory_order_release);
     Completion completion;
     completion.fd = fd;
@@ -1651,17 +1709,9 @@ void SimRankServer::HandleProfileRequest(Connection* conn,
       completion.status = 409;
       completion.body = ErrorBody("Busy", profiled.status().message());
     } else {
-      const ProfileReport& report = *profiled;
       completion.status = 200;
       completion.content_type = "text/plain";
-      completion.body = StrFormat(
-          "# profile duration_seconds=%.3f frequency_hz=%u samples=%llu "
-          "dropped=%llu threads=%u\n",
-          report.duration_seconds, report.frequency_hz,
-          static_cast<unsigned long long>(report.total_samples),
-          static_cast<unsigned long long>(report.dropped_samples),
-          report.armed_threads);
-      completion.body += report.collapsed;
+      completion.body = RenderProfileReport(*profiled);
     }
     {
       std::lock_guard<std::mutex> completions_lock(completions_mutex_);
@@ -1901,19 +1951,7 @@ std::string SimRankServer::BuildStatsBody() const {
   json.Key("draining").Bool(draining_);
   json.Key("uptime_seconds").Double(UptimeSeconds());
   json.EndObject();
-  // What exactly is running: resolved at build (version, compiler) and at
-  // startup (SIMD tier, io_uring), so a fleet dashboard can spot a stale
-  // or differently-capable node at a glance.
-  const BuildInfo& build = GetBuildInfo();
-  json.Key("build_info").BeginObject();
-  json.Key("version").String(build.git_describe);
-  json.Key("compiler").String(build.compiler);
-  json.Key("build_type").String(build.build_type);
-  json.Key("cxx_standard").String(build.cxx_standard);
-  json.Key("simd").String(SimdLevelName(ActiveSimdLevel()));
-  json.Key("io_uring_compiled").Bool(SegmentReader::BuildSupportsIoUring());
-  json.Key("io_uring_enabled").Bool(SegmentReader::IoUringEnabled());
-  json.EndObject();
+  WriteBuildInfoJson(json);
   {
     const Watchdog::Snapshot dog = watchdog_.snapshot();
     json.Key("watchdog").BeginObject();
@@ -2153,14 +2191,7 @@ std::string SimRankServer::BuildMetricsBody() const {
   type("simrank_inflight", "gauge");
   counter("simrank_inflight", "", stats.inflight);
 
-  const BuildInfo& build = GetBuildInfo();
-  type("simrank_build_info", "gauge");
-  out += StrFormat(
-      "simrank_build_info{version=\"%s\",compiler=\"%s\",build_type=\"%s\","
-      "simd=\"%s\",io_uring=\"%s\"} 1\n",
-      build.git_describe, build.compiler, build.build_type,
-      SimdLevelName(ActiveSimdLevel()),
-      SegmentReader::IoUringEnabled() ? "true" : "false");
+  out += BuildInfoMetric();
   type("simrank_uptime_seconds", "gauge");
   out += StrFormat("simrank_uptime_seconds %g\n", UptimeSeconds());
 

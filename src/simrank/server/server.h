@@ -88,6 +88,8 @@
 
 namespace simrank {
 
+class JsonWriter;
+
 namespace internal {
 /// Parsed arguments of one dispatchable query (defined in server.cc).
 struct QueryArgs;
@@ -117,6 +119,51 @@ const char* ServerEndpointName(ServerEndpoint endpoint);
 /// (which must split a batch across shards pair by pair).
 Result<std::vector<std::pair<VertexId, VertexId>>> ParsePairBatch(
     std::string_view body, uint32_t max_pairs);
+
+// Shared by the server and the router, so both frontends answer alike:
+// the error envelope, the diagnostics option check, and the debug and
+// build-info answers.
+
+/// The JSON error envelope of every non-2xx answer:
+/// {"error":{"code":CODE,"message":MESSAGE}}.
+std::string ErrorBody(std::string_view code, std::string_view message);
+
+/// Validates the diagnostics options both frontends take from flags. A
+/// zero metrics-history window disables the history; otherwise the
+/// interval must be positive and one series may hold at most 2^20 points.
+/// A profile log (non-empty path) needs a rate in [1, CpuProfiler::kMaxHz]
+/// and a positive period.
+Status ValidateDiagnosticsOptions(uint32_t metrics_history_window_s,
+                                  uint32_t metrics_history_interval_ms,
+                                  const std::string& profile_log_path,
+                                  uint32_t profile_log_hz,
+                                  uint32_t profile_log_period_s);
+
+/// Parses GET /v1/debug/profile's ?seconds= (default 2, in (0,
+/// CpuProfiler::kMaxSeconds]) and ?hz= (default CpuProfiler::kDefaultHz,
+/// in [1, kMaxHz]). Any other or repeated parameter is an error; its
+/// message is the 400 answer's.
+Status ParseProfileParams(const HttpRequest& request, double* seconds,
+                          uint32_t* hz);
+
+/// The 200 text/plain body of /v1/debug/profile: a "# profile" line with
+/// the session's counts, then the collapsed stacks.
+std::string RenderProfileReport(const ProfileReport& report);
+
+/// Status and JSON body of GET /v1/debug/timeseries over `history` (null
+/// when the history is disabled): 503 when disabled, the recorded
+/// families without ?metric=, 400 on a malformed ?window=, else the
+/// series.
+std::pair<int, std::string> AnswerTimeseries(const MetricsHistory* history,
+                                             const HttpRequest& request);
+
+/// Writes the "build_info" object of /v1/stats: version, compiler, build
+/// type, C++ standard, SIMD tier and io_uring support.
+void WriteBuildInfoJson(JsonWriter& json);
+
+/// The simrank_build_info gauge (TYPE line and sample) for /metrics;
+/// `extra_labels` (e.g. `,role="router"`) closes its label block.
+std::string BuildInfoMetric(std::string_view extra_labels = {});
 
 /// Serving knobs. Defaults suit a loopback deployment; Validate() gates
 /// every field the flags can reach.

@@ -188,11 +188,14 @@ class ClusterFixture {
     EXPECT_EQ(routed->body, direct->body) << target;
   }
 
-  /// An edge absent from the base graph.
-  Edge FreshEdge() const {
+  /// An edge absent from the base graph: the first in (src, dst) order,
+  /// or the one `skip` places after it.
+  Edge FreshEdge(uint32_t skip = 0) const {
     for (VertexId src = 0; src < graph_.n(); ++src) {
       for (VertexId dst = 0; dst < graph_.n(); ++dst) {
-        if (src != dst && !graph_.HasEdge(src, dst)) return Edge{src, dst};
+        if (src != dst && !graph_.HasEdge(src, dst) && skip-- == 0) {
+          return Edge{src, dst};
+        }
       }
     }
     OIPSIM_CHECK_MSG(false, "no fresh edge");
@@ -271,6 +274,46 @@ TEST(RouterTest, SingleSourceAndTopKMatchSingleNodeBitwise) {
     cluster.ExpectSameAsSingleNode(
         StrFormat("/v1/topk?v=%u&k=%u", v, cluster.graph().n()));
   }
+}
+
+TEST(RouterTest, ConcurrentScattersStayBitwise) {
+  ClusterFixture cluster(testing::RandomGraph(60, 240, 11));
+  const uint32_t n = cluster.graph().n();
+  std::vector<std::string> targets;
+  std::vector<std::string> expected;
+  for (VertexId v = 0; v < n; v += 7) {
+    for (const std::string& target :
+         {StrFormat("/v1/topk?v=%u&k=5", v),
+          StrFormat("/v1/single_source?v=%u", v),
+          StrFormat("/v1/pair?a=%u&b=%u", v, n - 1 - v)}) {
+      auto direct = HttpGet(cluster.single_port(), target);
+      ASSERT_TRUE(direct.ok());
+      ASSERT_EQ(direct->status, 200) << target;
+      targets.push_back(target);
+      expected.push_back(std::move(direct->body));
+    }
+  }
+  // One router connection thread per client, all scattering over the
+  // same shard pools at once.
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&cluster, &targets, &expected, &mismatches] {
+      auto client = LoopbackHttpClient::Connect(cluster.router_port());
+      OIPSIM_CHECK(client.ok());
+      for (int round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < targets.size(); ++i) {
+          auto routed = client->Get(targets[i]);
+          if (!routed.ok() || routed->status != 200 ||
+              routed->body != expected[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(RouterTest, TopKTieOrderSpansShardsLikeSingleNode) {
@@ -423,6 +466,27 @@ TEST(RouterTest, UpdateBroadcastKeepsEveryAnswerBitwise) {
   EXPECT_EQ(rejected->status, 400) << rejected->body;
   for (size_t s = 0; s < cluster.plan().shards.size(); ++s) {
     EXPECT_EQ(cluster.shard(s).updater->stats().batches_applied, 1u);
+  }
+}
+
+TEST(RouterTest, DivergedShardsFailEveryCrossShardRead) {
+  ClusterFixture cluster(testing::RandomGraph(50, 200, 7));
+  // A different batch straight into each primary: both shards reach
+  // overlay sequence 1, over different graphs.
+  for (uint32_t s = 0; s < 2; ++s) {
+    const Edge fresh = cluster.FreshEdge(/*skip=*/s);
+    auto applied = HttpPost(cluster.shard(s).port(), "/v1/update",
+                            StrFormat("+ %u %u\n", fresh.src, fresh.dst));
+    ASSERT_TRUE(applied.ok());
+    ASSERT_EQ(applied->status, 200) << applied->body;
+  }
+  const uint32_t boundary = cluster.plan().shards[0].end;
+  for (const std::string& target :
+       {std::string("/v1/single_source?v=0"), std::string("/v1/topk?v=0&k=5"),
+        StrFormat("/v1/pair?a=0&b=%u", boundary)}) {
+    auto routed = HttpGet(cluster.router_port(), target);
+    ASSERT_TRUE(routed.ok()) << target;
+    EXPECT_EQ(routed->status, 500) << target << ": " << routed->body;
   }
 }
 
@@ -592,6 +656,106 @@ TEST(RouterOptionsTest, ValidateRejectsInconsistentTopologies) {
   EXPECT_FALSE(options.Validate().ok());
 }
 
+TEST(RouterOptionsTest, ValidateCapsMetricsHistoryLikeTheServer) {
+  auto plan = ShardPlan::EvenSplit(10, 0x1, 2);
+  ASSERT_TRUE(plan.ok());
+  RouterOptions options;
+  options.plan = *plan;
+  options.shards = {RouterShard{0, 9001, 0}, RouterShard{1, 9002, 0}};
+  ServerOptions server_options;
+  // An hour at 1 ms is 3.6M points per series, past the 2^20 cap.
+  options.metrics_history_window_s = 3600;
+  options.metrics_history_interval_ms = 1;
+  server_options.metrics_history_window_s = 3600;
+  server_options.metrics_history_interval_ms = 1;
+  const Status routed = options.Validate();
+  EXPECT_FALSE(routed.ok());
+  EXPECT_EQ(routed.ToString(), server_options.Validate().ToString());
+}
+
+/// A router over shards nothing serves, fleet scraping off: enough for
+/// its own debug surface, which never contacts a shard.
+std::unique_ptr<SimRankRouter> StartShardlessRouter(RouterOptions options) {
+  auto plan = ShardPlan::EvenSplit(10, 0x1, 2);
+  OIPSIM_CHECK(plan.ok());
+  options.plan = *plan;
+  options.shards = {RouterShard{0, 9001, 0}, RouterShard{1, 9002, 0}};
+  options.scrape_interval_ms = 0;
+  auto router = std::make_unique<SimRankRouter>(std::move(options));
+  OIPSIM_CHECK(router->Bind().ok());
+  OIPSIM_CHECK(router->Start().ok());
+  return router;
+}
+
+#if defined(__linux__)
+TEST(RouterDebugTest, ProfileReturnsCollapsedStacks) {
+  auto router = StartShardlessRouter({});
+  auto response =
+      HttpGet(router->port(), "/v1/debug/profile?seconds=0.2&hz=211");
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->status, 200) << response->body;
+  EXPECT_EQ(response->body.rfind("# profile ", 0), 0u) << response->body;
+  EXPECT_NE(response->body.find("frequency_hz=211"), std::string::npos);
+  ASSERT_NE(response->FindHeader("content-type"), nullptr);
+  EXPECT_EQ(*response->FindHeader("content-type"), "text/plain");
+}
+#endif  // __linux__
+
+TEST(RouterDebugTest, ProfileValidatesParamsAndMethodLikeTheServer) {
+  auto router = StartShardlessRouter({});
+  for (const char* target :
+       {"/v1/debug/profile?seconds=0", "/v1/debug/profile?hz=0",
+        "/v1/debug/profile?bogus=1"}) {
+    auto response = HttpGet(router->port(), target);
+    ASSERT_TRUE(response.ok()) << target;
+    EXPECT_EQ(response->status, 400) << target;
+  }
+  auto post = HttpPost(router->port(), "/v1/debug/profile", "{}");
+  ASSERT_TRUE(post.ok());
+  EXPECT_EQ(post->status, 405);
+  ASSERT_NE(post->FindHeader("allow"), nullptr);
+  EXPECT_EQ(*post->FindHeader("allow"), "GET");
+}
+
+TEST(RouterDebugTest, TimeseriesServesTheRouterHistory) {
+  RouterOptions options;
+  options.metrics_history_interval_ms = 20;  // fast sampling for the test
+  auto router = StartShardlessRouter(options);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (true) {
+    auto list = HttpGet(router->port(), "/v1/debug/timeseries");
+    ASSERT_TRUE(list.ok());
+    ASSERT_EQ(list->status, 200);
+    if (list->body.find("simrank_router_uptime_seconds") !=
+        std::string::npos) {
+      break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << list->body;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  auto series = HttpGet(
+      router->port(),
+      "/v1/debug/timeseries?metric=simrank_router_uptime_seconds");
+  ASSERT_TRUE(series.ok());
+  ASSERT_EQ(series->status, 200);
+  EXPECT_NE(series->body.find("\"points\""), std::string::npos)
+      << series->body;
+
+  auto bad = HttpGet(router->port(), "/v1/debug/timeseries?metric=g&window=abc");
+  ASSERT_TRUE(bad.ok());
+  EXPECT_EQ(bad->status, 400);
+}
+
+TEST(RouterDebugTest, TimeseriesAnswers503WithHistoryDisabled) {
+  RouterOptions options;
+  options.metrics_history_window_s = 0;
+  auto router = StartShardlessRouter(options);
+  auto response = HttpGet(router->port(), "/v1/debug/timeseries");
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status, 503);
+}
+
 TEST(RouterTraceTest, RoutedTraceMergesShardSubTraces) {
   ClusterFixture cluster(testing::RandomGraph(60, 240, 11));
   const VertexId v = cluster.plan().shards[0].end;  // owned by shard 1
@@ -610,7 +774,8 @@ TEST(RouterTraceTest, RoutedTraceMergesShardSubTraces) {
   ASSERT_NE(body.find(",\"trace\":{\"trace_id\":\""), std::string::npos);
 
   // Router-side stages: the row fetch from v's owner, one exchange span
-  // per shard (timed on the fan-out threads), and the merge.
+  // per shard (timed from send to reply on the connection thread), and
+  // the merge.
   EXPECT_NE(body.find("\"stage\":\"row_fetch\""), std::string::npos);
   EXPECT_NE(body.find("\"stage\":\"merge\""), std::string::npos);
   size_t cursor = body.find("\"stage\":\"request\"");
