@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -59,15 +58,12 @@ bool ParseHexFingerprint(const std::string& text, uint64_t* out) {
   return true;
 }
 
-/// Prefixes a Prometheus label block with shard/role labels, e.g.
-/// `{endpoint="pair"}` + shard 1 primary ->
-/// `{shard="1",role="primary",endpoint="pair"}`.
-std::string InjectShardLabels(const std::string& labels, uint32_t shard_id,
-                              const char* role) {
-  const std::string injected =
-      StrFormat("shard=\"%u\",role=\"%s\"", shard_id, role);
-  if (labels.empty()) return "{" + injected + "}";
-  return "{" + injected + "," + labels.substr(1);
+/// Wall-clock seconds since the Unix epoch.
+uint64_t UnixSeconds() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::seconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
 }
 
 /// X-Simrank-Trace with this thread's trace id when it is traced, so the
@@ -995,182 +991,86 @@ SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
   return response;
 }
 
-SimRankRouter::RouterResponse SimRankRouter::BuildStats() {
+MetricSet SimRankRouter::CollectStats() const {
   const RouterStats stats = this->stats();
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("role").String("router");
-  json.Key("plan_epoch").Uint(options_.plan.epoch);
-  json.Key("plan_shards").Uint(options_.plan.shards.size());
-  json.Key("n").Uint(options_.plan.n);
-  json.Key("graph_fingerprint")
-      .String(FormatFingerprint(options_.plan.graph_fingerprint));
-  json.Key("uptime_seconds").Double(UptimeSeconds());
-  WriteBuildInfoJson(json);
-  json.Key("requests").BeginObject();
-  json.Key("total").Uint(stats.requests_total);
-  json.Key("pair").Uint(stats.requests_pair);
-  json.Key("single_source").Uint(stats.requests_single_source);
-  json.Key("topk").Uint(stats.requests_topk);
-  json.Key("batch_pair").Uint(stats.requests_batch_pair);
-  json.Key("update").Uint(stats.requests_update);
-  json.Key("stats").Uint(stats.requests_stats);
-  json.Key("healthz").Uint(stats.requests_healthz);
-  json.Key("metrics").Uint(stats.requests_metrics);
-  json.Key("cluster_health").Uint(stats.requests_cluster_health);
-  json.Key("debug_profile").Uint(stats.requests_debug_profile);
-  json.Key("debug_timeseries").Uint(stats.requests_debug_timeseries);
-  json.EndObject();
-  json.Key("responses").BeginObject();
-  json.Key("2xx").Uint(stats.responses_2xx);
-  json.Key("4xx").Uint(stats.responses_4xx);
-  json.Key("5xx").Uint(stats.responses_5xx);
-  json.EndObject();
-  json.Key("cluster").BeginObject();
-  json.Key("failovers").Uint(stats.failovers);
-  json.Key("conflicts_retried").Uint(stats.conflicts_retried);
-  json.Key("shard_errors").Uint(stats.shard_errors);
-  json.Key("scrape_rounds").Uint(stats.scrape_rounds);
-  json.Key("scrape_failures").Uint(stats.scrape_failures);
-  json.EndObject();
-  json.Key("trace").BeginObject();
-  json.Key("traced_requests").Uint(stats.traced_requests);
-  json.EndObject();
-  json.EndObject();
-  RouterResponse response;
-  response.status = 200;
-  response.body = json.str();
-  return response;
+  MetricSet m;
+  m.Info("role", "router")
+      .Gauge("plan_epoch", "simrank_router_plan_epoch", options_.plan.epoch)
+      .Gauge("plan_shards", "simrank_router_shards",
+             options_.plan.shards.size())
+      .Info("n", options_.plan.n)
+      .Info("graph_fingerprint",
+            FormatFingerprint(options_.plan.graph_fingerprint))
+      .Gauge("uptime_seconds", "simrank_router_uptime_seconds",
+             UptimeSeconds());
+  CollectBuildInfo(m, PromLabel("role", "router"));
+  m.Counter("requests.total", "", stats.requests_total);
+  auto request_counter = [&m](const char* endpoint, uint64_t count) {
+    m.Counter(std::string("requests.") + endpoint,
+              "simrank_router_requests_total", count,
+              PromLabel("endpoint", endpoint));
+  };
+  request_counter("pair", stats.requests_pair);
+  request_counter("single_source", stats.requests_single_source);
+  request_counter("topk", stats.requests_topk);
+  request_counter("batch_pair", stats.requests_batch_pair);
+  request_counter("update", stats.requests_update);
+  request_counter("stats", stats.requests_stats);
+  request_counter("healthz", stats.requests_healthz);
+  request_counter("metrics", stats.requests_metrics);
+  request_counter("cluster_health", stats.requests_cluster_health);
+  request_counter("debug_profile", stats.requests_debug_profile);
+  request_counter("debug_timeseries", stats.requests_debug_timeseries);
+  const bool scraping = options_.scrape_interval_ms > 0;
+  m.Counter("responses.2xx", "simrank_router_responses_total",
+            stats.responses_2xx, PromLabel("class", "2xx"))
+      .Counter("responses.4xx", "simrank_router_responses_total",
+               stats.responses_4xx, PromLabel("class", "4xx"))
+      .Counter("responses.5xx", "simrank_router_responses_total",
+               stats.responses_5xx, PromLabel("class", "5xx"))
+      .Counter("cluster.failovers", "simrank_router_failovers_total",
+               stats.failovers)
+      .Counter("cluster.conflicts_retried", "simrank_router_conflicts_total",
+               stats.conflicts_retried)
+      .Counter("cluster.shard_errors", "simrank_router_shard_errors_total",
+               stats.shard_errors)
+      .Counter("cluster.scrape_rounds",
+               scraping ? "simrank_fleet_scrape_rounds_total" : "",
+               stats.scrape_rounds)
+      .Counter("cluster.scrape_failures",
+               scraping ? "simrank_fleet_scrape_failures_total" : "",
+               stats.scrape_failures)
+      .Counter("trace.traced_requests", "simrank_router_traced_requests_total",
+               stats.traced_requests);
+  ProcessMemoryStats memory;
+  if (ReadProcessMemoryStats(&memory)) {
+    m.Gauge("", "simrank_router_resident_bytes", memory.resident_bytes);
+  }
+  if (scraping) {
+    const uint64_t now_s = UnixSeconds();
+    for (const TargetState& target : SnapshotTargets()) {
+      const std::string labels =
+          PromLabel("shard", std::to_string(target.shard_id)) + "," +
+          PromLabel("role", target.replica ? "replica" : "primary");
+      const uint64_t age =
+          target.last_success_unix_s == 0
+              ? 0
+              : now_s - std::min(now_s, target.last_success_unix_s);
+      m.Gauge("", "simrank_fleet_target_healthy", target.healthy, labels)
+          .Gauge("", "simrank_fleet_scrape_age_seconds", age, labels);
+    }
+  }
+  return m;
 }
 
-SimRankRouter::RouterResponse SimRankRouter::BuildMetrics() {
-  const RouterStats stats = this->stats();
-  std::string out;
-  auto type = [&out](const char* name, const char* kind) {
-    out += StrFormat("# TYPE %s %s\n", name, kind);
-  };
-  auto counter = [&out](const char* name, const char* labels,
-                        uint64_t value) {
-    out += StrFormat("%s%s %llu\n", name, labels,
-                     static_cast<unsigned long long>(value));
-  };
-  type("simrank_router_requests_total", "counter");
-  counter("simrank_router_requests_total", "{endpoint=\"pair\"}",
-          stats.requests_pair);
-  counter("simrank_router_requests_total", "{endpoint=\"single_source\"}",
-          stats.requests_single_source);
-  counter("simrank_router_requests_total", "{endpoint=\"topk\"}",
-          stats.requests_topk);
-  counter("simrank_router_requests_total", "{endpoint=\"batch_pair\"}",
-          stats.requests_batch_pair);
-  counter("simrank_router_requests_total", "{endpoint=\"update\"}",
-          stats.requests_update);
-  counter("simrank_router_requests_total", "{endpoint=\"stats\"}",
-          stats.requests_stats);
-  counter("simrank_router_requests_total", "{endpoint=\"healthz\"}",
-          stats.requests_healthz);
-  counter("simrank_router_requests_total", "{endpoint=\"metrics\"}",
-          stats.requests_metrics);
-  type("simrank_router_responses_total", "counter");
-  counter("simrank_router_responses_total", "{class=\"2xx\"}",
-          stats.responses_2xx);
-  counter("simrank_router_responses_total", "{class=\"4xx\"}",
-          stats.responses_4xx);
-  counter("simrank_router_responses_total", "{class=\"5xx\"}",
-          stats.responses_5xx);
-  type("simrank_router_failovers_total", "counter");
-  counter("simrank_router_failovers_total", "", stats.failovers);
-  type("simrank_router_conflicts_total", "counter");
-  counter("simrank_router_conflicts_total", "", stats.conflicts_retried);
-  type("simrank_router_shard_errors_total", "counter");
-  counter("simrank_router_shard_errors_total", "", stats.shard_errors);
-  type("simrank_router_traced_requests_total", "counter");
-  counter("simrank_router_traced_requests_total", "",
-          stats.traced_requests);
-  type("simrank_router_plan_epoch", "gauge");
-  counter("simrank_router_plan_epoch", "", options_.plan.epoch);
-  type("simrank_router_shards", "gauge");
-  counter("simrank_router_shards", "", options_.plan.shards.size());
-
-  out += BuildInfoMetric(",role=\"router\"");
-  type("simrank_router_uptime_seconds", "gauge");
-  out += StrFormat("simrank_router_uptime_seconds %g\n", UptimeSeconds());
-  {
-    ProcessMemoryStats memory;
-    if (ReadProcessMemoryStats(&memory)) {
-      type("simrank_router_resident_bytes", "gauge");
-      counter("simrank_router_resident_bytes", "", memory.resident_bytes);
-    }
+std::vector<PromFamily> SimRankRouter::MetricFamilies() const {
+  // Fleet aggregation: every family each target exports, with shard/role
+  // labels injected, so one scrape of the router sees the whole cluster.
+  std::vector<PromFamily> families = CollectStats().Families();
+  for (const TargetState& target : SnapshotTargets()) {
+    if (target.families != nullptr) MergeFamilies(*target.families, &families);
   }
-
-  if (options_.scrape_interval_ms > 0) {
-    const RouterStats stats_now = this->stats();
-    type("simrank_fleet_scrape_rounds_total", "counter");
-    counter("simrank_fleet_scrape_rounds_total", "",
-            stats_now.scrape_rounds);
-    type("simrank_fleet_scrape_failures_total", "counter");
-    counter("simrank_fleet_scrape_failures_total", "",
-            stats_now.scrape_failures);
-
-    const std::vector<TargetState> targets = SnapshotTargets();
-    const uint64_t now_s = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::seconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-    type("simrank_fleet_target_healthy", "gauge");
-    for (const TargetState& target : targets) {
-      out += StrFormat(
-          "simrank_fleet_target_healthy{shard=\"%u\",role=\"%s\"} %d\n",
-          target.shard_id, target.replica ? "replica" : "primary",
-          target.healthy ? 1 : 0);
-    }
-    type("simrank_fleet_scrape_age_seconds", "gauge");
-    for (const TargetState& target : targets) {
-      const uint64_t age = target.last_success_unix_s == 0
-                               ? 0
-                               : (now_s >= target.last_success_unix_s
-                                      ? now_s - target.last_success_unix_s
-                                      : 0);
-      out += StrFormat(
-          "simrank_fleet_scrape_age_seconds{shard=\"%u\",role=\"%s\"} "
-          "%llu\n",
-          target.shard_id, target.replica ? "replica" : "primary",
-          static_cast<unsigned long long>(age));
-    }
-
-    // Fleet aggregation: every family each target exports, re-emitted
-    // verbatim with shard/role labels injected so one scrape of the
-    // router sees the whole cluster. TYPE lines are merged per family
-    // (a family may appear on many targets but is declared once).
-    std::map<std::string, std::pair<std::string, std::string>> merged;
-    for (const TargetState& target : targets) {
-      if (target.metrics_text.empty()) continue;
-      const char* role = target.replica ? "replica" : "primary";
-      for (const PromFamily& family :
-           ParsePrometheusText(target.metrics_text)) {
-        auto& slot = merged[family.name];
-        if (slot.first.empty()) slot.first = family.type;
-        for (const PromSample& sample : family.samples) {
-          slot.second += StrFormat(
-              "%s%s %.17g\n", sample.name.c_str(),
-              InjectShardLabels(sample.labels, target.shard_id, role)
-                  .c_str(),
-              sample.value);
-        }
-      }
-    }
-    for (const auto& [name, family] : merged) {
-      out += StrFormat("# TYPE %s %s\n", name.c_str(),
-                       family.first.c_str());
-      out += family.second;
-    }
-  }
-
-  RouterResponse response;
-  response.status = 200;
-  response.content_type = "text/plain; version=0.0.4";
-  response.body = std::move(out);
-  return response;
+  return families;
 }
 
 std::vector<SimRankRouter::TargetState> SimRankRouter::SnapshotTargets()
@@ -1180,10 +1080,7 @@ std::vector<SimRankRouter::TargetState> SimRankRouter::SnapshotTargets()
 }
 
 void SimRankRouter::ScrapeOnce() {
-  const uint64_t now_s = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+  const uint64_t now_s = UnixSeconds();
   size_t count = 0;
   {
     std::lock_guard<std::mutex> lock(targets_mutex_);
@@ -1191,9 +1088,13 @@ void SimRankRouter::ScrapeOnce() {
   }
   for (size_t i = 0; i < count; ++i) {
     uint16_t port = 0;
+    std::string shard_labels;  // opens every re-exported label block
     {
       std::lock_guard<std::mutex> lock(targets_mutex_);
       port = targets_[i].port;
+      shard_labels = StrFormat("{shard=\"%u\",role=\"%s\"",
+                               targets_[i].shard_id,
+                               targets_[i].replica ? "replica" : "primary");
     }
     // Dedicated short-timeout connections, never the query pools: a dead
     // shard must cost the scraper one scrape_timeout_ms, not poison a
@@ -1219,9 +1120,15 @@ void SimRankRouter::ScrapeOnce() {
     double loop_lag_seconds = 0;
     double uptime_seconds = 0;
     double resident_bytes = 0;
+    std::shared_ptr<std::vector<PromFamily>> families;
     if (error.empty()) {
-      for (const PromFamily& family : ParsePrometheusText(text)) {
-        for (const PromSample& sample : family.samples) {
+      families = std::make_shared<std::vector<PromFamily>>(
+          ParsePrometheusText(text));
+      for (PromFamily& family : *families) {
+        for (PromSample& sample : family.samples) {
+          sample.labels = sample.labels.empty()
+                              ? shard_labels + "}"
+                              : shard_labels + "," + sample.labels.substr(1);
           if (sample.name == "simrank_overlay_sequence_current") {
             overlay_sequence = sample.value;
           } else if (sample.name == "simrank_wal_records") {
@@ -1251,14 +1158,14 @@ void SimRankRouter::ScrapeOnce() {
       target.loop_lag_seconds = loop_lag_seconds;
       target.uptime_seconds = uptime_seconds;
       target.resident_bytes = resident_bytes;
-      target.metrics_text = std::move(text);
+      target.families = std::move(families);
     } else {
       // Unhealthy from the very first failed scrape: a killed shard is
       // reflected within one scrape interval.
       target.healthy = false;
       ++target.consecutive_failures;
       target.error = std::move(error);
-      target.metrics_text.clear();
+      target.families.reset();
     }
   }
 }
@@ -1287,7 +1194,7 @@ void SimRankRouter::StartDiagnostics() {
   }
   if (metrics_history_ != nullptr && metrics_sampler_ == nullptr) {
     metrics_sampler_ = std::make_unique<MetricsSampler>(
-        metrics_history_.get(), [this] { return BuildMetrics().body; });
+        metrics_history_.get(), [this] { return MetricFamilies(); });
   }
   if (metrics_sampler_ != nullptr) metrics_sampler_->Start();
 }
@@ -1301,10 +1208,7 @@ void SimRankRouter::StopDiagnostics() {
 
 SimRankRouter::RouterResponse SimRankRouter::BuildClusterHealth() {
   const std::vector<TargetState> targets = SnapshotTargets();
-  const uint64_t now_s = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+  const uint64_t now_s = UnixSeconds();
   JsonWriter json;
   json.BeginObject();
   json.Key("plan_epoch").Uint(options_.plan.epoch);
@@ -1398,11 +1302,16 @@ SimRankRouter::RouterResponse SimRankRouter::Route(
   }
   if (request.path == "/v1/stats") {
     stat_requests_stats_.fetch_add(1, std::memory_order_relaxed);
-    return BuildStats();
+    response.status = 200;
+    response.body = CollectStats().ToJson();
+    return response;
   }
   if (request.path == "/metrics") {
     stat_requests_metrics_.fetch_add(1, std::memory_order_relaxed);
-    return BuildMetrics();
+    response.status = 200;
+    response.content_type = "text/plain; version=0.0.4";
+    response.body = PrometheusText(MetricFamilies());
+    return response;
   }
   if (request.path == "/v1/cluster/health") {
     stat_requests_cluster_health_.fetch_add(1, std::memory_order_relaxed);

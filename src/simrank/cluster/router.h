@@ -62,6 +62,7 @@
 #include "simrank/common/macros.h"
 #include "simrank/common/status.h"
 #include "simrank/extra/topk.h"
+#include "simrank/obs/metric_set.h"
 #include "simrank/obs/metrics_history.h"
 #include "simrank/obs/profiler.h"
 #include "simrank/obs/trace.h"
@@ -284,8 +285,11 @@ class SimRankRouter {
   RouterResponse HandleTopK(const HttpRequest& request);
   RouterResponse HandleBatchPair(const HttpRequest& request);
   RouterResponse HandleUpdate(const HttpRequest& request);
-  RouterResponse BuildStats();
-  RouterResponse BuildMetrics();
+  /// The router's own statistics, for /v1/stats and /metrics.
+  MetricSet CollectStats() const;
+  /// CollectStats' families followed by every scraped target's: the
+  /// router's /metrics and its metrics history.
+  std::vector<PromFamily> MetricFamilies() const;
   RouterResponse BuildClusterHealth();
 
   /// The latest scrape of one fleet target (a shard primary or replica).
@@ -306,9 +310,10 @@ class SimRankRouter {
     double loop_lag_seconds = 0;
     double uptime_seconds = 0;
     double resident_bytes = 0;
-    /// The raw scraped text, re-emitted (with shard/role labels injected)
-    /// in the fleet-aggregated section of the router's /metrics.
-    std::string metrics_text;
+    /// The scraped families with shard/role labels injected, re-exported
+    /// in the fleet section of the router's /metrics; null after a failed
+    /// scrape. Shared, so a snapshot copies a pointer.
+    std::shared_ptr<const std::vector<PromFamily>> families;
   };
 
   void ScrapeLoop();

@@ -4,92 +4,8 @@
 #include <chrono>
 
 #include "simrank/common/json_writer.h"
-#include "simrank/common/string_util.h"
 
 namespace simrank {
-namespace {
-
-/// Strips a histogram sample suffix so `foo_bucket`, `foo_sum` and
-/// `foo_count` group under family `foo` (only when `foo` is a declared
-/// histogram — plain counters legitimately end in _count-like names).
-std::string FamilyNameFor(const std::string& sample_name,
-                          const std::map<std::string, std::string>& types) {
-  static constexpr std::string_view kSuffixes[] = {"_bucket", "_sum",
-                                                   "_count"};
-  for (std::string_view suffix : kSuffixes) {
-    if (sample_name.size() > suffix.size() &&
-        sample_name.compare(sample_name.size() - suffix.size(),
-                            suffix.size(), suffix) == 0) {
-      std::string base =
-          sample_name.substr(0, sample_name.size() - suffix.size());
-      auto it = types.find(base);
-      if (it != types.end() && it->second == "histogram") return base;
-    }
-  }
-  return sample_name;
-}
-
-}  // namespace
-
-std::vector<PromFamily> ParsePrometheusText(std::string_view text) {
-  std::vector<PromFamily> families;
-  std::map<std::string, size_t> index;
-  std::map<std::string, std::string> types;
-
-  auto family_for = [&](const std::string& name) -> PromFamily& {
-    auto [it, inserted] = index.emplace(name, families.size());
-    if (inserted) {
-      families.push_back(PromFamily{name, "untyped", {}});
-      auto type_it = types.find(name);
-      if (type_it != types.end()) families.back().type = type_it->second;
-    }
-    return families[it->second];
-  };
-
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = StrTrim(text.substr(pos, eol - pos));
-    pos = eol + 1;
-    if (line.empty()) continue;
-
-    if (line[0] == '#') {
-      if (StartsWith(line, "# TYPE ")) {
-        const std::string_view rest = line.substr(7);
-        const size_t space = rest.find(' ');
-        if (space != std::string_view::npos) {
-          const std::string name(StrTrim(rest.substr(0, space)));
-          const std::string type(StrTrim(rest.substr(space + 1)));
-          types[name] = type;
-          family_for(name).type = type;
-        }
-      }
-      continue;
-    }
-
-    // Sample line: name[{labels}] value
-    size_t name_end = line.find_first_of("{ ");
-    if (name_end == std::string_view::npos || name_end == 0) continue;
-    PromSample sample;
-    sample.name.assign(line.substr(0, name_end));
-    std::string_view rest = line.substr(name_end);
-    if (rest[0] == '{') {
-      // Our exporters never emit '}' inside label values, so the last '}'
-      // closes the block.
-      const size_t close = rest.rfind('}');
-      if (close == std::string_view::npos) continue;
-      sample.labels.assign(rest.substr(0, close + 1));
-      rest = rest.substr(close + 1);
-    }
-    double value = 0.0;
-    if (!ParseDouble(StrTrim(rest), &value)) continue;
-    sample.value = value;
-    family_for(FamilyNameFor(sample.name, types))
-        .samples.push_back(std::move(sample));
-  }
-  return families;
-}
 
 MetricsHistory::MetricsHistory(Options options) : options_(options) {
   if (options_.interval_ms == 0) options_.interval_ms = 1000;
@@ -99,9 +15,8 @@ MetricsHistory::MetricsHistory(Options options) : options_(options) {
              options_.interval_ms);
 }
 
-void MetricsHistory::Record(std::string_view metrics_text,
+void MetricsHistory::Record(const std::vector<PromFamily>& families,
                             uint64_t unix_seconds) {
-  const std::vector<PromFamily> families = ParsePrometheusText(metrics_text);
   std::lock_guard<std::mutex> lock(mutex_);
   for (const PromFamily& family : families) {
     families_[family.name] = family.type;
@@ -113,14 +28,12 @@ void MetricsHistory::Record(std::string_view metrics_text,
         series.labels = sample.labels;
         series.ring.reserve(16);
       }
-      if (series.ring.size() < capacity_ && !series.full) {
+      if (series.ring.size() < capacity_) {
         series.ring.emplace_back(unix_seconds, sample.value);
-        if (series.ring.size() == capacity_) series.full = true;
       } else {
         series.ring[series.next] = {unix_seconds, sample.value};
-        series.full = true;
+        series.next = (series.next + 1) % capacity_;
       }
-      if (series.full) series.next = (series.next + 1) % capacity_;
     }
   }
 }
@@ -162,9 +75,8 @@ std::string MetricsHistory::QueryJson(std::string_view metric,
     std::vector<std::pair<uint64_t, double>> points;
     points.reserve(series->ring.size());
     const size_t n = series->ring.size();
-    const size_t start = series->full ? series->next : 0;
     for (size_t i = 0; i < n; ++i) {
-      const auto& point = series->ring[(start + i) % n];
+      const auto& point = series->ring[(series->next + i) % n];
       if (point.first >= cutoff) points.push_back(point);
     }
     if (points.empty()) continue;

@@ -2,13 +2,10 @@
 // metric at 1 s resolution, so a just-degraded node can be inspected
 // after the fact via GET /v1/debug/timeseries.
 //
-// Rather than teaching every counter to self-register, the history is fed
-// the node's own Prometheus exposition text (the exact bytes /metrics
-// serves) once per interval and parses it — every gauge, counter and
-// histogram bucket already exported becomes a series for free, and the
-// two can never drift apart. A background MetricsSampler drives the
-// feeding; the same parser powers the router's fleet-wide /metrics
-// aggregation.
+// A background MetricsSampler feeds the history once per interval with the
+// node's Prometheus families — the same list its /metrics renders (see
+// obs/metric_set.h) — so every gauge, counter and histogram bucket already
+// exported becomes a series, and the two cannot drift apart.
 #ifndef OIPSIM_SIMRANK_OBS_METRICS_HISTORY_H_
 #define OIPSIM_SIMRANK_OBS_METRICS_HISTORY_H_
 
@@ -23,28 +20,9 @@
 #include <vector>
 
 #include "simrank/common/macros.h"
+#include "simrank/obs/metric_set.h"
 
 namespace simrank {
-
-/// One sample line of a Prometheus text exposition.
-struct PromSample {
-  std::string name;    // metric name, e.g. "simrank_requests_total"
-  std::string labels;  // raw label block including braces, or ""
-  double value = 0.0;
-};
-
-/// A metric family: the samples sharing one name/TYPE declaration.
-struct PromFamily {
-  std::string name;
-  std::string type;  // "counter" | "gauge" | "histogram" | "untyped"
-  std::vector<PromSample> samples;
-};
-
-/// Parses Prometheus text exposition v0.0.4 (the format this repo's
-/// /metrics endpoints emit). Histogram _bucket/_sum/_count samples are
-/// grouped under their declared family name. Unparseable lines are
-/// skipped.
-std::vector<PromFamily> ParsePrometheusText(std::string_view text);
 
 /// Fixed-window ring of (unix second, value) points per series. All
 /// methods are thread-safe.
@@ -58,9 +36,9 @@ class MetricsHistory {
   explicit MetricsHistory(Options options);
   OIPSIM_DISALLOW_COPY_AND_ASSIGN(MetricsHistory);
 
-  /// Parses `metrics_text` and appends one point per sample line,
-  /// stamped `unix_seconds`.
-  void Record(std::string_view metrics_text, uint64_t unix_seconds);
+  /// Appends one point per sample of `families`, stamped `unix_seconds`.
+  void Record(const std::vector<PromFamily>& families,
+              uint64_t unix_seconds);
 
   /// JSON for /v1/debug/timeseries?metric=...&window=...: every series
   /// whose name is `metric` exactly, or one of metric_bucket /
@@ -80,9 +58,9 @@ class MetricsHistory {
   struct Series {
     std::string name;
     std::string labels;
+    /// Grows to capacity_, then wraps; `next` is the oldest point's slot.
     std::vector<std::pair<uint64_t, double>> ring;
     size_t next = 0;
-    bool full = false;
   };
 
   Options options_;
@@ -93,11 +71,11 @@ class MetricsHistory {
 };
 
 /// Drives a MetricsHistory: every interval it calls `provider` (the
-/// node's own metrics builder) and records the result.
+/// node's own metric families) and records the result.
 class MetricsSampler {
  public:
   MetricsSampler(MetricsHistory* history,
-                 std::function<std::string()> provider)
+                 std::function<std::vector<PromFamily>()> provider)
       : history_(history), provider_(std::move(provider)) {}
   ~MetricsSampler() { Stop(); }
 
@@ -113,7 +91,7 @@ class MetricsSampler {
   void Loop();
 
   MetricsHistory* history_;
-  std::function<std::string()> provider_;
+  std::function<std::vector<PromFamily>()> provider_;
   std::atomic<uint64_t> samples_taken_{0};
   std::atomic<bool> stop_{true};
   std::thread thread_;

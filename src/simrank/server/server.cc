@@ -310,32 +310,28 @@ std::pair<int, std::string> AnswerTimeseries(const MetricsHistory* history,
   return {200, history->QueryJson(*metric, window)};
 }
 
-void WriteBuildInfoJson(JsonWriter& json) {
+void CollectBuildInfo(MetricSet& stats, std::string_view extra_labels) {
   // What exactly is running: resolved at build (version, compiler) and at
   // startup (SIMD tier, io_uring), so a fleet dashboard can spot a stale
   // or differently-capable node at a glance.
   const BuildInfo& build = GetBuildInfo();
-  json.Key("build_info").BeginObject();
-  json.Key("version").String(build.git_describe);
-  json.Key("compiler").String(build.compiler);
-  json.Key("build_type").String(build.build_type);
-  json.Key("cxx_standard").String(build.cxx_standard);
-  json.Key("simd").String(SimdLevelName(ActiveSimdLevel()));
-  json.Key("io_uring_compiled").Bool(SegmentReader::BuildSupportsIoUring());
-  json.Key("io_uring_enabled").Bool(SegmentReader::IoUringEnabled());
-  json.EndObject();
-}
-
-std::string BuildInfoMetric(std::string_view extra_labels) {
-  const BuildInfo& build = GetBuildInfo();
-  return StrFormat(
-             "# TYPE simrank_build_info gauge\n"
-             "simrank_build_info{version=\"%s\",compiler=\"%s\","
-             "build_type=\"%s\",simd=\"%s\",io_uring=\"%s\"",
-             build.git_describe, build.compiler, build.build_type,
-             SimdLevelName(ActiveSimdLevel()),
-             SegmentReader::IoUringEnabled() ? "true" : "false") +
-         std::string(extra_labels) + "} 1\n";
+  const char* simd = SimdLevelName(ActiveSimdLevel());
+  const bool io_uring = SegmentReader::IoUringEnabled();
+  stats.Info("build_info.version", build.git_describe)
+      .Info("build_info.compiler", build.compiler)
+      .Info("build_info.build_type", build.build_type)
+      .Info("build_info.cxx_standard", build.cxx_standard)
+      .Info("build_info.simd", simd)
+      .Info("build_info.io_uring_compiled",
+            SegmentReader::BuildSupportsIoUring())
+      .Info("build_info.io_uring_enabled", io_uring);
+  std::string labels = StrFormat(
+      "version=\"%s\",compiler=\"%s\",build_type=\"%s\",simd=\"%s\","
+      "io_uring=\"%s\"",
+      build.git_describe, build.compiler, build.build_type, simd,
+      io_uring ? "true" : "false");
+  if (!extra_labels.empty()) labels += "," + std::string(extra_labels);
+  stats.Gauge("", "simrank_build_info", 1, std::move(labels));
 }
 
 namespace {
@@ -807,7 +803,7 @@ SimRankServer::SimRankServer(QueryEngine& engine,
       pool_(options.threads) {}
 
 SimRankServer::~SimRankServer() {
-  // Diagnostics threads poll pool_ and call BuildMetricsBody; stop them
+  // Diagnostics threads poll pool_ and call CollectStats; stop them
   // here, before member destructors run (pool_ is declared after them and
   // would be destroyed first).
   StopDiagnostics();
@@ -1196,12 +1192,12 @@ void SimRankServer::RouteRequest(Connection* conn,
   }
   if (request.path == "/v1/stats") {
     stat_requests_stats_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, BuildStatsBody());
+    QueueResponse(conn, 200, CollectStats().ToJson());
     return;
   }
   if (request.path == "/metrics") {
     stat_requests_metrics_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, BuildMetricsBody(), {},
+    QueueResponse(conn, 200, PrometheusText(CollectStats().Families()), {},
                   "text/plain; version=0.0.4");
     return;
   }
@@ -1737,7 +1733,7 @@ void SimRankServer::StartDiagnostics() {
   }
   if (metrics_history_ != nullptr && metrics_sampler_ == nullptr) {
     metrics_sampler_ = std::make_unique<MetricsSampler>(
-        metrics_history_.get(), [this] { return BuildMetricsBody(); });
+        metrics_history_.get(), [this] { return CollectStats().Families(); });
   }
   if (metrics_sampler_ != nullptr) metrics_sampler_->Start();
 }
@@ -1937,495 +1933,198 @@ void SimRankServer::CountResponse(int status) {
   }
 }
 
-std::string SimRankServer::BuildStatsBody() const {
+MetricSet SimRankServer::CollectStats() const {
   const ServerStats stats = this->stats();
   const QueryEngine::CacheStats cache = engine_.cache_stats();
   const WalkIndex& index = engine_.index();
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("server").BeginObject();
-  json.Key("inflight").Uint(inflight_);
-  json.Key("max_inflight").Uint(options_.max_inflight);
-  json.Key("max_endpoint_inflight").Uint(options_.max_endpoint_inflight);
-  json.Key("threads").Uint(pool_.num_threads());
-  json.Key("draining").Bool(draining_);
-  json.Key("uptime_seconds").Double(UptimeSeconds());
-  json.EndObject();
-  WriteBuildInfoJson(json);
-  {
-    const Watchdog::Snapshot dog = watchdog_.snapshot();
-    json.Key("watchdog").BeginObject();
-    json.Key("armed").Bool(options_.watchdog_interval_ms > 0);
-    json.Key("loop_lag_us").Uint(dog.loop_lag_us);
-    json.Key("max_loop_lag_us").Uint(dog.max_loop_lag_us);
-    json.Key("queue_depth").Uint(dog.queue_depth);
-    json.Key("max_queue_depth").Uint(dog.max_queue_depth);
-    json.Key("stalls").Uint(dog.stalls);
-    json.Key("last_stall_us").Uint(dog.last_stall_us);
-    const LatencyHistogram::Snapshot dispatch = dispatch_latency_.snapshot();
-    json.Key("dispatch_latency_us").BeginObject();
-    json.Key("count").Uint(dispatch.count);
-    json.Key("p50_us").Uint(dispatch.QuantileUpperMicros(0.5));
-    json.Key("p99_us").Uint(dispatch.QuantileUpperMicros(0.99));
-    json.EndObject();
-    json.EndObject();
-  }
-  {
-    ProcessMemoryStats memory;
-    if (ReadProcessMemoryStats(&memory)) {
-      json.Key("process_memory").BeginObject();
-      json.Key("resident_bytes").Uint(memory.resident_bytes);
-      json.Key("virtual_bytes").Uint(memory.virtual_bytes);
-      json.Key("peak_resident_bytes").Uint(memory.peak_resident_bytes);
-      json.Key("data_bytes").Uint(memory.data_bytes);
-      json.EndObject();
-    }
-  }
-  json.Key("requests").BeginObject();
-  for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
-    json.Key(ServerEndpointName(static_cast<ServerEndpoint>(i)))
-        .Uint(stats.requests[i]);
-  }
-  json.Key("stats").Uint(stats.requests_stats);
-  json.Key("healthz").Uint(stats.requests_healthz);
-  json.Key("metrics").Uint(stats.requests_metrics);
-  json.Key("wal").Uint(stats.requests_wal);
-  json.Key("debug_slow").Uint(stats.requests_debug_slow);
-  json.Key("debug_profile").Uint(stats.requests_debug_profile);
-  json.Key("debug_timeseries").Uint(stats.requests_debug_timeseries);
-  json.EndObject();
-  json.Key("responses").BeginObject();
-  json.Key("2xx").Uint(stats.responses_2xx);
-  json.Key("4xx").Uint(stats.responses_4xx);
-  json.Key("5xx").Uint(stats.responses_5xx);
-  json.EndObject();
-  json.Key("admission").BeginObject();
-  json.Key("rejected_inflight").Uint(stats.rejected_inflight);
-  json.Key("rejected_endpoint").Uint(stats.rejected_endpoint);
-  json.Key("rejected_misdirected").Uint(stats.rejected_misdirected);
-  json.EndObject();
-  json.Key("connections").BeginObject();
-  json.Key("accepted").Uint(stats.connections_accepted);
-  json.Key("open").Uint(stats.connections_open);
-  json.EndObject();
-  json.Key("cache").BeginObject();
-  json.Key("hits").Uint(cache.hits);
-  json.Key("misses").Uint(cache.misses);
-  json.Key("evictions").Uint(cache.evictions);
-  json.EndObject();
-  // Per-endpoint dispatch-to-completion latency: count/sum plus the fixed
-  // log-spaced buckets (upper bounds in µs; last bucket +Inf) and
-  // bucket-resolution quantile estimates.
-  json.Key("latency_us").BeginObject();
-  for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
-    const LatencyHistogram::Snapshot snapshot = latency_[i].snapshot();
-    json.Key(ServerEndpointName(static_cast<ServerEndpoint>(i)))
-        .BeginObject();
-    json.Key("count").Uint(snapshot.count);
-    json.Key("sum_us").Uint(snapshot.sum_micros);
-    json.Key("p50_us").Uint(snapshot.QuantileUpperMicros(0.5));
-    json.Key("p99_us").Uint(snapshot.QuantileUpperMicros(0.99));
-    json.Key("buckets").BeginArray();
-    for (uint32_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
-      json.Uint(snapshot.buckets[b]);
-    }
-    json.EndArray();
-    json.EndObject();
-  }
-  json.EndObject();
-  // Tracing: per-stage latency and work counters, folded from traced
-  // requests only (untraced requests contribute nothing here).
-  json.Key("trace").BeginObject();
-  json.Key("sample_rate").Double(options_.trace_sample);
-  json.Key("slow_query_us").Uint(options_.slow_query_us);
-  json.Key("traced_requests").Uint(stats.traced_requests);
-  json.Key("slow_captured").Uint(stats.slow_captured);
-  json.Key("slow_ring_capacity").Uint(slow_log_.capacity());
-  json.Key("stages").BeginObject();
-  for (uint32_t i = 0; i < kNumTraceStages; ++i) {
-    const LatencyHistogram::Snapshot snapshot =
-        stage_latency_[i].snapshot();
-    if (snapshot.count == 0) continue;  // only stages that actually ran
-    json.Key(TraceStageName(static_cast<TraceStage>(i))).BeginObject();
-    json.Key("count").Uint(snapshot.count);
-    json.Key("sum_us").Uint(snapshot.sum_micros);
-    json.Key("p50_us").Uint(snapshot.QuantileUpperMicros(0.5));
-    json.Key("p99_us").Uint(snapshot.QuantileUpperMicros(0.99));
-    json.EndObject();
-  }
-  json.EndObject();
-  json.Key("counters").BeginObject();
-  for (uint32_t c = 0; c < kNumTraceCounters; ++c) {
-    json.Key(TraceCounterName(static_cast<TraceCounter>(c)))
-        .Uint(stage_counters_[c].load(std::memory_order_relaxed));
-  }
-  json.EndObject();
-  json.EndObject();
-  if (updater_ != nullptr) {
-    const IndexUpdateStats updates = updater_->stats();
-    json.Key("updates").BeginObject();
-    json.Key("batches_applied").Uint(updates.batches_applied);
-    json.Key("batches_replayed").Uint(updates.batches_replayed);
-    json.Key("edges_inserted").Uint(updates.edges_inserted);
-    json.Key("edges_deleted").Uint(updates.edges_deleted);
-    json.Key("walks_resimulated").Uint(updates.walks_resimulated);
-    json.Key("walks_changed").Uint(updates.walks_changed);
-    json.Key("overlay_sequence").Uint(updates.overlay_sequence);
-    json.Key("patched_vertices").Uint(updates.patched_vertices);
-    json.Key("patched_walks").Uint(updates.patched_walks);
-    json.Key("changed_slots").Uint(updates.changed_slots);
-    json.Key("delta_entries").Uint(updates.delta_entries);
-    json.Key("overlay_bytes").Uint(updates.overlay_bytes);
-    json.Key("graph_edges").Uint(updates.graph_edges);
-    json.Key("graph_fingerprint")
-        .String(FormatFingerprint(updates.current_graph_fingerprint));
-    json.Key("wal_records").Uint(updates.wal_records);
-    json.Key("wal_bytes").Uint(updates.wal_bytes);
-    json.Key("wal_syncs").Uint(updates.wal_syncs);
-    json.Key("wal_truncated_bytes").Uint(updates.wal_truncated_bytes);
-    json.Key("compaction").BeginObject();
-    json.Key("completed").Uint(updates.compactions);
-    json.Key("auto_triggered").Uint(updates.auto_compactions);
-    json.Key("auto_failures").Uint(updates.auto_compact_failures);
-    json.Key("last_total_us").Uint(updates.last_compaction_micros);
-    json.Key("last_pause_us").Uint(updates.last_compaction_pause_micros);
-    const LatencyHistogram::Snapshot compaction =
-        updater_->compaction_histogram().snapshot();
-    json.Key("p50_us").Uint(compaction.QuantileUpperMicros(0.5));
-    json.Key("p99_us").Uint(compaction.QuantileUpperMicros(0.99));
-    json.EndObject();
-    json.EndObject();
-  }
-  if (options_.sharded || options_.replica) {
-    json.Key("cluster").BeginObject();
-    json.Key("role").String(options_.replica ? "replica" : "primary");
-    if (options_.sharded) {
-      const ShardRange& range =
-          options_.shard_plan.shards[options_.shard_id];
-      json.Key("shard_id").Uint(options_.shard_id);
-      json.Key("vertex_begin").Uint(range.begin);
-      json.Key("vertex_end").Uint(range.end);
-      json.Key("plan_epoch").Uint(options_.shard_plan.epoch);
-      json.Key("plan_shards").Uint(options_.shard_plan.shards.size());
-    }
-    json.Key("overlay_sequence").Uint(index.overlay_sequence());
-    json.EndObject();
-  }
-  json.Key("index").BeginObject();
-  json.Key("vertices").Uint(index.n());
-  json.Key("fingerprints").Uint(index.options().num_fingerprints);
-  json.Key("walk_length").Uint(index.options().walk_length);
-  json.Key("damping").Double(index.options().damping);
-  json.Key("seed").Uint(index.options().seed);
-  json.Key("graph_fingerprint")
-      .String(FormatFingerprint(index.graph_fingerprint()));
-  json.Key("backend").String(index.store().backend_name());
-  json.Key("simd").String(SimdLevelName(ActiveSimdLevel()));
-  json.Key("io_uring").Bool(index.store().UsesIoUring());
-  json.Key("resident_bytes").Uint(index.SizeBytes());
-  json.EndObject();
-  json.EndObject();
-  return json.str();
-}
-
-std::string SimRankServer::BuildMetricsBody() const {
-  // Prometheus text exposition (v0.0.4) twinning /v1/stats: counters and
-  // gauges line for line, histograms in the native bucket form.
-  const ServerStats stats = this->stats();
-  const QueryEngine::CacheStats cache = engine_.cache_stats();
-  const WalkIndex& index = engine_.index();
-  std::string out;
-  auto counter = [&out](const char* name, const char* labels,
-                        uint64_t value) {
-    out += StrFormat("%s%s %llu\n", name, labels,
-                     static_cast<unsigned long long>(value));
-  };
-  auto type = [&out](const char* name, const char* kind) {
-    out += StrFormat("# TYPE %s %s\n", name, kind);
-  };
-
-  type("simrank_requests_total", "counter");
-  for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
-    counter("simrank_requests_total",
-            StrFormat("{endpoint=\"%s\"}",
-                      ServerEndpointName(static_cast<ServerEndpoint>(i)))
-                .c_str(),
-            stats.requests[i]);
-  }
-  counter("simrank_requests_total", "{endpoint=\"stats\"}",
-          stats.requests_stats);
-  counter("simrank_requests_total", "{endpoint=\"healthz\"}",
-          stats.requests_healthz);
-  counter("simrank_requests_total", "{endpoint=\"metrics\"}",
-          stats.requests_metrics);
-  counter("simrank_requests_total", "{endpoint=\"wal\"}",
-          stats.requests_wal);
-  counter("simrank_requests_total", "{endpoint=\"debug_slow\"}",
-          stats.requests_debug_slow);
-  counter("simrank_requests_total", "{endpoint=\"debug_profile\"}",
-          stats.requests_debug_profile);
-  counter("simrank_requests_total", "{endpoint=\"debug_timeseries\"}",
-          stats.requests_debug_timeseries);
-
-  type("simrank_responses_total", "counter");
-  counter("simrank_responses_total", "{class=\"2xx\"}",
-          stats.responses_2xx);
-  counter("simrank_responses_total", "{class=\"4xx\"}",
-          stats.responses_4xx);
-  counter("simrank_responses_total", "{class=\"5xx\"}",
-          stats.responses_5xx);
-
-  type("simrank_rejected_total", "counter");
-  counter("simrank_rejected_total", "{reason=\"inflight\"}",
-          stats.rejected_inflight);
-  counter("simrank_rejected_total", "{reason=\"endpoint\"}",
-          stats.rejected_endpoint);
-  counter("simrank_rejected_total", "{reason=\"misdirected\"}",
-          stats.rejected_misdirected);
-
-  type("simrank_connections_accepted_total", "counter");
-  counter("simrank_connections_accepted_total", "",
-          stats.connections_accepted);
-  type("simrank_connections_open", "gauge");
-  counter("simrank_connections_open", "", stats.connections_open);
-  type("simrank_inflight", "gauge");
-  counter("simrank_inflight", "", stats.inflight);
-
-  out += BuildInfoMetric();
-  type("simrank_uptime_seconds", "gauge");
-  out += StrFormat("simrank_uptime_seconds %g\n", UptimeSeconds());
+  MetricSet m;
+  m.Gauge("server.inflight", "simrank_inflight", stats.inflight)
+      .Info("server.max_inflight", options_.max_inflight)
+      .Info("server.max_endpoint_inflight", options_.max_endpoint_inflight)
+      .Info("server.threads", pool_.num_threads())
+      .Info("server.draining", draining_.load(std::memory_order_relaxed))
+      .Gauge("server.uptime_seconds", "simrank_uptime_seconds",
+             UptimeSeconds());
+  CollectBuildInfo(m);
 
   const Watchdog::Snapshot dog = watchdog_.snapshot();
-  type("simrank_loop_lag_seconds", "gauge");
-  out += StrFormat("simrank_loop_lag_seconds %g\n",
-                   static_cast<double>(dog.loop_lag_us) / 1e6);
-  type("simrank_loop_lag_max_seconds", "gauge");
-  out += StrFormat("simrank_loop_lag_max_seconds %g\n",
-                   static_cast<double>(dog.max_loop_lag_us) / 1e6);
-  type("simrank_loop_stalls_total", "counter");
-  counter("simrank_loop_stalls_total", "", dog.stalls);
-  type("simrank_queue_depth", "gauge");
-  counter("simrank_queue_depth", "", dog.queue_depth);
-  type("simrank_queue_depth_max", "gauge");
-  counter("simrank_queue_depth_max", "", dog.max_queue_depth);
-
-  // Dispatch-to-start latency: the queue wait workers actually observed.
-  type("simrank_dispatch_latency_seconds", "histogram");
-  {
-    const LatencyHistogram::Snapshot snapshot = dispatch_latency_.snapshot();
-    uint64_t cumulative = 0;
-    for (uint32_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
-      cumulative += snapshot.buckets[b];
-      if (b + 1 < LatencyHistogram::kNumBuckets) {
-        out += StrFormat(
-            "simrank_dispatch_latency_seconds_bucket{le=\"%g\"} %llu\n",
-            static_cast<double>(LatencyHistogram::BucketUpperMicros(b)) /
-                1e6,
-            static_cast<unsigned long long>(cumulative));
-      } else {
-        out += StrFormat(
-            "simrank_dispatch_latency_seconds_bucket{le=\"+Inf\"} %llu\n",
-            static_cast<unsigned long long>(cumulative));
-      }
-    }
-    out += StrFormat("simrank_dispatch_latency_seconds_sum %g\n",
-                     static_cast<double>(snapshot.sum_micros) / 1e6);
-    out += StrFormat("simrank_dispatch_latency_seconds_count %llu\n",
-                     static_cast<unsigned long long>(snapshot.count));
-  }
-
+  m.Info("watchdog.armed", options_.watchdog_interval_ms > 0)
+      .Duration("watchdog.loop_lag_us", "simrank_loop_lag_seconds",
+                dog.loop_lag_us)
+      .Duration("watchdog.max_loop_lag_us", "simrank_loop_lag_max_seconds",
+                dog.max_loop_lag_us)
+      .Gauge("watchdog.queue_depth", "simrank_queue_depth", dog.queue_depth)
+      .Gauge("watchdog.max_queue_depth", "simrank_queue_depth_max",
+             dog.max_queue_depth)
+      .Counter("watchdog.stalls", "simrank_loop_stalls_total", dog.stalls)
+      .Duration("watchdog.last_stall_us", "", dog.last_stall_us)
+      // Dispatch-to-start latency: the queue wait workers observed.
+      .Histogram("watchdog.dispatch_latency_us",
+                 "simrank_dispatch_latency_seconds",
+                 dispatch_latency_.snapshot());
   ProcessMemoryStats memory;
   if (ReadProcessMemoryStats(&memory)) {
-    type("simrank_resident_bytes", "gauge");
-    counter("simrank_resident_bytes", "", memory.resident_bytes);
-    type("simrank_virtual_bytes", "gauge");
-    counter("simrank_virtual_bytes", "", memory.virtual_bytes);
-    type("simrank_peak_resident_bytes", "gauge");
-    counter("simrank_peak_resident_bytes", "", memory.peak_resident_bytes);
+    m.Gauge("process_memory.resident_bytes", "simrank_resident_bytes",
+            memory.resident_bytes)
+        .Gauge("process_memory.virtual_bytes", "simrank_virtual_bytes",
+               memory.virtual_bytes)
+        .Gauge("process_memory.peak_resident_bytes",
+               "simrank_peak_resident_bytes", memory.peak_resident_bytes)
+        .Gauge("process_memory.data_bytes", "", memory.data_bytes);
   }
 
-  type("simrank_cache_hits_total", "counter");
-  counter("simrank_cache_hits_total", "", cache.hits);
-  type("simrank_cache_misses_total", "counter");
-  counter("simrank_cache_misses_total", "", cache.misses);
-  type("simrank_cache_evictions_total", "counter");
-  counter("simrank_cache_evictions_total", "", cache.evictions);
-
-  type("simrank_index_vertices", "gauge");
-  counter("simrank_index_vertices", "", index.n());
-  type("simrank_index_resident_bytes", "gauge");
-  counter("simrank_index_resident_bytes", "", index.SizeBytes());
-  type("simrank_index_info", "gauge");
-  out += StrFormat("simrank_index_info{backend=\"%s\"} 1\n",
-                   index.store().backend_name());
-  type("simrank_overlay_sequence_current", "gauge");
-  counter("simrank_overlay_sequence_current", "",
-          index.overlay_sequence());
-
-  if (options_.sharded || options_.replica) {
-    type("simrank_shard_replica", "gauge");
-    counter("simrank_shard_replica", "", options_.replica ? 1 : 0);
-    if (options_.sharded) {
-      const ShardRange& range =
-          options_.shard_plan.shards[options_.shard_id];
-      type("simrank_shard_id", "gauge");
-      counter("simrank_shard_id", "", options_.shard_id);
-      type("simrank_shard_plan_epoch", "gauge");
-      counter("simrank_shard_plan_epoch", "", options_.shard_plan.epoch);
-      type("simrank_shard_vertex_begin", "gauge");
-      counter("simrank_shard_vertex_begin", "", range.begin);
-      type("simrank_shard_vertex_end", "gauge");
-      counter("simrank_shard_vertex_end", "", range.end);
-    }
+  auto request_counter = [&m](const char* endpoint, uint64_t count) {
+    m.Counter(std::string("requests.") + endpoint, "simrank_requests_total",
+              count, PromLabel("endpoint", endpoint));
+  };
+  for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
+    request_counter(ServerEndpointName(static_cast<ServerEndpoint>(i)),
+                    stats.requests[i]);
   }
-
-  type("simrank_request_duration_seconds", "histogram");
+  request_counter("stats", stats.requests_stats);
+  request_counter("healthz", stats.requests_healthz);
+  request_counter("metrics", stats.requests_metrics);
+  request_counter("wal", stats.requests_wal);
+  request_counter("debug_slow", stats.requests_debug_slow);
+  request_counter("debug_profile", stats.requests_debug_profile);
+  request_counter("debug_timeseries", stats.requests_debug_timeseries);
+  m.Counter("responses.2xx", "simrank_responses_total", stats.responses_2xx,
+            PromLabel("class", "2xx"))
+      .Counter("responses.4xx", "simrank_responses_total",
+               stats.responses_4xx, PromLabel("class", "4xx"))
+      .Counter("responses.5xx", "simrank_responses_total",
+               stats.responses_5xx, PromLabel("class", "5xx"))
+      .Counter("admission.rejected_inflight", "simrank_rejected_total",
+               stats.rejected_inflight, PromLabel("reason", "inflight"))
+      .Counter("admission.rejected_endpoint", "simrank_rejected_total",
+               stats.rejected_endpoint, PromLabel("reason", "endpoint"))
+      .Counter("admission.rejected_misdirected", "simrank_rejected_total",
+               stats.rejected_misdirected,
+               PromLabel("reason", "misdirected"))
+      .Counter("connections.accepted", "simrank_connections_accepted_total",
+               stats.connections_accepted)
+      .Gauge("connections.open", "simrank_connections_open",
+             stats.connections_open)
+      .Counter("cache.hits", "simrank_cache_hits_total", cache.hits)
+      .Counter("cache.misses", "simrank_cache_misses_total", cache.misses)
+      .Counter("cache.evictions", "simrank_cache_evictions_total",
+               cache.evictions);
+  // Per-endpoint dispatch-to-completion latency.
   for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
     const char* name = ServerEndpointName(static_cast<ServerEndpoint>(i));
-    const LatencyHistogram::Snapshot snapshot = latency_[i].snapshot();
-    uint64_t cumulative = 0;
-    for (uint32_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
-      cumulative += snapshot.buckets[b];
-      if (b + 1 < LatencyHistogram::kNumBuckets) {
-        out += StrFormat(
-            "simrank_request_duration_seconds_bucket{endpoint=\"%s\","
-            "le=\"%g\"} %llu\n",
-            name,
-            static_cast<double>(LatencyHistogram::BucketUpperMicros(b)) /
-                1e6,
-            static_cast<unsigned long long>(cumulative));
-      } else {
-        out += StrFormat(
-            "simrank_request_duration_seconds_bucket{endpoint=\"%s\","
-            "le=\"+Inf\"} %llu\n",
-            name, static_cast<unsigned long long>(cumulative));
-      }
-    }
-    out += StrFormat(
-        "simrank_request_duration_seconds_sum{endpoint=\"%s\"} %g\n", name,
-        static_cast<double>(snapshot.sum_micros) / 1e6);
-    out += StrFormat(
-        "simrank_request_duration_seconds_count{endpoint=\"%s\"} %llu\n",
-        name, static_cast<unsigned long long>(snapshot.count));
+    m.Histogram(std::string("latency_us.") + name,
+                "simrank_request_duration_seconds", latency_[i].snapshot(),
+                PromLabel("endpoint", name));
   }
 
-  type("simrank_traced_requests_total", "counter");
-  counter("simrank_traced_requests_total", "", stats.traced_requests);
-  type("simrank_slow_queries_total", "counter");
-  counter("simrank_slow_queries_total", "", stats.slow_captured);
-
-  // Per-stage latency folded from traced requests only; all stages are
-  // emitted (zeroed when never hit) so scrapers see a stable family.
-  type("simrank_stage_duration_seconds", "histogram");
+  // Tracing: per-stage latency and work counters, folded from traced
+  // requests only (untraced requests contribute nothing here).
+  m.Info("trace.sample_rate", options_.trace_sample)
+      .Info("trace.slow_query_us", options_.slow_query_us)
+      .Counter("trace.traced_requests", "simrank_traced_requests_total",
+               stats.traced_requests)
+      .Counter("trace.slow_captured", "simrank_slow_queries_total",
+               stats.slow_captured)
+      .Info("trace.slow_ring_capacity", slow_log_.capacity());
   for (uint32_t i = 0; i < kNumTraceStages; ++i) {
     const char* name = TraceStageName(static_cast<TraceStage>(i));
-    const LatencyHistogram::Snapshot snapshot =
-        stage_latency_[i].snapshot();
-    uint64_t cumulative = 0;
-    for (uint32_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
-      cumulative += snapshot.buckets[b];
-      if (b + 1 < LatencyHistogram::kNumBuckets) {
-        out += StrFormat(
-            "simrank_stage_duration_seconds_bucket{stage=\"%s\","
-            "le=\"%g\"} %llu\n",
-            name,
-            static_cast<double>(LatencyHistogram::BucketUpperMicros(b)) /
-                1e6,
-            static_cast<unsigned long long>(cumulative));
-      } else {
-        out += StrFormat(
-            "simrank_stage_duration_seconds_bucket{stage=\"%s\","
-            "le=\"+Inf\"} %llu\n",
-            name, static_cast<unsigned long long>(cumulative));
-      }
-    }
-    out += StrFormat(
-        "simrank_stage_duration_seconds_sum{stage=\"%s\"} %g\n", name,
-        static_cast<double>(snapshot.sum_micros) / 1e6);
-    out += StrFormat(
-        "simrank_stage_duration_seconds_count{stage=\"%s\"} %llu\n", name,
-        static_cast<unsigned long long>(snapshot.count));
+    m.Histogram(std::string("trace.stages.") + name,
+                "simrank_stage_duration_seconds", stage_latency_[i].snapshot(),
+                PromLabel("stage", name));
   }
-
-  type("simrank_stage_counter_total", "counter");
   for (uint32_t c = 0; c < kNumTraceCounters; ++c) {
-    counter("simrank_stage_counter_total",
-            StrFormat("{counter=\"%s\"}",
-                      TraceCounterName(static_cast<TraceCounter>(c)))
-                .c_str(),
-            stage_counters_[c].load(std::memory_order_relaxed));
+    const char* name = TraceCounterName(static_cast<TraceCounter>(c));
+    m.Counter(std::string("trace.counters.") + name,
+              "simrank_stage_counter_total",
+              stage_counters_[c].load(std::memory_order_relaxed),
+              PromLabel("counter", name));
   }
 
   if (updater_ != nullptr) {
     const IndexUpdateStats updates = updater_->stats();
-    type("simrank_update_batches_total", "counter");
-    counter("simrank_update_batches_total", "", updates.batches_applied);
-    type("simrank_update_edges_total", "counter");
-    counter("simrank_update_edges_total", "{op=\"insert\"}",
-            updates.edges_inserted);
-    counter("simrank_update_edges_total", "{op=\"delete\"}",
-            updates.edges_deleted);
-    type("simrank_update_walks_resimulated_total", "counter");
-    counter("simrank_update_walks_resimulated_total", "",
-            updates.walks_resimulated);
-    type("simrank_overlay_sequence", "gauge");
-    counter("simrank_overlay_sequence", "", updates.overlay_sequence);
-    type("simrank_overlay_patched_vertices", "gauge");
-    counter("simrank_overlay_patched_vertices", "",
-            updates.patched_vertices);
-    type("simrank_overlay_delta_entries", "gauge");
-    counter("simrank_overlay_delta_entries", "", updates.delta_entries);
-    type("simrank_overlay_patches", "gauge");
-    counter("simrank_overlay_patches", "", updates.patched_walks);
-    type("simrank_overlay_bytes", "gauge");
-    counter("simrank_overlay_bytes", "", updates.overlay_bytes);
-    type("simrank_compactions_total", "counter");
-    counter("simrank_compactions_total", "", updates.compactions);
-    type("simrank_auto_compactions_total", "counter");
-    counter("simrank_auto_compactions_total", "", updates.auto_compactions);
-    type("simrank_auto_compact_failures_total", "counter");
-    counter("simrank_auto_compact_failures_total", "",
-            updates.auto_compact_failures);
-    type("simrank_compaction_pause_seconds", "gauge");
-    out += StrFormat(
-        "simrank_compaction_pause_seconds %g\n",
-        static_cast<double>(updates.last_compaction_pause_micros) / 1e6);
-    // Durations of completed compactions (manual + auto), native buckets.
-    type("simrank_compaction_duration_seconds", "histogram");
-    {
-      const LatencyHistogram::Snapshot snapshot =
-          updater_->compaction_histogram().snapshot();
-      uint64_t cumulative = 0;
-      for (uint32_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
-        cumulative += snapshot.buckets[b];
-        if (b + 1 < LatencyHistogram::kNumBuckets) {
-          out += StrFormat(
-              "simrank_compaction_duration_seconds_bucket{le=\"%g\"} "
-              "%llu\n",
-              static_cast<double>(LatencyHistogram::BucketUpperMicros(b)) /
-                  1e6,
-              static_cast<unsigned long long>(cumulative));
-        } else {
-          out += StrFormat(
-              "simrank_compaction_duration_seconds_bucket{le=\"+Inf\"} "
-              "%llu\n",
-              static_cast<unsigned long long>(cumulative));
-        }
-      }
-      out += StrFormat("simrank_compaction_duration_seconds_sum %g\n",
-                       static_cast<double>(snapshot.sum_micros) / 1e6);
-      out += StrFormat(
-          "simrank_compaction_duration_seconds_count %llu\n",
-          static_cast<unsigned long long>(snapshot.count));
-    }
-    type("simrank_wal_records", "gauge");
-    counter("simrank_wal_records", "", updates.wal_records);
-    type("simrank_wal_bytes", "gauge");
-    counter("simrank_wal_bytes", "", updates.wal_bytes);
-    type("simrank_wal_syncs_total", "counter");
-    counter("simrank_wal_syncs_total", "", updates.wal_syncs);
+    m.Counter("updates.batches_applied", "simrank_update_batches_total",
+              updates.batches_applied)
+        .Counter("updates.batches_replayed", "", updates.batches_replayed)
+        .Counter("updates.edges_inserted", "simrank_update_edges_total",
+                 updates.edges_inserted, PromLabel("op", "insert"))
+        .Counter("updates.edges_deleted", "simrank_update_edges_total",
+                 updates.edges_deleted, PromLabel("op", "delete"))
+        .Counter("updates.walks_resimulated",
+                 "simrank_update_walks_resimulated_total",
+                 updates.walks_resimulated)
+        .Counter("updates.walks_changed", "", updates.walks_changed)
+        .Gauge("updates.overlay_sequence", "simrank_overlay_sequence",
+               updates.overlay_sequence)
+        .Gauge("updates.patched_vertices", "simrank_overlay_patched_vertices",
+               updates.patched_vertices)
+        .Gauge("updates.patched_walks", "simrank_overlay_patches",
+               updates.patched_walks)
+        .Gauge("updates.changed_slots", "", updates.changed_slots)
+        .Gauge("updates.delta_entries", "simrank_overlay_delta_entries",
+               updates.delta_entries)
+        .Gauge("updates.overlay_bytes", "simrank_overlay_bytes",
+               updates.overlay_bytes)
+        .Gauge("updates.graph_edges", "", updates.graph_edges)
+        .Info("updates.graph_fingerprint",
+              FormatFingerprint(updates.current_graph_fingerprint))
+        .Gauge("updates.wal_records", "simrank_wal_records",
+               updates.wal_records)
+        .Gauge("updates.wal_bytes", "simrank_wal_bytes", updates.wal_bytes)
+        .Counter("updates.wal_syncs", "simrank_wal_syncs_total",
+                 updates.wal_syncs)
+        .Counter("updates.wal_truncated_bytes", "",
+                 updates.wal_truncated_bytes)
+        .Counter("updates.compaction.completed", "simrank_compactions_total",
+                 updates.compactions)
+        .Counter("updates.compaction.auto_triggered",
+                 "simrank_auto_compactions_total", updates.auto_compactions)
+        .Counter("updates.compaction.auto_failures",
+                 "simrank_auto_compact_failures_total",
+                 updates.auto_compact_failures)
+        .Duration("updates.compaction.last_total_us", "",
+                  updates.last_compaction_micros)
+        .Duration("updates.compaction.last_pause_us",
+                  "simrank_compaction_pause_seconds",
+                  updates.last_compaction_pause_micros)
+        // Durations of completed compactions (manual + auto).
+        .Histogram("updates.compaction",
+                   "simrank_compaction_duration_seconds",
+                   updater_->compaction_histogram().snapshot());
   }
-  return out;
+
+  const bool clustered = options_.sharded || options_.replica;
+  if (clustered) {
+    m.Info("cluster.role", options_.replica ? "replica" : "primary")
+        .Gauge("", "simrank_shard_replica", options_.replica ? 1 : 0);
+    if (options_.sharded) {
+      const ShardRange& range =
+          options_.shard_plan.shards[options_.shard_id];
+      m.Gauge("cluster.shard_id", "simrank_shard_id", options_.shard_id)
+          .Gauge("cluster.vertex_begin", "simrank_shard_vertex_begin",
+                 range.begin)
+          .Gauge("cluster.vertex_end", "simrank_shard_vertex_end", range.end)
+          .Gauge("cluster.plan_epoch", "simrank_shard_plan_epoch",
+                 options_.shard_plan.epoch)
+          .Info("cluster.plan_shards", options_.shard_plan.shards.size());
+    }
+  }
+  m.Gauge(clustered ? "cluster.overlay_sequence" : "",
+          "simrank_overlay_sequence_current", index.overlay_sequence())
+      .Gauge("index.vertices", "simrank_index_vertices", index.n())
+      .Info("index.fingerprints", index.options().num_fingerprints)
+      .Info("index.walk_length", index.options().walk_length)
+      .Info("index.damping", index.options().damping)
+      .Info("index.seed", index.options().seed)
+      .Info("index.graph_fingerprint",
+            FormatFingerprint(index.graph_fingerprint()))
+      .Info("index.backend", index.store().backend_name())
+      .Gauge("", "simrank_index_info", 1,
+             PromLabel("backend", index.store().backend_name()))
+      .Info("index.simd", SimdLevelName(ActiveSimdLevel()))
+      .Info("index.io_uring", index.store().UsesIoUring())
+      .Gauge("index.resident_bytes", "simrank_index_resident_bytes",
+             index.SizeBytes());
+  return m;
 }
 
 namespace {

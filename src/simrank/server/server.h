@@ -30,8 +30,9 @@
 //                              index file and resets the WAL
 //   GET  /v1/stats             request/admission/cache/index/update
 //                              counters + per-endpoint latency histograms
-//   GET  /metrics              the same counters in Prometheus text
-//                              exposition (text/plain)
+//   GET  /metrics              the statistics of /v1/stats that have a
+//                              Prometheus family (see CollectStats), as
+//                              text exposition (text/plain)
 //   GET  /healthz              liveness probe (text/plain)
 //   GET  /v1/debug/slow        captured slow/sampled query traces (ring)
 //   GET  /v1/debug/profile     sampling CPU profile: arms SIGPROF timers
@@ -79,6 +80,7 @@
 #include "simrank/index/index_updater.h"
 #include "simrank/index/query_engine.h"
 #include "simrank/obs/log_sink.h"
+#include "simrank/obs/metric_set.h"
 #include "simrank/obs/metrics_history.h"
 #include "simrank/obs/profiler.h"
 #include "simrank/obs/slow_query_log.h"
@@ -87,8 +89,6 @@
 #include "simrank/server/http.h"
 
 namespace simrank {
-
-class JsonWriter;
 
 namespace internal {
 /// Parsed arguments of one dispatchable query (defined in server.cc).
@@ -157,13 +157,10 @@ std::string RenderProfileReport(const ProfileReport& report);
 std::pair<int, std::string> AnswerTimeseries(const MetricsHistory* history,
                                              const HttpRequest& request);
 
-/// Writes the "build_info" object of /v1/stats: version, compiler, build
-/// type, C++ standard, SIMD tier and io_uring support.
-void WriteBuildInfoJson(JsonWriter& json);
-
-/// The simrank_build_info gauge (TYPE line and sample) for /metrics;
-/// `extra_labels` (e.g. `,role="router"`) closes its label block.
-std::string BuildInfoMetric(std::string_view extra_labels = {});
+/// Declares /v1/stats' "build_info" object (version, compiler, build type,
+/// C++ standard, SIMD tier, io_uring support) and the simrank_build_info
+/// gauge, whose labels end with `extra_labels` (e.g. `role="router"`).
+void CollectBuildInfo(MetricSet& stats, std::string_view extra_labels = {});
 
 /// Serving knobs. Defaults suit a loopback deployment; Validate() gates
 /// every field the flags can reach.
@@ -414,8 +411,10 @@ class SimRankServer {
                           std::string_view message);
   void UpdateEpoll(Connection* conn);
   void CloseConnection(Connection* conn);
-  std::string BuildStatsBody() const;
-  std::string BuildMetricsBody() const;
+  /// Every statistic /v1/stats, /metrics and the metrics history show.
+  /// Runs on the loop thread (/v1/stats, /metrics) and on the sampler
+  /// thread, so it reads only atomics, snapshots and options.
+  MetricSet CollectStats() const;
   std::string BuildSlowBody() const;
   void CountResponse(int status);
   /// Folds a finished trace into the per-stage histograms and counter
@@ -441,7 +440,8 @@ class SimRankServer {
   int reserve_fd_ = -1;
   uint16_t bound_port_ = 0;
   std::atomic<bool> stop_{false};
-  bool draining_ = false;
+  /// Set once, by the loop thread; atomic for CollectStats.
+  std::atomic<bool> draining_{false};
 
   /// Live connections by fd; ids disambiguate completions across fd reuse.
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;

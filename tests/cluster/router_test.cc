@@ -578,6 +578,25 @@ TEST(RouterTest, StatsAndMetricsDescribeTheCluster) {
             std::string::npos);
 }
 
+TEST(RouterTest, MetricsCountEveryEndpointTheStatsCount) {
+  ClusterFixture cluster(testing::RandomGraph(40, 160, 3));
+  for (const char* target : {"/v1/cluster/health", "/v1/debug/timeseries",
+                             "/v1/debug/profile?seconds=0.05"}) {
+    ASSERT_TRUE(HttpGet(cluster.router_port(), target).ok()) << target;
+  }
+  auto metrics = HttpGet(cluster.router_port(), "/metrics");
+  ASSERT_TRUE(metrics.ok());
+  for (const char* endpoint :
+       {"cluster_health", "debug_timeseries", "debug_profile"}) {
+    EXPECT_NE(metrics->body.find(StrFormat(
+                  "simrank_router_requests_total{endpoint=\"%s\"} 1\n",
+                  endpoint)),
+              std::string::npos)
+        << endpoint << "\n"
+        << metrics->body;
+  }
+}
+
 TEST(RouterTest, ThreeShardClusterStaysBitwise) {
   ClusterFixture cluster(testing::OverlappyGraph(45, 3, 13),
                          /*num_shards=*/3);

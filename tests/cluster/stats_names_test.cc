@@ -161,37 +161,100 @@ SPR- trace.sample_rate
 SPR- trace.slow_captured
 SPR- trace.slow_query_us
 SPR- trace.slow_ring_capacity
+SPR- trace.stages.accumulate.buckets
+SPR- trace.stages.accumulate.count
+SPR- trace.stages.accumulate.p50_us
+SPR- trace.stages.accumulate.p99_us
+SPR- trace.stages.accumulate.sum_us
+SPR- trace.stages.cache_lookup.buckets
 S--- trace.stages.cache_lookup.count
+-PR- trace.stages.cache_lookup.count
 S--- trace.stages.cache_lookup.p50_us
+-PR- trace.stages.cache_lookup.p50_us
 S--- trace.stages.cache_lookup.p99_us
+-PR- trace.stages.cache_lookup.p99_us
 S--- trace.stages.cache_lookup.sum_us
+-PR- trace.stages.cache_lookup.sum_us
+SPR- trace.stages.cold_read.buckets
+SPR- trace.stages.cold_read.count
+SPR- trace.stages.cold_read.p50_us
+SPR- trace.stages.cold_read.p99_us
+SPR- trace.stages.cold_read.sum_us
+SPR- trace.stages.decode.buckets
+SPR- trace.stages.decode.count
+SPR- trace.stages.decode.p50_us
+SPR- trace.stages.decode.p99_us
+SPR- trace.stages.decode.sum_us
+SPR- trace.stages.index_probe.buckets
 SP-- trace.stages.index_probe.count
+--R- trace.stages.index_probe.count
 SP-- trace.stages.index_probe.p50_us
+--R- trace.stages.index_probe.p50_us
 SP-- trace.stages.index_probe.p99_us
+--R- trace.stages.index_probe.p99_us
 SP-- trace.stages.index_probe.sum_us
+--R- trace.stages.index_probe.sum_us
+SPR- trace.stages.merge.buckets
+SPR- trace.stages.merge.count
+SPR- trace.stages.merge.p50_us
+SPR- trace.stages.merge.p99_us
+SPR- trace.stages.merge.sum_us
+SPR- trace.stages.overlay_merge.buckets
+SPR- trace.stages.overlay_merge.count
+SPR- trace.stages.overlay_merge.p50_us
+SPR- trace.stages.overlay_merge.p99_us
+SPR- trace.stages.overlay_merge.sum_us
+SPR- trace.stages.queue_wait.buckets
 SP-- trace.stages.queue_wait.count
+--R- trace.stages.queue_wait.count
 SP-- trace.stages.queue_wait.p50_us
+--R- trace.stages.queue_wait.p50_us
 SP-- trace.stages.queue_wait.p99_us
+--R- trace.stages.queue_wait.p99_us
 SP-- trace.stages.queue_wait.sum_us
+--R- trace.stages.queue_wait.sum_us
+SPR- trace.stages.request.buckets
 SP-- trace.stages.request.count
+--R- trace.stages.request.count
 SP-- trace.stages.request.p50_us
+--R- trace.stages.request.p50_us
 SP-- trace.stages.request.p99_us
+--R- trace.stages.request.p99_us
 SP-- trace.stages.request.sum_us
+--R- trace.stages.request.sum_us
+SPR- trace.stages.row_fetch.buckets
+SPR- trace.stages.row_fetch.count
+SPR- trace.stages.row_fetch.p50_us
+SPR- trace.stages.row_fetch.p99_us
+SPR- trace.stages.row_fetch.sum_us
+SPR- trace.stages.serialize.buckets
 S--- trace.stages.serialize.count
+-PR- trace.stages.serialize.count
 S--- trace.stages.serialize.p50_us
+-PR- trace.stages.serialize.p50_us
 S--- trace.stages.serialize.p99_us
+-PR- trace.stages.serialize.p99_us
 S--- trace.stages.serialize.sum_us
+-PR- trace.stages.serialize.sum_us
+SPR- trace.stages.shard_exchange.buckets
+SPR- trace.stages.shard_exchange.count
+SPR- trace.stages.shard_exchange.p50_us
+SPR- trace.stages.shard_exchange.p99_us
+SPR- trace.stages.shard_exchange.sum_us
 SPRT trace.traced_requests
 SPR- updates.batches_applied
 SPR- updates.batches_replayed
 SPR- updates.changed_slots
 SPR- updates.compaction.auto_failures
 SPR- updates.compaction.auto_triggered
+SPR- updates.compaction.buckets
 SPR- updates.compaction.completed
+SPR- updates.compaction.count
 SPR- updates.compaction.last_pause_us
 SPR- updates.compaction.last_total_us
 SPR- updates.compaction.p50_us
 SPR- updates.compaction.p99_us
+SPR- updates.compaction.sum_us
 SPR- updates.delta_entries
 SPR- updates.edges_deleted
 SPR- updates.edges_inserted
@@ -209,9 +272,11 @@ SPR- updates.walks_changed
 SPR- updates.walks_resimulated
 ---T uptime_seconds
 SPR- watchdog.armed
+SPR- watchdog.dispatch_latency_us.buckets
 SPR- watchdog.dispatch_latency_us.count
 SPR- watchdog.dispatch_latency_us.p50_us
 SPR- watchdog.dispatch_latency_us.p99_us
+SPR- watchdog.dispatch_latency_us.sum_us
 SPR- watchdog.last_stall_us
 SPR- watchdog.loop_lag_us
 SPR- watchdog.max_loop_lag_us
@@ -286,6 +351,9 @@ SPR- simrank_responses_total counter {class="5xx"}
 ---T simrank_router_failovers_total counter {}
 ---T simrank_router_plan_epoch gauge {}
 ---T simrank_router_requests_total counter {endpoint="batch_pair"}
+---T simrank_router_requests_total counter {endpoint="cluster_health"}
+---T simrank_router_requests_total counter {endpoint="debug_profile"}
+---T simrank_router_requests_total counter {endpoint="debug_timeseries"}
 ---T simrank_router_requests_total counter {endpoint="healthz"}
 ---T simrank_router_requests_total counter {endpoint="metrics"}
 ---T simrank_router_requests_total counter {endpoint="pair"}

@@ -64,11 +64,10 @@ TEST(ParsePrometheusTextTest, SkipsGarbageLines) {
 
 TEST(MetricsHistoryTest, RecordsAndQueriesSeries) {
   MetricsHistory history({/*window_seconds=*/60, /*interval_ms=*/1000});
-  history.Record(kExposition, 1000);
-  history.Record(
-      "# TYPE simrank_inflight gauge\n"
-      "simrank_inflight 5\n",
-      1001);
+  history.Record(ParsePrometheusText(kExposition), 1000);
+  history.Record(ParsePrometheusText("# TYPE simrank_inflight gauge\n"
+                                     "simrank_inflight 5\n"),
+                 1001);
   EXPECT_GT(history.series_count(), 0u);
 
   const std::string json = history.QueryJson("simrank_inflight", 0);
@@ -97,9 +96,9 @@ TEST(MetricsHistoryTest, WindowDropsOldPoints) {
       "g %d\n";
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), gauge, 1);
-  history.Record(buffer, 1000);
+  history.Record(ParsePrometheusText(buffer), 1000);
   std::snprintf(buffer, sizeof(buffer), gauge, 2);
-  history.Record(buffer, 1200);
+  history.Record(ParsePrometheusText(buffer), 1200);
   // A 100 s window anchored at the newest stamp (1200) excludes 1000.
   const std::string json = history.QueryJson("g", 100);
   EXPECT_NE(json.find("1200"), std::string::npos) << json;
@@ -114,16 +113,30 @@ TEST(MetricsHistoryTest, RingCapsPointsPerSeries) {
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer),
                   "# TYPE g gauge\ng %d\n", i);
-    history.Record(buffer, 1000 + i);
+    history.Record(ParsePrometheusText(buffer), 1000 + i);
   }
   const std::string json = history.QueryJson("g", 0);
   EXPECT_NE(json.find("1049"), std::string::npos) << json;  // newest kept
   EXPECT_EQ(json.find("[1000,"), std::string::npos) << json;  // oldest gone
 }
 
+TEST(MetricsHistoryTest, FirstWrapEvictsTheOldestPoint) {
+  // 3 slots: the fourth point must overwrite 1000, not 1001.
+  MetricsHistory history({/*window_seconds=*/3, /*interval_ms=*/1000});
+  for (int i = 0; i < 4; ++i) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "# TYPE g gauge\ng %d\n", i);
+    history.Record(ParsePrometheusText(buffer), 1000 + i);
+  }
+  const std::string json = history.QueryJson("g", 0);
+  EXPECT_NE(json.find("\"points\":[[1001,1],[1002,2],[1003,3]]"),
+            std::string::npos)
+      << json;
+}
+
 TEST(MetricsHistoryTest, UnknownMetricGivesEmptySeries) {
   MetricsHistory history({60, 1000});
-  history.Record(kExposition, 1000);
+  history.Record(ParsePrometheusText(kExposition), 1000);
   const std::string json = history.QueryJson("no_such_metric", 0);
   EXPECT_NE(json.find("\"series\":[]"), std::string::npos) << json;
 }
@@ -133,7 +146,7 @@ TEST(MetricsSamplerTest, DrivesHistoryAtInterval) {
   std::atomic<int> calls{0};
   MetricsSampler sampler(&history, [&calls] {
     ++calls;
-    return std::string("# TYPE g gauge\ng 1\n");
+    return ParsePrometheusText("# TYPE g gauge\ng 1\n");
   });
   sampler.Start();
   const auto deadline =
