@@ -120,13 +120,15 @@ Status RouterOptions::Validate() const {
   if (timeout_ms == 0) {
     return Status::InvalidArgument("--timeout-ms must be positive");
   }
+  if (max_batch_pairs == 0) {
+    return Status::InvalidArgument(
+        "--max-batch-pairs must be positive: a zero cap rejects every batch");
+  }
   if (scrape_interval_ms > 0 && scrape_timeout_ms == 0) {
     return Status::InvalidArgument(
         "--scrape-timeout-ms must be positive when fleet scraping is on");
   }
-  return ValidateDiagnosticsOptions(
-      metrics_history_window_s, metrics_history_interval_ms,
-      profile_log_path, profile_log_hz, profile_log_period_s);
+  return diagnostics.Validate();
 }
 
 std::vector<ScoredVertex> MergeTopK(
@@ -261,24 +263,7 @@ Status SimRankRouter::Bind() {
       }
     }
   }
-  if (options_.metrics_history_window_s > 0 && metrics_history_ == nullptr) {
-    MetricsHistory::Options history_options;
-    history_options.window_seconds = options_.metrics_history_window_s;
-    history_options.interval_ms = options_.metrics_history_interval_ms;
-    metrics_history_ = std::make_unique<MetricsHistory>(history_options);
-  }
-  if (!options_.profile_log_path.empty() && profile_logger_ == nullptr) {
-    ProfileLogger::Options logger_options;
-    logger_options.path = options_.profile_log_path;
-    logger_options.frequency_hz = options_.profile_log_hz;
-    logger_options.period_seconds = options_.profile_log_period_s;
-    // A slice of each period, matching the server: full duty would hold
-    // the singleton profiler and starve on-demand sessions.
-    logger_options.duty_cycle = 0.1;
-    auto logger = ProfileLogger::Start(logger_options);
-    if (!logger.ok()) return logger.status();
-    profile_logger_ = std::move(*logger);
-  }
+  OIPSIM_RETURN_IF_ERROR(diagnostics_.Open(options_.diagnostics));
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::IoError("socket() failed");
   const int enable = 1;
@@ -1192,18 +1177,13 @@ void SimRankRouter::StartDiagnostics() {
     scrape_stop_.store(false, std::memory_order_release);
     scrape_thread_ = std::thread([this] { ScrapeLoop(); });
   }
-  if (metrics_history_ != nullptr && metrics_sampler_ == nullptr) {
-    metrics_sampler_ = std::make_unique<MetricsSampler>(
-        metrics_history_.get(), [this] { return MetricFamilies(); });
-  }
-  if (metrics_sampler_ != nullptr) metrics_sampler_->Start();
+  diagnostics_.Start([this] { return MetricFamilies(); });
 }
 
 void SimRankRouter::StopDiagnostics() {
   scrape_stop_.store(true, std::memory_order_release);
   if (scrape_thread_.joinable()) scrape_thread_.join();
-  if (metrics_sampler_ != nullptr) metrics_sampler_->Stop();
-  if (profile_logger_ != nullptr) profile_logger_->Stop();
+  diagnostics_.Stop();
 }
 
 SimRankRouter::RouterResponse SimRankRouter::BuildClusterHealth() {
@@ -1346,7 +1326,7 @@ SimRankRouter::RouterResponse SimRankRouter::Route(
     stat_requests_debug_timeseries_.fetch_add(1, std::memory_order_relaxed);
     if (!is_get) return method_not_allowed("GET");
     std::tie(response.status, response.body) =
-        AnswerTimeseries(metrics_history_.get(), request);
+        AnswerTimeseries(diagnostics_.history(), request);
     return response;
   }
   if (request.path == "/v1/pair" || request.path == "/v1/single_source" ||

@@ -62,6 +62,7 @@
 #include "simrank/common/macros.h"
 #include "simrank/common/status.h"
 #include "simrank/extra/topk.h"
+#include "simrank/obs/diagnostics.h"
 #include "simrank/obs/metric_set.h"
 #include "simrank/obs/metrics_history.h"
 #include "simrank/obs/profiler.h"
@@ -96,6 +97,7 @@ struct RouterOptions {
   uint32_t retries = 1;
   /// Retry-After value on 503 responses.
   uint32_t retry_after_seconds = 1;
+  /// Upper bound on pairs in one /v1/batch_pair body; positive.
   uint32_t max_batch_pairs = 4096;
   HttpLimits http;
 
@@ -106,16 +108,10 @@ struct RouterOptions {
   uint32_t scrape_interval_ms = 1000;
   uint32_t scrape_timeout_ms = 500;
 
-  /// In-process history of the router's own (aggregated) metrics, served
-  /// at /v1/debug/timeseries. 0 disables it.
-  uint32_t metrics_history_window_s = 900;
-  uint32_t metrics_history_interval_ms = 1000;
-
-  /// Continuous background profiling (JSONL flight recorder), same
-  /// semantics as the server's --profile-log.
-  std::string profile_log_path;
-  uint32_t profile_log_hz = 19;
-  uint32_t profile_log_period_s = 60;
+  /// History of the router's own (aggregated) metrics, served at
+  /// /v1/debug/timeseries, and continuous profiling into the event log,
+  /// as on the server. The router's log holds only profile records.
+  DiagnosticsOptions diagnostics;
 
   Status Validate() const;
 };
@@ -374,9 +370,7 @@ class SimRankRouter {
   std::vector<TargetState> targets_;
   std::atomic<bool> scrape_stop_{true};
   std::thread scrape_thread_;
-  std::unique_ptr<MetricsHistory> metrics_history_;
-  std::unique_ptr<MetricsSampler> metrics_sampler_;
-  std::unique_ptr<ProfileLogger> profile_logger_;
+  Diagnostics diagnostics_;
 };
 
 }  // namespace simrank

@@ -157,6 +157,13 @@ Result<std::unique_ptr<IndexUpdater>> IndexUpdater::Open(
           options.vertex_begin, options.vertex_end, index.n()));
     }
   }
+  if (!(options.auto_compact_patched_fraction >= 0.0 &&
+        options.auto_compact_patched_fraction < 1.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "auto_compact_patched_fraction=%g is not in [0, 1): it is the "
+        "share of all n*R walks carrying a patch (0 disables it)",
+        options.auto_compact_patched_fraction));
+  }
   if ((options.overlay_budget_bytes > 0 ||
        options.auto_compact_patched_fraction > 0.0) &&
       options.auto_compact_path.empty()) {

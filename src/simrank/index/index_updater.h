@@ -111,7 +111,7 @@ struct IndexUpdaterOptions {
   /// fraction of all n·R walks carries a patch (reads of patched vertices
   /// pay an extra hash lookup per step, so a heavily patched overlay
   /// serves slower than the store a compaction would fold it into).
-  /// 0 disables the heuristic.
+  /// In [0, 1); 0 disables the heuristic.
   double auto_compact_patched_fraction = 0.0;
   /// Where background auto-compaction writes the merged index; arming
   /// either trigger requires this.

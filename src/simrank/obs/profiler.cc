@@ -595,7 +595,11 @@ std::string CpuProfiler::CaptureThreadStack(int64_t /*tid*/) { return ""; }
 // ---------------------------------------------------------------------------
 // ProfileLogger
 
-Result<std::unique_ptr<ProfileLogger>> ProfileLogger::Start(Options options) {
+Result<std::unique_ptr<ProfileLogger>> ProfileLogger::Start(
+    Options options, JsonlLogSink* log) {
+  if (log == nullptr) {
+    return Status::InvalidArgument("profile logging needs an event log");
+  }
   if (options.frequency_hz == 0 ||
       options.frequency_hz > CpuProfiler::kMaxHz) {
     return Status::InvalidArgument("profile-log frequency out of range");
@@ -606,22 +610,21 @@ Result<std::unique_ptr<ProfileLogger>> ProfileLogger::Start(Options options) {
   if (!(options.duty_cycle > 0.0) || options.duty_cycle > 1.0) {
     return Status::InvalidArgument("profile-log duty cycle must be in (0, 1]");
   }
-  auto sink = JsonlLogSink::Open(options.path);
-  OIPSIM_RETURN_IF_ERROR(sink.status());
-  std::unique_ptr<ProfileLogger> logger(new ProfileLogger(std::move(options)));
-  logger->sink_ = std::move(*sink);
+  std::unique_ptr<ProfileLogger> logger(
+      new ProfileLogger(std::move(options), log));
   logger->thread_ = std::thread([raw = logger.get()] { raw->Loop(); });
   return logger;
 }
 
-ProfileLogger::ProfileLogger(Options options) : options_(std::move(options)) {}
+ProfileLogger::ProfileLogger(Options options, JsonlLogSink* log)
+    : options_(std::move(options)), log_(log) {}
 
 ProfileLogger::~ProfileLogger() { Stop(); }
 
 void ProfileLogger::Stop() {
   stop_.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
-  if (sink_ != nullptr) sink_->Flush();
+  log_->Flush();
 }
 
 void ProfileLogger::Loop() {
@@ -641,6 +644,7 @@ void ProfileLogger::Loop() {
               .count());
       JsonWriter json;
       json.BeginObject();
+      json.Key("type").String("profile");
       json.Key("unix_micros").Uint(unix_micros);
       json.Key("duration_seconds").Double(report.duration_seconds);
       json.Key("frequency_hz").Uint(report.frequency_hz);
@@ -649,7 +653,7 @@ void ProfileLogger::Loop() {
       json.Key("threads").Uint(report.armed_threads);
       json.Key("collapsed").String(report.collapsed);
       json.EndObject();
-      sink_->Append(json.str());
+      log_->Append(json.str());
       profiles_written_.fetch_add(1, std::memory_order_relaxed);
     }
     const auto period_end =

@@ -106,23 +106,24 @@ class ScopedProfiledThread {
 /// Kernel thread id of the calling thread (gettid); 0 where unsupported.
 int64_t CurrentTid();
 
-/// Continuous low-rate background profiling behind --profile-log: every
-/// `period_seconds` it runs one CpuProfiler session at `frequency_hz` and
-/// appends a JSON line {unix_micros, duration_seconds, frequency_hz,
-/// samples, dropped, threads, collapsed} to `path`. Periods that lose the
-/// profiler to an on-demand /v1/debug/profile session are skipped, not
-/// queued.
+/// Continuous low-rate background profiling behind --profile-log-period:
+/// every `period_seconds` it runs one CpuProfiler session at
+/// `frequency_hz` and appends a JSON line {type: "profile", unix_micros,
+/// duration_seconds, frequency_hz, samples, dropped, threads, collapsed}
+/// to the event log. Periods that lose the profiler to an on-demand
+/// /v1/debug/profile session are skipped, not queued.
 class ProfileLogger {
  public:
   struct Options {
-    std::string path;
     uint32_t frequency_hz = 19;
     uint32_t period_seconds = 60;
     /// Fraction of each period spent sampling, (0, 1].
     double duty_cycle = 1.0;
   };
 
-  static Result<std::unique_ptr<ProfileLogger>> Start(Options options);
+  /// `log` must outlive the logger.
+  static Result<std::unique_ptr<ProfileLogger>> Start(Options options,
+                                                      JsonlLogSink* log);
   ~ProfileLogger();
 
   void Stop();
@@ -131,13 +132,13 @@ class ProfileLogger {
   }
 
  private:
-  explicit ProfileLogger(Options options);
+  ProfileLogger(Options options, JsonlLogSink* log);
   OIPSIM_DISALLOW_COPY_AND_ASSIGN(ProfileLogger);
 
   void Loop();
 
   Options options_;
-  std::unique_ptr<JsonlLogSink> sink_;
+  JsonlLogSink* log_;
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> profiles_written_{0};
   std::thread thread_;

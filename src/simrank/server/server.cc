@@ -221,39 +221,6 @@ std::string ErrorBody(std::string_view code, std::string_view message) {
   return json.str();
 }
 
-Status ValidateDiagnosticsOptions(uint32_t metrics_history_window_s,
-                                  uint32_t metrics_history_interval_ms,
-                                  const std::string& profile_log_path,
-                                  uint32_t profile_log_hz,
-                                  uint32_t profile_log_period_s) {
-  if (metrics_history_window_s > 0) {
-    if (metrics_history_interval_ms == 0) {
-      return Status::InvalidArgument(
-          "--metrics-history-interval-ms must be positive");
-    }
-    const uint64_t points = static_cast<uint64_t>(metrics_history_window_s) *
-                            1000 / metrics_history_interval_ms;
-    if (points > 1u << 20) {
-      return Status::InvalidArgument(
-          StrFormat("metrics history of %llu points per series would pin an "
-                    "unreasonable amount of memory",
-                    static_cast<unsigned long long>(points)));
-    }
-  }
-  if (!profile_log_path.empty()) {
-    if (profile_log_hz == 0 || profile_log_hz > CpuProfiler::kMaxHz) {
-      return Status::InvalidArgument(
-          StrFormat("--profile-log-hz=%u is not in [1, %u]", profile_log_hz,
-                    CpuProfiler::kMaxHz));
-    }
-    if (profile_log_period_s == 0) {
-      return Status::InvalidArgument(
-          "--profile-log-period must be positive");
-    }
-  }
-  return Status::OK();
-}
-
 Status ParseProfileParams(const HttpRequest& request, double* seconds,
                           uint32_t* hz) {
   std::string error;
@@ -706,15 +673,13 @@ Status ServerOptions::Validate() const {
     return Status::InvalidArgument(StrFormat(
         "--trace-sample=%g is not a probability in [0, 1]", trace_sample));
   }
-  if (slow_ring_capacity > 65536) {
+  if (slow_ring_capacity == 0 || slow_ring_capacity > 65536) {
     return Status::InvalidArgument(
-        StrFormat("--slow-ring=%u would pin an unreasonable amount of "
-                  "trace JSON in memory",
+        StrFormat("--slow-ring=%u is not in [1, 65536]: the ring holds "
+                  "captured trace JSON in memory",
                   slow_ring_capacity));
   }
-  OIPSIM_RETURN_IF_ERROR(ValidateDiagnosticsOptions(
-      metrics_history_window_s, metrics_history_interval_ms,
-      profile_log_path, profile_log_hz, profile_log_period_s));
+  OIPSIM_RETURN_IF_ERROR(diagnostics.Validate());
   if (watchdog_interval_ms > 60000) {
     return Status::InvalidArgument(
         StrFormat("--watchdog-interval-ms=%u is longer than any plausible "
@@ -764,8 +729,8 @@ struct SimRankServer::Connection {
   bool request_keep_alive = true;
   /// Events currently registered with epoll.
   uint32_t epoll_events = 0;
-  /// Access-log capture of the request currently being answered: set by
-  /// RouteRequest (only when --access-log is active), consumed and
+  /// Access-record capture of the request currently being answered: set
+  /// by RouteRequest (only with an event log), consumed and
   /// cleared by QueueResponse. One dispatched query at a time per
   /// connection keeps this a single slot.
   uint64_t access_start_ns = 0;
@@ -846,35 +811,7 @@ Status SimRankServer::Bind() {
   if (listen_fd_ >= 0) {
     return Status::InvalidArgument("Bind() called twice");
   }
-  if (!options_.trace_log_path.empty() && trace_sink_ == nullptr) {
-    auto sink = JsonlLogSink::Open(options_.trace_log_path);
-    if (!sink.ok()) return sink.status();
-    trace_sink_ = std::move(*sink);
-  }
-  if (!options_.access_log_path.empty() && access_sink_ == nullptr) {
-    auto sink = JsonlLogSink::Open(options_.access_log_path);
-    if (!sink.ok()) return sink.status();
-    access_sink_ = std::move(*sink);
-  }
-  if (options_.metrics_history_window_s > 0 && metrics_history_ == nullptr) {
-    MetricsHistory::Options history_options;
-    history_options.window_seconds = options_.metrics_history_window_s;
-    history_options.interval_ms = options_.metrics_history_interval_ms;
-    metrics_history_ = std::make_unique<MetricsHistory>(history_options);
-  }
-  if (!options_.profile_log_path.empty() && profile_logger_ == nullptr) {
-    ProfileLogger::Options logger_options;
-    logger_options.path = options_.profile_log_path;
-    logger_options.frequency_hz = options_.profile_log_hz;
-    logger_options.period_seconds = options_.profile_log_period_s;
-    // Sample a slice of each period, not all of it: the profiler is a
-    // singleton, and a full-duty logger would starve every on-demand
-    // /v1/debug/profile session with 409s.
-    logger_options.duty_cycle = 0.1;
-    auto logger = ProfileLogger::Start(logger_options);
-    if (!logger.ok()) return logger.status();
-    profile_logger_ = std::move(*logger);
-  }
+  OIPSIM_RETURN_IF_ERROR(diagnostics_.Open(options_.diagnostics));
   sample_state_ = GenerateTraceId();
 
   sockaddr_in addr = {};
@@ -1121,7 +1058,7 @@ bool SimRankServer::MaybeCloseAfterEof(Connection* conn) {
 
 void SimRankServer::RouteRequest(Connection* conn,
                                  const HttpRequest& request) {
-  if (access_sink_ != nullptr) {
+  if (diagnostics_.log() != nullptr) {
     conn->access_start_ns = TraceNowNanos();
     conn->access_trace_id = 0;
     conn->access_method = request.method;
@@ -1209,7 +1146,7 @@ void SimRankServer::RouteRequest(Connection* conn,
   if (request.path == "/v1/debug/timeseries") {
     stat_requests_debug_timeseries_.fetch_add(1, std::memory_order_relaxed);
     const auto [status, body] =
-        AnswerTimeseries(metrics_history_.get(), request);
+        AnswerTimeseries(diagnostics_.history(), request);
     QueueResponse(conn, status, body);
     return;
   }
@@ -1459,7 +1396,7 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
       args.target += '=';
       args.target += request.params[i].second;
     }
-    if (access_sink_ != nullptr) conn->access_trace_id = args.trace_id;
+    if (diagnostics_.log() != nullptr) conn->access_trace_id = args.trace_id;
   }
   if (options_.sharded && args.internal == QueryArgs::Internal::kNone &&
       endpoint == ServerEndpoint::kPair) {
@@ -1700,8 +1637,8 @@ void SimRankServer::HandleProfileRequest(Connection* conn,
     completion.connection_id = connection_id;
     completion.admission = false;
     if (!profiled.ok()) {
-      // The profiler itself was busy (e.g. a --profile-log period is
-      // mid-capture) or the platform lacks support.
+      // The profiler itself was busy (e.g. a continuous-profiling period
+      // is mid-capture) or the platform lacks support.
       completion.status = 409;
       completion.body = ErrorBody("Busy", profiled.status().message());
     } else {
@@ -1731,17 +1668,12 @@ void SimRankServer::StartDiagnostics() {
     watchdog_.SetQueueDepthProvider([this] { return pool_.queue_depth(); });
     watchdog_.Start();
   }
-  if (metrics_history_ != nullptr && metrics_sampler_ == nullptr) {
-    metrics_sampler_ = std::make_unique<MetricsSampler>(
-        metrics_history_.get(), [this] { return CollectStats().Families(); });
-  }
-  if (metrics_sampler_ != nullptr) metrics_sampler_->Start();
+  diagnostics_.Start([this] { return CollectStats().Families(); });
 }
 
 void SimRankServer::StopDiagnostics() {
   watchdog_.Stop();
-  if (metrics_sampler_ != nullptr) metrics_sampler_->Stop();
-  if (profile_logger_ != nullptr) profile_logger_->Stop();
+  diagnostics_.Stop();
   std::lock_guard<std::mutex> lock(profile_threads_mutex_);
   for (std::thread& thread : profile_threads_) {
     if (thread.joinable()) thread.join();
@@ -1762,7 +1694,7 @@ void SimRankServer::QueueResponse(
   conn->out += BuildHttpResponse(status, body, response_options);
   if (!keep) conn->close_after_flush = true;
   CountResponse(status);
-  if (access_sink_ != nullptr && !conn->access_method.empty()) {
+  if (diagnostics_.log() != nullptr && !conn->access_method.empty()) {
     LogAccess(*conn, status, body.size());
     conn->access_method.clear();
   }
@@ -2222,17 +2154,17 @@ void SimRankServer::CaptureTrace(const TraceRecorder& recorder,
   entry.trace_id = recorder.trace_id();
   entry.target = std::string(target);
   entry.trace_json = recorder.ToJson();
-  if (trace_sink_ != nullptr) {
-    std::string line =
-        StrFormat("{\"unix_micros\":%llu,\"target\":\"",
-                  static_cast<unsigned long long>(entry.unix_micros));
+  if (diagnostics_.log() != nullptr) {
+    std::string line = StrFormat(
+        "{\"type\":\"trace\",\"unix_micros\":%llu,\"target\":\"",
+        static_cast<unsigned long long>(entry.unix_micros));
     JsonEscape(target, &line);
     line += StrFormat(
         "\",\"duration_us\":%llu,\"trace\":",
         static_cast<unsigned long long>(duration_micros));
     line += entry.trace_json;
     line += '}';
-    trace_sink_->Append(std::move(line));
+    diagnostics_.log()->Append(std::move(line));
   }
   slow_log_.Record(std::move(entry));
 }
@@ -2243,9 +2175,9 @@ void SimRankServer::LogAccess(const Connection& conn, int status,
       conn.access_start_ns == 0
           ? 0
           : (TraceNowNanos() - conn.access_start_ns) / 1000;
-  std::string line = StrFormat("{\"unix_micros\":%llu,\"method\":\"",
-                               static_cast<unsigned long long>(
-                                   WallClockMicros()));
+  std::string line = StrFormat(
+      "{\"type\":\"access\",\"unix_micros\":%llu,\"method\":\"",
+      static_cast<unsigned long long>(WallClockMicros()));
   JsonEscape(conn.access_method, &line);
   line += "\",\"path\":\"";
   JsonEscape(conn.access_path, &line);
@@ -2257,7 +2189,7 @@ void SimRankServer::LogAccess(const Connection& conn, int status,
                       TraceIdToHex(conn.access_trace_id).c_str());
   }
   line += '}';
-  access_sink_->Append(std::move(line));
+  diagnostics_.log()->Append(std::move(line));
 }
 
 }  // namespace simrank

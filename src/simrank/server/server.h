@@ -79,7 +79,7 @@
 #include "simrank/extra/topk.h"
 #include "simrank/index/index_updater.h"
 #include "simrank/index/query_engine.h"
-#include "simrank/obs/log_sink.h"
+#include "simrank/obs/diagnostics.h"
 #include "simrank/obs/metric_set.h"
 #include "simrank/obs/metrics_history.h"
 #include "simrank/obs/profiler.h"
@@ -121,23 +121,11 @@ Result<std::vector<std::pair<VertexId, VertexId>>> ParsePairBatch(
     std::string_view body, uint32_t max_pairs);
 
 // Shared by the server and the router, so both frontends answer alike:
-// the error envelope, the diagnostics option check, and the debug and
-// build-info answers.
+// the error envelope and the debug and build-info answers.
 
 /// The JSON error envelope of every non-2xx answer:
 /// {"error":{"code":CODE,"message":MESSAGE}}.
 std::string ErrorBody(std::string_view code, std::string_view message);
-
-/// Validates the diagnostics options both frontends take from flags. A
-/// zero metrics-history window disables the history; otherwise the
-/// interval must be positive and one series may hold at most 2^20 points.
-/// A profile log (non-empty path) needs a rate in [1, CpuProfiler::kMaxHz]
-/// and a positive period.
-Status ValidateDiagnosticsOptions(uint32_t metrics_history_window_s,
-                                  uint32_t metrics_history_interval_ms,
-                                  const std::string& profile_log_path,
-                                  uint32_t profile_log_hz,
-                                  uint32_t profile_log_period_s);
 
 /// Parses GET /v1/debug/profile's ?seconds= (default 2, in (0,
 /// CpuProfiler::kMaxSeconds]) and ?hz= (default CpuProfiler::kDefaultHz,
@@ -163,7 +151,7 @@ std::pair<int, std::string> AnswerTimeseries(const MetricsHistory* history,
 void CollectBuildInfo(MetricSet& stats, std::string_view extra_labels = {});
 
 /// Serving knobs. Defaults suit a loopback deployment; Validate() gates
-/// every field the flags can reach.
+/// every field.
 struct ServerOptions {
   /// Listening address; queries carry no authentication, so binding
   /// non-loopback addresses is the operator's deliberate choice.
@@ -229,34 +217,24 @@ struct ServerOptions {
   ///   - `slow_query_us` > 0 (every dispatched request is traced so the
   ///     slow ones have a trace to capture).
   /// Sampled traces and traces slower than `slow_query_us` land in the
-  /// slow-query ring (GET /v1/debug/slow) and, when `trace_log_path` is
-  /// set, as JSONL lines. Every trace folds into the per-stage latency
-  /// histograms and stage counters in /v1/stats and /metrics.
+  /// slow-query ring (GET /v1/debug/slow, slow_ring_capacity entries,
+  /// at least 1) and, with an event log, as "trace" records. Every trace
+  /// folds into the per-stage latency histograms and stage counters in
+  /// /v1/stats and /metrics.
   double trace_sample = 0.0;
   uint64_t slow_query_us = 0;
   uint32_t slow_ring_capacity = 64;
-  std::string trace_log_path;
-  /// One JSONL line per routed request (method, path, status, bytes,
-  /// micros, trace id), written off the event loop.
-  std::string access_log_path;
 
   /// Self-diagnosis knobs (obs/). The /v1/debug/profile endpoint is
-  /// always live; these tune the background pieces.
-  /// Continuous low-rate profiling: one collapsed profile JSONL line per
-  /// period appended to this path (empty = off). Periods overlapping an
-  /// on-demand /v1/debug/profile session are skipped.
-  std::string profile_log_path;
-  uint32_t profile_log_hz = 19;
-  uint32_t profile_log_period_s = 60;
+  /// always live; these tune the background pieces. With an event log,
+  /// every answered request also appends an "access" record (method,
+  /// path, status, bytes, micros, trace id), written off the event loop.
+  DiagnosticsOptions diagnostics;
   /// Watchdog monitor cadence and the epoll-loop heartbeat lag that
   /// counts as a stall (warned once per episode, with the loop thread's
   /// stack). watchdog_interval_ms = 0 disables the monitor thread.
   uint32_t watchdog_interval_ms = 100;
   uint64_t watchdog_stall_us = 1000000;
-  /// Metrics history ring behind /v1/debug/timeseries: window and sample
-  /// interval. metrics_history_window_s = 0 disables the ring.
-  uint32_t metrics_history_window_s = 900;
-  uint32_t metrics_history_interval_ms = 1000;
   /// Test hook: when nonzero, GET /v1/debug/stall?ms=N (N capped by this
   /// value) sleeps on the loop thread — a deterministic injected stall
   /// for the watchdog tests. Zero in production; the endpoint is then
@@ -368,7 +346,7 @@ class SimRankServer {
 
   /// The metrics history ring; null when disabled.
   const MetricsHistory* metrics_history() const {
-    return metrics_history_.get();
+    return diagnostics_.history();
   }
 
  private:
@@ -420,11 +398,12 @@ class SimRankServer {
   /// Folds a finished trace into the per-stage histograms and counter
   /// totals (any thread).
   void FoldTrace(const TraceRecorder& recorder);
-  /// Captures a finished trace into the slow ring and trace log
+  /// Captures a finished trace into the slow ring and the event log
   /// (any thread).
   void CaptureTrace(const TraceRecorder& recorder, std::string_view target,
                     uint64_t duration_micros);
-  /// Emits one access-log JSONL line (loop thread; no-op without a sink).
+  /// Appends one access record to the event log (loop thread; requires
+  /// the log).
   void LogAccess(const Connection& conn, int status, size_t body_bytes);
 
   QueryEngine& engine_;
@@ -486,20 +465,16 @@ class SimRankServer {
 
   /// Captured slow/sampled traces (GET /v1/debug/slow).
   SlowQueryLog slow_log_;
-  /// Optional JSONL sinks (--trace-log / --access-log); opened in Bind().
-  std::unique_ptr<JsonlLogSink> trace_sink_;
-  std::unique_ptr<JsonlLogSink> access_sink_;
   /// xorshift state for --trace-sample coin flips (loop thread only).
   uint64_t sample_state_ = 0;
 
-  /// Self-diagnosis (obs/): loop/worker watchdog, metrics history ring +
-  /// its 1 Hz sampler, continuous profile logger, on-demand profile
-  /// capture threads. All stopped by StopDiagnostics() *before* pool_ is
-  /// destroyed — the watchdog and sampler read pool_.queue_depth().
+  /// Self-diagnosis (obs/): loop/worker watchdog, the metrics history and
+  /// its sampler, the event log and the profile logger (opened in
+  /// Bind()), on-demand profile capture threads. All stopped by
+  /// StopDiagnostics() *before* pool_ is destroyed — the watchdog and
+  /// sampler read pool_.queue_depth().
   Watchdog watchdog_;
-  std::unique_ptr<MetricsHistory> metrics_history_;
-  std::unique_ptr<MetricsSampler> metrics_sampler_;
-  std::unique_ptr<ProfileLogger> profile_logger_;
+  Diagnostics diagnostics_;
   /// Dispatch-to-start queue-wait latency (workers record).
   LatencyHistogram dispatch_latency_;
   /// Serializes /v1/debug/profile sessions (second request gets 409).
@@ -507,8 +482,8 @@ class SimRankServer {
   std::mutex profile_threads_mutex_;
   std::vector<std::thread> profile_threads_;
 
-  /// Declared last so its destructor joins workers before fds close —
-  /// workers may still be appending to the sinks above.
+  /// Declared last so its destructor joins workers before fds close and
+  /// the event log closes — workers may still be appending to it.
   ThreadPool pool_;
 };
 

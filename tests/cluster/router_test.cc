@@ -675,6 +675,19 @@ TEST(RouterOptionsTest, ValidateRejectsInconsistentTopologies) {
   EXPECT_FALSE(options.Validate().ok());
 }
 
+TEST(RouterOptionsTest, ValidateRejectsZeroBatchCapLikeTheServer) {
+  auto plan = ShardPlan::EvenSplit(10, 0x1, 2);
+  ASSERT_TRUE(plan.ok());
+  RouterOptions options;
+  options.plan = *plan;
+  options.shards = {RouterShard{0, 9001, 0}, RouterShard{1, 9002, 0}};
+  options.max_batch_pairs = 0;
+  EXPECT_FALSE(options.Validate().ok());
+  ServerOptions server_options;
+  server_options.max_batch_pairs = 0;
+  EXPECT_FALSE(server_options.Validate().ok());
+}
+
 TEST(RouterOptionsTest, ValidateCapsMetricsHistoryLikeTheServer) {
   auto plan = ShardPlan::EvenSplit(10, 0x1, 2);
   ASSERT_TRUE(plan.ok());
@@ -683,10 +696,10 @@ TEST(RouterOptionsTest, ValidateCapsMetricsHistoryLikeTheServer) {
   options.shards = {RouterShard{0, 9001, 0}, RouterShard{1, 9002, 0}};
   ServerOptions server_options;
   // An hour at 1 ms is 3.6M points per series, past the 2^20 cap.
-  options.metrics_history_window_s = 3600;
-  options.metrics_history_interval_ms = 1;
-  server_options.metrics_history_window_s = 3600;
-  server_options.metrics_history_interval_ms = 1;
+  options.diagnostics.metrics_history_window_s = 3600;
+  options.diagnostics.metrics_history_interval_ms = 1;
+  server_options.diagnostics.metrics_history_window_s = 3600;
+  server_options.diagnostics.metrics_history_interval_ms = 1;
   const Status routed = options.Validate();
   EXPECT_FALSE(routed.ok());
   EXPECT_EQ(routed.ToString(), server_options.Validate().ToString());
@@ -738,7 +751,7 @@ TEST(RouterDebugTest, ProfileValidatesParamsAndMethodLikeTheServer) {
 
 TEST(RouterDebugTest, TimeseriesServesTheRouterHistory) {
   RouterOptions options;
-  options.metrics_history_interval_ms = 20;  // fast sampling for the test
+  options.diagnostics.metrics_history_interval_ms = 20;  // fast sampling
   auto router = StartShardlessRouter(options);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -768,7 +781,7 @@ TEST(RouterDebugTest, TimeseriesServesTheRouterHistory) {
 
 TEST(RouterDebugTest, TimeseriesAnswers503WithHistoryDisabled) {
   RouterOptions options;
-  options.metrics_history_window_s = 0;
+  options.diagnostics.metrics_history_window_s = 0;
   auto router = StartShardlessRouter(options);
   auto response = HttpGet(router->port(), "/v1/debug/timeseries");
   ASSERT_TRUE(response.ok());

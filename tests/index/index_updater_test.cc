@@ -401,6 +401,23 @@ TEST(IndexUpdaterTest, OpenValidation) {
   EXPECT_EQ(index.overlay_sequence(), before.overlay_sequence);
 }
 
+TEST(IndexUpdaterTest, OpenRejectsPatchedFractionOutsideUnitInterval) {
+  const DiGraph graph = testing::RandomGraph(20, 60, 2);
+  auto built = WalkIndex::Build(graph, SmallOptions());
+  ASSERT_TRUE(built.ok());
+  WalkIndex index = std::move(built).value();
+  IndexUpdaterOptions updater_options;
+  updater_options.wal_path = TempPath("updater-fraction.wal");
+  updater_options.auto_compact_path = TempPath("updater-fraction.widx");
+  for (const double fraction : {-0.5, 1.0, 2.0}) {
+    std::remove(updater_options.wal_path.c_str());
+    updater_options.auto_compact_patched_fraction = fraction;
+    EXPECT_FALSE(IndexUpdater::Open(index, graph, updater_options).ok())
+        << fraction;
+  }
+  std::remove(updater_options.wal_path.c_str());
+}
+
 TEST(IndexUpdaterTest, ConcurrentQueriesDuringUpdatesAreSafe) {
   // Readers hammer the engine while a writer applies batches; TSan is the
   // real assertion here, plus: rows served mid-update must equal either

@@ -150,7 +150,7 @@ TEST(DebugProfileTest, ProfilingDoesNotChangeResponseBytes) {
 
 TEST(DebugTimeseriesTest, ServesRecordedSeries) {
   ServerOptions options;
-  options.metrics_history_interval_ms = 20;  // fast sampling for the test
+  options.diagnostics.metrics_history_interval_ms = 20;  // fast sampling
   DiagnosticsFixture fixture(options);
   // Wait until the sampler recorded at least one exposition.
   const auto deadline =
@@ -176,7 +176,7 @@ TEST(DebugTimeseriesTest, ServesRecordedSeries) {
 
 TEST(DebugTimeseriesTest, DisabledHistoryAnswers503) {
   ServerOptions options;
-  options.metrics_history_window_s = 0;
+  options.diagnostics.metrics_history_window_s = 0;
   DiagnosticsFixture fixture(options);
   auto response = fixture.Get("/v1/debug/timeseries");
   ASSERT_TRUE(response.ok());
@@ -261,13 +261,14 @@ TEST(StatsSurfaceTest, InvalidDiagnosticOptionsFailValidation) {
   EXPECT_FALSE(stall.Validate().ok());
 
   ServerOptions history;
-  history.metrics_history_window_s = 1;
-  history.metrics_history_interval_ms = 0;
+  history.diagnostics.metrics_history_window_s = 1;
+  history.diagnostics.metrics_history_interval_ms = 0;
   EXPECT_FALSE(history.Validate().ok());
 
   ServerOptions log;
-  log.profile_log_path = "/tmp/x.jsonl";
-  log.profile_log_hz = 0;
+  log.diagnostics.log_path = "/tmp/x.jsonl";
+  log.diagnostics.profile_log_period_s = 60;
+  log.diagnostics.profile_log_hz = 0;
   EXPECT_FALSE(log.Validate().ok());
 }
 

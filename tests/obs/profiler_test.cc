@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "simrank/common/string_util.h"
+#include "simrank/obs/log_sink.h"
 
 namespace simrank {
 namespace {
@@ -125,17 +126,18 @@ TEST(ProfileLoggerTest, WritesJsonlRecords) {
   const std::string path =
       StrFormat("/tmp/oipsim_profile_log_%d.jsonl", ::getpid());
   std::remove(path.c_str());
+  auto log = JsonlLogSink::Open(path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
   std::atomic<bool> stop{false};
   std::thread burner([&stop] {
     ScopedProfiledThread profiled("logged-burner");
     BurnCpu(&stop);
   });
   ProfileLogger::Options options;
-  options.path = path;
   options.frequency_hz = 211;
   options.period_seconds = 1;
   options.duty_cycle = 0.3;
-  auto logger = ProfileLogger::Start(options);
+  auto logger = ProfileLogger::Start(options, log->get());
   ASSERT_TRUE(logger.ok()) << logger.status().ToString();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -158,6 +160,7 @@ TEST(ProfileLoggerTest, WritesJsonlRecords) {
   }
   std::fclose(f);
   std::remove(path.c_str());
+  EXPECT_EQ(content.rfind("{\"type\":\"profile\",", 0), 0u) << content;
   EXPECT_NE(content.find("\"collapsed\""), std::string::npos);
   EXPECT_NE(content.find("\"frequency_hz\":211"), std::string::npos);
   EXPECT_NE(content.find("logged-burner"), std::string::npos);

@@ -1146,20 +1146,17 @@ TEST(ServerTraceTest, SlowQueryRingCapturesAndServes) {
 }
 
 TEST(ServerTraceTest, AccessAndTraceLogsWriteJsonl) {
-  const std::string access_path = ::testing::TempDir() + "access.jsonl";
-  const std::string trace_path = ::testing::TempDir() + "trace.jsonl";
-  std::remove(access_path.c_str());
-  std::remove(trace_path.c_str());
+  const std::string log_path = ::testing::TempDir() + "events.jsonl";
+  std::remove(log_path.c_str());
   {
     ServerOptions options;
-    options.access_log_path = access_path;
-    options.trace_log_path = trace_path;
+    options.diagnostics.log_path = log_path;
     options.slow_query_us = 1;
     ServerFixture fixture(options);
     ASSERT_EQ(HttpGet(fixture.port(), "/v1/pair?a=0&b=1")->status, 200);
     ASSERT_EQ(HttpGet(fixture.port(), "/healthz")->status, 200);
     ASSERT_EQ(HttpGet(fixture.port(), "/nope")->status, 404);
-  }  // server destruction drains both sinks
+  }  // server destruction drains the log
 
   auto read_file = [](const std::string& path) {
     std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -1173,7 +1170,20 @@ TEST(ServerTraceTest, AccessAndTraceLogsWriteJsonl) {
     std::fclose(f);
     return content;
   };
-  const std::string access = read_file(access_path);
+  // The loop writes access records and the workers trace records into the
+  // one log; each check below sees only the lines of its own type, so a
+  // trace record's "trace_id" cannot satisfy an access check.
+  const std::string log = read_file(log_path);
+  auto records_of_type = [&log](const std::string& type) {
+    std::string records;
+    for (const std::string& line : StrSplit(log, '\n')) {
+      if (StartsWith(line, "{\"type\":\"" + type + "\",")) {
+        records += line + '\n';
+      }
+    }
+    return records;
+  };
+  const std::string access = records_of_type("access");
   // One line per request — query, healthz and the 404 all flow through
   // the same response path.
   EXPECT_NE(access.find("\"method\":\"GET\",\"path\":\"/v1/pair\","
@@ -1189,12 +1199,11 @@ TEST(ServerTraceTest, AccessAndTraceLogsWriteJsonl) {
   // carries the trace id for correlation with the trace log.
   EXPECT_NE(access.find("\"trace_id\":\""), std::string::npos);
 
-  const std::string trace = read_file(trace_path);
+  const std::string trace = records_of_type("trace");
   EXPECT_NE(trace.find("\"target\":\"/v1/pair?a=0&b=1\""),
             std::string::npos);
   EXPECT_NE(trace.find("\"trace\":{\"trace_id\":\""), std::string::npos);
-  std::remove(access_path.c_str());
-  std::remove(trace_path.c_str());
+  std::remove(log_path.c_str());
 }
 
 TEST(ServerTraceTest, ValidateRejectsBadTraceOptions) {
@@ -1206,6 +1215,12 @@ TEST(ServerTraceTest, ValidateRejectsBadTraceOptions) {
   EXPECT_FALSE(options.Validate().ok());
   options = ServerOptions();
   options.slow_ring_capacity = 1 << 20;
+  EXPECT_FALSE(options.Validate().ok());
+}
+
+TEST(ServerTraceTest, ValidateRejectsEmptySlowRing) {
+  ServerOptions options;
+  options.slow_ring_capacity = 0;
   EXPECT_FALSE(options.Validate().ok());
 }
 

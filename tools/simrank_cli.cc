@@ -1,31 +1,18 @@
 // simrank_cli — command-line SimRank over an edge-list file.
 //
-// All-pairs mode (the paper's engines; --algo values come from the
-// algorithm registry in core/engine.h):
-//   simrank_cli GRAPH.txt [--algo=oip|oip-dsr|psum|naive|matrix|mtx]
-//                         [--damping=0.6] [--epsilon=1e-3] [--iters=K]
-//                         [--seed=S] [--threads=T]
-//                         [--query=VERTEX --topk=K] [--csv=OUT.csv]
-//
-// Index serving mode (the walk-index subsystem):
-//   simrank_cli build-index GRAPH.txt --index=PATH
-//               [--fingerprints=256] [--walk-length=12] [--eps=E]
-//               [--damping=0.6] [--seed=S] [--threads=T]
-//               [--format=v2] [--compress]
-//   simrank_cli query GRAPH.txt --index=PATH [--mmap]
-//               [--cache-shards=S] [--cache-capacity=C]
-//               (--query=V [--topk=K] | --pair=A,B)
+//   simrank_cli GRAPH [flags]                     all-pairs SimRank
+//   simrank_cli build-index GRAPH --index=PATH [flags]
+//   simrank_cli query GRAPH --index=PATH (--query=V | --pair=A,B) [flags]
 //   simrank_cli index-info INDEX
-//
-// Dynamic updates (see src/simrank/index/index_updater.h):
-//   simrank_cli update GRAPH --index=PATH --wal=WAL --updates=FILE
-//               [--mmap] [--write-graph=OUT.bin] [--no-sync-wal]
-//   simrank_cli compact GRAPH --index=PATH --wal=WAL --out=NEW.widx
-//               [--mmap] [--compress] [--reset-wal]
-//
-// Cluster serving (see src/simrank/cluster/):
+//   simrank_cli update GRAPH --index=PATH --wal=WAL --updates=FILE [flags]
+//   simrank_cli compact GRAPH --index=PATH --wal=WAL --out=NEW.widx [flags]
 //   simrank_cli shard-plan GRAPH --index=PATH --shards=N --out-dir=DIR
-//               [--epoch=E] [--compress] [--mmap]
+//
+// Each mode has its own flag table (`--help` after the mode lists it); a
+// flag that belongs to another mode is an unknown flag here. The all-pairs
+// mode runs the paper's engines (--algo values come from the algorithm
+// registry in core/engine.h); the index modes build and serve the walk
+// index; update/compact patch it (see src/simrank/index/index_updater.h).
 //
 // `shard-plan` splits a v2 index into per-shard index files (one per
 // contiguous vertex range), a shared binary graph copy and the plan file
@@ -43,21 +30,24 @@
 // updated graph; --reset-wal then re-binds the WAL to the compacted
 // index.
 //
-// GRAPH.txt is a whitespace edge list ("src dst" per line, '#'/'%'
-// comments allowed, SNAP-style) or a binary graph written by
-// --write-graph. Without --query, the all-pairs mode prints run
-// statistics only; with --query, the top-k most similar vertices. With
-// --csv, it writes the query row (or, if no query, the full score matrix
-// for graphs up to 2000 vertices) as CSV.
+// GRAPH is a whitespace edge list ("src dst" per line, '#'/'%' comments
+// allowed, SNAP-style) or a binary graph written by --write-graph.
+// Without --query, the all-pairs mode prints run statistics only; with
+// --query, the top-k most similar vertices. With --csv, it writes the
+// query row (or, if no query, the full score matrix for graphs up to 2000
+// vertices) as CSV.
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "simrank/cluster/shard_plan.h"
 #include "simrank/cluster/shard_split.h"
 #include "simrank/common/csv_writer.h"
+#include "simrank/common/flags.h"
 #include "simrank/common/string_util.h"
 #include "simrank/common/table_printer.h"
 #include "simrank/common/thread_pool.h"
@@ -73,421 +63,13 @@
 
 namespace {
 
-struct CliOptions {
-  /// "" (all-pairs), "build-index", "query", "index-info", "update" or
-  /// "compact".
-  std::string subcommand;
-  std::string graph_path;
-  simrank::EngineOptions engine;
-  int64_t query = -1;
-  uint32_t topk = 10;
-  bool topk_set = false;
-  std::string csv_path;
-  // Index-mode flags.
-  std::string index_path;
-  uint32_t fingerprints = 256;
-  uint32_t walk_length = 12;
-  uint32_t threads = 0;
-  double eps = 0.0;
-  int64_t pair_a = -1;
-  int64_t pair_b = -1;
-  bool compress = false;
-  bool use_mmap = false;
-  uint32_t cache_shards = 0;    // 0 = QueryEngine default
-  uint32_t cache_capacity = 0;  // 0 = QueryEngine default
-  bool cache_shards_set = false;
-  bool cache_capacity_set = false;
-  // Dynamic-update flags.
-  std::string wal_path;
-  std::string updates_path;
-  std::string out_path;
-  std::string write_graph_path;
-  bool sync_wal = true;
-  bool reset_wal = false;
-  // First flag seen from each mode-specific group, for validation: flags
-  // the selected mode would silently ignore are errors, not no-ops.
-  std::string index_only_flag;   // --index/--fingerprints/... (index modes)
-  std::string engine_only_flag;  // --algo/--epsilon/--iters/--csv
-  std::string build_only_flag;   // --fingerprints/--walk-length/--compress
-  std::string query_only_flag;   // --mmap
-  bool damping_set = false;
-  bool seed_set = false;
-  bool threads_set = false;
-  bool eps_set = false;
-  bool fingerprints_set = false;
-  bool walk_length_set = false;
-  bool any_flag_set = false;
-};
+using simrank::FlagSet;
+using simrank::Status;
 
-void RecordFlag(std::string* slot, const char* flag) {
-  if (slot->empty()) *slot = flag;
-}
-
-bool ParseAlgorithm(const std::string& name, simrank::Algorithm* out) {
-  const simrank::AlgorithmInfo* info = simrank::FindAlgorithmByFlag(name);
-  if (info == nullptr) {
-    std::fprintf(stderr, "unknown algorithm '%s'; available: %s\n",
-                 name.c_str(), simrank::AlgorithmFlagList().c_str());
-    return false;
-  }
-  *out = info->algorithm;
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, CliOptions* options) {
-  int i = 1;
-  if (argc < 2) return false;
-  if (std::strcmp(argv[1], "build-index") == 0 ||
-      std::strcmp(argv[1], "query") == 0 ||
-      std::strcmp(argv[1], "index-info") == 0 ||
-      std::strcmp(argv[1], "update") == 0 ||
-      std::strcmp(argv[1], "compact") == 0) {
-    options->subcommand = argv[1];
-    ++i;
-  }
-  if (i >= argc) return false;
-  // index-info's positional argument is the index file itself; every
-  // other mode starts from a graph.
-  if (options->subcommand == "index-info") {
-    options->index_path = argv[i++];
-  } else {
-    options->graph_path = argv[i++];
-  }
-  for (; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    options->any_flag_set = true;
-    auto value_of = [&arg](std::string_view prefix) {
-      return std::string(arg.substr(prefix.size()));
-    };
-    double d = 0;
-    uint64_t u = 0;
-    if (simrank::StartsWith(arg, "--algo=")) {
-      if (!ParseAlgorithm(value_of("--algo="),
-                          &options->engine.algorithm)) {
-        return false;
-      }
-      RecordFlag(&options->engine_only_flag, "--algo");
-    } else if (simrank::StartsWith(arg, "--damping=")) {
-      if (!simrank::ParseDouble(value_of("--damping="), &d)) return false;
-      options->engine.simrank.damping = d;
-      options->damping_set = true;
-    } else if (simrank::StartsWith(arg, "--epsilon=")) {
-      if (!simrank::ParseDouble(value_of("--epsilon="), &d)) return false;
-      options->engine.simrank.epsilon = d;
-      RecordFlag(&options->engine_only_flag, "--epsilon");
-    } else if (simrank::StartsWith(arg, "--iters=")) {
-      if (!simrank::ParseUint64(value_of("--iters="), &u)) return false;
-      options->engine.simrank.iterations = static_cast<uint32_t>(u);
-      RecordFlag(&options->engine_only_flag, "--iters");
-    } else if (simrank::StartsWith(arg, "--seed=")) {
-      if (!simrank::ParseUint64(value_of("--seed="), &u)) return false;
-      options->engine.simrank.seed = u;
-      options->engine.mtx.svd_seed = u;
-      options->seed_set = true;
-    } else if (simrank::StartsWith(arg, "--query=")) {
-      if (!simrank::ParseUint64(value_of("--query="), &u)) return false;
-      options->query = static_cast<int64_t>(u);
-    } else if (simrank::StartsWith(arg, "--topk=")) {
-      if (!simrank::ParseUint64(value_of("--topk="), &u)) return false;
-      options->topk = static_cast<uint32_t>(u);
-      options->topk_set = true;
-    } else if (simrank::StartsWith(arg, "--csv=")) {
-      options->csv_path = value_of("--csv=");
-      RecordFlag(&options->engine_only_flag, "--csv");
-    } else if (simrank::StartsWith(arg, "--index=")) {
-      options->index_path = value_of("--index=");
-      RecordFlag(&options->index_only_flag, "--index");
-    } else if (simrank::StartsWith(arg, "--fingerprints=")) {
-      if (!simrank::ParseUint64(value_of("--fingerprints="), &u)) return false;
-      options->fingerprints = static_cast<uint32_t>(u);
-      options->fingerprints_set = true;
-      RecordFlag(&options->index_only_flag, "--fingerprints");
-      RecordFlag(&options->build_only_flag, "--fingerprints");
-    } else if (simrank::StartsWith(arg, "--walk-length=")) {
-      if (!simrank::ParseUint64(value_of("--walk-length="), &u)) return false;
-      options->walk_length = static_cast<uint32_t>(u);
-      options->walk_length_set = true;
-      RecordFlag(&options->index_only_flag, "--walk-length");
-      RecordFlag(&options->build_only_flag, "--walk-length");
-    } else if (simrank::StartsWith(arg, "--eps=")) {
-      if (!simrank::ParseDouble(value_of("--eps="), &d)) return false;
-      options->eps = d;
-      options->eps_set = true;
-      RecordFlag(&options->index_only_flag, "--eps");
-      RecordFlag(&options->build_only_flag, "--eps");
-    } else if (simrank::StartsWith(arg, "--format=")) {
-      // v2 is the only writable format; the flag exists so scripts can pin
-      // it and get a clear error if they ever ask for the retired v1.
-      const std::string format = value_of("--format=");
-      if (format != "v2") {
-        std::fprintf(stderr,
-                     "unknown index format '%s'; supported: v2 (v1 flat "
-                     "indexes are write-obsolete, see README)\n",
-                     format.c_str());
-        return false;
-      }
-      RecordFlag(&options->index_only_flag, "--format");
-      RecordFlag(&options->build_only_flag, "--format");
-    } else if (arg == "--compress") {
-      options->compress = true;
-      RecordFlag(&options->index_only_flag, "--compress");
-      RecordFlag(&options->build_only_flag, "--compress");
-    } else if (arg == "--mmap") {
-      options->use_mmap = true;
-      RecordFlag(&options->index_only_flag, "--mmap");
-      RecordFlag(&options->query_only_flag, "--mmap");
-    } else if (simrank::StartsWith(arg, "--cache-shards=")) {
-      if (!simrank::ParseUint64(value_of("--cache-shards="), &u)) {
-        return false;
-      }
-      options->cache_shards = static_cast<uint32_t>(u);
-      options->cache_shards_set = true;
-      RecordFlag(&options->index_only_flag, "--cache-shards");
-      RecordFlag(&options->query_only_flag, "--cache-shards");
-    } else if (simrank::StartsWith(arg, "--cache-capacity=")) {
-      if (!simrank::ParseUint64(value_of("--cache-capacity="), &u)) {
-        return false;
-      }
-      options->cache_capacity = static_cast<uint32_t>(u);
-      options->cache_capacity_set = true;
-      RecordFlag(&options->index_only_flag, "--cache-capacity");
-      RecordFlag(&options->query_only_flag, "--cache-capacity");
-    } else if (simrank::StartsWith(arg, "--threads=")) {
-      // Shared between the all-pairs engines (block-parallel propagation)
-      // and index construction; only the query subcommand rejects it.
-      if (!simrank::ParseUint64(value_of("--threads="), &u)) return false;
-      options->threads = static_cast<uint32_t>(u);
-      options->engine.simrank.threads = static_cast<uint32_t>(u);
-      options->threads_set = true;
-    } else if (simrank::StartsWith(arg, "--wal=")) {
-      options->wal_path = value_of("--wal=");
-      RecordFlag(&options->index_only_flag, "--wal");
-    } else if (simrank::StartsWith(arg, "--updates=")) {
-      options->updates_path = value_of("--updates=");
-      RecordFlag(&options->index_only_flag, "--updates");
-    } else if (simrank::StartsWith(arg, "--out=")) {
-      options->out_path = value_of("--out=");
-      RecordFlag(&options->index_only_flag, "--out");
-    } else if (simrank::StartsWith(arg, "--write-graph=")) {
-      options->write_graph_path = value_of("--write-graph=");
-      RecordFlag(&options->index_only_flag, "--write-graph");
-    } else if (arg == "--no-sync-wal") {
-      options->sync_wal = false;
-      RecordFlag(&options->index_only_flag, "--no-sync-wal");
-    } else if (arg == "--reset-wal") {
-      options->reset_wal = true;
-      RecordFlag(&options->index_only_flag, "--reset-wal");
-    } else if (simrank::StartsWith(arg, "--pair=")) {
-      const std::string value = value_of("--pair=");
-      const size_t comma = value.find(',');
-      uint64_t a = 0, b = 0;
-      if (comma == std::string::npos ||
-          !simrank::ParseUint64(value.substr(0, comma), &a) ||
-          !simrank::ParseUint64(value.substr(comma + 1), &b)) {
-        return false;
-      }
-      options->pair_a = static_cast<int64_t>(a);
-      options->pair_b = static_cast<int64_t>(b);
-      RecordFlag(&options->index_only_flag, "--pair");
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return false;
-    }
-  }
-  return true;
-}
-
-void PrintUsage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s GRAPH.txt [--algo=%s]\n"
-      "       [--damping=C] [--epsilon=EPS] [--iters=K] [--seed=S]\n"
-      "       [--threads=T] [--query=V --topk=K] [--csv=OUT.csv]\n"
-      "   or: %s build-index GRAPH.txt --index=PATH\n"
-      "       [--fingerprints=N] [--walk-length=L] [--eps=E]\n"
-      "       [--damping=C] [--seed=S] [--threads=T]\n"
-      "       [--format=v2] [--compress]\n"
-      "   or: %s query GRAPH.txt --index=PATH [--mmap]\n"
-      "       [--cache-shards=S] [--cache-capacity=C]\n"
-      "       (--query=V [--topk=K] | --pair=A,B)\n"
-      "   or: %s index-info INDEX\n"
-      "   or: %s update GRAPH --index=PATH --wal=WAL --updates=FILE\n"
-      "       [--mmap] [--threads=T] [--write-graph=OUT.bin] [--no-sync-wal]\n"
-      "   or: %s compact GRAPH --index=PATH --wal=WAL --out=NEW.widx\n"
-      "       [--mmap] [--threads=T] [--compress] [--reset-wal]\n"
-      "   or: %s shard-plan GRAPH --index=PATH --shards=N --out-dir=DIR\n"
-      "       [--epoch=E] [--compress] [--mmap]\n"
-      "\nalgorithms:\n",
-      argv0, simrank::AlgorithmFlagList().c_str(), argv0, argv0, argv0,
-      argv0, argv0, argv0);
-  for (const simrank::AlgorithmInfo& info : simrank::AlgorithmRegistry()) {
-    std::fprintf(stderr, "  %-8s %-10s %s%s\n", info.flag, info.name,
-                 info.summary,
-                 info.parallel ? "" : " (single-threaded)");
-  }
-}
-
-/// Validates flag combinations that ParseArgs alone cannot check.
-simrank::Status ValidateOptions(const CliOptions& options) {
-  using simrank::Status;
-  if (options.subcommand.empty()) {
-    if (options.topk_set && options.query < 0) {
-      return Status::InvalidArgument(
-          "--topk requires --query: without a query vertex there is no "
-          "ranking to truncate");
-    }
-    // Build-time knobs first, so their message names the one subcommand
-    // that actually accepts them (--threads is shared with the all-pairs
-    // engines and validated no further).
-    if (!options.build_only_flag.empty()) {
-      return Status::InvalidArgument(
-          options.build_only_flag +
-          " is only meaningful with the build-index subcommand");
-    }
-    if (!options.index_only_flag.empty()) {
-      return Status::InvalidArgument(
-          options.index_only_flag +
-          " is only meaningful with the build-index/query subcommands");
-    }
-    return Status::OK();
-  }
-  if (options.subcommand == "index-info") {
-    // The index file is the positional argument; every flag belongs to
-    // another mode.
-    if (options.any_flag_set) {
-      return Status::InvalidArgument(
-          "index-info takes no flags; it prints the header of the given "
-          "index file");
-    }
-    return Status::OK();
-  }
-  if (options.index_path.empty()) {
-    return Status::InvalidArgument("the " + options.subcommand +
-                                   " subcommand requires --index=PATH");
-  }
-  if (!options.engine_only_flag.empty()) {
-    return Status::InvalidArgument(
-        options.engine_only_flag + " configures the all-pairs engines and "
-        "is ignored by the " + options.subcommand + " subcommand");
-  }
-  const bool is_update_mode =
-      options.subcommand == "update" || options.subcommand == "compact";
-  if (!is_update_mode) {
-    if (!options.wal_path.empty() || !options.updates_path.empty() ||
-        !options.out_path.empty() || !options.write_graph_path.empty() ||
-        !options.sync_wal || options.reset_wal) {
-      return Status::InvalidArgument(
-          "--wal/--updates/--out/--write-graph/--no-sync-wal/--reset-wal "
-          "belong to the update/compact subcommands");
-    }
-  }
-  if (is_update_mode) {
-    if (options.wal_path.empty()) {
-      return Status::InvalidArgument(
-          "the " + options.subcommand +
-          " subcommand requires --wal=PATH: updates are only accepted "
-          "write-ahead");
-    }
-    if (options.query >= 0 || options.topk_set || options.pair_a >= 0) {
-      return Status::InvalidArgument(
-          "--query/--topk/--pair belong to the query subcommand");
-    }
-    if (options.cache_shards_set || options.cache_capacity_set) {
-      return Status::InvalidArgument(
-          "--cache-shards/--cache-capacity configure query serving, not " +
-          options.subcommand);
-    }
-    // --threads stays legal here: it parallelizes walk patching and the
-    // compaction merge, with output bitwise identical to serial.
-    if (options.damping_set || options.seed_set || options.eps_set ||
-        options.fingerprints_set || options.walk_length_set) {
-      return Status::InvalidArgument(
-          "model and build knobs are baked into the index; " +
-          options.subcommand + " patches the existing one");
-    }
-    if (options.subcommand == "update") {
-      if (options.updates_path.empty()) {
-        return Status::InvalidArgument(
-            "update requires --updates=FILE ('+ SRC DST' / '- SRC DST' "
-            "per line)");
-      }
-      if (!options.out_path.empty() || options.reset_wal ||
-          options.compress) {
-        return Status::InvalidArgument(
-            "--out/--reset-wal/--compress belong to the compact "
-            "subcommand");
-      }
-    } else {
-      if (options.out_path.empty()) {
-        return Status::InvalidArgument(
-            "compact requires --out=PATH for the merged index");
-      }
-      if (!options.updates_path.empty() ||
-          !options.write_graph_path.empty() || !options.sync_wal) {
-        return Status::InvalidArgument(
-            "--updates/--write-graph/--no-sync-wal belong to the update "
-            "subcommand");
-      }
-    }
-    return Status::OK();
-  }
-  if (options.subcommand == "build-index") {
-    if (options.query >= 0 || options.topk_set || options.pair_a >= 0) {
-      return Status::InvalidArgument(
-          "--query/--topk/--pair belong to the query subcommand, not "
-          "build-index");
-    }
-    if (!options.query_only_flag.empty()) {
-      return Status::InvalidArgument(
-          options.query_only_flag +
-          " selects the serving backend and belongs to the query "
-          "subcommand");
-    }
-    if (options.eps_set &&
-        (options.fingerprints_set || options.walk_length_set)) {
-      return Status::InvalidArgument(
-          "--eps derives --fingerprints and --walk-length from the accuracy "
-          "target; give either --eps or the raw knobs, not both");
-    }
-  }
-  if (options.subcommand == "query") {
-    if (!options.build_only_flag.empty()) {
-      return Status::InvalidArgument(
-          options.build_only_flag +
-          " is a build-index flag; the served values are baked into the "
-          "index file");
-    }
-    if (options.damping_set || options.seed_set) {
-      return Status::InvalidArgument(
-          "--damping/--seed are baked into the index at build time and "
-          "cannot be changed at query time");
-    }
-    if (options.threads_set) {
-      return Status::InvalidArgument(
-          "--threads configures the all-pairs engines and index "
-          "construction; a single query is served on the calling thread");
-    }
-    const bool has_query = options.query >= 0;
-    const bool has_pair = options.pair_a >= 0;
-    if (has_query == has_pair) {
-      return Status::InvalidArgument(
-          "query needs exactly one of --query=V or --pair=A,B");
-    }
-    if (options.topk_set && !has_query) {
-      return Status::InvalidArgument("--topk requires --query");
-    }
-    if (options.cache_shards_set && options.cache_shards == 0) {
-      return Status::InvalidArgument(
-          "--cache-shards must be positive: the row cache needs at least "
-          "one shard");
-    }
-    if (options.cache_capacity_set && options.cache_capacity == 0) {
-      return Status::InvalidArgument(
-          "--cache-capacity must be positive: a zero-row cache cannot "
-          "serve");
-    }
-  }
-  return Status::OK();
+/// The model knobs the all-pairs engines and build-index share.
+void AddModelFlags(FlagSet& flags, simrank::SimRankOptions* model) {
+  flags.Add("--damping", "C", &model->damping, "SimRank damping factor")
+      .Add("--seed", "S", &model->seed, "root seed of the randomized parts");
 }
 
 simrank::Result<simrank::DiGraph> LoadGraph(const std::string& path) {
@@ -506,35 +88,73 @@ simrank::Result<simrank::DiGraph> LoadGraph(const std::string& path) {
   return graph;
 }
 
-int RunBuildIndex(const CliOptions& options) {
-  auto graph = LoadGraph(options.graph_path);
-  if (!graph.ok()) return 1;
-  // Damping and seed flow through the shared SimRank model options; with
-  // --eps the fingerprint count and walk length are derived from the
-  // accuracy target instead of taken as raw knobs.
+int RunBuildIndex(int argc, char** argv) {
+  std::string graph_path;
+  std::string index_path;
+  simrank::SimRankOptions model;
   simrank::WalkIndexOptions index_options;
-  if (options.eps_set) {
-    index_options = simrank::WalkIndexOptions::FromAccuracy(
-        options.eps, /*delta=*/0.01, options.engine.simrank);
+  double eps = 0.0;
+  simrank::WalkIndex::SaveOptions save_options;
+  FlagSet flags("simrank_cli build-index",
+                "Builds the walk index of GRAPH and writes it as a v2 file.");
+  flags.Positional("GRAPH", &graph_path)
+      .Add("--index", "PATH", &index_path, "where to write the index")
+      .Required();
+  AddModelFlags(flags, &model);
+  flags
+      .Add("--fingerprints", "R", &index_options.num_fingerprints,
+           "independent walks per vertex")
+      .Add("--walk-length", "L", &index_options.walk_length,
+           "walk truncation length")
+      .Add("--eps", "E", &eps,
+           "derive --fingerprints and --walk-length from this accuracy "
+           "target (delta 0.01) instead")
+      .Add("--threads", "T", &index_options.num_threads,
+           "build threads; 0 = hardware concurrency (the file is identical "
+           "for any value)")
+      .Custom("--format", "v2",
+              "index file format; v2 is the only writable one",
+              [](std::string_view format) {
+                // The flag exists so scripts can pin the format and get a
+                // clear error if they ever ask for the retired v1.
+                if (format == "v2") return Status::OK();
+                return Status::InvalidArgument(
+                    "unknown index format; supported: v2 (v1 flat indexes "
+                    "are write-obsolete, see README)");
+              })
+      .Switch("--compress", &save_options.compress,
+              "delta+varint-compress the walk segments");
+  if (auto code = flags.ParseCommandLine(argc, argv, 2)) return *code;
+  const bool from_accuracy = flags.seen("--eps");
+  if (from_accuracy &&
+      (flags.seen("--fingerprints") || flags.seen("--walk-length"))) {
+    return flags.Fail(
+        "--eps derives --fingerprints and --walk-length from the accuracy "
+        "target; give either --eps or the raw knobs, not both");
+  }
+  auto graph = LoadGraph(graph_path);
+  if (!graph.ok()) return 1;
+  if (from_accuracy) {
+    const uint32_t threads = index_options.num_threads;
+    index_options =
+        simrank::WalkIndexOptions::FromAccuracy(eps, /*delta=*/0.01, model);
+    index_options.num_threads = threads;
     if (!index_options.Valid()) {
       std::fprintf(stderr, "--eps=%g is not a provisionable accuracy "
                    "target (need 0 < eps < 1, and the derived fingerprint "
                    "count and walk length must be representable)\n",
-                   options.eps);
+                   eps);
       return 1;
     }
     std::fprintf(stderr,
                  "accuracy target eps=%g (delta=0.01): %u fingerprints, "
                  "walk length %u\n",
-                 options.eps, index_options.num_fingerprints,
+                 eps, index_options.num_fingerprints,
                  index_options.walk_length);
   } else {
-    index_options =
-        simrank::WalkIndexOptions::FromSimRank(options.engine.simrank);
-    index_options.num_fingerprints = options.fingerprints;
-    index_options.walk_length = options.walk_length;
+    index_options.damping = model.damping;
+    index_options.seed = model.seed;
   }
-  index_options.num_threads = options.threads;
   simrank::WallTimer timer;
   timer.Start();
   auto index = simrank::WalkIndex::Build(*graph, index_options);
@@ -544,9 +164,7 @@ int RunBuildIndex(const CliOptions& options) {
                  index.status().ToString().c_str());
     return 1;
   }
-  simrank::WalkIndex::SaveOptions save_options;
-  save_options.compress = options.compress;
-  auto status = index->Save(options.index_path, save_options);
+  auto status = index->Save(index_path, save_options);
   if (!status.ok()) {
     std::fprintf(stderr, "index save failed: %s\n",
                  status.ToString().c_str());
@@ -558,20 +176,25 @@ int RunBuildIndex(const CliOptions& options) {
                index_options.num_fingerprints, index_options.walk_length,
                static_cast<double>(index->SizeBytes()) / (1024.0 * 1024.0),
                simrank::FormatDuration(timer.ElapsedSeconds()).c_str(),
-               options.index_path.c_str(),
-               options.compress ? ", compressed segments" : "");
+               index_path.c_str(),
+               save_options.compress ? ", compressed segments" : "");
   return 0;
 }
 
-int RunIndexInfo(const CliOptions& options) {
-  auto info = simrank::ReadWalkIndexInfo(options.index_path);
+int RunIndexInfo(int argc, char** argv) {
+  std::string index_path;
+  FlagSet flags("simrank_cli index-info",
+                "Prints the header of a walk index file.");
+  flags.Positional("INDEX", &index_path);
+  if (auto code = flags.ParseCommandLine(argc, argv, 2)) return *code;
+  auto info = simrank::ReadWalkIndexInfo(index_path);
   if (!info.ok()) {
     std::fprintf(stderr, "cannot read index header: %s\n",
                  info.status().ToString().c_str());
     return 1;
   }
   simrank::TablePrinter table({"field", "value"});
-  table.AddRow({"path", options.index_path});
+  table.AddRow({"path", index_path});
   table.AddRow({"format version", simrank::StrFormat("%u", info->version)});
   table.AddRow({"segments",
                 info->compressed ? "delta+varint compressed" : "raw"});
@@ -608,12 +231,56 @@ int RunIndexInfo(const CliOptions& options) {
   return 0;
 }
 
-int RunQuery(const CliOptions& options) {
-  auto graph = LoadGraph(options.graph_path);
-  if (!graph.ok()) return 1;
+int RunQuery(int argc, char** argv) {
+  std::string graph_path;
+  std::string index_path;
   simrank::WalkIndex::LoadOptions load_options;
-  load_options.use_mmap = options.use_mmap;
-  auto index = simrank::WalkIndex::Load(options.index_path, load_options);
+  simrank::QueryEngineOptions engine_options;
+  // One query per invocation: no batch fan-out, so a single-worker pool.
+  engine_options.num_threads = 1;
+  std::optional<simrank::VertexId> query;
+  uint32_t topk = 10;
+  std::optional<std::pair<simrank::VertexId, simrank::VertexId>> pair;
+  FlagSet flags("simrank_cli query",
+                "Answers one query from the walk index of GRAPH.");
+  flags.Positional("GRAPH", &graph_path)
+      .Add("--index", "PATH", &index_path, "walk index built from GRAPH")
+      .Required()
+      .Switch("--mmap", &load_options.use_mmap,
+              "serve from the mapped file instead of loading it into RAM")
+      .Add("--cache-shards", "S", &engine_options.cache_shards,
+           "row cache shards")
+      .Add("--cache-capacity", "C", &engine_options.cache_capacity_per_shard,
+           "cached rows per shard")
+      .Add("--query", "V", &query, "print the vertices most similar to V")
+      .Add("--topk", "K", &topk, "how many vertices --query prints")
+      .Custom("--pair", "A,B", "print the estimate of s(A, B)",
+              [&pair](std::string_view value) {
+                const size_t comma = value.find(',');
+                if (comma == std::string_view::npos) {
+                  return Status::InvalidArgument("expected A,B");
+                }
+                std::pair<simrank::VertexId, simrank::VertexId> parsed;
+                OIPSIM_RETURN_IF_ERROR(simrank::ParseFlagValue(
+                    value.substr(0, comma), &parsed.first));
+                OIPSIM_RETURN_IF_ERROR(simrank::ParseFlagValue(
+                    value.substr(comma + 1), &parsed.second));
+                pair = parsed;
+                return Status::OK();
+              });
+  if (auto code = flags.ParseCommandLine(argc, argv, 2)) return *code;
+  if (query.has_value() == pair.has_value()) {
+    return flags.Fail("query needs exactly one of --query=V or --pair=A,B");
+  }
+  if (flags.seen("--topk") && !query.has_value()) {
+    return flags.Fail("--topk requires --query");
+  }
+  if (!engine_options.Valid()) {
+    return flags.Fail("--cache-shards and --cache-capacity must be positive");
+  }
+  auto graph = LoadGraph(graph_path);
+  if (!graph.ok()) return 1;
+  auto index = simrank::WalkIndex::Load(index_path, load_options);
   if (!index.ok()) {
     std::fprintf(stderr, "cannot load index: %s\n",
                  index.status().ToString().c_str());
@@ -625,44 +292,57 @@ int RunQuery(const CliOptions& options) {
                  valid.ToString().c_str());
     return 1;
   }
-  // One query per invocation: no batch fan-out, so a single-worker pool.
-  simrank::QueryEngineOptions engine_options;
-  engine_options.num_threads = 1;
-  if (options.cache_shards_set) {
-    engine_options.cache_shards = options.cache_shards;
-  }
-  if (options.cache_capacity_set) {
-    engine_options.cache_capacity_per_shard = options.cache_capacity;
-  }
   simrank::QueryEngine engine(*index, engine_options);
 
-  if (options.pair_a >= 0) {
-    auto score = engine.Pair(static_cast<simrank::VertexId>(options.pair_a),
-                             static_cast<simrank::VertexId>(options.pair_b));
+  if (pair.has_value()) {
+    auto score = engine.Pair(pair->first, pair->second);
     if (!score.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
                    score.status().ToString().c_str());
       return 1;
     }
-    std::printf("s(%lld, %lld) = %.6f\n",
-                static_cast<long long>(options.pair_a),
-                static_cast<long long>(options.pair_b), *score);
+    std::printf("s(%u, %u) = %.6f\n", pair->first, pair->second, *score);
     return 0;
   }
 
-  auto top = engine.TopK(static_cast<simrank::VertexId>(options.query),
-                         options.topk);
+  auto top = engine.TopK(*query, topk);
   if (!top.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  top.status().ToString().c_str());
     return 1;
   }
-  std::printf("# top-%u similar to %lld (walk index estimate)\n",
-              options.topk, static_cast<long long>(options.query));
+  std::printf("# top-%u similar to %u (walk index estimate)\n", topk,
+              *query);
   for (const auto& sv : *top) {
     std::printf("%u\t%.6f\n", sv.vertex, sv.score);
   }
   return 0;
+}
+
+/// What update and compact share: the base graph and index, the WAL and
+/// the updater's thread count.
+struct UpdaterArgs {
+  std::string graph_path;
+  std::string index_path;
+  simrank::WalkIndex::LoadOptions load_options;
+  simrank::IndexUpdaterOptions updater_options;
+};
+
+void AddUpdaterFlags(FlagSet& flags, UpdaterArgs* args) {
+  // Hardware concurrency by default, like build-index.
+  args->updater_options.num_threads = 0;
+  flags.Positional("GRAPH", &args->graph_path)
+      .Add("--index", "PATH", &args->index_path,
+           "walk index built from GRAPH")
+      .Required()
+      .Add("--wal", "WAL", &args->updater_options.wal_path,
+           "write-ahead log; batches already in it are replayed first")
+      .Required()
+      .Switch("--mmap", &args->load_options.use_mmap,
+              "read the index from the mapped file instead of RAM")
+      .Add("--threads", "T", &args->updater_options.num_threads,
+           "threads patching walks and merging; 0 = hardware concurrency "
+           "(output identical for any value)");
 }
 
 /// The index (heap-allocated: the updater keeps a reference to it) and
@@ -672,40 +352,47 @@ struct OpenedUpdater {
   std::unique_ptr<simrank::IndexUpdater> updater;
 };
 
-/// Shared by update/compact: loads the base graph and index, binds the
-/// updater (replaying the WAL).
-simrank::Result<OpenedUpdater> OpenUpdater(const CliOptions& options) {
-  auto graph = LoadGraph(options.graph_path);
+/// Loads the base graph and index and binds the updater (replaying the
+/// WAL).
+simrank::Result<OpenedUpdater> OpenUpdater(const UpdaterArgs& args) {
+  auto graph = LoadGraph(args.graph_path);
   if (!graph.ok()) return graph.status();
-  simrank::WalkIndex::LoadOptions load_options;
-  load_options.use_mmap = options.use_mmap;
-  auto loaded = simrank::WalkIndex::Load(options.index_path, load_options);
+  auto loaded = simrank::WalkIndex::Load(args.index_path, args.load_options);
   if (!loaded.ok()) return loaded.status();
   OpenedUpdater opened;
   opened.index =
       std::make_unique<simrank::WalkIndex>(std::move(*loaded));
-  simrank::IndexUpdaterOptions updater_options;
-  updater_options.wal_path = options.wal_path;
-  updater_options.sync_wal = options.sync_wal;
-  // --threads parallelizes walk patching and the compaction merge the
-  // same way it does index construction; results are identical for any
-  // value.
-  updater_options.num_threads = options.threads;
   auto updater = simrank::IndexUpdater::Open(
-      *opened.index, std::move(*graph), updater_options);
+      *opened.index, std::move(*graph), args.updater_options);
   if (!updater.ok()) return updater.status();
   opened.updater = std::move(*updater);
   return opened;
 }
 
-int RunUpdate(const CliOptions& options) {
-  auto updates = simrank::ReadEdgeUpdates(options.updates_path);
+int RunUpdate(int argc, char** argv) {
+  UpdaterArgs args;
+  std::string updates_path;
+  std::string write_graph_path;
+  FlagSet flags("simrank_cli update",
+                "Appends an edge batch to the WAL and reports the patch it "
+                "induces.");
+  AddUpdaterFlags(flags, &args);
+  flags
+      .Add("--updates", "FILE", &updates_path,
+           "the batch: '+ SRC DST' / '- SRC DST' per line")
+      .Required()
+      .Add("--write-graph", "OUT", &write_graph_path,
+           "write the updated graph in the id-exact binary format")
+      .Switch("--no-sync-wal", &args.updater_options.sync_wal,
+              "skip the fsync after the WAL append");
+  if (auto code = flags.ParseCommandLine(argc, argv, 2)) return *code;
+  auto updates = simrank::ReadEdgeUpdates(updates_path);
   if (!updates.ok()) {
     std::fprintf(stderr, "cannot read update batch: %s\n",
                  updates.status().ToString().c_str());
     return 1;
   }
-  auto updater = OpenUpdater(options);
+  auto updater = OpenUpdater(args);
   if (!updater.ok()) {
     std::fprintf(stderr, "cannot open updater: %s\n",
                  updater.status().ToString().c_str());
@@ -739,36 +426,48 @@ int RunUpdate(const CliOptions& options) {
       static_cast<unsigned long long>(after.changed_slots),
       static_cast<unsigned long long>(after.graph_edges),
       simrank::FormatFingerprint(after.current_graph_fingerprint).c_str(),
-      options.wal_path.c_str(),
+      args.updater_options.wal_path.c_str(),
       static_cast<unsigned long long>(after.wal_records));
-  if (!options.write_graph_path.empty()) {
+  if (!write_graph_path.empty()) {
     auto written = simrank::WriteBinary(updater->updater->CurrentGraph(),
-                                        options.write_graph_path);
+                                        write_graph_path);
     if (!written.ok()) {
       std::fprintf(stderr, "cannot write updated graph: %s\n",
                    written.ToString().c_str());
       return 1;
     }
     std::fprintf(stderr, "wrote updated graph (binary format) to %s\n",
-                 options.write_graph_path.c_str());
+                 write_graph_path.c_str());
   }
   return 0;
 }
 
-int RunCompact(const CliOptions& options) {
-  auto updater = OpenUpdater(options);
+int RunCompact(int argc, char** argv) {
+  UpdaterArgs args;
+  std::string out_path;
+  simrank::WalkIndex::SaveOptions save;
+  bool reset_wal = false;
+  FlagSet flags("simrank_cli compact",
+                "Replays the WAL and writes base+overlay as a fresh v2 "
+                "index.");
+  AddUpdaterFlags(flags, &args);
+  flags.Add("--out", "PATH", &out_path, "where to write the merged index")
+      .Required()
+      .Switch("--compress", &save.compress,
+              "delta+varint-compress the walk segments")
+      .Switch("--reset-wal", &reset_wal,
+              "re-bind the WAL to the compacted index");
+  if (auto code = flags.ParseCommandLine(argc, argv, 2)) return *code;
+  auto updater = OpenUpdater(args);
   if (!updater.ok()) {
     std::fprintf(stderr, "cannot open updater: %s\n",
                  updater.status().ToString().c_str());
     return 1;
   }
   const simrank::IndexUpdateStats stats = updater->updater->stats();
-  simrank::WalkIndex::SaveOptions save;
-  save.compress = options.compress;
   simrank::WallTimer timer;
   timer.Start();
-  auto status = updater->updater->Compact(options.out_path, save,
-                                          options.reset_wal);
+  auto status = updater->updater->Compact(out_path, save, reset_wal);
   timer.Stop();
   if (!status.ok()) {
     std::fprintf(stderr, "compact failed: %s\n",
@@ -781,165 +480,60 @@ int RunCompact(const CliOptions& options) {
       "in %s (v2%s, graph fingerprint %s)%s\n",
       static_cast<unsigned long long>(stats.batches_applied),
       static_cast<unsigned long long>(stats.patched_vertices),
-      options.out_path.c_str(),
+      out_path.c_str(),
       simrank::FormatDuration(timer.ElapsedSeconds()).c_str(),
-      options.compress ? ", compressed segments" : "",
+      save.compress ? ", compressed segments" : "",
       simrank::FormatFingerprint(stats.current_graph_fingerprint).c_str(),
-      options.reset_wal ? "; WAL reset" : "");
-  return 0;
-}
-
-int RunAllPairs(const CliOptions& options) {
-  auto graph = LoadGraph(options.graph_path);
-  if (!graph.ok()) return 1;
-
-  auto run = simrank::ComputeSimRank(*graph, options.engine);
-  if (!run.ok()) {
-    std::fprintf(stderr, "SimRank failed: %s\n",
-                 run.status().ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "%s: %u iterations, %.3f s (setup %.3f s), %llu additions, "
-               "%llu B intermediate, %u thread(s)\n",
-               simrank::AlgorithmName(options.engine.algorithm),
-               run->stats.iterations, run->stats.seconds_total(),
-               run->stats.seconds_setup,
-               static_cast<unsigned long long>(run->stats.ops.total_adds()),
-               static_cast<unsigned long long>(run->stats.aux_peak_bytes),
-               simrank::ThreadPool::ResolveThreadCount(
-                   options.engine.simrank.threads));
-
-  if (options.query >= 0) {
-    if (options.query >= graph->n()) {
-      std::fprintf(stderr, "query vertex out of range\n");
-      return 1;
-    }
-    auto top = simrank::TopKSimilar(
-        run->scores, static_cast<simrank::VertexId>(options.query),
-        options.topk);
-    std::printf("# top-%u similar to %lld\n", options.topk,
-                static_cast<long long>(options.query));
-    for (const auto& sv : top) {
-      std::printf("%u\t%.6f\n", sv.vertex, sv.score);
-    }
-  }
-
-  if (!options.csv_path.empty()) {
-    simrank::CsvWriter csv({"src", "dst", "score"});
-    if (options.query >= 0) {
-      const auto q = static_cast<simrank::VertexId>(options.query);
-      for (uint32_t v = 0; v < graph->n(); ++v) {
-        csv.AddRow({simrank::StrFormat("%u", q), simrank::StrFormat("%u", v),
-                    simrank::StrFormat("%.8f", run->scores(q, v))});
-      }
-    } else {
-      if (graph->n() > 2000) {
-        std::fprintf(stderr,
-                     "refusing to dump full matrix for n > 2000; "
-                     "use --query\n");
-        return 1;
-      }
-      for (uint32_t a = 0; a < graph->n(); ++a) {
-        for (uint32_t b = 0; b < graph->n(); ++b) {
-          if (run->scores(a, b) == 0.0) continue;
-          csv.AddRow({simrank::StrFormat("%u", a),
-                      simrank::StrFormat("%u", b),
-                      simrank::StrFormat("%.8f", run->scores(a, b))});
-        }
-      }
-    }
-    auto status = csv.WriteToFile(options.csv_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "csv write failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s (%zu rows)\n", options.csv_path.c_str(),
-                 csv.num_rows());
-  }
+      reset_wal ? "; WAL reset" : "");
   return 0;
 }
 
 /// `shard-plan`: split one v2 index into per-shard index files plus the
 /// plan that binds them — the offline step of bringing up a cluster.
-/// Self-contained flag parsing: the subcommand shares nothing with the
-/// all-pairs/index modes' flag groups.
 int RunShardPlan(int argc, char** argv) {
   std::string graph_path;
   std::string index_path;
   std::string out_dir;
-  uint64_t num_shards = 0;
+  uint32_t num_shards = 0;
   uint64_t epoch = 1;
   bool compress = false;
-  bool use_mmap = false;
-  for (int i = 2; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    auto value_of = [&arg](std::string_view prefix) {
-      return std::string(arg.substr(prefix.size()));
-    };
-    if (simrank::StartsWith(arg, "--index=")) {
-      index_path = value_of("--index=");
-    } else if (simrank::StartsWith(arg, "--shards=")) {
-      if (!simrank::ParseUint64(value_of("--shards="), &num_shards)) {
-        std::fprintf(stderr, "--shards must be a positive integer\n");
-        return 2;
-      }
-    } else if (simrank::StartsWith(arg, "--out-dir=")) {
-      out_dir = value_of("--out-dir=");
-    } else if (simrank::StartsWith(arg, "--epoch=")) {
-      if (!simrank::ParseUint64(value_of("--epoch="), &epoch)) {
-        std::fprintf(stderr, "--epoch must be a non-negative integer\n");
-        return 2;
-      }
-    } else if (arg == "--compress") {
-      compress = true;
-    } else if (arg == "--mmap") {
-      use_mmap = true;
-    } else if (!simrank::StartsWith(arg, "--") && graph_path.empty()) {
-      graph_path = std::string(arg);
-    } else {
-      std::fprintf(stderr, "shard-plan: unknown flag %s\n", argv[i]);
-      return 2;
-    }
-  }
-  if (graph_path.empty() || index_path.empty() || out_dir.empty() ||
-      num_shards == 0 || num_shards > UINT32_MAX) {
-    std::fprintf(stderr,
-                 "shard-plan requires GRAPH, --index=PATH, --shards=N and "
-                 "--out-dir=DIR\n");
-    return 2;
-  }
-
   simrank::WalkIndex::LoadOptions load_options;
-  load_options.use_mmap = use_mmap;
+  FlagSet flags("simrank_cli shard-plan",
+                "Splits a v2 index into per-shard index files, a shared "
+                "binary graph copy\nand the plan that binds them.");
+  flags.Positional("GRAPH", &graph_path)
+      .Add("--index", "PATH", &index_path, "v2 index built from GRAPH")
+      .Required()
+      .Add("--shards", "N", &num_shards, "contiguous vertex ranges")
+      .Required()
+      .Add("--out-dir", "DIR", &out_dir,
+           "where shard-<id>.widx, graph.bin and plan.txt go")
+      .Required()
+      .Add("--epoch", "E", &epoch, "plan epoch")
+      .Switch("--compress", &compress,
+              "delta+varint-compress the shards' walk segments")
+      .Switch("--mmap", &load_options.use_mmap,
+              "read the index from the mapped file instead of RAM");
+  if (auto code = flags.ParseCommandLine(argc, argv, 2)) return *code;
+
   auto index = simrank::WalkIndex::Load(index_path, load_options);
   if (!index.ok()) {
     std::fprintf(stderr, "cannot load index: %s\n",
                  index.status().ToString().c_str());
     return 1;
   }
-  auto graph = simrank::ReadGraphAuto(graph_path);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "cannot load graph: %s\n",
-                 graph.status().ToString().c_str());
+  auto graph = LoadGraph(graph_path);
+  if (!graph.ok()) return 1;
+  auto valid = index->ValidateGraph(*graph);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "index does not match graph: %s\n",
+                 valid.ToString().c_str());
     return 1;
   }
-  const uint64_t fingerprint = simrank::GraphFingerprint(*graph);
-  if (fingerprint != index->graph_fingerprint()) {
-    std::fprintf(stderr,
-                 "graph %s (fingerprint %s) is not the graph index %s was "
-                 "built from (fingerprint %s)\n",
-                 graph_path.c_str(),
-                 simrank::FormatFingerprint(fingerprint).c_str(),
-                 index_path.c_str(),
-                 simrank::FormatFingerprint(index->graph_fingerprint())
-                     .c_str());
-    return 1;
-  }
+  const uint64_t fingerprint = index->graph_fingerprint();
 
-  auto plan = simrank::ShardPlan::EvenSplit(
-      index->n(), fingerprint, static_cast<uint32_t>(num_shards), epoch);
+  auto plan =
+      simrank::ShardPlan::EvenSplit(index->n(), fingerprint, num_shards, epoch);
   if (!plan.ok()) {
     std::fprintf(stderr, "cannot build plan: %s\n",
                  plan.status().ToString().c_str());
@@ -993,26 +587,149 @@ int RunShardPlan(int argc, char** argv) {
   return 0;
 }
 
+/// The modes named by the first argument; anything else is a GRAPH for
+/// the all-pairs mode.
+constexpr struct {
+  const char* name;
+  int (*run)(int argc, char** argv);
+} kSubcommands[] = {
+    {"build-index", RunBuildIndex}, {"query", RunQuery},
+    {"index-info", RunIndexInfo},   {"update", RunUpdate},
+    {"compact", RunCompact},        {"shard-plan", RunShardPlan},
+};
+
+int RunAllPairs(int argc, char** argv) {
+  std::string graph_path;
+  simrank::EngineOptions engine;
+  std::optional<simrank::VertexId> query;
+  uint32_t topk = 10;
+  std::string csv_path;
+  std::string summary =
+      "Runs one of the paper's all-pairs engines over GRAPH.\n\nalgorithms:\n";
+  for (const simrank::AlgorithmInfo& info : simrank::AlgorithmRegistry()) {
+    summary += simrank::StrFormat("  %-8s %-10s %s%s\n", info.flag, info.name,
+                                  info.summary,
+                                  info.parallel ? "" : " (single-threaded)");
+  }
+  summary += "\nsubcommands (each takes --help):";
+  for (const auto& subcommand : kSubcommands) {
+    summary += std::string(" ") + subcommand.name;
+  }
+  FlagSet flags("simrank_cli", summary);
+  flags.Positional("GRAPH", &graph_path)
+      .Custom("--algo", "NAME",
+              "engine: " + simrank::AlgorithmFlagList() + " (default " +
+                  simrank::FindAlgorithm(engine.algorithm)->flag + ")",
+              [&engine](std::string_view name) {
+                const simrank::AlgorithmInfo* info =
+                    simrank::FindAlgorithmByFlag(name);
+                if (info == nullptr) {
+                  return Status::InvalidArgument(
+                      "unknown algorithm; available: " +
+                      simrank::AlgorithmFlagList());
+                }
+                engine.algorithm = info->algorithm;
+                return Status::OK();
+              });
+  AddModelFlags(flags, &engine.simrank);
+  flags
+      .Add("--epsilon", "EPS", &engine.simrank.epsilon,
+           "accuracy target that derives K when --iters is 0")
+      .Add("--iters", "K", &engine.simrank.iterations,
+           "iterations; 0 = derived from --epsilon")
+      .Add("--threads", "T", &engine.simrank.threads,
+           "propagation threads; 0 = hardware concurrency (scores identical "
+           "for any value)")
+      .Add("--query", "V", &query, "print the vertices most similar to V")
+      .Add("--topk", "K", &topk, "how many vertices --query prints")
+      .Add("--csv", "OUT", &csv_path,
+           "write the --query row, or without --query the score matrix, "
+           "as CSV");
+  if (auto code = flags.ParseCommandLine(argc, argv, 1)) return *code;
+  if (flags.seen("--topk") && !query.has_value()) {
+    return flags.Fail(
+        "--topk requires --query: without a query vertex there is no "
+        "ranking to truncate");
+  }
+  // One seed for every randomized part, mtx-SR's SVD included.
+  if (flags.seen("--seed")) engine.mtx.svd_seed = engine.simrank.seed;
+  auto graph = LoadGraph(graph_path);
+  if (!graph.ok()) return 1;
+
+  auto run = simrank::ComputeSimRank(*graph, engine);
+  if (!run.ok()) {
+    std::fprintf(stderr, "SimRank failed: %s\n",
+                 run.status().ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stderr,
+               "%s: %u iterations, %.3f s (setup %.3f s), %llu additions, "
+               "%llu B intermediate, %u thread(s)\n",
+               simrank::AlgorithmName(engine.algorithm),
+               run->stats.iterations, run->stats.seconds_total(),
+               run->stats.seconds_setup,
+               static_cast<unsigned long long>(run->stats.ops.total_adds()),
+               static_cast<unsigned long long>(run->stats.aux_peak_bytes),
+               simrank::ThreadPool::ResolveThreadCount(
+                   engine.simrank.threads));
+
+  if (query.has_value()) {
+    if (*query >= graph->n()) {
+      std::fprintf(stderr, "query vertex out of range\n");
+      return 1;
+    }
+    auto top = simrank::TopKSimilar(run->scores, *query, topk);
+    std::printf("# top-%u similar to %u\n", topk, *query);
+    for (const auto& sv : top) {
+      std::printf("%u\t%.6f\n", sv.vertex, sv.score);
+    }
+  }
+
+  if (!csv_path.empty()) {
+    simrank::CsvWriter csv({"src", "dst", "score"});
+    if (query.has_value()) {
+      const simrank::VertexId q = *query;
+      for (uint32_t v = 0; v < graph->n(); ++v) {
+        csv.AddRow({simrank::StrFormat("%u", q), simrank::StrFormat("%u", v),
+                    simrank::StrFormat("%.8f", run->scores(q, v))});
+      }
+    } else {
+      if (graph->n() > 2000) {
+        std::fprintf(stderr,
+                     "refusing to dump full matrix for n > 2000; "
+                     "use --query\n");
+        return 1;
+      }
+      for (uint32_t a = 0; a < graph->n(); ++a) {
+        for (uint32_t b = 0; b < graph->n(); ++b) {
+          if (run->scores(a, b) == 0.0) continue;
+          csv.AddRow({simrank::StrFormat("%u", a),
+                      simrank::StrFormat("%u", b),
+                      simrank::StrFormat("%.8f", run->scores(a, b))});
+        }
+      }
+    }
+    auto status = csv.WriteToFile(csv_path);
+    if (!status.ok()) {
+      std::fprintf(stderr, "csv write failed: %s\n",
+                   status.ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "wrote %s (%zu rows)\n", csv_path.c_str(),
+                 csv.num_rows());
+  }
+  return 0;
+}
+
 int RealMain(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "shard-plan") == 0) {
-    return RunShardPlan(argc, argv);
+  if (argc >= 2) {
+    for (const auto& subcommand : kSubcommands) {
+      if (std::string_view(argv[1]) == subcommand.name) {
+        return subcommand.run(argc, argv);
+      }
+    }
   }
-  CliOptions options;
-  if (!ParseArgs(argc, argv, &options)) {
-    PrintUsage(argv[0]);
-    return 2;
-  }
-  auto status = ValidateOptions(options);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 2;
-  }
-  if (options.subcommand == "build-index") return RunBuildIndex(options);
-  if (options.subcommand == "query") return RunQuery(options);
-  if (options.subcommand == "index-info") return RunIndexInfo(options);
-  if (options.subcommand == "update") return RunUpdate(options);
-  if (options.subcommand == "compact") return RunCompact(options);
-  return RunAllPairs(options);
+  return RunAllPairs(argc, argv);
 }
 
 }  // namespace

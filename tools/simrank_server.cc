@@ -1,24 +1,6 @@
 // simrank_server — HTTP serving frontend over a prebuilt walk index.
 //
-//   simrank_server serve --index=PATH [--mmap] [--port=8080]
-//                        [--update-threads=T] [--overlay-budget=BYTES]
-//                        [--auto-compact-fraction=F]
-//                        [--bind=127.0.0.1] [--threads=T]
-//                        [--max-inflight=N] [--endpoint-inflight=N]
-//                        [--cache-shards=S] [--cache-capacity=C]
-//                        [--warm=FILE] [--load-threads=T]
-//                        [--graph=PATH --wal=PATH]
-//                        [--compact-to=PATH] [--compact-graph-to=PATH]
-//                        [--no-sync-wal] [--no-uring]
-//                        [--trace-sample=F] [--slow-query-us=N]
-//                        [--slow-ring=N] [--trace-log=PATH]
-//                        [--access-log=PATH] [--profile-log=PATH]
-//                        [--profile-log-hz=HZ] [--profile-log-period=S]
-//                        [--watchdog-interval-ms=MS]
-//                        [--watchdog-stall-us=US]
-//                        [--metrics-history=S]
-//                        [--metrics-history-interval-ms=MS]
-//                        [--debug-stall-limit-ms=MS]
+//   simrank_server serve --index=PATH [flags]   (--help lists the flags)
 //
 // Serves GET /v1/pair, /v1/single_source, /v1/topk, POST /v1/batch_pair,
 // /v1/stats, /metrics and /healthz (see src/simrank/server/server.h for
@@ -39,16 +21,19 @@
 // --graph pointing there), and resets the WAL. SIGINT/SIGTERM
 // shut down gracefully: in-flight queries finish and flush before the
 // process exits 0.
-#include <cctype>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
+#include <fstream>
+#include <initializer_list>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "simrank/cluster/shard_plan.h"
 #include "simrank/cluster/wal_tailer.h"
+#include "simrank/common/flags.h"
 #include "simrank/common/status.h"
 #include "simrank/common/string_util.h"
 #include "simrank/graph/graph_io.h"
@@ -57,383 +42,41 @@
 #include "simrank/index/segment_reader.h"
 #include "simrank/index/walk_index.h"
 #include "simrank/index/walk_store.h"
+#include "simrank/obs/diagnostics.h"
 #include "simrank/server/server.h"
 
 namespace {
 
-struct ServerCliOptions {
-  std::string index_path;
-  bool use_mmap = false;
-  uint32_t load_threads = 0;
-  uint32_t cache_shards = 0;    // 0 = engine default
-  uint32_t cache_capacity = 0;  // 0 = engine default
-  std::string warm_path;
-  std::string graph_path;
-  std::string wal_path;
-  bool sync_wal = true;
-  bool group_commit = true;
-  uint32_t group_commit_window_us = 0;  // 0 = updater default
-  uint32_t update_threads = 1;          // 0 = hardware concurrency
-  uint64_t overlay_budget = 0;          // 0 = unbounded
-  double auto_compact_fraction = 0.0;   // 0 = heuristic off
-  std::string shard_plan_path;
-  /// Primary port to tail (replica mode); 0 = no tailing.
-  uint32_t tail_from = 0;
-  simrank::ServerOptions server;
-};
+using simrank::Status;
 
-void PrintUsage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s serve --index=PATH [--mmap] [--port=8080]\n"
-      "       [--bind=127.0.0.1] [--threads=T] [--max-inflight=N]\n"
-      "       [--endpoint-inflight=N] [--cache-shards=S]\n"
-      "       [--cache-capacity=C] [--warm=FILE] [--load-threads=T]\n"
-      "       [--graph=GRAPH --wal=WAL] [--compact-to=PATH]\n"
-      "       [--compact-graph-to=PATH] [--no-sync-wal]\n"
-      "       [--no-group-commit] [--group-commit-window-us=U]\n"
-      "       [--update-threads=T] [--overlay-budget=BYTES]\n"
-      "       [--auto-compact-fraction=F]\n"
-      "       [--shard-plan=PLAN --shard-id=N] [--replica]\n"
-      "       [--tail-from=PORT] [--no-uring]\n"
-      "       [--trace-sample=F] [--slow-query-us=N] [--slow-ring=N]\n"
-      "       [--trace-log=PATH] [--access-log=PATH]\n"
-      "       [--profile-log=PATH] [--profile-log-hz=HZ]\n"
-      "       [--profile-log-period=S] [--watchdog-interval-ms=MS]\n"
-      "       [--watchdog-stall-us=US] [--metrics-history=S]\n"
-      "       [--metrics-history-interval-ms=MS]\n"
-      "       [--debug-stall-limit-ms=MS]\n"
-      "\nServes GET /v1/pair?a=&b=, /v1/single_source?v=, /v1/topk?v=&k=,\n"
-      "POST /v1/batch_pair, /v1/stats, /metrics and /healthz over the\n"
-      "given walk index. --port=0 picks a free port. Requests beyond\n"
-      "--max-inflight get 429, beyond the per-endpoint cap 503, both with\n"
-      "Retry-After. --graph + --wal additionally enable POST /v1/update\n"
-      "and /v1/compact (live edge updates with WAL durability).\n"
-      "--update-threads parallelizes walk patching and compaction (0 =\n"
-      "hardware concurrency; answers are identical for any value).\n"
-      "--overlay-budget bounds the overlay's resident bytes and\n"
-      "--auto-compact-fraction its patched-walk share of n*R; crossing\n"
-      "either triggers a background compaction into the /v1/compact\n"
-      "targets without blocking serving.\n"
-      "--shard-plan + --shard-id serve one shard of a cluster: public\n"
-      "queries outside the shard's vertex range answer 421 and the\n"
-      "/internal/* exchange endpoints come up (see simrank_router).\n"
-      "--replica rejects public writes with 403; --tail-from=PORT keeps a\n"
-      "replica current by tailing that primary's /v1/wal stream.\n"
-      "--no-uring disables the io_uring batched cold-read path (plain\n"
-      "preadv/fadvise fallback); SIMRANK_NO_URING=1 does the same.\n"
-      "Observability: any query accepts ?trace=1 (per-stage spans inline\n"
-      "in the response) or an X-Simrank-Trace header (trace returned in\n"
-      "the X-Simrank-Trace-Json response header; body unchanged).\n"
-      "--trace-sample=F traces a random fraction of requests;\n"
-      "--slow-query-us=N traces everything and captures queries slower\n"
-      "than N us in a ring served at GET /v1/debug/slow (--slow-ring=N\n"
-      "entries, default 64). --trace-log appends captured traces as\n"
-      "JSONL; --access-log appends one JSONL line per request.\n"
-      "Self-diagnosis: GET /v1/debug/profile?seconds=N returns a\n"
-      "collapsed-stack CPU profile; --profile-log additionally records\n"
-      "continuous background profiles as JSONL (--profile-log-hz,\n"
-      "default 19, one record every --profile-log-period seconds,\n"
-      "default 60). The event-loop watchdog samples loop lag and queue\n"
-      "depth every --watchdog-interval-ms (default 100; 0 disables) and\n"
-      "logs a stack-annotated warning past --watchdog-stall-us (default\n"
-      "1s). --metrics-history=S keeps S seconds of every /metrics gauge\n"
-      "(default 900, sampled every --metrics-history-interval-ms,\n"
-      "default 1000) served at GET /v1/debug/timeseries.\n"
-      "--debug-stall-limit-ms arms the GET /v1/debug/stall test hook\n"
-      "(deliberately blocks the event loop; leave off in production).\n",
-      argv0);
-}
-
-bool ParseArgs(int argc, char** argv, ServerCliOptions* options) {
-  if (argc < 2 || std::strcmp(argv[1], "serve") != 0) return false;
-  for (int i = 2; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    auto value_of = [&arg](std::string_view prefix) {
-      return std::string(arg.substr(prefix.size()));
-    };
-    uint64_t u = 0;
-    if (simrank::StartsWith(arg, "--index=")) {
-      options->index_path = value_of("--index=");
-    } else if (arg == "--mmap") {
-      options->use_mmap = true;
-    } else if (simrank::StartsWith(arg, "--port=")) {
-      if (!simrank::ParseUint64(value_of("--port="), &u) || u > 65535) {
-        std::fprintf(stderr, "--port must be 0..65535\n");
-        return false;
-      }
-      options->server.port = static_cast<uint16_t>(u);
-    } else if (simrank::StartsWith(arg, "--bind=")) {
-      options->server.bind_address = value_of("--bind=");
-    } else if (simrank::StartsWith(arg, "--threads=")) {
-      if (!simrank::ParseUint64(value_of("--threads="), &u)) return false;
-      options->server.threads = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--max-inflight=")) {
-      if (!simrank::ParseUint64(value_of("--max-inflight="), &u)) {
-        return false;
-      }
-      options->server.max_inflight = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--endpoint-inflight=")) {
-      if (!simrank::ParseUint64(value_of("--endpoint-inflight="), &u)) {
-        return false;
-      }
-      options->server.max_endpoint_inflight = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--cache-shards=")) {
-      if (!simrank::ParseUint64(value_of("--cache-shards="), &u)) {
-        return false;
-      }
-      options->cache_shards = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--cache-capacity=")) {
-      if (!simrank::ParseUint64(value_of("--cache-capacity="), &u)) {
-        return false;
-      }
-      options->cache_capacity = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--warm=")) {
-      options->warm_path = value_of("--warm=");
-    } else if (simrank::StartsWith(arg, "--load-threads=")) {
-      if (!simrank::ParseUint64(value_of("--load-threads="), &u)) {
-        return false;
-      }
-      options->load_threads = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--graph=")) {
-      options->graph_path = value_of("--graph=");
-    } else if (simrank::StartsWith(arg, "--wal=")) {
-      options->wal_path = value_of("--wal=");
-    } else if (simrank::StartsWith(arg, "--compact-to=")) {
-      options->server.compact_path = value_of("--compact-to=");
-    } else if (simrank::StartsWith(arg, "--compact-graph-to=")) {
-      options->server.compact_graph_path = value_of("--compact-graph-to=");
-    } else if (arg == "--no-uring") {
-      simrank::SegmentReader::SetIoUringEnabled(false);
-    } else if (arg == "--no-sync-wal") {
-      options->sync_wal = false;
-    } else if (arg == "--no-group-commit") {
-      options->group_commit = false;
-    } else if (simrank::StartsWith(arg, "--group-commit-window-us=")) {
-      if (!simrank::ParseUint64(value_of("--group-commit-window-us="), &u)) {
-        return false;
-      }
-      options->group_commit_window_us = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--update-threads=")) {
-      if (!simrank::ParseUint64(value_of("--update-threads="), &u)) {
-        return false;
-      }
-      options->update_threads = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--overlay-budget=")) {
-      if (!simrank::ParseUint64(value_of("--overlay-budget="), &u) ||
-          u == 0) {
-        std::fprintf(stderr, "--overlay-budget must be positive bytes\n");
-        return false;
-      }
-      options->overlay_budget = u;
-    } else if (simrank::StartsWith(arg, "--auto-compact-fraction=")) {
-      double fraction = 0.0;
-      if (!simrank::ParseDouble(value_of("--auto-compact-fraction="),
-                                &fraction) ||
-          fraction <= 0.0 || fraction >= 1.0) {
-        std::fprintf(stderr, "--auto-compact-fraction must be in (0, 1)\n");
-        return false;
-      }
-      options->auto_compact_fraction = fraction;
-    } else if (simrank::StartsWith(arg, "--shard-plan=")) {
-      options->shard_plan_path = value_of("--shard-plan=");
-    } else if (simrank::StartsWith(arg, "--shard-id=")) {
-      if (!simrank::ParseUint64(value_of("--shard-id="), &u)) return false;
-      options->server.shard_id = static_cast<uint32_t>(u);
-    } else if (arg == "--replica") {
-      options->server.replica = true;
-    } else if (simrank::StartsWith(arg, "--trace-sample=")) {
-      double fraction = 0.0;
-      if (!simrank::ParseDouble(value_of("--trace-sample="), &fraction) ||
-          fraction < 0.0 || fraction > 1.0) {
-        std::fprintf(stderr, "--trace-sample must be in [0, 1]\n");
-        return false;
-      }
-      options->server.trace_sample = fraction;
-    } else if (simrank::StartsWith(arg, "--slow-query-us=")) {
-      if (!simrank::ParseUint64(value_of("--slow-query-us="), &u)) {
-        return false;
-      }
-      options->server.slow_query_us = u;
-    } else if (simrank::StartsWith(arg, "--slow-ring=")) {
-      if (!simrank::ParseUint64(value_of("--slow-ring="), &u) || u == 0 ||
-          u > 65536) {
-        std::fprintf(stderr, "--slow-ring must be 1..65536\n");
-        return false;
-      }
-      options->server.slow_ring_capacity = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--trace-log=")) {
-      options->server.trace_log_path = value_of("--trace-log=");
-    } else if (simrank::StartsWith(arg, "--access-log=")) {
-      options->server.access_log_path = value_of("--access-log=");
-    } else if (simrank::StartsWith(arg, "--profile-log=")) {
-      options->server.profile_log_path = value_of("--profile-log=");
-    } else if (simrank::StartsWith(arg, "--profile-log-hz=")) {
-      if (!simrank::ParseUint64(value_of("--profile-log-hz="), &u) ||
-          u == 0 || u > 1000) {
-        std::fprintf(stderr, "--profile-log-hz must be 1..1000\n");
-        return false;
-      }
-      options->server.profile_log_hz = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--profile-log-period=")) {
-      if (!simrank::ParseUint64(value_of("--profile-log-period="), &u) ||
-          u == 0) {
-        std::fprintf(stderr, "--profile-log-period must be positive\n");
-        return false;
-      }
-      options->server.profile_log_period_s = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--watchdog-interval-ms=")) {
-      if (!simrank::ParseUint64(value_of("--watchdog-interval-ms="), &u)) {
-        return false;
-      }
-      options->server.watchdog_interval_ms = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--watchdog-stall-us=")) {
-      if (!simrank::ParseUint64(value_of("--watchdog-stall-us="), &u) ||
-          u == 0) {
-        std::fprintf(stderr, "--watchdog-stall-us must be positive\n");
-        return false;
-      }
-      options->server.watchdog_stall_us = u;
-    } else if (simrank::StartsWith(arg, "--metrics-history=")) {
-      if (!simrank::ParseUint64(value_of("--metrics-history="), &u)) {
-        return false;
-      }
-      options->server.metrics_history_window_s = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg,
-                                   "--metrics-history-interval-ms=")) {
-      if (!simrank::ParseUint64(value_of("--metrics-history-interval-ms="),
-                                &u) ||
-          u == 0) {
-        std::fprintf(stderr,
-                     "--metrics-history-interval-ms must be positive\n");
-        return false;
-      }
-      options->server.metrics_history_interval_ms =
-          static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--debug-stall-limit-ms=")) {
-      if (!simrank::ParseUint64(value_of("--debug-stall-limit-ms="), &u)) {
-        return false;
-      }
-      options->server.debug_stall_limit_ms = static_cast<uint32_t>(u);
-    } else if (simrank::StartsWith(arg, "--tail-from=")) {
-      if (!simrank::ParseUint64(value_of("--tail-from="), &u) || u == 0 ||
-          u > 65535) {
-        std::fprintf(stderr, "--tail-from must be 1..65535\n");
-        return false;
-      }
-      options->tail_from = static_cast<uint32_t>(u);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return false;
-    }
-  }
-  if (options->index_path.empty()) {
-    std::fprintf(stderr, "serve requires --index=PATH\n");
-    return false;
-  }
-  if (options->wal_path.empty() != options->graph_path.empty()) {
-    std::fprintf(stderr,
-                 "--graph and --wal enable live updates together: the "
-                 "updater needs the base graph to re-simulate walks and "
-                 "the WAL to make batches durable\n");
-    return false;
-  }
-  if (options->wal_path.empty() &&
-      (!options->server.compact_path.empty() ||
-       !options->server.compact_graph_path.empty() || !options->sync_wal)) {
-    std::fprintf(stderr,
-                 "--compact-to/--compact-graph-to/--no-sync-wal require "
-                 "--graph and --wal\n");
-    return false;
-  }
-  if (options->wal_path.empty() &&
-      (options->overlay_budget != 0 ||
-       options->auto_compact_fraction != 0.0 ||
-       options->update_threads != 1)) {
-    std::fprintf(stderr,
-                 "--overlay-budget/--auto-compact-fraction/--update-threads "
-                 "require --graph and --wal\n");
-    return false;
-  }
-  if (options->shard_plan_path.empty() && options->server.shard_id != 0) {
-    std::fprintf(stderr, "--shard-id requires --shard-plan\n");
-    return false;
-  }
-  if (options->tail_from != 0 && options->wal_path.empty()) {
-    std::fprintf(stderr,
-                 "--tail-from requires --graph and --wal: the replica "
-                 "re-simulates shipped batches and logs them to its own "
-                 "WAL\n");
-    return false;
-  }
-  if (options->tail_from != 0 && !options->server.replica) {
-    std::fprintf(stderr,
-                 "--tail-from requires --replica: a server accepting both "
-                 "public updates and a shipped WAL would fork its graph\n");
-    return false;
-  }
-  return true;
-}
-
-/// Engine options from the CLI flags, validated through Status like the
-/// query subcommand's.
-simrank::Result<simrank::QueryEngineOptions> MakeEngineOptions(
-    const ServerCliOptions& options) {
-  simrank::QueryEngineOptions engine_options;
-  engine_options.num_threads = 1;  // batch APIs unused; the server pools
-  if (options.cache_shards > 0) {
-    engine_options.cache_shards = options.cache_shards;
-  }
-  if (options.cache_capacity > 0) {
-    engine_options.cache_capacity_per_shard = options.cache_capacity;
-  }
-  if (!engine_options.Valid()) {
-    return simrank::Status::InvalidArgument(
-        "--cache-shards and --cache-capacity must be positive");
-  }
-  return engine_options;
-}
+constexpr char kSummary[] =
+    "Serves GET /v1/pair?a=&b=, /v1/single_source?v=, /v1/topk?v=&k=,\n"
+    "POST /v1/batch_pair, /v1/stats, /metrics and /healthz over a walk\n"
+    "index. Requests beyond --max-inflight get 429, beyond the per-endpoint\n"
+    "cap 503, both with Retry-After. --graph + --wal also enable POST\n"
+    "/v1/update and /v1/compact (live edge updates with WAL durability).\n"
+    "Any query accepts ?trace=1 (spans inline in the response) or an\n"
+    "X-Simrank-Trace header (trace in the X-Simrank-Trace-Json response\n"
+    "header). GET /v1/debug/profile?seconds=N returns a collapsed-stack CPU\n"
+    "profile and GET /v1/debug/timeseries the metrics history.";
 
 /// Reads a warm list: vertex ids separated by whitespace, '#' starts a
 /// comment running to end of line.
 simrank::Result<std::vector<simrank::VertexId>> ReadWarmList(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return simrank::Status::IoError("cannot open warm list: " + path);
-  }
-  std::string content;
-  char chunk[4096];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    content.append(chunk, got);
-  }
-  std::fclose(f);
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open warm list: " + path);
   std::vector<simrank::VertexId> vertices;
-  for (std::string_view line : simrank::StrSplit(content, '\n')) {
-    const size_t hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    size_t at = 0;
-    while (at < line.size()) {
-      while (at < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[at]))) {
-        ++at;
-      }
-      size_t end = at;
-      while (end < line.size() &&
-             !std::isspace(static_cast<unsigned char>(line[end]))) {
-        ++end;
-      }
-      if (end == at) break;
-      const std::string_view token = line.substr(at, end - at);
-      at = end;
-      uint64_t value = 0;
-      if (!simrank::ParseUint64(token, &value) || value > UINT32_MAX) {
-        return simrank::Status::InvalidArgument(
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream tokens(line.substr(0, line.find('#')));
+    for (std::string token; tokens >> token;) {
+      simrank::VertexId vertex = 0;
+      if (!simrank::ParseFlagValue(token, &vertex).ok()) {
+        return Status::InvalidArgument(
             simrank::StrFormat("warm list %s: '%s' is not a vertex id",
-                               path.c_str(), std::string(token).c_str()));
+                               path.c_str(), token.c_str()));
       }
-      vertices.push_back(static_cast<simrank::VertexId>(value));
+      vertices.push_back(vertex);
     }
   }
   return vertices;
@@ -447,102 +90,198 @@ void HandleSignal(int) {
 }
 
 int RealMain(int argc, char** argv) {
-  ServerCliOptions options;
-  if (!ParseArgs(argc, argv, &options)) {
-    PrintUsage(argv[0]);
-    return 2;
-  }
-
+  // Tool-only settings; every other flag sets a library option directly.
+  std::string index_path;
+  std::string graph_path;
+  std::string warm_path;
+  std::string shard_plan_path;
+  bool no_uring = false;
   simrank::WalkIndex::LoadOptions load_options;
-  load_options.use_mmap = options.use_mmap;
-  load_options.num_threads = options.load_threads;
-  auto index = simrank::WalkIndex::Load(options.index_path, load_options);
-  if (!index.ok()) {
-    std::fprintf(stderr, "cannot load index: %s\n",
-                 index.status().ToString().c_str());
-    return 1;
-  }
+  simrank::ServerOptions server_options;
+  simrank::QueryEngineOptions engine_options;
+  engine_options.num_threads = 1;  // batch APIs unused; the server pools
+  simrank::IndexUpdaterOptions updater_options;
+  simrank::WalTailerOptions tailer_options;
 
-  auto engine_options = MakeEngineOptions(options);
-  if (!engine_options.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 engine_options.status().ToString().c_str());
-    return 2;
+  simrank::FlagSet flags("simrank_server serve", kSummary);
+  flags.Add("--index", "PATH", &index_path, "walk index to serve")
+      .Required()
+      .Switch("--mmap", &load_options.use_mmap,
+              "serve from the mapped file instead of loading it into RAM")
+      .Add("--load-threads", "T", &load_options.num_threads,
+           "threads decoding the index into RAM; 0 = hardware concurrency")
+      .Add("--port", "PORT", &server_options.port,
+           "TCP port; 0 picks a free one, printed on stderr")
+      .Add("--bind", "ADDR", &server_options.bind_address,
+           "listening IPv4 address")
+      .Add("--threads", "T", &server_options.threads,
+           "query worker threads; 0 = hardware concurrency")
+      .Add("--max-inflight", "N", &server_options.max_inflight,
+           "dispatched queries beyond this answer 429")
+      .Add("--endpoint-inflight", "N", &server_options.max_endpoint_inflight,
+           "dispatched queries per endpoint beyond this answer 503")
+      .Add("--cache-shards", "S", &engine_options.cache_shards,
+           "row cache shards")
+      .Add("--cache-capacity", "C", &engine_options.cache_capacity_per_shard,
+           "cached rows per shard")
+      .Add("--warm", "FILE", &warm_path,
+           "vertex ids whose pages and rows are loaded before serving")
+      .Add("--graph", "PATH", &graph_path,
+           "the graph the index was built from; with --wal enables "
+           "/v1/update and /v1/compact")
+      .Add("--wal", "PATH", &updater_options.wal_path,
+           "write-ahead log of update batches, replayed at startup")
+      .Add("--compact-to", "PATH", &server_options.compact_path,
+           "where compaction writes the merged index (empty: the served "
+           "index)")
+      .Add("--compact-graph-to", "PATH", &server_options.compact_graph_path,
+           "where compaction writes the updated graph (empty: "
+           "<compact-to>.graph.bin)")
+      .Switch("--no-sync-wal", &updater_options.sync_wal,
+              "skip the fsync after each WAL append")
+      .Switch("--no-group-commit", &updater_options.group_commit,
+              "fsync each batch alone instead of coalescing concurrent ones")
+      .Add("--group-commit-window-us", "US",
+           &updater_options.group_commit_window_us,
+           "how long a group-commit leader waits for more batches")
+      .Add("--update-threads", "T", &updater_options.num_threads,
+           "threads patching walks and compacting; 0 = hardware "
+           "concurrency (answers are identical for any value)")
+      .Add("--overlay-budget", "BYTES", &updater_options.overlay_budget_bytes,
+           "compact in the background past this many overlay bytes; "
+           "0 = unbounded")
+      .Add("--auto-compact-fraction", "F",
+           &updater_options.auto_compact_patched_fraction,
+           "compact in the background once this share of all n*R walks "
+           "is patched; 0 = off")
+      .Add("--shard-plan", "PLAN", &shard_plan_path,
+           "serve one shard of this cluster plan (see simrank_router)")
+      .Add("--shard-id", "N", &server_options.shard_id,
+           "the plan shard served; queries outside its range answer 421")
+      .Switch("--replica", &server_options.replica,
+              "mirror a primary: public writes answer 403")
+      .Add("--tail-from", "PORT", &tailer_options.source_port,
+           "keep a replica current by tailing this primary's /v1/wal; "
+           "0 = off")
+      .Switch("--no-uring", &no_uring,
+              "read cold rows with preadv/fadvise instead of io_uring "
+              "(as SIMRANK_NO_URING=1 does)")
+      .Add("--trace-sample", "F", &server_options.trace_sample,
+           "fraction of requests traced at random")
+      .Add("--slow-query-us", "US", &server_options.slow_query_us,
+           "trace every request and keep those slower than US in GET "
+           "/v1/debug/slow; 0 = off")
+      .Add("--slow-ring", "N", &server_options.slow_ring_capacity,
+           "captured traces GET /v1/debug/slow keeps")
+      .Add("--watchdog-interval-ms", "MS",
+           &server_options.watchdog_interval_ms,
+           "event-loop watchdog cadence; 0 disables it")
+      .Add("--watchdog-stall-us", "US", &server_options.watchdog_stall_us,
+           "loop lag the watchdog logs as a stall, with the loop's stack")
+      .Add("--debug-stall-limit-ms", "MS",
+           &server_options.debug_stall_limit_ms,
+           "arm the GET /v1/debug/stall test hook up to MS; 0 = off");
+  simrank::AddDiagnosticsFlags(flags, &server_options.diagnostics);
+  const bool serve = argc >= 2 && std::string_view(argv[1]) == "serve";
+  if (auto code = flags.ParseCommandLine(argc, argv, serve ? 2 : 1)) {
+    return *code;
   }
-  simrank::QueryEngine engine(*index, *engine_options);
+  if (!serve) {
+    return flags.Fail("the first argument must be the serve subcommand");
+  }
+  const bool live_updates = !updater_options.wal_path.empty();
+  if (live_updates == graph_path.empty()) {
+    return flags.Fail(
+        "--graph and --wal enable live updates together: the updater needs "
+        "the base graph to re-simulate walks and the WAL to make batches "
+        "durable");
+  }
+  if (!live_updates) {
+    for (const char* name :
+         {"--compact-to", "--compact-graph-to", "--no-sync-wal",
+          "--no-group-commit", "--group-commit-window-us", "--update-threads",
+          "--overlay-budget", "--auto-compact-fraction", "--tail-from"}) {
+      if (flags.seen(name)) {
+        return flags.Fail(
+            std::string(name) + " requires --graph and --wal");
+      }
+    }
+  }
+  if (flags.seen("--shard-id") && shard_plan_path.empty()) {
+    return flags.Fail("--shard-id requires --shard-plan");
+  }
+  if (tailer_options.source_port != 0 && !server_options.replica) {
+    return flags.Fail(
+        "--tail-from requires --replica: a server accepting both public "
+        "updates and a shipped WAL would fork its graph");
+  }
+  if (no_uring) simrank::SegmentReader::SetIoUringEnabled(false);
 
-  if (!options.shard_plan_path.empty()) {
-    auto plan = simrank::ShardPlan::LoadFile(options.shard_plan_path);
+  if (!shard_plan_path.empty()) {
+    auto plan = simrank::ShardPlan::LoadFile(shard_plan_path);
     if (!plan.ok()) {
       std::fprintf(stderr, "cannot load shard plan: %s\n",
                    plan.status().ToString().c_str());
       return 1;
     }
-    if (options.server.shard_id >= plan->shards.size()) {
-      std::fprintf(stderr, "--shard-id=%u but the plan has %zu shards\n",
-                   options.server.shard_id, plan->shards.size());
-      return 2;
-    }
-    options.server.sharded = true;
-    options.server.shard_plan = std::move(*plan);
+    server_options.sharded = true;
+    server_options.shard_plan = std::move(*plan);
+  }
+  if (Status valid = server_options.Validate(); !valid.ok()) {
+    return flags.Fail(valid.message());
+  }
+  if (!engine_options.Valid()) {
+    return flags.Fail("--cache-shards and --cache-capacity must be positive");
   }
 
+  auto index = simrank::WalkIndex::Load(index_path, load_options);
+  if (!index.ok()) {
+    std::fprintf(stderr, "cannot load index: %s\n",
+                 index.status().ToString().c_str());
+    return 1;
+  }
+  simrank::QueryEngine engine(*index, engine_options);
+
   std::unique_ptr<simrank::IndexUpdater> updater;
-  if (!options.wal_path.empty()) {
-    auto graph = simrank::ReadGraphAuto(options.graph_path);
+  if (live_updates) {
+    auto graph = simrank::ReadGraphAuto(graph_path);
     if (!graph.ok()) {
       std::fprintf(stderr, "cannot load graph: %s\n",
                    graph.status().ToString().c_str());
       return 1;
     }
-    if (options.server.compact_path.empty()) {
-      options.server.compact_path = options.index_path;
+    if (server_options.compact_path.empty()) {
+      server_options.compact_path = index_path;
     }
-    if (options.server.compact_graph_path.empty()) {
-      options.server.compact_graph_path =
-          options.server.compact_path + ".graph.bin";
+    if (server_options.compact_graph_path.empty()) {
+      server_options.compact_graph_path =
+          server_options.compact_path + ".graph.bin";
     }
     // Compacted files keep the served file's segment encoding, so a
     // compact-then-restart cycle stays byte-reproducible. A probe failure
     // here is fatal: silently defaulting to raw would flip a compressed
     // index's encoding on the next compaction.
-    auto info = simrank::ReadWalkIndexInfo(options.index_path);
+    auto info = simrank::ReadWalkIndexInfo(index_path);
     if (!info.ok()) {
       std::fprintf(stderr, "cannot probe index encoding: %s\n",
                    info.status().ToString().c_str());
       return 1;
     }
-    options.server.compact_compress = info->compressed;
-    simrank::IndexUpdaterOptions updater_options;
-    updater_options.wal_path = options.wal_path;
-    updater_options.sync_wal = options.sync_wal;
-    updater_options.group_commit = options.group_commit;
-    if (options.group_commit_window_us > 0) {
-      updater_options.group_commit_window_us =
-          options.group_commit_window_us;
-    }
-    updater_options.num_threads = options.update_threads;
-    if (options.overlay_budget != 0 ||
-        options.auto_compact_fraction != 0.0) {
-      // Auto-compaction reuses the manual /v1/compact targets (the
-      // defaults above already point them at the served index), keeps
-      // its segment encoding, and — because the graph is persisted too —
-      // resets the WAL to the compacted state.
-      updater_options.overlay_budget_bytes = options.overlay_budget;
-      updater_options.auto_compact_patched_fraction =
-          options.auto_compact_fraction;
-      updater_options.auto_compact_path = options.server.compact_path;
-      updater_options.auto_compact_compress =
-          options.server.compact_compress;
-      updater_options.auto_compact_graph_path =
-          options.server.compact_graph_path;
-    }
-    if (options.server.sharded) {
+    server_options.compact_compress = info->compressed;
+    // Auto-compaction (armed by --overlay-budget or
+    // --auto-compact-fraction) reuses the manual /v1/compact targets,
+    // keeps their segment encoding, and — because the graph is persisted
+    // too — resets the WAL to the compacted state.
+    updater_options.auto_compact_path = server_options.compact_path;
+    updater_options.auto_compact_compress = server_options.compact_compress;
+    updater_options.auto_compact_graph_path =
+        server_options.compact_graph_path;
+    if (server_options.sharded) {
       // A shard's index stores out-of-range vertices as dead rows; the
       // range filter keeps the updater from re-simulating (and thereby
       // reviving) walks this shard does not own.
       const simrank::ShardRange& range =
-          options.server.shard_plan.shards[options.server.shard_id];
+          server_options.shard_plan.shards[server_options.shard_id];
       updater_options.vertex_begin = range.begin;
       updater_options.vertex_end = range.end;
     }
@@ -558,13 +297,13 @@ int RealMain(int argc, char** argv) {
     std::fprintf(stderr,
                  "update log %s: %llu batch(es) replayed, overlay "
                  "sequence %llu%s\n",
-                 options.wal_path.c_str(),
+                 updater_options.wal_path.c_str(),
                  static_cast<unsigned long long>(stats.batches_replayed),
                  static_cast<unsigned long long>(stats.overlay_sequence),
                  stats.wal_truncated_bytes > 0 ? " (torn tail dropped)"
                                                : "");
   }
-  simrank::SimRankServer server(engine, options.server, updater.get());
+  simrank::SimRankServer server(engine, server_options, updater.get());
 
   auto status = server.Bind();
   if (!status.ok()) {
@@ -573,8 +312,8 @@ int RealMain(int argc, char** argv) {
     return 1;
   }
 
-  if (!options.warm_path.empty()) {
-    auto warm = ReadWarmList(options.warm_path);
+  if (!warm_path.empty()) {
+    auto warm = ReadWarmList(warm_path);
     if (!warm.ok()) {
       std::fprintf(stderr, "%s\n", warm.status().ToString().c_str());
       return 1;
@@ -586,13 +325,11 @@ int RealMain(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr, "warmed %zu vertices from %s\n", warm->size(),
-                 options.warm_path.c_str());
+                 warm_path.c_str());
   }
 
   std::unique_ptr<simrank::WalTailer> tailer;
-  if (options.tail_from != 0) {
-    simrank::WalTailerOptions tailer_options;
-    tailer_options.source_port = static_cast<uint16_t>(options.tail_from);
+  if (tailer_options.source_port != 0) {
     tailer = std::make_unique<simrank::WalTailer>(engine, *updater,
                                                   tailer_options);
     auto started = tailer->Start();
@@ -601,7 +338,8 @@ int RealMain(int argc, char** argv) {
                    started.ToString().c_str());
       return 1;
     }
-    std::fprintf(stderr, "tailing WAL of 127.0.0.1:%u\n", options.tail_from);
+    std::fprintf(stderr, "tailing WAL of 127.0.0.1:%u\n",
+                 tailer_options.source_port);
   }
 
   g_server = &server;
@@ -611,11 +349,11 @@ int RealMain(int argc, char** argv) {
   std::fprintf(stderr,
                "simrank_server: index %s (n=%u, R=%u, L=%u, %s backend), "
                "listening on %s:%u\n",
-               options.index_path.c_str(), index->n(),
+               index_path.c_str(), index->n(),
                index->options().num_fingerprints,
                index->options().walk_length,
                index->store().backend_name(),
-               options.server.bind_address.c_str(), server.port());
+               server_options.bind_address.c_str(), server.port());
 
   status = server.Serve();
   g_server = nullptr;
