@@ -119,7 +119,6 @@ Result<uint64_t> WalTailer::ApplyStream(std::string_view body) {
   if (trailer != "end") {
     return Status::ParseError("WAL stream not terminated by 'end'");
   }
-  if (applied > 0) engine_.InvalidateCache();
   return applied;
 }
 

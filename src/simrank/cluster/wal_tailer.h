@@ -23,12 +23,12 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "simrank/common/macros.h"
 #include "simrank/common/status.h"
 #include "simrank/index/index_updater.h"
-#include "simrank/index/query_engine.h"
 
 namespace simrank {
 
@@ -54,13 +54,13 @@ struct WalTailerStats {
 };
 
 /// Tails one primary's WAL into one replica's updater. Start() spawns the
-/// poll thread; Stop() joins it. The engine and updater must outlive the
-/// tailer.
+/// poll thread; Stop() joins it. The updater must outlive the tailer. The
+/// replica's engine needs no notice of applied records: its cached rows
+/// are checked against each batch's row-change set (query_engine.h).
 class WalTailer {
  public:
-  WalTailer(QueryEngine& engine, IndexUpdater& updater,
-            const WalTailerOptions& options)
-      : engine_(engine), updater_(updater), options_(options) {}
+  WalTailer(IndexUpdater& updater, const WalTailerOptions& options)
+      : updater_(updater), options_(options) {}
 
   ~WalTailer() { Stop(); }
 
@@ -81,7 +81,6 @@ class WalTailer {
  private:
   void PollLoop();
 
-  QueryEngine& engine_;
   IndexUpdater& updater_;
   const WalTailerOptions options_;
   std::atomic<bool> stop_{true};

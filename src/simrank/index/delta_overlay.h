@@ -22,6 +22,20 @@
 // previous overlay: lookup cost stays O(base + patch) however many
 // batches have accumulated, and Compact() can rebuild the merged index
 // from base + one overlay.
+//
+// Each overlay also carries the row-change sets of its most recent
+// batches: the vertices whose single-source row a batch can change. A
+// row is s(v, u) = (1/R) Σ_r C^{τ_r}, where τ_r is the first step at
+// which walk r of v and walk r of u sit at the same (live) position, and
+// the estimator adds the terms in ascending r. Suppose a batch moves walk
+// step (u, r, t) from `old` to `new`, v's own walks did not move, and v's
+// walk r sits at neither `old` nor `new` after t steps — i.e. v is in
+// neither Bucket(r, t, old) nor Bucket(r, t, new). Then no meeting
+// indicator of v changes, so neither does any τ_r nor the order of the
+// additions: row v is bitwise unchanged. The set of a batch is therefore
+// the vertices with a moved step plus both buckets of every moved step.
+// QueryEngine uses RowUnchangedSince to keep serving a cached row across
+// the batches that cannot change it.
 #ifndef OIPSIM_SIMRANK_INDEX_DELTA_OVERLAY_H_
 #define OIPSIM_SIMRANK_INDEX_DELTA_OVERLAY_H_
 
@@ -82,9 +96,36 @@ class DeltaOverlay {
     std::vector<OverlayEntry> added;
   };
 
+  /// How many batches' row-change sets an overlay keeps: 6.4 s of history
+  /// at 10 batches/s. A row stamped before the oldest kept set is not
+  /// known to be unchanged.
+  static constexpr size_t kRowChangeWindow = 64;
+
   /// Monotone batch counter (1 for the first applied batch). Rows cached by
-  /// a QueryEngine are stamped with this so stale rows read as misses.
+  /// a QueryEngine are stamped with this: a row stamped s is
+  /// EstimateSingleSource(v) under the overlay of sequence s.
   uint64_t sequence() const { return sequence_; }
+
+  /// True when v's single-source row under this overlay is bitwise its row
+  /// under the overlay of sequence `stamp`: the stamps are equal, or every
+  /// batch in (stamp, sequence()] has a kept row-change set and v is in
+  /// none of them. False for a stamp newer than this overlay and for one
+  /// older than the window.
+  bool RowUnchangedSince(VertexId v, uint64_t stamp) const {
+    if (stamp == sequence_) return true;
+    if (stamp > sequence_ || row_changes_.empty() ||
+        row_changes_.front()->sequence > stamp + 1) {
+      return false;
+    }
+    for (auto it = row_changes_.rbegin();
+         it != row_changes_.rend() && (*it)->sequence > stamp; ++it) {
+      const std::vector<VertexId>& changed = (*it)->vertices;
+      if (std::binary_search(changed.begin(), changed.end(), v)) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   /// Structural fingerprint of the updated graph this overlay represents —
   /// what GraphFingerprint() returns for rebuild-equivalent graphs.
@@ -141,6 +182,13 @@ class DeltaOverlay {
  private:
   friend class IndexUpdater;
 
+  /// The vertices whose single-source row batch `sequence` can change,
+  /// sorted ascending.
+  struct RowChanges {
+    uint64_t sequence = 0;
+    std::vector<VertexId> vertices;
+  };
+
   static uint64_t WalkKey(VertexId v, uint32_t r) {
     return (static_cast<uint64_t>(v) << 32) | r;
   }
@@ -163,6 +211,11 @@ class DeltaOverlay {
   std::unordered_map<VertexId, uint32_t> patch_counts_;
   /// Slot diffs keyed by slot id r·L + (t-1), shared like patches_.
   std::unordered_map<uint64_t, std::shared_ptr<const SlotDelta>> deltas_;
+  /// Row-change sets of the batches up to sequence_, oldest first, at
+  /// most kRowChangeWindow; consecutive sequences, shared with successors.
+  /// Not counted in resident_bytes_: a compaction carries them over, so
+  /// they could never bring an overlay back under its budget.
+  std::vector<std::shared_ptr<const RowChanges>> row_changes_;
 };
 
 /// Decodes vertex `v`'s full walk table (WalkWords layout) under

@@ -549,6 +549,7 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
     overlay->patch_counts_ = old->patch_counts_;
     overlay->deltas_ = old->deltas_;
     overlay->rebased_store_ = old->rebased_store_;
+    overlay->row_changes_ = old->row_changes_;
   }
 
   // --- re-simulation of the affected walks ------------------------------
@@ -566,13 +567,29 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
     groups.emplace_back(begin, at);
   }
 
-  // Re-simulates one walk group; emits slot edits and the patch outcome
-  // instead of mutating the overlay, so any worker can run it.
+  // What re-simulating a contiguous run of walk groups emits instead of
+  // mutating the overlay, so any worker can run it.
+  struct BlockOut {
+    std::vector<SlotEdit> edits;
+    std::vector<WalkOutcome> outcomes;
+    /// (slot, position) of both ends of every moved walk step, dead ends
+    /// left out, and the vertices whose walks moved: what the row-change
+    /// set is built from.
+    std::vector<std::pair<uint64_t, uint32_t>> moved_ends;
+    std::vector<VertexId> moved_vertices;
+    uint64_t steps_written = 0;
+    uint64_t changed_walks = 0;
+  };
+  // A step served at `from` under the previous overlay now sits at `to`.
+  auto record_move = [](BlockOut& out, uint64_t slot, uint32_t from,
+                        uint32_t to) {
+    if (from != kDead) out.moved_ends.emplace_back(slot, from);
+    if (to != kDead) out.moved_ends.emplace_back(slot, to);
+  };
+
+  // Re-simulates one walk group.
   auto resim_walk = [&](size_t begin, size_t end, BaseRowReader& reader,
-                        std::vector<uint32_t>& steps,
-                        std::vector<SlotEdit>& edits,
-                        std::vector<WalkOutcome>& outcomes,
-                        uint64_t& steps_written, uint64_t& changed_walks) {
+                        std::vector<uint32_t>& steps, BlockOut& out) {
     const uint64_t key = candidates[begin].first;
     steps.clear();
     for (size_t i = begin; i < end; ++i) {
@@ -619,16 +636,16 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
                     : in[CoupledWalkHash(meta.seed, r, t, position) %
                          in.size()];
           }
-          ++steps_written;
+          ++out.steps_written;
           const uint32_t base_position = reader.Pos(v, r, t);
           if (position == base_position) {
             converged = true;  // re-coupled: identical until next touch
             ++t;
             break;
           }
-          edits.push_back(SlotEdit{
-              static_cast<uint64_t>(r) * L + (t - 1), v, base_position,
-              position});
+          const uint64_t slot = static_cast<uint64_t>(r) * L + (t - 1);
+          out.edits.push_back(SlotEdit{slot, v, base_position, position});
+          record_move(out, slot, base_position, position);
           merged.suffix.push_back(position);
           any_change = true;
         }
@@ -639,10 +656,11 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
         t = steps[step_index];
       }
       if (any_change) {
-        outcomes.push_back(WalkOutcome{
+        out.outcomes.push_back(WalkOutcome{
             key, WalkOutcome::Kind::kInsert,
             std::make_shared<DeltaOverlay::WalkPatch>(std::move(merged))});
-        ++changed_walks;
+        out.moved_vertices.push_back(v);
+        ++out.changed_walks;
       }
     } else {
       // Previously patched walk: "current" is base + previous patch. The
@@ -673,16 +691,19 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
                     : in[CoupledWalkHash(meta.seed, r, t, position) %
                          in.size()];
           }
-          ++steps_written;
+          ++out.steps_written;
           uint32_t& current = merged.suffix[t - merged.t0];
-          edits.push_back(SlotEdit{
-              static_cast<uint64_t>(r) * L + (t - 1), v,
-              reader.Pos(v, r, t), position});
+          const uint64_t slot = static_cast<uint64_t>(r) * L + (t - 1);
+          out.edits.push_back(
+              SlotEdit{slot, v, reader.Pos(v, r, t), position});
           if (position == current) {
             converged = true;
             ++t;
             break;
           }
+          // The previous overlay served `current` here, not the base
+          // position the slot edit carries.
+          record_move(out, slot, current, position);
           current = position;
           any_change = true;
         }
@@ -692,7 +713,10 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
         if (!converged || step_index >= steps.size()) break;
         t = steps[step_index];
       }
-      if (any_change) ++changed_walks;
+      if (any_change) {
+        out.moved_vertices.push_back(v);
+        ++out.changed_walks;
+      }
       // A walk whose merged suffix equals the base store's again vanishes
       // from the overlay entirely (the edits above cleared its entries).
       bool equals_base = true;
@@ -702,10 +726,10 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
             merged.suffix[check - merged.t0] == reader.Pos(v, r, check);
       }
       if (equals_base) {
-        outcomes.push_back(
+        out.outcomes.push_back(
             WalkOutcome{key, WalkOutcome::Kind::kErase, nullptr});
       } else {
-        outcomes.push_back(WalkOutcome{
+        out.outcomes.push_back(WalkOutcome{
             key, WalkOutcome::Kind::kSet,
             std::make_shared<DeltaOverlay::WalkPatch>(std::move(merged))});
       }
@@ -713,61 +737,45 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   };
 
   const uint64_t resimulated = groups.size();
-  uint64_t changed_walks = 0;
-  uint64_t steps_written = 0;
-  std::vector<SlotEdit> slot_edits;
-  std::vector<WalkOutcome> outcomes;
-  if (pool_ != nullptr && groups.size() >= 2) {
-    const size_t blocks =
-        std::min(groups.size(), static_cast<size_t>(num_threads_) * 4);
-    struct BlockOut {
-      std::vector<SlotEdit> edits;
-      std::vector<WalkOutcome> outcomes;
-      uint64_t steps_written = 0;
-      uint64_t changed_walks = 0;
-    };
-    std::vector<BlockOut> block_out(blocks);
-    pool_->ParallelFor(0, blocks, [&](uint64_t b) {
-      const size_t g0 = groups.size() * b / blocks;
-      const size_t g1 = groups.size() * (b + 1) / blocks;
-      BaseRowReader reader(base);
-      std::vector<uint32_t> steps;
-      BlockOut& out = block_out[b];
-      for (size_t g = g0; g < g1; ++g) {
-        resim_walk(groups[g].first, groups[g].second, reader, steps,
-                   out.edits, out.outcomes, out.steps_written,
-                   out.changed_walks);
-      }
-    });
-    size_t total_edits = 0;
-    size_t total_outcomes = 0;
-    for (const BlockOut& out : block_out) {
-      total_edits += out.edits.size();
-      total_outcomes += out.outcomes.size();
-      steps_written += out.steps_written;
-      changed_walks += out.changed_walks;
-    }
-    slot_edits.reserve(total_edits);
-    outcomes.reserve(total_outcomes);
-    for (BlockOut& out : block_out) {
-      slot_edits.insert(slot_edits.end(), out.edits.begin(),
-                        out.edits.end());
-      outcomes.insert(outcomes.end(),
-                      std::make_move_iterator(out.outcomes.begin()),
-                      std::make_move_iterator(out.outcomes.end()));
-    }
-  } else {
+  const size_t blocks =
+      pool_ != nullptr && groups.size() >= 2
+          ? std::min(groups.size(), static_cast<size_t>(num_threads_) * 4)
+          : 1;
+  std::vector<BlockOut> block_out(blocks);
+  auto resim_block = [&](uint64_t b) {
     BaseRowReader reader(base);
     std::vector<uint32_t> steps;
-    for (const auto& [begin, end] : groups) {
-      resim_walk(begin, end, reader, steps, slot_edits, outcomes,
-                 steps_written, changed_walks);
+    for (size_t g = groups.size() * b / blocks;
+         g < groups.size() * (b + 1) / blocks; ++g) {
+      resim_walk(groups[g].first, groups[g].second, reader, steps,
+                 block_out[b]);
     }
+  };
+  if (blocks > 1) {
+    pool_->ParallelFor(0, blocks, resim_block);
+  } else {
+    resim_block(0);
+  }
+  BlockOut merged_out = std::move(block_out[0]);
+  for (size_t b = 1; b < blocks; ++b) {
+    BlockOut& out = block_out[b];
+    merged_out.edits.insert(merged_out.edits.end(), out.edits.begin(),
+                            out.edits.end());
+    merged_out.outcomes.insert(merged_out.outcomes.end(),
+                               std::make_move_iterator(out.outcomes.begin()),
+                               std::make_move_iterator(out.outcomes.end()));
+    merged_out.moved_ends.insert(merged_out.moved_ends.end(),
+                                 out.moved_ends.begin(), out.moved_ends.end());
+    merged_out.moved_vertices.insert(merged_out.moved_vertices.end(),
+                                     out.moved_vertices.begin(),
+                                     out.moved_vertices.end());
+    merged_out.steps_written += out.steps_written;
+    merged_out.changed_walks += out.changed_walks;
   }
 
   // Apply the patch outcomes in canonical order (ascending walk key; see
   // above on why block concatenation preserves it).
-  for (const WalkOutcome& outcome : outcomes) {
+  for (const WalkOutcome& outcome : merged_out.outcomes) {
     const auto v = static_cast<VertexId>(outcome.key >> 32);
     switch (outcome.kind) {
       case WalkOutcome::Kind::kInsert:
@@ -787,8 +795,36 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   }
 
   // --- fold the edits into per-slot diffs vs. the base store ------------
-  std::stable_sort(slot_edits.begin(), slot_edits.end());
-  FoldSlotEdits(slot_edits, overlay.get());
+  std::stable_sort(merged_out.edits.begin(), merged_out.edits.end());
+  FoldSlotEdits(merged_out.edits, overlay.get());
+
+  // --- the row-change set: which cached rows this batch can stale -------
+  // The vertices whose walks moved, plus every vertex whose walk sits at
+  // either end of a moved step (see delta_overlay.h for why that is
+  // exact). Any unmoved walk sits at the same position under the old and
+  // the new overlay, so the buckets are read from the new one, once per
+  // distinct (slot, position) and in slot order.
+  std::vector<std::pair<uint64_t, uint32_t>>& ends = merged_out.moved_ends;
+  std::sort(ends.begin(), ends.end());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  std::vector<VertexId> row_changes = std::move(merged_out.moved_vertices);
+  for (const auto& [slot, position] : ends) {
+    ForEachBucketVertex(
+        base, overlay.get(), static_cast<uint32_t>(slot / L),
+        static_cast<uint32_t>(slot % L) + 1, position,
+        [&row_changes](const VertexId b) { row_changes.push_back(b); });
+  }
+  std::sort(row_changes.begin(), row_changes.end());
+  row_changes.erase(std::unique(row_changes.begin(), row_changes.end()),
+                    row_changes.end());
+  const uint64_t rows_invalidated = row_changes.size();
+  if (overlay->row_changes_.size() == DeltaOverlay::kRowChangeWindow) {
+    overlay->row_changes_.erase(overlay->row_changes_.begin());
+  }
+  overlay->row_changes_.push_back(
+      std::make_shared<const DeltaOverlay::RowChanges>(
+          DeltaOverlay::RowChanges{overlay->sequence_,
+                                   std::move(row_changes)}));
 
   uint64_t suffix_words = 0;
   for (const auto& [patch_key, patch] : overlay->patches_) {
@@ -828,8 +864,9 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
     }
   }
   stats_.walks_resimulated += resimulated;
-  stats_.walks_changed += changed_walks;
-  stats_.steps_resimulated += steps_written;
+  stats_.walks_changed += merged_out.changed_walks;
+  stats_.steps_resimulated += merged_out.steps_written;
+  stats_.rows_invalidated += rows_invalidated;
   stats_.overlay_sequence = sequence;
   stats_.patched_vertices = patched_vertices;
   stats_.patched_walks = patched_walks;
@@ -1041,6 +1078,9 @@ Status IndexUpdater::CompactInternal(const std::string& path,
   uint64_t published_delta_entries = 0;
   uint64_t published_overlay_bytes = 0;
   bool published = false;
+  uint64_t wal_records = 0;
+  uint64_t wal_bytes = 0;
+  uint64_t wal_syncs = 0;
   {
     const auto pause_start = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(mutex_);
@@ -1050,6 +1090,9 @@ Status IndexUpdater::CompactInternal(const std::string& path,
       auto rebased = std::make_shared<DeltaOverlay>();
       rebased->walk_length_ = meta.walk_length;
       rebased->rebased_store_ = serving;
+      // Compaction changes no row, so the batches' row-change sets carry
+      // over unchanged and cached rows stay warm across it.
+      rebased->row_changes_ = current->row_changes_;
       if (current == snap) {
         rebased->sequence_ = current->sequence_;
         rebased->graph_fingerprint_ = snap_fingerprint;
@@ -1169,6 +1212,10 @@ Status IndexUpdater::CompactInternal(const std::string& path,
         records_ = std::move(tail);
       }
     }
+    // Read under mutex_: the next batch's UpdateWal::Append writes them.
+    wal_records = wal_.record_count();
+    wal_bytes = wal_.size_bytes();
+    wal_syncs = wal_.sync_count();
     pause_micros = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - pause_start)
@@ -1185,9 +1232,9 @@ Status IndexUpdater::CompactInternal(const std::string& path,
     ++stats_.compactions;
     stats_.last_compaction_micros = total_micros;
     stats_.last_compaction_pause_micros = pause_micros;
-    stats_.wal_records = wal_.record_count();
-    stats_.wal_bytes = wal_.size_bytes();
-    stats_.wal_syncs = wal_.sync_count();
+    stats_.wal_records = wal_records;
+    stats_.wal_bytes = wal_bytes;
+    stats_.wal_syncs = wal_syncs;
     if (published) {
       stats_.overlay_sequence = published_sequence;
       stats_.patched_vertices = published_patched_vertices;

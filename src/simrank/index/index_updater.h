@@ -16,6 +16,15 @@
 //      segments + inverted-slot diffs), swapped into the WalkIndex
 //      RCU-style so concurrent queries never block and never see a
 //      half-applied batch.
+// With each overlay goes the batch's row-change set, the vertices whose
+// single-source row the batch can change: every vertex with a moved walk
+// step (r, t: old → new), plus Bucket(r, t, old) and Bucket(r, t, new)
+// for every moved step, where `old` is the position the previous overlay
+// served. A vertex outside the set meets every walk at the same first
+// step as before, so its row is bitwise unchanged (delta_overlay.h gives
+// the argument); a QueryEngine keeps serving such rows from its cache.
+// Building the set costs one bucket probe per distinct (slot, position)
+// end of a moved step.
 // Because the re-simulated suffixes are exactly what a from-scratch build
 // on the updated graph would produce (the unaffected prefixes already
 // are), the patched index is *bitwise identical* to a rebuild: every query
@@ -140,6 +149,9 @@ struct IndexUpdateStats {
   uint64_t walks_changed = 0;
   /// Walk positions written while re-simulating (the patch's true size).
   uint64_t steps_resimulated = 0;
+  /// Summed size of the batches' row-change sets: how many cached
+  /// single-source rows each batch could stale.
+  uint64_t rows_invalidated = 0;
   /// Torn-tail bytes the WAL dropped at Open (0 for a clean log).
   uint64_t wal_truncated_bytes = 0;
   uint64_t wal_records = 0;

@@ -29,6 +29,13 @@ struct LruCacheStats {
   uint64_t evictions = 0;
 };
 
+/// What a ShardedLruCache::Get judge decides about a resident value.
+enum class CacheVerdict : uint8_t {
+  kServe,  // a hit: the value answers
+  kKeep,   // a miss; the value stays resident
+  kDrop,   // a miss; the value is erased
+};
+
 /// Fixed-capacity LRU map sharded by key hash. Thread-safe.
 template <typename Key, typename Value>
 class ShardedLruCache {
@@ -49,6 +56,15 @@ class ShardedLruCache {
 
   /// Returns the cached value and refreshes its recency, or nullopt.
   std::optional<Value> Get(const Key& key) {
+    return Get(key, [](Value&) { return CacheVerdict::kServe; });
+  }
+
+  /// Looks `key` up and lets `judge(Value&)` decide, under the shard lock,
+  /// whether the resident value answers; `judge` may rewrite the value in
+  /// place. Only a served value counts a hit and refreshes its recency;
+  /// an absent or refused one counts a miss, and kDrop also erases it.
+  template <typename Judge>
+  std::optional<Value> Get(const Key& key, Judge&& judge) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
@@ -56,9 +72,20 @@ class ShardedLruCache {
       ++shard.stats.misses;
       return std::nullopt;
     }
-    ++shard.stats.hits;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->second;
+    switch (judge(it->second->second)) {
+      case CacheVerdict::kServe:
+        ++shard.stats.hits;
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        return it->second->second;
+      case CacheVerdict::kDrop:
+        shard.lru.erase(it->second);
+        shard.map.erase(it);
+        break;
+      case CacheVerdict::kKeep:
+        break;
+    }
+    ++shard.stats.misses;
+    return std::nullopt;
   }
 
   /// Returns the cached value without counting a lookup or refreshing its
@@ -91,20 +118,8 @@ class ShardedLruCache {
     shard.map.emplace(key, shard.lru.begin());
   }
 
-  /// Removes `key`; returns true when it was resident. Counted neither as
-  /// a hit nor a miss (invalidation is not a lookup).
-  bool Erase(const Key& key) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) return false;
-    shard.lru.erase(it->second);
-    shard.map.erase(it);
-    return true;
-  }
-
-  /// Drops every entry in every shard (an index update made all cached
-  /// rows stale). Counters keep accumulating across the clear.
+  /// Drops every entry in every shard. Counters keep accumulating across
+  /// the clear.
   void Clear() {
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);

@@ -25,33 +25,67 @@ Status QueryEngine::CheckVertex(VertexId v) const {
   return Status::OK();
 }
 
-QueryEngine::Row QueryEngine::GetFresh(VertexId v, uint64_t sequence) {
-  TraceScope scope(TraceStage::kCacheLookup);
-  if (auto hit = cache_.Get(v)) {
-    if (hit->sequence == sequence) {
-      TraceAdd(TraceCounter::kCacheHits, 1);
-      return hit->row;
-    }
-    // Computed under an older overlay: unservable. Dropping it here keeps
-    // the stale row from shadowing the recomputed one until eviction. A
-    // *newer* stamp means this reader pinned its snapshot before an
-    // update landed — the resident row is the fresh one; leave it for
-    // current readers.
-    if (hit->sequence < sequence) cache_.Erase(v);
-  }
-  TraceAdd(TraceCounter::kCacheMisses, 1);
-  return nullptr;
+namespace {
+
+uint64_t SequenceOf(const DeltaOverlay* overlay) {
+  return overlay == nullptr ? 0 : overlay->sequence();
 }
 
-bool QueryEngine::IsFresh(VertexId v, uint64_t sequence) const {
+/// Whether a row of `v` stamped `stamp` answers a reader of `overlay`
+/// (null: the base store, sequence 0).
+bool ValidUnder(VertexId v, uint64_t stamp, const DeltaOverlay* overlay) {
+  return overlay == nullptr ? stamp == 0
+                            : overlay->RowUnchangedSince(v, stamp);
+}
+
+}  // namespace
+
+QueryEngine::CacheStats QueryEngine::cache_stats() const {
+  const LruCacheStats lru = cache_.stats();
+  return CacheStats{lru.hits, lru.misses, lru.evictions,
+                    restamped_.load(std::memory_order_relaxed)};
+}
+
+QueryEngine::Row QueryEngine::GetFresh(VertexId v,
+                                       const DeltaOverlay* overlay) {
+  TraceScope scope(TraceStage::kCacheLookup);
+  const uint64_t sequence = SequenceOf(overlay);
+  bool restamped = false;
+  const std::optional<VersionedRow> hit =
+      cache_.Get(v, [&](VersionedRow& entry) {
+        // A *newer* stamp means this reader pinned its snapshot before an
+        // update landed — the resident row is the one current readers
+        // want; leave it to them.
+        if (entry.sequence > sequence) return CacheVerdict::kKeep;
+        // Erasing a row the batches changed keeps it from shadowing the
+        // recomputed one until eviction.
+        if (!ValidUnder(v, entry.sequence, overlay)) {
+          return CacheVerdict::kDrop;
+        }
+        // Carried across batches that cannot change it: the same row,
+        // valid under this reader's sequence.
+        restamped = entry.sequence != sequence;
+        entry.sequence = sequence;
+        return CacheVerdict::kServe;
+      });
+  if (!hit) {
+    TraceAdd(TraceCounter::kCacheMisses, 1);
+    return nullptr;
+  }
+  if (restamped) restamped_.fetch_add(1, std::memory_order_relaxed);
+  TraceAdd(TraceCounter::kCacheHits, 1);
+  return hit->row;
+}
+
+bool QueryEngine::IsFresh(VertexId v, const DeltaOverlay* overlay) const {
   const std::optional<VersionedRow> entry = cache_.Peek(v);
-  return entry && entry->sequence == sequence;
+  return entry && ValidUnder(v, entry->sequence, overlay);
 }
 
 std::optional<double> QueryEngine::CachedPair(VertexId a, VertexId b,
-                                              uint64_t sequence) {
-  if (Row row = GetFresh(a, sequence)) return (*row)[b];
-  if (Row row = GetFresh(b, sequence)) return (*row)[a];
+                                              const DeltaOverlay* overlay) {
+  if (Row row = GetFresh(a, overlay)) return (*row)[b];
+  if (Row row = GetFresh(b, overlay)) return (*row)[a];
   return std::nullopt;
 }
 
@@ -60,10 +94,9 @@ Result<double> QueryEngine::PairAtSnapshot(
     const std::shared_ptr<const DeltaOverlay>& overlay) {
   OIPSIM_RETURN_IF_ERROR(CheckVertex(a));
   OIPSIM_RETURN_IF_ERROR(CheckVertex(b));
-  const uint64_t sequence = overlay == nullptr ? 0 : overlay->sequence();
   // A resident (and fresh) row of either endpoint already holds the
   // answer.
-  if (std::optional<double> cached = CachedPair(a, b, sequence)) {
+  if (std::optional<double> cached = CachedPair(a, b, overlay.get())) {
     return *cached;
   }
   return index_.EstimatePair(a, b, overlay.get());
@@ -72,20 +105,22 @@ Result<double> QueryEngine::PairAtSnapshot(
 std::optional<double> QueryEngine::PairFromCache(VertexId a, VertexId b) {
   if (a >= index_.n() || b >= index_.n()) return std::nullopt;
   const auto overlay = index_.overlay_snapshot();
-  const uint64_t sequence = overlay == nullptr ? 0 : overlay->sequence();
   // Uncounted peeks decide, so a miss leaves the counting to the Pair call
   // that answers instead. A hit then makes Pair's own lookups: counters,
-  // LRU order and trace spans match the computing path. (A row evicted
-  // between the two reads is counted as a miss here and again by Pair.)
-  if (!IsFresh(a, sequence) && !IsFresh(b, sequence)) return std::nullopt;
-  return CachedPair(a, b, sequence);
+  // LRU order, re-stamps and trace spans match the computing path. (A row
+  // evicted between the two reads is counted as a miss here and again by
+  // Pair.)
+  if (!IsFresh(a, overlay.get()) && !IsFresh(b, overlay.get())) {
+    return std::nullopt;
+  }
+  return CachedPair(a, b, overlay.get());
 }
 
 Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(
     VertexId v, const std::shared_ptr<const DeltaOverlay>& overlay) {
   OIPSIM_RETURN_IF_ERROR(CheckVertex(v));
-  const uint64_t sequence = overlay == nullptr ? 0 : overlay->sequence();
-  if (Row row = GetFresh(v, sequence)) return row;
+  if (Row row = GetFresh(v, overlay.get())) return row;
+  const uint64_t sequence = SequenceOf(overlay.get());
   Row row = std::make_shared<const std::vector<double>>(
       index_.EstimateSingleSource(v, overlay.get()));
   // Stamped with the sequence the row was actually computed under; if an

@@ -13,6 +13,7 @@
 #ifndef OIPSIM_SIMRANK_INDEX_QUERY_ENGINE_H_
 #define OIPSIM_SIMRANK_INDEX_QUERY_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -44,12 +45,15 @@ struct QueryEngineOptions {
 
 /// Thread-safe query frontend. The WalkIndex must outlive the engine.
 ///
-/// Dynamic updates: every cached row is stamped with the index's overlay
-/// sequence at computation time, and a stale stamp reads as a miss — so a
-/// concurrent IndexUpdater::ApplyUpdates can never make the engine serve a
-/// pre-update row, even in the window between the overlay swap and an
-/// explicit InvalidateCache(). InvalidateCache() additionally frees the
-/// stale rows eagerly.
+/// Dynamic updates: every cached row is stamped with the overlay sequence
+/// it is valid under. A reader pinned to sequence S serves a resident row
+/// stamped S. A row stamped s < S whose vertex is in none of the
+/// row-change sets of batches (s, S] (DeltaOverlay::RowUnchangedSince) is
+/// bitwise the row under S: it is re-stamped to S in place and served.
+/// Any other older row is erased and recomputed; a row stamped after the
+/// reader's snapshot is left for current readers. So a concurrent
+/// IndexUpdater::ApplyUpdates never makes the engine serve a row the
+/// batch changed, and rows it could not change stay warm.
 class QueryEngine {
  public:
   /// A cached, immutable single-source score row s(v, ·).
@@ -64,8 +68,8 @@ class QueryEngine {
   /// endpoints' rows is resident, otherwise O(R·L) from the index.
   Result<double> Pair(VertexId a, VertexId b);
 
-  /// s(a, b) when a resident row computed under the current overlay
-  /// already holds it — bitwise what Pair returns — else nullopt. Never
+  /// s(a, b) when a resident row valid under the current overlay already
+  /// holds it — bitwise what Pair returns — else nullopt. Never
   /// computes, so it is cheap enough for an event loop. A miss counts
   /// nothing in cache_stats(), leaving the count to the Pair call that
   /// answers instead; a hit counts exactly the lookups Pair would make.
@@ -90,21 +94,25 @@ class QueryEngine {
   std::vector<Result<std::vector<ScoredVertex>>> BatchTopK(
       const std::vector<VertexId>& queries, uint32_t k);
 
-  /// Drops every cached row. Rows computed against an older overlay are
-  /// already unservable through the sequence stamp; this frees them.
-  /// (There is deliberately no per-row invalidation: an update stales
-  /// *every* cached row — a row s(v, ·) depends on all vertices' walks,
-  /// not just v's.)
+  /// Drops every cached row. Updates never need it: a row a batch can
+  /// change reads as a miss through its stamp, and the others stay valid.
   void InvalidateCache() { cache_.Clear(); }
 
-  /// Aggregated cache counters (hits/misses/evictions) since construction.
-  using CacheStats = ShardedLruCache<VertexId, Row>::Stats;
-  CacheStats cache_stats() const { return cache_.stats(); }
+  /// Cache counters since construction. A hit is a row served from the
+  /// cache, fresh or re-stamped; `restamped` counts the re-stamps, the
+  /// rows carried across batches that could not change them.
+  struct CacheStats {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+    uint64_t restamped = 0;
+  };
+  CacheStats cache_stats() const;
 
   const WalkIndex& index() const { return index_; }
 
  private:
-  /// Cache value: the row plus the overlay sequence it was computed under.
+  /// Cache value: the row plus the overlay sequence it is valid under.
   struct VersionedRow {
     uint64_t sequence = 0;
     Row row;
@@ -112,16 +120,17 @@ class QueryEngine {
 
   Status CheckVertex(VertexId v) const;
 
-  /// The cached row of `v` if it is resident and was computed under
-  /// overlay sequence `sequence`; stale entries read as absent.
-  Row GetFresh(VertexId v, uint64_t sequence);
-  /// Whether GetFresh would hit, without counting, tracing or touching the
-  /// LRU order.
-  bool IsFresh(VertexId v, uint64_t sequence) const;
+  /// The cached row of `v` if it is resident and valid under `overlay`
+  /// (null: the base store), re-stamping it when it is valid through an
+  /// older stamp; other older entries are erased.
+  Row GetFresh(VertexId v, const DeltaOverlay* overlay);
+  /// Whether GetFresh would hit, without counting, tracing, re-stamping or
+  /// touching the LRU order.
+  bool IsFresh(VertexId v, const DeltaOverlay* overlay) const;
   /// s(a, b) from the fresh row of `a`, else of `b` — the lookups of
   /// every pair query, in their order; nullopt when neither is resident.
   std::optional<double> CachedPair(VertexId a, VertexId b,
-                                   uint64_t sequence);
+                                   const DeltaOverlay* overlay);
 
   /// Pair/SingleSource/TopK against one pinned overlay snapshot — the
   /// shared core of the public entry points and the version-consistent
@@ -138,6 +147,7 @@ class QueryEngine {
   const WalkIndex& index_;
   QueryEngineOptions options_;
   ShardedLruCache<VertexId, VersionedRow> cache_;
+  std::atomic<uint64_t> restamped_{0};
   ThreadPool pool_;
 };
 

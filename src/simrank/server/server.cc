@@ -340,16 +340,12 @@ std::pair<int, std::string> ExecuteBatchPair(QueryEngine& engine,
   return {200, json.str()};
 }
 
-std::pair<int, std::string> ExecuteUpdate(QueryEngine& engine,
-                                          IndexUpdater& updater,
+std::pair<int, std::string> ExecuteUpdate(IndexUpdater& updater,
                                           const QueryArgs& args) {
   auto updates = ParseEdgeUpdates(args.body);
   if (!updates.ok()) return EngineErrorResponse(updates.status());
   const Status applied = updater.ApplyUpdates(*updates);
   if (!applied.ok()) return EngineErrorResponse(applied);
-  // Stale rows are already unservable through their sequence stamp; this
-  // frees them eagerly.
-  engine.InvalidateCache();
   const IndexUpdateStats stats = updater.stats();
   JsonWriter json;
   json.BeginObject()
@@ -1513,7 +1509,7 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
             result = ExecuteBatchPair(engine_, args, options_);
             break;
           case ServerEndpoint::kUpdate:
-            result = ExecuteUpdate(engine_, *updater_, args);
+            result = ExecuteUpdate(*updater_, args);
             break;
           case ServerEndpoint::kCompact:
             result = ExecuteCompact(*updater_, options_);
@@ -1940,7 +1936,9 @@ MetricSet SimRankServer::CollectStats() const {
       .Counter("cache.hits", "simrank_cache_hits_total", cache.hits)
       .Counter("cache.misses", "simrank_cache_misses_total", cache.misses)
       .Counter("cache.evictions", "simrank_cache_evictions_total",
-               cache.evictions);
+               cache.evictions)
+      .Counter("cache.restamped", "simrank_cache_restamped_total",
+               cache.restamped);
   // Per-endpoint dispatch-to-completion latency.
   for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
     const char* name = ServerEndpointName(static_cast<ServerEndpoint>(i));
@@ -1985,6 +1983,9 @@ MetricSet SimRankServer::CollectStats() const {
                  "simrank_update_walks_resimulated_total",
                  updates.walks_resimulated)
         .Counter("updates.walks_changed", "", updates.walks_changed)
+        .Counter("updates.rows_invalidated",
+                 "simrank_update_rows_invalidated_total",
+                 updates.rows_invalidated)
         .Gauge("updates.overlay_sequence", "simrank_overlay_sequence",
                updates.overlay_sequence)
         .Gauge("updates.patched_vertices", "simrank_overlay_patched_vertices",

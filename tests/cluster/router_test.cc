@@ -146,8 +146,7 @@ class ClusterFixture {
       WalTailerOptions tailer_options;
       tailer_options.source_port = shards_[0]->port();
       tailer_options.poll_interval_ms = 10;
-      tailer_ = std::make_unique<WalTailer>(replica_->engine,
-                                            *replica_->updater,
+      tailer_ = std::make_unique<WalTailer>(*replica_->updater,
                                             tailer_options);
       OIPSIM_CHECK(tailer_->Start().ok());
       router_options.shards[0].replica_port = replica_->port();

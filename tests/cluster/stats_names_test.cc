@@ -61,6 +61,7 @@ SPRT build_info.version
 SPR- cache.evictions
 SPR- cache.hits
 SPR- cache.misses
+SPR- cache.restamped
 ---T cluster.conflicts_retried
 ---T cluster.failovers
 -PR- cluster.overlay_sequence
@@ -264,6 +265,7 @@ SPR- updates.overlay_bytes
 SPR- updates.overlay_sequence
 SPR- updates.patched_vertices
 SPR- updates.patched_walks
+SPR- updates.rows_invalidated
 SPR- updates.wal_bytes
 SPR- updates.wal_records
 SPR- updates.wal_syncs
@@ -293,6 +295,7 @@ SPR- simrank_build_info gauge {version="_",compiler="_",build_type="_",simd="_",
 SPR- simrank_cache_evictions_total counter {}
 SPR- simrank_cache_hits_total counter {}
 SPR- simrank_cache_misses_total counter {}
+SPR- simrank_cache_restamped_total counter {}
 SPR- simrank_compaction_duration_seconds histogram {}
 SPR- simrank_compaction_pause_seconds gauge {}
 SPR- simrank_compactions_total counter {}
@@ -400,6 +403,7 @@ SPR- simrank_traced_requests_total counter {}
 SPR- simrank_update_batches_total counter {}
 SPR- simrank_update_edges_total counter {op="delete"}
 SPR- simrank_update_edges_total counter {op="insert"}
+SPR- simrank_update_rows_invalidated_total counter {}
 SPR- simrank_update_walks_resimulated_total counter {}
 SPR- simrank_uptime_seconds gauge {}
 SPR- simrank_virtual_bytes gauge {}
@@ -657,7 +661,7 @@ TEST(StatsNamesTest, EverySurfaceExportsExactlyTheListedNames) {
   WalTailerOptions tailer_options;
   tailer_options.source_port = primary.port();
   tailer_options.poll_interval_ms = 10;
-  WalTailer tailer(replica.engine, *replica.updater, tailer_options);
+  WalTailer tailer(*replica.updater, tailer_options);
   ASSERT_TRUE(tailer.Start().ok());
 
   RouterOptions router_options;

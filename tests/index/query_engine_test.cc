@@ -227,19 +227,32 @@ TEST(QueryEngineTest, CacheEvictsUnderPressure) {
   EXPECT_GT(engine.cache_stats().evictions, 0u);
 }
 
-TEST(ShardedLruCacheTest, EraseRemovesOnlyTheKey) {
+TEST(ShardedLruCacheTest, JudgedGetCountsOnlyServedValuesAsHits) {
   ShardedLruCache<int, int> cache(2, 4);
   cache.Put(1, 10);
   cache.Put(2, 20);
-  EXPECT_TRUE(cache.Erase(1));
-  EXPECT_FALSE(cache.Erase(1));  // already gone
-  EXPECT_FALSE(cache.Erase(99));
-  EXPECT_FALSE(cache.Get(1).has_value());
-  ASSERT_TRUE(cache.Get(2).has_value());
+  // kServe may rewrite the value in place; the rewrite sticks.
+  auto served = cache.Get(1, [](int& value) {
+    value += 1;
+    return CacheVerdict::kServe;
+  });
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(*served, 11);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  // kKeep is a miss that leaves the value resident.
+  EXPECT_FALSE(
+      cache.Get(2, [](int&) { return CacheVerdict::kKeep; }).has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  // kDrop is a miss that erases it.
+  EXPECT_FALSE(
+      cache.Get(2, [](int&) { return CacheVerdict::kDrop; }).has_value());
+  EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.size(), 1u);
-  // Erase is invalidation, not a lookup: hit/miss counters reflect only
-  // the two Gets above.
-  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 2u);
+  EXPECT_FALSE(cache.Get(2).has_value());
+  EXPECT_EQ(cache.Get(1), std::optional<int>(11));
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
 TEST(ShardedLruCacheTest, ClearDropsEverythingKeepsCounters) {
@@ -306,6 +319,37 @@ TEST(QueryEngineTest, StaleRowsReadAsMissesAfterOverlayPublish) {
   auto pair = engine.Pair(fresh.dst, fresh.src);
   ASSERT_TRUE(pair.ok());
   EXPECT_EQ(*pair, rebuilt->EstimatePair(fresh.dst, fresh.src));
+}
+
+TEST(QueryEngineTest, StaleResidentRowCountsAMissNotAHit) {
+  // A hit is a row served from the cache. A resident row that a batch
+  // changed is recomputed instead, so it must count as a miss.
+  DiGraph graph = testing::RandomGraph(30, 120, 5);
+  WalkIndex index = BuildIndex(graph, 32);
+  QueryEngine engine(index);
+  VertexId src = 0;
+  const VertexId v = 4;
+  while (src == v || graph.HasEdge(src, v)) ++src;
+  ASSERT_TRUE(engine.SingleSource(v).ok());
+
+  const std::string wal_path =
+      ::testing::TempDir() + "query-engine-stale-count.wal";
+  std::remove(wal_path.c_str());
+  IndexUpdaterOptions updater_options;
+  updater_options.wal_path = wal_path;
+  auto updater = IndexUpdater::Open(index, graph, updater_options);
+  ASSERT_TRUE(updater.ok());
+  const std::vector<double> before = index.EstimateSingleSource(v);
+  // The batch changes v's in-list, and with it v's row.
+  ASSERT_TRUE(
+      (*updater)->ApplyUpdates({{{EdgeUpdate::Op::kInsert, src, v}}}).ok());
+  ASSERT_NE(index.EstimateSingleSource(v), before);
+
+  // Deliberately no InvalidateCache(): the row is still resident.
+  const auto stats = engine.cache_stats();
+  ASSERT_TRUE(engine.SingleSource(v).ok());
+  EXPECT_EQ(engine.cache_stats().hits, stats.hits);
+  EXPECT_EQ(engine.cache_stats().misses, stats.misses + 1);
 }
 
 TEST(QueryEngineTest, PairFromCacheNeverComputesAndCountsLikePair) {

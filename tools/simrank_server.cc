@@ -330,8 +330,7 @@ int RealMain(int argc, char** argv) {
 
   std::unique_ptr<simrank::WalTailer> tailer;
   if (tailer_options.source_port != 0) {
-    tailer = std::make_unique<simrank::WalTailer>(engine, *updater,
-                                                  tailer_options);
+    tailer = std::make_unique<simrank::WalTailer>(*updater, tailer_options);
     auto started = tailer->Start();
     if (!started.ok()) {
       std::fprintf(stderr, "cannot start WAL tailer: %s\n",
