@@ -29,24 +29,6 @@
 namespace simrank {
 namespace {
 
-bool ParseVertexParam(const HttpRequest& request, std::string_view name,
-                      uint32_t n, VertexId* out, std::string* error) {
-  const std::string* value = request.FindParam(name);
-  uint64_t parsed = 0;
-  if (value == nullptr || !ParseUint64(*value, &parsed)) {
-    *error = StrFormat("missing or malformed ?%.*s= parameter",
-                       static_cast<int>(name.size()), name.data());
-    return false;
-  }
-  if (parsed >= n) {
-    *error = StrFormat("vertex %llu out of range (plan covers %u vertices)",
-                       static_cast<unsigned long long>(parsed), n);
-    return false;
-  }
-  *out = static_cast<VertexId>(parsed);
-  return true;
-}
-
 /// Parses a 16-hex-digit fingerprint header value.
 bool ParseHexFingerprint(const std::string& text, uint64_t* out) {
   if (text.empty()) return false;
@@ -311,11 +293,6 @@ Status SimRankRouter::Start() {
   return Status::OK();
 }
 
-void SimRankRouter::RequestStop() {
-  stop_.store(true, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-}
-
 void SimRankRouter::Shutdown() {
   StopDiagnostics();
   stop_.store(true, std::memory_order_relaxed);
@@ -402,7 +379,7 @@ void SimRankRouter::HandleConnection(int fd) {
         TraceScope root(TraceStage::kRequest, request.path);
         response = Route(request);
       }
-      if (traced) {
+      if (traced && response.traced) {
         stat_traced_requests_.fetch_add(1, std::memory_order_relaxed);
         if (trace_inline && response.body.size() > 2 &&
             response.body.front() == '{' && response.body.back() == '}') {
@@ -683,18 +660,38 @@ bool SimRankRouter::ScorePair(VertexId a, VertexId b, double* score,
   return true;
 }
 
+bool SimRankRouter::ParseQuery(const HttpRequest& request,
+                               ServerEndpoint endpoint, PublicQuery* query,
+                               RouterResponse* response) const {
+  const uint32_t n = options_.plan.n;
+  Status status = ParsePublicQuery(request, endpoint, query);
+  // The server traces every query it dispatches, out-of-range ones too.
+  response->traced = status.ok();
+  if (status.ok()) {
+    if (endpoint == ServerEndpoint::kPair) {
+      status = CheckVertexInRange(query->a, n);
+      if (status.ok()) status = CheckVertexInRange(query->b, n);
+    } else if (endpoint == ServerEndpoint::kSingleSource ||
+               endpoint == ServerEndpoint::kTopK) {
+      status = CheckVertexInRange(query->v, n);
+    }
+  }
+  if (status.ok()) return true;
+  response->status = 400;
+  response->body =
+      ErrorBody(StatusCodeToString(status.code()), status.message());
+  return false;
+}
+
 SimRankRouter::RouterResponse SimRankRouter::HandlePair(
     const HttpRequest& request) {
   RouterResponse response;
-  VertexId a = 0;
-  VertexId b = 0;
-  std::string error;
-  if (!ParseVertexParam(request, "a", options_.plan.n, &a, &error) ||
-      !ParseVertexParam(request, "b", options_.plan.n, &b, &error)) {
-    response.status = 400;
-    response.body = ErrorBody("InvalidArgument", error);
+  PublicQuery query;
+  if (!ParseQuery(request, ServerEndpoint::kPair, &query, &response)) {
     return response;
   }
+  const VertexId a = query.a;
+  const VertexId b = query.b;
   double score = 0.0;
   if (!ScorePair(a, b, &score, &response)) return response;
   JsonWriter json;
@@ -714,13 +711,11 @@ SimRankRouter::RouterResponse SimRankRouter::HandlePair(
 SimRankRouter::RouterResponse SimRankRouter::HandleSingleSource(
     const HttpRequest& request) {
   RouterResponse response;
-  VertexId v = 0;
-  std::string error;
-  if (!ParseVertexParam(request, "v", options_.plan.n, &v, &error)) {
-    response.status = 400;
-    response.body = ErrorBody("InvalidArgument", error);
+  PublicQuery query;
+  if (!ParseQuery(request, ServerEndpoint::kSingleSource, &query, &response)) {
     return response;
   }
+  const VertexId v = query.v;
   std::vector<ShardReply> replies;
   if (!ExchangeRow(v, StrFormat("/internal/partial?v=%u", v), 0,
                    static_cast<uint32_t>(pools_.size()), &replies,
@@ -759,26 +754,15 @@ SimRankRouter::RouterResponse SimRankRouter::HandleSingleSource(
 SimRankRouter::RouterResponse SimRankRouter::HandleTopK(
     const HttpRequest& request) {
   RouterResponse response;
-  VertexId v = 0;
-  std::string error;
-  if (!ParseVertexParam(request, "v", options_.plan.n, &v, &error)) {
-    response.status = 400;
-    response.body = ErrorBody("InvalidArgument", error);
+  PublicQuery query;
+  if (!ParseQuery(request, ServerEndpoint::kTopK, &query, &response)) {
     return response;
   }
-  uint64_t k = 10;
-  if (const std::string* value = request.FindParam("k");
-      value != nullptr && (!ParseUint64(*value, &k) || k == 0)) {
-    response.status = 400;
-    response.body =
-        ErrorBody("InvalidArgument", "?k= must be a positive integer");
-    return response;
-  }
+  const VertexId v = query.v;
+  const uint32_t k = query.k;
   std::vector<ShardReply> replies;
-  if (!ExchangeRow(v,
-                   StrFormat("/internal/topk?v=%u&k=%llu", v,
-                             static_cast<unsigned long long>(k)),
-                   0, static_cast<uint32_t>(pools_.size()), &replies,
+  if (!ExchangeRow(v, StrFormat("/internal/topk?v=%u&k=%u", v, k), 0,
+                   static_cast<uint32_t>(pools_.size()), &replies,
                    &response)) {
     return response;
   }
@@ -803,8 +787,7 @@ SimRankRouter::RouterResponse SimRankRouter::HandleTopK(
                   sizeof(double));
     }
   }
-  const std::vector<ScoredVertex> top =
-      MergeTopK(parts, static_cast<uint32_t>(k));
+  const std::vector<ScoredVertex> top = MergeTopK(parts, k);
   JsonWriter json;
   json.BeginObject()
       .Key("v")
@@ -830,6 +813,10 @@ SimRankRouter::RouterResponse SimRankRouter::HandleTopK(
 SimRankRouter::RouterResponse SimRankRouter::HandleBatchPair(
     const HttpRequest& request) {
   RouterResponse response;
+  PublicQuery query;
+  if (!ParseQuery(request, ServerEndpoint::kBatchPair, &query, &response)) {
+    return response;
+  }
   auto pairs = ParsePairBatch(request.body, options_.max_batch_pairs);
   if (!pairs.ok()) {
     response.status = 400;
@@ -870,6 +857,10 @@ SimRankRouter::RouterResponse SimRankRouter::HandleBatchPair(
 SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
     const HttpRequest& request) {
   RouterResponse response;
+  PublicQuery query;
+  if (!ParseQuery(request, ServerEndpoint::kUpdate, &query, &response)) {
+    return response;
+  }
   // Broadcast in shard order. Every shard appends the batch to its own WAL
   // before answering, so a 200 here means the update is durable everywhere.
   // A shard failing *after* an earlier one applied leaves the cluster
@@ -1353,8 +1344,7 @@ SimRankRouter::RouterResponse SimRankRouter::Route(
     return HandleUpdate(request);
   }
   response.status = 404;
-  response.body = ErrorBody(
-      "NotFound", StrFormat("no route for %s", request.path.c_str()));
+  response.body = ErrorBody("NotFound", "no such endpoint: " + request.path);
   return response;
 }
 
@@ -1366,7 +1356,6 @@ Status SimRankRouter::Bind() {
 Status SimRankRouter::Start() {
   return Status::Unimplemented("SimRankRouter requires POSIX sockets");
 }
-void SimRankRouter::RequestStop() {}
 void SimRankRouter::Shutdown() {}
 void SimRankRouter::AcceptLoop() {}
 void SimRankRouter::HandleConnection(int) {}

@@ -69,6 +69,7 @@
 #include "simrank/obs/trace.h"
 #include "simrank/server/http.h"
 #include "simrank/server/http_client.h"
+#include "simrank/server/server.h"
 
 namespace simrank {
 
@@ -174,11 +175,6 @@ class SimRankRouter {
   /// Spawns the accept loop. Requires a successful Bind().
   Status Start();
 
-  /// Async-signal-safe stop request: sets the stop flag and shuts the
-  /// listener down so the accept loop wakes. Follow with Shutdown() from
-  /// ordinary thread context to join.
-  void RequestStop();
-
   /// Stops accepting, wakes and joins all threads. Idempotent.
   void Shutdown();
 
@@ -198,6 +194,10 @@ class SimRankRouter {
     std::string body;
     std::vector<std::pair<std::string, std::string>> headers;
     std::string content_type = "application/json";
+    /// Set once the request's parameters parsed: like the server, which
+    /// traces only the queries it dispatches, the router attaches a
+    /// requested trace only to those.
+    bool traced = false;
   };
 
   /// One shard reply with its parsed version headers. A traced exchange
@@ -276,6 +276,12 @@ class SimRankRouter {
                    uint32_t first_shard, uint32_t end_shard,
                    std::vector<ShardReply>* replies, RouterResponse* error);
 
+  /// Parses `request` as public endpoint `endpoint` (ParsePublicQuery)
+  /// and range-checks its vertex ids against the plan in the engine's
+  /// order, so a malformed or out-of-range query is answered exactly as a
+  /// single node answers it. On failure fills `response`, returns false.
+  bool ParseQuery(const HttpRequest& request, ServerEndpoint endpoint,
+                  PublicQuery* query, RouterResponse* response) const;
   RouterResponse HandlePair(const HttpRequest& request);
   RouterResponse HandleSingleSource(const HttpRequest& request);
   RouterResponse HandleTopK(const HttpRequest& request);

@@ -1,5 +1,6 @@
 #include "simrank/cluster/shard_split.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -19,21 +20,23 @@ Status WriteShardIndex(const WalkStore& store, const ShardRange& range,
         range.begin, range.end, n));
   }
 
-  // Flat (r, t)-major table of the shard: in-range vertices scatter their
-  // decoded rows, everything else gets the dead-from-step-1 row that a
-  // from-scratch build produces for a vertex with no in-neighbours.
+  // The shard's walk table: in-range vertices keep their rows, every other
+  // vertex gets the dead-from-step-1 row that a from-scratch build
+  // produces for a vertex with no in-neighbours.
   const size_t words = store.WalkWords();
   std::vector<uint32_t> walks(words * n, WalkStore::kDeadWalk);
-  for (uint32_t r = 0; r < R; ++r) {
-    const size_t step0 = static_cast<size_t>(r) * (L + 1) * n;
-    for (VertexId v = 0; v < n; ++v) walks[step0 + v] = v;
-  }
-  std::vector<uint32_t> row(words);
-  for (VertexId v = range.begin; v < range.end; ++v) {
-    OIPSIM_RETURN_IF_ERROR(store.DecodeVertex(v, row.data()));
-    for (size_t word = 0; word < words; ++word) {
-      walks[word * n + v] = row[word];
+  std::vector<uint32_t> scratch;
+  for (VertexId v = 0; v < n; ++v) {
+    uint32_t* out = walks.data() + static_cast<size_t>(v) * words;
+    if (!range.Contains(v)) {
+      for (uint32_t r = 0; r < R; ++r) {
+        out[static_cast<size_t>(r) * (L + 1)] = v;
+      }
+      continue;
     }
+    const Result<const uint32_t*> row = store.Row(v, &scratch);
+    if (!row.ok()) return row.status();
+    std::copy_n(*row, words, out);
   }
 
   // Same meta (global n, global graph fingerprint): the shard stays

@@ -218,15 +218,25 @@ class DeltaOverlay {
   std::vector<std::shared_ptr<const RowChanges>> row_changes_;
 };
 
-/// Decodes vertex `v`'s full walk table (WalkWords layout) under
-/// base+overlay: the base segment with every patched suffix overwritten.
-/// The slow-but-simple row accessor shared by Compact(), the scan
-/// estimator and tests; hot read paths consult patches per step instead.
-inline Status MaterializeRow(const WalkStore& store,
-                             const DeltaOverlay* overlay, VertexId v,
-                             uint32_t* out) {
-  OIPSIM_RETURN_IF_ERROR(store.DecodeVertex(v, out));
-  if (overlay == nullptr || !overlay->IsPatched(v)) return Status::OK();
+/// Vertex `v`'s walk row under base+overlay: the base row
+/// (WalkStore::Row, whose layout it keeps) with every patched suffix
+/// written over it. An unpatched row is the store's own, read in place on the
+/// in-memory backend; a patched one is assembled in `*scratch`. The one
+/// row accessor behind the estimators, the scan, compaction and the
+/// router's /internal/walks exchange.
+inline Result<const uint32_t*> MaterializeRow(const WalkStore& store,
+                                              const DeltaOverlay* overlay,
+                                              VertexId v,
+                                              std::vector<uint32_t>* scratch) {
+  Result<const uint32_t*> base = store.Row(v, scratch);
+  if (!base.ok() || overlay == nullptr || !overlay->IsPatched(v)) {
+    return base;
+  }
+  // A row read in place is copied before the patches go over it.
+  if (*base != scratch->data()) {
+    scratch->assign(*base, *base + store.WalkWords());
+  }
+  uint32_t* out = scratch->data();
   const uint32_t L = store.meta().walk_length;
   const size_t row = static_cast<size_t>(L) + 1;
   for (uint32_t r = 0; r < store.meta().num_fingerprints; ++r) {
@@ -238,7 +248,7 @@ inline Status MaterializeRow(const WalkStore& store,
       out[r * row + t] = patch->Position(t);
     }
   }
-  return Status::OK();
+  return out;
 }
 
 /// Calls `fn(vertex)` for every vertex whose fingerprint-r walk sits at

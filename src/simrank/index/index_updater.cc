@@ -16,34 +16,33 @@ namespace {
 
 constexpr uint32_t kDead = WalkStore::kDeadWalk;
 
-/// Base-store position reads for the patch path: O(1) against a resident
-/// flat table, otherwise one cached segment decode per touched vertex.
-/// Not shared across threads — each re-simulation worker owns one.
+/// Base-store position reads for the patch path. Callers visit walks
+/// grouped by vertex, so the reader holds one row at a time: read in place
+/// on the in-memory backend, one segment decode per vertex on mmap. Not
+/// shared across threads — each re-simulation worker owns one.
 class BaseRowReader {
  public:
   explicit BaseRowReader(const WalkStore& store)
       : store_(store),
-        flat_(store.FlatWalks()),
-        row_(static_cast<size_t>(store.meta().walk_length) + 1) {}
+        row_length_(static_cast<size_t>(store.meta().walk_length) + 1) {}
 
   uint32_t Pos(VertexId v, uint32_t r, uint32_t t) {
-    if (flat_ != nullptr) return flat_[store_.FlatSlot(r, t) + v];
-    std::vector<uint32_t>& row = cache_[v];
-    if (row.empty()) {
-      row.resize(store_.WalkWords());
-      const Status status = store_.DecodeVertex(v, row.data());
-      OIPSIM_CHECK_MSG(status.ok(),
-                       "corrupt walk segment while patching: %s",
-                       status.ToString().c_str());
+    if (row_ == nullptr || v != vertex_) {
+      const Result<const uint32_t*> row = store_.Row(v, &scratch_);
+      OIPSIM_CHECK_MSG(row.ok(), "corrupt walk segment while patching: %s",
+                       row.status().ToString().c_str());
+      row_ = *row;
+      vertex_ = v;
     }
-    return row[r * row_ + t];
+    return row_[r * row_length_ + t];
   }
 
  private:
   const WalkStore& store_;
-  const uint32_t* flat_;
-  size_t row_;
-  std::unordered_map<VertexId, std::vector<uint32_t>> cache_;
+  size_t row_length_;
+  VertexId vertex_ = 0;
+  const uint32_t* row_ = nullptr;
+  std::vector<uint32_t> scratch_;
 };
 
 /// Deterministic estimate of an overlay's heap footprint from its size
@@ -939,16 +938,13 @@ Status IndexUpdater::Compact(const std::string& path,
                              const WalkIndex::SaveOptions& save,
                              bool reset_wal,
                              const std::string& graph_path) {
-  return CompactInternal(path, save, reset_wal, graph_path,
-                         /*background=*/false);
+  return CompactInternal(path, save, reset_wal, graph_path);
 }
 
 Status IndexUpdater::CompactInternal(const std::string& path,
                                      const WalkIndex::SaveOptions& save,
                                      bool reset_wal,
-                                     const std::string& graph_path,
-                                     bool background) {
-  (void)background;
+                                     const std::string& graph_path) {
   // One compaction at a time (manual or auto); updates are only excluded
   // during the two brief mutex_ windows below.
   std::lock_guard<std::mutex> compact_lock(compact_mutex_);
@@ -977,11 +973,11 @@ Status IndexUpdater::CompactInternal(const std::string& path,
 
   // Phase 2 — no update lock held: updates and queries proceed against
   // the live overlay while the merged store is built. Materialize base +
-  // overlay as a flat walk table, exactly what Build() would have
-  // produced on the updated graph, and save it through the same writer —
-  // byte identity follows. Vertex ranges are disjoint, so the
-  // materialization fans out; the result is position-for-position
-  // identical for any thread count.
+  // overlay as a walk table, exactly what Build() would have produced on
+  // the updated graph, and save it through the same writer — byte
+  // identity follows. Vertex ranges are disjoint, so the materialization
+  // fans out; the result is position-for-position identical for any
+  // thread count.
   const uint32_t n = meta.n;
   const size_t words = base.WalkWords();
   std::vector<uint32_t> walks(words * n);
@@ -994,17 +990,15 @@ Status IndexUpdater::CompactInternal(const std::string& path,
     auto materialize_block = [&](size_t b) {
       const VertexId v0 = static_cast<VertexId>(n * b / blocks);
       const VertexId v1 = static_cast<VertexId>(n * (b + 1) / blocks);
-      std::vector<uint32_t> scratch(words);
+      std::vector<uint32_t> scratch;
       for (VertexId v = v0; v < v1; ++v) {
-        const Status status =
-            MaterializeRow(base, snap.get(), v, scratch.data());
-        if (!status.ok()) {
-          block_status[b] = status;
+        const Result<const uint32_t*> row =
+            MaterializeRow(base, snap.get(), v, &scratch);
+        if (!row.ok()) {
+          block_status[b] = row.status();
           return;
         }
-        for (size_t word = 0; word < words; ++word) {
-          walks[word * n + v] = scratch[word];
-        }
+        std::copy_n(*row, words, walks.data() + static_cast<size_t>(v) * words);
       }
     };
     if (blocks > 1) {
@@ -1054,7 +1048,7 @@ Status IndexUpdater::CompactInternal(const std::string& path,
   // silently convert it into a fully resident one; the rename above left
   // the old mapping's inode intact for readers still on old snapshots.
   std::shared_ptr<const WalkStore> serving = merged;
-  if (index_.store().FlatWalks() == nullptr) {
+  if (dynamic_cast<const MmapWalkStore*>(&index_.store()) != nullptr) {
     auto reopened = MmapWalkStore::Open(path);
     if (reopened.ok()) {
       serving = std::shared_ptr<const WalkStore>(std::move(*reopened));
@@ -1296,8 +1290,7 @@ void IndexUpdater::BackgroundCompactLoop() {
     const bool reset_wal = !options_.auto_compact_graph_path.empty();
     const Status status =
         CompactInternal(options_.auto_compact_path, save, reset_wal,
-                        options_.auto_compact_graph_path,
-                        /*background=*/true);
+                        options_.auto_compact_graph_path);
     {
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       if (status.ok()) {

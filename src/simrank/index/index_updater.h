@@ -296,7 +296,7 @@ class IndexUpdater {
   /// snapshot pin and the final swap.
   Status CompactInternal(const std::string& path,
                          const WalkIndex::SaveOptions& save, bool reset_wal,
-                         const std::string& graph_path, bool background);
+                         const std::string& graph_path);
 
   /// Caller holds mutex_. Checks the published overlay against the budget
   /// and amplification triggers and wakes the background thread.

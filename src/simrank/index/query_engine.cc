@@ -16,13 +16,16 @@ QueryEngine::QueryEngine(const WalkIndex& index,
                    "QueryEngineOptions: shards and capacity must be > 0");
 }
 
-Status QueryEngine::CheckVertex(VertexId v) const {
-  if (v >= index_.n()) {
-    return Status::OutOfRange(
-        StrFormat("vertex %u out of range (index has %u vertices)", v,
-                  index_.n()));
+Status CheckVertexInRange(VertexId v, uint32_t n) {
+  if (v >= n) {
+    return Status::OutOfRange(StrFormat(
+        "vertex %u out of range (index has %u vertices)", v, n));
   }
   return Status::OK();
+}
+
+Status QueryEngine::CheckVertex(VertexId v) const {
+  return CheckVertexInRange(v, index_.n());
 }
 
 namespace {
@@ -162,16 +165,15 @@ std::vector<Result<double>> QueryEngine::BatchPair(
   const auto overlay = index_.overlay_snapshot();
   // Paged backend: one batched readahead of every queried segment before
   // the fan-out, instead of each worker faulting its pages one at a time.
-  // A hint — answers are identical with or without it.
-  if (index_.store().FlatWalks() == nullptr) {
-    std::vector<VertexId> vertices;
-    vertices.reserve(queries.size() * 2);
-    for (const auto& [a, b] : queries) {
-      vertices.push_back(a);
-      vertices.push_back(b);
-    }
-    index_.store().Prefetch(vertices);
+  // A hint — answers are identical with or without it, and the in-memory
+  // backend ignores it.
+  std::vector<VertexId> vertices;
+  vertices.reserve(queries.size() * 2);
+  for (const auto& [a, b] : queries) {
+    vertices.push_back(a);
+    vertices.push_back(b);
   }
+  index_.store().Prefetch(vertices);
   std::vector<Result<double>> answers(queries.size(),
                                       Result<double>(0.0));
   pool_.ParallelFor(0, queries.size(), [&](uint64_t i) {
@@ -184,9 +186,7 @@ std::vector<Result<double>> QueryEngine::BatchPair(
 std::vector<Result<std::vector<ScoredVertex>>> QueryEngine::BatchTopK(
     const std::vector<VertexId>& queries, uint32_t k) {
   const auto overlay = index_.overlay_snapshot();
-  if (index_.store().FlatWalks() == nullptr) {
-    index_.store().Prefetch(queries);
-  }
+  index_.store().Prefetch(queries);
   std::vector<Result<std::vector<ScoredVertex>>> answers(
       queries.size(),
       Result<std::vector<ScoredVertex>>(std::vector<ScoredVertex>{}));

@@ -29,6 +29,10 @@
 
 namespace simrank {
 
+/// OutOfRange unless v < n: the answer every frontend gives a vertex id
+/// beyond the index.
+Status CheckVertexInRange(VertexId v, uint32_t n);
+
 /// Serving-time knobs. Defaults suit a few thousand distinct hot vertices.
 struct QueryEngineOptions {
   /// Independently-locked cache shards.

@@ -15,8 +15,8 @@
 //
 // io_uring is strictly an accelerator. When the build lacks the headers,
 // the kernel rejects the setup syscall, the ring later reports an
-// unsupported opcode, or the user passes `--no-uring` (or sets
-// SIMRANK_NO_URING=1), every batch falls back to plain preadv / -
+// unsupported opcode, or SIMRANK_NO_URING=1 is set, every batch falls
+// back to plain preadv / -
 // posix_fadvise(WILLNEED) loops with identical bytes and identical error
 // text. Nothing above this class can observe which path ran except through
 // using_io_uring().
@@ -75,9 +75,9 @@ class SegmentReader {
   /// waiting behind it. Thread-safe.
   void Prefetch(std::span<const Range> ranges);
 
-  /// Process-wide switch consulted at Open time (`--no-uring`). Also
-  /// initialized from the SIMRANK_NO_URING environment variable (any
-  /// non-empty value other than "0" disables the ring).
+  /// Process-wide switch consulted at Open time, initialized from the
+  /// SIMRANK_NO_URING environment variable (any non-empty value other than
+  /// "0" disables the ring); tests and benches flip it directly.
   static void SetIoUringEnabled(bool enabled);
   static bool IoUringEnabled();
 

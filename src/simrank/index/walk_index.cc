@@ -85,30 +85,25 @@ Result<WalkIndex> WalkIndex::Build(const DiGraph& graph,
   }
   const uint32_t n = graph.n();
   const uint32_t L = options.walk_length;
-  std::vector<uint32_t> walks(
-      static_cast<size_t>(options.num_fingerprints) * (L + 1) * n,
-      kDeadWalk);
+  const size_t row = static_cast<size_t>(L) + 1;
+  const size_t words = options.num_fingerprints * row;
+  std::vector<uint32_t> walks(words * n, kDeadWalk);
 
-  // One task per fingerprint: every step depends only on (seed, r, t,
-  // vertex), so the filled slices are identical for any thread count.
+  // Rows are filled over contiguous vertex ranges: every step depends only
+  // on (seed, r, t, vertex), so the table is identical for any thread
+  // count.
   ThreadPool pool(options.num_threads);
   uint32_t* data = walks.data();
-  pool.ParallelFor(0, options.num_fingerprints, [&](uint64_t r) {
-    const size_t base =
-        static_cast<size_t>(r) * (static_cast<size_t>(L) + 1) * n;
-    uint32_t* walk = data + base;
-    for (uint32_t v = 0; v < n; ++v) walk[v] = v;
-    for (uint32_t t = 1; t <= L; ++t) {
-      const size_t prev = static_cast<size_t>(t - 1) * n;
-      const size_t cur = static_cast<size_t>(t) * n;
-      for (uint32_t v = 0; v < n; ++v) {
-        const uint32_t at = walk[prev + v];
-        if (at == kDeadWalk) continue;
+  pool.ParallelFor(0, n, [&](uint64_t v) {
+    uint32_t* walk = data + v * words;
+    for (uint32_t r = 0; r < options.num_fingerprints; ++r, walk += row) {
+      auto at = static_cast<uint32_t>(v);
+      walk[0] = at;
+      for (uint32_t t = 1; t <= L; ++t) {
         auto in = graph.InNeighbors(at);
-        if (in.empty()) continue;  // walk dies at a source vertex
-        walk[cur + v] =
-            in[CoupledWalkHash(options.seed, static_cast<uint32_t>(r), t, at) %
-               in.size()];
+        if (in.empty()) break;  // walk dies at a source vertex
+        at = in[CoupledWalkHash(options.seed, r, t, at) % in.size()];
+        walk[t] = at;
       }
     }
   });
@@ -154,21 +149,15 @@ void WalkIndex::PrecomputeDampingPowers() {
 
 namespace {
 
-/// Decodes vertex `v`'s base-store row into `scratch`, returning the
-/// pointer; corruption while serving is fatal (checked).
-const uint32_t* DecodeBaseRow(const WalkStore& store, VertexId v,
-                              std::vector<uint32_t>* scratch) {
-  TraceScope scope(TraceStage::kDecode);
-  scratch->resize(store.WalkWords());
-  const Status status = store.DecodeVertex(v, scratch->data());
-  OIPSIM_CHECK_MSG(status.ok(), "corrupt walk segment while serving: %s",
-                   status.ToString().c_str());
-  if (TraceRecorder* recorder = CurrentTraceRecorder()) {
-    recorder->Add(TraceCounter::kRowsDecoded, 1);
-    recorder->Add(TraceCounter::kBytesRead,
-                  scratch->size() * sizeof(uint32_t));
-  }
-  return scratch->data();
+/// `v`'s row under base+overlay (MaterializeRow) for an estimator;
+/// corruption while serving is fatal (checked).
+const uint32_t* ServingRow(const WalkStore& store, const DeltaOverlay* overlay,
+                           VertexId v, std::vector<uint32_t>* scratch) {
+  const Result<const uint32_t*> row =
+      MaterializeRow(store, overlay, v, scratch);
+  OIPSIM_CHECK_MSG(row.ok(), "corrupt walk segment while serving: %s",
+                   row.status().ToString().c_str());
+  return *row;
 }
 
 /// First-meeting accumulation over one bucket under base+overlay. The
@@ -242,91 +231,63 @@ double WalkIndex::EstimatePair(VertexId a, VertexId b,
   const uint32_t n = store.meta().n;
   OIPSIM_CHECK(a < n && b < n);
   if (a == b) return 1.0;
+  std::vector<uint32_t> scratch;
+  const uint32_t* row_a = ServingRow(store, overlay, a, &scratch);
+  return EstimatePairWithRow({row_a, store.WalkWords()}, b, overlay);
+}
+
+std::vector<double> WalkIndex::EstimateSingleSource(
+    VertexId v, const DeltaOverlay* overlay) const {
+  const WalkStore& store = ServingStore(overlay);
+  OIPSIM_CHECK(v < store.meta().n);
+  std::vector<uint32_t> scratch;
+  const uint32_t* row_v = ServingRow(store, overlay, v, &scratch);
+  return EstimateSingleSourceWithRow(v, {row_v, store.WalkWords()}, overlay);
+}
+
+double WalkIndex::EstimatePairWithRow(std::span<const uint32_t> row_a,
+                                      VertexId b,
+                                      const DeltaOverlay* overlay) const {
+  const WalkStore& store = ServingStore(overlay);
+  OIPSIM_CHECK(b < store.meta().n);
   const uint32_t R = options_.num_fingerprints;
   const uint32_t L = options_.walk_length;
-  const bool pa_patched = overlay != nullptr && overlay->IsPatched(a);
-  const bool pb_patched = overlay != nullptr && overlay->IsPatched(b);
+  const size_t row = static_cast<size_t>(L) + 1;
+  OIPSIM_CHECK(row_a.size() == static_cast<size_t>(R) * row);
+  std::vector<uint32_t> scratch;
+  const uint32_t* row_b = ServingRow(store, overlay, b, &scratch);
+  // One addition per fingerprint at the first meeting, in ascending r:
+  // the sum is bit-identical wherever the two rows come from.
   double sum = 0.0;
-  const uint32_t* walks = store.FlatWalks();
-  if (walks != nullptr && !pa_patched && !pb_patched) {
-    // Resident flat table: direct (r,t)-major indexing, v1's hot path.
-    for (uint32_t r = 0; r < R; ++r) {
-      for (uint32_t t = 1; t <= L; ++t) {
-        const size_t slot = store.FlatSlot(r, t);
-        const uint32_t pa = walks[slot + a];
-        const uint32_t pb = walks[slot + b];
-        if (pa == kDeadWalk || pb == kDeadWalk) break;  // a walk died
-        if (pa == pb) {
-          sum += damping_powers_[t];
-          break;  // first meeting only
-        }
-      }
-    }
-  } else {
-    // Paged backend or a patched endpoint: base positions from the flat
-    // table (or one contiguous segment decode per endpoint), patched
-    // suffixes overriding per (fingerprint, step) — then the identical
-    // comparison over identical positions, so results stay bitwise equal
-    // to a rebuilt index's.
-    const size_t row = static_cast<size_t>(L) + 1;
-    std::vector<uint32_t> scratch_a;
-    std::vector<uint32_t> scratch_b;
-    const uint32_t* wa =
-        walks != nullptr ? nullptr : DecodeBaseRow(store, a, &scratch_a);
-    const uint32_t* wb =
-        walks != nullptr ? nullptr : DecodeBaseRow(store, b, &scratch_b);
-    for (uint32_t r = 0; r < R; ++r) {
-      const DeltaOverlay::WalkPatch* qa =
-          pa_patched ? overlay->FindPatch(a, r) : nullptr;
-      const DeltaOverlay::WalkPatch* qb =
-          pb_patched ? overlay->FindPatch(b, r) : nullptr;
-      for (uint32_t t = 1; t <= L; ++t) {
-        const uint32_t pa =
-            qa != nullptr && qa->Covers(t)
-                ? qa->Position(t)
-                : (walks != nullptr ? walks[store.FlatSlot(r, t) + a]
-                                    : wa[r * row + t]);
-        const uint32_t pb =
-            qb != nullptr && qb->Covers(t)
-                ? qb->Position(t)
-                : (walks != nullptr ? walks[store.FlatSlot(r, t) + b]
-                                    : wb[r * row + t]);
-        if (pa == kDeadWalk || pb == kDeadWalk) break;
-        if (pa == pb) {
-          sum += damping_powers_[t];
-          break;
-        }
+  for (uint32_t r = 0; r < R; ++r) {
+    for (uint32_t t = 1; t <= L; ++t) {
+      const uint32_t pa = row_a[r * row + t];
+      const uint32_t pb = row_b[r * row + t];
+      if (pa == kDeadWalk || pb == kDeadWalk) break;  // a walk died
+      if (pa == pb) {
+        sum += damping_powers_[t];
+        break;  // first meeting only
       }
     }
   }
   return sum / static_cast<double>(options_.num_fingerprints);
 }
 
-std::vector<double> WalkIndex::EstimateSingleSource(
-    VertexId v, const DeltaOverlay* overlay) const {
+std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
+    VertexId v, std::span<const uint32_t> row_v,
+    const DeltaOverlay* overlay) const {
   const WalkStore& store = ServingStore(overlay);
   const uint32_t n = store.meta().n;
   OIPSIM_CHECK(v < n);
   const uint32_t R = options_.num_fingerprints;
   const uint32_t L = options_.walk_length;
   const size_t row = static_cast<size_t>(L) + 1;
+  OIPSIM_CHECK(row_v.size() == static_cast<size_t>(R) * row);
 
-  // The query vertex's own walks: direct reads from a resident table (or
-  // one contiguous segment decode), with its patched suffixes overriding
-  // per (fingerprint, step).
-  const bool v_patched = overlay != nullptr && overlay->IsPatched(v);
-  const uint32_t* flat = store.FlatWalks();
-  std::vector<uint32_t> decoded;
-  const uint32_t* base_row =
-      flat != nullptr ? nullptr : DecodeBaseRow(store, v, &decoded);
   // Paged backend: the R·L bucket lookups below touch pages scattered
   // across the whole inverted region — start the readahead (a one-time
   // batched submission) before the first lookup faults.
-  if (flat == nullptr) {
-    TraceScope prefetch_scope(TraceStage::kColdRead);
-    store.PrefetchSlots();
-  }
-
+  store.PrefetchSlots();
   std::vector<double> result(n, 0.0);
   // met_round[b] == r+1 marks that b's walk already met v's walk within
   // fingerprint r (first-meeting semantics) — an epoch stamp, so the array
@@ -337,14 +298,8 @@ std::vector<double> WalkIndex::EstimateSingleSource(
   for (uint32_t r = 0; r < R; ++r) {
     const uint32_t round = r + 1;
     met_round[v] = round;
-    const DeltaOverlay::WalkPatch* patch =
-        v_patched ? overlay->FindPatch(v, r) : nullptr;
     for (uint32_t t = 1; t <= L; ++t) {
-      const uint32_t pv =
-          patch != nullptr && patch->Covers(t)
-              ? patch->Position(t)
-              : (flat != nullptr ? flat[store.FlatSlot(r, t) + v]
-                                 : base_row[r * row + t]);
+      const uint32_t pv = row_v[r * row + t];
       if (pv == kDeadWalk) break;  // v's walk died: no further meetings
       const double weight = damping_powers_[t];
       // Only the vertices actually parked at pv in this slot — the
@@ -371,167 +326,31 @@ std::vector<double> WalkIndex::EstimateSingleSource(
   return result;
 }
 
-double WalkIndex::EstimatePairWithRow(std::span<const uint32_t> row_a,
-                                      VertexId b,
-                                      const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
-  const uint32_t n = store.meta().n;
-  OIPSIM_CHECK(b < n);
-  const uint32_t R = options_.num_fingerprints;
-  const uint32_t L = options_.walk_length;
-  const size_t row = static_cast<size_t>(L) + 1;
-  OIPSIM_CHECK(row_a.size() == static_cast<size_t>(R) * row);
-  const bool pb_patched = overlay != nullptr && overlay->IsPatched(b);
-  const uint32_t* flat = store.FlatWalks();
-  std::vector<uint32_t> scratch_b;
-  const uint32_t* wb =
-      flat != nullptr ? nullptr : DecodeBaseRow(store, b, &scratch_b);
-  // Same (r, t) loop, same first-meeting comparison and same damping-power
-  // accumulation order as EstimatePair — the sum is bit-identical when the
-  // supplied row equals a's materialized row.
-  double sum = 0.0;
-  for (uint32_t r = 0; r < R; ++r) {
-    const DeltaOverlay::WalkPatch* qb =
-        pb_patched ? overlay->FindPatch(b, r) : nullptr;
-    for (uint32_t t = 1; t <= L; ++t) {
-      const uint32_t pa = row_a[r * row + t];
-      const uint32_t pb =
-          qb != nullptr && qb->Covers(t)
-              ? qb->Position(t)
-              : (flat != nullptr ? flat[store.FlatSlot(r, t) + b]
-                                 : wb[r * row + t]);
-      if (pa == kDeadWalk || pb == kDeadWalk) break;
-      if (pa == pb) {
-        sum += damping_powers_[t];
-        break;
-      }
-    }
-  }
-  return sum / static_cast<double>(options_.num_fingerprints);
-}
-
-std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
-    VertexId v, std::span<const uint32_t> row_v,
-    const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
-  const uint32_t n = store.meta().n;
-  OIPSIM_CHECK(v < n);
-  const uint32_t R = options_.num_fingerprints;
-  const uint32_t L = options_.walk_length;
-  const size_t row = static_cast<size_t>(L) + 1;
-  OIPSIM_CHECK(row_v.size() == static_cast<size_t>(R) * row);
-
-  if (store.FlatWalks() == nullptr) {
-    TraceScope prefetch_scope(TraceStage::kColdRead);
-    store.PrefetchSlots();
-  }
-  std::vector<double> result(n, 0.0);
-  std::vector<uint32_t> met_round(n, 0);
-  std::vector<uint32_t> merged_scratch;
-  // Mirrors EstimateSingleSource exactly, with pv read from the supplied
-  // row: the bucket walk order and the per-b accumulation order are
-  // unchanged, so each entry this index's rows cover is the identical
-  // left-to-right sum.
-  TraceScope probe_scope(TraceStage::kIndexProbe);
-  for (uint32_t r = 0; r < R; ++r) {
-    const uint32_t round = r + 1;
-    met_round[v] = round;
-    for (uint32_t t = 1; t <= L; ++t) {
-      const uint32_t pv = row_v[r * row + t];
-      if (pv == kDeadWalk) break;
-      const double weight = damping_powers_[t];
-      AccumulateBucketVertices(store, overlay, r, t, pv, round, weight, n,
-                               &merged_scratch, &met_round, &result);
-    }
-  }
-  const double fingerprints =
-      static_cast<double>(options_.num_fingerprints);
-  for (double& score : result) score /= fingerprints;
-  result[v] = 1.0;
-  return result;
-}
-
-std::vector<uint32_t> WalkIndex::MaterializeRow(
-    VertexId v, const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
-  const uint32_t n = store.meta().n;
-  OIPSIM_CHECK(v < n);
-  const uint32_t R = options_.num_fingerprints;
-  const uint32_t L = options_.walk_length;
-  const size_t row = static_cast<size_t>(L) + 1;
-  std::vector<uint32_t> out(static_cast<size_t>(R) * row);
-  const uint32_t* flat = store.FlatWalks();
-  std::vector<uint32_t> decoded;
-  const uint32_t* base =
-      flat != nullptr ? nullptr : DecodeBaseRow(store, v, &decoded);
-  const bool patched = overlay != nullptr && overlay->IsPatched(v);
-  for (uint32_t r = 0; r < R; ++r) {
-    const DeltaOverlay::WalkPatch* patch =
-        patched ? overlay->FindPatch(v, r) : nullptr;
-    out[r * row] = v;
-    for (uint32_t t = 1; t <= L; ++t) {
-      out[r * row + t] =
-          patch != nullptr && patch->Covers(t)
-              ? patch->Position(t)
-              : (flat != nullptr ? flat[store.FlatSlot(r, t) + v]
-                                 : base[r * row + t]);
-    }
-  }
-  return out;
-}
-
 std::vector<double> WalkIndex::EstimateSingleSourceScan(
     VertexId v, const DeltaOverlay* overlay) const {
   const WalkStore& store = ServingStore(overlay);
   const uint32_t n = store.meta().n;
   OIPSIM_CHECK(v < n);
-  const uint32_t* walks = store.FlatWalks();
-  OIPSIM_CHECK_MSG(walks != nullptr,
-                   "EstimateSingleSourceScan needs resident walks; the %s "
-                   "backend serves single-source via the inverted index",
-                   store.backend_name());
   const uint32_t L = options_.walk_length;
   const size_t row = static_cast<size_t>(L) + 1;
-  // Materialize full rows for the patched vertices up front (null =
-  // unpatched) so the O(R·L·n) scan pays an array read per position, not a
-  // hash lookup.
-  std::vector<const uint32_t*> patched;
-  std::vector<std::vector<uint32_t>> patched_rows;
-  if (overlay != nullptr && overlay->patched_vertex_count() > 0) {
-    patched.assign(n, nullptr);
-    patched_rows.reserve(overlay->patched_vertices().size());
-    for (const auto& [pv, count] : overlay->patched_vertices()) {
-      (void)count;
-      patched_rows.emplace_back(store.WalkWords());
-      const Status status = simrank::MaterializeRow(
-          store, overlay, pv, patched_rows.back().data());
-      OIPSIM_CHECK_MSG(status.ok(), "corrupt walk segment while serving: %s",
-                       status.ToString().c_str());
-      patched[pv] = patched_rows.back().data();
-    }
-  }
-  auto position = [&](uint32_t r, uint32_t t, size_t slot, VertexId b) {
-    if (!patched.empty() && patched[b] != nullptr) {
-      return patched[b][r * row + t];
-    }
-    return walks[slot + b];
-  };
+  std::vector<uint32_t> scratch_v;
+  const uint32_t* row_v = ServingRow(store, overlay, v, &scratch_v);
+  // Every vertex's row against v's, one row at a time: at most one
+  // addition per fingerprint, at the first meeting, in ascending r — the
+  // per-entry sum the inverted path must reproduce bit for bit.
   std::vector<double> result(n, 0.0);
-  std::vector<uint32_t> met_round(n, 0);
-  for (uint32_t r = 0; r < options_.num_fingerprints; ++r) {
-    const uint32_t round = r + 1;
-    met_round[v] = round;
-    for (uint32_t t = 1; t <= L; ++t) {
-      const size_t slot = store.FlatSlot(r, t);
-      const uint32_t pv = position(r, t, slot, v);
-      if (pv == kDeadWalk) break;
-      const double weight = damping_powers_[t];
-      for (uint32_t b = 0; b < n; ++b) {
-        if (met_round[b] == round || position(r, t, slot, b) != pv) {
-          continue;
+  std::vector<uint32_t> scratch;
+  for (VertexId b = 0; b < n; ++b) {
+    if (b == v) continue;
+    const uint32_t* row_b = ServingRow(store, overlay, b, &scratch);
+    for (uint32_t r = 0; r < options_.num_fingerprints; ++r) {
+      for (uint32_t t = 1; t <= L; ++t) {
+        const uint32_t pv = row_v[r * row + t];
+        if (pv == kDeadWalk) break;
+        if (row_b[r * row + t] == pv) {
+          result[b] += damping_powers_[t];
+          break;
         }
-        result[b] += weight;
-        met_round[b] = round;
       }
     }
   }

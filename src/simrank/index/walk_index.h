@@ -14,9 +14,9 @@
 // ProbeSim-style), yet produces bitwise-identical scores to the full
 // O(R·L·n) row scan, which remains available for verification.
 //
-// The index is built once (in parallel across a thread pool; each
-// fingerprint is seeded deterministically, so the result is bit-identical
-// for any thread count) and serialized in the versioned v2 segmented
+// The index is built once (in parallel across a thread pool; every walk
+// step is seeded deterministically, so the result is bit-identical for
+// any thread count) and serialized in the versioned v2 segmented
 // format of index/walk_store.h. Serving picks a storage backend per
 // deployment: fully resident (InMemoryWalkStore, fastest) or mmap-backed
 // (MmapWalkStore — open cost and resident set are O(header + directory),
@@ -111,9 +111,8 @@ class WalkIndex {
     /// instead of a whole-file checksum at open; corruption detected
     /// mid-serve is a fatal checked error, so pre-validate files from
     /// untrusted storage with store().VerifyPayload() before serving.
-    /// The full-row scan path (EstimateSingleSourceScan) is unavailable.
-    /// false loads and fully verifies everything into RAM — v1's serving
-    /// behavior.
+    /// false loads and fully verifies every walk row and the inverted
+    /// index into RAM.
     bool use_mmap = false;
     /// Worker threads for the in-memory backend's segment decode (the
     /// dominant cold-open cost); 0 means hardware concurrency. The loaded
@@ -179,34 +178,26 @@ class WalkIndex {
   std::vector<double> EstimateSingleSource(
       VertexId v, const DeltaOverlay* overlay) const;
 
-  /// Cross-shard variants: the query vertex's walk row arrives fully
-  /// materialized (base + overlay merged by its owning shard,
-  /// MaterializeRow layout: row[r * (L + 1) + t]) instead of being read
-  /// from this index's store. Accumulation order and arithmetic match the
-  /// corresponding local estimators exactly, so on a shard index whose
-  /// local rows cover a vertex range the results are bitwise equal to the
-  /// single-node answer restricted to that range. `v` is only used for
-  /// the diagonal (result[v] = 1, never accumulated); `a` must differ
-  /// from `b` in the pair variant (equal ids never cross shards — the
-  /// owner serves them locally).
+  /// The loops behind EstimatePair and EstimateSingleSource, fed with the
+  /// query vertex's walk row (MaterializeRow of delta_overlay.h: base +
+  /// overlay merged, row[r * (L + 1) + t]). The local estimators pass the
+  /// row of this index's store; a cross-shard query passes the row its
+  /// owning shard shipped, so on a shard index whose local rows cover a
+  /// vertex range the results are bitwise equal to the single-node answer
+  /// restricted to that range. `v` is only used for the diagonal
+  /// (result[v] = 1, never accumulated); `b` must differ from the row's
+  /// own vertex in the pair variant (EstimatePair answers a == b itself).
   double EstimatePairWithRow(std::span<const uint32_t> row_a, VertexId b,
                              const DeltaOverlay* overlay) const;
   std::vector<double> EstimateSingleSourceWithRow(
       VertexId v, std::span<const uint32_t> row,
       const DeltaOverlay* overlay) const;
 
-  /// Materializes v's full walk row — base positions with `overlay`'s
-  /// patches merged — in the layout the WithRow estimators consume:
-  /// row[r * (L + 1) + t], with row[r * (L + 1)] == v. This is what a
-  /// shard ships to its peers for a cross-shard query.
-  std::vector<uint32_t> MaterializeRow(VertexId v,
-                                       const DeltaOverlay* overlay) const;
-
-  /// The pre-v2 full-row scan over the flat walk table, kept as the
-  /// reference implementation the inverted path is validated against
-  /// (overlay-aware like the inverted path, so the two stay comparable
-  /// under updates). Requires a backend with resident walks
-  /// (has_resident_walks()).
+  /// The full O(R·L·n) row scan — every vertex's walk row compared with
+  /// v's — kept as the reference implementation the inverted path is
+  /// validated against (overlay-aware like the inverted path, so the two
+  /// stay comparable under updates). Works on either backend; on mmap it
+  /// decodes all n rows.
   std::vector<double> EstimateSingleSourceScan(VertexId v) const {
     return EstimateSingleSourceScan(v, overlay_snapshot().get());
   }
@@ -231,18 +222,12 @@ class WalkIndex {
     return overlay == nullptr ? 0 : overlay->sequence();
   }
 
-  /// True when the backend keeps the flat walk table in RAM (in-memory
-  /// backend; false for mmap), enabling EstimateSingleSourceScan.
-  bool has_resident_walks() const {
-    return store_->FlatWalks() != nullptr;
-  }
-
   uint32_t n() const { return store_->meta().n; }
   const WalkIndexOptions& options() const { return options_; }
   uint64_t graph_fingerprint() const {
     return store_->meta().graph_fingerprint;
   }
-  /// Bytes the backing store keeps resident in RAM (flat table plus
+  /// Bytes the backing store keeps resident in RAM (walk rows plus
   /// inverted index for the in-memory backend; header/directory pages for
   /// mmap).
   uint64_t SizeBytes() const { return store_->ResidentBytes(); }

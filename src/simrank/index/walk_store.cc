@@ -11,6 +11,7 @@
 #include "simrank/common/thread_pool.h"
 #include "simrank/common/varint.h"
 #include "simrank/index/segment_reader.h"
+#include "simrank/obs/trace.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define OIPSIM_HAVE_MMAP 1
@@ -484,10 +485,12 @@ Status SaveWalkStore(const WalkStore& store, const std::string& path,
   directory.reserve(n + 1 + num_slots + 1);
 
   std::vector<uint8_t> segments;
-  std::vector<uint32_t> walk(store.WalkWords());
+  std::vector<uint32_t> scratch;
   for (VertexId v = 0; v < n; ++v) {
     directory.push_back(segments.size());
-    OIPSIM_RETURN_IF_ERROR(store.DecodeVertex(v, walk.data()));
+    const Result<const uint32_t*> decoded = store.Row(v, &scratch);
+    if (!decoded.ok()) return decoded.status();
+    const uint32_t* walk = *decoded;
     for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
       uint32_t length = 0;
       while (length < L && walk[r * row + length + 1] != kDead) ++length;
@@ -606,68 +609,101 @@ InMemoryWalkStore::InMemoryWalkStore(const WalkStoreMeta& meta,
 void InMemoryWalkStore::BuildInverted(uint32_t num_threads) {
   const uint32_t n = meta_.n;
   const uint32_t L = meta_.walk_length;
+  const size_t words = WalkWords();
   const uint64_t num_slots =
       static_cast<uint64_t>(meta_.num_fingerprints) * L;
-  slot_offsets_.assign(num_slots + 1, 0);
-
-  // Two passes, both parallel over fingerprints (slots of different r are
-  // disjoint, so the result is identical for any thread count): count the
-  // alive walks per slot, then counting-sort each slot by position. Filling
-  // vertices in ascending order keeps every bucket ascending — the
-  // invariant the bitwise-deterministic single-source path relies on.
+  // Row word of slot s = r·L + (t-1).
+  auto word_of = [L](uint64_t s) {
+    return s / L * (static_cast<uint64_t>(L) + 1) + s % L + 1;
+  };
   ThreadPool pool(num_threads);
-  pool.ParallelFor(0, meta_.num_fingerprints, [&](uint64_t r) {
-    for (uint32_t t = 1; t <= L; ++t) {
-      const uint64_t s = r * L + (t - 1);
-      const uint32_t* column =
-          walks_.data() + FlatSlot(static_cast<uint32_t>(r), t);
-      uint64_t alive = 0;
-      for (uint32_t v = 0; v < n; ++v) alive += column[v] != kDead;
-      slot_offsets_[s + 1] = alive;
+
+  // Alive walks per slot, counted over contiguous rows in vertex blocks;
+  // the block counts are integer sums, so the offsets are the same for any
+  // thread count.
+  const uint32_t count_blocks = std::max(1u, std::min(pool.num_threads(), n));
+  std::vector<std::vector<uint32_t>> alive(count_blocks,
+                                           std::vector<uint32_t>(words, 0));
+  pool.ParallelFor(0, count_blocks, [&](uint64_t b) {
+    uint32_t* counts = alive[b].data();
+    for (uint64_t v = n * b / count_blocks; v < n * (b + 1) / count_blocks;
+         ++v) {
+      const uint32_t* row = walks_.data() + v * words;
+      for (size_t w = 0; w < words; ++w) counts[w] += row[w] != kDead;
     }
   });
+  slot_offsets_.assign(num_slots + 1, 0);
   for (uint64_t s = 0; s < num_slots; ++s) {
-    slot_offsets_[s + 1] += slot_offsets_[s];
+    uint64_t count = 0;
+    for (const std::vector<uint32_t>& block : alive) count += block[word_of(s)];
+    slot_offsets_[s + 1] = slot_offsets_[s] + count;
   }
   inverted_positions_.resize(slot_offsets_[num_slots]);
   inverted_vertices_.resize(slot_offsets_[num_slots]);
-  pool.ParallelFor(0, meta_.num_fingerprints, [&](uint64_t r) {
+
+  // Counting-sort every slot by position. Slots are (r,t)-major and rows
+  // vertex-major, so each worker gathers kTileSlots consecutive slots at a
+  // time into a bounded column buffer (a tiled transpose: one short
+  // contiguous read per row) and sorts those slots from it. Filling
+  // vertices in ascending order keeps every bucket ascending — the
+  // invariant the bitwise-deterministic single-source path relies on — and
+  // slots are disjoint, so the result is identical for any thread count.
+  constexpr uint64_t kTileSlots = 16;
+  // Rows ahead to prefetch: a row is a few KiB, so consecutive tile reads
+  // cross pages and the hardware prefetcher does not follow them.
+  constexpr uint64_t kPrefetchRows = 8;
+  const uint64_t tiles = (num_slots + kTileSlots - 1) / kTileSlots;
+  const uint64_t workers = std::min<uint64_t>(pool.num_threads(), tiles);
+  pool.ParallelFor(0, workers, [&](uint64_t worker) {
+    std::vector<uint32_t> columns(kTileSlots * n);
     std::vector<uint32_t> start(n);
-    for (uint32_t t = 1; t <= L; ++t) {
-      const uint64_t s = r * L + (t - 1);
-      const uint32_t* column =
-          walks_.data() + FlatSlot(static_cast<uint32_t>(r), t);
-      std::fill(start.begin(), start.end(), 0);
-      for (uint32_t v = 0; v < n; ++v) {
-        if (column[v] != kDead) ++start[column[v]];
+    for (uint64_t tile = tiles * worker / workers;
+         tile < tiles * (worker + 1) / workers; ++tile) {
+      const uint64_t s0 = tile * kTileSlots;
+      const uint64_t width = std::min(kTileSlots, num_slots - s0);
+      uint64_t word[kTileSlots];
+      for (uint64_t i = 0; i < width; ++i) word[i] = word_of(s0 + i);
+      for (uint64_t v = 0; v < n; ++v) {
+        const uint32_t* row = walks_.data() + v * words;
+        if (v + kPrefetchRows < n) {
+          const uint32_t* ahead = row + kPrefetchRows * words + word[0];
+          __builtin_prefetch(ahead);
+          __builtin_prefetch(ahead + width);
+        }
+        for (uint64_t i = 0; i < width; ++i) {
+          columns[i * n + v] = row[word[i]];
+        }
       }
-      uint32_t running = 0;
-      for (uint32_t p = 0; p < n; ++p) {
-        const uint32_t count = start[p];
-        start[p] = running;
-        running += count;
-      }
-      const uint64_t base = slot_offsets_[s];
-      for (uint32_t v = 0; v < n; ++v) {
-        const uint32_t position = column[v];
-        if (position == kDead) continue;
-        const uint64_t at = base + start[position]++;
-        inverted_positions_[at] = position;
-        inverted_vertices_[at] = v;
+      for (uint64_t i = 0; i < width; ++i) {
+        const uint32_t* column = columns.data() + i * n;
+        std::fill(start.begin(), start.end(), 0);
+        for (uint32_t v = 0; v < n; ++v) {
+          if (column[v] != kDead) ++start[column[v]];
+        }
+        const uint64_t base = slot_offsets_[s0 + i];
+        uint32_t running = 0;
+        for (uint32_t p = 0; p < n; ++p) {
+          const uint32_t count = start[p];
+          start[p] = running;
+          running += count;
+        }
+        for (uint32_t v = 0; v < n; ++v) {
+          const uint32_t position = column[v];
+          if (position == kDead) continue;
+          const uint64_t at = base + start[position]++;
+          inverted_positions_[at] = position;
+          inverted_vertices_[at] = v;
+        }
       }
     }
   });
 }
 
-Status InMemoryWalkStore::DecodeVertex(VertexId v, uint32_t* out) const {
+Result<const uint32_t*> InMemoryWalkStore::Row(
+    VertexId v, std::vector<uint32_t>* scratch) const {
+  (void)scratch;
   OIPSIM_DCHECK(v < meta_.n);
-  const size_t row = static_cast<size_t>(meta_.walk_length) + 1;
-  for (uint32_t r = 0; r < meta_.num_fingerprints; ++r) {
-    for (uint32_t t = 0; t < row; ++t) {
-      out[r * row + t] = walks_[FlatSlot(r, static_cast<uint32_t>(t)) + v];
-    }
-  }
-  return Status::OK();
+  return walks_.data() + v * WalkWords();
 }
 
 WalkStore::SlotView InMemoryWalkStore::Slot(uint32_t r, uint32_t t) const {
@@ -726,7 +762,7 @@ Result<std::unique_ptr<InMemoryWalkStore>> InMemoryWalkStore::Open(
   // materialization is capped at a fixed multiple of the file (with a
   // floor so tiny indexes always load). Oversized-but-consistent indexes
   // remain servable through MmapWalkStore, which never materializes the
-  // flat table.
+  // rows.
   constexpr uint64_t kMaxInMemoryAmplification = 64;
   constexpr uint64_t kMinInMemoryBudgetBytes = 64ull << 20;
   const auto wide_decoded_bytes =
@@ -747,29 +783,25 @@ Result<std::unique_ptr<InMemoryWalkStore>> InMemoryWalkStore::Open(
         static_cast<unsigned long long>(bytes.size() >> 20)));
   }
   store->walks_.resize(store->WalkWords() * n);
-  // Per-vertex decode with a transposing scatter into the (r,t)-major
-  // table; this dominates the in-memory cold-open cost (~100 ms for the
-  // 62 MB bench index), so it runs in parallel over disjoint contiguous
-  // vertex ranges. Vertex v only writes column v of the flat table, so
-  // the result is bitwise identical for any thread count; blocks are
-  // ordered by vertex range, so reporting the first failed block's error
+  // Each segment decodes straight into its row; this dominates the
+  // in-memory cold-open cost, so it runs in parallel over disjoint
+  // contiguous vertex ranges. Vertex v only writes its own row, so the
+  // result is bitwise identical for any thread count; blocks are ordered
+  // by vertex range, so reporting the first failed block's error
   // reproduces the serial pass's first-corrupt-vertex diagnostics exactly.
   const uint32_t decode_threads = ThreadPool::ResolveThreadCount(num_threads);
-  auto decode_range = [&](VertexId lo, VertexId hi, uint32_t* scratch) {
+  auto decode_range = [&](VertexId lo, VertexId hi) {
     for (VertexId v = lo; v < hi; ++v) {
       OIPSIM_RETURN_IF_ERROR(DecodeSegment(
           layout.meta, layout.compressed, v, segments_base + seg_rel[v],
           segments_base + seg_rel[v + 1],
-          layout.segments_offset + seg_rel[v], path, scratch));
-      for (size_t word = 0; word < store->WalkWords(); ++word) {
-        store->walks_[word * n + v] = scratch[word];
-      }
+          layout.segments_offset + seg_rel[v], path,
+          store->walks_.data() + static_cast<size_t>(v) * store->WalkWords()));
     }
     return Status::OK();
   };
   if (decode_threads <= 1 || n < 2 * decode_threads) {
-    std::vector<uint32_t> scratch(store->WalkWords());
-    OIPSIM_RETURN_IF_ERROR(decode_range(0, n, scratch.data()));
+    OIPSIM_RETURN_IF_ERROR(decode_range(0, n));
   } else {
     // A few blocks per worker smooth over skewed segment sizes (hub
     // vertices compress worse than leaves).
@@ -784,8 +816,7 @@ Result<std::unique_ptr<InMemoryWalkStore>> InMemoryWalkStore::Open(
       const auto hi =
           static_cast<VertexId>(static_cast<uint64_t>(n) * (block + 1) /
                                 num_blocks);
-      std::vector<uint32_t> scratch(store->WalkWords());
-      block_status[block] = decode_range(lo, hi, scratch.data());
+      block_status[block] = decode_range(lo, hi);
     });
     for (const Status& status : block_status) {
       OIPSIM_RETURN_IF_ERROR(status);
@@ -893,14 +924,20 @@ Result<std::unique_ptr<MmapWalkStore>> MmapWalkStore::Open(
 #endif
 }
 
-Status MmapWalkStore::DecodeVertex(VertexId v, uint32_t* out) const {
+Result<const uint32_t*> MmapWalkStore::Row(
+    VertexId v, std::vector<uint32_t>* scratch) const {
   OIPSIM_DCHECK(v < meta_.n);
+  TraceScope scope(TraceStage::kDecode);
+  scratch->resize(WalkWords());
   const uint64_t begin = seg_rel_[v];
-  const uint64_t end = seg_rel_[v + 1];
-  return DecodeSegment(meta_, compressed_, v, segments_base_ + begin,
-                       segments_base_ + end,
-                       static_cast<uint64_t>(segments_base_ - data_) + begin,
-                       path_, out);
+  OIPSIM_RETURN_IF_ERROR(DecodeSegment(
+      meta_, compressed_, v, segments_base_ + begin,
+      segments_base_ + seg_rel_[v + 1],
+      static_cast<uint64_t>(segments_base_ - data_) + begin, path_,
+      scratch->data()));
+  TraceAdd(TraceCounter::kRowsDecoded, 1);
+  TraceAdd(TraceCounter::kBytesRead, scratch->size() * sizeof(uint32_t));
+  return scratch->data();
 }
 
 WalkStore::SlotView MmapWalkStore::Slot(uint32_t r, uint32_t t) const {
@@ -985,6 +1022,7 @@ void MmapWalkStore::PrefetchSlots() const {
   // Once per store: a cold single-source query walks R·L bucket lookups
   // scattered across the whole inverted region, the worst case for
   // one-page-at-a-time faulting.
+  TraceScope scope(TraceStage::kColdRead);
   if (slots_prefetched_.exchange(true, std::memory_order_relaxed)) return;
   const uint64_t inverted_abs =
       static_cast<uint64_t>(inverted_base_ - data_);

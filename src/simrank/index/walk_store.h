@@ -1,13 +1,14 @@
 // Storage layer of the walk index: the versioned v2 segmented on-disk
 // format and the two backends that serve it.
 //
-// Version 2 reorganises the v1 flat walk table into per-vertex *segments*
-// (optionally delta+varint-compressed: a pair query touches two contiguous
-// byte ranges instead of R·L strided words) plus a per-(fingerprint, step)
-// *inverted position index* mapping a walk position to the vertices whose
-// walk is there — the data structure behind the output-sensitive
-// single-source path (ProbeSim-style: accumulation only over vertices that
-// actually appear at some slot, instead of a full O(R·L·n) row scan).
+// Version 2 stores each vertex's *walk row* as one segment (optionally
+// delta+varint-compressed: a pair query touches two contiguous byte
+// ranges instead of the v1 format's R·L strided words) plus a
+// per-(fingerprint, step) *inverted position index* mapping a walk
+// position to the vertices whose walk is there — the data structure
+// behind the output-sensitive single-source path (ProbeSim-style:
+// accumulation only over vertices that actually appear at some slot,
+// instead of a full O(R·L·n) row scan).
 //
 // On-disk layout (native-endian, like graph_io's binary format; offsets
 // are absolute bytes unless marked relative):
@@ -82,20 +83,24 @@ class WalkStore {
 
   const WalkStoreMeta& meta() const { return meta_; }
 
-  /// Words per vertex in the decoded layout: num_fingerprints rows of
+  /// Words in one vertex's walk row: num_fingerprints walks of
   /// (walk_length + 1) steps.
   size_t WalkWords() const {
     return static_cast<size_t>(meta_.num_fingerprints) *
            (meta_.walk_length + 1);
   }
 
-  /// Decodes every walk of vertex `v` into `out` (capacity WalkWords()):
-  /// out[r·(L+1) + t] is the position after t steps of fingerprint r's
-  /// walk, kDeadWalk from the step the walk died onwards; out[r·(L+1)]
-  /// is always v. Returns a ParseError naming the corrupt byte offset when
-  /// the backing bytes are malformed (reachable only on the mmap backend,
-  /// whose payload is not checksummed at open).
-  virtual Status DecodeVertex(VertexId v, uint32_t* out) const = 0;
+  /// Vertex `v`'s walk row, WalkWords() words: row[r·(L+1) + t] is the
+  /// position after t steps of fingerprint r's walk, kDeadWalk from the
+  /// step the walk died onwards; row[r·(L+1)] is always v. The in-memory
+  /// backend returns a pointer into its resident table (no copy; `scratch`
+  /// is left alone); the mmap backend decodes into `*scratch`, resized to
+  /// WalkWords(), and traces the decode. The row stays valid while the
+  /// store and `*scratch` are unchanged. Returns a ParseError naming the
+  /// corrupt byte offset when the backing bytes are malformed (reachable
+  /// only on the mmap backend, whose payload is not checksummed at open).
+  virtual Result<const uint32_t*> Row(VertexId v,
+                                      std::vector<uint32_t>* scratch) const = 0;
 
   /// One slot of the inverted index: the alive walks at (fingerprint r,
   /// step t), as parallel arrays sorted by (position, vertex).
@@ -113,19 +118,6 @@ class WalkStore {
   /// exactly these instead of all n rows. O(log n) bucket lookup.
   std::span<const VertexId> Bucket(uint32_t r, uint32_t t,
                                    uint32_t position) const;
-
-  /// The resident flat v1-layout walk table ((r,t)-major, see
-  /// WalkIndex::EstimateSingleSourceScan), or nullptr when the backend
-  /// does not keep the walks decoded in RAM.
-  virtual const uint32_t* FlatWalks() const { return nullptr; }
-
-  /// Start of slot (r, t) — the n per-vertex positions of fingerprint r
-  /// after t steps — within FlatWalks(). The single point of truth for
-  /// the flat table's (r,t)-major layout.
-  size_t FlatSlot(uint32_t r, uint32_t t) const {
-    return (static_cast<size_t>(r) * (meta_.walk_length + 1) + t) *
-           meta_.n;
-  }
 
   /// Heap (plus, for mmap, unavoidably-touched page) bytes this store
   /// keeps resident, independent of what the kernel has faulted in.
@@ -177,31 +169,31 @@ struct WalkStoreSaveOptions {
 Status SaveWalkStore(const WalkStore& store, const std::string& path,
                      const WalkStoreSaveOptions& options = {});
 
-/// Backend that materialises the full walk table (and inverted index) in
-/// RAM — v1's serving behavior, still bit-deterministic, fastest per
-/// query; open cost and footprint are linear in the payload.
+/// Backend that keeps every walk row (and the inverted index) decoded in
+/// RAM: fastest per query, rows read in place; open cost and footprint
+/// are linear in the payload.
 class InMemoryWalkStore final : public WalkStore {
  public:
-  /// Wraps a freshly built flat walk table (v1 layout, see FlatWalks) and
-  /// constructs the inverted index from it, parallelised across
-  /// `num_threads` (0 = hardware concurrency) with thread-count-independent
-  /// output.
+  /// Wraps a freshly built walk table — vertex v's row (see Row) at
+  /// walks[v·WalkWords()] — and constructs the
+  /// inverted index from it, parallelised across `num_threads` (0 =
+  /// hardware concurrency) with thread-count-independent output.
   InMemoryWalkStore(const WalkStoreMeta& meta, std::vector<uint32_t> walks,
                     uint32_t num_threads = 1);
 
   /// Reads and fully verifies (all three checksums) a v2 file, decoding
-  /// every segment into the resident flat table. The per-vertex decode —
-  /// the dominant cost of a cold open — is parallelised over disjoint
-  /// vertex ranges across `num_threads` workers (0 = hardware
+  /// every segment into its row of the resident table. The per-vertex
+  /// decode — the dominant cost of a cold open — is parallelised over
+  /// disjoint vertex ranges across `num_threads` workers (0 = hardware
   /// concurrency); every thread count produces a bitwise-identical store
   /// and, on corrupt input, the same first-corrupt-vertex error as the
   /// serial pass.
   static Result<std::unique_ptr<InMemoryWalkStore>> Open(
       const std::string& path, uint32_t num_threads = 0);
 
-  Status DecodeVertex(VertexId v, uint32_t* out) const override;
+  Result<const uint32_t*> Row(VertexId v,
+                              std::vector<uint32_t>* scratch) const override;
   SlotView Slot(uint32_t r, uint32_t t) const override;
-  const uint32_t* FlatWalks() const override { return walks_.data(); }
   uint64_t ResidentBytes() const override;
   const char* backend_name() const override { return "in-memory"; }
 
@@ -210,8 +202,7 @@ class InMemoryWalkStore final : public WalkStore {
 
   void BuildInverted(uint32_t num_threads);
 
-  /// Flat walk table: position after t steps of fingerprint r's walk from
-  /// v lives at walks_[(r·(L+1) + t)·n + v].
+  /// Walk rows: vertex v's row occupies [v·WalkWords(), (v+1)·WalkWords()).
   std::vector<uint32_t> walks_;
   /// Inverted index: slot s = r·L + (t-1) occupies entry range
   /// [slot_offsets_[s], slot_offsets_[s+1]) of the two parallel arrays.
@@ -231,7 +222,8 @@ class MmapWalkStore final : public WalkStore {
 
   ~MmapWalkStore() override;
 
-  Status DecodeVertex(VertexId v, uint32_t* out) const override;
+  Result<const uint32_t*> Row(VertexId v,
+                              std::vector<uint32_t>* scratch) const override;
   SlotView Slot(uint32_t r, uint32_t t) const override;
   uint64_t ResidentBytes() const override;
   Status VerifyPayload() const override;
@@ -274,7 +266,7 @@ struct WalkIndexInfo {
   /// Size of the (possibly compressed) segment region on disk.
   uint64_t segment_bytes = 0;
   uint64_t inverted_bytes = 0;
-  /// What the v1 flat table would occupy: n · R · (L+1) · 4 bytes.
+  /// What the decoded walk rows occupy: n · R · (L+1) · 4 bytes.
   uint64_t raw_walk_bytes = 0;
 };
 

@@ -478,12 +478,16 @@ ExchangeResponse ExecuteInternal(QueryEngine& engine,
                     args.v, range.begin, range.end));
       return out;
     }
-    const std::vector<uint32_t> row =
-        index.MaterializeRow(args.v, view.overlay.get());
+    std::vector<uint32_t> scratch;
+    const Result<const uint32_t*> row =
+        MaterializeRow(index.ServingStore(view.overlay.get()),
+                       view.overlay.get(), args.v, &scratch);
+    OIPSIM_CHECK_MSG(row.ok(), "corrupt walk segment while serving: %s",
+                     row.status().ToString().c_str());
     out.status = 200;
     out.content_type = "application/octet-stream";
-    out.body.assign(reinterpret_cast<const char*>(row.data()),
-                    row.size() * sizeof(uint32_t));
+    out.body.assign(reinterpret_cast<const char*>(*row),
+                    words * sizeof(uint32_t));
     return out;
   }
 
@@ -1276,6 +1280,54 @@ bool ParseSeqParam(const HttpRequest& request, const char* name,
 
 }  // namespace
 
+Status ParsePublicQuery(const HttpRequest& request, ServerEndpoint endpoint,
+                        PublicQuery* out) {
+  const bool is_get = endpoint == ServerEndpoint::kPair ||
+                      endpoint == ServerEndpoint::kSingleSource ||
+                      endpoint == ServerEndpoint::kTopK;
+  if (is_get && !request.body.empty()) {
+    return Status::InvalidArgument("GET endpoints take no request body");
+  }
+  std::string error;
+  bool ok = false;
+  switch (endpoint) {
+    case ServerEndpoint::kPair:
+      ok = CheckAllowedParams(request, {"a", "b", "trace"}, &error) &&
+           ParseVertexParam(request, "a", &out->a, &error) &&
+           ParseVertexParam(request, "b", &out->b, &error);
+      break;
+    case ServerEndpoint::kSingleSource:
+      ok = CheckAllowedParams(request, {"v", "trace"}, &error) &&
+           ParseVertexParam(request, "v", &out->v, &error);
+      break;
+    case ServerEndpoint::kTopK:
+      ok = CheckAllowedParams(request, {"v", "k", "trace"}, &error) &&
+           ParseVertexParam(request, "v", &out->v, &error);
+      if (ok && request.FindParam("k") != nullptr) {
+        ok = ParseVertexParam(request, "k", &out->k, &error);
+      }
+      break;
+    case ServerEndpoint::kBatchPair:
+    case ServerEndpoint::kUpdate:
+    case ServerEndpoint::kCompact:
+      // Body endpoints take no query parameters beyond the trace opt-in;
+      // the body itself is parsed where the work runs.
+      ok = CheckAllowedParams(request, {"trace"}, &error);
+      break;
+  }
+  if (!ok) return Status::InvalidArgument(error);
+  // ?trace=1 inlines the trace JSON into the response envelope — the
+  // only tracing channel allowed to change a body.
+  if (const std::string* trace = request.FindParam("trace")) {
+    if (*trace != "0" && *trace != "1") {
+      return Status::InvalidArgument(StrFormat(
+          "parameter 'trace' must be 0 or 1, got '%s'", trace->c_str()));
+    }
+    out->trace_inline = *trace == "1";
+  }
+  return Status::OK();
+}
+
 void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
                                   const HttpRequest& request) {
   const auto slot = static_cast<size_t>(endpoint);
@@ -1310,46 +1362,16 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
     }
     args.body = request.body;
   } else {
-    switch (endpoint) {
-      case ServerEndpoint::kPair:
-        params_ok =
-            CheckAllowedParams(request, {"a", "b", "trace"}, &error) &&
-            ParseVertexParam(request, "a", &args.a, &error) &&
-            ParseVertexParam(request, "b", &args.b, &error);
-        break;
-      case ServerEndpoint::kSingleSource:
-        params_ok = CheckAllowedParams(request, {"v", "trace"}, &error) &&
-                    ParseVertexParam(request, "v", &args.v, &error);
-        break;
-      case ServerEndpoint::kTopK:
-        params_ok =
-            CheckAllowedParams(request, {"v", "k", "trace"}, &error) &&
-            ParseVertexParam(request, "v", &args.v, &error);
-        if (params_ok && request.FindParam("k") != nullptr) {
-          params_ok = ParseVertexParam(request, "k", &args.k, &error);
-        }
-        break;
-      case ServerEndpoint::kBatchPair:
-      case ServerEndpoint::kUpdate:
-      case ServerEndpoint::kCompact:
-        // Body endpoints take no query parameters beyond the trace
-        // opt-in; the body itself is parsed in the worker.
-        params_ok = CheckAllowedParams(request, {"trace"}, &error);
-        args.body = request.body;
-        break;
-    }
-    // ?trace=1 inlines the trace JSON into the response envelope — the
-    // only tracing channel allowed to change a body.
-    const std::string* trace_param = request.FindParam("trace");
-    if (params_ok && trace_param != nullptr) {
-      if (*trace_param == "1") {
-        args.trace_inline = true;
-      } else if (*trace_param != "0") {
-        params_ok = false;
-        error = StrFormat("parameter 'trace' must be 0 or 1, got '%s'",
-                          trace_param->c_str());
-      }
-    }
+    PublicQuery query;
+    const Status parsed = ParsePublicQuery(request, endpoint, &query);
+    params_ok = parsed.ok();
+    if (!params_ok) error = parsed.message();
+    args.a = query.a;
+    args.b = query.b;
+    args.v = query.v;
+    args.k = query.k;
+    args.trace_inline = query.trace_inline;
+    args.body = request.body;
   }
   if (!params_ok) {
     QueueErrorResponse(conn, 400, error);

@@ -114,6 +114,25 @@ const char* ServerEndpointPath(ServerEndpoint endpoint);
 /// and Prometheus label values.
 const char* ServerEndpointName(ServerEndpoint endpoint);
 
+/// The query-string parameters of a public endpoint.
+struct PublicQuery {
+  VertexId a = 0;
+  VertexId b = 0;
+  VertexId v = 0;
+  /// /v1/topk's result count.
+  uint32_t k = 10;
+  /// ?trace=1: the trace JSON goes into the response envelope.
+  bool trace_inline = false;
+};
+
+/// Parses the parameters of public endpoint `endpoint` the one way both
+/// frontends do: only that endpoint's parameters plus ?trace=0|1, none
+/// twice, vertex ids (and k) as uint32, and no body on a GET endpoint.
+/// The error's message is the 400 answer's. Vertex ranges are checked
+/// later, with CheckVertexInRange's answer.
+Status ParsePublicQuery(const HttpRequest& request, ServerEndpoint endpoint,
+                        PublicQuery* out);
+
 /// Parses a /v1/batch_pair body: one "A B" pair per line, '#' comments and
 /// blank lines ignored. Shared by the server's worker and the router
 /// (which must split a batch across shards pair by pair).

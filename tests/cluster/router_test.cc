@@ -365,6 +365,46 @@ TEST(RouterTest, BatchPairMatchesSingleNodeBitwise) {
 
 TEST(RouterTest, ErrorPathsMirrorTheSingleNodeSurface) {
   ClusterFixture cluster(testing::RandomGraph(40, 160, 3));
+  // Parameter checks are the single node's, status and body: unknown,
+  // repeated or malformed parameters, bad trace values, out-of-range ids
+  // with the engine's message, and k=0 (an empty top-k, not an error).
+  for (const char* target :
+       {"/v1/pair?a=0&b=1&x=2", "/v1/single_source?v=0&bogus=1",
+        "/v1/topk?v=0&k=3&v=1", "/v1/pair?a=0&a=5&b=1",
+        "/v1/pair?a=0&b=1&trace=2", "/v1/single_source?v=1&trace=yes",
+        "/v1/topk?v=0&k=0", "/v1/topk?v=0&k=x", "/v1/topk?v=0&k=4294967296",
+        "/v1/pair?a=0&b=999", "/v1/pair?a=999&b=x", "/v1/pair?a=40&b=0",
+        "/v1/pair?a=0", "/v1/single_source?v=x", "/v1/single_source?v=40",
+        "/v1/topk?v=4294967295", "/v1/topk", "/v1/pair?a=0&a=1&trace=1",
+        "/v1/topk?v=x&trace=1", "/v1/nope?trace=1"}) {
+    cluster.ExpectSameAsSingleNode(target);
+  }
+  // A GET with a body is refused alike.
+  auto get_with_body = [](uint16_t port) {
+    auto client = LoopbackHttpClient::Connect(port);
+    OIPSIM_CHECK(client.ok());
+    OIPSIM_CHECK(client
+                     ->SendRaw("GET /v1/pair?a=0&b=1 HTTP/1.1\r\nHost: x\r\n"
+                               "Content-Length: 2\r\n\r\nab")
+                     .ok());
+    return client->ReadResponse();
+  };
+  auto routed = get_with_body(cluster.router_port());
+  auto direct = get_with_body(cluster.single_port());
+  ASSERT_TRUE(routed.ok() && direct.ok());
+  EXPECT_EQ(routed->status, 400);
+  EXPECT_EQ(routed->status, direct->status);
+  EXPECT_EQ(routed->body, direct->body);
+  // Unknown parameters on the body endpoints too.
+  auto routed_post = HttpPost(cluster.router_port(), "/v1/batch_pair?x=1",
+                              "0 1\n");
+  auto direct_post = HttpPost(cluster.single_port(), "/v1/batch_pair?x=1",
+                              "0 1\n");
+  ASSERT_TRUE(routed_post.ok() && direct_post.ok());
+  EXPECT_EQ(routed_post->status, 400);
+  EXPECT_EQ(routed_post->status, direct_post->status);
+  EXPECT_EQ(routed_post->body, direct_post->body);
+
   // Out-of-range and malformed parameters are 400 at the router — they
   // never reach a shard.
   EXPECT_EQ(HttpGet(cluster.router_port(), "/v1/pair?a=0&b=999")->status,

@@ -35,6 +35,14 @@ std::string ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
+/// Vertex `v`'s walk row in `index`'s store, as its owning shard ships it.
+std::vector<uint32_t> WalkRow(const WalkIndex& index, VertexId v) {
+  std::vector<uint32_t> scratch;
+  const Result<const uint32_t*> row = index.store().Row(v, &scratch);
+  OIPSIM_CHECK(row.ok());
+  return {*row, *row + index.store().WalkWords()};
+}
+
 WalkIndex BuildSmallIndex(const DiGraph& graph) {
   WalkIndexOptions options;
   options.num_fingerprints = 48;
@@ -50,11 +58,26 @@ TEST(ShardSplitTest, OutputBytesAreDeterministic) {
   const ShardRange range{0, 10, 25};
   const std::string a = TempPath("split-det-a.widx");
   const std::string b = TempPath("split-det-b.widx");
+  const std::string full = TempPath("split-det-full.widx");
   for (const bool compress : {false, true}) {
     ASSERT_TRUE(WriteShardIndex(index.store(), range, a, compress).ok());
     ASSERT_TRUE(WriteShardIndex(index.store(), range, b, compress).ok());
-    EXPECT_EQ(ReadFileBytes(a), ReadFileBytes(b))
-        << "compress=" << compress;
+    const std::string expected = ReadFileBytes(a);
+    EXPECT_EQ(ReadFileBytes(b), expected) << "compress=" << compress;
+    // Splitting a loaded index, through either backend, writes the same
+    // bytes as splitting the built one.
+    WalkIndex::SaveOptions save;
+    save.compress = compress;
+    ASSERT_TRUE(index.Save(full, save).ok());
+    for (const bool use_mmap : {false, true}) {
+      WalkIndex::LoadOptions load;
+      load.use_mmap = use_mmap;
+      auto loaded = WalkIndex::Load(full, load);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_TRUE(WriteShardIndex(loaded->store(), range, b, compress).ok());
+      EXPECT_EQ(ReadFileBytes(b), expected)
+          << "compress=" << compress << " mmap=" << use_mmap;
+    }
   }
 }
 
@@ -97,8 +120,7 @@ TEST(ShardSplitTest, SingleSourceSliceIsBitwiseEqualToFullIndex) {
     // The owner ships v's materialized row; every shard scores its own
     // range from it. Concatenating the slices reproduces the full row.
     const uint32_t owner = plan->OwnerOf(v);
-    const std::vector<uint32_t> row =
-        shards[owner].MaterializeRow(v, nullptr);
+    const std::vector<uint32_t> row = WalkRow(shards[owner], v);
     std::vector<double> stitched(index.n(), 0.0);
     for (size_t s = 0; s < shards.size(); ++s) {
       const ShardRange& range = plan->shards[s];
@@ -149,7 +171,7 @@ TEST(ShardSplitTest, CrossShardPairViaRowExchangeIsBitwise) {
   for (VertexId a = left.begin; a < left.end; a += 4) {
     for (VertexId b = right.begin; b < right.end; b += 6) {
       // a's owner materializes the row; b's owner scores it.
-      const std::vector<uint32_t> row = shard_l->MaterializeRow(a, nullptr);
+      const std::vector<uint32_t> row = WalkRow(*shard_l, a);
       const double scored = shard_r->EstimatePairWithRow(row, b, nullptr);
       const double full = index.EstimatePair(a, b);
       EXPECT_EQ(std::memcmp(&scored, &full, sizeof(double)), 0)

@@ -60,13 +60,11 @@ void ExpectBitwiseEquivalent(const WalkIndex& index,
                           patched.size() * sizeof(double)),
               0)
         << "single-source row of " << v << " diverges from rebuild";
-    if (index.has_resident_walks()) {
-      const std::vector<double> scan = index.EstimateSingleSourceScan(v);
-      ASSERT_EQ(std::memcmp(patched.data(), scan.data(),
-                            patched.size() * sizeof(double)),
-                0)
-          << "scan and inverted paths disagree under overlay at " << v;
-    }
+    const std::vector<double> scan = index.EstimateSingleSourceScan(v);
+    ASSERT_EQ(std::memcmp(patched.data(), scan.data(),
+                          patched.size() * sizeof(double)),
+              0)
+        << "scan and inverted paths disagree under overlay at " << v;
     for (VertexId b = 0; b < n; ++b) {
       const double pair = index.EstimatePair(v, b);
       const double fresh_pair = rebuilt.EstimatePair(v, b);

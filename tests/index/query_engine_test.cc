@@ -181,8 +181,8 @@ TEST(QueryEngineTest, OutOfRangeQueriesReturnErrors) {
 
 TEST(QueryEngineTest, MmapBackedEngineAnswersIdentically) {
   // The engine must serve bit-identical answers whether the index is fully
-  // resident or mmap-backed (the inverted single-source path is shared;
-  // pair queries decode segments instead of reading the flat table).
+  // resident or mmap-backed (the estimators are shared; mmap decodes each
+  // walk row instead of reading it in place).
   DiGraph graph = testing::RandomGraph(30, 120, 5);
   WalkIndex index = BuildIndex(graph, 64);
   const std::string path = ::testing::TempDir() + "/qe_mmap.widx";
@@ -193,7 +193,7 @@ TEST(QueryEngineTest, MmapBackedEngineAnswersIdentically) {
   load.use_mmap = true;
   auto mapped = WalkIndex::Load(path, load);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_FALSE(mapped->has_resident_walks());
+  ASSERT_STREQ(mapped->store().backend_name(), "mmap");
 
   QueryEngine resident_engine(index);
   QueryEngine mapped_engine(*mapped);

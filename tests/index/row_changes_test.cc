@@ -154,7 +154,9 @@ TEST_P(RowChangesSweepTest, SetCoversEveryChangedRow) {
   }
   apply(kill);
   const auto dead = index.overlay_snapshot();
-  const std::vector<uint32_t> y_walks = index.MaterializeRow(y, dead.get());
+  std::vector<uint32_t> scratch;
+  const uint32_t* y_walks =
+      *MaterializeRow(index.ServingStore(dead.get()), dead.get(), y, &scratch);
   for (uint32_t r = 0; r < 16; ++r) {
     ASSERT_EQ(y_walks[r * 6 + 1], WalkIndex::kDeadWalk) << "walk " << r;
   }

@@ -44,8 +44,17 @@ WalkIndex BuildSmallIndex(const DiGraph& graph) {
   return std::move(index).value();
 }
 
+/// Vertex `v`'s walk row in `index`'s store, copied out.
+std::vector<uint32_t> WalkRow(const WalkIndex& index, VertexId v) {
+  std::vector<uint32_t> scratch;
+  const Result<const uint32_t*> row = index.store().Row(v, &scratch);
+  OIPSIM_CHECK(row.ok());
+  return {*row, *row + index.store().WalkWords()};
+}
+
 /// Saves `index`, then opens it through both backends and checks every
-/// estimator agrees bitwise with the freshly built index.
+/// walk row and every estimator agrees bitwise with the freshly built
+/// index.
 void CheckRoundTrip(const DiGraph& graph, const WalkIndex& index,
                     bool compress, const std::string& tag) {
   const std::string path = TempPath("store_roundtrip_" + tag + ".widx");
@@ -60,10 +69,14 @@ void CheckRoundTrip(const DiGraph& graph, const WalkIndex& index,
   auto mapped = WalkIndex::Load(path, mmap_load);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-  EXPECT_TRUE(ram->has_resident_walks());
-  EXPECT_FALSE(mapped->has_resident_walks());
   EXPECT_EQ(std::string(ram->store().backend_name()), "in-memory");
   EXPECT_EQ(std::string(mapped->store().backend_name()), "mmap");
+
+  for (VertexId v = 0; v < graph.n(); ++v) {
+    const std::vector<uint32_t> built_row = WalkRow(index, v);
+    EXPECT_EQ(WalkRow(*ram, v), built_row) << tag << " ram row " << v;
+    EXPECT_EQ(WalkRow(*mapped, v), built_row) << tag << " mmap row " << v;
+  }
 
   for (VertexId a = 0; a < graph.n(); ++a) {
     for (VertexId b = 0; b < graph.n(); ++b) {
@@ -79,7 +92,9 @@ void CheckRoundTrip(const DiGraph& graph, const WalkIndex& index,
     const auto built_inverted = index.EstimateSingleSource(v);
     const auto ram_inverted = ram->EstimateSingleSource(v);
     const auto mapped_inverted = mapped->EstimateSingleSource(v);
+    const auto mapped_scan = mapped->EstimateSingleSourceScan(v);
     ASSERT_EQ(scan.size(), graph.n());
+    ASSERT_EQ(mapped_scan.size(), graph.n());
     // Bitwise, not approximate: the inverted path must replay the exact
     // accumulation order of the scan.
     EXPECT_EQ(0, std::memcmp(scan.data(), built_inverted.data(),
@@ -91,6 +106,9 @@ void CheckRoundTrip(const DiGraph& graph, const WalkIndex& index,
     EXPECT_EQ(0, std::memcmp(scan.data(), mapped_inverted.data(),
                              scan.size() * sizeof(double)))
         << tag << " mmap inverted row " << v;
+    EXPECT_EQ(0, std::memcmp(mapped_scan.data(), mapped_inverted.data(),
+                             scan.size() * sizeof(double)))
+        << tag << " mmap scan row " << v;
   }
 }
 
@@ -141,23 +159,23 @@ TEST(WalkStoreTest, ResaveThroughAnyBackendIsByteIdentical) {
   }
 }
 
-TEST(WalkStoreTest, BucketsMatchTheFlatTable) {
+TEST(WalkStoreTest, BucketsMatchTheWalkRows) {
   DiGraph graph = testing::RandomGraph(35, 120, 21);
   WalkIndex index = BuildSmallIndex(graph);
   const WalkStore& store = index.store();
-  const uint32_t* flat = store.FlatWalks();
-  ASSERT_NE(flat, nullptr);
   const uint32_t n = graph.n();
   const uint32_t L = index.options().walk_length;
+  std::vector<std::vector<uint32_t>> rows;
+  for (VertexId v = 0; v < n; ++v) rows.push_back(WalkRow(index, v));
   for (uint32_t r = 0; r < index.options().num_fingerprints; ++r) {
     for (uint32_t t = 1; t <= L; ++t) {
-      const size_t base = (static_cast<size_t>(r) * (L + 1) + t) * n;
+      const size_t word = static_cast<size_t>(r) * (L + 1) + t;
       // The slot must list exactly the alive walks, sorted by (position,
       // vertex).
       const WalkStore::SlotView slot = store.Slot(r, t);
       size_t alive = 0;
       for (uint32_t v = 0; v < n; ++v) {
-        alive += flat[base + v] != WalkStore::kDeadWalk;
+        alive += rows[v][word] != WalkStore::kDeadWalk;
       }
       ASSERT_EQ(slot.count, alive);
       for (size_t i = 0; i + 1 < slot.count; ++i) {
@@ -167,14 +185,14 @@ TEST(WalkStoreTest, BucketsMatchTheFlatTable) {
         }
       }
       for (size_t i = 0; i < slot.count; ++i) {
-        ASSERT_EQ(flat[base + slot.vertices[i]], slot.positions[i]);
+        ASSERT_EQ(rows[slot.vertices[i]][word], slot.positions[i]);
       }
       // Every bucket returns exactly the vertices parked at the position.
       for (uint32_t p = 0; p < n; ++p) {
         auto bucket = store.Bucket(r, t, p);
         std::vector<uint32_t> expected;
         for (uint32_t v = 0; v < n; ++v) {
-          if (flat[base + v] == p) expected.push_back(v);
+          if (rows[v][word] == p) expected.push_back(v);
         }
         ASSERT_EQ(bucket.size(), expected.size())
             << "slot (" << r << "," << t << ") position " << p;
@@ -183,27 +201,6 @@ TEST(WalkStoreTest, BucketsMatchTheFlatTable) {
         }
       }
     }
-  }
-}
-
-TEST(WalkStoreTest, DecodeVertexAgreesAcrossBackends) {
-  DiGraph graph = testing::RandomGraph(30, 100, 7);
-  WalkIndex index = BuildSmallIndex(graph);
-  const std::string path = TempPath("store_decode.widx");
-  WalkIndex::SaveOptions save;
-  save.compress = true;
-  ASSERT_TRUE(index.Save(path, save).ok());
-  auto mapped_store = MmapWalkStore::Open(path);
-  ASSERT_TRUE(mapped_store.ok());
-  const WalkStore& built = index.store();
-  std::vector<uint32_t> expected(built.WalkWords());
-  std::vector<uint32_t> actual(built.WalkWords());
-  for (VertexId v = 0; v < graph.n(); ++v) {
-    ASSERT_TRUE(built.DecodeVertex(v, expected.data()).ok());
-    ASSERT_TRUE((*mapped_store)->DecodeVertex(v, actual.data()).ok());
-    EXPECT_EQ(0, std::memcmp(expected.data(), actual.data(),
-                             expected.size() * sizeof(uint32_t)))
-        << "vertex " << v;
   }
 }
 
@@ -221,7 +218,7 @@ TEST(WalkStoreTest, MmapOpenKeepsOnlyHeaderAndDirectoryResident) {
   // The mmap backend pins the header page plus the directory; the payload
   // must not count toward its resident footprint.
   EXPECT_LT(mapped->SizeBytes(), file_bytes / 2);
-  // The in-memory backend holds at least the decoded flat table.
+  // The in-memory backend holds at least the decoded walk rows.
   auto ram = WalkIndex::Load(path);
   ASSERT_TRUE(ram.ok());
   EXPECT_GE(ram->SizeBytes(),
@@ -429,8 +426,8 @@ TEST(WalkStoreTest, MalformedSegmentBytesFailDecodeWithOffset) {
   mmap_load.use_mmap = true;
   auto mapped = WalkIndex::Load(corrupt_path, mmap_load);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  std::vector<uint32_t> scratch(mapped->store().WalkWords());
-  const Status decode = mapped->store().DecodeVertex(0, scratch.data());
+  std::vector<uint32_t> scratch;
+  const Status decode = mapped->store().Row(0, &scratch).status();
   ASSERT_FALSE(decode.ok());
   EXPECT_EQ(decode.code(), StatusCode::kParseError);
   EXPECT_NE(decode.message().find("byte offset"), std::string::npos)
@@ -535,8 +532,8 @@ TEST(WalkStoreTest, OverflowingPositionDeltaFailsDecodeCleanly) {
   mmap_load.use_mmap = true;
   auto mapped = WalkIndex::Load(corrupt_path, mmap_load);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  std::vector<uint32_t> scratch(mapped->store().WalkWords());
-  const Status decode = mapped->store().DecodeVertex(0, scratch.data());
+  std::vector<uint32_t> scratch;
+  const Status decode = mapped->store().Row(0, &scratch).status();
   ASSERT_FALSE(decode.ok());
   EXPECT_NE(decode.message().find("delta out of range"), std::string::npos)
       << decode.ToString();
@@ -603,8 +600,8 @@ TEST(WalkStoreTest, OversizedDecodeRefusedInMemoryButServableViaMmap) {
   // A fully consistent (all three checksums valid) compressed index whose
   // all-dead walks and huge-but-legal walk length decode to ~2.4 GiB from
   // a ~5 MiB file. The in-memory backend must refuse the materialization
-  // under its load budget; the mmap backend — which never builds the flat
-  // table — must serve it.
+  // under its load budget; the mmap backend — which never decodes more
+  // than the rows a query reads — must serve it.
   constexpr uint32_t kN = 1024;
   constexpr uint32_t kR = 64;
   constexpr uint32_t kL = 10000;
@@ -717,14 +714,18 @@ TEST(WalkStoreTest, ParallelOpenMatchesSerialBitwise) {
   auto serial = InMemoryWalkStore::Open(path, 1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const WalkStoreMeta& meta = (*serial)->meta();
-  const size_t total_words = (*serial)->WalkWords() * meta.n;
+  const size_t words = (*serial)->WalkWords();
+  std::vector<uint32_t> scratch;
   for (const uint32_t threads : {2u, 3u, 8u}) {
     auto parallel = InMemoryWalkStore::Open(path, threads);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(std::memcmp((*serial)->FlatWalks(), (*parallel)->FlatWalks(),
-                          total_words * sizeof(uint32_t)),
-              0)
-        << "flat walk table differs at " << threads << " threads";
+    for (VertexId v = 0; v < meta.n; ++v) {
+      ASSERT_EQ(std::memcmp(*(*serial)->Row(v, &scratch),
+                            *(*parallel)->Row(v, &scratch),
+                            words * sizeof(uint32_t)),
+                0)
+          << "walk row " << v << " differs at " << threads << " threads";
+    }
     EXPECT_EQ((*serial)->ResidentBytes(), (*parallel)->ResidentBytes());
     for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
       for (uint32_t t = 1; t <= meta.walk_length; ++t) {

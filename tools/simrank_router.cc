@@ -12,14 +12,12 @@
 // updates are broadcast to every primary with per-shard WAL durability
 // before the router acks. See src/simrank/cluster/router.h for the
 // merge-exactness and consistency story.
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
 #include <string>
 #include <string_view>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 #include "simrank/cluster/router.h"
 #include "simrank/cluster/shard_plan.h"
@@ -54,14 +52,6 @@ Status ParseShardSpec(std::string_view spec, simrank::RouterShard* out) {
   if (comma == std::string_view::npos) return Status::OK();
   return simrank::ParseFlagValue(ports.substr(comma + 1),
                                  &out->replica_port);
-}
-
-simrank::SimRankRouter* g_router = nullptr;
-
-void HandleSignal(int) {
-  // RequestStop is async-signal-safe (atomic store + shutdown(2)); the
-  // main thread's pause() returns and runs the full join.
-  if (g_router != nullptr) g_router->RequestStop();
 }
 
 int RealMain(int argc, char** argv) {
@@ -110,6 +100,15 @@ int RealMain(int argc, char** argv) {
     return flags.Fail(valid.message());
   }
 
+  // SIGINT and SIGTERM stay blocked in every thread (the router's threads
+  // inherit this mask) and are taken below with sigwait, so a signal that
+  // arrives before the main thread waits is kept pending, not lost.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   simrank::SimRankRouter router(std::move(options));
   auto status = router.Bind();
   if (!status.ok()) {
@@ -123,9 +122,6 @@ int RealMain(int argc, char** argv) {
                  status.ToString().c_str());
     return 1;
   }
-  g_router = &router;
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
   std::fprintf(
       stderr,
       "simrank_router: plan %s (epoch %llu, n=%u, %zu shards), listening "
@@ -137,9 +133,9 @@ int RealMain(int argc, char** argv) {
 
   // The accept loop runs on its own thread; park this one until a signal
   // requests a stop, then join everything.
-  ::pause();
+  int signal = 0;
+  sigwait(&stop_signals, &signal);
   router.Shutdown();
-  g_router = nullptr;
   const simrank::RouterStats stats = router.stats();
   std::fprintf(stderr,
                "simrank_router: shut down cleanly (%llu requests, "

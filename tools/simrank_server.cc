@@ -39,7 +39,6 @@
 #include "simrank/graph/graph_io.h"
 #include "simrank/index/index_updater.h"
 #include "simrank/index/query_engine.h"
-#include "simrank/index/segment_reader.h"
 #include "simrank/index/walk_index.h"
 #include "simrank/index/walk_store.h"
 #include "simrank/obs/diagnostics.h"
@@ -95,7 +94,6 @@ int RealMain(int argc, char** argv) {
   std::string graph_path;
   std::string warm_path;
   std::string shard_plan_path;
-  bool no_uring = false;
   simrank::WalkIndex::LoadOptions load_options;
   simrank::ServerOptions server_options;
   simrank::QueryEngineOptions engine_options;
@@ -163,9 +161,6 @@ int RealMain(int argc, char** argv) {
       .Add("--tail-from", "PORT", &tailer_options.source_port,
            "keep a replica current by tailing this primary's /v1/wal; "
            "0 = off")
-      .Switch("--no-uring", &no_uring,
-              "read cold rows with preadv/fadvise instead of io_uring "
-              "(as SIMRANK_NO_URING=1 does)")
       .Add("--trace-sample", "F", &server_options.trace_sample,
            "fraction of requests traced at random")
       .Add("--slow-query-us", "US", &server_options.slow_query_us,
@@ -215,7 +210,6 @@ int RealMain(int argc, char** argv) {
         "--tail-from requires --replica: a server accepting both public "
         "updates and a shipped WAL would fork its graph");
   }
-  if (no_uring) simrank::SegmentReader::SetIoUringEnabled(false);
 
   if (!shard_plan_path.empty()) {
     auto plan = simrank::ShardPlan::LoadFile(shard_plan_path);
