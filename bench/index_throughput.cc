@@ -407,7 +407,7 @@ int Main() {
        FormatDuration(uring_serve.open_seconds),
        FormatDuration(uring_serve.first_answer_seconds),
        FormatDuration(uring_serve.sweep_seconds)});
-  cold_table.AddRow({"pread/fadvise fallback",
+  cold_table.AddRow({"fadvise fallback",
                      FormatDuration(fallback_serve.open_seconds),
                      FormatDuration(fallback_serve.first_answer_seconds),
                      FormatDuration(fallback_serve.sweep_seconds)});

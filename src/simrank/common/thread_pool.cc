@@ -1,5 +1,9 @@
 #include "simrank/common/thread_pool.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <utility>
 
@@ -9,6 +13,17 @@ namespace simrank {
 
 uint32_t ThreadPool::ResolveThreadCount(uint32_t requested) {
   if (requested > 0) return requested;
+  // The CPUs this thread may run on: a process started under `taskset`
+  // or a cpuset gets one worker per CPU it was given, not per CPU of the
+  // machine (which is all std::thread::hardware_concurrency reports).
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int usable = CPU_COUNT(&mask);
+    if (usable > 0) return static_cast<uint32_t>(usable);
+  }
+#endif
   const uint32_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

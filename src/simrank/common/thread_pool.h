@@ -22,8 +22,8 @@ namespace simrank {
 /// A fixed pool of worker threads executing submitted tasks FIFO.
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers; 0 means std::thread::hardware_concurrency
-  /// (at least 1).
+  /// Starts `num_threads` workers; 0 means one per CPU the calling thread
+  /// may run on (ResolveThreadCount).
   explicit ThreadPool(uint32_t num_threads = 0);
 
   /// Drains outstanding tasks, then joins all workers.
@@ -54,8 +54,9 @@ class ThreadPool {
     return in_flight_;
   }
 
-  /// Resolves a user-facing thread-count option: 0 -> hardware concurrency,
-  /// clamped to at least 1.
+  /// Resolves a user-facing thread-count option: 0 -> the number of CPUs
+  /// in the calling thread's affinity mask (std::thread::hardware_concurrency
+  /// where the mask is unavailable), clamped to at least 1.
   static uint32_t ResolveThreadCount(uint32_t requested);
 
   /// Runs fn(i) for every i in [begin, end), split into contiguous chunks

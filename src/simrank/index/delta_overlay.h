@@ -1,17 +1,24 @@
 // In-memory patch set over an immutable WalkStore.
 //
 // A DeltaOverlay is what an IndexUpdater publishes after applying an edge
-// batch: for every (vertex, fingerprint) walk whose positions changed, the
-// re-simulated *suffix* of that walk (positions from its first affected
-// step onwards), and for every (fingerprint, step) slot whose contents
+// batch: for every (vertex, fingerprint) walk whose positions differ from
+// the base store, a patch holding exactly the steps from the first to the
+// last differing one, and for every (fingerprint, step) slot whose contents
 // changed, a sparse diff of the inverted position index *relative to the
 // base store* (entries removed because a walk left a position, entries
-// added because one arrived). Storing suffixes instead of whole patched
-// segments keeps an update batch O(affected walk-steps), not
-// O(affected vertices · R · L) — the difference between microseconds and
-// milliseconds per batch — at the cost of one extra hash lookup per
-// (patched vertex, fingerprint) on the read side, which only queries that
-// touch patched vertices ever pay.
+// added because one arrived). Both are functions of the served positions
+// alone, never of the batches that wrote them. Re-simulated walks usually
+// re-couple with their old path within a step or two, so a patch is a few
+// words and a batch stays O(affected walk-steps), not
+// O(affected vertices · R · L).
+//
+// Layout: the patches are one array of (walk key, patch) in ascending
+// key (v << 32 | r) order, so a vertex's patches are contiguous and a
+// lookup is one binary search; the slot diffs are one R·L table of
+// pointers indexed by slot r·L + (t-1), null where a slot is unchanged.
+// Patches and slot diffs are shared (by pointer) with successor overlays
+// that did not touch them again, so building the next overlay copies
+// pointers, never patch contents.
 //
 // Overlays are immutable once published; an update batch builds a new
 // overlay from the previous one and swaps it in RCU-style (see
@@ -43,7 +50,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -71,22 +77,24 @@ struct OverlayEntry {
 /// Immutable patch set; thread-safe for concurrent reads.
 class DeltaOverlay {
  public:
-  /// Re-simulated positions of one (vertex, fingerprint) walk: suffix[i]
-  /// is the position after t0 + i steps (kDeadWalk once the walk dies).
-  /// The patch covers exactly steps [t0, t0 + suffix.size()); everywhere
-  /// else the walk still holds the base store's positions — re-simulated
-  /// walks usually re-couple with their old path within a step or two
-  /// (the same coalescence SimRank itself rests on), so patches stay a
-  /// few words long instead of O(L).
+  /// Served positions of one (vertex, fingerprint) walk where they differ
+  /// from the base store: suffix[i] is the position after t0 + i steps
+  /// (kDeadWalk once the walk dies). Steps t0 and t0 + suffix.size() - 1
+  /// both differ from the store; the steps between them may not, and
+  /// every step outside them holds the store's position.
   struct WalkPatch {
     uint32_t t0 = 1;
     std::vector<uint32_t> suffix;
 
-    bool Covers(uint32_t t) const {
-      return t >= t0 && t - t0 < suffix.size();
+    /// Writes the patched steps over `walk`, one walk's L + 1 positions
+    /// laid out by step.
+    void WriteOver(uint32_t* walk) const {
+      std::copy(suffix.begin(), suffix.end(), walk + t0);
     }
-    uint32_t Position(uint32_t t) const { return suffix[t - t0]; }
   };
+
+  /// One patch-array element: the walk key (v << 32 | r) and its patch.
+  using PatchEntry = std::pair<uint64_t, std::shared_ptr<const WalkPatch>>;
 
   /// Sparse diff of one inverted slot vs. the base store, both sides
   /// sorted by (position, vertex). An entry never appears on both sides,
@@ -131,35 +139,30 @@ class DeltaOverlay {
   /// what GraphFingerprint() returns for rebuild-equivalent graphs.
   uint64_t graph_fingerprint() const { return graph_fingerprint_; }
 
-  /// True when any of v's walks is patched — the one-hash fast-path test
-  /// every overlay-aware read does first.
-  bool IsPatched(VertexId v) const {
-    return patch_counts_.find(v) != patch_counts_.end();
+  /// v's patches, ascending by fingerprint; empty when none of v's walks
+  /// differs from the store.
+  std::span<const PatchEntry> PatchesOf(VertexId v) const {
+    auto begin = LowerBound(WalkKey(v, 0));
+    auto end = begin;
+    while (end != patches_.end() && (end->first >> 32) == v) ++end;
+    return {begin, end};
   }
 
   /// The patch of walk (v, r), or nullptr when that walk is unchanged.
   const WalkPatch* FindPatch(VertexId v, uint32_t r) const {
-    auto it = patches_.find(WalkKey(v, r));
-    return it == patches_.end() ? nullptr : it->second.get();
+    const uint64_t key = WalkKey(v, r);
+    auto it = LowerBound(key);
+    return it != patches_.end() && it->first == key ? it->second.get()
+                                                    : nullptr;
   }
 
   /// Diff of slot (r, t) vs. the base store, or nullptr when unchanged.
   const SlotDelta* Delta(uint32_t r, uint32_t t) const {
-    auto it = deltas_.find(SlotId(r, t));
-    return it == deltas_.end() ? nullptr : it->second.get();
+    return deltas_[static_cast<size_t>(r) * walk_length_ + (t - 1)].get();
   }
 
-  size_t patched_vertex_count() const { return patch_counts_.size(); }
   size_t patched_walk_count() const { return patches_.size(); }
-  size_t changed_slot_count() const { return deltas_.size(); }
-
-  /// Total entries across all slot diffs (removed + added); a size gauge.
-  uint64_t delta_entry_count() const { return delta_entries_; }
-
-  /// Estimated heap bytes this overlay keeps resident (patches, slot
-  /// diffs, hash-map overhead). What the updater's --overlay-budget is
-  /// compared against; computed once at publish time.
-  uint64_t resident_bytes() const { return resident_bytes_; }
+  size_t changed_slot_count() const { return changed_slots_; }
 
   /// The store this overlay's patches and slot diffs are expressed
   /// against, when it differs from the index's original store: a
@@ -171,12 +174,6 @@ class DeltaOverlay {
   /// holds a snapshot expressed against them.
   const std::shared_ptr<const WalkStore>& rebased_store() const {
     return rebased_store_;
-  }
-
-  /// The patched vertices and how many of their walks are patched;
-  /// iteration support for Compact() and the scan estimator.
-  const std::unordered_map<VertexId, uint32_t>& patched_vertices() const {
-    return patch_counts_;
   }
 
  private:
@@ -193,24 +190,29 @@ class DeltaOverlay {
     return (static_cast<uint64_t>(v) << 32) | r;
   }
 
-  uint64_t SlotId(uint32_t r, uint32_t t) const {
-    return static_cast<uint64_t>(r) * walk_length_ + (t - 1);
+  std::vector<PatchEntry>::const_iterator LowerBound(uint64_t key) const {
+    return std::lower_bound(
+        patches_.begin(), patches_.end(), key,
+        [](const PatchEntry& entry, uint64_t k) { return entry.first < k; });
   }
 
   uint64_t sequence_ = 0;
   uint64_t graph_fingerprint_ = 0;
   uint32_t walk_length_ = 0;
-  uint64_t delta_entries_ = 0;
-  uint64_t resident_bytes_ = 0;
   /// See rebased_store().
   std::shared_ptr<const WalkStore> rebased_store_;
-  /// Walk patches keyed by (v << 32 | r). Values are shared with successor
-  /// overlays for walks later batches did not touch again.
-  std::unordered_map<uint64_t, std::shared_ptr<const WalkPatch>> patches_;
-  /// Patched-walk count per vertex — the read side's fast membership test.
-  std::unordered_map<VertexId, uint32_t> patch_counts_;
-  /// Slot diffs keyed by slot id r·L + (t-1), shared like patches_.
-  std::unordered_map<uint64_t, std::shared_ptr<const SlotDelta>> deltas_;
+  /// Walk patches in ascending key order.
+  std::vector<PatchEntry> patches_;
+  /// Slot diffs indexed by slot r·L + (t-1); null where unchanged.
+  std::vector<std::shared_ptr<const SlotDelta>> deltas_;
+  /// Size counters, kept up to date as entries change.
+  uint64_t patched_vertices_ = 0;
+  uint64_t suffix_words_ = 0;
+  uint64_t changed_slots_ = 0;
+  uint64_t delta_entries_ = 0;
+  /// Estimated heap bytes a compaction would release, compared against
+  /// the updater's overlay budget; computed once at publish time.
+  uint64_t resident_bytes_ = 0;
   /// Row-change sets of the batches up to sequence_, oldest first, at
   /// most kRowChangeWindow; consecutive sequences, shared with successors.
   /// Not counted in resident_bytes_: a compaction carries them over, so
@@ -219,9 +221,9 @@ class DeltaOverlay {
 };
 
 /// Vertex `v`'s walk row under base+overlay: the base row
-/// (WalkStore::Row, whose layout it keeps) with every patched suffix
-/// written over it. An unpatched row is the store's own, read in place on the
-/// in-memory backend; a patched one is assembled in `*scratch`. The one
+/// (WalkStore::Row, whose layout it keeps) with each of v's patches
+/// written over it. An unpatched row is the store's own, read in place on
+/// the in-memory backend; a patched one is assembled in `*scratch`. The one
 /// row accessor behind the estimators, the scan, compaction and the
 /// router's /internal/walks exchange.
 inline Result<const uint32_t*> MaterializeRow(const WalkStore& store,
@@ -229,24 +231,18 @@ inline Result<const uint32_t*> MaterializeRow(const WalkStore& store,
                                               VertexId v,
                                               std::vector<uint32_t>* scratch) {
   Result<const uint32_t*> base = store.Row(v, scratch);
-  if (!base.ok() || overlay == nullptr || !overlay->IsPatched(v)) {
-    return base;
-  }
+  if (!base.ok() || overlay == nullptr) return base;
+  const std::span<const DeltaOverlay::PatchEntry> patches =
+      overlay->PatchesOf(v);
+  if (patches.empty()) return base;
   // A row read in place is copied before the patches go over it.
   if (*base != scratch->data()) {
     scratch->assign(*base, *base + store.WalkWords());
   }
   uint32_t* out = scratch->data();
-  const uint32_t L = store.meta().walk_length;
-  const size_t row = static_cast<size_t>(L) + 1;
-  for (uint32_t r = 0; r < store.meta().num_fingerprints; ++r) {
-    const DeltaOverlay::WalkPatch* patch = overlay->FindPatch(v, r);
-    if (patch == nullptr) continue;
-    const uint32_t end = std::min(
-        L, patch->t0 + static_cast<uint32_t>(patch->suffix.size()) - 1);
-    for (uint32_t t = patch->t0; t <= end; ++t) {
-      out[r * row + t] = patch->Position(t);
-    }
+  const size_t row = static_cast<size_t>(store.meta().walk_length) + 1;
+  for (const auto& [key, patch] : patches) {
+    patch->WriteOver(out + (key & 0xffffffffu) * row);
   }
   return out;
 }

@@ -16,17 +16,18 @@ namespace {
 
 constexpr uint32_t kDead = WalkStore::kDeadWalk;
 
-/// Base-store position reads for the patch path. Callers visit walks
-/// grouped by vertex, so the reader holds one row at a time: read in place
-/// on the in-memory backend, one segment decode per vertex on mmap. Not
-/// shared across threads — each re-simulation worker owns one.
+/// Base-store walk reads for the patch path and the compaction rebase.
+/// Callers visit walks grouped by vertex, so the reader holds one row at a
+/// time: read in place on the in-memory backend, one segment decode per
+/// vertex on mmap. Not shared across threads — each block owns one.
 class BaseRowReader {
  public:
   explicit BaseRowReader(const WalkStore& store)
       : store_(store),
         row_length_(static_cast<size_t>(store.meta().walk_length) + 1) {}
 
-  uint32_t Pos(VertexId v, uint32_t r, uint32_t t) {
+  /// The L + 1 base positions of walk (v, r), by step.
+  const uint32_t* Walk(VertexId v, uint32_t r) {
     if (row_ == nullptr || v != vertex_) {
       const Result<const uint32_t*> row = store_.Row(v, &scratch_);
       OIPSIM_CHECK_MSG(row.ok(), "corrupt walk segment while patching: %s",
@@ -34,7 +35,7 @@ class BaseRowReader {
       row_ = *row;
       vertex_ = v;
     }
-    return row_[r * row_length_ + t];
+    return row_ + r * row_length_;
   }
 
  private:
@@ -45,25 +46,45 @@ class BaseRowReader {
   std::vector<uint32_t> scratch_;
 };
 
-/// Deterministic estimate of an overlay's heap footprint from its size
-/// counters: per-container-node constants (key + value + hash-node
-/// overhead) plus the payload words. What --overlay-budget compares
-/// against; exactness is not required, stability and monotonicity are.
+/// Deterministic estimate of the heap bytes a compaction would release,
+/// from an overlay's size counters: per patch its array entry (key +
+/// pointer), its shared block and its position buffer, per patched step a
+/// word, per changed slot its shared block and two entry buffers, per
+/// slot-diff entry two words. The R·L pointer table is left out: a
+/// compaction keeps it, so it could never bring an overlay back under
+/// budget. What --overlay-budget compares against; exactness is not
+/// required, stability and monotonicity are.
 uint64_t OverlayBytesFromCounts(size_t patches, uint64_t suffix_words,
-                                size_t patched_vertices, size_t slots,
+                                uint64_t changed_slots,
                                 uint64_t delta_entries) {
-  return static_cast<uint64_t>(patches) * 88 + suffix_words * 4 +
-         static_cast<uint64_t>(patched_vertices) * 48 +
-         static_cast<uint64_t>(slots) * 112 + delta_entries * 8;
+  return static_cast<uint64_t>(patches) * 104 + suffix_words * 4 +
+         changed_slots * 112 + delta_entries * 8;
+}
+
+/// The one block runner: cuts [0, count) into contiguous blocks, runs
+/// `fn(begin, end, &out)` for each on `pool`, and returns the per-block
+/// outputs in block order, so that their concatenation does not depend on
+/// the worker count. Several workers get four blocks each, which evens out
+/// uneven blocks; one worker runs a single block inline.
+template <typename Out, typename Fn>
+std::vector<Out> RunBlocks(ThreadPool& pool, size_t count, Fn&& fn) {
+  const size_t per_worker = pool.num_threads() == 1 ? 1 : 4;
+  const size_t blocks = std::max<size_t>(
+      1, std::min(count, per_worker * pool.num_threads()));
+  std::vector<Out> out(blocks);
+  pool.ParallelFor(0, blocks, [&](uint64_t b) {
+    fn(count * b / blocks, count * (b + 1) / blocks, &out[b]);
+  });
+  return out;
 }
 
 }  // namespace
 
 /// One pending change of vertex `vertex`'s inverted-index entry in slot
-/// `slot`: its position in the base store vs. the re-simulated one. kDead
-/// on either side means "no entry" (the walk is dead at that step).
-/// Collected flat and grouped by one sort — per-slot containers would
-/// cost an allocation per touched slot per batch.
+/// `slot`: its position in the base store vs. the new one. kDead on either
+/// side means "no entry" (the walk is dead at that step). Collected flat
+/// and grouped by one sort — per-slot containers would cost an allocation
+/// per touched slot per batch.
 struct IndexUpdater::SlotEdit {
   uint64_t slot = 0;
   VertexId vertex = 0;
@@ -75,23 +96,77 @@ struct IndexUpdater::SlotEdit {
   }
 };
 
-/// What one re-simulated walk does to the overlay's patch map. Workers
-/// emit these into per-block vectors; the merge applies them in canonical
-/// (vertex, fingerprint) order, so the map contents are independent of
-/// the block partition.
-struct IndexUpdater::WalkOutcome {
-  enum class Kind : uint8_t {
-    kInsert,  // fresh walk diverged: add patch, bump the vertex count
-    kSet,     // previously patched walk: replace its patch
-    kErase,   // previously patched walk re-equals the base: drop it
-  };
+/// What diffing a run of walks emits instead of mutating an overlay, so
+/// any worker can produce it. Walks are diffed in ascending key order, and
+/// blocks are contiguous key ranges, so block outputs joined in block
+/// order are in canonical (vertex, fingerprint) order.
+struct IndexUpdater::WalkDiffs {
+  std::vector<SlotEdit> edits;
+  /// One (walk key, patch) per walk that moved, ascending by key; a null
+  /// patch means the walk equals the store again.
+  std::vector<DeltaOverlay::PatchEntry> outcomes;
+  /// (slot, position) of both ends of every moved walk step, dead ends
+  /// left out: with the outcomes' vertices, what the row-change set is
+  /// built from.
+  std::vector<std::pair<uint64_t, uint32_t>> moved_ends;
+  uint64_t steps_written = 0;
 
-  uint64_t key = 0;
-  Kind kind = Kind::kInsert;
-  std::shared_ptr<const DeltaOverlay::WalkPatch> patch;
+  /// The one walk diff, shared by the batch path and the compaction
+  /// rebase. Over steps t = 1..L of walk `key`: base[t] is the store's
+  /// position, served[t] the one the previous overlay served and next[t]
+  /// the new one. Every step with next ≠ served moved: it gets one slot
+  /// edit (base → next), which replaces the vertex's previous entry in
+  /// that slot, and both of its ends join the row-change set. A walk that
+  /// moved gets one outcome: the patch over exactly the first..last step
+  /// where next ≠ base, or null when the walk equals the store again.
+  void DiffWalk(uint64_t key, const uint32_t* base, const uint32_t* served,
+                const uint32_t* next, uint32_t L) {
+    const auto v = static_cast<VertexId>(key >> 32);
+    const uint64_t first_slot = (key & 0xffffffffu) * L;
+    bool moved = false;
+    uint32_t first = 0;
+    uint32_t last = 0;
+    for (uint32_t t = 1; t <= L; ++t) {
+      if (next[t] != base[t]) {
+        if (first == 0) first = t;
+        last = t;
+      }
+      if (next[t] == served[t]) continue;
+      moved = true;
+      const uint64_t slot = first_slot + (t - 1);
+      edits.push_back(SlotEdit{slot, v, base[t], next[t]});
+      if (served[t] != kDead) moved_ends.emplace_back(slot, served[t]);
+      if (next[t] != kDead) moved_ends.emplace_back(slot, next[t]);
+    }
+    if (!moved) return;
+    std::shared_ptr<DeltaOverlay::WalkPatch> patch;
+    if (first != 0) {
+      patch = std::make_shared<DeltaOverlay::WalkPatch>();
+      patch->t0 = first;
+      patch->suffix.assign(next + first, next + last + 1);
+    }
+    outcomes.emplace_back(key, std::move(patch));
+  }
+
+  /// Joins block outputs in block order.
+  static WalkDiffs Join(std::vector<WalkDiffs> blocks) {
+    WalkDiffs all = std::move(blocks[0]);
+    for (size_t b = 1; b < blocks.size(); ++b) {
+      WalkDiffs& block = blocks[b];
+      all.edits.insert(all.edits.end(), block.edits.begin(),
+                       block.edits.end());
+      all.outcomes.insert(all.outcomes.end(),
+                          std::make_move_iterator(block.outcomes.begin()),
+                          std::make_move_iterator(block.outcomes.end()));
+      all.moved_ends.insert(all.moved_ends.end(), block.moved_ends.begin(),
+                            block.moved_ends.end());
+      all.steps_written += block.steps_written;
+    }
+    return all;
+  }
 };
 
-/// One batch waiting in the group-commit queue, owned by its submitting
+/// One batch waiting in the commit queue, owned by its submitting
 /// thread's stack frame.
 struct IndexUpdater::PendingBatch {
   std::span<const EdgeUpdate> updates;
@@ -119,8 +194,7 @@ IndexUpdater::IndexUpdater(WalkIndex& index, const DiGraph& base_graph,
     }
   }
   graph_fingerprint_ = ComposeGraphFingerprint(n_, m_, edge_sum_, edge_xor_);
-  num_threads_ = ThreadPool::ResolveThreadCount(options.num_threads);
-  if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
+  pool_ = std::make_unique<ThreadPool>(options.num_threads);
 }
 
 IndexUpdater::~IndexUpdater() {
@@ -204,6 +278,12 @@ Result<std::unique_ptr<IndexUpdater>> IndexUpdater::Open(
       std::lock_guard<std::mutex> stats_lock(updater->stats_mutex_);
       ++updater->stats_.batches_replayed;
     }
+    // One publish for the whole replay, then the auto-compaction check.
+    if (updater->pending_overlay_ != nullptr) {
+      updater->index_.PublishOverlay(updater->pending_overlay_);
+      updater->MaybeTriggerAutoCompact(*updater->pending_overlay_);
+      updater->pending_overlay_ = nullptr;
+    }
   }
   {
     std::lock_guard<std::mutex> records_lock(updater->records_mutex_);
@@ -219,12 +299,7 @@ Result<std::unique_ptr<IndexUpdater>> IndexUpdater::Open(
 }
 
 Status IndexUpdater::ApplyUpdates(std::span<const EdgeUpdate> updates) {
-  if (options_.group_commit && options_.sync_wal) {
-    return ApplyGrouped(updates, /*expected_post_fingerprint=*/0);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ApplyBatch(updates, /*append_to_wal=*/true,
-                    /*expected_post_fingerprint=*/0);
+  return Commit(updates, /*expected_post_fingerprint=*/0);
 }
 
 Status IndexUpdater::ApplyReplicated(std::span<const EdgeUpdate> updates,
@@ -234,12 +309,7 @@ Status IndexUpdater::ApplyReplicated(std::span<const EdgeUpdate> updates,
         "replicated batches must carry the primary's post-batch graph "
         "fingerprint");
   }
-  if (options_.group_commit && options_.sync_wal) {
-    return ApplyGrouped(updates, expected_post_fingerprint);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ApplyBatch(updates, /*append_to_wal=*/true,
-                    expected_post_fingerprint);
+  return Commit(updates, expected_post_fingerprint);
 }
 
 std::vector<WalRecord> IndexUpdater::WalRecordsFrom(uint64_t from,
@@ -252,8 +322,8 @@ std::vector<WalRecord> IndexUpdater::WalRecordsFrom(uint64_t from,
   return out;
 }
 
-Status IndexUpdater::ApplyGrouped(std::span<const EdgeUpdate> updates,
-                                  uint64_t expected_post_fingerprint) {
+Status IndexUpdater::Commit(std::span<const EdgeUpdate> updates,
+                            uint64_t expected_post_fingerprint) {
   PendingBatch pending;
   pending.updates = updates;
   pending.expected_post_fingerprint = expected_post_fingerprint;
@@ -271,7 +341,8 @@ Status IndexUpdater::ApplyGrouped(std::span<const EdgeUpdate> updates,
   // Lead. The bounded window lets concurrently arriving batches join this
   // group's single fsync; batches arriving later still coalesce naturally,
   // because they queue while this group is being patched and synced.
-  if (options_.group_commit_window_us > 0) {
+  // Without fsync there is nothing to coalesce, so nothing to wait for.
+  if (options_.sync_wal && options_.group_commit_window_us > 0) {
     std::unique_lock<std::mutex> queue_lock(queue_mutex_);
     queue_cv_.wait_for(
         queue_lock,
@@ -289,7 +360,6 @@ Status IndexUpdater::ApplyGrouped(std::span<const EdgeUpdate> updates,
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      pending_overlay_ = nullptr;
       // A WAL write error poisons the rest of the group: appending after
       // a possibly torn record would leave records that replay drops.
       Status wal_broken = Status::OK();
@@ -299,10 +369,8 @@ Status IndexUpdater::ApplyGrouped(std::span<const EdgeUpdate> updates,
           batch->status = wal_broken;
           continue;
         }
-        batch->status =
-            ApplyBatch(batch->updates, /*append_to_wal=*/true,
-                       batch->expected_post_fingerprint,
-                       /*defer_sync_and_publish=*/true);
+        batch->status = ApplyBatch(batch->updates, /*append_to_wal=*/true,
+                                   batch->expected_post_fingerprint);
         if (batch->status.ok()) {
           any_appended = true;
         } else if (batch->status.code() == StatusCode::kIoError) {
@@ -327,12 +395,10 @@ Status IndexUpdater::ApplyGrouped(std::span<const EdgeUpdate> updates,
         // the OS and the in-memory graph already reflects the group, so
         // withholding the overlay would fork serving state from update
         // state. The callers still get the sync error.
-        if (pending_overlay_ != nullptr) {
-          index_.PublishOverlay(pending_overlay_);
-          MaybeTriggerAutoCompact(*pending_overlay_);
-        }
+        index_.PublishOverlay(pending_overlay_);
+        MaybeTriggerAutoCompact(*pending_overlay_);
+        pending_overlay_ = nullptr;
       }
-      pending_overlay_ = nullptr;
     }
     {
       std::lock_guard<std::mutex> queue_lock(queue_mutex_);
@@ -345,8 +411,7 @@ Status IndexUpdater::ApplyGrouped(std::span<const EdgeUpdate> updates,
 
 Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
                                 bool append_to_wal,
-                                uint64_t expected_post_fingerprint,
-                                bool defer_sync_and_publish) {
+                                uint64_t expected_post_fingerprint) {
   if (updates.empty()) {
     return Status::InvalidArgument("empty update batch");
   }
@@ -418,15 +483,14 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   }
 
   // Write-ahead: the batch must be durable before any serving state
-  // changes, so a crash at any later point replays it. Under group commit
-  // the append defers its fsync; the group leader syncs once before
-  // anything becomes visible.
+  // changes, so a crash at any later point replays it. The append defers
+  // its fsync; the group leader syncs once before anything becomes
+  // visible.
   if (append_to_wal) {
     WalRecord record;
     record.updates.assign(updates.begin(), updates.end());
     record.post_graph_fingerprint = post_fingerprint;
-    OIPSIM_RETURN_IF_ERROR(
-        wal_.Append(record, /*sync=*/!defer_sync_and_publish));
+    OIPSIM_RETURN_IF_ERROR(wal_.Append(record, /*sync=*/false));
     std::lock_guard<std::mutex> records_lock(records_mutex_);
     records_.push_back(std::move(record));
   }
@@ -456,12 +520,11 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
     return std::span<const VertexId>(in_lists_[v]);
   };
 
-  // During a group, later batches build on the group's still-unpublished
-  // overlay chain, not on what queries currently see.
+  // Within a commit group or a WAL replay, later batches build on the
+  // still-unpublished overlay chain, not on what queries currently see.
   const std::shared_ptr<const DeltaOverlay> old =
-      defer_sync_and_publish && pending_overlay_ != nullptr
-          ? pending_overlay_
-          : index_.overlay_snapshot();
+      pending_overlay_ != nullptr ? pending_overlay_
+                                  : index_.overlay_snapshot();
   // The store the overlay chain is expressed against — the original
   // backend, or the merged store a background compaction published.
   const WalkStore& base = index_.ServingStore(old.get());
@@ -487,10 +550,10 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   // each walk's affected steps ascending — the exact order the
   // re-simulation wants. Slot-major loops keep the 8-or-so binary
   // searches per slot on warm cache lines. Fingerprints are independent,
-  // so the bucket sweep fans out over contiguous fingerprint blocks;
-  // block results are concatenated in block order and the full sort makes
+  // so the bucket sweep runs in fingerprint blocks; the full sort makes
   // the candidate list identical for any partition.
-  std::vector<std::pair<uint64_t, uint32_t>> candidates;
+  using Candidate = std::pair<uint64_t, uint32_t>;
+  std::vector<Candidate> candidates;
   candidates.reserve(1024);
   // A shard index represents out-of-range walks as dead from step 1 and
   // must keep them that way: re-simulating a dead row would revive the
@@ -508,56 +571,32 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
       candidates.emplace_back(DeltaOverlay::WalkKey(x, r), 1);
     }
   }
-  auto discover_block = [&](uint32_t r_begin, uint32_t r_end,
-                            std::vector<std::pair<uint64_t, uint32_t>>* out) {
-    for (uint32_t r = r_begin; r < r_end; ++r) {
-      for (uint32_t t = 1; t + 1 <= L; ++t) {
-        for (const VertexId x : touched) {
-          ForEachBucketVertex(base, old.get(), r, t, x,
-                              [&](const VertexId v) {
-                                out->emplace_back(
-                                    DeltaOverlay::WalkKey(v, r), t + 1);
-                              });
-        }
-      }
-    }
-  };
-  if (pool_ != nullptr && R >= 2) {
-    const uint32_t blocks =
-        std::min(R, num_threads_ * 4u);
-    std::vector<std::vector<std::pair<uint64_t, uint32_t>>> found(blocks);
-    pool_->ParallelFor(0, blocks, [&](uint64_t b) {
-      discover_block(static_cast<uint32_t>(R * b / blocks),
-                     static_cast<uint32_t>(R * (b + 1) / blocks),
-                     &found[b]);
-    });
-    for (const auto& block : found) {
-      candidates.insert(candidates.end(), block.begin(), block.end());
-    }
-  } else {
-    discover_block(0, R, &candidates);
+  const std::vector<std::vector<Candidate>> found =
+      RunBlocks<std::vector<Candidate>>(
+          *pool_, R,
+          [&](size_t r_begin, size_t r_end, std::vector<Candidate>* out) {
+            for (auto r = static_cast<uint32_t>(r_begin); r < r_end; ++r) {
+              for (uint32_t t = 1; t + 1 <= L; ++t) {
+                for (const VertexId x : touched) {
+                  ForEachBucketVertex(base, old.get(), r, t, x,
+                                      [&](const VertexId v) {
+                                        out->emplace_back(
+                                            DeltaOverlay::WalkKey(v, r),
+                                            t + 1);
+                                      });
+                }
+              }
+            }
+          });
+  for (const std::vector<Candidate>& block : found) {
+    candidates.insert(candidates.end(), block.begin(), block.end());
   }
   std::sort(candidates.begin(), candidates.end());
-
-  auto overlay = std::make_shared<DeltaOverlay>();
-  overlay->sequence_ = (old == nullptr ? 0 : old->sequence_) + 1;
-  overlay->graph_fingerprint_ = post_fingerprint;
-  overlay->walk_length_ = L;
-  if (old != nullptr) {
-    overlay->patches_ = old->patches_;  // shared_ptr values: cheap copy
-    overlay->patch_counts_ = old->patch_counts_;
-    overlay->deltas_ = old->deltas_;
-    overlay->rebased_store_ = old->rebased_store_;
-    overlay->row_changes_ = old->row_changes_;
-  }
 
   // --- re-simulation of the affected walks ------------------------------
   // Each walk is an independent pure function of (updated graph, base
   // store, previous overlay), so the sorted candidate list is cut into
-  // contiguous walk groups and fanned out; per-worker slot edits and
-  // patch outcomes are concatenated in block order — which *is* the
-  // serial canonical (vertex, fingerprint) order, because blocks are
-  // contiguous key ranges — before they touch any shared state.
+  // walk groups and run in contiguous blocks of them.
   std::vector<std::pair<size_t, size_t>> groups;
   for (size_t at = 0; at < candidates.size();) {
     const size_t begin = at;
@@ -565,237 +604,85 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
     while (at < candidates.size() && candidates[at].first == key) ++at;
     groups.emplace_back(begin, at);
   }
-
-  // What re-simulating a contiguous run of walk groups emits instead of
-  // mutating the overlay, so any worker can run it.
-  struct BlockOut {
-    std::vector<SlotEdit> edits;
-    std::vector<WalkOutcome> outcomes;
-    /// (slot, position) of both ends of every moved walk step, dead ends
-    /// left out, and the vertices whose walks moved: what the row-change
-    /// set is built from.
-    std::vector<std::pair<uint64_t, uint32_t>> moved_ends;
-    std::vector<VertexId> moved_vertices;
-    uint64_t steps_written = 0;
-    uint64_t changed_walks = 0;
-  };
-  // A step served at `from` under the previous overlay now sits at `to`.
-  auto record_move = [](BlockOut& out, uint64_t slot, uint32_t from,
-                        uint32_t to) {
-    if (from != kDead) out.moved_ends.emplace_back(slot, from);
-    if (to != kDead) out.moved_ends.emplace_back(slot, to);
-  };
-
-  // Re-simulates one walk group.
-  auto resim_walk = [&](size_t begin, size_t end, BaseRowReader& reader,
-                        std::vector<uint32_t>& steps, BlockOut& out) {
-    const uint64_t key = candidates[begin].first;
-    steps.clear();
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t t = candidates[i].second;
-      if (steps.empty() || steps.back() != t) steps.push_back(t);
-    }
-    const auto v = static_cast<VertexId>(key >> 32);
-    const auto r = static_cast<uint32_t>(key & 0xffffffffu);
-
-    // Re-simulate from each affected step; once the new position
-    // coincides with the current one at some step, the walks are coupled
-    // — identical until the *next* affected step, so skip ahead. That
-    // convergence is what keeps a patch O(changed steps) instead of
-    // O(L) even when a walk brushes a touched vertex late.
-    const DeltaOverlay::WalkPatch* prev =
-        old == nullptr ? nullptr : old->FindPatch(v, r);
-    DeltaOverlay::WalkPatch merged;
-    bool any_change = false;
-    if (prev == nullptr) {
-      // Fresh walk: "current" is the base store itself, so convergence is
-      // re-joining the base path — the patch grows only while the new
-      // path diverges, and the slot edit doubles as the comparison read.
-      merged.t0 = steps[0];
-      size_t step_index = 0;
-      uint32_t t = steps[0];
-      while (true) {
-        // Segments are contiguous in the suffix; a converged span between
-        // two affected steps back-fills with (equal) base positions.
-        while (merged.t0 + merged.suffix.size() < t) {
-          merged.suffix.push_back(reader.Pos(
-              v, r, merged.t0 + static_cast<uint32_t>(merged.suffix.size())));
-        }
-        uint32_t position =
-            t - 1 >= merged.t0 ? merged.suffix[t - 1 - merged.t0]
-                               : reader.Pos(v, r, t - 1);
-        OIPSIM_DCHECK(position != kDead);
-        bool converged = false;
-        for (; t <= L; ++t) {
-          if (position != kDead) {
-            const auto in = in_of(position);
-            position =
-                in.empty()
-                    ? kDead
-                    : in[CoupledWalkHash(meta.seed, r, t, position) %
-                         in.size()];
+  WalkDiffs diffs = WalkDiffs::Join(RunBlocks<WalkDiffs>(
+      *pool_, groups.size(),
+      [&](size_t begin, size_t end, WalkDiffs* out) {
+        BaseRowReader reader(base);
+        std::vector<uint32_t> served;
+        std::vector<uint32_t> next;
+        std::vector<uint32_t> steps;
+        for (size_t g = begin; g < end; ++g) {
+          const auto [first, last] = groups[g];
+          const uint64_t key = candidates[first].first;
+          const auto v = static_cast<VertexId>(key >> 32);
+          const auto r = static_cast<uint32_t>(key & 0xffffffffu);
+          steps.clear();
+          for (size_t i = first; i < last; ++i) {
+            const uint32_t t = candidates[i].second;
+            if (steps.empty() || steps.back() != t) steps.push_back(t);
           }
-          ++out.steps_written;
-          const uint32_t base_position = reader.Pos(v, r, t);
-          if (position == base_position) {
-            converged = true;  // re-coupled: identical until next touch
-            ++t;
-            break;
+          const uint32_t* base_walk = reader.Walk(v, r);
+          served.assign(base_walk, base_walk + L + 1);
+          if (old != nullptr) {
+            if (const DeltaOverlay::WalkPatch* prev = old->FindPatch(v, r)) {
+              prev->WriteOver(served.data());
+            }
           }
-          const uint64_t slot = static_cast<uint64_t>(r) * L + (t - 1);
-          out.edits.push_back(SlotEdit{slot, v, base_position, position});
-          record_move(out, slot, base_position, position);
-          merged.suffix.push_back(position);
-          any_change = true;
-        }
-        while (step_index < steps.size() && steps[step_index] < t) {
-          ++step_index;
-        }
-        if (!converged || step_index >= steps.size()) break;
-        t = steps[step_index];
-      }
-      if (any_change) {
-        out.outcomes.push_back(WalkOutcome{
-            key, WalkOutcome::Kind::kInsert,
-            std::make_shared<DeltaOverlay::WalkPatch>(std::move(merged))});
-        out.moved_vertices.push_back(v);
-        ++out.changed_walks;
-      }
-    } else {
-      // Previously patched walk: "current" is base + previous patch. The
-      // merged patch spans from the earliest step either covers, and
-      // every simulated step emits an edit (no-ops included — they clear
-      // the previous batch's entries for this walk).
-      merged.t0 = std::min(prev->t0, steps[0]);
-      merged.suffix.resize(L - merged.t0 + 1);
-      for (uint32_t t = merged.t0; t <= L; ++t) {
-        merged.suffix[t - merged.t0] = prev->Covers(t)
-                                           ? prev->Position(t)
-                                           : reader.Pos(v, r, t);
-      }
-      size_t step_index = 0;
-      uint32_t t = steps[0];
-      while (true) {
-        uint32_t position = t - 1 >= merged.t0
-                                ? merged.suffix[t - 1 - merged.t0]
-                                : reader.Pos(v, r, t - 1);
-        OIPSIM_DCHECK(position != kDead);
-        bool converged = false;
-        for (; t <= L; ++t) {
-          if (position != kDead) {
-            const auto in = in_of(position);
-            position =
-                in.empty()
-                    ? kDead
-                    : in[CoupledWalkHash(meta.seed, r, t, position) %
-                         in.size()];
+          // Re-simulate from each affected step; once the new position
+          // coincides with the served one at some step, the walks are
+          // coupled — identical until the *next* affected step, so skip
+          // ahead. That convergence is what keeps a patch O(changed
+          // steps) instead of O(L) even when a walk brushes a touched
+          // vertex late.
+          next = served;
+          size_t step_index = 0;
+          uint32_t t = steps[0];
+          while (true) {
+            uint32_t position = next[t - 1];
+            OIPSIM_DCHECK(position != kDead);
+            bool converged = false;
+            for (; t <= L; ++t) {
+              if (position != kDead) {
+                const auto in = in_of(position);
+                position =
+                    in.empty()
+                        ? kDead
+                        : in[CoupledWalkHash(meta.seed, r, t, position) %
+                             in.size()];
+              }
+              ++out->steps_written;
+              next[t] = position;
+              if (position == served[t]) {
+                converged = true;  // re-coupled: identical until next touch
+                ++t;
+                break;
+              }
+            }
+            while (step_index < steps.size() && steps[step_index] < t) {
+              ++step_index;
+            }
+            if (!converged || step_index >= steps.size()) break;
+            t = steps[step_index];
           }
-          ++out.steps_written;
-          uint32_t& current = merged.suffix[t - merged.t0];
-          const uint64_t slot = static_cast<uint64_t>(r) * L + (t - 1);
-          out.edits.push_back(
-              SlotEdit{slot, v, reader.Pos(v, r, t), position});
-          if (position == current) {
-            converged = true;
-            ++t;
-            break;
-          }
-          // The previous overlay served `current` here, not the base
-          // position the slot edit carries.
-          record_move(out, slot, current, position);
-          current = position;
-          any_change = true;
+          out->DiffWalk(key, base_walk, served.data(), next.data(), L);
         }
-        while (step_index < steps.size() && steps[step_index] < t) {
-          ++step_index;
-        }
-        if (!converged || step_index >= steps.size()) break;
-        t = steps[step_index];
-      }
-      if (any_change) {
-        out.moved_vertices.push_back(v);
-        ++out.changed_walks;
-      }
-      // A walk whose merged suffix equals the base store's again vanishes
-      // from the overlay entirely (the edits above cleared its entries).
-      bool equals_base = true;
-      for (uint32_t check = merged.t0; check <= L && equals_base;
-           ++check) {
-        equals_base =
-            merged.suffix[check - merged.t0] == reader.Pos(v, r, check);
-      }
-      if (equals_base) {
-        out.outcomes.push_back(
-            WalkOutcome{key, WalkOutcome::Kind::kErase, nullptr});
-      } else {
-        out.outcomes.push_back(WalkOutcome{
-            key, WalkOutcome::Kind::kSet,
-            std::make_shared<DeltaOverlay::WalkPatch>(std::move(merged))});
-      }
-    }
-  };
-
+      }));
   const uint64_t resimulated = groups.size();
-  const size_t blocks =
-      pool_ != nullptr && groups.size() >= 2
-          ? std::min(groups.size(), static_cast<size_t>(num_threads_) * 4)
-          : 1;
-  std::vector<BlockOut> block_out(blocks);
-  auto resim_block = [&](uint64_t b) {
-    BaseRowReader reader(base);
-    std::vector<uint32_t> steps;
-    for (size_t g = groups.size() * b / blocks;
-         g < groups.size() * (b + 1) / blocks; ++g) {
-      resim_walk(groups[g].first, groups[g].second, reader, steps,
-                 block_out[b]);
-    }
-  };
-  if (blocks > 1) {
-    pool_->ParallelFor(0, blocks, resim_block);
-  } else {
-    resim_block(0);
-  }
-  BlockOut merged_out = std::move(block_out[0]);
-  for (size_t b = 1; b < blocks; ++b) {
-    BlockOut& out = block_out[b];
-    merged_out.edits.insert(merged_out.edits.end(), out.edits.begin(),
-                            out.edits.end());
-    merged_out.outcomes.insert(merged_out.outcomes.end(),
-                               std::make_move_iterator(out.outcomes.begin()),
-                               std::make_move_iterator(out.outcomes.end()));
-    merged_out.moved_ends.insert(merged_out.moved_ends.end(),
-                                 out.moved_ends.begin(), out.moved_ends.end());
-    merged_out.moved_vertices.insert(merged_out.moved_vertices.end(),
-                                     out.moved_vertices.begin(),
-                                     out.moved_vertices.end());
-    merged_out.steps_written += out.steps_written;
-    merged_out.changed_walks += out.changed_walks;
+  const uint64_t changed_walks = diffs.outcomes.size();
+  std::vector<VertexId> row_changes;
+  row_changes.reserve(diffs.outcomes.size());
+  for (const DeltaOverlay::PatchEntry& outcome : diffs.outcomes) {
+    row_changes.push_back(static_cast<VertexId>(outcome.first >> 32));
   }
 
-  // Apply the patch outcomes in canonical order (ascending walk key; see
-  // above on why block concatenation preserves it).
-  for (const WalkOutcome& outcome : merged_out.outcomes) {
-    const auto v = static_cast<VertexId>(outcome.key >> 32);
-    switch (outcome.kind) {
-      case WalkOutcome::Kind::kInsert:
-        overlay->patches_[outcome.key] = outcome.patch;
-        ++overlay->patch_counts_[v];
-        break;
-      case WalkOutcome::Kind::kSet:
-        overlay->patches_[outcome.key] = outcome.patch;
-        break;
-      case WalkOutcome::Kind::kErase: {
-        overlay->patches_.erase(outcome.key);
-        auto count = overlay->patch_counts_.find(v);
-        if (--count->second == 0) overlay->patch_counts_.erase(count);
-        break;
-      }
-    }
+  auto overlay = ApplyDiffs(old.get(), diffs, static_cast<size_t>(R) * L);
+  overlay->sequence_ = (old == nullptr ? 0 : old->sequence_) + 1;
+  overlay->graph_fingerprint_ = post_fingerprint;
+  overlay->walk_length_ = L;
+  if (old != nullptr) {
+    overlay->rebased_store_ = old->rebased_store_;
+    overlay->row_changes_ = old->row_changes_;
   }
-
-  // --- fold the edits into per-slot diffs vs. the base store ------------
-  std::stable_sort(merged_out.edits.begin(), merged_out.edits.end());
-  FoldSlotEdits(merged_out.edits, overlay.get());
 
   // --- the row-change set: which cached rows this batch can stale -------
   // The vertices whose walks moved, plus every vertex whose walk sits at
@@ -803,10 +690,9 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   // exact). Any unmoved walk sits at the same position under the old and
   // the new overlay, so the buckets are read from the new one, once per
   // distinct (slot, position) and in slot order.
-  std::vector<std::pair<uint64_t, uint32_t>>& ends = merged_out.moved_ends;
+  std::vector<std::pair<uint64_t, uint32_t>>& ends = diffs.moved_ends;
   std::sort(ends.begin(), ends.end());
   ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
-  std::vector<VertexId> row_changes = std::move(merged_out.moved_vertices);
   for (const auto& [slot, position] : ends) {
     ForEachBucketVertex(
         base, overlay.get(), static_cast<uint32_t>(slot / L),
@@ -825,31 +711,13 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
           DeltaOverlay::RowChanges{overlay->sequence_,
                                    std::move(row_changes)}));
 
-  uint64_t suffix_words = 0;
-  for (const auto& [patch_key, patch] : overlay->patches_) {
-    suffix_words += patch->suffix.size();
-  }
-  overlay->resident_bytes_ = OverlayBytesFromCounts(
-      overlay->patches_.size(), suffix_words, overlay->patch_counts_.size(),
-      overlay->deltas_.size(), overlay->delta_entries_);
-
-  // Publish: one pointer swap; concurrent queries either see the previous
-  // overlay or this one, never a mixture. A batch that cancels every
-  // patch out still publishes the (empty) overlay: the sequence must stay
-  // monotone, or a QueryEngine row cached under an earlier overlay could
-  // read as fresh once the counter wrapped back around.
-  const uint64_t sequence = overlay->sequence_;
-  const uint64_t patched_vertices = overlay->patch_counts_.size();
-  const uint64_t patched_walks = overlay->patches_.size();
-  const uint64_t changed_slots = overlay->deltas_.size();
-  const uint64_t delta_entries = overlay->delta_entries_;
-  const uint64_t overlay_bytes = overlay->resident_bytes_;
-  if (defer_sync_and_publish) {
-    pending_overlay_ = std::move(overlay);  // published after the group sync
-  } else {
-    index_.PublishOverlay(overlay);
-    MaybeTriggerAutoCompact(*overlay);
-  }
+  // The commit group publishes it after its sync: one pointer swap, so
+  // concurrent queries see the previous overlay or this one, never a
+  // mixture. A batch that cancels every patch out still yields an (empty)
+  // overlay: the sequence must stay monotone, or a QueryEngine row cached
+  // under an earlier overlay could read as fresh once the counter wrapped
+  // back around.
+  pending_overlay_ = overlay;
 
   // Counters live under their own mutex so the server's inline stats
   // endpoints never block behind a long patch or compaction.
@@ -863,15 +731,15 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
     }
   }
   stats_.walks_resimulated += resimulated;
-  stats_.walks_changed += merged_out.changed_walks;
-  stats_.steps_resimulated += merged_out.steps_written;
+  stats_.walks_changed += changed_walks;
+  stats_.steps_resimulated += diffs.steps_written;
   stats_.rows_invalidated += rows_invalidated;
-  stats_.overlay_sequence = sequence;
-  stats_.patched_vertices = patched_vertices;
-  stats_.patched_walks = patched_walks;
-  stats_.changed_slots = changed_slots;
-  stats_.delta_entries = delta_entries;
-  stats_.overlay_bytes = overlay_bytes;
+  stats_.overlay_sequence = overlay->sequence_;
+  stats_.patched_vertices = overlay->patched_vertices_;
+  stats_.patched_walks = overlay->patches_.size();
+  stats_.changed_slots = overlay->changed_slots_;
+  stats_.delta_entries = overlay->delta_entries_;
+  stats_.overlay_bytes = overlay->resident_bytes_;
   stats_.graph_edges = m_;
   stats_.current_graph_fingerprint = post_fingerprint;
   stats_.wal_records = wal_.record_count();
@@ -880,12 +748,53 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   return Status::OK();
 }
 
-void IndexUpdater::FoldSlotEdits(std::span<const SlotEdit> slot_edits,
-                                 DeltaOverlay* overlay) {
-  // Previous entries of an edited vertex in a slot are replaced by its
-  // (base, new) pair; steps before a walk's earliest affected step carry
-  // no edit and keep their previous entries. The input arrives grouped by
-  // slot (one stable sort over the flat edit list).
+std::shared_ptr<DeltaOverlay> IndexUpdater::ApplyDiffs(
+    const DeltaOverlay* prev, WalkDiffs& diffs, size_t num_slots) {
+  auto overlay = std::make_shared<DeltaOverlay>();
+
+  // Patches: merge the key-ordered outcomes into prev's array. Untouched
+  // entries are pointer copies; the merge counts patched vertices.
+  static const std::vector<DeltaOverlay::PatchEntry> kNoPatches;
+  const std::vector<DeltaOverlay::PatchEntry>& before =
+      prev == nullptr ? kNoPatches : prev->patches_;
+  std::vector<DeltaOverlay::PatchEntry>& after = overlay->patches_;
+  after.reserve(before.size() + diffs.outcomes.size());
+  overlay->suffix_words_ = prev == nullptr ? 0 : prev->suffix_words_;
+  auto keep = [&](DeltaOverlay::PatchEntry entry) {
+    if (after.empty() || (after.back().first >> 32) != (entry.first >> 32)) {
+      ++overlay->patched_vertices_;
+    }
+    after.push_back(std::move(entry));
+  };
+  size_t i = 0;
+  for (DeltaOverlay::PatchEntry& outcome : diffs.outcomes) {
+    while (i < before.size() && before[i].first < outcome.first) {
+      keep(before[i++]);
+    }
+    if (i < before.size() && before[i].first == outcome.first) {
+      overlay->suffix_words_ -= before[i++].second->suffix.size();
+    }
+    if (outcome.second != nullptr) {
+      overlay->suffix_words_ += outcome.second->suffix.size();
+      keep(std::move(outcome));
+    }
+  }
+  while (i < before.size()) keep(before[i++]);
+
+  // Slot diffs: a pointer copy of prev's table, then each edited slot is
+  // rebuilt. Previous entries of an edited vertex in a slot are replaced
+  // by its (base, new) pair; steps that did not move carry no edit and
+  // keep their previous entries. One stable sort groups the edits by slot
+  // and keeps them in walk order within it.
+  if (prev == nullptr) {
+    overlay->deltas_.resize(num_slots);
+  } else {
+    overlay->deltas_ = prev->deltas_;
+    overlay->changed_slots_ = prev->changed_slots_;
+    overlay->delta_entries_ = prev->delta_entries_;
+  }
+  std::vector<SlotEdit>& slot_edits = diffs.edits;
+  std::stable_sort(slot_edits.begin(), slot_edits.end());
   for (size_t at_edit = 0; at_edit < slot_edits.size();) {
     const uint64_t slot = slot_edits[at_edit].slot;
     const size_t begin = at_edit;
@@ -894,21 +803,25 @@ void IndexUpdater::FoldSlotEdits(std::span<const SlotEdit> slot_edits,
     }
     const std::span<const SlotEdit> edits(slot_edits.data() + begin,
                                           at_edit - begin);
+    std::shared_ptr<const DeltaOverlay::SlotDelta>& current =
+        overlay->deltas_[slot];
     auto next = std::make_shared<DeltaOverlay::SlotDelta>();
-    if (auto it = overlay->deltas_.find(slot);
-        it != overlay->deltas_.end()) {
+    if (current != nullptr) {
       auto edited = [&edits](VertexId v) {
         for (const SlotEdit& edit : edits) {
           if (edit.vertex == v) return true;
         }
         return false;
       };
-      for (const OverlayEntry& entry : it->second->removed) {
+      for (const OverlayEntry& entry : current->removed) {
         if (!edited(entry.vertex)) next->removed.push_back(entry);
       }
-      for (const OverlayEntry& entry : it->second->added) {
+      for (const OverlayEntry& entry : current->added) {
         if (!edited(entry.vertex)) next->added.push_back(entry);
       }
+      --overlay->changed_slots_;
+      overlay->delta_entries_ -=
+          current->removed.size() + current->added.size();
     }
     for (const SlotEdit& edit : edits) {
       if (edit.base_position == edit.new_position) continue;
@@ -923,28 +836,23 @@ void IndexUpdater::FoldSlotEdits(std::span<const SlotEdit> slot_edits,
     std::sort(next->removed.begin(), next->removed.end());
     std::sort(next->added.begin(), next->added.end());
     if (next->removed.empty() && next->added.empty()) {
-      overlay->deltas_.erase(slot);
+      current = nullptr;
     } else {
-      overlay->deltas_[slot] = std::move(next);
+      ++overlay->changed_slots_;
+      overlay->delta_entries_ += next->removed.size() + next->added.size();
+      current = std::move(next);
     }
   }
-  overlay->delta_entries_ = 0;
-  for (const auto& [slot, delta] : overlay->deltas_) {
-    overlay->delta_entries_ += delta->removed.size() + delta->added.size();
-  }
+  overlay->resident_bytes_ =
+      OverlayBytesFromCounts(after.size(), overlay->suffix_words_,
+                             overlay->changed_slots_, overlay->delta_entries_);
+  return overlay;
 }
 
 Status IndexUpdater::Compact(const std::string& path,
                              const WalkIndex::SaveOptions& save,
                              bool reset_wal,
                              const std::string& graph_path) {
-  return CompactInternal(path, save, reset_wal, graph_path);
-}
-
-Status IndexUpdater::CompactInternal(const std::string& path,
-                                     const WalkIndex::SaveOptions& save,
-                                     bool reset_wal,
-                                     const std::string& graph_path) {
   // One compaction at a time (manual or auto); updates are only excluded
   // during the two brief mutex_ windows below.
   std::lock_guard<std::mutex> compact_lock(compact_mutex_);
@@ -976,43 +884,28 @@ Status IndexUpdater::CompactInternal(const std::string& path,
   // overlay as a walk table, exactly what Build() would have produced on
   // the updated graph, and save it through the same writer — byte
   // identity follows. Vertex ranges are disjoint, so the materialization
-  // fans out; the result is position-for-position identical for any
-  // thread count.
+  // runs in vertex blocks; the result is position-for-position identical
+  // for any thread count.
   const uint32_t n = meta.n;
   const size_t words = base.WalkWords();
   std::vector<uint32_t> walks(words * n);
-  {
-    const size_t blocks =
-        pool_ != nullptr && n >= 2
-            ? std::min<size_t>(n, static_cast<size_t>(num_threads_) * 4)
-            : 1;
-    std::vector<Status> block_status(blocks, Status::OK());
-    auto materialize_block = [&](size_t b) {
-      const VertexId v0 = static_cast<VertexId>(n * b / blocks);
-      const VertexId v1 = static_cast<VertexId>(n * (b + 1) / blocks);
-      std::vector<uint32_t> scratch;
-      for (VertexId v = v0; v < v1; ++v) {
-        const Result<const uint32_t*> row =
-            MaterializeRow(base, snap.get(), v, &scratch);
-        if (!row.ok()) {
-          block_status[b] = row.status();
-          return;
-        }
-        std::copy_n(*row, words, walks.data() + static_cast<size_t>(v) * words);
-      }
-    };
-    if (blocks > 1) {
-      pool_->ParallelFor(0, blocks,
-                         [&](uint64_t b) { materialize_block(b); });
-    } else {
-      materialize_block(0);
-    }
-    for (const Status& status : block_status) {
-      OIPSIM_RETURN_IF_ERROR(status);
-    }
+  for (const Status& status : RunBlocks<Status>(
+           *pool_, n, [&](size_t begin, size_t end, Status* status) {
+             std::vector<uint32_t> scratch;
+             for (size_t v = begin; v < end; ++v) {
+               const Result<const uint32_t*> row = MaterializeRow(
+                   base, snap.get(), static_cast<VertexId>(v), &scratch);
+               if (!row.ok()) {
+                 *status = row.status();
+                 return;
+               }
+               std::copy_n(*row, words, walks.data() + v * words);
+             }
+           })) {
+    OIPSIM_RETURN_IF_ERROR(status);
   }
-  auto merged = std::make_shared<InMemoryWalkStore>(meta, std::move(walks),
-                                                    num_threads_);
+  auto merged = std::make_shared<InMemoryWalkStore>(
+      meta, std::move(walks), pool_->num_threads());
 
   WalkStoreSaveOptions store_save;
   store_save.compress = save.compress;
@@ -1065,13 +958,7 @@ Status IndexUpdater::CompactInternal(const std::string& path,
   // the merged store is bitwise the snapshot state.
   Status result = Status::OK();
   uint64_t pause_micros = 0;
-  uint64_t published_sequence = 0;
-  uint64_t published_patched_vertices = 0;
-  uint64_t published_patched_walks = 0;
-  uint64_t published_changed_slots = 0;
-  uint64_t published_delta_entries = 0;
-  uint64_t published_overlay_bytes = 0;
-  bool published = false;
+  std::shared_ptr<const DeltaOverlay> published;
   uint64_t wal_records = 0;
   uint64_t wal_bytes = 0;
   uint64_t wal_syncs = 0;
@@ -1081,100 +968,69 @@ Status IndexUpdater::CompactInternal(const std::string& path,
     const std::shared_ptr<const DeltaOverlay> current =
         index_.overlay_snapshot();
     if (current != nullptr || snap != nullptr) {
-      auto rebased = std::make_shared<DeltaOverlay>();
-      rebased->walk_length_ = meta.walk_length;
+      // Diff every walk either patch set touches: merged-store value
+      // (snapshot side) vs live value (current side), both expressed
+      // against the *old* base. A patch both sides share is unchanged
+      // since the snapshot, so the cost is proportional to the churn
+      // during the build window, never O(n).
+      struct RebasedWalk {
+        uint64_t key;
+        const DeltaOverlay::WalkPatch* merged;
+        const DeltaOverlay::WalkPatch* live;
+      };
+      std::vector<RebasedWalk> rebased_walks;
+      const std::span<const DeltaOverlay::PatchEntry> a =
+          snap != nullptr ? std::span(snap->patches_)
+                          : std::span<const DeltaOverlay::PatchEntry>();
+      const std::span<const DeltaOverlay::PatchEntry> b = current->patches_;
+      for (size_t i = 0, j = 0; i < a.size() || j < b.size();) {
+        if (j == b.size() || (i < a.size() && a[i].first < b[j].first)) {
+          rebased_walks.push_back({a[i].first, a[i].second.get(), nullptr});
+          ++i;
+        } else if (i == a.size() || b[j].first < a[i].first) {
+          rebased_walks.push_back({b[j].first, nullptr, b[j].second.get()});
+          ++j;
+        } else {
+          if (a[i].second != b[j].second) {
+            rebased_walks.push_back(
+                {a[i].first, a[i].second.get(), b[j].second.get()});
+          }
+          ++i;
+          ++j;
+        }
+      }
+      const uint32_t L = meta.walk_length;
+      WalkDiffs diffs = WalkDiffs::Join(RunBlocks<WalkDiffs>(
+          *pool_, rebased_walks.size(),
+          [&](size_t begin, size_t end, WalkDiffs* out) {
+            BaseRowReader reader(base);
+            std::vector<uint32_t> merged_walk;
+            std::vector<uint32_t> live_walk;
+            for (size_t w = begin; w < end; ++w) {
+              const RebasedWalk& walk = rebased_walks[w];
+              const uint32_t* base_walk =
+                  reader.Walk(static_cast<VertexId>(walk.key >> 32),
+                              static_cast<uint32_t>(walk.key & 0xffffffffu));
+              merged_walk.assign(base_walk, base_walk + L + 1);
+              if (walk.merged != nullptr) {
+                walk.merged->WriteOver(merged_walk.data());
+              }
+              live_walk.assign(base_walk, base_walk + L + 1);
+              if (walk.live != nullptr) walk.live->WriteOver(live_walk.data());
+              out->DiffWalk(walk.key, merged_walk.data(), merged_walk.data(),
+                            live_walk.data(), L);
+            }
+          }));
+      auto rebased = ApplyDiffs(
+          nullptr, diffs, static_cast<size_t>(meta.num_fingerprints) * L);
+      rebased->sequence_ = current->sequence_;
+      rebased->graph_fingerprint_ = current->graph_fingerprint_;
+      rebased->walk_length_ = L;
       rebased->rebased_store_ = serving;
       // Compaction changes no row, so the batches' row-change sets carry
       // over unchanged and cached rows stay warm across it.
       rebased->row_changes_ = current->row_changes_;
-      if (current == snap) {
-        rebased->sequence_ = current->sequence_;
-        rebased->graph_fingerprint_ = snap_fingerprint;
-      } else {
-        rebased->sequence_ = current->sequence_;
-        rebased->graph_fingerprint_ = current->graph_fingerprint_;
-        // Diff every walk either patch set touches: merged-store value
-        // (snapshot side) vs live value (current side), both expressed
-        // against the *old* base. Cost is proportional to the churn
-        // during the build window, never O(n).
-        std::vector<uint64_t> keys;
-        keys.reserve((snap != nullptr ? snap->patches_.size() : 0) +
-                     current->patches_.size());
-        if (snap != nullptr) {
-          for (const auto& [key, patch] : snap->patches_) {
-            keys.push_back(key);
-          }
-        }
-        for (const auto& [key, patch] : current->patches_) {
-          keys.push_back(key);
-        }
-        std::sort(keys.begin(), keys.end());
-        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-        BaseRowReader reader(base);
-        std::vector<SlotEdit> edits;
-        const uint32_t L = meta.walk_length;
-        std::vector<uint32_t> cur_row(static_cast<size_t>(L) + 1);
-        for (const uint64_t key : keys) {
-          const auto v = static_cast<VertexId>(key >> 32);
-          const auto r = static_cast<uint32_t>(key & 0xffffffffu);
-          const DeltaOverlay::WalkPatch* sp = nullptr;
-          if (snap != nullptr) {
-            if (auto it = snap->patches_.find(key);
-                it != snap->patches_.end()) {
-              sp = it->second.get();
-            }
-          }
-          const DeltaOverlay::WalkPatch* cp = current->FindPatch(v, r);
-          uint32_t first = 0;
-          uint32_t last = 0;
-          bool any = false;
-          for (uint32_t t = 1; t <= L; ++t) {
-            const uint32_t merged_position =
-                sp != nullptr && sp->Covers(t) ? sp->Position(t)
-                                               : reader.Pos(v, r, t);
-            const uint32_t current_position =
-                cp != nullptr && cp->Covers(t) ? cp->Position(t)
-                                               : reader.Pos(v, r, t);
-            cur_row[t] = current_position;
-            if (merged_position != current_position) {
-              edits.push_back(
-                  SlotEdit{static_cast<uint64_t>(r) * L + (t - 1), v,
-                           merged_position, current_position});
-              if (!any) {
-                first = t;
-                any = true;
-              }
-              last = t;
-            }
-          }
-          if (any) {
-            DeltaOverlay::WalkPatch patch;
-            patch.t0 = first;
-            patch.suffix.assign(cur_row.begin() + first,
-                                cur_row.begin() + last + 1);
-            rebased->patches_[key] =
-                std::make_shared<DeltaOverlay::WalkPatch>(std::move(patch));
-            ++rebased->patch_counts_[v];
-          }
-        }
-        std::stable_sort(edits.begin(), edits.end());
-        FoldSlotEdits(edits, rebased.get());
-      }
-      uint64_t suffix_words = 0;
-      for (const auto& [patch_key, patch] : rebased->patches_) {
-        suffix_words += patch->suffix.size();
-      }
-      rebased->resident_bytes_ = OverlayBytesFromCounts(
-          rebased->patches_.size(), suffix_words,
-          rebased->patch_counts_.size(), rebased->deltas_.size(),
-          rebased->delta_entries_);
-      published_sequence = rebased->sequence_;
-      published_patched_vertices = rebased->patch_counts_.size();
-      published_patched_walks = rebased->patches_.size();
-      published_changed_slots = rebased->deltas_.size();
-      published_delta_entries = rebased->delta_entries_;
-      published_overlay_bytes = rebased->resident_bytes_;
-      published = true;
+      published = rebased;
       index_.PublishOverlay(std::move(rebased));
     }
 
@@ -1229,13 +1085,13 @@ Status IndexUpdater::CompactInternal(const std::string& path,
     stats_.wal_records = wal_records;
     stats_.wal_bytes = wal_bytes;
     stats_.wal_syncs = wal_syncs;
-    if (published) {
-      stats_.overlay_sequence = published_sequence;
-      stats_.patched_vertices = published_patched_vertices;
-      stats_.patched_walks = published_patched_walks;
-      stats_.changed_slots = published_changed_slots;
-      stats_.delta_entries = published_delta_entries;
-      stats_.overlay_bytes = published_overlay_bytes;
+    if (published != nullptr) {
+      stats_.overlay_sequence = published->sequence_;
+      stats_.patched_vertices = published->patched_vertices_;
+      stats_.patched_walks = published->patches_.size();
+      stats_.changed_slots = published->changed_slots_;
+      stats_.delta_entries = published->delta_entries_;
+      stats_.overlay_bytes = published->resident_bytes_;
     }
   }
   return result;
@@ -1288,9 +1144,8 @@ void IndexUpdater::BackgroundCompactLoop() {
     // Reset the WAL only when the matching graph is made durable too; a
     // reset without it would strand acknowledged updates on restart.
     const bool reset_wal = !options_.auto_compact_graph_path.empty();
-    const Status status =
-        CompactInternal(options_.auto_compact_path, save, reset_wal,
-                        options_.auto_compact_graph_path);
+    const Status status = Compact(options_.auto_compact_path, save,
+                                  reset_wal, options_.auto_compact_graph_path);
     {
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       if (status.ok()) {

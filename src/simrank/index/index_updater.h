@@ -10,12 +10,16 @@
 //   1. finds every such walk through the inverted index — for each touched
 //      vertex x and step t, Bucket(r, t, x) lists the walks parked at x —
 //      and records the earliest affected step per (vertex, fingerprint);
-//   2. deterministically re-simulates each affected walk's suffix from the
-//      same coupled-hash seed against the updated graph;
-//   3. publishes the result as a new DeltaOverlay (patched per-vertex
-//      segments + inverted-slot diffs), swapped into the WalkIndex
-//      RCU-style so concurrent queries never block and never see a
-//      half-applied batch.
+//   2. deterministically re-simulates each affected walk from its affected
+//      steps, with the same coupled-hash seed against the updated graph,
+//      until it re-couples with the path the previous overlay served;
+//   3. diffs every re-simulated walk against the served one and the base
+//      store (DiffWalk): each moved step becomes a slot edit, and the walk
+//      gets one patch spanning exactly the steps that differ from the
+//      store, or none when it equals the store again;
+//   4. merges the patches and slot edits into a new DeltaOverlay and
+//      publishes it into the WalkIndex RCU-style, so concurrent queries
+//      never block and never see a half-applied batch.
 // With each overlay goes the batch's row-change set, the vertices whose
 // single-source row the batch can change: every vertex with a moved walk
 // step (r, t: old → new), plus Bucket(r, t, old) and Bucket(r, t, new)
@@ -25,21 +29,23 @@
 // the argument); a QueryEngine keeps serving such rows from its cache.
 // Building the set costs one bucket probe per distinct (slot, position)
 // end of a moved step.
-// Because the re-simulated suffixes are exactly what a from-scratch build
-// on the updated graph would produce (the unaffected prefixes already
+// Because the re-simulated steps are exactly what a from-scratch build
+// on the updated graph would produce (the unaffected steps already
 // are), the patched index is *bitwise identical* to a rebuild: every query
 // answer matches, and Compact() writes a v2 file byte-identical to
-// `build-index` on the updated graph.
+// `build-index` on the updated graph. The published overlay depends on
+// the served positions alone, not on the batches that led to them.
 //
 // Cost model: the current graph is kept as per-vertex sorted adjacency
 // lists maintained in place — O(degree) per edge update, never an
 // O(n + m) copy per batch — and the structural fingerprint is the
 // commutative ComposeGraphFingerprint form, updated in O(1) per edge.
-// Discovery and re-simulation fan out over a thread pool
+// Discovery, re-simulation, compaction's row materialization and its
+// rebase diff run as contiguous blocks on one thread pool
 // (options.num_threads); every affected walk is an independent pure
-// function of the updated graph, and per-worker results are merged in
-// canonical (vertex, fingerprint) order, so the published overlay is
-// bitwise identical for any thread count.
+// function of the updated graph, and block outputs are concatenated in
+// block order, which is canonical (vertex, fingerprint) order, so the
+// published overlay is bitwise identical for any thread count.
 //
 // Overlay growth is bounded: every publish carries a resident-byte
 // estimate, and when it exceeds options.overlay_budget_bytes (or the
@@ -48,14 +54,21 @@
 // running against the live overlay while the merged store is built; the
 // only exclusive window is the final pointer swap, which publishes the
 // merged store *through* the overlay (DeltaOverlay::rebased_store) and
-// rebases any batches that landed mid-compaction onto it. Serves never
-// block behind a compaction.
+// rebases any batches that landed mid-compaction onto it, through the
+// same DiffWalk as a batch. Serves never block behind a compaction.
 //
 // Durability: every accepted batch is appended to a checksummed WAL
 // (update_wal.h) *before* the overlay is built. Reopening the updater
 // replays the WAL over the base index and reconstructs the overlay; a torn
 // tail (crash mid-append) is dropped, losing only the unacknowledged
 // batch.
+//
+// One commit path (group commit): every batch, from ApplyUpdates or
+// ApplyReplicated, joins a queue. The first arrival while no leader is
+// active leads: it waits up to options.group_commit_window_us for more
+// batches (only when the WAL is fsync'd; without fsync there is nothing to
+// coalesce), appends and patches every queued batch in order, then issues
+// one fsync and one overlay publish before any of them is acknowledged.
 //
 // Concurrency: ApplyUpdates/Compact serialize on an internal mutex and may
 // be called from any thread (the server calls them from worker threads);
@@ -88,17 +101,13 @@ struct IndexUpdaterOptions {
   /// Path of the write-ahead log; created when absent, replayed when
   /// present. Required.
   std::string wal_path;
-  /// fsync the WAL after every append. Off only for benchmarking the pure
-  /// patch path.
+  /// fsync the WAL once per commit group. Off only for benchmarking the
+  /// pure patch path.
   bool sync_wal = true;
-  /// Coalesce WAL fsyncs across concurrently submitted batches (group
-  /// commit): batches queue, one leader appends every queued record, then
-  /// issues a single fsync before any of them is acknowledged or made
-  /// visible. On by default; irrelevant when sync_wal is off.
-  bool group_commit = true;
   /// Upper bound on how long a group-commit leader waits for more batches
-  /// to queue before syncing, in microseconds. Small against an fsync
-  /// (~ms), so the uncontended latency cost is negligible.
+  /// to queue before syncing, in microseconds; applies only with
+  /// sync_wal. Small against an fsync (~ms), so the uncontended latency
+  /// cost is negligible.
   uint32_t group_commit_window_us = 200;
   /// Serve only the vertex range [vertex_begin, vertex_end) — the shard
   /// role. Walks of out-of-range vertices are represented as dead in a
@@ -106,10 +115,10 @@ struct IndexUpdaterOptions {
   /// them. Both zero means the full range.
   uint32_t vertex_begin = 0;
   uint32_t vertex_end = 0;
-  /// Worker threads for affected-walk discovery, suffix re-simulation and
-  /// compaction's merged-store build. 1 = serial, 0 = hardware
-  /// concurrency. The published overlay — and therefore every query
-  /// answer and every compacted file — is bitwise identical for any
+  /// Worker threads for affected-walk discovery, walk re-simulation and
+  /// compaction's merged-store build and rebase. 1 = serial, 0 = the CPUs
+  /// this process may run on. The published overlay — and therefore every
+  /// query answer and every compacted file — is bitwise identical for any
   /// value.
   uint32_t num_threads = 1;
   /// Resident-byte budget for the published overlay. A publish that
@@ -143,7 +152,7 @@ struct IndexUpdateStats {
   uint64_t batches_replayed = 0;
   uint64_t edges_inserted = 0;
   uint64_t edges_deleted = 0;
-  /// (vertex, fingerprint) walk suffixes re-simulated.
+  /// (vertex, fingerprint) walks re-simulated.
   uint64_t walks_resimulated = 0;
   /// Of those, how many actually changed some position.
   uint64_t walks_changed = 0;
@@ -156,7 +165,7 @@ struct IndexUpdateStats {
   uint64_t wal_truncated_bytes = 0;
   uint64_t wal_records = 0;
   uint64_t wal_bytes = 0;
-  /// fsyncs issued; under group commit, less than batches_applied.
+  /// fsyncs issued; under concurrent load, less than batches_applied.
   uint64_t wal_syncs = 0;
   /// Current overlay footprint.
   uint64_t overlay_sequence = 0;
@@ -204,9 +213,9 @@ class IndexUpdater {
   /// Applies one batch: validates it against the current graph, appends it
   /// to the WAL (write-ahead), patches the affected walks and publishes
   /// the new overlay. On error nothing is published and the graph is
-  /// unchanged. Empty batches are rejected. Thread-safe. With group
-  /// commit, concurrent callers share one fsync; each still returns only
-  /// once its own batch is durable and visible.
+  /// unchanged. Empty batches are rejected. Thread-safe. Concurrent
+  /// callers share one commit group (one fsync, one publish); each still
+  /// returns only once its own batch is durable and visible.
   Status ApplyUpdates(std::span<const EdgeUpdate> updates);
 
   /// Applies a batch replicated from a primary's WAL stream: identical to
@@ -265,38 +274,33 @@ class IndexUpdater {
  private:
   struct PendingBatch;
   struct SlotEdit;
-  struct WalkOutcome;
+  struct WalkDiffs;
 
   IndexUpdater(WalkIndex& index, const DiGraph& base_graph, UpdateWal wal,
                const IndexUpdaterOptions& options);
 
-  /// The patch pipeline shared by ApplyUpdates and WAL replay. Caller
+  /// The patch pipeline shared by the commit group and WAL replay. Caller
   /// holds mutex_. `expected_post_fingerprint` (nonzero during replay and
-  /// replication) must match the patched graph's fingerprint. With
-  /// `defer_sync_and_publish` (the group-commit path) the WAL append skips
-  /// its fsync and the overlay lands in pending_overlay_ instead of the
-  /// index; the caller syncs and publishes for the whole group.
+  /// replication) must match the patched graph's fingerprint. The WAL
+  /// append defers its fsync, and the overlay lands in pending_overlay_;
+  /// the caller syncs and publishes once for all its batches.
   Status ApplyBatch(std::span<const EdgeUpdate> updates, bool append_to_wal,
-                    uint64_t expected_post_fingerprint,
-                    bool defer_sync_and_publish = false);
+                    uint64_t expected_post_fingerprint);
 
-  /// The group-commit slow path of ApplyUpdates/ApplyReplicated: enqueue,
-  /// then either follow (wait for a leader to process the batch) or lead
+  /// The one commit path of ApplyUpdates/ApplyReplicated: enqueue, then
+  /// either follow (wait for a leader to process the batch) or lead
   /// (drain the queue, one fsync, one publish).
-  Status ApplyGrouped(std::span<const EdgeUpdate> updates,
-                      uint64_t expected_post_fingerprint);
+  Status Commit(std::span<const EdgeUpdate> updates,
+                uint64_t expected_post_fingerprint);
 
-  /// Merges a slot-sorted flat edit list into `overlay`'s slot diffs
-  /// (replacing the edited vertices' prior entries) and recomputes
-  /// delta_entries_. Shared by the patch path and the compaction rebase.
-  void FoldSlotEdits(std::span<const SlotEdit> edits, DeltaOverlay* overlay);
-
-  /// The compaction pipeline behind Compact() and the background trigger.
-  /// Takes compact_mutex_ for its whole run and mutex_ only for the
-  /// snapshot pin and the final swap.
-  Status CompactInternal(const std::string& path,
-                         const WalkIndex::SaveOptions& save, bool reset_wal,
-                         const std::string& graph_path);
+  /// The patches, slot diffs and size counters of `prev` (null: empty,
+  /// over an R·L = `num_slots` table) with `diffs` applied: the walk
+  /// outcomes merged into prev's patch array and the slot edits folded
+  /// into its slot table. The caller fills in the rest of the overlay.
+  /// Shared by the patch path and the compaction rebase.
+  static std::shared_ptr<DeltaOverlay> ApplyDiffs(const DeltaOverlay* prev,
+                                                  WalkDiffs& diffs,
+                                                  size_t num_slots);
 
   /// Caller holds mutex_. Checks the published overlay against the budget
   /// and amplification triggers and wakes the background thread.
@@ -329,23 +333,24 @@ class IndexUpdater {
   uint64_t edge_xor_ = 0;
   uint64_t graph_fingerprint_ = 0;
 
-  /// Resolved worker count; the pool exists only when it exceeds 1.
-  uint32_t num_threads_ = 1;
+  /// Runs every block of discovery, re-simulation and compaction; with
+  /// one worker, inline.
   std::unique_ptr<ThreadPool> pool_;
 
   /// Serializes ApplyBatch and the compaction swap.
   mutable std::mutex mutex_;
 
-  /// Group-commit state. Batches enqueue under queue_mutex_; the first
+  /// Commit-group state. Batches enqueue under queue_mutex_; the first
   /// arrival while no leader is active becomes the leader, takes mutex_,
-  /// processes every queued batch with deferred sync/publish, then issues
-  /// one fsync and one overlay publish before waking the followers.
+  /// processes every queued batch, then issues one fsync and one overlay
+  /// publish before waking the followers.
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<PendingBatch*> queue_;
   bool leader_active_ = false;
-  /// The group's unpublished overlay chain (mutex_ holder only): batch
-  /// i + 1 of a group builds on batch i's overlay before it is published.
+  /// The unpublished overlay chain of the running commit group or WAL
+  /// replay (mutex_ holder only): batch i + 1 builds on batch i's overlay
+  /// before it is published. Null whenever mutex_ is free.
   std::shared_ptr<const DeltaOverlay> pending_overlay_;
 
   /// Serializes whole compactions (manual and background) against each

@@ -163,134 +163,6 @@ void SegmentReader::TearDownRing() {
   ring_ok_ = false;
 }
 
-bool SegmentReader::SubmitWave(std::span<const Range> ranges,
-                               uint8_t* const* dests, Status* status) {
-#if OIPSIM_HAS_IO_URING
-  const uint32_t count = static_cast<uint32_t>(ranges.size());
-  auto* sqes = static_cast<struct io_uring_sqe*>(sqes_);
-  const uint32_t mask = *sq_mask_;
-  uint32_t tail = __atomic_load_n(sq_tail_, __ATOMIC_RELAXED);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t slot = tail & mask;
-    struct io_uring_sqe* sqe = &sqes[slot];
-    std::memset(sqe, 0, sizeof(*sqe));
-    sqe->opcode = IORING_OP_READ;
-    sqe->fd = fd_;
-    sqe->addr = reinterpret_cast<uint64_t>(dests[i]);
-    sqe->len = static_cast<uint32_t>(ranges[i].length);
-    sqe->off = ranges[i].offset;
-    sqe->user_data = i;
-    sq_array_[slot] = slot;
-    ++tail;
-  }
-  __atomic_store_n(sq_tail_, tail, __ATOMIC_RELEASE);
-
-  uint32_t to_submit = count;
-  uint32_t completed = 0;
-  bool unsupported = false;
-  while (completed < count) {
-    const long ret =
-        ::syscall(__NR_io_uring_enter, ring_fd_, to_submit, count - completed,
-                  IORING_ENTER_GETEVENTS, nullptr, static_cast<size_t>(0));
-    if (ret < 0) {
-      if (errno == EINTR) continue;
-      // The ring itself is unusable; redo the whole batch synchronously.
-      ring_ok_ = false;
-      return false;
-    }
-    to_submit -= std::min<uint32_t>(to_submit, static_cast<uint32_t>(ret));
-
-    uint32_t head = __atomic_load_n(cq_head_, __ATOMIC_ACQUIRE);
-    const uint32_t ready = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-    const uint32_t cmask = *cq_mask_;
-    auto* cqes = static_cast<struct io_uring_cqe*>(cqes_);
-    while (head != ready) {
-      const struct io_uring_cqe& cqe = cqes[head & cmask];
-      const uint32_t idx = static_cast<uint32_t>(cqe.user_data);
-      const int32_t res = cqe.res;
-      ++head;
-      ++completed;
-      if (res == -EINVAL || res == -EOPNOTSUPP || res == -ENOSYS) {
-        unsupported = true;  // kernel lacks IORING_OP_READ
-      } else if (res < 0) {
-        if (status->ok()) *status = Status::IoError("read failed: " + path_);
-      } else if (static_cast<uint64_t>(res) < ranges[idx].length) {
-        // Short completion: finish synchronously so a true EOF surfaces
-        // the same "short read" error as the non-uring path.
-        const Status tail_status =
-            PreadFull(dests[idx] + res, ranges[idx].length - res,
-                      ranges[idx].offset + static_cast<uint64_t>(res));
-        if (!tail_status.ok() && status->ok()) *status = tail_status;
-      }
-    }
-    __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
-  }
-  if (unsupported) {
-    ring_ok_ = false;
-    return false;
-  }
-  return true;
-#else
-  (void)ranges, (void)dests, (void)status;
-  return false;
-#endif
-}
-
-Status SegmentReader::ReadBatchUring(std::span<const Range> ranges,
-                                     uint8_t* const* dests) {
-  Status status;
-  for (size_t done = 0; done < ranges.size();) {
-    const size_t wave = std::min<size_t>(sq_entries_, ranges.size() - done);
-    if (!SubmitWave(ranges.subspan(done, wave), dests + done, &status)) {
-      // Ring just went unusable; partial writes are fine to overwrite.
-      return ReadBatchPreadv(ranges, dests);
-    }
-    done += wave;
-  }
-  return status;
-}
-
-Status SegmentReader::ReadBatchPreadv(std::span<const Range> ranges,
-                                      uint8_t* const* dests) {
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    const Status status = PreadFull(dests[i], ranges[i].length,
-                                    ranges[i].offset);
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
-}
-
-Status SegmentReader::PreadFull(uint8_t* dest, uint64_t length,
-                                uint64_t offset) {
-  while (length > 0) {
-    const ssize_t got =
-        ::pread(fd_, dest, static_cast<size_t>(length),
-                static_cast<off_t>(offset));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("read failed: " + path_);
-    }
-    if (got == 0) return Status::IoError("short read: " + path_);
-    dest += got;
-    offset += static_cast<uint64_t>(got);
-    length -= static_cast<uint64_t>(got);
-  }
-  return Status::OK();
-}
-
-Status SegmentReader::ReadInto(std::span<const Range> ranges,
-                               uint8_t* const* dests) {
-  if (ranges.empty()) return Status::OK();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_ok_) {
-    // SubmitWave counts its own completions; outstanding async prefetch
-    // reads would be miscounted as (and mis-write) wave results.
-    DrainPrefetchLocked();
-  }
-  if (ring_ok_) return ReadBatchUring(ranges, dests);
-  return ReadBatchPreadv(ranges, dests);
-}
-
 void SegmentReader::ReapPrefetchLocked() {
 #if OIPSIM_HAS_IO_URING
   if (inflight_prefetch_ == 0) return;

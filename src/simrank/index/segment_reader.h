@@ -1,24 +1,20 @@
-// Batched byte-range reads against one index file, for the cold serve path.
+// Batched page-cache prefetch against one index file, for the cold serve
+// path.
 //
 // The mmap backend faults pages in one at a time: a cold top-k that touches
 // fifty per-vertex segments pays fifty synchronous disk round-trips. A
 // SegmentReader owns its own O_RDONLY descriptor on the index file and
 // turns a whole batch of byte ranges into a single io_uring submission —
-// one syscall queues every read, the kernel services them in parallel, and
-// one wait drains the completions. Two consumers:
-//
-//   * ReadInto: fetch each range into a caller buffer (router row
-//     exchange, benchmarks, anything that wants the bytes directly).
-//   * Prefetch: fire the same batched reads into internal bounce buffers
-//     purely to populate the page cache ahead of mmap access — this is
-//     what `serve --warm` and the batch-query readahead ride on.
+// one syscall queues every read and the kernel services them in parallel
+// into internal bounce buffers, purely to populate the page cache ahead of
+// mmap access. This is what `serve --warm` and the batch-query readahead
+// ride on.
 //
 // io_uring is strictly an accelerator. When the build lacks the headers,
 // the kernel rejects the setup syscall, the ring later reports an
 // unsupported opcode, or SIMRANK_NO_URING=1 is set, every batch falls
-// back to plain preadv / -
-// posix_fadvise(WILLNEED) loops with identical bytes and identical error
-// text. Nothing above this class can observe which path ran except through
+// back to a posix_fadvise(WILLNEED) loop. Prefetch is a hint either way,
+// so nothing above this class can observe which path ran except through
 // using_io_uring().
 #ifndef OIPSIM_SIMRANK_INDEX_SEGMENT_READER_H_
 #define OIPSIM_SIMRANK_INDEX_SEGMENT_READER_H_
@@ -44,7 +40,7 @@ class SegmentReader {
 
   /// Opens `path` read-only and, when enabled and supported, sets up an
   /// io_uring. Ring setup failure is not an error — the reader silently
-  /// runs in preadv/fadvise mode (check using_io_uring()).
+  /// runs in fadvise mode (check using_io_uring()).
   static Result<std::unique_ptr<SegmentReader>> Open(const std::string& path);
 
   ~SegmentReader();
@@ -56,12 +52,6 @@ class SegmentReader {
   /// to false for the remainder of the reader's life if the kernel turns
   /// out not to support the read opcode.
   bool using_io_uring() const;
-
-  /// Reads ranges[i] into dests[i] (which must hold ranges[i].length
-  /// bytes). Ranges may be unsorted, duplicated, or overlapping. A read
-  /// past end-of-file is an error ("short read: <path>"), exactly like the
-  /// buffered reader. Thread-safe.
-  Status ReadInto(std::span<const Range> ranges, uint8_t* const* dests);
 
   /// Pulls the given ranges into the OS page cache. Purely a hint:
   /// failures of any kind are swallowed, contents are discarded, and the
@@ -90,20 +80,11 @@ class SegmentReader {
 
   void SetUpRing();
   void TearDownRing();
-  // Services one wave of at most ring-depth reads through the ring. On any
-  // "kernel doesn't support this" completion, marks the ring broken and
-  // returns false so the caller re-runs the whole batch via preadv.
-  bool SubmitWave(std::span<const Range> ranges, uint8_t* const* dests,
-                  Status* status);
-  Status ReadBatchUring(std::span<const Range> ranges, uint8_t* const* dests);
-  Status ReadBatchPreadv(std::span<const Range> ranges, uint8_t* const* dests);
-  Status PreadFull(uint8_t* dest, uint64_t length, uint64_t offset);
   // Collects already-posted completions of in-flight async prefetch
   // reads, returning their bounce slots to the free list. Never waits —
   // the kernel publishes CQEs without a syscall. Caller holds mutex_.
   void ReapPrefetchLocked();
-  // Waits for every in-flight prefetch read. Must run before any blocking
-  // SubmitWave (completion accounting would mix) and before teardown (the
+  // Waits for every in-flight prefetch read. Must run before teardown (the
   // kernel writes into bounce_ until the ops finish). Caller holds mutex_.
   void DrainPrefetchLocked();
 

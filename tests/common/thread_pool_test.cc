@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -12,6 +16,26 @@ namespace {
 TEST(ThreadPoolTest, ResolveThreadCount) {
   EXPECT_GE(ThreadPool::ResolveThreadCount(0), 1u);
   EXPECT_EQ(ThreadPool::ResolveThreadCount(5), 5u);
+#if defined(__linux__)
+  // 0 follows the calling thread's CPU mask, not the machine's CPU count:
+  // pinned to one CPU of its mask, this thread resolves 0 to one worker.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0) {
+    GTEST_SKIP() << "cannot change this thread's CPU mask";
+  }
+  const uint32_t pinned = ThreadPool::ResolveThreadCount(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(ThreadPool::ResolveThreadCount(0),
+            static_cast<uint32_t>(CPU_COUNT(&saved)));
+#endif
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {

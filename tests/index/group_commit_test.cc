@@ -66,8 +66,7 @@ TEST(GroupCommitTest, SequentialBatchesEachGetTheirOwnFsync) {
     const EdgeUpdate update{EdgeUpdate::Op::kInsert, edge.src, edge.dst};
     ASSERT_TRUE((*updater)->ApplyUpdates({&update, 1}).ok());
   }
-  // No concurrency, no group: one fsync per batch, exactly as without
-  // group commit.
+  // No concurrency: each batch leads its own group, with its own fsync.
   const IndexUpdateStats stats = (*updater)->stats();
   EXPECT_EQ(stats.batches_applied, 3u);
   EXPECT_EQ(stats.wal_records, 3u);
@@ -180,29 +179,6 @@ TEST(GroupCommitTest, GroupedBatchesAreDurableAcrossReopen) {
               0)
         << "row " << edge.dst;
   }
-}
-
-TEST(GroupCommitTest, DisablingGroupCommitSyncsPerBatchEvenConcurrently) {
-  const DiGraph graph = testing::RandomGraph(40, 160, 19);
-  WalkIndex index = BuildIndex(graph);
-  IndexUpdaterOptions options;
-  options.wal_path = FreshWalPath("ungrouped.wal");
-  options.group_commit = false;
-  auto updater = IndexUpdater::Open(index, graph, options);
-  ASSERT_TRUE(updater.ok());
-  const std::vector<Edge> fresh = FreshEdges(graph, 4);
-  std::vector<std::thread> writers;
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    writers.emplace_back([&, i] {
-      const EdgeUpdate update{EdgeUpdate::Op::kInsert, fresh[i].src,
-                              fresh[i].dst};
-      ASSERT_TRUE((*updater)->ApplyUpdates({&update, 1}).ok());
-    });
-  }
-  for (std::thread& writer : writers) writer.join();
-  const IndexUpdateStats stats = (*updater)->stats();
-  EXPECT_EQ(stats.batches_applied, 4u);
-  EXPECT_EQ(stats.wal_syncs, 4u);
 }
 
 TEST(GroupCommitTest, NoSyncWalSkipsEveryFsync) {

@@ -251,7 +251,6 @@ TEST(RowChangesTest, EngineServesOnlyRowsValidUnderItsSnapshot) {
   IndexUpdaterOptions options;
   options.wal_path = TempPath("engine.wal");
   options.num_threads = 2;
-  options.group_commit = true;
   options.group_commit_window_us = 20000;  // let all three batches join
   auto updater = OpenUpdater(index, graph, options);
   const std::string compact_path = TempPath("engine.widx");

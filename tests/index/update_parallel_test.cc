@@ -15,9 +15,14 @@
 //     answers stay bitwise a rebuild's, the WAL is re-seeded, the emitted
 //     files restart cleanly, and updates keep applying afterwards;
 //   - updates, queries and compactions may run concurrently (the TSan CI
-//     job runs this suite).
+//     job runs this suite);
+//   - every published overlay is canonical, a function of the served walks
+//     alone: whatever batches, groups and compactions led to it, each
+//     walk's patch spans exactly the steps that differ from the store and
+//     each slot diff holds exactly those steps' entries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -27,6 +32,7 @@
 
 #include "simrank/common/rng.h"
 #include "simrank/graph/graph_io.h"
+#include "simrank/index/delta_overlay.h"
 #include "simrank/index/edge_update.h"
 #include "simrank/index/index_updater.h"
 #include "simrank/index/walk_index.h"
@@ -124,6 +130,187 @@ void ExpectRowsBitwiseEqual(const std::vector<std::vector<double>>& a,
         << "row " << v << " diverges";
   }
 }
+
+/// Checks that `index`'s published overlay is the canonical one for the
+/// walks it serves, and that `updater` reports its sizes: for every walk,
+/// FindPatch is null exactly when the served walk equals the store's, and
+/// otherwise spans exactly the first..last differing step and holds the
+/// served positions; every slot diff is exactly {store → served} over the
+/// differing steps; the size counters equal a recount.
+void ExpectCanonicalOverlay(const WalkIndex& index,
+                            const IndexUpdater& updater) {
+  const std::shared_ptr<const DeltaOverlay> overlay = index.overlay_snapshot();
+  ASSERT_NE(overlay, nullptr);
+  const WalkStore& store = index.ServingStore(overlay.get());
+  const uint32_t R = store.meta().num_fingerprints;
+  const uint32_t L = store.meta().walk_length;
+  const size_t row = static_cast<size_t>(L) + 1;
+  std::vector<DeltaOverlay::SlotDelta> expected(static_cast<size_t>(R) * L);
+  uint64_t patched_walks = 0;
+  uint64_t patched_vertices = 0;
+  std::vector<uint32_t> base_scratch;
+  std::vector<uint32_t> served_scratch;
+  for (VertexId v = 0; v < index.n(); ++v) {
+    const Result<const uint32_t*> base_row = store.Row(v, &base_scratch);
+    ASSERT_TRUE(base_row.ok());
+    const std::vector<uint32_t> base(*base_row,
+                                     *base_row + store.WalkWords());
+    const Result<const uint32_t*> served_row =
+        MaterializeRow(store, overlay.get(), v, &served_scratch);
+    ASSERT_TRUE(served_row.ok());
+    const uint32_t* served = *served_row;
+    bool vertex_patched = false;
+    for (uint32_t r = 0; r < R; ++r) {
+      uint32_t first = 0;
+      uint32_t last = 0;
+      for (uint32_t t = 1; t <= L; ++t) {
+        const uint32_t from = base[r * row + t];
+        const uint32_t to = served[r * row + t];
+        if (from == to) continue;
+        if (first == 0) first = t;
+        last = t;
+        DeltaOverlay::SlotDelta& slot = expected[r * L + (t - 1)];
+        if (from != WalkStore::kDeadWalk) slot.removed.push_back({from, v});
+        if (to != WalkStore::kDeadWalk) slot.added.push_back({to, v});
+      }
+      const DeltaOverlay::WalkPatch* patch = overlay->FindPatch(v, r);
+      if (first == 0) {
+        EXPECT_EQ(patch, nullptr)
+            << "walk (" << v << ", " << r << ") equals the store";
+        continue;
+      }
+      ASSERT_NE(patch, nullptr) << "walk (" << v << ", " << r << ")";
+      ++patched_walks;
+      vertex_patched = true;
+      EXPECT_EQ(patch->t0, first) << "walk (" << v << ", " << r << ")";
+      EXPECT_EQ(patch->suffix,
+                std::vector<uint32_t>(served + r * row + first,
+                                      served + r * row + last + 1))
+          << "walk (" << v << ", " << r << ")";
+    }
+    patched_vertices += vertex_patched ? 1 : 0;
+  }
+  uint64_t changed_slots = 0;
+  uint64_t delta_entries = 0;
+  for (uint32_t r = 0; r < R; ++r) {
+    for (uint32_t t = 1; t <= L; ++t) {
+      DeltaOverlay::SlotDelta& want = expected[r * L + (t - 1)];
+      std::sort(want.removed.begin(), want.removed.end());
+      std::sort(want.added.begin(), want.added.end());
+      const DeltaOverlay::SlotDelta* delta = overlay->Delta(r, t);
+      if (want.removed.empty() && want.added.empty()) {
+        EXPECT_EQ(delta, nullptr) << "slot (" << r << ", " << t << ")";
+        continue;
+      }
+      ASSERT_NE(delta, nullptr) << "slot (" << r << ", " << t << ")";
+      EXPECT_TRUE(delta->removed == want.removed)
+          << "slot (" << r << ", " << t << ")";
+      EXPECT_TRUE(delta->added == want.added)
+          << "slot (" << r << ", " << t << ")";
+      ++changed_slots;
+      delta_entries += want.removed.size() + want.added.size();
+    }
+  }
+  const IndexUpdateStats stats = updater.stats();
+  EXPECT_EQ(stats.overlay_sequence, overlay->sequence());
+  EXPECT_EQ(stats.patched_walks, patched_walks);
+  EXPECT_EQ(stats.patched_vertices, patched_vertices);
+  EXPECT_EQ(stats.changed_slots, changed_slots);
+  EXPECT_EQ(stats.delta_entries, delta_entries);
+}
+
+/// Three batches, each one insert of an absent edge and one delete of a
+/// present edge of `graph`, over six distinct edges: valid in any order,
+/// so they can be submitted concurrently.
+std::vector<std::vector<EdgeUpdate>> DisjointBatches(const DiGraph& graph,
+                                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<EdgeUpdate> inserts;
+  std::vector<EdgeUpdate> deletes;
+  auto fresh = [&](VertexId src, VertexId dst) {
+    for (const std::vector<EdgeUpdate>* list : {&inserts, &deletes}) {
+      for (const EdgeUpdate& u : *list) {
+        if (u.src == src && u.dst == dst) return false;
+      }
+    }
+    return src != dst;
+  };
+  while (inserts.size() < 3 || deletes.size() < 3) {
+    const auto src = static_cast<VertexId>(rng.NextUint64(graph.n()));
+    const auto dst = static_cast<VertexId>(rng.NextUint64(graph.n()));
+    if (!fresh(src, dst)) continue;
+    if (graph.HasEdge(src, dst)) {
+      if (deletes.size() < 3) {
+        deletes.push_back({EdgeUpdate::Op::kDelete, src, dst});
+      }
+    } else if (inserts.size() < 3) {
+      inserts.push_back({EdgeUpdate::Op::kInsert, src, dst});
+    }
+  }
+  return {{inserts[0], deletes[0]},
+          {inserts[1], deletes[1]},
+          {inserts[2], deletes[2]}};
+}
+
+class CanonicalOverlayTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(CanonicalOverlayTest, EveryPublishedOverlayIsCanonical) {
+  const DiGraph graph = testing::RandomGraph(120, 480, 21);
+  const WalkIndexOptions options = SmallOptions();
+  auto built = WalkIndex::Build(graph, options);
+  ASSERT_TRUE(built.ok());
+  WalkIndex index = std::move(built).value();
+  const std::string tag = std::to_string(GetParam());
+  const std::string wal_path = TempPath("canonical-" + tag + ".wal");
+  std::remove(wal_path.c_str());
+  IndexUpdaterOptions updater_options;
+  updater_options.wal_path = wal_path;
+  updater_options.num_threads = GetParam();
+  updater_options.group_commit_window_us = 20000;  // lets the group form
+  auto updater = IndexUpdater::Open(index, graph, updater_options);
+  ASSERT_TRUE(updater.ok()) << updater.status().ToString();
+
+  // Random batches, with a compaction between two of them: the rebased
+  // overlay and the batches on top of it are canonical too.
+  const std::vector<std::vector<EdgeUpdate>> stream =
+      MakeStream(graph, /*seed=*/43, /*batches=*/8, /*edges=*/4);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE((*updater)->ApplyUpdates(stream[i]).ok());
+    ExpectCanonicalOverlay(index, **updater);
+    if (i == 3) {
+      ASSERT_TRUE((*updater)
+                      ->Compact(TempPath("canonical-" + tag + ".widx"), {})
+                      .ok());
+      ExpectCanonicalOverlay(index, **updater);
+    }
+  }
+
+  // One group of three batches submitted at once: one publish for all.
+  const std::vector<std::vector<EdgeUpdate>> group =
+      DisjointBatches((*updater)->CurrentGraph(), /*seed=*/47);
+  std::vector<std::thread> writers;
+  for (const std::vector<EdgeUpdate>& batch : group) {
+    writers.emplace_back([&updater, &batch] {
+      EXPECT_TRUE((*updater)->ApplyUpdates(batch).ok());
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  ExpectCanonicalOverlay(index, **updater);
+
+  // Batches on top of the group, then the state still equals a rebuild.
+  for (const auto& batch : MakeStream((*updater)->CurrentGraph(),
+                                      /*seed=*/53, /*batches=*/3,
+                                      /*edges=*/4)) {
+    ASSERT_TRUE((*updater)->ApplyUpdates(batch).ok());
+    ExpectCanonicalOverlay(index, **updater);
+  }
+  auto rebuilt = WalkIndex::Build((*updater)->CurrentGraph(), options);
+  ASSERT_TRUE(rebuilt.ok());
+  ExpectRowsBitwiseEqual(AllRows(index), AllRows(*rebuilt));
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, CanonicalOverlayTest,
+                         ::testing::Values(1u, 3u));
 
 struct BackendParam {
   bool compress;

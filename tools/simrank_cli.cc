@@ -341,7 +341,7 @@ void AddUpdaterFlags(FlagSet& flags, UpdaterArgs* args) {
       .Switch("--mmap", &args->load_options.use_mmap,
               "read the index from the mapped file instead of RAM")
       .Add("--threads", "T", &args->updater_options.num_threads,
-           "threads patching walks and merging; 0 = hardware concurrency "
+           "threads patching walks and merging; 0 = one per usable CPU "
            "(output identical for any value)");
 }
 

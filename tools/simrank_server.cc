@@ -136,15 +136,14 @@ int RealMain(int argc, char** argv) {
            "where compaction writes the updated graph (empty: "
            "<compact-to>.graph.bin)")
       .Switch("--no-sync-wal", &updater_options.sync_wal,
-              "skip the fsync after each WAL append")
-      .Switch("--no-group-commit", &updater_options.group_commit,
-              "fsync each batch alone instead of coalescing concurrent ones")
+              "skip the WAL fsync of each commit group")
       .Add("--group-commit-window-us", "US",
            &updater_options.group_commit_window_us,
-           "how long a group-commit leader waits for more batches")
+           "how long a group-commit leader waits for more batches to "
+           "share its fsync")
       .Add("--update-threads", "T", &updater_options.num_threads,
-           "threads patching walks and compacting; 0 = hardware "
-           "concurrency (answers are identical for any value)")
+           "threads patching walks and compacting; 0 = one per usable "
+           "CPU (answers are identical for any value)")
       .Add("--overlay-budget", "BYTES", &updater_options.overlay_budget_bytes,
            "compact in the background past this many overlay bytes; "
            "0 = unbounded")
@@ -194,7 +193,7 @@ int RealMain(int argc, char** argv) {
   if (!live_updates) {
     for (const char* name :
          {"--compact-to", "--compact-graph-to", "--no-sync-wal",
-          "--no-group-commit", "--group-commit-window-us", "--update-threads",
+          "--group-commit-window-us", "--update-threads",
           "--overlay-budget", "--auto-compact-fraction", "--tail-from"}) {
       if (flags.seen(name)) {
         return flags.Fail(
