@@ -1,10 +1,10 @@
 // Shared pieces of the BENCH_*.json writers: the environment a figure was
 // measured in, and exact sample percentiles.
 //
-// Every BENCH file records the hardware threads, the active SIMD tier,
-// whether io_uring served its reads and the build's git describe, so a
-// reader — and scripts/check_bench.py, which skips scaling gates on boxes
-// narrower than the tested width — can tell which comparisons hold.
+// Every BENCH file records the hardware threads, the active SIMD tier and
+// the build's git describe, so a reader — and scripts/check_bench.py,
+// which skips scaling gates on boxes narrower than the tested width — can
+// tell which comparisons hold.
 #ifndef OIPSIM_BENCH_BENCH_ENV_H_
 #define OIPSIM_BENCH_BENCH_ENV_H_
 
@@ -20,12 +20,11 @@
 
 namespace simrank::bench {
 
-/// Writes hardware_threads, simd_level, io_uring_used and git_describe as
-/// keys of the JSON object `json` is inside.
-inline void WriteBenchEnvironment(JsonWriter& json, bool io_uring_used) {
+/// Writes hardware_threads, simd_level and git_describe as keys of the
+/// JSON object `json` is inside.
+inline void WriteBenchEnvironment(JsonWriter& json) {
   json.Key("hardware_threads").Uint(std::thread::hardware_concurrency());
   json.Key("simd_level").String(SimdLevelName(ActiveSimdLevel()));
-  json.Key("io_uring_used").Bool(io_uring_used);
   json.Key("git_describe").String(GetBuildInfo().git_describe);
 }
 

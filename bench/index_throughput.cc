@@ -30,7 +30,6 @@
 #include "bench_env.h"
 #include "simrank/common/json_writer.h"
 #include "simrank/common/memory_tracker.h"
-#include "simrank/index/segment_reader.h"
 #include "simrank/common/rng.h"
 #include "simrank/common/string_util.h"
 #include "simrank/common/thread_pool.h"
@@ -347,8 +346,9 @@ int Main() {
   // --- cold serve: page-cache drop to first answer ------------------------
   // The serve-path question a restart poses: with the index file evicted
   // (posix_fadvise DONTNEED), how long from open to the first single-source
-  // answer, and through the whole hot sweep? Measured with the io_uring
-  // batched reader on and off; the answers themselves are checked equal.
+  // answer, and through the whole hot sweep? The first answer reads through
+  // the store's madvise readahead of the inverted region, and must equal
+  // the in-memory backend's.
   auto drop_page_cache = [&index_path]() {
     const int fd = ::open(index_path.c_str(), O_RDONLY);
     OIPSIM_CHECK(fd >= 0);
@@ -360,11 +360,8 @@ int Main() {
     double open_seconds = 0.0;
     double first_answer_seconds = 0.0;
     double sweep_seconds = 0.0;
-    bool used_uring = false;
-    double first_row_sum = 0.0;
   };
-  auto cold_serve = [&](bool enable_uring) {
-    SegmentReader::SetIoUringEnabled(enable_uring);
+  auto cold_serve = [&]() {
     drop_page_cache();
     ColdServe measured;
     WallTimer open_timer;
@@ -373,14 +370,15 @@ int Main() {
     open_timer.Stop();
     OIPSIM_CHECK(cold_index.ok());
     measured.open_seconds = open_timer.ElapsedSeconds();
-    measured.used_uring = cold_index->store().UsesIoUring();
     WallTimer first_timer;
     first_timer.Start();
     const auto first_row =
         cold_index->EstimateSingleSource(workload.sources[0]);
     first_timer.Stop();
     measured.first_answer_seconds = first_timer.ElapsedSeconds();
-    for (double s : first_row) measured.first_row_sum += s;
+    OIPSIM_CHECK_MSG(
+        first_row == ram_index->EstimateSingleSource(workload.sources[0]),
+        "cold first answer differs from the in-memory backend's");
     WallTimer sweep_timer;
     sweep_timer.Start();
     for (VertexId v : workload.sources) {
@@ -390,27 +388,15 @@ int Main() {
     measured.sweep_seconds = sweep_timer.ElapsedSeconds();
     return measured;
   };
-  const bool uring_was_enabled = SegmentReader::IoUringEnabled();
   // Throwaway pass: the first drop-and-serve after saving the index pays
-  // for straggling writeback/journal flushes, whichever backend runs it.
-  (void)cold_serve(false);
-  const ColdServe uring_serve = cold_serve(true);
-  const ColdServe fallback_serve = cold_serve(false);
-  SegmentReader::SetIoUringEnabled(uring_was_enabled);
-  OIPSIM_CHECK_MSG(uring_serve.first_row_sum == fallback_serve.first_row_sum,
-                   "cold first answers differ between read backends");
+  // for straggling writeback/journal flushes.
+  (void)cold_serve();
+  const ColdServe cold = cold_serve();
   TablePrinter cold_table({"cold serve (mmap, dropped cache)", "open",
                            "first answer", "hot sweep"});
-  cold_table.AddRow(
-      {uring_serve.used_uring ? "io_uring batched reads"
-                              : "io_uring requested (unavailable)",
-       FormatDuration(uring_serve.open_seconds),
-       FormatDuration(uring_serve.first_answer_seconds),
-       FormatDuration(uring_serve.sweep_seconds)});
-  cold_table.AddRow({"fadvise fallback",
-                     FormatDuration(fallback_serve.open_seconds),
-                     FormatDuration(fallback_serve.first_answer_seconds),
-                     FormatDuration(fallback_serve.sweep_seconds)});
+  cold_table.AddRow({"madvise readahead", FormatDuration(cold.open_seconds),
+                     FormatDuration(cold.first_answer_seconds),
+                     FormatDuration(cold.sweep_seconds)});
   std::printf("%s\n", cold_table.Render().c_str());
 
   // Machine-readable serve summary for CI trend lines.
@@ -418,19 +404,11 @@ int Main() {
     JsonWriter json;
     json.BeginObject();
     json.Key("bench").String("index_throughput");
-    WriteBenchEnvironment(json, uring_serve.used_uring);
-    json.Key("io_uring_build_support")
-        .Bool(SegmentReader::BuildSupportsIoUring());
+    WriteBenchEnvironment(json);
     json.Key("cold_serve").BeginObject();
-    auto emit_cold = [&json](const char* key, const ColdServe& serve) {
-      json.Key(key).BeginObject();
-      json.Key("open_seconds").Double(serve.open_seconds);
-      json.Key("first_answer_seconds").Double(serve.first_answer_seconds);
-      json.Key("hot_sweep_seconds").Double(serve.sweep_seconds);
-      json.EndObject();
-    };
-    emit_cold("io_uring", uring_serve);
-    emit_cold("fallback", fallback_serve);
+    json.Key("open_seconds").Double(cold.open_seconds);
+    json.Key("first_answer_seconds").Double(cold.first_answer_seconds);
+    json.Key("hot_sweep_seconds").Double(cold.sweep_seconds);
     json.EndObject();
     json.Key("single_source_seconds_per_query").BeginObject();
     json.Key("scan_in_memory").Double(scan_seconds / queries);

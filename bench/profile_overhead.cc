@@ -290,8 +290,7 @@ int Main() {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").String("profile_overhead");
-  // The server answers from an in-memory index: no io_uring reads.
-  WriteBenchEnvironment(json, /*io_uring_used=*/false);
+  WriteBenchEnvironment(json);
   json.Key("pair_p50_us_disarmed").Double(disarmed.p50_us);
   json.Key("pair_p99_us_disarmed").Double(disarmed.p99_us);
   json.Key("pair_p50_us_armed").Double(armed.p50_us);

@@ -210,8 +210,7 @@ int Main() {
   JsonWriter json;
   json.BeginObject();
   json.Key("bench").String("trace_overhead");
-  // The server answers from an in-memory index: no io_uring reads.
-  WriteBenchEnvironment(json, /*io_uring_used=*/false);
+  WriteBenchEnvironment(json);
   json.Key("null_scope_ns").Double(null_scope_ns);
   json.Key("hooks_per_request").Uint(kHooksPerRequest);
   json.Key("pair_p50_us_disabled").Double(disabled.p50_us);

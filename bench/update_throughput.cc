@@ -573,8 +573,7 @@ int Main() {
     JsonWriter json;
     json.BeginObject();
     json.Key("bench").String("update_throughput");
-    // Every phase serves an in-memory index: no reads go through io_uring.
-    WriteBenchEnvironment(json, /*io_uring_used=*/false);
+    WriteBenchEnvironment(json);
     json.Key("single_edge").BeginObject();
     json.Key("patch_ms_per_batch").Double(total_patch * 1e3 /
                                           kGatedBatches);

@@ -25,10 +25,11 @@
 // WalkIndex::PublishOverlay), so queries in flight keep the snapshot they
 // started with and never observe a half-applied batch.
 //
-// Both patch kinds are expressed against the *base* store, not the
-// previous overlay: lookup cost stays O(base + patch) however many
-// batches have accumulated, and Compact() can rebuild the merged index
-// from base + one overlay.
+// Both patch kinds are expressed against the overlay's *store* (store()),
+// not the previous overlay: lookup cost stays O(store + patch) however
+// many batches have accumulated, and Compact() can rebuild the merged
+// index from store + one overlay. Every overlay names its store, so one
+// published overlay says everything that serves.
 //
 // Each overlay also carries the row-change sets of its most recent
 // batches: the vertices whose single-source row a batch can change. A
@@ -78,7 +79,7 @@ struct OverlayEntry {
 class DeltaOverlay {
  public:
   /// Served positions of one (vertex, fingerprint) walk where they differ
-  /// from the base store: suffix[i] is the position after t0 + i steps
+  /// from the store: suffix[i] is the position after t0 + i steps
   /// (kDeadWalk once the walk dies). Steps t0 and t0 + suffix.size() - 1
   /// both differ from the store; the steps between them may not, and
   /// every step outside them holds the store's position.
@@ -96,7 +97,7 @@ class DeltaOverlay {
   /// One patch-array element: the walk key (v << 32 | r) and its patch.
   using PatchEntry = std::pair<uint64_t, std::shared_ptr<const WalkPatch>>;
 
-  /// Sparse diff of one inverted slot vs. the base store, both sides
+  /// Sparse diff of one inverted slot vs. the store, both sides
   /// sorted by (position, vertex). An entry never appears on both sides,
   /// and `removed` entries always exist in the base slot.
   struct SlotDelta {
@@ -156,7 +157,7 @@ class DeltaOverlay {
                                                     : nullptr;
   }
 
-  /// Diff of slot (r, t) vs. the base store, or nullptr when unchanged.
+  /// Diff of slot (r, t) vs. the store, or nullptr when unchanged.
   const SlotDelta* Delta(uint32_t r, uint32_t t) const {
     return deltas_[static_cast<size_t>(r) * walk_length_ + (t - 1)].get();
   }
@@ -165,16 +166,13 @@ class DeltaOverlay {
   size_t changed_slot_count() const { return changed_slots_; }
 
   /// The store this overlay's patches and slot diffs are expressed
-  /// against, when it differs from the index's original store: a
-  /// background compaction publishes its merged store *through* the
-  /// overlay it rebases (one RCU pointer swap hands queries a coherent
-  /// (store, overlay) pair — see WalkIndex::ServingStore). Null for
-  /// overlays over the load/build-time base store. The shared_ptr keeps
-  /// superseded merged stores alive exactly as long as a reader still
-  /// holds a snapshot expressed against them.
-  const std::shared_ptr<const WalkStore>& rebased_store() const {
-    return rebased_store_;
-  }
+  /// against; never null. A batch's overlay names the store of the
+  /// overlay it builds on (the index's store for the first batch); a
+  /// compaction's rebased overlay names the merged store. Publishing the
+  /// overlay publishes its store with it (WalkIndex::PublishOverlay), and
+  /// the shared_ptr keeps a replaced store alive exactly as long as a
+  /// reader still holds an overlay expressed against it.
+  const std::shared_ptr<const WalkStore>& store() const { return store_; }
 
  private:
   friend class IndexUpdater;
@@ -199,8 +197,8 @@ class DeltaOverlay {
   uint64_t sequence_ = 0;
   uint64_t graph_fingerprint_ = 0;
   uint32_t walk_length_ = 0;
-  /// See rebased_store().
-  std::shared_ptr<const WalkStore> rebased_store_;
+  /// See store().
+  std::shared_ptr<const WalkStore> store_;
   /// Walk patches in ascending key order.
   std::vector<PatchEntry> patches_;
   /// Slot diffs indexed by slot r·L + (t-1); null where unchanged.

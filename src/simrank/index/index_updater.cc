@@ -522,12 +522,16 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
 
   // Within a commit group or a WAL replay, later batches build on the
   // still-unpublished overlay chain, not on what queries currently see.
+  // Compaction publishes under mutex_ too, so the pair read here is the
+  // one this batch lands on.
+  const WalkIndex::Snapshot serving = index_.snapshot();
   const std::shared_ptr<const DeltaOverlay> old =
-      pending_overlay_ != nullptr ? pending_overlay_
-                                  : index_.overlay_snapshot();
-  // The store the overlay chain is expressed against — the original
-  // backend, or the merged store a background compaction published.
-  const WalkStore& base = index_.ServingStore(old.get());
+      pending_overlay_ != nullptr ? pending_overlay_ : serving.overlay;
+  // The store the overlay chain is expressed against — the one the index
+  // was opened with, or the merged store a compaction published.
+  const std::shared_ptr<const WalkStore>& store =
+      old != nullptr ? old->store() : serving.store;
+  const WalkStore& base = *store;
   const WalkStoreMeta& meta = base.meta();
   const uint32_t R = meta.num_fingerprints;
   const uint32_t L = meta.walk_length;
@@ -679,10 +683,8 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   overlay->sequence_ = (old == nullptr ? 0 : old->sequence_) + 1;
   overlay->graph_fingerprint_ = post_fingerprint;
   overlay->walk_length_ = L;
-  if (old != nullptr) {
-    overlay->rebased_store_ = old->rebased_store_;
-    overlay->row_changes_ = old->row_changes_;
-  }
+  overlay->store_ = store;
+  if (old != nullptr) overlay->row_changes_ = old->row_changes_;
 
   // --- the row-change set: which cached rows this batch can stale -------
   // The vertices whose walks moved, plus every vertex whose walk sits at
@@ -861,13 +863,13 @@ Status IndexUpdater::Compact(const std::string& path,
   // Phase 1 — pin the snapshot this compaction materializes: the overlay,
   // the record count it embodies and (when a graph file is wanted) the
   // adjacency. O(m) worst case, no store reads.
-  std::shared_ptr<const DeltaOverlay> snap;
+  WalkIndex::Snapshot pinned;
   uint64_t snap_fingerprint = 0;
   size_t records_at_snapshot = 0;
   std::vector<std::vector<VertexId>> out_copy;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    snap = index_.overlay_snapshot();
+    pinned = index_.snapshot();
     snap_fingerprint = graph_fingerprint_;
     {
       std::lock_guard<std::mutex> records_lock(records_mutex_);
@@ -875,7 +877,8 @@ Status IndexUpdater::Compact(const std::string& path,
     }
     if (!graph_path.empty()) out_copy = out_lists_;
   }
-  const WalkStore& base = index_.ServingStore(snap.get());
+  const std::shared_ptr<const DeltaOverlay>& snap = pinned.overlay;
+  const WalkStore& base = *pinned.store;
   WalkStoreMeta meta = base.meta();
   meta.graph_fingerprint = snap_fingerprint;
 
@@ -941,7 +944,7 @@ Status IndexUpdater::Compact(const std::string& path,
   // silently convert it into a fully resident one; the rename above left
   // the old mapping's inode intact for readers still on old snapshots.
   std::shared_ptr<const WalkStore> serving = merged;
-  if (dynamic_cast<const MmapWalkStore*>(&index_.store()) != nullptr) {
+  if (dynamic_cast<const MmapWalkStore*>(&base) != nullptr) {
     auto reopened = MmapWalkStore::Open(path);
     if (reopened.ok()) {
       serving = std::shared_ptr<const WalkStore>(std::move(*reopened));
@@ -1026,7 +1029,7 @@ Status IndexUpdater::Compact(const std::string& path,
       rebased->sequence_ = current->sequence_;
       rebased->graph_fingerprint_ = current->graph_fingerprint_;
       rebased->walk_length_ = L;
-      rebased->rebased_store_ = serving;
+      rebased->store_ = serving;
       // Compaction changes no row, so the batches' row-change sets carry
       // over unchanged and cached rows stay warm across it.
       rebased->row_changes_ = current->row_changes_;

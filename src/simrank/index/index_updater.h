@@ -52,10 +52,11 @@
 // patched-walk fraction trips the amplification heuristic) a *background*
 // compaction starts on a dedicated thread. Updates and queries keep
 // running against the live overlay while the merged store is built; the
-// only exclusive window is the final pointer swap, which publishes the
-// merged store *through* the overlay (DeltaOverlay::rebased_store) and
-// rebases any batches that landed mid-compaction onto it, through the
-// same DiffWalk as a batch. Serves never block behind a compaction.
+// only exclusive window is the final pointer swap, which publishes an
+// overlay naming the merged store (DeltaOverlay::store) and rebases any
+// batches that landed mid-compaction onto it, through the same DiffWalk
+// as a batch. Serves never block behind a compaction, and the replaced
+// store is freed once no reader's snapshot names it.
 //
 // Durability: every accepted batch is appended to a checksummed WAL
 // (update_wal.h) *before* the overlay is built. Reopening the updater
@@ -235,11 +236,12 @@ class IndexUpdater {
   /// Writes the serving state as a fresh v2 index file at `path` (via a
   /// temporary file and an atomic rename), byte-identical to what
   /// `build-index` on the current graph would write with the same save
-  /// options, then swaps serving onto the merged store (published through
-  /// the overlay, DeltaOverlay::rebased_store) so the accumulated patches
-  /// are released. Updates and queries keep running while the merged
-  /// store is built; batches that land mid-compaction are rebased onto it
-  /// at the final swap, and the swap itself is the only exclusive window.
+  /// options, then swaps serving onto the merged store (published with
+  /// the overlay that names it, DeltaOverlay::store) so the accumulated
+  /// patches and the replaced store are released. Updates and queries
+  /// keep running while the merged store is built; batches that land
+  /// mid-compaction are rebased onto it at the final swap, and the swap
+  /// itself is the only exclusive window.
   /// With `reset_wal`, the WAL is re-bound to the compacted index's
   /// fingerprint and re-seeded with exactly the batches the compacted
   /// file does not embody. A non-empty `graph_path` additionally writes

@@ -35,7 +35,7 @@ uint64_t SequenceOf(const DeltaOverlay* overlay) {
 }
 
 /// Whether a row of `v` stamped `stamp` answers a reader of `overlay`
-/// (null: the base store, sequence 0).
+/// (null: no batch yet, sequence 0).
 bool ValidUnder(VertexId v, uint64_t stamp, const DeltaOverlay* overlay) {
   return overlay == nullptr ? stamp == 0
                             : overlay->RowUnchangedSince(v, stamp);
@@ -92,17 +92,16 @@ std::optional<double> QueryEngine::CachedPair(VertexId a, VertexId b,
   return std::nullopt;
 }
 
-Result<double> QueryEngine::PairAtSnapshot(
-    VertexId a, VertexId b,
-    const std::shared_ptr<const DeltaOverlay>& overlay) {
+Result<double> QueryEngine::PairAtSnapshot(VertexId a, VertexId b,
+                                           const WalkIndex::Snapshot& at) {
   OIPSIM_RETURN_IF_ERROR(CheckVertex(a));
   OIPSIM_RETURN_IF_ERROR(CheckVertex(b));
   // A resident (and fresh) row of either endpoint already holds the
   // answer.
-  if (std::optional<double> cached = CachedPair(a, b, overlay.get())) {
+  if (std::optional<double> cached = CachedPair(a, b, at.overlay.get())) {
     return *cached;
   }
-  return index_.EstimatePair(a, b, overlay.get());
+  return index_.EstimatePair(a, b, *at.store, at.overlay.get());
 }
 
 std::optional<double> QueryEngine::PairFromCache(VertexId a, VertexId b) {
@@ -120,12 +119,13 @@ std::optional<double> QueryEngine::PairFromCache(VertexId a, VertexId b) {
 }
 
 Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(
-    VertexId v, const std::shared_ptr<const DeltaOverlay>& overlay) {
+    VertexId v, const WalkIndex::Snapshot& at) {
   OIPSIM_RETURN_IF_ERROR(CheckVertex(v));
-  if (Row row = GetFresh(v, overlay.get())) return row;
-  const uint64_t sequence = SequenceOf(overlay.get());
+  const DeltaOverlay* overlay = at.overlay.get();
+  if (Row row = GetFresh(v, overlay)) return row;
+  const uint64_t sequence = SequenceOf(overlay);
   Row row = std::make_shared<const std::vector<double>>(
-      index_.EstimateSingleSource(v, overlay.get()));
+      index_.EstimateSingleSource(v, *at.store, overlay));
   // Stamped with the sequence the row was actually computed under; if an
   // update raced us, the stamp is stale and the row reads as a miss —
   // and in that case skip the insert rather than overwrite a row another
@@ -137,32 +137,31 @@ Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(
 }
 
 Result<std::vector<ScoredVertex>> QueryEngine::TopKAtSnapshot(
-    VertexId v, uint32_t k,
-    const std::shared_ptr<const DeltaOverlay>& overlay) {
-  Result<Row> row = SingleSourceAtSnapshot(v, overlay);
+    VertexId v, uint32_t k, const WalkIndex::Snapshot& at) {
+  Result<Row> row = SingleSourceAtSnapshot(v, at);
   if (!row.ok()) return row.status();
   return TopKFromRow(**row, v, k, /*exclude_query=*/true);
 }
 
 Result<double> QueryEngine::Pair(VertexId a, VertexId b) {
-  // One overlay snapshot serves the whole query: the cached-row check and
-  // the fallback estimate must agree on the index version.
-  return PairAtSnapshot(a, b, index_.overlay_snapshot());
+  // One snapshot serves the whole query: the cached-row check and the
+  // fallback estimate must agree on the index version.
+  return PairAtSnapshot(a, b, index_.snapshot());
 }
 
 Result<QueryEngine::Row> QueryEngine::SingleSource(VertexId v) {
-  return SingleSourceAtSnapshot(v, index_.overlay_snapshot());
+  return SingleSourceAtSnapshot(v, index_.snapshot());
 }
 
 Result<std::vector<ScoredVertex>> QueryEngine::TopK(VertexId v, uint32_t k) {
-  return TopKAtSnapshot(v, k, index_.overlay_snapshot());
+  return TopKAtSnapshot(v, k, index_.snapshot());
 }
 
 std::vector<Result<double>> QueryEngine::BatchPair(
     const std::vector<std::pair<VertexId, VertexId>>& queries) {
   // One snapshot for the whole batch: every answer reflects the same
-  // index version even if an update lands mid-fanout.
-  const auto overlay = index_.overlay_snapshot();
+  // index version even if an update or a compaction lands mid-fanout.
+  const WalkIndex::Snapshot at = index_.snapshot();
   // Paged backend: one batched readahead of every queried segment before
   // the fan-out, instead of each worker faulting its pages one at a time.
   // A hint — answers are identical with or without it, and the in-memory
@@ -173,25 +172,24 @@ std::vector<Result<double>> QueryEngine::BatchPair(
     vertices.push_back(a);
     vertices.push_back(b);
   }
-  index_.store().Prefetch(vertices);
+  at.store->Prefetch(vertices);
   std::vector<Result<double>> answers(queries.size(),
                                       Result<double>(0.0));
   pool_.ParallelFor(0, queries.size(), [&](uint64_t i) {
-    answers[i] =
-        PairAtSnapshot(queries[i].first, queries[i].second, overlay);
+    answers[i] = PairAtSnapshot(queries[i].first, queries[i].second, at);
   });
   return answers;
 }
 
 std::vector<Result<std::vector<ScoredVertex>>> QueryEngine::BatchTopK(
     const std::vector<VertexId>& queries, uint32_t k) {
-  const auto overlay = index_.overlay_snapshot();
-  index_.store().Prefetch(queries);
+  const WalkIndex::Snapshot at = index_.snapshot();
+  at.store->Prefetch(queries);
   std::vector<Result<std::vector<ScoredVertex>>> answers(
       queries.size(),
       Result<std::vector<ScoredVertex>>(std::vector<ScoredVertex>{}));
   pool_.ParallelFor(0, queries.size(), [&](uint64_t i) {
-    answers[i] = TopKAtSnapshot(queries[i], k, overlay);
+    answers[i] = TopKAtSnapshot(queries[i], k, at);
   });
   return answers;
 }

@@ -91,8 +91,8 @@ class QueryEngine {
   /// Batch variants: answer[i] corresponds to queries[i]. Work is spread
   /// across the engine's thread pool; results are deterministic (identical
   /// to issuing the queries sequentially). The whole batch is pinned to
-  /// one overlay snapshot, so a concurrent update can never make one
-  /// response mix index versions.
+  /// one (store, overlay) snapshot, so neither a concurrent update nor a
+  /// compaction can make one response mix index versions.
   std::vector<Result<double>> BatchPair(
       const std::vector<std::pair<VertexId, VertexId>>& queries);
   std::vector<Result<std::vector<ScoredVertex>>> BatchTopK(
@@ -125,8 +125,8 @@ class QueryEngine {
   Status CheckVertex(VertexId v) const;
 
   /// The cached row of `v` if it is resident and valid under `overlay`
-  /// (null: the base store), re-stamping it when it is valid through an
-  /// older stamp; other older entries are erased.
+  /// (null: no batch yet, sequence 0), re-stamping it when it is valid
+  /// through an older stamp; other older entries are erased.
   Row GetFresh(VertexId v, const DeltaOverlay* overlay);
   /// Whether GetFresh would hit, without counting, tracing, re-stamping or
   /// touching the LRU order.
@@ -136,17 +136,15 @@ class QueryEngine {
   std::optional<double> CachedPair(VertexId a, VertexId b,
                                    const DeltaOverlay* overlay);
 
-  /// Pair/SingleSource/TopK against one pinned overlay snapshot — the
-  /// shared core of the public entry points and the version-consistent
-  /// batch APIs.
-  Result<double> PairAtSnapshot(
-      VertexId a, VertexId b,
-      const std::shared_ptr<const DeltaOverlay>& overlay);
-  Result<Row> SingleSourceAtSnapshot(
-      VertexId v, const std::shared_ptr<const DeltaOverlay>& overlay);
+  /// Pair/SingleSource/TopK against one pinned (store, overlay) pair —
+  /// the shared core of the public entry points and the
+  /// version-consistent batch APIs.
+  Result<double> PairAtSnapshot(VertexId a, VertexId b,
+                                const WalkIndex::Snapshot& at);
+  Result<Row> SingleSourceAtSnapshot(VertexId v,
+                                     const WalkIndex::Snapshot& at);
   Result<std::vector<ScoredVertex>> TopKAtSnapshot(
-      VertexId v, uint32_t k,
-      const std::shared_ptr<const DeltaOverlay>& overlay);
+      VertexId v, uint32_t k, const WalkIndex::Snapshot& at);
 
   const WalkIndex& index_;
   QueryEngineOptions options_;

@@ -51,29 +51,36 @@ WalkIndexOptions WalkIndexOptions::FromAccuracy(double eps, double delta,
   return options;
 }
 
-WalkIndex WalkIndex::FromStore(std::unique_ptr<const WalkStore> store) {
+WalkIndex WalkIndex::FromStore(std::shared_ptr<const WalkStore> store) {
   WalkIndex index;
   const WalkStoreMeta& meta = store->meta();
   index.options_.num_fingerprints = meta.num_fingerprints;
   index.options_.walk_length = meta.walk_length;
   index.options_.damping = meta.damping;
   index.options_.seed = meta.seed;
-  index.store_ = std::move(store);
-  index.overlay_slot_ = std::make_shared<OverlaySlot>();
+  index.n_ = meta.n;
+  index.graph_fingerprint_ = meta.graph_fingerprint;
+  index.slot_ = std::make_shared<ServingSlot>();
+  index.slot_->serving.store = std::move(store);
   index.PrecomputeDampingPowers();
   return index;
 }
 
 void WalkIndex::PublishOverlay(std::shared_ptr<const DeltaOverlay> overlay) {
-  OIPSIM_CHECK(overlay_slot_ != nullptr);
-  std::lock_guard<std::mutex> lock(overlay_slot_->mutex);
-  overlay_slot_->current = std::move(overlay);
+  OIPSIM_CHECK(overlay != nullptr && overlay->store() != nullptr);
+  Snapshot next{overlay->store(), std::move(overlay)};
+  {
+    std::lock_guard<std::mutex> lock(slot_->mutex);
+    std::swap(slot_->serving, next);
+  }
+  // `next` now holds the replaced pair and drops it outside the lock: when
+  // it held the last reference to a store, freeing that store must not
+  // hold up readers.
 }
 
-std::shared_ptr<const DeltaOverlay> WalkIndex::overlay_snapshot() const {
-  if (overlay_slot_ == nullptr) return nullptr;
-  std::lock_guard<std::mutex> lock(overlay_slot_->mutex);
-  return overlay_slot_->current;
+WalkIndex::Snapshot WalkIndex::snapshot() const {
+  std::lock_guard<std::mutex> lock(slot_->mutex);
+  return slot_->serving;
 }
 
 Result<WalkIndex> WalkIndex::Build(const DiGraph& graph,
@@ -115,7 +122,7 @@ Result<WalkIndex> WalkIndex::Build(const DiGraph& graph,
   meta.damping = options.damping;
   meta.seed = options.seed;
   meta.graph_fingerprint = GraphFingerprint(graph);
-  WalkIndex index = FromStore(std::make_unique<InMemoryWalkStore>(
+  WalkIndex index = FromStore(std::make_shared<InMemoryWalkStore>(
       meta, std::move(walks), options.num_threads));
   index.options_.num_threads = options.num_threads;
   return index;
@@ -137,7 +144,7 @@ Status WalkIndex::Save(const std::string& path,
                        const SaveOptions& save) const {
   WalkStoreSaveOptions store_options;
   store_options.compress = save.compress;
-  return SaveWalkStore(*store_, path, store_options);
+  return SaveWalkStore(*snapshot().store, path, store_options);
 }
 
 void WalkIndex::PrecomputeDampingPowers() {
@@ -225,30 +232,28 @@ void AccumulateBucketVertices(const WalkStore& store,
 
 }  // namespace
 
-double WalkIndex::EstimatePair(VertexId a, VertexId b,
+double WalkIndex::EstimatePair(VertexId a, VertexId b, const WalkStore& store,
                                const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
   const uint32_t n = store.meta().n;
   OIPSIM_CHECK(a < n && b < n);
   if (a == b) return 1.0;
   std::vector<uint32_t> scratch;
   const uint32_t* row_a = ServingRow(store, overlay, a, &scratch);
-  return EstimatePairWithRow({row_a, store.WalkWords()}, b, overlay);
+  return EstimatePairWithRow({row_a, store.WalkWords()}, b, store, overlay);
 }
 
 std::vector<double> WalkIndex::EstimateSingleSource(
-    VertexId v, const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
+    VertexId v, const WalkStore& store, const DeltaOverlay* overlay) const {
   OIPSIM_CHECK(v < store.meta().n);
   std::vector<uint32_t> scratch;
   const uint32_t* row_v = ServingRow(store, overlay, v, &scratch);
-  return EstimateSingleSourceWithRow(v, {row_v, store.WalkWords()}, overlay);
+  return EstimateSingleSourceWithRow(v, {row_v, store.WalkWords()}, store,
+                                     overlay);
 }
 
 double WalkIndex::EstimatePairWithRow(std::span<const uint32_t> row_a,
-                                      VertexId b,
+                                      VertexId b, const WalkStore& store,
                                       const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
   OIPSIM_CHECK(b < store.meta().n);
   const uint32_t R = options_.num_fingerprints;
   const uint32_t L = options_.walk_length;
@@ -274,9 +279,8 @@ double WalkIndex::EstimatePairWithRow(std::span<const uint32_t> row_a,
 }
 
 std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
-    VertexId v, std::span<const uint32_t> row_v,
+    VertexId v, std::span<const uint32_t> row_v, const WalkStore& store,
     const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
   const uint32_t n = store.meta().n;
   OIPSIM_CHECK(v < n);
   const uint32_t R = options_.num_fingerprints;
@@ -326,9 +330,10 @@ std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
   return result;
 }
 
-std::vector<double> WalkIndex::EstimateSingleSourceScan(
-    VertexId v, const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
+std::vector<double> WalkIndex::EstimateSingleSourceScan(VertexId v) const {
+  const Snapshot at = snapshot();
+  const WalkStore& store = *at.store;
+  const DeltaOverlay* overlay = at.overlay.get();
   const uint32_t n = store.meta().n;
   OIPSIM_CHECK(v < n);
   const uint32_t L = options_.walk_length;

@@ -93,11 +93,12 @@ struct WalkIndexOptions {
                                        const SimRankOptions& simrank = {});
 };
 
-/// Fingerprint index over one graph. The storage backend is immutable;
-/// dynamic edge updates are served through a DeltaOverlay published by an
-/// IndexUpdater (PublishOverlay), swapped RCU-style so the index stays
+/// Fingerprint index over one graph. What serves is one (store, overlay)
+/// pair in a slot: the store an index was built or loaded with, then the
+/// store each DeltaOverlay published by an IndexUpdater names
+/// (PublishOverlay). The pair is swapped RCU-style, so the index stays
 /// thread-safe for concurrent reads — including reads concurrent with a
-/// publish. Move-only (it owns its storage backend).
+/// publish — and a store is freed once no pair names it. Move-only.
 class WalkIndex {
  public:
   /// Sentinel position of a walk that left a vertex with no in-neighbours.
@@ -142,9 +143,11 @@ class WalkIndex {
     return Load(path, LoadOptions());
   }
 
-  /// Writes the versioned v2 binary format. Saving the same index twice
-  /// produces byte-identical files, whatever the backend. The overload
-  /// without options writes uncompressed segments.
+  /// Writes the serving store, without its overlay, in the versioned v2
+  /// binary format (IndexUpdater::Compact writes the overlay merged in).
+  /// Saving the same index twice produces byte-identical files, whatever
+  /// the backend. The overload without options writes uncompressed
+  /// segments.
   Status Save(const std::string& path, const SaveOptions& save) const;
   Status Save(const std::string& path) const {
     return Save(path, SaveOptions());
@@ -154,14 +157,34 @@ class WalkIndex {
   /// fingerprint, see GraphFingerprint).
   Status ValidateGraph(const DiGraph& graph) const;
 
+  /// The serving (store, overlay) pair, read together in one slot read:
+  /// what a reader serves a whole request from. Holding it keeps both
+  /// alive, whatever a compaction publishes meanwhile.
+  struct Snapshot {
+    std::shared_ptr<const WalkStore> store;
+    /// Null until the first batch publishes: `store`'s own walks,
+    /// sequence 0. Otherwise `store` is overlay->store().
+    std::shared_ptr<const DeltaOverlay> overlay;
+  };
+
+  /// Pins the serving pair.
+  Snapshot snapshot() const;
+
   /// Estimate of s(a, b); exactly 1 for a == b. Both ids must be < n().
-  /// The no-overlay overload snapshots the published overlay itself; the
-  /// explicit overload serves against exactly `overlay` (nullptr = base),
-  /// which is how a QueryEngine pins a whole row to one overlay version.
+  /// The no-overlay overload pins the serving pair itself. The explicit
+  /// overloads serve against exactly the given version, which is how a
+  /// QueryEngine pins a whole row to one index version: `overlay` alone
+  /// means its own store (nullptr: the serving store, no patches), and
+  /// (store, overlay) a pair a caller pinned.
   double EstimatePair(VertexId a, VertexId b) const {
-    return EstimatePair(a, b, overlay_snapshot().get());
+    const Snapshot at = snapshot();
+    return EstimatePair(a, b, *at.store, at.overlay.get());
   }
   double EstimatePair(VertexId a, VertexId b,
+                      const DeltaOverlay* overlay) const {
+    return EstimatePair(a, b, *StoreOf(overlay), overlay);
+  }
+  double EstimatePair(VertexId a, VertexId b, const WalkStore& store,
                       const DeltaOverlay* overlay) const;
 
   /// Estimates the full row s(v, ·) through the inverted position index:
@@ -169,52 +192,55 @@ class WalkIndex {
   /// the query walk's position are touched — O(R·L·log n + output) versus
   /// the scan's O(R·L·n) — and the result is bitwise identical to
   /// EstimateSingleSourceScan and to n EstimatePair calls. With an overlay
-  /// (published or passed explicitly) the patched walks and slot diffs are
-  /// merged in, and the row is bitwise identical to what an index rebuilt
-  /// on the updated graph would serve.
+  /// the patched walks and slot diffs are merged in, and the row is
+  /// bitwise identical to what an index rebuilt on the updated graph
+  /// would serve. Overloads as for EstimatePair.
   std::vector<double> EstimateSingleSource(VertexId v) const {
-    return EstimateSingleSource(v, overlay_snapshot().get());
+    const Snapshot at = snapshot();
+    return EstimateSingleSource(v, *at.store, at.overlay.get());
   }
   std::vector<double> EstimateSingleSource(
-      VertexId v, const DeltaOverlay* overlay) const;
+      VertexId v, const DeltaOverlay* overlay) const {
+    return EstimateSingleSource(v, *StoreOf(overlay), overlay);
+  }
+  std::vector<double> EstimateSingleSource(
+      VertexId v, const WalkStore& store, const DeltaOverlay* overlay) const;
 
   /// The loops behind EstimatePair and EstimateSingleSource, fed with the
-  /// query vertex's walk row (MaterializeRow of delta_overlay.h: base +
+  /// query vertex's walk row (MaterializeRow of delta_overlay.h: store +
   /// overlay merged, row[r * (L + 1) + t]). The local estimators pass the
-  /// row of this index's store; a cross-shard query passes the row its
-  /// owning shard shipped, so on a shard index whose local rows cover a
-  /// vertex range the results are bitwise equal to the single-node answer
-  /// restricted to that range. `v` is only used for the diagonal
-  /// (result[v] = 1, never accumulated); `b` must differ from the row's
-  /// own vertex in the pair variant (EstimatePair answers a == b itself).
+  /// row of `store`; a cross-shard query passes the row its owning shard
+  /// shipped, so on a shard index whose local rows cover a vertex range
+  /// the results are bitwise equal to the single-node answer restricted to
+  /// that range. `v` is only used for the diagonal (result[v] = 1, never
+  /// accumulated); `b` must differ from the row's own vertex in the pair
+  /// variant (EstimatePair answers a == b itself).
   double EstimatePairWithRow(std::span<const uint32_t> row_a, VertexId b,
+                             const WalkStore& store,
                              const DeltaOverlay* overlay) const;
   std::vector<double> EstimateSingleSourceWithRow(
-      VertexId v, std::span<const uint32_t> row,
+      VertexId v, std::span<const uint32_t> row, const WalkStore& store,
       const DeltaOverlay* overlay) const;
 
   /// The full O(R·L·n) row scan — every vertex's walk row compared with
   /// v's — kept as the reference implementation the inverted path is
-  /// validated against (overlay-aware like the inverted path, so the two
-  /// stay comparable under updates). Works on either backend; on mmap it
-  /// decodes all n rows.
-  std::vector<double> EstimateSingleSourceScan(VertexId v) const {
-    return EstimateSingleSourceScan(v, overlay_snapshot().get());
-  }
-  std::vector<double> EstimateSingleSourceScan(
-      VertexId v, const DeltaOverlay* overlay) const;
+  /// validated against (over the serving pair, like the inverted path, so
+  /// the two stay comparable under updates). Works on either backend; on
+  /// mmap it decodes all n rows.
+  std::vector<double> EstimateSingleSourceScan(VertexId v) const;
 
-  /// Publishes `overlay` as the served patch set (nullptr reverts to the
-  /// base store). RCU-style: in-flight queries keep the snapshot they
-  /// started with; new queries see the new overlay. Called by an
-  /// IndexUpdater after it has fully built the overlay — readers never
-  /// observe a half-applied batch.
+  /// Publishes `overlay`, and the store it names, as the serving pair.
+  /// RCU-style: in-flight queries keep the snapshot they started with; new
+  /// queries see the new pair. Called by an IndexUpdater after it has
+  /// fully built the overlay — readers never observe a half-applied batch.
   void PublishOverlay(std::shared_ptr<const DeltaOverlay> overlay);
 
-  /// The currently published overlay (nullptr when serving the base).
-  std::shared_ptr<const DeltaOverlay> overlay_snapshot() const;
+  /// The currently published overlay (nullptr before the first batch).
+  std::shared_ptr<const DeltaOverlay> overlay_snapshot() const {
+    return snapshot().overlay;
+  }
 
-  /// Sequence number of the published overlay; 0 when serving the base.
+  /// Sequence number of the published overlay; 0 before the first batch.
   /// Monotone across PublishOverlay calls — the staleness stamp for
   /// cached rows.
   uint64_t overlay_sequence() const {
@@ -222,61 +248,54 @@ class WalkIndex {
     return overlay == nullptr ? 0 : overlay->sequence();
   }
 
-  uint32_t n() const { return store_->meta().n; }
+  uint32_t n() const { return n_; }
   const WalkIndexOptions& options() const { return options_; }
-  uint64_t graph_fingerprint() const {
-    return store_->meta().graph_fingerprint;
-  }
-  /// Bytes the backing store keeps resident in RAM (walk rows plus
+  /// The fingerprint of the graph the index was built or loaded for —
+  /// what the WAL and a shard plan are bound to. An overlay carries the
+  /// updated graph's (DeltaOverlay::graph_fingerprint).
+  uint64_t graph_fingerprint() const { return graph_fingerprint_; }
+  /// Bytes the serving store keeps resident in RAM (walk rows plus
   /// inverted index for the in-memory backend; header/directory pages for
   /// mmap).
-  uint64_t SizeBytes() const { return store_->ResidentBytes(); }
+  uint64_t SizeBytes() const { return snapshot().store->ResidentBytes(); }
 
-  /// The storage backend this index was built or loaded with. Estimators
-  /// do not read it directly — they resolve through ServingStore, because
-  /// a background compaction can retarget serving to a merged store
-  /// carried by the published overlay. Still the right store for Save,
-  /// backend diagnostics and prefetch hints (compaction preserves the
-  /// backend's residency characteristics).
-  const WalkStore& store() const { return *store_; }
-
-  /// The store `overlay` is expressed against: its rebased (compacted)
-  /// store when a background compaction published one through it
-  /// (DeltaOverlay::rebased_store), the load/build-time base store
-  /// otherwise. Resolving per overlay snapshot is what lets one RCU
-  /// pointer swap hand queries a coherent (store, overlay) pair — readers
-  /// never observe a merged store paired with patches expressed against
-  /// the old base, or vice versa.
-  const WalkStore& ServingStore(const DeltaOverlay* overlay) const {
-    return overlay != nullptr && overlay->rebased_store() != nullptr
-               ? *overlay->rebased_store()
-               : *store_;
-  }
+  /// The store serving now, without its overlay: the build/load-time store
+  /// until a compaction publishes a merged one. The reference stays valid
+  /// until the next compaction publishes, so only start-up code, tests and
+  /// benches use it; a reader that can run beside a compaction pins a
+  /// snapshot() instead.
+  const WalkStore& store() const { return *snapshot().store; }
 
  private:
   WalkIndex() = default;
 
   /// Wires an opened store into a servable index (damping powers, options
   /// mirror).
-  static WalkIndex FromStore(std::unique_ptr<const WalkStore> store);
+  static WalkIndex FromStore(std::shared_ptr<const WalkStore> store);
 
   /// Fills damping_powers_ from options_. Called after Build and Load.
   void PrecomputeDampingPowers();
 
-  /// The mutable overlay slot, boxed on the heap so the index itself stays
-  /// movable. The mutex guards only the shared_ptr swap/copy — held for
-  /// nanoseconds per query; overlay contents are immutable.
+  /// The store `overlay` is expressed against; nullptr: the serving store.
+  std::shared_ptr<const WalkStore> StoreOf(const DeltaOverlay* overlay) const {
+    return overlay != nullptr ? overlay->store() : snapshot().store;
+  }
+
+  /// The serving pair, boxed on the heap so the index itself stays
+  /// movable. The mutex guards only the pair's swap/copy — held for
+  /// nanoseconds per query; stores and overlays are immutable.
   /// (std::atomic<std::shared_ptr> would make the snapshot wait-free, but
   /// libstdc++'s lock-bit implementation is not ThreadSanitizer-clean on
   /// the toolchains the TSan CI job runs, so the mutex stays until that
   /// is.)
-  struct OverlaySlot {
+  struct ServingSlot {
     mutable std::mutex mutex;
-    std::shared_ptr<const DeltaOverlay> current;
+    Snapshot serving;
   };
 
-  std::unique_ptr<const WalkStore> store_;
-  std::shared_ptr<OverlaySlot> overlay_slot_;
+  std::shared_ptr<ServingSlot> slot_;
+  uint32_t n_ = 0;
+  uint64_t graph_fingerprint_ = 0;
   /// damping_powers_[t] = pow(damping, t); derived, not serialized. All
   /// estimators read this one table so their results agree bit-for-bit.
   std::vector<double> damping_powers_;

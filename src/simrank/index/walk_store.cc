@@ -10,7 +10,6 @@
 #include "simrank/common/string_util.h"
 #include "simrank/common/thread_pool.h"
 #include "simrank/common/varint.h"
-#include "simrank/index/segment_reader.h"
 #include "simrank/obs/trace.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -911,11 +910,6 @@ Result<std::unique_ptr<MmapWalkStore>> MmapWalkStore::Open(
   // kernel keeps them ahead of cold payload pages under memory pressure.
   ::madvise(const_cast<uint8_t*>(store->data_), layout.segments_offset,
             MADV_WILLNEED);
-  // Batched cold-read accelerator on its own descriptor (the mapping's fd
-  // was just closed). Failure to reopen is tolerated: prefetch simply
-  // falls back to per-run madvise.
-  auto reader_or = SegmentReader::Open(path);
-  if (reader_or.ok()) store->reader_ = std::move(reader_or).value();
   return store;
 #else
   (void)path;
@@ -963,18 +957,20 @@ void MmapWalkStore::Prefetch(std::span<const VertexId> vertices) const {
 #if OIPSIM_HAVE_MMAP
   // Sorting first makes the page ranges monotone, so overlapping and
   // adjacent segments coalesce into one run per contiguous stretch — a
-  // clustered warm list costs few submissions regardless of input order.
-  // Out-of-range ids are skipped (a hint API must not turn a stale warm
-  // list into a crash). With a live segment reader the coalesced runs go
-  // out as one batched ring submission; otherwise one madvise per run.
+  // clustered warm list costs few madvise calls regardless of input
+  // order. Out-of-range ids are skipped (a hint API must not turn a stale
+  // warm list into a crash).
   std::vector<VertexId> sorted(vertices.begin(), vertices.end());
   std::sort(sorted.begin(), sorted.end());
-  std::vector<SegmentReader::Range> runs;
   uint64_t run_begin = 0;
   uint64_t run_end = 0;
   auto flush = [&] {
-    if (run_end > run_begin) {
-      runs.push_back(SegmentReader::Range{run_begin, run_end - run_begin});
+    // The last segment's page-aligned end can pass EOF; the advice stops
+    // at the mapping's end.
+    const uint64_t end = std::min<uint64_t>(run_end, size_);
+    if (end > run_begin) {
+      ::madvise(const_cast<uint8_t*>(data_) + run_begin, end - run_begin,
+                MADV_WILLNEED);
     }
   };
   const uint64_t segments_abs =
@@ -994,24 +990,6 @@ void MmapWalkStore::Prefetch(std::span<const VertexId> vertices) const {
     }
   }
   flush();
-  if (runs.empty()) return;
-  // Runs can extend past EOF (the last segment's page-aligned end); clamp
-  // for the reader, which reads real bytes rather than advising pages.
-  if (reader_ != nullptr) {
-    for (SegmentReader::Range& run : runs) {
-      if (run.offset >= size_) {
-        run.length = 0;
-      } else {
-        run.length = std::min<uint64_t>(run.length, size_ - run.offset);
-      }
-    }
-    reader_->Prefetch(runs);
-    return;
-  }
-  for (const SegmentReader::Range& run : runs) {
-    ::madvise(const_cast<uint8_t*>(data_) + run.offset, run.length,
-              MADV_WILLNEED);
-  }
 #else
   (void)vertices;
 #endif
@@ -1024,22 +1002,9 @@ void MmapWalkStore::PrefetchSlots() const {
   // one-page-at-a-time faulting.
   TraceScope scope(TraceStage::kColdRead);
   if (slots_prefetched_.exchange(true, std::memory_order_relaxed)) return;
-  const uint64_t inverted_abs =
-      static_cast<uint64_t>(inverted_base_ - data_);
-  if (reader_ != nullptr) {
-    const uint64_t length =
-        std::min<uint64_t>(inverted_bytes_, size_ - inverted_abs);
-    const SegmentReader::Range run{inverted_abs, length};
-    reader_->Prefetch(std::span<const SegmentReader::Range>(&run, 1));
-    return;
-  }
-  ::madvise(const_cast<uint8_t*>(data_) + inverted_abs, inverted_bytes_,
+  ::madvise(const_cast<uint8_t*>(inverted_base_), inverted_bytes_,
             MADV_WILLNEED);
 #endif
-}
-
-bool MmapWalkStore::UsesIoUring() const {
-  return reader_ != nullptr && reader_->using_io_uring();
 }
 
 Status MmapWalkStore::VerifyPayload() const {

@@ -51,8 +51,6 @@
 
 namespace simrank {
 
-class SegmentReader;
-
 /// Format-level cap on walk_length, enforced at build and load. The
 /// truncation weight C^t is dozens of orders of magnitude below the
 /// estimator's resolution long before this many steps (FromAccuracy never
@@ -123,24 +121,25 @@ class WalkStore {
   /// keeps resident, independent of what the kernel has faulted in.
   virtual uint64_t ResidentBytes() const = 0;
 
-  /// Advises the OS to fault in the walk segments of `vertices` ahead of
-  /// queries (madvise(MADV_WILLNEED) on the mmap backend, one call per
-  /// coalesced page range). Purely a scheduling hint: results are
-  /// identical with or without it. No-op on backends that are already
-  /// resident.
+  /// Advises the OS to read the walk segments of `vertices` ahead of
+  /// queries. The mmap backend sorts the list, skips out-of-range ids and
+  /// issues one madvise(MADV_WILLNEED) per coalesced page run. Purely a
+  /// scheduling hint: results are identical with or without it. No-op on
+  /// backends that are already resident.
   virtual void Prefetch(std::span<const VertexId> vertices) const {
     (void)vertices;
   }
 
-  /// Advises the OS to fault in the whole inverted-index region, which an
+  /// Advises the OS to read the whole inverted-index region, which an
   /// output-sensitive single-source query walks bucket by bucket. Backends
-  /// that are already resident no-op; the mmap backend issues the
-  /// readahead once per store lifetime. Purely a hint, like Prefetch.
+  /// that are already resident no-op; the mmap backend issues one
+  /// madvise(MADV_WILLNEED) over the region, once per store. Purely a
+  /// hint, like Prefetch.
   virtual void PrefetchSlots() const {}
 
-  /// True when cold reads of this store are currently serviced through an
-  /// io_uring (mmap backend with a live ring); diagnostics only.
-  virtual bool UsesIoUring() const { return false; }
+  /// Always false: no backend reads through an io_uring. Kept for the
+  /// callers that still report it.
+  bool UsesIoUring() const { return false; }
 
   /// Recomputes the payload checksum against the header's. The in-memory
   /// backend verified it at open and returns OK immediately; the mmap
@@ -229,7 +228,6 @@ class MmapWalkStore final : public WalkStore {
   Status VerifyPayload() const override;
   void Prefetch(std::span<const VertexId> vertices) const override;
   void PrefetchSlots() const override;
-  bool UsesIoUring() const override;
   const char* backend_name() const override { return "mmap"; }
 
  private:
@@ -248,10 +246,6 @@ class MmapWalkStore final : public WalkStore {
   uint64_t segments_bytes_ = 0;
   uint64_t inverted_bytes_ = 0;
   uint64_t directory_bytes_ = 0;
-  /// Batched cold-read accelerator over the same file (own descriptor;
-  /// the mapping's fd is closed right after mmap). Null when the file
-  /// could not be reopened — prefetch then falls back to madvise.
-  std::unique_ptr<SegmentReader> reader_;
   mutable std::atomic<bool> slots_prefetched_{false};
 };
 

@@ -13,7 +13,6 @@
 #include "simrank/common/simd.h"
 #include "simrank/common/string_util.h"
 #include "simrank/graph/graph_io.h"
-#include "simrank/index/segment_reader.h"
 
 #if defined(__linux__)
 #define OIPSIM_HAVE_EPOLL 1
@@ -279,24 +278,22 @@ std::pair<int, std::string> AnswerTimeseries(const MetricsHistory* history,
 
 void CollectBuildInfo(MetricSet& stats, std::string_view extra_labels) {
   // What exactly is running: resolved at build (version, compiler) and at
-  // startup (SIMD tier, io_uring), so a fleet dashboard can spot a stale
-  // or differently-capable node at a glance.
+  // startup (SIMD tier), so a fleet dashboard can spot a stale or
+  // differently-capable node at a glance. No read path uses io_uring; its
+  // names stay, reporting false.
   const BuildInfo& build = GetBuildInfo();
   const char* simd = SimdLevelName(ActiveSimdLevel());
-  const bool io_uring = SegmentReader::IoUringEnabled();
   stats.Info("build_info.version", build.git_describe)
       .Info("build_info.compiler", build.compiler)
       .Info("build_info.build_type", build.build_type)
       .Info("build_info.cxx_standard", build.cxx_standard)
       .Info("build_info.simd", simd)
-      .Info("build_info.io_uring_compiled",
-            SegmentReader::BuildSupportsIoUring())
-      .Info("build_info.io_uring_enabled", io_uring);
+      .Info("build_info.io_uring_compiled", false)
+      .Info("build_info.io_uring_enabled", false);
   std::string labels = StrFormat(
       "version=\"%s\",compiler=\"%s\",build_type=\"%s\",simd=\"%s\","
-      "io_uring=\"%s\"",
-      build.git_describe, build.compiler, build.build_type, simd,
-      io_uring ? "true" : "false");
+      "io_uring=\"false\"",
+      build.git_describe, build.compiler, build.build_type, simd);
   if (!extra_labels.empty()) labels += "," + std::string(extra_labels);
   stats.Gauge("", "simrank_build_info", 1, std::move(labels));
 }
@@ -397,37 +394,24 @@ std::pair<int, std::string> ExecuteCompact(IndexUpdater& updater,
   return {200, json.str()};
 }
 
-/// A consistent view for one internal exchange: the overlay snapshot the
-/// computation will use plus the sequence and graph fingerprint it
-/// corresponds to. Fingerprint and snapshot are read from different
-/// structures (updater stats vs. index slot), so the fingerprint is read
-/// on both sides of the snapshot and re-taken on a mismatch — an update
-/// landing mid-read yields a coherent (overlay, fingerprint) pair instead
-/// of a torn one.
+/// A consistent view for one internal exchange: the (store, overlay)
+/// pair the computation uses, pinned in one read, plus the sequence and
+/// graph fingerprint that overlay carries (before the first batch: 0 and
+/// the index's own fingerprint). Both come off the pinned overlay, so the
+/// headers always describe the state that answered.
 struct OverlayView {
-  std::shared_ptr<const DeltaOverlay> overlay;
+  WalkIndex::Snapshot at;
   uint64_t fingerprint = 0;
   uint64_t sequence = 0;
 };
 
-OverlayView SnapshotOverlay(const WalkIndex& index,
-                            const IndexUpdater* updater) {
+OverlayView SnapshotOverlay(const WalkIndex& index) {
   OverlayView view;
-  while (true) {
-    const uint64_t before = updater != nullptr
-                                ? updater->stats().current_graph_fingerprint
-                                : index.graph_fingerprint();
-    view.overlay = index.overlay_snapshot();
-    const uint64_t after = updater != nullptr
-                               ? updater->stats().current_graph_fingerprint
-                               : index.graph_fingerprint();
-    if (before == after) {
-      view.fingerprint = after;
-      break;
-    }
-  }
-  view.sequence =
-      view.overlay == nullptr ? 0 : view.overlay->sequence();
+  view.at = index.snapshot();
+  const DeltaOverlay* overlay = view.at.overlay.get();
+  view.fingerprint = overlay != nullptr ? overlay->graph_fingerprint()
+                                        : index.graph_fingerprint();
+  view.sequence = overlay != nullptr ? overlay->sequence() : 0;
   return view;
 }
 
@@ -456,12 +440,13 @@ std::vector<std::pair<std::string, std::string>> ExchangeHeaders(
 /// doubles that cross the wire are the exact bits the estimators
 /// produced; the router's merge is then bitwise by construction.
 ExchangeResponse ExecuteInternal(QueryEngine& engine,
-                                 const IndexUpdater* updater,
                                  const ServerOptions& options,
                                  const QueryArgs& args) {
   const WalkIndex& index = engine.index();
   const ShardRange& range = options.shard_plan.shards[options.shard_id];
-  const OverlayView view = SnapshotOverlay(index, updater);
+  const OverlayView view = SnapshotOverlay(index);
+  const WalkStore& store = *view.at.store;
+  const DeltaOverlay* overlay = view.at.overlay.get();
   ExchangeResponse out;
   out.headers = ExchangeHeaders(view, options);
   const uint32_t n = index.n();
@@ -480,8 +465,7 @@ ExchangeResponse ExecuteInternal(QueryEngine& engine,
     }
     std::vector<uint32_t> scratch;
     const Result<const uint32_t*> row =
-        MaterializeRow(index.ServingStore(view.overlay.get()),
-                       view.overlay.get(), args.v, &scratch);
+        MaterializeRow(store, overlay, args.v, &scratch);
     OIPSIM_CHECK_MSG(row.ok(), "corrupt walk segment while serving: %s",
                      row.status().ToString().c_str());
     out.status = 200;
@@ -528,7 +512,7 @@ ExchangeResponse ExecuteInternal(QueryEngine& engine,
     const double score =
         row[0] == args.b
             ? 1.0
-            : index.EstimatePairWithRow(row, args.b, view.overlay.get());
+            : index.EstimatePairWithRow(row, args.b, store, overlay);
     out.status = 200;
     out.content_type = "application/octet-stream";
     out.body.assign(reinterpret_cast<const char*>(&score), sizeof(score));
@@ -552,7 +536,7 @@ ExchangeResponse ExecuteInternal(QueryEngine& engine,
     return out;
   }
   const std::vector<double> full =
-      index.EstimateSingleSourceWithRow(args.v, row, view.overlay.get());
+      index.EstimateSingleSourceWithRow(args.v, row, store, overlay);
   if (args.internal == QueryArgs::Internal::kPartial) {
     out.status = 200;
     out.content_type = "application/octet-stream";
@@ -1510,7 +1494,7 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
       TraceScope root(TraceStage::kRequest, ServerEndpointName(endpoint));
       if (args.internal != QueryArgs::Internal::kNone) {
         ExchangeResponse exchange =
-            ExecuteInternal(engine_, updater_, options_, args);
+            ExecuteInternal(engine_, options_, args);
         completion.status = exchange.status;
         completion.body = std::move(exchange.body);
         completion.content_type = std::move(exchange.content_type);
@@ -1824,7 +1808,7 @@ Status SimRankServer::Warm(std::span<const VertexId> vertices) {
   }
   // Page-cache first (one madvise sweep on mmap backends), then the row
   // cache: the SingleSource misses below fault warm pages, not cold disk.
-  engine_.index().store().Prefetch(vertices);
+  engine_.index().snapshot().store->Prefetch(vertices);
   for (const VertexId v : vertices) {
     auto row = engine_.SingleSource(v);
     if (!row.ok()) return row.status();
@@ -2063,8 +2047,12 @@ MetricSet SimRankServer::CollectStats() const {
           .Info("cluster.plan_shards", options_.shard_plan.shards.size());
     }
   }
+  // One pin for the index rows: the store named below is the one that
+  // serves, also after a compaction replaced the load-time one.
+  const WalkIndex::Snapshot serving = index.snapshot();
   m.Gauge(clustered ? "cluster.overlay_sequence" : "",
-          "simrank_overlay_sequence_current", index.overlay_sequence())
+          "simrank_overlay_sequence_current",
+          serving.overlay == nullptr ? 0 : serving.overlay->sequence())
       .Gauge("index.vertices", "simrank_index_vertices", index.n())
       .Info("index.fingerprints", index.options().num_fingerprints)
       .Info("index.walk_length", index.options().walk_length)
@@ -2072,13 +2060,13 @@ MetricSet SimRankServer::CollectStats() const {
       .Info("index.seed", index.options().seed)
       .Info("index.graph_fingerprint",
             FormatFingerprint(index.graph_fingerprint()))
-      .Info("index.backend", index.store().backend_name())
+      .Info("index.backend", serving.store->backend_name())
       .Gauge("", "simrank_index_info", 1,
-             PromLabel("backend", index.store().backend_name()))
+             PromLabel("backend", serving.store->backend_name()))
       .Info("index.simd", SimdLevelName(ActiveSimdLevel()))
-      .Info("index.io_uring", index.store().UsesIoUring())
+      .Info("index.io_uring", false)
       .Gauge("index.resident_bytes", "simrank_index_resident_bytes",
-             index.SizeBytes());
+             serving.store->ResidentBytes());
   return m;
 }
 

@@ -529,6 +529,77 @@ TEST(RouterTest, DivergedShardsFailEveryCrossShardRead) {
   }
 }
 
+TEST(RouterTest, ReadsDuringAnUpdateBurstNeverReportDivergence) {
+  // A shard's /internal/* headers pair a graph fingerprint with an overlay
+  // sequence. Both must describe the state that answered, also while a
+  // batch is between its WAL sync and its publish; otherwise two shards at
+  // the same sequence report different graphs and the router fails the
+  // read as diverged (500). Reads may still run out of retries (503).
+  ClusterFixture cluster(testing::RandomGraph(60, 240, 11));
+  // Batch i inserts fresh edges 2i and 2i+1 and deletes batch i-1's two.
+  std::vector<Edge> fresh;
+  for (uint32_t k = 0; k < 100; ++k) fresh.push_back(cluster.FreshEdge(k * 7));
+  std::vector<std::string> batches;
+  for (size_t i = 0; i < fresh.size() / 2; ++i) {
+    std::string body;
+    for (size_t k = 2 * i; k < 2 * i + 2; ++k) {
+      body += StrFormat("+ %u %u\n", fresh[k].src, fresh[k].dst);
+    }
+    for (size_t k = 2 * i - 2; i > 0 && k < 2 * i; ++k) {
+      body += StrFormat("- %u %u\n", fresh[k].src, fresh[k].dst);
+    }
+    batches.push_back(std::move(body));
+  }
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> diverged{0};
+  std::atomic<int> unexpected{0};
+  std::atomic<int> answered{0};
+  std::thread reader([&] {
+    auto client = LoopbackHttpClient::Connect(cluster.router_port());
+    OIPSIM_CHECK(client.ok());
+    const uint32_t shard0_end = cluster.plan().shards[0].end;
+    for (uint32_t i = 0; writing.load(); ++i) {
+      const VertexId v = (i * 5) % shard0_end;
+      const std::string target =
+          i % 2 == 0 ? StrFormat("/v1/topk?v=%u&k=5", v)
+                     : StrFormat("/v1/single_source?v=%u", v);
+      auto routed = client->Get(target);
+      if (!routed.ok()) {
+        unexpected.fetch_add(1);
+        continue;
+      }
+      if (routed->status == 500) {
+        diverged.fetch_add(1);
+      } else if (routed->status == 200) {
+        answered.fetch_add(1);
+      } else if (routed->status != 503) {
+        unexpected.fetch_add(1);
+      }
+    }
+  });
+  size_t applied = 0;
+  for (const std::string& body : batches) {
+    auto routed = HttpPost(cluster.router_port(), "/v1/update", body);
+    auto direct = HttpPost(cluster.single_port(), "/v1/update", body);
+    if (!routed.ok() || !direct.ok() || routed->status != 200 ||
+        direct->status != 200) {
+      break;
+    }
+    ++applied;
+  }
+  writing.store(false);
+  reader.join();
+  ASSERT_EQ(applied, batches.size());
+  EXPECT_EQ(diverged.load(), 0) << "of " << answered.load() << " answered";
+  EXPECT_EQ(unexpected.load(), 0);
+
+  for (VertexId v = 0; v < cluster.graph().n(); v += 9) {
+    cluster.ExpectSameAsSingleNode(StrFormat("/v1/topk?v=%u&k=5", v));
+    cluster.ExpectSameAsSingleNode(StrFormat("/v1/single_source?v=%u", v));
+  }
+}
+
 TEST(RouterTest, ReplicaTailsWalAndServesFailoverReads) {
   ClusterFixture cluster(testing::RandomGraph(50, 200, 7),
                          /*num_shards=*/2, /*with_replica0=*/true);

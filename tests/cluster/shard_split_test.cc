@@ -125,7 +125,8 @@ TEST(ShardSplitTest, SingleSourceSliceIsBitwiseEqualToFullIndex) {
     for (size_t s = 0; s < shards.size(); ++s) {
       const ShardRange& range = plan->shards[s];
       const std::vector<double> partial =
-          shards[s].EstimateSingleSourceWithRow(v, row, nullptr);
+          shards[s].EstimateSingleSourceWithRow(v, row, shards[s].store(),
+                                                nullptr);
       ASSERT_EQ(partial.size(), full.size());
       std::memcpy(stitched.data() + range.begin, partial.data() + range.begin,
                   (range.end - range.begin) * sizeof(double));
@@ -172,7 +173,8 @@ TEST(ShardSplitTest, CrossShardPairViaRowExchangeIsBitwise) {
     for (VertexId b = right.begin; b < right.end; b += 6) {
       // a's owner materializes the row; b's owner scores it.
       const std::vector<uint32_t> row = WalkRow(*shard_l, a);
-      const double scored = shard_r->EstimatePairWithRow(row, b, nullptr);
+      const double scored =
+          shard_r->EstimatePairWithRow(row, b, shard_r->store(), nullptr);
       const double full = index.EstimatePair(a, b);
       EXPECT_EQ(std::memcmp(&scored, &full, sizeof(double)), 0)
           << "cross-shard pair (" << a << ", " << b << ")";

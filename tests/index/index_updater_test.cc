@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -359,6 +360,73 @@ TEST(IndexUpdaterTest, CompactWithResetRebindsTheWal) {
   WalkIndex base_index = std::move(built).value();
   auto stale = IndexUpdater::Open(base_index, graph, updater_options);
   EXPECT_FALSE(stale.ok());
+}
+
+/// An index over RandomGraph(25, 90, 4) with an updater on a fresh WAL
+/// and three single-insert batches applied.
+struct UpdatedIndex {
+  explicit UpdatedIndex(const std::string& tag)
+      : graph(testing::RandomGraph(25, 90, 4)),
+        index(std::move(WalkIndex::Build(graph, SmallOptions())).value()),
+        load_time(index.snapshot().store) {
+    const std::string wal_path = TempPath("updater-" + tag + ".wal");
+    std::remove(wal_path.c_str());
+    IndexUpdaterOptions options;
+    options.wal_path = wal_path;
+    updater = std::move(IndexUpdater::Open(index, graph, options)).value();
+    for (const Edge& edge : FreshEdges(graph, 3)) {
+      OIPSIM_CHECK(updater
+                       ->ApplyUpdates(
+                           {{{EdgeUpdate::Op::kInsert, edge.src, edge.dst}}})
+                       .ok());
+    }
+  }
+
+  DiGraph graph;
+  WalkIndex index;
+  std::weak_ptr<const WalkStore> load_time;
+  std::unique_ptr<IndexUpdater> updater;
+};
+
+TEST(IndexUpdaterTest, CompactionFreesTheLoadTimeStore) {
+  UpdatedIndex updated("free-store");
+  // Every batch's overlay names the store the index was built with.
+  EXPECT_EQ(updated.index.overlay_snapshot()->store(),
+            updated.load_time.lock());
+  ASSERT_TRUE(updated.updater
+                  ->Compact(TempPath("updater-free-store.widx"),
+                            WalkIndex::SaveOptions{})
+                  .ok());
+  // No reader holds a snapshot: the merged store replaced it for good.
+  EXPECT_TRUE(updated.load_time.expired());
+  EXPECT_EQ(updated.index.store().meta().graph_fingerprint,
+            updated.updater->stats().current_graph_fingerprint);
+}
+
+TEST(IndexUpdaterTest, PinnedOverlayKeepsItsStoreAcrossCompaction) {
+  UpdatedIndex updated("pinned-store");
+  std::shared_ptr<const DeltaOverlay> pinned =
+      updated.index.overlay_snapshot();
+  std::vector<std::vector<double>> rows;
+  for (VertexId v = 0; v < updated.index.n(); ++v) {
+    rows.push_back(updated.index.EstimateSingleSource(v, pinned.get()));
+  }
+  ASSERT_TRUE(updated.updater
+                  ->Compact(TempPath("updater-pinned-store.widx"),
+                            WalkIndex::SaveOptions{})
+                  .ok());
+  ASSERT_FALSE(updated.load_time.expired());
+  EXPECT_NE(updated.index.snapshot().store, pinned->store());
+  for (VertexId v = 0; v < updated.index.n(); ++v) {
+    const std::vector<double> row =
+        updated.index.EstimateSingleSource(v, pinned.get());
+    ASSERT_EQ(std::memcmp(row.data(), rows[v].data(),
+                          row.size() * sizeof(double)),
+              0)
+        << "row of " << v << " moved under a pinned overlay";
+  }
+  pinned.reset();
+  EXPECT_TRUE(updated.load_time.expired());
 }
 
 TEST(IndexUpdaterTest, OpenValidation) {

@@ -156,7 +156,7 @@ TEST_P(RowChangesSweepTest, SetCoversEveryChangedRow) {
   const auto dead = index.overlay_snapshot();
   std::vector<uint32_t> scratch;
   const uint32_t* y_walks =
-      *MaterializeRow(index.ServingStore(dead.get()), dead.get(), y, &scratch);
+      *MaterializeRow(*dead->store(), dead.get(), y, &scratch);
   for (uint32_t r = 0; r < 16; ++r) {
     ASSERT_EQ(y_walks[r * 6 + 1], WalkIndex::kDeadWalk) << "walk " << r;
   }

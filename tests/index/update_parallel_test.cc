@@ -141,7 +141,7 @@ void ExpectCanonicalOverlay(const WalkIndex& index,
                             const IndexUpdater& updater) {
   const std::shared_ptr<const DeltaOverlay> overlay = index.overlay_snapshot();
   ASSERT_NE(overlay, nullptr);
-  const WalkStore& store = index.ServingStore(overlay.get());
+  const WalkStore& store = *overlay->store();
   const uint32_t R = store.meta().num_fingerprints;
   const uint32_t L = store.meta().walk_length;
   const size_t row = static_cast<size_t>(L) + 1;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "simrank/common/stream_hash.h"
-#include "simrank/index/segment_reader.h"
 #include "simrank/index/walk_index.h"
 #include "testing/fixtures.h"
 
@@ -825,49 +824,42 @@ TEST(WalkStoreTest, PrefetchIsAHintThatChangesNothing) {
 }
 
 TEST(WalkStoreTest, BatchedReaderPrefetchChangesNothing) {
-  // Same hint-only contract as above, but with the io_uring batched
-  // reader explicitly on and off, both encodings, and hostile warm lists
-  // (out of order, duplicated, out of range, and touching the last
+  // Same hint-only contract as above, for both encodings and hostile warm
+  // lists (out of order, duplicated, out of range, and touching the last
   // vertex, whose page-aligned segment run extends past EOF and must be
-  // clamped before it becomes a real read).
+  // clamped to the mapping).
   DiGraph graph = testing::RandomGraph(50, 210, 41);
   WalkIndex index = BuildSmallIndex(graph);
-  const bool uring_was_enabled = SegmentReader::IoUringEnabled();
   for (const bool compress : {false, true}) {
-    for (const bool uring : {false, true}) {
-      SCOPED_TRACE(std::string(compress ? "compressed" : "raw") +
-                   (uring ? "/uring" : "/no-uring"));
-      SegmentReader::SetIoUringEnabled(uring);
-      const std::string path =
-          TempPath(std::string("store_reader_prefetch_") +
-                   (compress ? "c" : "r") + (uring ? "u" : "p") + ".widx");
-      WalkIndex::SaveOptions save;
-      save.compress = compress;
-      ASSERT_TRUE(index.Save(path, save).ok());
-      WalkIndex::LoadOptions mmap_load;
-      mmap_load.use_mmap = true;
-      auto mapped = WalkIndex::Load(path, mmap_load);
-      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    SCOPED_TRACE(compress ? "compressed" : "raw");
+    const std::string path =
+        TempPath(std::string("store_reader_prefetch_") +
+                 (compress ? "c" : "r") + ".widx");
+    WalkIndex::SaveOptions save;
+    save.compress = compress;
+    ASSERT_TRUE(index.Save(path, save).ok());
+    WalkIndex::LoadOptions mmap_load;
+    mmap_load.use_mmap = true;
+    auto mapped = WalkIndex::Load(path, mmap_load);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-      const std::vector<VertexId> warm = {
-          graph.n() - 1, 7, 7, 0, 23, 5, 1u << 30, graph.n() - 1, 2};
-      mapped->store().Prefetch(warm);
-      mapped->store().Prefetch(std::vector<VertexId>{});  // empty list
-      for (VertexId a = 0; a < graph.n(); a += 3) {
-        for (VertexId b = 0; b < graph.n(); b += 2) {
-          ASSERT_EQ(mapped->EstimatePair(a, b), index.EstimatePair(a, b))
-              << a << "," << b;
-        }
-      }
-      // The slot prefetch (fired by the first mmap single-source) is a
-      // hint too: full rows stay bitwise equal to the in-memory backend.
-      for (VertexId v = 0; v < graph.n(); v += 7) {
-        ASSERT_EQ(mapped->EstimateSingleSource(v),
-                  index.EstimateSingleSource(v));
+    const std::vector<VertexId> warm = {
+        graph.n() - 1, 7, 7, 0, 23, 5, 1u << 30, graph.n() - 1, 2};
+    mapped->store().Prefetch(warm);
+    mapped->store().Prefetch(std::vector<VertexId>{});  // empty list
+    for (VertexId a = 0; a < graph.n(); a += 3) {
+      for (VertexId b = 0; b < graph.n(); b += 2) {
+        ASSERT_EQ(mapped->EstimatePair(a, b), index.EstimatePair(a, b))
+            << a << "," << b;
       }
     }
+    // The slot prefetch (fired by the first mmap single-source) is a
+    // hint too: full rows stay bitwise equal to the in-memory backend.
+    for (VertexId v = 0; v < graph.n(); v += 7) {
+      ASSERT_EQ(mapped->EstimateSingleSource(v),
+                index.EstimateSingleSource(v));
+    }
   }
-  SegmentReader::SetIoUringEnabled(uring_was_enabled);
 }
 
 }  // namespace

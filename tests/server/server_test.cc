@@ -594,6 +594,58 @@ TEST(ServerTest, CompactEndpointWritesByteIdenticalIndex) {
   EXPECT_TRUE(compacted_index->ValidateGraph(*emitted).ok());
 }
 
+TEST(ServerTest, CompactionOnMmapServesAndReportsTheCompactedFile) {
+  // After a compaction of an mmap deployment, the store that serves —
+  // what prefetch, stats and store() read — is the compacted file,
+  // re-opened through the mmap backend.
+  const DiGraph graph = testing::RandomGraph(60, 240, 11);
+  WalkIndexOptions index_options;
+  index_options.num_fingerprints = 48;
+  auto built = WalkIndex::Build(graph, index_options);
+  ASSERT_TRUE(built.ok());
+  const std::string base = ::testing::TempDir() + "server-mmap-compact";
+  ASSERT_TRUE(built->Save(base + ".widx").ok());
+  WalkIndex::LoadOptions load;
+  load.use_mmap = true;
+  auto loaded = WalkIndex::Load(base + ".widx", load);
+  ASSERT_TRUE(loaded.ok());
+  WalkIndex index = std::move(loaded).value();
+  QueryEngine engine(index);
+  std::remove((base + ".wal").c_str());
+  IndexUpdaterOptions updater_options;
+  updater_options.wal_path = base + ".wal";
+  auto updater = IndexUpdater::Open(index, graph, updater_options);
+  ASSERT_TRUE(updater.ok());
+  ServerOptions options;
+  options.port = 0;
+  options.compact_path = base + "-compacted.widx";
+  options.compact_graph_path = base + "-compacted.graph.bin";
+  SimRankServer server(engine, options, updater->get());
+  ASSERT_TRUE(server.Bind().ok());
+  std::thread serve_thread([&server] { (void)server.Serve(); });
+
+  Edge fresh{0, 1};
+  while (graph.HasEdge(fresh.src, fresh.dst)) ++fresh.dst;
+  auto update = HttpPost(server.port(), "/v1/update",
+                         StrFormat("+ %u %u\n", fresh.src, fresh.dst));
+  auto compact = HttpPost(server.port(), "/v1/compact", "");
+  auto stats = HttpGet(server.port(), "/v1/stats");
+  server.Shutdown();
+  serve_thread.join();
+  ASSERT_TRUE(update.ok() && compact.ok() && stats.ok());
+  ASSERT_EQ(update->status, 200) << update->body;
+  ASSERT_EQ(compact->status, 200) << compact->body;
+
+  const uint64_t updated = (*updater)->stats().current_graph_fingerprint;
+  ASSERT_NE(updated, index.graph_fingerprint());
+  EXPECT_EQ(index.store().meta().graph_fingerprint, updated);
+  EXPECT_STREQ(index.store().backend_name(), "mmap");
+  size_t cursor = stats->body.find("\"backend\":\"mmap\"");
+  ASSERT_NE(cursor, std::string::npos) << stats->body;
+  EXPECT_EQ(FindJsonNumber(stats->body, "resident_bytes", &cursor),
+            static_cast<double>(index.store().ResidentBytes()));
+}
+
 TEST(ServerTest, MetricsEndpointTwinsStats) {
   ServerFixture fixture;
   ASSERT_EQ(HttpGet(fixture.port(), "/v1/pair?a=0&b=1")->status, 200);

@@ -344,7 +344,7 @@ int RealMain(int argc, char** argv) {
                index_path.c_str(), index->n(),
                index->options().num_fingerprints,
                index->options().walk_length,
-               index->store().backend_name(),
+               index->snapshot().store->backend_name(),
                server_options.bind_address.c_str(), server.port());
 
   status = server.Serve();
