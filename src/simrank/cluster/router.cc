@@ -1,12 +1,10 @@
 #include "simrank/cluster/router.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
-#include <tuple>
 #include <utility>
 
 #include "simrank/common/build_info.h"
@@ -14,31 +12,11 @@
 #include "simrank/common/memory_tracker.h"
 #include "simrank/common/string_util.h"
 #include "simrank/graph/graph_io.h"
+#include "simrank/obs/profiler.h"
 #include "simrank/server/server.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define OIPSIM_ROUTER_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-#endif
 
 namespace simrank {
 namespace {
-
-/// Parses a 16-hex-digit fingerprint header value.
-bool ParseHexFingerprint(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 16);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
 
 /// Wall-clock seconds since the Unix epoch.
 uint64_t UnixSeconds() {
@@ -48,32 +26,14 @@ uint64_t UnixSeconds() {
           .count());
 }
 
-/// X-Simrank-Trace with this thread's trace id when it is traced, so the
-/// shard returns its sub-trace; empty otherwise.
-std::vector<std::pair<std::string, std::string>> TraceHeaders() {
-  std::vector<std::pair<std::string, std::string>> headers;
-  if (const TraceRecorder* recorder = CurrentTraceRecorder()) {
-    headers.emplace_back("X-Simrank-Trace",
-                         TraceIdToHex(recorder->trace_id()));
-  }
-  return headers;
+/// A 500 naming the shard whose 200 reply could not be decoded.
+HttpFrontend::Response MalformedReply(size_t shard, std::string_view what) {
+  HttpFrontend::Response response;
+  response.body = ErrorBody(
+      "Internal", StrFormat("shard %zu answered 200 without %.*s", shard,
+                            static_cast<int>(what.size()), what.data()));
+  return response;
 }
-
-#if OIPSIM_ROUTER_HAVE_SOCKETS
-bool SendAll(int fd, std::string_view bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-#endif
 
 }  // namespace
 
@@ -127,421 +87,283 @@ std::vector<ScoredVertex> MergeTopK(
   return merged;
 }
 
-/// A mutex-guarded stack of keep-alive connections to one port. Acquire
-/// pops an idle connection or dials a new one; Release returns it after a
-/// clean exchange. Connections that saw a transport error, or hold a reply
-/// nobody read, are never returned — the next Acquire dials fresh.
-class SimRankRouter::ClientPool {
- public:
-  ClientPool(uint16_t port, uint32_t timeout_ms)
-      : port_(port), timeout_ms_(timeout_ms) {}
+namespace {
 
-  Result<LoopbackHttpClient> Acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!idle_.empty()) {
-        LoopbackHttpClient client = std::move(idle_.back());
-        idle_.pop_back();
-        return client;
-      }
-    }
-    return LoopbackHttpClient::Connect(port_, timeout_ms_);
-  }
+ServerOptions FrontendOptions(const RouterOptions& options) {
+  ServerOptions frontend;
+  frontend.bind_address = options.bind_address;
+  frontend.port = options.port;
+  frontend.http = options.http;
+  frontend.diagnostics = options.diagnostics;
+  frontend.retry_after_seconds = options.retry_after_seconds;
+  return frontend;
+}
 
-  void Release(LoopbackHttpClient client) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(client));
-  }
-
- private:
-  const uint16_t port_;
-  const uint32_t timeout_ms_;
-  std::mutex mutex_;
-  std::vector<LoopbackHttpClient> idle_;
-};
+}  // namespace
 
 SimRankRouter::SimRankRouter(RouterOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      frontend_options_(FrontendOptions(options_)),
+      frontend_(
+          frontend_options_, [this] { return CollectStats(); },
+          [this] { return MetricFamilies(); }) {
+  frontend_.AddRoutes(Routes());
+}
 
 SimRankRouter::~SimRankRouter() { Shutdown(); }
 
 RouterStats SimRankRouter::stats() const {
+  auto load = [](const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  const FrontendCounters& frontend = frontend_.counters();
   RouterStats stats;
-  stats.requests_total = stat_requests_total_.load(std::memory_order_relaxed);
-  stats.requests_pair = stat_requests_pair_.load(std::memory_order_relaxed);
-  stats.requests_single_source =
-      stat_requests_single_source_.load(std::memory_order_relaxed);
-  stats.requests_topk = stat_requests_topk_.load(std::memory_order_relaxed);
-  stats.requests_batch_pair =
-      stat_requests_batch_pair_.load(std::memory_order_relaxed);
-  stats.requests_update =
-      stat_requests_update_.load(std::memory_order_relaxed);
-  stats.requests_stats = stat_requests_stats_.load(std::memory_order_relaxed);
-  stats.requests_healthz =
-      stat_requests_healthz_.load(std::memory_order_relaxed);
-  stats.requests_metrics =
-      stat_requests_metrics_.load(std::memory_order_relaxed);
-  stats.responses_2xx = stat_responses_2xx_.load(std::memory_order_relaxed);
-  stats.responses_4xx = stat_responses_4xx_.load(std::memory_order_relaxed);
-  stats.responses_5xx = stat_responses_5xx_.load(std::memory_order_relaxed);
-  stats.failovers = stat_failovers_.load(std::memory_order_relaxed);
-  stats.conflicts_retried =
-      stat_conflicts_retried_.load(std::memory_order_relaxed);
-  stats.shard_errors = stat_shard_errors_.load(std::memory_order_relaxed);
-  stats.traced_requests =
-      stat_traced_requests_.load(std::memory_order_relaxed);
-  stats.requests_cluster_health =
-      stat_requests_cluster_health_.load(std::memory_order_relaxed);
-  stats.requests_debug_profile =
-      stat_requests_debug_profile_.load(std::memory_order_relaxed);
-  stats.requests_debug_timeseries =
-      stat_requests_debug_timeseries_.load(std::memory_order_relaxed);
-  stats.scrape_rounds = stat_scrape_rounds_.load(std::memory_order_relaxed);
-  stats.scrape_failures =
-      stat_scrape_failures_.load(std::memory_order_relaxed);
+  stats.requests_total = load(frontend.requests_total);
+  stats.requests_pair = load(stat_requests_pair_);
+  stats.requests_single_source = load(stat_requests_single_source_);
+  stats.requests_topk = load(stat_requests_topk_);
+  stats.requests_batch_pair = load(stat_requests_batch_pair_);
+  stats.requests_update = load(stat_requests_update_);
+  stats.requests_stats = load(frontend.requests_stats);
+  stats.requests_healthz = load(frontend.requests_healthz);
+  stats.requests_metrics = load(frontend.requests_metrics);
+  stats.responses_2xx = load(frontend.responses_2xx);
+  stats.responses_4xx = load(frontend.responses_4xx);
+  stats.responses_5xx = load(frontend.responses_5xx);
+  stats.failovers = load(stat_failovers_);
+  stats.conflicts_retried = load(stat_conflicts_retried_);
+  stats.shard_errors = load(stat_shard_errors_);
+  stats.traced_requests = load(frontend.traced_requests);
+  stats.requests_cluster_health = load(stat_requests_cluster_health_);
+  stats.requests_debug_profile = load(frontend.requests_debug_profile);
+  stats.requests_debug_timeseries = load(frontend.requests_debug_timeseries);
+  stats.scrape_rounds = load(stat_scrape_rounds_);
+  stats.scrape_failures = load(stat_scrape_failures_);
   return stats;
 }
 
-void SimRankRouter::CountResponse(int status) {
-  if (status >= 200 && status < 300) {
-    stat_responses_2xx_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status >= 400 && status < 500) {
-    stat_responses_4xx_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status >= 500) {
-    stat_responses_5xx_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-#if OIPSIM_ROUTER_HAVE_SOCKETS
-
 Status SimRankRouter::Bind() {
   OIPSIM_RETURN_IF_ERROR(options_.Validate());
-  pools_.clear();
-  for (const RouterShard& shard : options_.shards) {
-    ShardPools& pools = pools_.emplace_back();
-    pools.primary =
-        std::make_unique<ClientPool>(shard.primary_port, options_.timeout_ms);
-    if (shard.replica_port != 0) {
-      pools.replica = std::make_unique<ClientPool>(shard.replica_port,
-                                                   options_.timeout_ms);
-    }
-  }
   {
     // One scrape target per fleet process; the vector never resizes after
     // Bind, so the scrape thread updates entries in place.
     std::lock_guard<std::mutex> lock(targets_mutex_);
     targets_.clear();
     for (const RouterShard& shard : options_.shards) {
-      TargetState primary;
-      primary.shard_id = shard.shard_id;
-      primary.port = shard.primary_port;
-      targets_.push_back(std::move(primary));
-      if (shard.replica_port != 0) {
-        TargetState replica;
-        replica.shard_id = shard.shard_id;
-        replica.replica = true;
-        replica.port = shard.replica_port;
-        targets_.push_back(std::move(replica));
+      const uint16_t ports[] = {shard.primary_port, shard.replica_port};
+      for (int role = 0; role < 2 && ports[role] != 0; ++role) {
+        TargetState& target = targets_.emplace_back();
+        target.shard_id = shard.shard_id;
+        target.replica = role == 1;
+        target.port = ports[role];
       }
     }
   }
-  OIPSIM_RETURN_IF_ERROR(diagnostics_.Open(options_.diagnostics));
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IoError("socket() failed");
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    return Status::InvalidArgument(
-        StrFormat("cannot parse bind address '%s'",
-                  options_.bind_address.c_str()));
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string message = StrFormat(
-        "cannot bind %s:%u: %s", options_.bind_address.c_str(),
-        options_.port, std::strerror(errno));
-    ::close(fd);
-    return Status::IoError(message);
-  }
-  if (::listen(fd, 128) != 0) {
-    ::close(fd);
-    return Status::IoError("listen() failed");
-  }
-  sockaddr_in bound = {};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    ::close(fd);
-    return Status::IoError("getsockname() failed");
-  }
-  listen_fd_ = fd;
-  port_ = ntohs(bound.sin_port);
-  return Status::OK();
+  return frontend_.Bind();
 }
 
 Status SimRankRouter::Start() {
-  if (listen_fd_ < 0) {
+  if (frontend_.port() == 0) {
     return Status::InvalidArgument("Start() requires a successful Bind()");
   }
-  stop_.store(false, std::memory_order_relaxed);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  StartDiagnostics();
+  loop_thread_ = std::thread([this] { frontend_.Serve(); });
+  if (options_.scrape_interval_ms > 0) {
+    scrape_stop_.store(false, std::memory_order_release);
+    scrape_thread_ = std::thread([this] { ScrapeLoop(); });
+  }
   return Status::OK();
 }
 
 void SimRankRouter::Shutdown() {
-  StopDiagnostics();
-  stop_.store(true, std::memory_order_relaxed);
-  // shutdown() wakes the blocked accept(); the fd is closed and cleared
-  // only after the accept thread, which reads it, has been joined.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::list<ConnectionThread> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads.swap(connection_threads_);
-  }
-  for (ConnectionThread& handler : threads) {
-    if (handler.thread.joinable()) handler.thread.join();
-  }
+  scrape_stop_.store(true, std::memory_order_release);
+  if (scrape_thread_.joinable()) scrape_thread_.join();
+  frontend_.Shutdown();
+  if (loop_thread_.joinable()) loop_thread_.join();
 }
 
-void SimRankRouter::AcceptLoop() {
-  ScopedProfiledThread profiled("router-accept");
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed by Shutdown, or a fatal error
-    }
-    const int enable = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    // A short receive timeout keeps idle keep-alive handlers polling the
-    // stop flag instead of blocking in recv forever.
-    timeval tv = {};
-    tv.tv_usec = 200 * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    // Join the handlers whose connections have ended, so threads stay
-    // bounded by the open connections rather than by all ever accepted.
-    std::erase_if(connection_threads_, [](ConnectionThread& handler) {
-      if (!handler.done.load(std::memory_order_acquire)) return false;
-      handler.thread.join();
-      return true;
-    });
-    ConnectionThread& handler = connection_threads_.emplace_back();
-    handler.thread = std::thread([this, fd, &handler] {
-      HandleConnection(fd);
-      handler.done.store(true, std::memory_order_release);
-    });
-  }
+std::vector<HttpFrontend::Route> SimRankRouter::Routes() {
+  using Handler = void (SimRankRouter::*)(Connection*, const HttpRequest&);
+  auto route = [this](const char* path, const char* method, Handler handler) {
+    return HttpFrontend::Route{
+        path, method, HttpFrontend::kNoAdmission,
+        [this, handler](Connection* conn, const HttpRequest& request, int) {
+          (this->*handler)(conn, request);
+        }};
+  };
+  std::vector<HttpFrontend::Route> routes = {
+      route("/v1/pair", "GET", &SimRankRouter::HandlePair),
+      route("/v1/topk", "GET", &SimRankRouter::HandleTopK),
+      route("/v1/single_source", "GET", &SimRankRouter::HandleSingleSource),
+      route("/v1/batch_pair", "POST", &SimRankRouter::HandleBatchPair),
+      route("/v1/update", "POST", &SimRankRouter::HandleUpdate),
+  };
+  routes.push_back({"/v1/cluster/health", "GET", HttpFrontend::kNoAdmission,
+                    [this](Connection* conn, const HttpRequest&, int) {
+                      stat_requests_cluster_health_.fetch_add(
+                          1, std::memory_order_relaxed);
+                      frontend_.Answer(conn, 200, BuildClusterHealth());
+                    }});
+  return routes;
 }
 
-void SimRankRouter::HandleConnection(int fd) {
-  ScopedProfiledThread profiled("router-conn");
-  std::string buffer;
-  while (true) {
-    HttpRequest request;
-    const HttpParseStatus parsed =
-        ParseHttpRequest(buffer, options_.http, &request);
-    if (parsed.outcome == HttpParseStatus::kComplete) {
-      stat_requests_total_.fetch_add(1, std::memory_order_relaxed);
-      // Trace activation mirrors the single-node server: ?trace=1 splices
-      // the merged trace into the JSON envelope, an X-Simrank-Trace header
-      // returns it out-of-band in X-Simrank-Trace-Json (bodies stay
-      // byte-identical). Either way the recorder is bound to this
-      // connection thread for the whole routed request, and every shard
-      // exchange carries the trace id so shard sub-traces come back as
-      // children of the router trace.
-      const std::string* trace_param = request.FindParam("trace");
-      const bool trace_inline =
-          trace_param != nullptr && *trace_param == "1";
-      uint64_t trace_id = 0;
-      bool trace_header = false;
-      if (const std::string* header = request.FindHeader("x-simrank-trace");
-          header != nullptr) {
-        trace_header = ParseTraceId(*header, &trace_id);
-      }
-      const bool traced = trace_inline || trace_header;
-      std::optional<TraceRecorder> recorder;
-      if (traced) recorder.emplace(trace_id);
-      RouterResponse response;
-      {
-        TraceBinding binding(traced ? &*recorder : nullptr);
-        TraceScope root(TraceStage::kRequest, request.path);
-        response = Route(request);
-      }
-      if (traced && response.traced) {
-        stat_traced_requests_.fetch_add(1, std::memory_order_relaxed);
-        if (trace_inline && response.body.size() > 2 &&
-            response.body.front() == '{' && response.body.back() == '}') {
-          response.body.insert(response.body.size() - 1,
-                               ",\"trace\":" + recorder->ToJson());
-        }
-        if (trace_header) {
-          response.headers.emplace_back("X-Simrank-Trace-Json",
-                                        recorder->ToJson());
-        }
-      }
-      CountResponse(response.status);
-      HttpResponseOptions response_options;
-      response_options.keep_alive = request.keep_alive;
-      response_options.content_type = response.content_type;
-      response_options.extra_headers = std::move(response.headers);
-      if (!SendAll(fd, BuildHttpResponse(response.status, response.body,
-                                         response_options))) {
-        break;
-      }
-      buffer.erase(0, parsed.consumed);
-      if (!request.keep_alive) break;
-      continue;
-    }
-    if (parsed.outcome == HttpParseStatus::kError) {
-      HttpResponseOptions response_options;
-      response_options.keep_alive = false;
-      SendAll(fd, BuildHttpResponse(
-                      parsed.error_status,
-                      ErrorBody("BadRequest", parsed.error_message),
-                      response_options));
-      break;
-    }
-    if (stop_.load(std::memory_order_relaxed)) break;
-    char chunk[4096];
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got > 0) {
-      buffer.append(chunk, static_cast<size_t>(got));
-      continue;
-    }
-    if (got < 0 && errno == EINTR) continue;
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      continue;  // receive timeout: re-check the stop flag
-    }
-    break;  // peer closed or hard error
+SimRankRouter::CallPtr SimRankRouter::StartCall(Connection* conn,
+                                                const HttpRequest& request,
+                                                ServerEndpoint endpoint,
+                                                PublicQuery* query) {
+  Status status = ParsePublicQuery(request, endpoint, query);
+  if (!status.ok()) {
+    frontend_.Answer(conn, 400, ErrorBody(StatusCodeToString(status.code()),
+                                          status.message()));
+    return nullptr;
   }
-  ::close(fd);
+  // The server traces every query it dispatches, out-of-range ones too.
+  auto call = std::make_shared<Call>();
+  frontend_.ActivateTrace(conn, request, query->trace_inline, &call->trace);
+  if (call->trace.traced()) {
+    call->recorder = std::make_unique<TraceRecorder>(call->trace.id);
+    call->root_span =
+        call->recorder->OpenSpan(TraceStage::kRequest, request.path);
+  }
+  const uint32_t n = options_.plan.n;
+  if (endpoint == ServerEndpoint::kPair) {
+    status = CheckVertexInRange(query->a, n);
+    if (status.ok()) status = CheckVertexInRange(query->b, n);
+  } else if (endpoint == ServerEndpoint::kSingleSource ||
+             endpoint == ServerEndpoint::kTopK) {
+    status = CheckVertexInRange(query->v, n);
+  }
+  if (!status.ok()) {
+    AnswerNow(conn, *call,
+              {400, ErrorBody(StatusCodeToString(status.code()),
+                              status.message())});
+    return nullptr;
+  }
+  return call;
 }
 
-Result<SimRankRouter::ShardReply> SimRankRouter::SendToPort(
-    ClientPool& pool, bool post, const std::string& target,
-    std::string_view body) {
-  Result<LoopbackHttpClient> client = pool.Acquire();
-  if (!client.ok()) return Complete(pool, client, client.status());
-  const auto headers = TraceHeaders();
-  return Complete(pool, client,
-                  post ? client->Post(target, body,
-                                      "application/octet-stream", headers)
-                       : client->Get(target, headers));
+void SimRankRouter::CloseTrace(Call& call, Response* response) {
+  if (call.recorder == nullptr) return;
+  call.recorder->CloseSpan(call.root_span);
+  // The router neither samples traces nor captures slow ones (its
+  // frontend keeps ServerOptions' defaults), so the duration is unused.
+  frontend_.FinishTrace(call.trace, /*elapsed_us=*/0, *call.recorder,
+                        response);
 }
 
-Result<SimRankRouter::ShardReply> SimRankRouter::Complete(
-    ClientPool& pool, Result<LoopbackHttpClient>& client,
-    Result<HttpClientResponse> response) {
-  if (!response.ok()) {
-    stat_shard_errors_.fetch_add(1, std::memory_order_relaxed);
-    if (client.ok()) client = response.status();  // drops the connection
-    return response.status();
-  }
-  pool.Release(std::move(*client));
+void SimRankRouter::AnswerNow(Connection* conn, Call& call,
+                              Response response) {
+  CloseTrace(call, &response);
+  frontend_.Answer(conn, response);
+}
+
+void SimRankRouter::Finish(const CallPtr& call, Response response) {
+  CloseTrace(*call, &response);
+  frontend_.Resume(call->conn, response);
+}
+
+HttpHeaders SimRankRouter::TraceHeaders(const Call& call) {
+  if (call.recorder == nullptr) return {};
+  return {{"X-Simrank-Trace", TraceIdToHex(call.recorder->trace_id())}};
+}
+
+SimRankRouter::ShardReply SimRankRouter::ToShardReply(
+    Call& call, HttpClientResponse response) {
   ShardReply reply;
-  reply.status = response->status;
-  reply.body = std::move(response->body);
-  const std::string* fingerprint =
-      response->FindHeader("x-graph-fingerprint");
-  const std::string* sequence = response->FindHeader("x-overlay-sequence");
-  const std::string* epoch = response->FindHeader("x-plan-epoch");
-  if (fingerprint != nullptr && sequence != nullptr && epoch != nullptr &&
-      ParseHexFingerprint(*fingerprint, &reply.fingerprint) &&
+  reply.status = response.status;
+  reply.body = std::move(response.body);
+  const std::string* fingerprint = response.FindHeader("x-graph-fingerprint");
+  const std::string* sequence = response.FindHeader("x-overlay-sequence");
+  const std::string* epoch = response.FindHeader("x-plan-epoch");
+  reply.have_versions =
+      fingerprint != nullptr && sequence != nullptr && epoch != nullptr &&
+      ParseFingerprint(*fingerprint, &reply.fingerprint) &&
       ParseUint64(*sequence, &reply.sequence) &&
-      ParseUint64(*epoch, &reply.epoch)) {
-    reply.have_versions = true;
-  }
-  if (TraceRecorder* recorder = CurrentTraceRecorder()) {
-    recorder->Add(TraceCounter::kShardsContacted, 1);
+      ParseUint64(*epoch, &reply.epoch);
+  if (call.recorder != nullptr) {
+    call.recorder->Add(TraceCounter::kShardsContacted, 1);
     if (const std::string* child =
-            response->FindHeader("x-simrank-trace-json");
-        child != nullptr) {
-      recorder->AddChildTrace(*child);
+            response.FindHeader("x-simrank-trace-json")) {
+      call.recorder->AddChildTrace(*child);
     }
   }
   return reply;
 }
 
-Result<SimRankRouter::ShardReply> SimRankRouter::FailOver(
-    uint32_t shard_id, Result<ShardReply> reply, bool post,
-    const std::string& target, std::string_view body) {
-  ClientPool* replica = pools_[shard_id].replica.get();
-  if (reply.ok() || replica == nullptr) return reply;
-  stat_failovers_.fetch_add(1, std::memory_order_relaxed);
-  return SendToPort(*replica, post, target, body);
+void SimRankRouter::ReadFromShard(const CallPtr& call, uint32_t shard_id,
+                                  std::string request, ReplyDone done,
+                                  bool replica) {
+  const RouterShard& shard = options_.shards[shard_id];
+  const bool can_fail_over = !replica && shard.replica_port != 0;
+  // A copy for the replica, only when there is one to fail over to.
+  std::string retry = can_fail_over ? request : std::string();
+  frontend_.Exchange(
+      replica ? shard.replica_port : shard.primary_port, std::move(request),
+      options_.timeout_ms,
+      [this, call, shard_id, can_fail_over, retry = std::move(retry),
+       done = std::move(done)](Result<HttpClientResponse> reply) mutable {
+        if (reply.ok()) {
+          done(ToShardReply(*call, std::move(*reply)));
+          return;
+        }
+        stat_shard_errors_.fetch_add(1, std::memory_order_relaxed);
+        if (!can_fail_over) {
+          done(reply.status());
+          return;
+        }
+        stat_failovers_.fetch_add(1, std::memory_order_relaxed);
+        ReadFromShard(call, shard_id, std::move(retry), std::move(done),
+                      /*replica=*/true);
+      });
 }
 
-Result<SimRankRouter::ShardReply> SimRankRouter::ReadFromShard(
-    uint32_t shard_id, bool post, const std::string& target,
-    std::string_view body) {
-  return FailOver(shard_id,
-                  SendToPort(*pools_[shard_id].primary, post, target, body),
-                  post, target, body);
-}
-
-std::vector<Result<SimRankRouter::ShardReply>> SimRankRouter::Scatter(
-    uint32_t first_shard, uint32_t end_shard, const std::string& target,
-    std::string_view body) {
-  TraceRecorder* const recorder = CurrentTraceRecorder();
-  const auto headers = TraceHeaders();
+void SimRankRouter::Scatter(const CallPtr& call, uint32_t first_shard,
+                            uint32_t end_shard, const std::string& request,
+                            LegsDone done) {
+  struct Legs {
+    std::vector<Result<ShardReply>> replies;
+    /// Each leg's send time and duration, for its span.
+    std::vector<std::pair<uint64_t, uint64_t>> spans;
+    uint32_t pending = 0;
+    LegsDone done;
+  };
+  const uint32_t count = end_shard - first_shard;
+  auto legs = std::make_shared<Legs>(
+      Legs{std::vector<Result<ShardReply>>(count, Status::IoError("unsent")),
+           std::vector<std::pair<uint64_t, uint64_t>>(count), count,
+           std::move(done)});
   // Every request goes out before any reply is read, so the shards
-  // compute concurrently.
-  std::vector<Result<LoopbackHttpClient>> legs;
-  std::vector<uint64_t> sent_ns;
-  for (uint32_t shard = first_shard; shard < end_shard; ++shard) {
-    sent_ns.push_back(recorder != nullptr ? TraceNowNanos() : 0);
-    Result<LoopbackHttpClient>& leg =
-        legs.emplace_back(pools_[shard].primary->Acquire());
-    if (leg.ok()) {
-      const Status sent = leg->SendPost(target, body,
-                                        "application/octet-stream", headers);
-      if (!sent.ok()) leg = sent;
-    }
+  // compute concurrently; the legs then wait concurrently as well.
+  for (uint32_t i = 0; i < count; ++i) {
+    legs->spans[i].first = TraceNowNanos();
+    ReadFromShard(call, first_shard + i, request,
+                  [call, legs, i, first_shard](Result<ShardReply> reply) {
+                    legs->replies[i] = std::move(reply);
+                    legs->spans[i].second =
+                        TraceNowNanos() - legs->spans[i].first;
+                    if (--legs->pending > 0) return;
+                    for (uint32_t leg = 0; call->recorder != nullptr &&
+                                           leg < legs->spans.size();
+                         ++leg) {
+                      call->recorder->AddCompletedSpan(
+                          TraceStage::kShardExchange, legs->spans[leg].first,
+                          legs->spans[leg].second,
+                          StrFormat("shard=%u", first_shard + leg));
+                    }
+                    legs->done(std::move(legs->replies));
+                  });
   }
-  // Every leg is read (or its connection dropped by Complete) before the
-  // caller sees any reply: a pooled connection holding an unread reply
-  // would answer the next request with it.
-  std::vector<Result<ShardReply>> replies;
-  for (uint32_t shard = first_shard; shard < end_shard; ++shard) {
-    Result<LoopbackHttpClient>& leg = legs[shard - first_shard];
-    Result<HttpClientResponse> response =
-        leg.ok() ? leg->ReadResponse()
-                 : Result<HttpClientResponse>(leg.status());
-    replies.push_back(FailOver(
-        shard, Complete(*pools_[shard].primary, leg, std::move(response)),
-        /*post=*/true, target, body));
-    if (recorder != nullptr) {
-      const uint64_t start = sent_ns[shard - first_shard];
-      recorder->AddCompletedSpan(TraceStage::kShardExchange, start,
-                                 TraceNowNanos() - start,
-                                 StrFormat("shard=%u", shard));
-    }
-  }
-  return replies;
 }
 
-bool SimRankRouter::ExchangeRow(VertexId v, const std::string& target_prefix,
+void SimRankRouter::ExchangeRow(const CallPtr& call, VertexId v,
+                                std::string target_prefix,
                                 uint32_t first_shard, uint32_t end_shard,
-                                std::vector<ShardReply>* replies,
-                                RouterResponse* error) {
+                                uint32_t attempt, RowDone done) {
   enum class Verdict { kUse, kRetry, kFail };
   const uint32_t owner = options_.plan.OwnerOf(v);
   // The one reply check for the row and every scattered leg; `row` is
   // null for the row itself.
-  auto check = [this, owner, error](uint32_t shard, Result<ShardReply>& reply,
-                                    const ShardReply* row) {
+  auto check = [this, owner](uint32_t shard, Result<ShardReply>& reply,
+                             const ShardReply* row, Response* error) {
     if (!reply.ok()) {
       *error = Unavailable(StrFormat("shard %u unreachable: %s", shard,
                                      reply.status().message().c_str()));
@@ -549,12 +371,10 @@ bool SimRankRouter::ExchangeRow(VertexId v, const std::string& target_prefix,
     }
     if (reply->status == 409) return Verdict::kRetry;
     if (reply->status != 200) {
-      error->status = reply->status;
-      error->body = std::move(reply->body);
+      *error = Response{reply->status, std::move(reply->body)};
       return Verdict::kFail;
     }
     if (!reply->have_versions || reply->epoch != options_.plan.epoch) {
-      error->status = 500;
       error->body = ErrorBody(
           "Internal",
           StrFormat("shard %u is serving plan epoch %llu, router has %llu",
@@ -563,7 +383,6 @@ bool SimRankRouter::ExchangeRow(VertexId v, const std::string& target_prefix,
       return Verdict::kFail;
     }
     if (row != nullptr && reply->fingerprint != row->fingerprint) {
-      error->status = 500;
       error->body = ErrorBody(
           "Internal",
           StrFormat("shard %u reports graph fingerprint %s but the row "
@@ -575,396 +394,421 @@ bool SimRankRouter::ExchangeRow(VertexId v, const std::string& target_prefix,
     }
     return Verdict::kUse;
   };
-  for (uint32_t attempt = 0; attempt <= options_.retries; ++attempt) {
-    Result<ShardReply> row = Status::IoError("not attempted");
-    {
-      TraceScope scope(TraceStage::kRowFetch, StrFormat("shard=%u", owner));
-      row = ReadFromShard(owner, /*post=*/false,
-                          StrFormat("/internal/walks?v=%u", v),
-                          std::string_view());
-    }
-    Verdict verdict = check(owner, row, nullptr);
-    if (verdict == Verdict::kUse) {
-      std::vector<Result<ShardReply>> legs = Scatter(
-          first_shard, end_shard,
-          StrFormat("%s&seq=%llu", target_prefix.c_str(),
-                    static_cast<unsigned long long>(row->sequence)),
-          row->body);
-      replies->clear();
-      for (uint32_t i = 0; i < legs.size() && verdict == Verdict::kUse;
-           ++i) {
-        verdict = check(first_shard + i, legs[i], &*row);
-        if (verdict == Verdict::kUse) replies->push_back(std::move(*legs[i]));
-      }
-    }
-    if (verdict == Verdict::kUse) return true;
-    if (verdict == Verdict::kFail) return false;
-    // An update landed between the row fetch and the scatter.
+  // An update landed between the row fetch and the scatter: re-fetch, or
+  // degrade to 503 once the retries are spent.
+  auto retry = [this, call, v, first_shard, end_shard, attempt](
+                   std::string prefix, RowDone next) {
     stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
-    TraceAdd(TraceCounter::kConflictRetries, 1);
-  }
-  *error = Unavailable(
-      "overlay sequence kept moving during the shard exchange; retry after "
-      "the update burst settles");
-  return false;
+    if (call->recorder != nullptr) {
+      call->recorder->Add(TraceCounter::kConflictRetries, 1);
+    }
+    if (attempt < options_.retries) {
+      ExchangeRow(call, v, std::move(prefix), first_shard, end_shard,
+                  attempt + 1, std::move(next));
+      return;
+    }
+    Finish(call, Unavailable("overlay sequence kept moving during the "
+                             "shard exchange; retry after the update burst "
+                             "settles"));
+  };
+  const uint64_t fetch_ns = call->recorder != nullptr ? TraceNowNanos() : 0;
+  ReadFromShard(
+      call, owner,
+      BuildHttpRequest("GET", StrFormat("/internal/walks?v=%u", v), {}, {},
+                       TraceHeaders(*call)),
+      [this, call, owner, first_shard, end_shard, fetch_ns, check, retry,
+       target_prefix = std::move(target_prefix),
+       done = std::move(done)](Result<ShardReply> row) mutable {
+        if (call->recorder != nullptr) {
+          call->recorder->AddCompletedSpan(TraceStage::kRowFetch, fetch_ns,
+                                           TraceNowNanos() - fetch_ns,
+                                           StrFormat("shard=%u", owner));
+        }
+        Response error;
+        const Verdict verdict = check(owner, row, nullptr, &error);
+        if (verdict == Verdict::kFail) {
+          Finish(call, std::move(error));
+          return;
+        }
+        if (verdict == Verdict::kRetry) {
+          retry(std::move(target_prefix), std::move(done));
+          return;
+        }
+        const std::string request = BuildHttpRequest(
+            "POST",
+            StrFormat("%s&seq=%llu", target_prefix.c_str(),
+                      static_cast<unsigned long long>(row->sequence)),
+            row->body, "application/octet-stream", TraceHeaders(*call));
+        Scatter(call, first_shard, end_shard, request,
+                [this, call, first_shard, check, retry, row = std::move(*row),
+                 target_prefix = std::move(target_prefix),
+                 done = std::move(done)](
+                    std::vector<Result<ShardReply>> legs) mutable {
+                  Response error;
+                  std::vector<ShardReply> replies;
+                  for (uint32_t i = 0; i < legs.size(); ++i) {
+                    const Verdict verdict =
+                        check(first_shard + i, legs[i], &row, &error);
+                    if (verdict == Verdict::kFail) {
+                      Finish(call, std::move(error));
+                      return;
+                    }
+                    if (verdict == Verdict::kRetry) {
+                      retry(std::move(target_prefix), std::move(done));
+                      return;
+                    }
+                    replies.push_back(std::move(*legs[i]));
+                  }
+                  done(std::move(replies));
+                });
+      });
 }
 
-SimRankRouter::RouterResponse SimRankRouter::Unavailable(
-    const std::string& message) {
-  RouterResponse response;
-  response.status = 503;
-  response.body = ErrorBody("Unavailable", message);
+SimRankRouter::Response SimRankRouter::Unavailable(
+    const std::string& message) const {
+  Response response{503, ErrorBody("Unavailable", message)};
   response.headers.emplace_back(
       "Retry-After", StrFormat("%u", options_.retry_after_seconds));
   return response;
 }
 
-bool SimRankRouter::ScorePair(VertexId a, VertexId b, double* score,
-                              RouterResponse* error) {
+void SimRankRouter::ScorePair(const CallPtr& call, VertexId a, VertexId b,
+                              ScoreDone done) {
   const uint32_t owner_a = options_.plan.OwnerOf(a);
   const uint32_t owner_b = options_.plan.OwnerOf(b);
   if (owner_a == owner_b) {
-    TraceScope exchange(TraceStage::kShardExchange,
-                        StrFormat("shard=%u", owner_a));
-    auto reply = ReadFromShard(owner_a, /*post=*/false,
-                               StrFormat("/v1/pair?a=%u&b=%u", a, b),
-                               std::string_view());
-    if (!reply.ok()) {
-      *error = Unavailable(StrFormat("shard %u unreachable: %s", owner_a,
-                                     reply.status().message().c_str()));
-      return false;
-    }
-    if (reply->status != 200) {
-      error->status = reply->status;
-      error->body = std::move(reply->body);
-      return false;
-    }
-    // The shard emits shortest-round-trip doubles; this parse is
-    // bit-exact, so re-serializing reproduces the shard's text.
-    *score = FindJsonNumber(reply->body, "score");
-    return true;
+    const uint64_t start = call->recorder != nullptr ? TraceNowNanos() : 0;
+    ReadFromShard(
+        call, owner_a,
+        BuildHttpRequest("GET", StrFormat("/v1/pair?a=%u&b=%u", a, b), {},
+                         {}, TraceHeaders(*call)),
+        [this, call, owner_a, start,
+         done = std::move(done)](Result<ShardReply> reply) {
+          if (call->recorder != nullptr) {
+            call->recorder->AddCompletedSpan(
+                TraceStage::kShardExchange, start, TraceNowNanos() - start,
+                StrFormat("shard=%u", owner_a));
+          }
+          double score = 0.0;
+          if (!reply.ok()) {
+            Finish(call,
+                   Unavailable(StrFormat("shard %u unreachable: %s", owner_a,
+                                         reply.status().message().c_str())));
+          } else if (reply->status != 200) {
+            Finish(call, {reply->status, std::move(reply->body)});
+          } else if (!ReadJsonNumber(reply->body, "score", &score)) {
+            Finish(call, MalformedReply(owner_a, "a \"score\""));
+          } else {
+            done(score);
+          }
+        });
+    return;
   }
-  std::vector<ShardReply> replies;
-  if (!ExchangeRow(a, StrFormat("/internal/pair?b=%u", b), owner_b,
-                   owner_b + 1, &replies, error)) {
-    return false;
-  }
-  if (replies[0].body.size() != sizeof(double)) {
-    error->status = 500;
-    error->body = ErrorBody(
-        "Internal", StrFormat("shard %u returned a %zu-byte pair score",
-                              owner_b, replies[0].body.size()));
-    return false;
-  }
-  std::memcpy(score, replies[0].body.data(), sizeof(double));
-  return true;
+  ExchangeRow(call, a, StrFormat("/internal/pair?b=%u", b), owner_b,
+              owner_b + 1, 0,
+              [this, call, owner_b,
+               done = std::move(done)](std::vector<ShardReply> replies) {
+                if (replies[0].body.size() != sizeof(double)) {
+                  Finish(call,
+                         {500, ErrorBody("Internal",
+                                         StrFormat("shard %u returned a "
+                                                   "%zu-byte pair score",
+                                                   owner_b,
+                                                   replies[0].body.size()))});
+                  return;
+                }
+                double score = 0.0;
+                std::memcpy(&score, replies[0].body.data(), sizeof(double));
+                done(score);
+              });
 }
 
-bool SimRankRouter::ParseQuery(const HttpRequest& request,
-                               ServerEndpoint endpoint, PublicQuery* query,
-                               RouterResponse* response) const {
-  const uint32_t n = options_.plan.n;
-  Status status = ParsePublicQuery(request, endpoint, query);
-  // The server traces every query it dispatches, out-of-range ones too.
-  response->traced = status.ok();
-  if (status.ok()) {
-    if (endpoint == ServerEndpoint::kPair) {
-      status = CheckVertexInRange(query->a, n);
-      if (status.ok()) status = CheckVertexInRange(query->b, n);
-    } else if (endpoint == ServerEndpoint::kSingleSource ||
-               endpoint == ServerEndpoint::kTopK) {
-      status = CheckVertexInRange(query->v, n);
-    }
-  }
-  if (status.ok()) return true;
-  response->status = 400;
-  response->body =
-      ErrorBody(StatusCodeToString(status.code()), status.message());
-  return false;
-}
-
-SimRankRouter::RouterResponse SimRankRouter::HandlePair(
-    const HttpRequest& request) {
-  RouterResponse response;
+void SimRankRouter::HandlePair(Connection* conn, const HttpRequest& request) {
+  stat_requests_pair_.fetch_add(1, std::memory_order_relaxed);
   PublicQuery query;
-  if (!ParseQuery(request, ServerEndpoint::kPair, &query, &response)) {
-    return response;
-  }
+  CallPtr call = StartCall(conn, request, ServerEndpoint::kPair, &query);
+  if (call == nullptr) return;
+  call->conn = frontend_.Park(conn);
   const VertexId a = query.a;
   const VertexId b = query.b;
-  double score = 0.0;
-  if (!ScorePair(a, b, &score, &response)) return response;
-  JsonWriter json;
-  json.BeginObject()
-      .Key("a")
-      .Uint(a)
-      .Key("b")
-      .Uint(b)
-      .Key("score")
-      .Double(score)
-      .EndObject();
-  response.status = 200;
-  response.body = json.str();
-  return response;
+  ScorePair(call, a, b, [this, call, a, b](double score) {
+    Finish(call, {200, PairBody(a, b, score)});
+  });
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandleSingleSource(
-    const HttpRequest& request) {
-  RouterResponse response;
+void SimRankRouter::HandleSingleSource(Connection* conn,
+                                       const HttpRequest& request) {
+  stat_requests_single_source_.fetch_add(1, std::memory_order_relaxed);
   PublicQuery query;
-  if (!ParseQuery(request, ServerEndpoint::kSingleSource, &query, &response)) {
-    return response;
-  }
+  CallPtr call =
+      StartCall(conn, request, ServerEndpoint::kSingleSource, &query);
+  if (call == nullptr) return;
+  call->conn = frontend_.Park(conn);
   const VertexId v = query.v;
-  std::vector<ShardReply> replies;
-  if (!ExchangeRow(v, StrFormat("/internal/partial?v=%u", v), 0,
-                   static_cast<uint32_t>(pools_.size()), &replies,
-                   &response)) {
-    return response;
-  }
-  TraceScope merge(TraceStage::kMerge);
-  // The shard ranges partition [0, n) in order, so the concatenated
-  // slices are the full single-node score row, bit for bit.
-  std::string scores;
-  for (size_t i = 0; i < replies.size(); ++i) {
-    const ShardRange& range = options_.plan.shards[i];
-    const size_t expected =
-        static_cast<size_t>(range.end - range.begin) * sizeof(double);
-    if (replies[i].body.size() != expected) {
-      response.status = 500;
-      response.body = ErrorBody(
-          "Internal",
-          StrFormat("shard %zu returned %zu score bytes, expected %zu", i,
-                    replies[i].body.size(), expected));
-      return response;
-    }
-    scores += replies[i].body;
-  }
-  JsonWriter json;
-  json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
-  const double* values = reinterpret_cast<const double*>(scores.data());
-  const size_t count = scores.size() / sizeof(double);
-  for (size_t i = 0; i < count; ++i) json.Double(values[i]);
-  json.EndArray().EndObject();
-  response.status = 200;
-  response.body = json.str();
-  return response;
+  ExchangeRow(
+      call, v, StrFormat("/internal/partial?v=%u", v), 0,
+      static_cast<uint32_t>(options_.shards.size()), 0,
+      [this, call, v](std::vector<ShardReply> replies) {
+        // An n-entry row is O(n) to serialize: on a worker, not the loop.
+        frontend_.Submit(
+            call->conn, HttpFrontend::kNoAdmission,
+            std::chrono::steady_clock::now(),
+            [this, call, v, replies = std::move(replies)] {
+              Response response;
+              {
+                TraceBinding binding(call->recorder.get());
+                TraceScope merge(TraceStage::kMerge);
+                // The shard ranges partition [0, n) in order, so the
+                // concatenated slices are the full single-node score row,
+                // bit for bit.
+                std::vector<double> scores(options_.plan.n);
+                for (size_t i = 0; i < replies.size(); ++i) {
+                  const ShardRange& range = options_.plan.shards[i];
+                  const std::string& body = replies[i].body;
+                  const size_t bytes =
+                      (range.end - range.begin) * sizeof(double);
+                  if (body.size() != bytes) {
+                    response.body = ErrorBody(
+                        "Internal",
+                        StrFormat("shard %zu returned %zu score bytes, "
+                                  "expected %zu",
+                                  i, body.size(), bytes));
+                    break;
+                  }
+                  std::memcpy(scores.data() + range.begin, body.data(),
+                              bytes);
+                }
+                if (response.body.empty()) {
+                  response = Response{200, SingleSourceBody(v, scores)};
+                }
+              }
+              CloseTrace(*call, &response);
+              return response;
+            });
+      });
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandleTopK(
-    const HttpRequest& request) {
-  RouterResponse response;
+void SimRankRouter::HandleTopK(Connection* conn, const HttpRequest& request) {
+  stat_requests_topk_.fetch_add(1, std::memory_order_relaxed);
   PublicQuery query;
-  if (!ParseQuery(request, ServerEndpoint::kTopK, &query, &response)) {
-    return response;
-  }
+  CallPtr call = StartCall(conn, request, ServerEndpoint::kTopK, &query);
+  if (call == nullptr) return;
+  call->conn = frontend_.Park(conn);
   const VertexId v = query.v;
   const uint32_t k = query.k;
-  std::vector<ShardReply> replies;
-  if (!ExchangeRow(v, StrFormat("/internal/topk?v=%u&k=%u", v, k), 0,
-                   static_cast<uint32_t>(pools_.size()), &replies,
-                   &response)) {
-    return response;
-  }
-  TraceScope merge(TraceStage::kMerge);
-  std::vector<std::vector<ScoredVertex>> parts(replies.size());
-  for (size_t i = 0; i < replies.size(); ++i) {
-    const std::string& body = replies[i].body;
-    if (body.size() % 12 != 0) {
-      response.status = 500;
-      response.body = ErrorBody(
-          "Internal",
-          StrFormat("shard %zu returned a %zu-byte top-k body (not a "
-                    "multiple of 12)",
-                    i, body.size()));
-      return response;
-    }
-    parts[i].resize(body.size() / 12);
-    for (size_t r = 0; r < parts[i].size(); ++r) {
-      std::memcpy(&parts[i][r].vertex, body.data() + r * 12,
-                  sizeof(uint32_t));
-      std::memcpy(&parts[i][r].score, body.data() + r * 12 + 4,
-                  sizeof(double));
-    }
-  }
-  const std::vector<ScoredVertex> top = MergeTopK(parts, k);
-  JsonWriter json;
-  json.BeginObject()
-      .Key("v")
-      .Uint(v)
-      .Key("k")
-      .Uint(k)
-      .Key("results")
-      .BeginArray();
-  for (const ScoredVertex& scored : top) {
-    json.BeginObject()
-        .Key("vertex")
-        .Uint(scored.vertex)
-        .Key("score")
-        .Double(scored.score)
-        .EndObject();
-  }
-  json.EndArray().EndObject();
-  response.status = 200;
-  response.body = json.str();
-  return response;
+  ExchangeRow(
+      call, v, StrFormat("/internal/topk?v=%u&k=%u", v, k), 0,
+      static_cast<uint32_t>(options_.shards.size()), 0,
+      [this, call, v, k](std::vector<ShardReply> replies) {
+        Response response;
+        {
+          TraceBinding binding(call->recorder.get());
+          TraceScope merge(TraceStage::kMerge);
+          std::vector<std::vector<ScoredVertex>> parts(replies.size());
+          for (size_t i = 0; i < replies.size() && response.body.empty();
+               ++i) {
+            const std::string& body = replies[i].body;
+            if (body.size() % 12 != 0) {
+              response.body = ErrorBody(
+                  "Internal",
+                  StrFormat("shard %zu returned a %zu-byte top-k body (not "
+                            "a multiple of 12)",
+                            i, body.size()));
+              break;
+            }
+            parts[i].resize(body.size() / 12);
+            for (size_t r = 0; r < parts[i].size(); ++r) {
+              std::memcpy(&parts[i][r].vertex, body.data() + r * 12,
+                          sizeof(uint32_t));
+              std::memcpy(&parts[i][r].score, body.data() + r * 12 + 4,
+                          sizeof(double));
+            }
+          }
+          if (response.body.empty()) {
+            response = Response{200, TopKBody(v, k, MergeTopK(parts, k))};
+          }
+        }
+        Finish(call, std::move(response));
+      });
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandleBatchPair(
-    const HttpRequest& request) {
-  RouterResponse response;
+struct SimRankRouter::BatchState {
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  std::vector<double> scores;
+};
+
+void SimRankRouter::HandleBatchPair(Connection* conn,
+                                    const HttpRequest& request) {
+  stat_requests_batch_pair_.fetch_add(1, std::memory_order_relaxed);
   PublicQuery query;
-  if (!ParseQuery(request, ServerEndpoint::kBatchPair, &query, &response)) {
-    return response;
-  }
+  CallPtr call = StartCall(conn, request, ServerEndpoint::kBatchPair, &query);
+  if (call == nullptr) return;
   auto pairs = ParsePairBatch(request.body, options_.max_batch_pairs);
   if (!pairs.ok()) {
-    response.status = 400;
-    response.body =
-        ErrorBody("InvalidArgument", pairs.status().message());
-    return response;
+    AnswerNow(conn, *call,
+              {400, ErrorBody("InvalidArgument", pairs.status().message())});
+    return;
   }
   for (const auto& [a, b] : *pairs) {
     if (a >= options_.plan.n || b >= options_.plan.n) {
-      response.status = 400;
-      response.body = ErrorBody(
-          "OutOfRange",
-          StrFormat("pair (%u, %u) exceeds the plan's %u vertices", a, b,
-                    options_.plan.n));
-      return response;
+      AnswerNow(conn, *call,
+                {400, ErrorBody("OutOfRange",
+                                StrFormat("pair (%u, %u) exceeds the plan's "
+                                          "%u vertices",
+                                          a, b, options_.plan.n))});
+      return;
     }
   }
-  std::vector<double> scores;
-  scores.reserve(pairs->size());
-  for (const auto& [a, b] : *pairs) {
-    double score = 0.0;
-    if (!ScorePair(a, b, &score, &response)) return response;
-    scores.push_back(score);
-  }
-  JsonWriter json;
-  json.BeginObject()
-      .Key("count")
-      .Uint(scores.size())
-      .Key("scores")
-      .BeginArray();
-  for (const double score : scores) json.Double(score);
-  json.EndArray().EndObject();
-  response.status = 200;
-  response.body = json.str();
-  return response;
+  call->conn = frontend_.Park(conn);
+  auto state = std::make_shared<BatchState>();
+  state->pairs = std::move(*pairs);
+  state->scores.reserve(state->pairs.size());
+  ScoreNext(call, std::move(state));
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
-    const HttpRequest& request) {
-  RouterResponse response;
-  PublicQuery query;
-  if (!ParseQuery(request, ServerEndpoint::kUpdate, &query, &response)) {
-    return response;
+void SimRankRouter::ScoreNext(const CallPtr& call,
+                              std::shared_ptr<BatchState> state) {
+  const size_t next = state->scores.size();
+  if (next < state->pairs.size()) {
+    const auto [a, b] = state->pairs[next];
+    ScorePair(call, a, b, [this, call, state](double score) {
+      state->scores.push_back(score);
+      ScoreNext(call, state);
+    });
+    return;
   }
-  // Broadcast in shard order. Every shard appends the batch to its own WAL
-  // before answering, so a 200 here means the update is durable everywhere.
-  // A shard failing *after* an earlier one applied leaves the cluster
+  // Up to max_batch_pairs scores: serialized on a worker, like a row.
+  frontend_.Submit(call->conn, HttpFrontend::kNoAdmission,
+                   std::chrono::steady_clock::now(), [this, call, state] {
+                     Response response{200, BatchPairBody(state->scores)};
+                     CloseTrace(*call, &response);
+                     return response;
+                   });
+}
+
+struct SimRankRouter::UpdateState {
+  std::string body;
+  /// Shard 0's applied, sequence and wal_records, which every shard must
+  /// report too, and the cluster's patched_vertices and changed_slots,
+  /// which are per-shard work and sum.
+  std::array<uint64_t, 5> counts = {};
+  std::string fingerprint;
+  /// The first shard that disagreed with shard 0, or 0.
+  uint32_t diverged = 0;
+};
+
+void SimRankRouter::HandleUpdate(Connection* conn,
+                                 const HttpRequest& request) {
+  stat_requests_update_.fetch_add(1, std::memory_order_relaxed);
+  PublicQuery query;
+  CallPtr call = StartCall(conn, request, ServerEndpoint::kUpdate, &query);
+  if (call == nullptr) return;
+  call->conn = frontend_.Park(conn);
+  auto state = std::make_shared<UpdateState>();
+  state->body = request.body;
+  Broadcast(call, std::move(state), 0);
+}
+
+void SimRankRouter::Broadcast(const CallPtr& call,
+                              std::shared_ptr<UpdateState> state,
+                              uint32_t shard_id) {
+  if (shard_id == options_.shards.size()) {
+    Finish(call,
+           state->diverged == 0
+               ? Response{200, UpdateBody(state->counts, state->fingerprint)}
+               : Response{500,
+                          ErrorBody("Internal",
+                                    StrFormat("shard %u applied the batch "
+                                              "but reports a different "
+                                              "sequence/fingerprint than "
+                                              "shard 0; the cluster has "
+                                              "diverged",
+                                              state->diverged))});
+    return;
+  }
+  // In shard order. Every shard appends the batch to its own WAL before
+  // answering, so a 200 here means the update is durable everywhere. A
+  // shard failing *after* an earlier one applied leaves the cluster
   // mid-batch — that is a loud 500, not a silent retry, because blind
   // re-submission would double-apply on the shards that already took it.
-  struct ShardResult {
-    double applied = 0;
-    double sequence = 0;
-    double patched_vertices = 0;
-    double changed_slots = 0;
-    double wal_records = 0;
-    std::string fingerprint;
-  };
-  std::vector<ShardResult> results;
-  for (size_t i = 0; i < options_.shards.size(); ++i) {
-    auto reply = SendToPort(*pools_[i].primary, /*post=*/true, "/v1/update",
-                            request.body);
-    if (!reply.ok()) {
-      if (i == 0) {
-        return Unavailable(
-            StrFormat("shard 0 primary unreachable, nothing applied: %s",
-                      reply.status().message().c_str()));
-      }
-      response.status = 500;
-      response.body = ErrorBody(
-          "Internal",
-          StrFormat("shard %zu primary unreachable after %zu shard(s) "
-                    "already applied the batch; the cluster needs "
-                    "reconciliation before further updates",
-                    i, i));
-      return response;
-    }
-    if (reply->status != 200) {
-      if (i == 0) {
-        // Nothing has been applied anywhere; the first shard's verdict
-        // (bad batch, overloaded, ...) is the client's answer.
-        response.status = reply->status;
-        response.body = std::move(reply->body);
-        return response;
-      }
-      response.status = 500;
-      response.body = ErrorBody(
-          "Internal",
-          StrFormat("shard %zu rejected the batch (HTTP %d) after %zu "
-                    "shard(s) already applied it; the cluster needs "
-                    "reconciliation before further updates",
-                    i, reply->status, i));
-      return response;
-    }
-    ShardResult result;
-    result.applied = FindJsonNumber(reply->body, "applied");
-    result.sequence = FindJsonNumber(reply->body, "sequence");
-    result.patched_vertices =
-        FindJsonNumber(reply->body, "patched_vertices");
-    result.changed_slots = FindJsonNumber(reply->body, "changed_slots");
-    result.wal_records = FindJsonNumber(reply->body, "wal_records");
-    const std::string needle = "\"graph_fingerprint\":\"";
-    const size_t at = reply->body.find(needle);
-    if (at != std::string::npos) {
-      result.fingerprint = reply->body.substr(at + needle.size(), 16);
-    }
-    results.push_back(std::move(result));
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    if (results[i].applied != results[0].applied ||
-        results[i].sequence != results[0].sequence ||
-        results[i].wal_records != results[0].wal_records ||
-        results[i].fingerprint != results[0].fingerprint) {
-      response.status = 500;
-      response.body = ErrorBody(
-          "Internal",
-          StrFormat("shard %zu applied the batch but reports a different "
-                    "sequence/fingerprint than shard 0; the cluster has "
-                    "diverged",
-                    i));
-      return response;
-    }
-  }
-  // patched_vertices / changed_slots are per-shard work and sum across the
-  // cluster; applied / sequence / fingerprint / wal_records must agree.
-  double patched_vertices = 0;
-  double changed_slots = 0;
-  for (const ShardResult& result : results) {
-    patched_vertices += result.patched_vertices;
-    changed_slots += result.changed_slots;
-  }
-  JsonWriter json;
-  json.BeginObject()
-      .Key("applied")
-      .Uint(static_cast<uint64_t>(results[0].applied))
-      .Key("sequence")
-      .Uint(static_cast<uint64_t>(results[0].sequence))
-      .Key("patched_vertices")
-      .Uint(static_cast<uint64_t>(patched_vertices))
-      .Key("changed_slots")
-      .Uint(static_cast<uint64_t>(changed_slots))
-      .Key("graph_fingerprint")
-      .String(results[0].fingerprint)
-      .Key("wal_records")
-      .Uint(static_cast<uint64_t>(results[0].wal_records))
-      .EndObject();
-  response.status = 200;
-  response.body = json.str();
-  return response;
+  frontend_.Exchange(
+      options_.shards[shard_id].primary_port,
+      BuildHttpRequest("POST", "/v1/update", state->body,
+                       "application/octet-stream", TraceHeaders(*call)),
+      options_.timeout_ms,
+      [this, call, state, shard_id](Result<HttpClientResponse> response) {
+        auto mid_batch = [&](const std::string& failure, const char* batch) {
+          Finish(call, {500, ErrorBody(
+                                 "Internal",
+                                 StrFormat("shard %u %s after %u shard(s) "
+                                           "already applied %s; the cluster "
+                                           "needs reconciliation before "
+                                           "further updates",
+                                           shard_id, failure.c_str(),
+                                           shard_id, batch))});
+        };
+        if (!response.ok()) {
+          stat_shard_errors_.fetch_add(1, std::memory_order_relaxed);
+          if (shard_id > 0) {
+            mid_batch("primary unreachable", "the batch");
+            return;
+          }
+          Finish(call, Unavailable(StrFormat(
+                           "shard 0 primary unreachable, nothing applied: %s",
+                           response.status().message().c_str())));
+          return;
+        }
+        ShardReply reply = ToShardReply(*call, std::move(*response));
+        if (reply.status != 200) {
+          if (shard_id > 0) {
+            mid_batch(StrFormat("rejected the batch (HTTP %d)", reply.status),
+                      "it");
+            return;
+          }
+          // Nothing has been applied anywhere; the first shard's verdict
+          // (bad batch, overloaded, ...) is the client's answer.
+          Finish(call, {reply.status, std::move(reply.body)});
+          return;
+        }
+        static constexpr const char* kFields[] = {
+            "applied", "sequence", "patched_vertices", "changed_slots",
+            "wal_records"};
+        std::array<uint64_t, 5> counts = {};
+        for (size_t f = 0; f < counts.size(); ++f) {
+          double value = 0;
+          if (!ReadJsonNumber(reply.body, kFields[f], &value)) {
+            Finish(call, MalformedReply(
+                             shard_id,
+                             StrFormat("a numeric \"%s\"", kFields[f])));
+            return;
+          }
+          counts[f] = static_cast<uint64_t>(value);
+        }
+        const std::string needle = "\"graph_fingerprint\":\"";
+        const size_t at = reply.body.find(needle);
+        if (at == std::string::npos ||
+            reply.body.size() < at + needle.size() + 16) {
+          Finish(call, MalformedReply(shard_id, "a \"graph_fingerprint\""));
+          return;
+        }
+        const std::string fingerprint =
+            reply.body.substr(at + needle.size(), 16);
+        if (shard_id == 0) {
+          state->counts = counts;
+          state->fingerprint = fingerprint;
+        } else {
+          if (state->diverged == 0 &&
+              (counts[0] != state->counts[0] ||
+               counts[1] != state->counts[1] ||
+               counts[4] != state->counts[4] ||
+               fingerprint != state->fingerprint)) {
+            state->diverged = shard_id;
+          }
+          state->counts[2] += counts[2];
+          state->counts[3] += counts[3];
+        }
+        Broadcast(call, state, shard_id + 1);
+      });
 }
 
 MetricSet SimRankRouter::CollectStats() const {
@@ -1162,22 +1006,7 @@ void SimRankRouter::ScrapeLoop() {
   }
 }
 
-void SimRankRouter::StartDiagnostics() {
-  if (options_.scrape_interval_ms > 0 &&
-      scrape_stop_.load(std::memory_order_acquire)) {
-    scrape_stop_.store(false, std::memory_order_release);
-    scrape_thread_ = std::thread([this] { ScrapeLoop(); });
-  }
-  diagnostics_.Start([this] { return MetricFamilies(); });
-}
-
-void SimRankRouter::StopDiagnostics() {
-  scrape_stop_.store(true, std::memory_order_release);
-  if (scrape_thread_.joinable()) scrape_thread_.join();
-  diagnostics_.Stop();
-}
-
-SimRankRouter::RouterResponse SimRankRouter::BuildClusterHealth() {
+std::string SimRankRouter::BuildClusterHealth() const {
   const std::vector<TargetState> targets = SnapshotTargets();
   const uint64_t now_s = UnixSeconds();
   JsonWriter json;
@@ -1246,120 +1075,7 @@ SimRankRouter::RouterResponse SimRankRouter::BuildClusterHealth() {
   json.EndArray();
   json.Key("healthy").Bool(all_healthy);
   json.EndObject();
-  RouterResponse response;
-  response.status = 200;
-  response.body = json.str();
-  return response;
+  return json.str();
 }
-
-SimRankRouter::RouterResponse SimRankRouter::Route(
-    const HttpRequest& request) {
-  RouterResponse response;
-  auto method_not_allowed = [&request, &response](const char* allowed) {
-    response.status = 405;
-    response.body = ErrorBody(
-        "MethodNotAllowed",
-        StrFormat("%s only accepts %s", request.path.c_str(), allowed));
-    response.headers.emplace_back("Allow", allowed);
-    return response;
-  };
-  const bool is_get = request.method == "GET";
-  const bool is_post = request.method == "POST";
-  if (request.path == "/healthz") {
-    stat_requests_healthz_.fetch_add(1, std::memory_order_relaxed);
-    response.status = 200;
-    response.body = "{\"status\":\"ok\"}";
-    return response;
-  }
-  if (request.path == "/v1/stats") {
-    stat_requests_stats_.fetch_add(1, std::memory_order_relaxed);
-    response.status = 200;
-    response.body = CollectStats().ToJson();
-    return response;
-  }
-  if (request.path == "/metrics") {
-    stat_requests_metrics_.fetch_add(1, std::memory_order_relaxed);
-    response.status = 200;
-    response.content_type = "text/plain; version=0.0.4";
-    response.body = PrometheusText(MetricFamilies());
-    return response;
-  }
-  if (request.path == "/v1/cluster/health") {
-    stat_requests_cluster_health_.fetch_add(1, std::memory_order_relaxed);
-    if (!is_get) return method_not_allowed("GET");
-    return BuildClusterHealth();
-  }
-  if (request.path == "/v1/debug/profile") {
-    stat_requests_debug_profile_.fetch_add(1, std::memory_order_relaxed);
-    if (!is_get) return method_not_allowed("GET");
-    double seconds = 0.0;
-    uint32_t hz = 0;
-    if (const Status params = ParseProfileParams(request, &seconds, &hz);
-        !params.ok()) {
-      response.status = 400;
-      response.body = ErrorBody("InvalidArgument", params.message());
-      return response;
-    }
-    // Blocks only this connection's thread. The profiler runs one session
-    // at a time, so a concurrent request fails here and answers 409.
-    auto profiled = CpuProfiler::Instance().ProfileFor(seconds, hz);
-    if (!profiled.ok()) {
-      response.status = 409;
-      response.body = ErrorBody("Busy", profiled.status().message());
-      return response;
-    }
-    response.status = 200;
-    response.content_type = "text/plain";
-    response.body = RenderProfileReport(*profiled);
-    return response;
-  }
-  if (request.path == "/v1/debug/timeseries") {
-    stat_requests_debug_timeseries_.fetch_add(1, std::memory_order_relaxed);
-    if (!is_get) return method_not_allowed("GET");
-    std::tie(response.status, response.body) =
-        AnswerTimeseries(diagnostics_.history(), request);
-    return response;
-  }
-  if (request.path == "/v1/pair" || request.path == "/v1/single_source" ||
-      request.path == "/v1/topk") {
-    if (!is_get) return method_not_allowed("GET");
-    if (request.path == "/v1/pair") {
-      stat_requests_pair_.fetch_add(1, std::memory_order_relaxed);
-      return HandlePair(request);
-    }
-    if (request.path == "/v1/single_source") {
-      stat_requests_single_source_.fetch_add(1, std::memory_order_relaxed);
-      return HandleSingleSource(request);
-    }
-    stat_requests_topk_.fetch_add(1, std::memory_order_relaxed);
-    return HandleTopK(request);
-  }
-  if (request.path == "/v1/batch_pair" || request.path == "/v1/update") {
-    if (!is_post) return method_not_allowed("POST");
-    if (request.path == "/v1/batch_pair") {
-      stat_requests_batch_pair_.fetch_add(1, std::memory_order_relaxed);
-      return HandleBatchPair(request);
-    }
-    stat_requests_update_.fetch_add(1, std::memory_order_relaxed);
-    return HandleUpdate(request);
-  }
-  response.status = 404;
-  response.body = ErrorBody("NotFound", "no such endpoint: " + request.path);
-  return response;
-}
-
-#else  // !OIPSIM_ROUTER_HAVE_SOCKETS
-
-Status SimRankRouter::Bind() {
-  return Status::Unimplemented("SimRankRouter requires POSIX sockets");
-}
-Status SimRankRouter::Start() {
-  return Status::Unimplemented("SimRankRouter requires POSIX sockets");
-}
-void SimRankRouter::Shutdown() {}
-void SimRankRouter::AcceptLoop() {}
-void SimRankRouter::HandleConnection(int) {}
-
-#endif  // OIPSIM_ROUTER_HAVE_SOCKETS
 
 }  // namespace simrank

@@ -25,13 +25,21 @@
 //     update is durable on all shards. Divergent per-shard results
 //     (sequence, fingerprint) fail the request loudly.
 //
-// A scatter runs on the connection thread that serves the request: it
-// writes the request to every shard's primary on a pooled keep-alive
-// connection before reading any reply, so the shards compute
-// concurrently, then reads the replies in shard order. No thread is
-// started per request. A dead shard fails at connect or EOF at once; a
-// hung one (alive, not answering) costs one timeout_ms, and k hung shards
-// in one scatter cost up to k, one after another.
+// The router is a route table on the same HttpFrontend the server runs
+// on (server/http_frontend.h), so there is one HTTP server in the
+// codebase: one event loop owns every client connection and every shard
+// connection. A routed request parks its connection and starts shard
+// exchanges that the loop drives without blocking; each reply resumes the
+// request from a callback on the loop, and the last step answers. A
+// scatter writes the request to every shard's primary on a keep-alive
+// connection the loop owns, so the shards compute concurrently, and its
+// legs wait concurrently too: a dead shard fails at connect or EOF at
+// once, a hung one (alive, not answering) costs one timeout_ms, and k hung
+// shards in one scatter still cost one. Pair and top-k merges finish on
+// the loop; a single-source row and a batch_pair body, which are O(n) to
+// serialize, are serialized on the frontend's worker pool. The router's
+// threads are the loop, the worker pool, the fleet scraper and the
+// diagnostics threads; none is started per connection or per request.
 //
 // Consistency across the scatter is pinned by overlay sequence: the row
 // fetch reports the owner's sequence, every scattered request carries it,
@@ -51,7 +59,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -64,11 +72,10 @@
 #include "simrank/extra/topk.h"
 #include "simrank/obs/diagnostics.h"
 #include "simrank/obs/metric_set.h"
-#include "simrank/obs/metrics_history.h"
-#include "simrank/obs/profiler.h"
 #include "simrank/obs/trace.h"
 #include "simrank/server/http.h"
 #include "simrank/server/http_client.h"
+#include "simrank/server/http_frontend.h"
 #include "simrank/server/server.h"
 
 namespace simrank {
@@ -90,8 +97,9 @@ struct RouterOptions {
   ShardPlan plan;
   /// One entry per plan shard, in shard-id order.
   std::vector<RouterShard> shards;
-  /// Per-operation socket timeout on shard connections; bounds the damage
-  /// of a dead shard to one timeout per attempt.
+  /// A shard exchange that makes no progress for this long fails (and
+  /// fails over to the replica); bounds the damage of a hung shard to one
+  /// timeout per attempt, however many shards one scatter waits on.
   uint32_t timeout_ms = 2000;
   /// Extra attempts after an overlay-sequence conflict (409) before the
   /// router degrades to 503.
@@ -110,8 +118,11 @@ struct RouterOptions {
   uint32_t scrape_timeout_ms = 500;
 
   /// History of the router's own (aggregated) metrics, served at
-  /// /v1/debug/timeseries, and continuous profiling into the event log,
-  /// as on the server. The router's log holds only profile records.
+  /// /v1/debug/timeseries, and the event log, as on the server: an
+  /// "access" record per answered request, and "profile" records with
+  /// continuous profiling. Frontend settings RouterOptions has no field
+  /// for (the connection and in-flight caps, the worker count, the
+  /// watchdog) take ServerOptions' defaults.
   DiagnosticsOptions diagnostics;
 
   Status Validate() const;
@@ -157,11 +168,10 @@ struct RouterStats {
 std::vector<ScoredVertex> MergeTopK(
     const std::vector<std::vector<ScoredVertex>>& parts, uint32_t k);
 
-/// The router process: a blocking thread-per-connection HTTP frontend over
-/// keep-alive client pools to the shards. Each connection thread runs its
-/// requests' shard exchanges itself; the only other threads are the
-/// accept loop and the fleet scraper. Bind() then Start(); Shutdown()
-/// stops accepting, joins every connection thread and closes the pools.
+/// The router process: a route table on one HttpFrontend. Bind() then
+/// Start(), which runs the event loop on a thread of its own; Shutdown()
+/// drains the loop (parked requests finish their exchanges and answer)
+/// and joins it.
 class SimRankRouter {
  public:
   explicit SimRankRouter(RouterOptions options);
@@ -172,33 +182,23 @@ class SimRankRouter {
   /// Validates options and binds + listens on bind_address:port.
   Status Bind();
 
-  /// Spawns the accept loop. Requires a successful Bind().
+  /// Starts the event loop and the fleet scraper. Requires a successful
+  /// Bind().
   Status Start();
 
-  /// Stops accepting, wakes and joins all threads. Idempotent.
+  /// Drains and joins the event loop, stops the scraper. Idempotent.
   void Shutdown();
 
   /// The bound port (resolves port 0 after Bind()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return frontend_.port(); }
 
   const RouterOptions& options() const { return options_; }
 
   RouterStats stats() const;
 
  private:
-  /// One routed response: status, body, plus any extra headers
-  /// (Retry-After on 503). Bodies are JSON unless content_type says
-  /// otherwise (/metrics, /v1/debug/profile).
-  struct RouterResponse {
-    int status = 500;
-    std::string body;
-    std::vector<std::pair<std::string, std::string>> headers;
-    std::string content_type = "application/json";
-    /// Set once the request's parameters parsed: like the server, which
-    /// traces only the queries it dispatches, the router attaches a
-    /// requested trace only to those.
-    bool traced = false;
-  };
+  using Connection = HttpFrontend::Connection;
+  using Response = HttpFrontend::Response;
 
   /// One shard reply with its parsed version headers. A traced exchange
   /// has already attached the shard's sub-trace to the recorder.
@@ -211,58 +211,59 @@ class SimRankRouter {
     bool have_versions = false;
   };
 
-  /// A keep-alive connection pool to one shard process.
-  class ClientPool;
-  /// The pools of one plan shard; `replica` is null without a replica.
-  struct ShardPools {
-    std::unique_ptr<ClientPool> primary;
-    std::unique_ptr<ClientPool> replica;
+  /// One routed request across the loop steps (and the worker step) that
+  /// run it; each step binds its recorder.
+  struct Call {
+    HttpFrontend::ConnectionRef conn;
+    TraceRequest trace;
+    /// Null when untraced.
+    std::unique_ptr<TraceRecorder> recorder;
+    /// The root `request` span, open until the answer.
+    int root_span = -1;
   };
+  using CallPtr = std::shared_ptr<Call>;
+  using ReplyDone = std::function<void(Result<ShardReply>)>;
+  using LegsDone = std::function<void(std::vector<Result<ShardReply>>)>;
+  /// Run on success only: a step that fails answers the call itself.
+  using RowDone = std::function<void(std::vector<ShardReply> replies)>;
+  using ScoreDone = std::function<void(double score)>;
 
-  void AcceptLoop();
-  void HandleConnection(int fd);
-  RouterResponse Route(const HttpRequest& request);
-  void CountResponse(int status);
+  std::vector<HttpFrontend::Route> Routes();
 
-  /// One request to `pool`'s port on a pooled connection. Transport
-  /// errors return a non-ok status (the connection is dropped, not
-  /// pooled). When the calling thread is traced, the request carries
-  /// X-Simrank-Trace and the shard's X-Simrank-Trace-Json reply is
-  /// attached to the recorder.
-  Result<ShardReply> SendToPort(ClientPool& pool, bool post,
-                                const std::string& target,
-                                std::string_view body);
+  /// Parses `request` as public endpoint `endpoint` (ParsePublicQuery),
+  /// activates its trace and range-checks its vertex ids against the plan
+  /// in the engine's order, so a malformed or out-of-range query is
+  /// answered exactly as a single node answers it. Returns null, having
+  /// answered, on failure.
+  CallPtr StartCall(Connection* conn, const HttpRequest& request,
+                    ServerEndpoint endpoint, PublicQuery* query);
+  /// Closes the call's trace into `response`: the root span, then
+  /// HttpFrontend::FinishTrace. On the loop or a worker.
+  void CloseTrace(Call& call, Response* response);
+  /// Answers a call that never parked (loop thread).
+  void AnswerNow(Connection* conn, Call& call, Response response);
+  /// Answers a parked call (loop thread).
+  void Finish(const CallPtr& call, Response response);
 
-  /// Finishes an exchange on `client`, taken from `pool`, whose reply read
-  /// gave `response`: a reply releases the connection to the pool and is
-  /// parsed (and traced, see SendToPort); a transport error drops the
-  /// connection and counts in shard_errors.
-  Result<ShardReply> Complete(ClientPool& pool,
-                              Result<LoopbackHttpClient>& client,
-                              Result<HttpClientResponse> response);
+  /// X-Simrank-Trace with the call's trace id when it is traced, so the
+  /// shard returns its sub-trace.
+  static HttpHeaders TraceHeaders(const Call& call);
+  /// Parses a shard reply's version headers and attaches its sub-trace.
+  static ShardReply ToShardReply(Call& call, HttpClientResponse response);
 
-  /// `reply` from shard `shard_id`'s primary, or — when it failed in
-  /// transport and the shard has a replica — the same request answered
-  /// by the replica, counted as a failover.
-  Result<ShardReply> FailOver(uint32_t shard_id, Result<ShardReply> reply,
-                              bool post, const std::string& target,
-                              std::string_view body);
+  /// `request` (full HTTP bytes) to shard `shard_id`'s primary and, when
+  /// that fails in transport and the shard has a replica, to the replica,
+  /// counted as a failover. Every transport error counts in shard_errors.
+  void ReadFromShard(const CallPtr& call, uint32_t shard_id,
+                     std::string request, ReplyDone done,
+                     bool replica = false);
 
-  /// A read against shard `shard_id`: primary first, replica on transport
-  /// failure (counted as a failover).
-  Result<ShardReply> ReadFromShard(uint32_t shard_id, bool post,
-                                   const std::string& target,
-                                   std::string_view body);
-
-  /// POSTs `body` to `target` on shards [first_shard, end_shard): writes
-  /// every primary's request before reading any reply, then reads the
-  /// replies in shard order, failing a leg over like ReadFromShard. Every
-  /// leg is read before returning. Records one shard_exchange span per
-  /// leg, from send to reply.
-  std::vector<Result<ShardReply>> Scatter(uint32_t first_shard,
-                                          uint32_t end_shard,
-                                          const std::string& target,
-                                          std::string_view body);
+  /// Sends `request` to shards [first_shard, end_shard) at once, each leg
+  /// failing over like ReadFromShard, and calls `done` with every leg's
+  /// reply in shard order once all legs have one. Records one
+  /// shard_exchange span per leg, from send to reply.
+  void Scatter(const CallPtr& call, uint32_t first_shard, uint32_t end_shard,
+               const std::string& request, LegsDone done);
 
   /// Fetches v's walk row from its owner, then scatters
   /// `target_prefix&seq=<the row's overlay sequence>` with the row as body
@@ -270,29 +271,34 @@ class SimRankRouter {
   /// shard, passes any non-200 answer other than 409 through, and answers
   /// 500 for a plan epoch other than the router's or a graph fingerprint
   /// other than the row owner's. A 409 re-fetches the row and retries, up
-  /// to `retries` times, then 503. On success `*replies` holds the 200
-  /// replies in shard order.
-  bool ExchangeRow(VertexId v, const std::string& target_prefix,
-                   uint32_t first_shard, uint32_t end_shard,
-                   std::vector<ShardReply>* replies, RouterResponse* error);
+  /// to `retries` times, then 503. On success `done` gets the 200 replies
+  /// in shard order; a failure answers the call.
+  void ExchangeRow(const CallPtr& call, VertexId v, std::string target_prefix,
+                   uint32_t first_shard, uint32_t end_shard, uint32_t attempt,
+                   RowDone done);
 
-  /// Parses `request` as public endpoint `endpoint` (ParsePublicQuery)
-  /// and range-checks its vertex ids against the plan in the engine's
-  /// order, so a malformed or out-of-range query is answered exactly as a
-  /// single node answers it. On failure fills `response`, returns false.
-  bool ParseQuery(const HttpRequest& request, ServerEndpoint endpoint,
-                  PublicQuery* query, RouterResponse* response) const;
-  RouterResponse HandlePair(const HttpRequest& request);
-  RouterResponse HandleSingleSource(const HttpRequest& request);
-  RouterResponse HandleTopK(const HttpRequest& request);
-  RouterResponse HandleBatchPair(const HttpRequest& request);
-  RouterResponse HandleUpdate(const HttpRequest& request);
+  /// Scores one pair, cross-shard if needed; a failure answers the call.
+  void ScorePair(const CallPtr& call, VertexId a, VertexId b, ScoreDone done);
+
+  void HandlePair(Connection* conn, const HttpRequest& request);
+  void HandleSingleSource(Connection* conn, const HttpRequest& request);
+  void HandleTopK(Connection* conn, const HttpRequest& request);
+  void HandleBatchPair(Connection* conn, const HttpRequest& request);
+  void HandleUpdate(Connection* conn, const HttpRequest& request);
+  /// /v1/update's broadcast: shard `shard_id` onward, in shard order.
+  struct UpdateState;
+  void Broadcast(const CallPtr& call, std::shared_ptr<UpdateState> state,
+                 uint32_t shard_id);
+  /// /v1/batch_pair's pairs, one after another.
+  struct BatchState;
+  void ScoreNext(const CallPtr& call, std::shared_ptr<BatchState> state);
+
   /// The router's own statistics, for /v1/stats and /metrics.
   MetricSet CollectStats() const;
   /// CollectStats' families followed by every scraped target's: the
   /// router's /metrics and its metrics history.
   std::vector<PromFamily> MetricFamilies() const;
-  RouterResponse BuildClusterHealth();
+  std::string BuildClusterHealth() const;
 
   /// The latest scrape of one fleet target (a shard primary or replica).
   struct TargetState {
@@ -323,52 +329,23 @@ class SimRankRouter {
   /// Copies the current per-target states (scrape-thread writes them
   /// under targets_mutex_).
   std::vector<TargetState> SnapshotTargets() const;
-  void StartDiagnostics();
-  void StopDiagnostics();
 
-  /// Scores one pair, cross-shard if needed. Returns the score through
-  /// `*score`; a non-200 RouterResponse otherwise.
-  bool ScorePair(VertexId a, VertexId b, double* score,
-                 RouterResponse* error);
-
-  RouterResponse Unavailable(const std::string& message);
+  Response Unavailable(const std::string& message) const;
 
   RouterOptions options_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-  /// A connection handler and the flag it sets as its last act, so the
-  /// accept loop joins finished handlers instead of keeping every one.
-  struct ConnectionThread {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  std::mutex threads_mutex_;
-  /// A list: handlers hold a reference to their own (address-stable) node.
-  std::list<ConnectionThread> connection_threads_;
-  /// Indexed by shard id; built in Bind() and read-only afterwards.
-  std::vector<ShardPools> pools_;
+  /// The frontend's settings: the router's address, port, HTTP limits,
+  /// diagnostics and Retry-After, ServerOptions' defaults otherwise.
+  ServerOptions frontend_options_;
 
-  std::atomic<uint64_t> stat_requests_total_{0};
   std::atomic<uint64_t> stat_requests_pair_{0};
   std::atomic<uint64_t> stat_requests_single_source_{0};
   std::atomic<uint64_t> stat_requests_topk_{0};
   std::atomic<uint64_t> stat_requests_batch_pair_{0};
   std::atomic<uint64_t> stat_requests_update_{0};
-  std::atomic<uint64_t> stat_requests_stats_{0};
-  std::atomic<uint64_t> stat_requests_healthz_{0};
-  std::atomic<uint64_t> stat_requests_metrics_{0};
-  std::atomic<uint64_t> stat_responses_2xx_{0};
-  std::atomic<uint64_t> stat_responses_4xx_{0};
-  std::atomic<uint64_t> stat_responses_5xx_{0};
   std::atomic<uint64_t> stat_failovers_{0};
   std::atomic<uint64_t> stat_conflicts_retried_{0};
   std::atomic<uint64_t> stat_shard_errors_{0};
-  std::atomic<uint64_t> stat_traced_requests_{0};
   std::atomic<uint64_t> stat_requests_cluster_health_{0};
-  std::atomic<uint64_t> stat_requests_debug_profile_{0};
-  std::atomic<uint64_t> stat_requests_debug_timeseries_{0};
   std::atomic<uint64_t> stat_scrape_rounds_{0};
   std::atomic<uint64_t> stat_scrape_failures_{0};
 
@@ -376,7 +353,11 @@ class SimRankRouter {
   std::vector<TargetState> targets_;
   std::atomic<bool> scrape_stop_{true};
   std::thread scrape_thread_;
-  Diagnostics diagnostics_;
+
+  /// After everything its callbacks and jobs touch: its destructor joins
+  /// the workers first.
+  HttpFrontend frontend_;
+  std::thread loop_thread_;
 };
 
 }  // namespace simrank

@@ -12,25 +12,6 @@ namespace {
 
 constexpr std::string_view kPlanMagicLine = "simrank-shard-plan v1";
 
-/// Parses exactly 16 lower-case hex digits (FormatFingerprint's output).
-bool ParseFingerprint(std::string_view text, uint64_t* out) {
-  if (text.size() != 16) return false;
-  uint64_t value = 0;
-  for (const char c : text) {
-    uint32_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<uint32_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | digit;
-  }
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 Status ShardPlan::Validate() const {

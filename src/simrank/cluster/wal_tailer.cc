@@ -1,29 +1,15 @@
 #include "simrank/cluster/wal_tailer.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <vector>
 
+#include "simrank/common/logging.h"
 #include "simrank/common/string_util.h"
+#include "simrank/graph/graph_io.h"
 #include "simrank/index/edge_update.h"
 #include "simrank/server/http_client.h"
 
 namespace simrank {
-namespace {
-
-bool ParseHexFingerprint(std::string_view text, uint64_t* out) {
-  if (text.empty() || text.size() > 16) return false;
-  const std::string copy(text);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(copy.c_str(), &end, 16);
-  if (errno != 0 || end != copy.c_str() + copy.size()) return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
-}  // namespace
 
 Status WalTailer::Start() {
   if (options_.source_port == 0) {
@@ -84,7 +70,7 @@ Result<uint64_t> WalTailer::ApplyStream(std::string_view body) {
     uint64_t post_fingerprint = 0;
     uint64_t num_updates = 0;
     if (fields.size() != 3 || !ParseUint64(fields[0], &index) ||
-        !ParseHexFingerprint(fields[1], &post_fingerprint) ||
+        !ParseFingerprint(fields[1], &post_fingerprint) ||
         !ParseUint64(fields[2], &num_updates) || num_updates == 0) {
       return Status::ParseError("malformed 'record' line in WAL stream");
     }
@@ -124,29 +110,42 @@ Result<uint64_t> WalTailer::ApplyStream(std::string_view body) {
 
 void WalTailer::PollLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
-    const uint64_t from = updater_.stats().wal_records;
+    // The poll names the state it continues from, so a primary whose log
+    // was reset under this replica answers 409 instead of an empty tail.
+    const IndexUpdateStats local = updater_.stats();
     auto client =
         LoopbackHttpClient::Connect(options_.source_port, options_.timeout_ms);
     Result<HttpClientResponse> response =
-        client.ok() ? client->Get(StrFormat(
-                          "/v1/wal?from=%llu",
-                          static_cast<unsigned long long>(from)))
-                    : Result<HttpClientResponse>(client.status());
+        client.ok()
+            ? client->Get(StrFormat(
+                  "/v1/wal?from=%llu&fingerprint=%s",
+                  static_cast<unsigned long long>(local.wal_records),
+                  FormatFingerprint(local.current_graph_fingerprint).c_str()))
+            : Result<HttpClientResponse>(client.status());
+    const bool shipped = response.ok() && response->status == 200;
+    const bool reset = response.ok() && response->status == 409;
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.polls;
-      if (!response.ok() || response->status != 200) ++stats_.poll_errors;
+      if (!shipped && !reset) ++stats_.poll_errors;
     }
-    if (response.ok() && response->status == 200) {
-      auto applied = ApplyStream(response->body);
+    if (shipped || reset) {
+      Result<uint64_t> applied =
+          reset ? Result<uint64_t>(Status::InvalidArgument(
+                      "the primary's WAL was reset under this replica: " +
+                      response->body))
+                : ApplyStream(response->body);
       std::lock_guard<std::mutex> lock(stats_mutex_);
       if (applied.ok()) {
         stats_.records_applied += *applied;
       } else {
-        // Divergence or a stream gap is permanent: halt instead of
-        // retrying into the same wall, and keep the reason visible.
+        // Divergence, a stream gap or a reset log is permanent: halt
+        // instead of retrying into the same wall, and keep the reason
+        // visible.
         stats_.halted = true;
         stats_.last_error = applied.status().ToString();
+        OIPSIM_LOG(kError) << "WAL tailer of port " << options_.source_port
+                           << " halted: " << stats_.last_error;
         break;
       }
     }

@@ -10,12 +10,15 @@
 //
 // Safety comes from the fingerprint chain, not from the transport: every
 // WAL record carries the post-batch graph fingerprint, and ApplyReplicated
-// refuses a batch whose locally computed post-fingerprint differs. A
-// replica that was started from the wrong index, or a primary whose WAL
-// was reset under divergent state, stops replicating with a loud error
-// instead of serving silently wrong walks. Records are also applied
-// strictly in index order — a gap in the stream (e.g. the primary
-// compacted and reset its WAL) halts the tailer rather than skipping.
+// refuses a batch whose locally computed post-fingerprint differs, and
+// every poll names the replica's graph fingerprint next to `from`: the
+// primary answers 409 unless its record from-1 ended at that graph. A
+// replica that was started from the wrong index, or whose primary (or
+// itself) compacted and reset the WAL numbering under it, stops
+// replicating with a loud, logged error instead of serving silently stale
+// or wrong walks. Records are also applied strictly in index order — a
+// gap in the stream halts the tailer rather than skipping. Re-seeding a
+// halted replica means restarting it from the compacted index.
 #ifndef OIPSIM_SIMRANK_CLUSTER_WAL_TAILER_H_
 #define OIPSIM_SIMRANK_CLUSTER_WAL_TAILER_H_
 
@@ -47,8 +50,8 @@ struct WalTailerStats {
   uint64_t records_applied = 0;
   /// Failed polls (primary down) — transient; the tailer keeps polling.
   uint64_t poll_errors = 0;
-  /// True once a non-transient error (fingerprint divergence, stream gap)
-  /// has halted replication; last_error describes it.
+  /// True once a non-transient error (fingerprint divergence, stream gap,
+  /// a reset log) has halted replication; last_error describes it.
   bool halted = false;
   std::string last_error;
 };

@@ -1,6 +1,7 @@
 #include "simrank/graph/graph_io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -208,6 +209,14 @@ Result<DiGraph> ReadGraphAuto(const std::string& path) {
 std::string FormatFingerprint(uint64_t fingerprint) {
   return StrFormat("%016llx",
                    static_cast<unsigned long long>(fingerprint));
+}
+
+bool ParseFingerprint(std::string_view text, uint64_t* fingerprint) {
+  return text.size() == 16 &&
+         text.find_first_not_of("0123456789abcdef") == std::string_view::npos &&
+         std::from_chars(text.data(), text.data() + text.size(), *fingerprint,
+                         16)
+                 .ec == std::errc();
 }
 
 }  // namespace simrank

@@ -4,6 +4,7 @@
 #define OIPSIM_SIMRANK_GRAPH_GRAPH_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "simrank/common/status.h"
 #include "simrank/graph/digraph.h"
@@ -72,6 +73,10 @@ uint64_t ComposeGraphFingerprint(uint32_t n, uint64_t m, uint64_t edge_sum,
 /// digits — shared by mismatch diagnostics and `simrank_cli index-info` so
 /// a fingerprint printed by one tool can be grepped in another's output.
 std::string FormatFingerprint(uint64_t fingerprint);
+
+/// Parses exactly 16 lower-case hex digits (FormatFingerprint's output);
+/// false on anything else.
+bool ParseFingerprint(std::string_view text, uint64_t* fingerprint);
 
 }  // namespace simrank
 

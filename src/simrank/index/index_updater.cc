@@ -1,6 +1,7 @@
 #include "simrank/index/index_updater.h"
 
 #include <algorithm>
+#include <iterator>
 #include <chrono>
 #include <cstdio>
 #include <span>
@@ -288,6 +289,7 @@ Result<std::unique_ptr<IndexUpdater>> IndexUpdater::Open(
   {
     std::lock_guard<std::mutex> records_lock(updater->records_mutex_);
     updater->records_ = std::move(opened->records);
+    updater->records_base_fingerprint_ = identity.graph_fingerprint;
   }
   if (updater->AutoCompactArmed()) {
     // Started after replay so a replay that already trips a trigger is
@@ -312,9 +314,19 @@ Status IndexUpdater::ApplyReplicated(std::span<const EdgeUpdate> updates,
   return Commit(updates, expected_post_fingerprint);
 }
 
-std::vector<WalRecord> IndexUpdater::WalRecordsFrom(uint64_t from,
-                                                    uint64_t limit) const {
+Result<std::vector<WalRecord>> IndexUpdater::WalRecordsFrom(
+    uint64_t from, uint64_t fingerprint, uint64_t limit) const {
   std::lock_guard<std::mutex> lock(records_mutex_);
+  if (fingerprint != 0 &&
+      (from > records_.size() ||
+       fingerprint != (from == 0 ? records_base_fingerprint_
+                                 : records_[from - 1].post_graph_fingerprint))) {
+    return Status::InvalidArgument(StrFormat(
+        "the WAL was reset (a compaction renumbers its records): no record "
+        "%llu continues from graph %s; re-seed from the compacted index",
+        static_cast<unsigned long long>(from),
+        FormatFingerprint(fingerprint).c_str()));
+  }
   std::vector<WalRecord> out;
   for (uint64_t i = from; i < records_.size() && out.size() < limit; ++i) {
     out.push_back(records_[i]);
@@ -797,6 +809,11 @@ std::shared_ptr<DeltaOverlay> IndexUpdater::ApplyDiffs(
   }
   std::vector<SlotEdit>& slot_edits = diffs.edits;
   std::stable_sort(slot_edits.begin(), slot_edits.end());
+  // Scratch reused across slots: the edited vertices, sorted, and each
+  // side's kept and new entries.
+  std::vector<VertexId> edited;
+  std::vector<OverlayEntry> kept[2];
+  std::vector<OverlayEntry> fresh[2];
   for (size_t at_edit = 0; at_edit < slot_edits.size();) {
     const uint64_t slot = slot_edits[at_edit].slot;
     const size_t begin = at_edit;
@@ -807,20 +824,22 @@ std::shared_ptr<DeltaOverlay> IndexUpdater::ApplyDiffs(
                                           at_edit - begin);
     std::shared_ptr<const DeltaOverlay::SlotDelta>& current =
         overlay->deltas_[slot];
-    auto next = std::make_shared<DeltaOverlay::SlotDelta>();
+    for (int side = 0; side < 2; ++side) {
+      kept[side].clear();
+      fresh[side].clear();
+    }
     if (current != nullptr) {
-      auto edited = [&edits](VertexId v) {
-        for (const SlotEdit& edit : edits) {
-          if (edit.vertex == v) return true;
-        }
-        return false;
+      edited.clear();
+      for (const SlotEdit& edit : edits) edited.push_back(edit.vertex);
+      std::sort(edited.begin(), edited.end());
+      auto unedited = [&edited](const OverlayEntry& entry) {
+        return !std::binary_search(edited.begin(), edited.end(),
+                                   entry.vertex);
       };
-      for (const OverlayEntry& entry : current->removed) {
-        if (!edited(entry.vertex)) next->removed.push_back(entry);
-      }
-      for (const OverlayEntry& entry : current->added) {
-        if (!edited(entry.vertex)) next->added.push_back(entry);
-      }
+      std::copy_if(current->removed.begin(), current->removed.end(),
+                   std::back_inserter(kept[0]), unedited);
+      std::copy_if(current->added.begin(), current->added.end(),
+                   std::back_inserter(kept[1]), unedited);
       --overlay->changed_slots_;
       overlay->delta_entries_ -=
           current->removed.size() + current->added.size();
@@ -828,15 +847,22 @@ std::shared_ptr<DeltaOverlay> IndexUpdater::ApplyDiffs(
     for (const SlotEdit& edit : edits) {
       if (edit.base_position == edit.new_position) continue;
       if (edit.base_position != kDead) {
-        next->removed.push_back(
-            OverlayEntry{edit.base_position, edit.vertex});
+        fresh[0].push_back(OverlayEntry{edit.base_position, edit.vertex});
       }
       if (edit.new_position != kDead) {
-        next->added.push_back(OverlayEntry{edit.new_position, edit.vertex});
+        fresh[1].push_back(OverlayEntry{edit.new_position, edit.vertex});
       }
     }
-    std::sort(next->removed.begin(), next->removed.end());
-    std::sort(next->added.begin(), next->added.end());
+    // The kept entries are already in (position, vertex) order and share
+    // no vertex with the new ones: sort only the new ones, then merge.
+    auto next = std::make_shared<DeltaOverlay::SlotDelta>();
+    std::vector<OverlayEntry>* out[2] = {&next->removed, &next->added};
+    for (int side = 0; side < 2; ++side) {
+      std::sort(fresh[side].begin(), fresh[side].end());
+      out[side]->resize(kept[side].size() + fresh[side].size());
+      std::merge(kept[side].begin(), kept[side].end(), fresh[side].begin(),
+                 fresh[side].end(), out[side]->begin());
+    }
     if (next->removed.empty() && next->added.empty()) {
       current = nullptr;
     } else {
@@ -1063,6 +1089,7 @@ Status IndexUpdater::Compact(const std::string& path,
           result = wal_.Sync();
         }
         records_ = std::move(tail);
+        records_base_fingerprint_ = snap_fingerprint;
       }
     }
     // Read under mutex_: the next batch's UpdateWal::Append writes them.

@@ -127,10 +127,11 @@ struct IndexUpdaterOptions {
   /// (requires auto_compact_path). 0 = unbounded.
   uint64_t overlay_budget_bytes = 0;
   /// Patch-amplification heuristic: auto-compact once more than this
-  /// fraction of all n·R walks carries a patch (reads of patched vertices
-  /// pay an extra hash lookup per step, so a heavily patched overlay
-  /// serves slower than the store a compaction would fold it into).
-  /// In [0, 1); 0 disables the heuristic.
+  /// fraction of all n·R walks carries a patch (every patched walk is one
+  /// more entry in the sorted patch array that reads binary-search, and
+  /// one more suffix a read of its vertex merges over the store, so a
+  /// heavily patched overlay serves slower than the store a compaction
+  /// would fold it into). In [0, 1); 0 disables the heuristic.
   double auto_compact_patched_fraction = 0.0;
   /// Where background auto-compaction writes the merged index; arming
   /// either trigger requires this.
@@ -229,9 +230,15 @@ class IndexUpdater {
 
   /// Copies WAL records [from, from + limit) in append order — the
   /// primary side of WAL shipping (a replica polls from its own record
-  /// count). `from` past the end yields an empty vector. Thread-safe.
-  std::vector<WalRecord> WalRecordsFrom(uint64_t from,
-                                        uint64_t limit = 256) const;
+  /// count). A nonzero `fingerprint` names the graph the poller is at: the
+  /// copy fails (InvalidArgument) unless record from-1 ended at it, or for
+  /// `from` = 0 unless the log starts from it — a compaction that reset
+  /// the log renumbers its records, and a replica polling across that
+  /// reset must learn it rather than read an empty tail as "caught up".
+  /// `from` at the end yields an empty vector. Thread-safe.
+  Result<std::vector<WalRecord>> WalRecordsFrom(uint64_t from,
+                                                uint64_t fingerprint,
+                                                uint64_t limit = 256) const;
 
   /// Writes the serving state as a fresh v2 index file at `path` (via a
   /// temporary file and an atomic rename), byte-identical to what
@@ -372,6 +379,9 @@ class IndexUpdater {
   /// replica's poll never waits behind a patch holding mutex_.
   mutable std::mutex records_mutex_;
   std::vector<WalRecord> records_;
+  /// The graph fingerprint records_ start from: the WAL's base graph (the
+  /// compacted one after a reset).
+  uint64_t records_base_fingerprint_ = 0;
   /// Guards stats_ alone, so stats() (the server's inline /v1/stats and
   /// /metrics handlers run it on the event loop) never waits behind a
   /// long patch or compaction holding mutex_.

@@ -1,11 +1,12 @@
-// Diagnostics settings and pieces both serving frontends share: the
+// Diagnostics settings and pieces both serving processes share: the
 // metrics history behind /v1/debug/timeseries, the JSONL event log, and
 // the continuous profiler that writes into that log.
 //
 // The event log is one file per process. Every record is a single-line
 // JSON object whose first field is "type": "access" (one per answered
 // request), "trace" (a captured slow or sampled trace) or "profile" (one
-// continuous-profiling period). The router writes only profile records.
+// continuous-profiling period). The server writes all three; the router,
+// which samples and captures no traces, writes access and profile records.
 #ifndef OIPSIM_SIMRANK_OBS_DIAGNOSTICS_H_
 #define OIPSIM_SIMRANK_OBS_DIAGNOSTICS_H_
 

@@ -2,7 +2,7 @@
 // themselves.
 //
 // Long-lived threads register with the process-wide CpuProfiler (the epoll
-// loop, ThreadPool workers, router connection threads). A profiling
+// loop, ThreadPool workers, the fleet scraper). A profiling
 // session arms one POSIX timer per registered thread —
 // timer_create(CLOCK_THREAD_CPUTIME_ID) delivering SIGPROF via
 // SIGEV_THREAD_ID — so each thread is sampled in proportion to the CPU it

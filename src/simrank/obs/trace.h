@@ -13,8 +13,10 @@
 // fan-out code (batch queries) measures child durations locally and
 // records them after the join via AddCompletedSpan, keeping every
 // recorder single-threaded. The router's scatter records its overlapping
-// per-shard legs the same way, each from send to reply, on the one
-// connection thread that runs them all.
+// per-shard legs the same way, each from send to reply, once all legs
+// are in. A routed request's recorder moves between the event loop and a
+// worker, but only one step of the request runs at a time, and each step
+// binds it.
 //
 // Serialization is one compact JSON document (spans as a parent-indexed
 // tree, counters, raw child traces from downstream shards) with no

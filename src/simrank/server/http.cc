@@ -315,4 +315,22 @@ std::string BuildHttpResponse(int status, std::string_view body,
   return out;
 }
 
+bool CheckAllowedParams(const HttpRequest& request,
+                        std::initializer_list<const char*> allowed,
+                        std::string* error) {
+  for (const auto& [key, value] : request.params) {
+    if (std::none_of(allowed.begin(), allowed.end(),
+                     [&key](const char* name) { return key == name; })) {
+      *error = StrFormat("unknown parameter '%s'", key.c_str());
+      return false;
+    }
+    // FindParam answers the first occurrence: any other is a repeat.
+    if (request.FindParam(key) != &value) {
+      *error = StrFormat("duplicate parameter '%s'", key.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace simrank

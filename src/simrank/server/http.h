@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -106,6 +107,13 @@ HttpParseStatus ParseHttpRequest(std::string_view input,
 /// Percent-decodes `in` into `out` (overwritten); '+' becomes a space when
 /// `plus_as_space`. Returns false on a truncated or non-hex escape.
 bool PercentDecode(std::string_view in, bool plus_as_space, std::string* out);
+
+/// Rejects parameters outside `allowed`, and any given twice, so a typo
+/// like `/v1/pair?a=1&c=2` fails loudly instead of querying b=0. On
+/// failure `*error` is the 400 answer's message.
+bool CheckAllowedParams(const HttpRequest& request,
+                        std::initializer_list<const char*> allowed,
+                        std::string* error);
 
 /// Serialization knobs of BuildHttpResponse.
 struct HttpResponseOptions {

@@ -1,20 +1,17 @@
 #include "simrank/server/http_client.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
 #include "simrank/common/string_util.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define OIPSIM_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 namespace simrank {
 
@@ -26,15 +23,25 @@ const std::string* HttpClientResponse::FindHeader(
   return nullptr;
 }
 
+bool ReadJsonNumber(const std::string& body, std::string_view key,
+                    double* out, size_t* cursor) {
+  std::string needle = "\"";
+  needle.append(key).append("\":");
+  const size_t at = body.find(needle, cursor == nullptr ? 0 : *cursor);
+  if (at == std::string::npos) return false;
+  const char* begin = body.c_str() + at + needle.size();
+  char* end = nullptr;
+  *out = std::strtod(begin, &end);
+  if (cursor != nullptr) *cursor = at + needle.size();
+  return end != begin;
+}
+
 double FindJsonNumber(const std::string& body, const std::string& key,
                       size_t* cursor) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = body.find(needle, cursor == nullptr ? 0 : *cursor);
-  OIPSIM_CHECK_MSG(at != std::string::npos, "no \"%s\" in %s", key.c_str(),
-                   body.c_str());
-  const size_t value_at = at + needle.size();
-  if (cursor != nullptr) *cursor = value_at;
-  return std::strtod(body.c_str() + value_at, nullptr);
+  double value = 0;
+  OIPSIM_CHECK_MSG(ReadJsonNumber(body, key, &value, cursor),
+                   "no numeric \"%s\" in %s", key.c_str(), body.c_str());
+  return value;
 }
 
 std::vector<double> FindJsonNumberArray(const std::string& body,
@@ -55,7 +62,76 @@ std::vector<double> FindJsonNumberArray(const std::string& body,
   return values;
 }
 
-#if OIPSIM_HAVE_SOCKETS
+Result<size_t> ParseHttpResponse(std::string_view buffer,
+                                 HttpClientResponse* out) {
+  const size_t header_end = buffer.find("\r\n\r\n");
+  if (header_end == std::string_view::npos) return size_t{0};
+  HttpClientResponse response;
+  const std::vector<std::string> lines =
+      StrSplit(buffer.substr(0, header_end), '\n');
+  if (lines.empty()) return Status::ParseError("empty response head");
+  const std::string_view status_line = StrTrim(lines[0]);
+  // "HTTP/1.1 200 OK"
+  const size_t sp = status_line.find(' ');
+  uint64_t status = 0;
+  if (sp == std::string_view::npos ||
+      !ParseUint64(status_line.substr(sp + 1, 3), &status)) {
+    return Status::ParseError("malformed status line: " +
+                              std::string(status_line));
+  }
+  response.status = static_cast<int>(status);
+  uint64_t content_length = 0;
+  bool have_length = false;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const std::string_view line = StrTrim(lines[i]);
+    const size_t colon = line.find(':');
+    if (colon == std::string_view::npos) continue;
+    std::string name(line.substr(0, colon));
+    for (char& c : name) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    const std::string value(StrTrim(line.substr(colon + 1)));
+    if (name == "content-length" && ParseUint64(value, &content_length)) {
+      have_length = true;
+    }
+    response.headers.emplace_back(std::move(name), value);
+  }
+  if (!have_length) {
+    return Status::ParseError("response without Content-Length");
+  }
+  const size_t body_start = header_end + 4;
+  if (buffer.size() - body_start < content_length) return size_t{0};
+  response.body = std::string(buffer.substr(body_start, content_length));
+  *out = std::move(response);
+  return body_start + content_length;
+}
+
+std::string BuildHttpRequest(
+    std::string_view method, std::string_view target, std::string_view body,
+    std::string_view content_type,
+    const std::vector<std::pair<std::string, std::string>>& extra_headers) {
+  std::string request;
+  request.reserve(64 + target.size() + body.size());
+  request += method;
+  request += ' ';
+  request += target;
+  request += " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
+  const bool post = method == "POST";
+  if (post) {
+    request += "Content-Type: ";
+    request += content_type;
+    request += StrFormat("\r\nContent-Length: %zu\r\n", body.size());
+  }
+  for (const auto& [name, value] : extra_headers) {
+    request += name;
+    request += ": ";
+    request += value;
+    request += "\r\n";
+  }
+  request += "\r\n";
+  if (post) request += body;
+  return request;
+}
 
 Result<LoopbackHttpClient> LoopbackHttpClient::Connect(uint16_t port) {
   return Connect(port, /*timeout_ms=*/0);
@@ -131,100 +207,32 @@ Status LoopbackHttpClient::ShutdownWrite() {
 
 Result<HttpClientResponse> LoopbackHttpClient::ReadResponse() {
   if (fd_ < 0) return Status::IoError("connection is closed");
-  // Accumulate until the header terminator, then until Content-Length
-  // bytes of body are buffered.
-  size_t header_end = std::string::npos;
-  while ((header_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
-    char chunk[4096];
-    const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (got <= 0) {
-      if (got < 0 && errno == EINTR) continue;
-      return Status::IoError("connection closed before response headers");
-    }
-    buffer_.append(chunk, static_cast<size_t>(got));
-  }
-
   HttpClientResponse response;
-  const std::string head = buffer_.substr(0, header_end);
-  const std::vector<std::string> lines = StrSplit(head, '\n');
-  if (lines.empty()) return Status::ParseError("empty response head");
-  const std::string_view status_line = StrTrim(lines[0]);
-  // "HTTP/1.1 200 OK"
-  const size_t sp = status_line.find(' ');
-  uint64_t status = 0;
-  if (sp == std::string_view::npos ||
-      !ParseUint64(status_line.substr(sp + 1, 3), &status)) {
-    return Status::ParseError("malformed status line: " +
-                              std::string(status_line));
-  }
-  response.status = static_cast<int>(status);
-  uint64_t content_length = 0;
-  bool have_length = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const std::string_view line = StrTrim(lines[i]);
-    const size_t colon = line.find(':');
-    if (colon == std::string_view::npos) continue;
-    std::string name(line.substr(0, colon));
-    for (char& c : name) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  while (true) {
+    const Result<size_t> parsed = ParseHttpResponse(buffer_, &response);
+    if (!parsed.ok()) return parsed.status();
+    if (*parsed > 0) {
+      buffer_.erase(0, *parsed);
+      return response;
     }
-    const std::string value(StrTrim(line.substr(colon + 1)));
-    if (name == "content-length" && ParseUint64(value, &content_length)) {
-      have_length = true;
-    }
-    response.headers.emplace_back(std::move(name), value);
-  }
-  if (!have_length) {
-    return Status::ParseError("response without Content-Length");
-  }
-
-  const size_t body_start = header_end + 4;
-  while (buffer_.size() < body_start + content_length) {
     char chunk[4096];
     const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (got <= 0) {
       if (got < 0 && errno == EINTR) continue;
-      return Status::IoError("connection closed mid-body");
+      return Status::IoError(buffer_.find("\r\n\r\n") == std::string::npos
+                                 ? "connection closed before response headers"
+                                 : "connection closed mid-body");
     }
     buffer_.append(chunk, static_cast<size_t>(got));
   }
-  response.body = buffer_.substr(body_start, content_length);
-  buffer_.erase(0, body_start + content_length);
-  return response;
 }
 
 Result<HttpClientResponse> LoopbackHttpClient::Get(
     const std::string& target,
     const std::vector<std::pair<std::string, std::string>>& extra_headers) {
-  std::string request = "GET " + target + " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
-  for (const auto& [name, value] : extra_headers) {
-    request += name;
-    request += ": ";
-    request += value;
-    request += "\r\n";
-  }
-  request += "\r\n";
-  OIPSIM_RETURN_IF_ERROR(SendRaw(request));
+  OIPSIM_RETURN_IF_ERROR(
+      SendRaw(BuildHttpRequest("GET", target, {}, {}, extra_headers)));
   return ReadResponse();
-}
-
-Status LoopbackHttpClient::SendPost(
-    const std::string& target, std::string_view body,
-    std::string_view content_type,
-    const std::vector<std::pair<std::string, std::string>>& extra_headers) {
-  std::string request = "POST " + target + " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
-  request += "Content-Type: ";
-  request += content_type;
-  request += StrFormat("\r\nContent-Length: %zu\r\n", body.size());
-  for (const auto& [name, value] : extra_headers) {
-    request += name;
-    request += ": ";
-    request += value;
-    request += "\r\n";
-  }
-  request += "\r\n";
-  request += body;
-  return SendRaw(request);
 }
 
 Result<HttpClientResponse> HttpGet(uint16_t port,
@@ -242,50 +250,14 @@ Result<HttpClientResponse> HttpPost(uint16_t port, const std::string& target,
   return client->Post(target, body, content_type);
 }
 
-#else  // !OIPSIM_HAVE_SOCKETS
-
-Result<LoopbackHttpClient> LoopbackHttpClient::Connect(uint16_t) {
-  return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
-}
-LoopbackHttpClient::LoopbackHttpClient(LoopbackHttpClient&&) noexcept =
-    default;
-LoopbackHttpClient& LoopbackHttpClient::operator=(
-    LoopbackHttpClient&&) noexcept = default;
-LoopbackHttpClient::~LoopbackHttpClient() = default;
-Status LoopbackHttpClient::SendRaw(std::string_view) {
-  return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
-}
-Status LoopbackHttpClient::ShutdownWrite() {
-  return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
-}
-Result<HttpClientResponse> LoopbackHttpClient::ReadResponse() {
-  return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
-}
-Result<HttpClientResponse> LoopbackHttpClient::Get(
-    const std::string&,
-    const std::vector<std::pair<std::string, std::string>>&) {
-  return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
-}
-Status LoopbackHttpClient::SendPost(
-    const std::string&, std::string_view, std::string_view,
-    const std::vector<std::pair<std::string, std::string>>&) {
-  return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
-}
-Result<HttpClientResponse> HttpGet(uint16_t, const std::string&) {
-  return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
-}
-Result<HttpClientResponse> HttpPost(uint16_t, const std::string&,
-                                    std::string_view, std::string_view) {
-  return Status::Unimplemented("LoopbackHttpClient requires POSIX sockets");
-}
-
-#endif  // OIPSIM_HAVE_SOCKETS
 
 Result<HttpClientResponse> LoopbackHttpClient::Post(
     const std::string& target, std::string_view body,
     std::string_view content_type,
     const std::vector<std::pair<std::string, std::string>>& extra_headers) {
-  OIPSIM_RETURN_IF_ERROR(SendPost(target, body, content_type, extra_headers));
+  OIPSIM_RETURN_IF_ERROR(
+      SendRaw(BuildHttpRequest("POST", target, body, content_type,
+                               extra_headers)));
   return ReadResponse();
 }
 

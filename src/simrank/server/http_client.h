@@ -32,6 +32,23 @@ struct HttpClientResponse {
   const std::string* FindHeader(std::string_view name) const;
 };
 
+/// Parses the response at the front of `buffer`: its byte length once the
+/// head and the Content-Length body are buffered (filling `*out`), 0 while
+/// it is incomplete, or a ParseError. The one response parser: the
+/// blocking client below and the frontend's non-blocking exchanges both
+/// use it.
+Result<size_t> ParseHttpResponse(std::string_view buffer,
+                                 HttpClientResponse* out);
+
+/// The bytes of one request to 127.0.0.1: the request line, Host, then
+/// for a POST Content-Type and Content-Length, then `extra_headers`
+/// verbatim, then the body. GET requests carry no body.
+std::string BuildHttpRequest(
+    std::string_view method, std::string_view target,
+    std::string_view body = {}, std::string_view content_type = "text/plain",
+    const std::vector<std::pair<std::string, std::string>>& extra_headers =
+        {});
+
 /// A blocking keep-alive connection to 127.0.0.1:port. Movable, not
 /// copyable; the socket closes on destruction.
 class LoopbackHttpClient {
@@ -41,8 +58,9 @@ class LoopbackHttpClient {
 
   /// Connects with a per-operation socket timeout: every send/recv on the
   /// connection fails with IoError after `timeout_ms` of no progress
-  /// instead of blocking forever — what the router's shard exchanges need
-  /// to bound a dead shard's damage. 0 keeps fully blocking sockets.
+  /// instead of blocking forever — what the fleet scraper and the WAL
+  /// tailer need to bound a dead peer's damage. 0 keeps fully blocking
+  /// sockets.
   static Result<LoopbackHttpClient> Connect(uint16_t port,
                                             uint32_t timeout_ms);
 
@@ -62,17 +80,8 @@ class LoopbackHttpClient {
           {});
 
   /// Issues `POST target` with a Content-Length body and reads the full
-  /// response: SendPost, then ReadResponse.
+  /// response.
   Result<HttpClientResponse> Post(
-      const std::string& target, std::string_view body,
-      std::string_view content_type = "text/plain",
-      const std::vector<std::pair<std::string, std::string>>& extra_headers =
-          {});
-
-  /// Writes `POST target` without reading the reply, so a caller can put
-  /// requests on several connections before awaiting any of them; the
-  /// reply is then read with ReadResponse.
-  Status SendPost(
       const std::string& target, std::string_view body,
       std::string_view content_type = "text/plain",
       const std::vector<std::pair<std::string, std::string>>& extra_headers =
@@ -85,7 +94,7 @@ class LoopbackHttpClient {
   /// but must still answer everything already sent.
   Status ShutdownWrite();
 
-  /// Reads one response off the wire (pairs with SendRaw and SendPost).
+  /// Reads one response off the wire (pairs with SendRaw).
   Result<HttpClientResponse> ReadResponse();
 
  private:
@@ -107,11 +116,16 @@ Result<HttpClientResponse> HttpPost(uint16_t port, const std::string& target,
 
 /// The number following `"key":` in `body`, searched from `*cursor` (or
 /// the start when null); `*cursor` advances past the key so repeated
-/// fields can be walked in order. The server emits doubles in shortest-
-/// round-trip form, so the value parses back bit-exact — the serving
-/// tests and bench compare it bitwise against direct QueryEngine results.
-/// Aborts (checked error) when the key is absent: these are verification
-/// helpers, not a JSON parser.
+/// fields can be walked in order. False when the key is absent or no
+/// number follows it. The server emits doubles in shortest-round-trip
+/// form, so the value parses back bit-exact — the router re-serializes
+/// shard answers through this, and the serving tests and bench compare
+/// it bitwise against direct QueryEngine results.
+bool ReadJsonNumber(const std::string& body, std::string_view key,
+                    double* out, size_t* cursor = nullptr);
+
+/// ReadJsonNumber for tests and benches: aborts (checked error) when the
+/// number is missing. A verification helper, not a JSON parser.
 double FindJsonNumber(const std::string& body, const std::string& key,
                       size_t* cursor = nullptr);
 

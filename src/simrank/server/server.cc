@@ -1,8 +1,10 @@
 #include "simrank/server/server.h"
 
-#include <cerrno>
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -14,65 +16,37 @@
 #include "simrank/common/string_util.h"
 #include "simrank/graph/graph_io.h"
 
-#if defined(__linux__)
-#define OIPSIM_HAVE_EPOLL 1
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 namespace simrank {
 namespace internal {
 
-/// Parsed arguments of one dispatchable query; only the fields of the
+/// Which /internal/* exchange op a dispatch carries (kNone for the public
+/// endpoints). Internal ops share the public endpoints' admission
+/// classes: walks/partial count against single_source, topk against topk,
+/// pair against pair.
+enum class InternalOp : uint8_t { kNone, kWalks, kPartial, kTopK, kPair };
+
+/// Parsed arguments of one dispatchable query: the public parameters plus
+/// what the internal ops and the worker need. Only the fields of the
 /// request's endpoint are meaningful. POST bodies travel raw and are
 /// parsed in the worker, so a large batch never stalls the event loop.
-struct QueryArgs {
-  VertexId a = 0;
-  VertexId b = 0;
-  VertexId v = 0;
-  uint32_t k = 10;
-  /// Which /internal/* exchange op this dispatch carries (kNone for the
-  /// public endpoints). Internal ops share the public endpoints'
-  /// admission classes: walks/partial count against single_source, topk
-  /// against topk, pair against pair.
-  enum class Internal : uint8_t { kNone, kWalks, kPartial, kTopK, kPair };
-  Internal internal = Internal::kNone;
+struct QueryArgs : PublicQuery {
+  InternalOp internal = InternalOp::kNone;
   /// Overlay sequence the router pinned this exchange to (internal ops
   /// except walks): the shard answers 409 when its published sequence
   /// differs, so a scatter-gather never merges mixed-version slices.
   uint64_t seq = 0;
   std::string body;
-  /// Tracing decisions, made on the loop thread so the worker needs no
-  /// access to the request. `trace_inline` is the only one allowed to
-  /// change a response body.
-  bool trace_inline = false;   // ?trace=1: trace JSON into the envelope
-  bool trace_header = false;   // X-Simrank-Trace: trace in response header
-  bool trace_sampled = false;  // coin flip / slow-query threshold
-  uint64_t trace_id = 0;
-  /// Request path, kept only for traced requests (slow-ring target).
-  std::string target;
-
-  bool traced() const { return trace_inline || trace_header || trace_sampled; }
+  /// Decided on the loop thread, so the worker needs no access to the
+  /// request.
+  TraceRequest trace;
 };
 
 }  // namespace internal
 
 namespace {
 
+using internal::InternalOp;
 using internal::QueryArgs;
-
-/// Backpressure bounds: when a connection's unsent responses or unparsed
-/// input exceed these, the loop stops *reading* it (TCP pushes back on the
-/// peer) until the backlog drains — no connection can buffer the server
-/// into the ground, which is what lets server.h promise bounded queues.
-constexpr size_t kMaxPendingOutputBytes = 4u << 20;
-constexpr size_t kInputBufferSlackBytes = 64u << 10;
 
 /// HTTP status + body for a query or update that failed inside the engine
 /// or updater. Parse errors are client errors here: the only parsed input
@@ -88,26 +62,11 @@ std::pair<int, std::string> EngineErrorResponse(const Status& status) {
           ErrorBody(StatusCodeToString(status.code()), status.message())};
 }
 
-/// The 200 body of a pair answer. The worker and the loop's cached-pair
-/// path both serialize through here, so they send the same bytes.
-std::string PairBody(VertexId a, VertexId b, double score) {
-  TraceScope serialize(TraceStage::kSerialize);
-  JsonWriter json;
-  json.BeginObject()
-      .Key("a")
-      .Uint(a)
-      .Key("b")
-      .Uint(b)
-      .Key("score")
-      .Double(score)
-      .EndObject();
-  return json.str();
-}
-
 std::pair<int, std::string> ExecutePair(QueryEngine& engine,
                                         const QueryArgs& args) {
   auto score = engine.Pair(args.a, args.b);
   if (!score.ok()) return EngineErrorResponse(score.status());
+  TraceScope serialize(TraceStage::kSerialize);
   return {200, PairBody(args.a, args.b, *score)};
 }
 
@@ -116,11 +75,7 @@ std::pair<int, std::string> ExecuteSingleSource(QueryEngine& engine,
   auto row = engine.SingleSource(args.v);
   if (!row.ok()) return EngineErrorResponse(row.status());
   TraceScope serialize(TraceStage::kSerialize);
-  JsonWriter json;
-  json.BeginObject().Key("v").Uint(args.v).Key("scores").BeginArray();
-  for (const double score : **row) json.Double(score);
-  json.EndArray().EndObject();
-  return {200, json.str()};
+  return {200, SingleSourceBody(args.v, **row)};
 }
 
 std::pair<int, std::string> ExecuteTopK(QueryEngine& engine,
@@ -128,49 +83,9 @@ std::pair<int, std::string> ExecuteTopK(QueryEngine& engine,
   auto top = engine.TopK(args.v, args.k);
   if (!top.ok()) return EngineErrorResponse(top.status());
   TraceScope serialize(TraceStage::kSerialize);
-  JsonWriter json;
-  json.BeginObject()
-      .Key("v")
-      .Uint(args.v)
-      .Key("k")
-      .Uint(args.k)
-      .Key("results")
-      .BeginArray();
-  for (const auto& scored : *top) {
-    json.BeginObject()
-        .Key("vertex")
-        .Uint(scored.vertex)
-        .Key("score")
-        .Double(scored.score)
-        .EndObject();
-  }
-  json.EndArray().EndObject();
-  return {200, json.str()};
+  return {200, TopKBody(args.v, args.k, *top)};
 }
 
-/// Rejects parameters the endpoint does not define (and duplicates), so a
-/// typo like `/v1/pair?a=1&c=2` fails loudly instead of querying b=0.
-bool CheckAllowedParams(const HttpRequest& request,
-                        std::initializer_list<const char*> allowed,
-                        std::string* error) {
-  std::vector<std::string_view> seen;
-  for (const auto& [key, value] : request.params) {
-    bool known = false;
-    for (const char* name : allowed) known = known || key == name;
-    if (!known) {
-      *error = StrFormat("unknown parameter '%s'", key.c_str());
-      return false;
-    }
-    for (const std::string_view earlier : seen) {
-      if (earlier == key) {
-        *error = StrFormat("duplicate parameter '%s'", key.c_str());
-        return false;
-      }
-    }
-    seen.push_back(key);
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -206,6 +121,81 @@ Result<std::vector<std::pair<VertexId, VertexId>>> ParsePairBatch(
   return pairs;
 }
 
+std::string PairBody(VertexId a, VertexId b, double score) {
+  JsonWriter json;
+  json.BeginObject()
+      .Key("a")
+      .Uint(a)
+      .Key("b")
+      .Uint(b)
+      .Key("score")
+      .Double(score)
+      .EndObject();
+  return json.str();
+}
+
+std::string SingleSourceBody(VertexId v, std::span<const double> scores) {
+  JsonWriter json;
+  json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
+  for (const double score : scores) json.Double(score);
+  json.EndArray().EndObject();
+  return json.str();
+}
+
+std::string TopKBody(VertexId v, uint32_t k,
+                     std::span<const ScoredVertex> top) {
+  JsonWriter json;
+  json.BeginObject()
+      .Key("v")
+      .Uint(v)
+      .Key("k")
+      .Uint(k)
+      .Key("results")
+      .BeginArray();
+  for (const ScoredVertex& scored : top) {
+    json.BeginObject()
+        .Key("vertex")
+        .Uint(scored.vertex)
+        .Key("score")
+        .Double(scored.score)
+        .EndObject();
+  }
+  json.EndArray().EndObject();
+  return json.str();
+}
+
+std::string BatchPairBody(std::span<const double> scores) {
+  JsonWriter json;
+  json.BeginObject()
+      .Key("count")
+      .Uint(scores.size())
+      .Key("scores")
+      .BeginArray();
+  for (const double score : scores) json.Double(score);
+  json.EndArray().EndObject();
+  return json.str();
+}
+
+std::string UpdateBody(const std::array<uint64_t, 5>& counts,
+                       std::string_view graph_fingerprint) {
+  JsonWriter json;
+  json.BeginObject()
+      .Key("applied")
+      .Uint(counts[0])
+      .Key("sequence")
+      .Uint(counts[1])
+      .Key("patched_vertices")
+      .Uint(counts[2])
+      .Key("changed_slots")
+      .Uint(counts[3])
+      .Key("graph_fingerprint")
+      .String(graph_fingerprint)
+      .Key("wal_records")
+      .Uint(counts[4])
+      .EndObject();
+  return json.str();
+}
+
 std::string ErrorBody(std::string_view code, std::string_view message) {
   JsonWriter json;
   json.BeginObject()
@@ -218,62 +208,6 @@ std::string ErrorBody(std::string_view code, std::string_view message) {
       .EndObject()
       .EndObject();
   return json.str();
-}
-
-Status ParseProfileParams(const HttpRequest& request, double* seconds,
-                          uint32_t* hz) {
-  std::string error;
-  if (!CheckAllowedParams(request, {"seconds", "hz"}, &error)) {
-    return Status::InvalidArgument(error);
-  }
-  *seconds = 2.0;
-  if (const std::string* raw = request.FindParam("seconds")) {
-    if (!ParseDouble(*raw, seconds) || !(*seconds > 0.0) ||
-        *seconds > CpuProfiler::kMaxSeconds) {
-      return Status::InvalidArgument(
-          StrFormat("parameter 'seconds' must be in (0, %g]",
-                    CpuProfiler::kMaxSeconds));
-    }
-  }
-  uint64_t rate = CpuProfiler::kDefaultHz;
-  if (const std::string* raw = request.FindParam("hz")) {
-    if (!ParseUint64(*raw, &rate) || rate == 0 ||
-        rate > CpuProfiler::kMaxHz) {
-      return Status::InvalidArgument(StrFormat(
-          "parameter 'hz' must be in [1, %u]", CpuProfiler::kMaxHz));
-    }
-  }
-  *hz = static_cast<uint32_t>(rate);
-  return Status::OK();
-}
-
-std::string RenderProfileReport(const ProfileReport& report) {
-  return StrFormat(
-             "# profile duration_seconds=%.3f frequency_hz=%u samples=%llu "
-             "dropped=%llu threads=%u\n",
-             report.duration_seconds, report.frequency_hz,
-             static_cast<unsigned long long>(report.total_samples),
-             static_cast<unsigned long long>(report.dropped_samples),
-             report.armed_threads) +
-         report.collapsed;
-}
-
-std::pair<int, std::string> AnswerTimeseries(const MetricsHistory* history,
-                                             const HttpRequest& request) {
-  if (history == nullptr) {
-    return {503, ErrorBody("Unavailable",
-                           "metrics history is disabled "
-                           "(--metrics-history=0)")};
-  }
-  const std::string* metric = request.FindParam("metric");
-  if (metric == nullptr) return {200, history->ListJson()};
-  uint64_t window = 0;  // 0 = the full configured window
-  const std::string* raw_window = request.FindParam("window");
-  if (raw_window != nullptr && !ParseUint64(*raw_window, &window)) {
-    return {400, ErrorBody("InvalidArgument",
-                           "parameter 'window' must be a span in seconds")};
-  }
-  return {200, history->QueryJson(*metric, window)};
 }
 
 void CollectBuildInfo(MetricSet& stats, std::string_view extra_labels) {
@@ -321,20 +255,14 @@ std::pair<int, std::string> ExecuteBatchPair(QueryEngine& engine,
       }
     }
   }
-  const auto answers = engine.BatchPair(*pairs);
-  for (const auto& answer : answers) {
+  std::vector<double> scores;
+  scores.reserve(pairs->size());
+  for (const auto& answer : engine.BatchPair(*pairs)) {
     if (!answer.ok()) return EngineErrorResponse(answer.status());
+    scores.push_back(*answer);
   }
   TraceScope serialize(TraceStage::kSerialize);
-  JsonWriter json;
-  json.BeginObject()
-      .Key("count")
-      .Uint(answers.size())
-      .Key("scores")
-      .BeginArray();
-  for (const auto& answer : answers) json.Double(*answer);
-  json.EndArray().EndObject();
-  return {200, json.str()};
+  return {200, BatchPairBody(scores)};
 }
 
 std::pair<int, std::string> ExecuteUpdate(IndexUpdater& updater,
@@ -344,22 +272,10 @@ std::pair<int, std::string> ExecuteUpdate(IndexUpdater& updater,
   const Status applied = updater.ApplyUpdates(*updates);
   if (!applied.ok()) return EngineErrorResponse(applied);
   const IndexUpdateStats stats = updater.stats();
-  JsonWriter json;
-  json.BeginObject()
-      .Key("applied")
-      .Uint(updates->size())
-      .Key("sequence")
-      .Uint(stats.overlay_sequence)
-      .Key("patched_vertices")
-      .Uint(stats.patched_vertices)
-      .Key("changed_slots")
-      .Uint(stats.changed_slots)
-      .Key("graph_fingerprint")
-      .String(FormatFingerprint(stats.current_graph_fingerprint))
-      .Key("wal_records")
-      .Uint(stats.wal_records)
-      .EndObject();
-  return {200, json.str()};
+  return {200, UpdateBody({updates->size(), stats.overlay_sequence,
+                           stats.patched_vertices, stats.changed_slots,
+                           stats.wal_records},
+                          FormatFingerprint(stats.current_graph_fingerprint))};
 }
 
 std::pair<int, std::string> ExecuteCompact(IndexUpdater& updater,
@@ -415,18 +331,10 @@ OverlayView SnapshotOverlay(const WalkIndex& index) {
   return view;
 }
 
-/// What a worker hands back for an /internal/* exchange: status and body
-/// like the public executors, plus a content type and the version headers
-/// the router cross-checks.
-struct ExchangeResponse {
-  int status = 500;
-  std::string body;
-  std::string content_type = "application/json";
-  std::vector<std::pair<std::string, std::string>> headers;
-};
-
-std::vector<std::pair<std::string, std::string>> ExchangeHeaders(
-    const OverlayView& view, const ServerOptions& options) {
+/// The version headers of every /internal/* answer, which the router
+/// cross-checks.
+HttpHeaders ExchangeHeaders(const OverlayView& view,
+                            const ServerOptions& options) {
   return {{"X-Graph-Fingerprint", FormatFingerprint(view.fingerprint)},
           {"X-Overlay-Sequence",
            StrFormat("%llu", static_cast<unsigned long long>(view.sequence))},
@@ -439,22 +347,22 @@ std::vector<std::pair<std::string, std::string>> ExchangeHeaders(
 /// native-endian walk rows in, native-endian score slices out — so the
 /// doubles that cross the wire are the exact bits the estimators
 /// produced; the router's merge is then bitwise by construction.
-ExchangeResponse ExecuteInternal(QueryEngine& engine,
-                                 const ServerOptions& options,
-                                 const QueryArgs& args) {
+HttpFrontend::Response ExecuteInternal(QueryEngine& engine,
+                                       const ServerOptions& options,
+                                       const QueryArgs& args) {
   const WalkIndex& index = engine.index();
   const ShardRange& range = options.shard_plan.shards[options.shard_id];
   const OverlayView view = SnapshotOverlay(index);
   const WalkStore& store = *view.at.store;
   const DeltaOverlay* overlay = view.at.overlay.get();
-  ExchangeResponse out;
+  HttpFrontend::Response out;
   out.headers = ExchangeHeaders(view, options);
   const uint32_t n = index.n();
   const size_t words =
       static_cast<size_t>(index.options().num_fingerprints) *
       (index.options().walk_length + 1);
 
-  if (args.internal == QueryArgs::Internal::kWalks) {
+  if (args.internal == InternalOp::kWalks) {
     if (!range.Contains(args.v)) {
       out.status = 421;
       out.body = ErrorBody(
@@ -499,7 +407,7 @@ ExchangeResponse ExecuteInternal(QueryEngine& engine,
   std::vector<uint32_t> row(words);
   std::memcpy(row.data(), args.body.data(), args.body.size());
 
-  if (args.internal == QueryArgs::Internal::kPair) {
+  if (args.internal == InternalOp::kPair) {
     if (!range.Contains(args.b)) {
       out.status = 421;
       out.body = ErrorBody(
@@ -537,7 +445,7 @@ ExchangeResponse ExecuteInternal(QueryEngine& engine,
   }
   const std::vector<double> full =
       index.EstimateSingleSourceWithRow(args.v, row, store, overlay);
-  if (args.internal == QueryArgs::Internal::kPartial) {
+  if (args.internal == InternalOp::kPartial) {
     out.status = 200;
     out.content_type = "application/octet-stream";
     out.body.assign(
@@ -572,8 +480,8 @@ ExchangeResponse ExecuteInternal(QueryEngine& engine,
 ///   + SRC DST            (NUM_UPDATES lines)
 ///   ...
 ///   end
-std::string BuildWalStreamBody(const IndexUpdater& updater, uint64_t from) {
-  const std::vector<WalRecord> records = updater.WalRecordsFrom(from);
+std::string BuildWalStreamBody(const IndexUpdater& updater, uint64_t from,
+                               const std::vector<WalRecord>& records) {
   const IndexUpdateStats stats = updater.stats();
   std::string out = StrFormat(
       "wal %zu %s\n", records.size(),
@@ -593,40 +501,29 @@ std::string BuildWalStreamBody(const IndexUpdater& updater, uint64_t from) {
 
 }  // namespace
 
+namespace {
+
+struct EndpointNames {
+  const char* path;
+  const char* name;
+};
+constexpr EndpointNames kEndpoints[kNumServerEndpoints] = {
+    {"/v1/pair", "pair"},
+    {"/v1/single_source", "single_source"},
+    {"/v1/topk", "topk"},
+    {"/v1/batch_pair", "batch_pair"},
+    {"/v1/update", "update"},
+    {"/v1/compact", "compact"},
+};
+
+}  // namespace
+
 const char* ServerEndpointPath(ServerEndpoint endpoint) {
-  switch (endpoint) {
-    case ServerEndpoint::kPair:
-      return "/v1/pair";
-    case ServerEndpoint::kSingleSource:
-      return "/v1/single_source";
-    case ServerEndpoint::kTopK:
-      return "/v1/topk";
-    case ServerEndpoint::kBatchPair:
-      return "/v1/batch_pair";
-    case ServerEndpoint::kUpdate:
-      return "/v1/update";
-    case ServerEndpoint::kCompact:
-      return "/v1/compact";
-  }
-  return "?";
+  return kEndpoints[static_cast<size_t>(endpoint)].path;
 }
 
 const char* ServerEndpointName(ServerEndpoint endpoint) {
-  switch (endpoint) {
-    case ServerEndpoint::kPair:
-      return "pair";
-    case ServerEndpoint::kSingleSource:
-      return "single_source";
-    case ServerEndpoint::kTopK:
-      return "topk";
-    case ServerEndpoint::kBatchPair:
-      return "batch_pair";
-    case ServerEndpoint::kUpdate:
-      return "update";
-    case ServerEndpoint::kCompact:
-      return "compact";
-  }
-  return "?";
+  return kEndpoints[static_cast<size_t>(endpoint)].name;
 }
 
 Status ServerOptions::Validate() const {
@@ -692,83 +589,18 @@ Status ServerOptions::Validate() const {
   return Status::OK();
 }
 
-/// Per-connection state owned by the event loop. A connection handles one
-/// dispatched query at a time (`awaiting`); pipelined requests stay
-/// buffered in `in` until the response of the previous one is queued, so
-/// responses always leave in request order.
-struct SimRankServer::Connection {
-  int fd = -1;
-  uint64_t id = 0;
-  std::string in;
-  std::string out;
-  size_t out_sent = 0;
-  /// A query is dispatched and its completion not yet queued.
-  bool awaiting = false;
-  /// Flush `out`, then close (error, Connection: close, drain).
-  bool close_after_flush = false;
-  /// The peer half-closed: no further reads, but every request already
-  /// buffered still gets its answer before the connection closes.
-  bool peer_eof = false;
-  /// Keep-alive decision of the request currently being answered.
-  bool request_keep_alive = true;
-  /// Events currently registered with epoll.
-  uint32_t epoll_events = 0;
-  /// Access-record capture of the request currently being answered: set
-  /// by RouteRequest (only with an event log), consumed and
-  /// cleared by QueueResponse. One dispatched query at a time per
-  /// connection keeps this a single slot.
-  uint64_t access_start_ns = 0;
-  uint64_t access_trace_id = 0;
-  std::string access_method;
-  std::string access_path;
-};
-
-/// A finished query's response: handed back to the loop thread by a
-/// worker, or built on it for an inline cached-pair answer.
-struct SimRankServer::Completion {
-  int fd = -1;
-  uint64_t connection_id = 0;
-  ServerEndpoint endpoint = ServerEndpoint::kPair;
-  int status = 500;
-  std::string body;
-  /// Internal exchange responses are binary and carry version headers;
-  /// public responses keep the JSON defaults.
-  std::string content_type = "application/json";
-  std::vector<std::pair<std::string, std::string>> headers;
-  /// True for worker-pool completions that passed admission control and
-  /// hold an inflight slot; false for out-of-band completions (the
-  /// deferred /v1/debug/profile capture), which must not decrement
-  /// counters they never incremented.
-  bool admission = true;
-};
-
 SimRankServer::SimRankServer(QueryEngine& engine,
                              const ServerOptions& options,
                              IndexUpdater* updater)
     : engine_(engine),
       options_(options),
       updater_(updater),
-      slow_log_(options.slow_ring_capacity),
-      pool_(options.threads) {}
-
-SimRankServer::~SimRankServer() {
-  // Diagnostics threads poll pool_ and call CollectStats; stop them
-  // here, before member destructors run (pool_ is declared after them and
-  // would be destroyed first).
-  StopDiagnostics();
-  // Workers may still be executing queries if Serve was never run to
-  // completion; let them finish (they only touch the engine, the
-  // completion queue and wake_fd_) before the fds go away.
-  pool_.Wait();
-#if OIPSIM_HAVE_EPOLL
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (reserve_fd_ >= 0) ::close(reserve_fd_);
-#endif
+      frontend_(
+          options_, [this] { return CollectStats(); },
+          [this] { return CollectStats().Families(); }) {
+  static_assert(kNumServerEndpoints <= HttpFrontend::kMaxAdmissionClasses);
+  frontend_.AddRoutes(Routes());
 }
-
-#if OIPSIM_HAVE_EPOLL
 
 Status SimRankServer::Bind() {
   OIPSIM_RETURN_IF_ERROR(options_.Validate());
@@ -792,504 +624,191 @@ Status SimRankServer::Bind() {
           FormatFingerprint(index.graph_fingerprint()).c_str()));
     }
   }
-  if (listen_fd_ >= 0) {
-    return Status::InvalidArgument("Bind() called twice");
-  }
-  OIPSIM_RETURN_IF_ERROR(diagnostics_.Open(options_.diagnostics));
-  sample_state_ = GenerateTraceId();
-
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("not an IPv4 bind address: " +
-                                   options_.bind_address);
-  }
-
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Status::IoError("socket() failed");
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::IoError(StrFormat("cannot bind %s:%u: %s",
-                                     options_.bind_address.c_str(),
-                                     options_.port, std::strerror(errno)));
-  }
-  if (::listen(fd, 128) != 0) {
-    ::close(fd);
-    return Status::IoError(StrFormat("listen() failed: %s",
-                                     std::strerror(errno)));
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) !=
-      0) {
-    ::close(fd);
-    return Status::IoError("getsockname() failed");
-  }
-  bound_port_ = ntohs(addr.sin_port);
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    ::close(fd);
-    return Status::IoError("epoll_create1/eventfd failed");
-  }
-  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-  listen_fd_ = fd;
-
-  epoll_event event = {};
-  event.events = EPOLLIN;
-  event.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &event);
-  event.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &event);
-  return Status::OK();
+  return frontend_.Bind();
 }
 
-void SimRankServer::Shutdown() {
-  stop_.store(true, std::memory_order_release);
-  if (wake_fd_ >= 0) {
-    const uint64_t one = 1;
-    // Async-signal-safe: a plain write on an eventfd. The return value is
-    // irrelevant — a full counter already wakes the loop.
-    [[maybe_unused]] const auto ignored =
-        ::write(wake_fd_, &one, sizeof(one));
-  }
-}
-
-Status SimRankServer::Serve() {
-  if (listen_fd_ < 0) {
-    return Status::InvalidArgument("Serve() requires a successful Bind()");
-  }
-  // The loop thread itself shows up in profiles, and its kernel tid is
-  // what the watchdog annotates stall warnings with.
-  ScopedProfiledThread profiled_loop("epoll-loop");
-  StartDiagnostics();
-  // An armed watchdog needs the idle loop to keep beating: cap the epoll
-  // wait at the watchdog poll interval instead of blocking forever.
-  const int idle_timeout_ms =
-      options_.watchdog_interval_ms > 0
-          ? static_cast<int>(options_.watchdog_interval_ms)
-          : -1;
-  epoll_event events[64];
-  while (true) {
-    watchdog_.Beat();
-    if (stop_.load(std::memory_order_acquire) && !draining_) {
-      draining_ = true;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    if (draining_) {
-      // Idle keep-alive connections have nothing left to say; everything
-      // else drains through its completion + flush.
-      std::vector<Connection*> idle;
-      for (auto& [fd, conn] : connections_) {
-        if (!conn->awaiting && conn->out_sent == conn->out.size()) {
-          idle.push_back(conn.get());
-        }
-      }
-      for (Connection* conn : idle) CloseConnection(conn);
-      if (connections_.empty() && inflight_ == 0) {
-        StopDiagnostics();
-        return Status::OK();
-      }
-    }
-    const int ready =
-        ::epoll_wait(epoll_fd_, events, 64,
-                     /*timeout_ms=*/draining_ ? 50 : idle_timeout_ms);
-    if (ready < 0 && errno != EINTR) {
-      StopDiagnostics();
-      return Status::IoError(StrFormat("epoll_wait failed: %s",
-                                       std::strerror(errno)));
-    }
-    for (int i = 0; i < ready; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
-        uint64_t drained = 0;
-        [[maybe_unused]] const auto ignored =
-            ::read(wake_fd_, &drained, sizeof(drained));
-        continue;
-      }
-      if (fd == listen_fd_) {
-        HandleAccept();
-        continue;
-      }
-      auto it = connections_.find(fd);
-      if (it == connections_.end()) continue;  // closed earlier this batch
-      Connection* conn = it->second.get();
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        if (conn->awaiting || conn->out_sent < conn->out.size()) {
-          // Let the completion/flush path observe the error itself.
-        } else {
-          CloseConnection(conn);
-          continue;
-        }
-      }
-      if (events[i].events & EPOLLIN) HandleReadable(conn);
-      it = connections_.find(fd);
-      if (it == connections_.end() || it->second.get() != conn) continue;
-      if (events[i].events & EPOLLOUT) HandleWritable(conn);
-    }
-    DrainCompletions();
-  }
-}
-
-void SimRankServer::HandleAccept() {
-  while (true) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if ((errno == EMFILE || errno == ENFILE) && reserve_fd_ >= 0) {
-        // Out of fds: the pending connection would keep the level-
-        // triggered listener readable forever. Spend the reserve fd to
-        // accept-and-shed it, then re-arm the reserve.
-        ::close(reserve_fd_);
-        reserve_fd_ = -1;
-        const int shed = ::accept4(listen_fd_, nullptr, nullptr,
-                                   SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (shed >= 0) ::close(shed);
-        reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-        continue;
-      }
-      return;  // EAGAIN, or a transient accept failure
-    }
-    stat_connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (connections_.size() >= options_.max_connections) {
-      // Beyond the connection cap there is no buffer to even parse a
-      // request from; shedding at accept keeps existing traffic intact.
-      ::close(fd);
-      continue;
-    }
-    const int enable = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->id = next_connection_id_++;
-    conn->epoll_events = EPOLLIN;
-    epoll_event event = {};
-    event.events = EPOLLIN;
-    event.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
-    connections_.emplace(fd, std::move(conn));
-    stat_connections_open_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void SimRankServer::HandleReadable(Connection* conn) {
-  char buffer[4096];
-  // The budget covers a full head plus the largest admissible body — a
-  // request the parser would accept must be able to buffer completely, or
-  // the read-side backpressure below would deadlock it.
-  const size_t input_cap = options_.http.max_request_bytes +
-                           options_.http.max_body_bytes +
-                           kInputBufferSlackBytes;
-  while (conn->in.size() < input_cap) {
-    const ssize_t got = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-    if (got > 0) {
-      conn->in.append(buffer, static_cast<size_t>(got));
-      continue;
-    }
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (got < 0) {
-      CloseConnection(conn);  // hard error; nothing is deliverable
-      return;
-    }
-    conn->peer_eof = true;  // orderly half-close: answer, then close
-    break;
-  }
-  ProcessBufferedRequests(conn);
-}
-
-void SimRankServer::ProcessBufferedRequests(Connection* conn) {
-  // One dispatched query per connection at a time; the rest of the
-  // pipeline waits buffered so responses preserve request order. Parsing
-  // also pauses while the unsent-output backlog is over the cap — a
-  // pipelining client that never reads cannot make `out` grow without
-  // bound, it just stops being read itself.
-  while (!conn->awaiting && !conn->close_after_flush &&
-         conn->out.size() - conn->out_sent < kMaxPendingOutputBytes) {
-    HttpRequest request;
-    const HttpParseStatus parsed =
-        ParseHttpRequest(conn->in, options_.http, &request);
-    if (parsed.outcome == HttpParseStatus::kNeedMore) break;
-    if (parsed.outcome == HttpParseStatus::kError) {
-      conn->request_keep_alive = false;
-      QueueErrorResponse(conn, parsed.error_status, parsed.error_message);
-      break;
-    }
-    conn->in.erase(0, parsed.consumed);
-    conn->request_keep_alive = request.keep_alive;
-    RouteRequest(conn, request);
-  }
-  if (MaybeCloseAfterEof(conn)) return;
-  UpdateEpoll(conn);
-}
-
-/// After a half-close, the connection lives exactly until its buffered
-/// requests are answered and flushed. Returns true when it closed `conn`.
-bool SimRankServer::MaybeCloseAfterEof(Connection* conn) {
-  if (!conn->peer_eof) return false;
-  if (conn->awaiting || conn->out_sent < conn->out.size()) return false;
-  // Nothing in flight, everything flushed; whatever remains buffered is an
-  // incomplete request head that can never complete.
-  CloseConnection(conn);
-  return true;
-}
-
-void SimRankServer::RouteRequest(Connection* conn,
-                                 const HttpRequest& request) {
-  if (diagnostics_.log() != nullptr) {
-    conn->access_start_ns = TraceNowNanos();
-    conn->access_trace_id = 0;
-    conn->access_method = request.method;
-    conn->access_path = request.path;
-  }
-  // /v1/debug/profile parks the connection while a dedicated capture
-  // thread runs the sampling session; everything about it (method checks,
-  // params, the 409 busy answer) is handled out of line.
-  if (request.path == "/v1/debug/profile") {
-    HandleProfileRequest(conn, request);
-    return;
-  }
-  // Inline endpoints: answered on the loop thread, GET only.
-  const bool is_inline = request.path == "/healthz" ||
-                         request.path == "/v1/stats" ||
-                         request.path == "/metrics" ||
-                         request.path == "/v1/wal" ||
-                         request.path == "/v1/debug/slow" ||
-                         request.path == "/v1/debug/timeseries" ||
-                         (options_.debug_stall_limit_ms > 0 &&
-                          request.path == "/v1/debug/stall");
-  // The /internal/* exchange endpoints exist only in the shard role; a
-  // standalone server 404s them like any unknown path.
-  const bool is_internal =
-      options_.sharded && (request.path == "/internal/walks" ||
-                           request.path == "/internal/partial" ||
-                           request.path == "/internal/topk" ||
-                           request.path == "/internal/pair");
-  // Dispatchable endpoints and the method each accepts.
-  ServerEndpoint endpoint = ServerEndpoint::kPair;
-  bool known = false;
+std::vector<HttpFrontend::Route> SimRankServer::Routes() {
+  // A query route's admission class is its endpoint.
+  auto query = [this](InternalOp op) {
+    return [this, op](Connection* conn, const HttpRequest& request,
+                      int admission) {
+      DispatchQuery(conn, request, static_cast<ServerEndpoint>(admission), op);
+    };
+  };
+  std::vector<HttpFrontend::Route> routes;
   for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
-    const auto candidate = static_cast<ServerEndpoint>(i);
-    if (request.path == ServerEndpointPath(candidate)) {
-      endpoint = candidate;
-      known = true;
-      break;
+    const auto endpoint = static_cast<ServerEndpoint>(i);
+    const bool post = endpoint == ServerEndpoint::kBatchPair ||
+                      endpoint == ServerEndpoint::kUpdate ||
+                      endpoint == ServerEndpoint::kCompact;
+    routes.push_back({ServerEndpointPath(endpoint), post ? "POST" : "GET",
+                      static_cast<int>(i), query(InternalOp::kNone)});
+  }
+  // The /internal/* exchange endpoints exist only in the shard role; a
+  // standalone server 404s them like any unknown path. Each rides the
+  // public admission class of the work it stands in for: row fetch and
+  // partial row under single_source, slice top-k under topk, one-sided
+  // pair under pair.
+  if (options_.sharded) {
+    const std::pair<const char*, InternalOp> ops[] = {
+        {"/internal/walks", InternalOp::kWalks},
+        {"/internal/partial", InternalOp::kPartial},
+        {"/internal/topk", InternalOp::kTopK},
+        {"/internal/pair", InternalOp::kPair}};
+    for (const auto& [path, op] : ops) {
+      const ServerEndpoint endpoint =
+          op == InternalOp::kTopK  ? ServerEndpoint::kTopK
+          : op == InternalOp::kPair ? ServerEndpoint::kPair
+                                    : ServerEndpoint::kSingleSource;
+      routes.push_back({path, op == InternalOp::kWalks ? "GET" : "POST",
+                        static_cast<int>(endpoint), query(op)});
     }
   }
-  if (!is_inline && !known && !is_internal) {
-    QueueResponse(conn, 404,
-                  ErrorBody("NotFound", "no such endpoint: " + request.path));
-    return;
-  }
-  const bool wants_post =
-      (known && (endpoint == ServerEndpoint::kBatchPair ||
-                 endpoint == ServerEndpoint::kUpdate ||
-                 endpoint == ServerEndpoint::kCompact)) ||
-      (is_internal && request.path != "/internal/walks");
-  const char* allowed = wants_post ? "POST" : "GET";
-  if (request.method != allowed) {
-    QueueResponse(conn, 405,
-                  ErrorBody("MethodNotAllowed",
-                            StrFormat("%s only accepts %s",
-                                      request.path.c_str(), allowed)),
-                  {{"Allow", allowed}});
-    return;
-  }
-  if (!wants_post && !request.body.empty()) {
-    QueueErrorResponse(conn, 400, "GET endpoints take no request body");
-    return;
-  }
-
-  if (request.path == "/healthz") {
-    stat_requests_healthz_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, "ok\n", {}, "text/plain");
-    return;
-  }
-  if (request.path == "/v1/stats") {
-    stat_requests_stats_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, CollectStats().ToJson());
-    return;
-  }
-  if (request.path == "/metrics") {
-    stat_requests_metrics_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, PrometheusText(CollectStats().Families()), {},
-                  "text/plain; version=0.0.4");
-    return;
-  }
-  if (request.path == "/v1/debug/slow") {
-    stat_requests_debug_slow_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, BuildSlowBody());
-    return;
-  }
-  if (request.path == "/v1/debug/timeseries") {
-    stat_requests_debug_timeseries_.fetch_add(1, std::memory_order_relaxed);
-    const auto [status, body] =
-        AnswerTimeseries(diagnostics_.history(), request);
-    QueueResponse(conn, status, body);
-    return;
-  }
-  if (request.path == "/v1/debug/stall") {
+  routes.push_back(
+      {"/v1/wal", "GET", HttpFrontend::kNoAdmission,
+       [this](Connection* conn, const HttpRequest& request, int) {
+         stat_requests_wal_.fetch_add(1, std::memory_order_relaxed);
+         if (updater_ == nullptr) {
+           frontend_.Answer(conn, 503,
+                            ErrorBody("Unavailable",
+                                      "this server keeps no WAL (started "
+                                      "without --graph/--wal); nothing to "
+                                      "ship"));
+           return;
+         }
+         uint64_t from = 0;
+         uint64_t fingerprint = 0;
+         const std::string* raw = request.FindParam("from");
+         const std::string* raw_fingerprint = request.FindParam("fingerprint");
+         if (raw != nullptr && !ParseUint64(*raw, &from)) {
+           frontend_.AnswerError(conn, 400,
+                                 "parameter 'from' must be a record index");
+           return;
+         }
+         if (raw_fingerprint != nullptr &&
+             !ParseFingerprint(*raw_fingerprint, &fingerprint)) {
+           frontend_.AnswerError(conn, 400,
+                                 "parameter 'fingerprint' must be a graph "
+                                 "fingerprint (16 hex digits)");
+           return;
+         }
+         // Served inline: WalRecordsFrom copies under its own mutex and
+         // never waits behind a patch, so a replica's poll cadence cannot
+         // be starved by busy workers.
+         auto records = updater_->WalRecordsFrom(from, fingerprint);
+         if (!records.ok()) {
+           frontend_.Answer(conn, 409, ErrorBody("Conflict",
+                                                 records.status().message()));
+           return;
+         }
+         frontend_.Answer(conn, 200,
+                          BuildWalStreamBody(*updater_, from, *records), {},
+                          "text/plain");
+       }});
+  routes.push_back(
+      {"/v1/debug/slow", "GET", HttpFrontend::kNoAdmission,
+       [this](Connection* conn, const HttpRequest&, int) {
+         stat_requests_debug_slow_.fetch_add(1, std::memory_order_relaxed);
+         frontend_.Answer(conn, 200, BuildSlowBody());
+       }});
+  if (options_.debug_stall_limit_ms > 0) {
     // Test-only (armed by --debug-stall-limit-ms): block the loop thread
     // itself so watchdog stall detection can be exercised deterministically.
-    uint64_t ms = options_.debug_stall_limit_ms;
-    const std::string* raw_ms = request.FindParam("ms");
-    if (raw_ms != nullptr && !ParseUint64(*raw_ms, &ms)) {
-      QueueErrorResponse(conn, 400,
-                         "parameter 'ms' must be a duration in milliseconds");
-      return;
-    }
-    ms = std::min<uint64_t>(ms, options_.debug_stall_limit_ms);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    QueueResponse(conn, 200,
-                  StrFormat("{\"stalled_ms\":%llu}",
-                            static_cast<unsigned long long>(ms)));
-    return;
+    routes.push_back(
+        {"/v1/debug/stall", "GET", HttpFrontend::kNoAdmission,
+         [this](Connection* conn, const HttpRequest& request, int) {
+           uint64_t ms = options_.debug_stall_limit_ms;
+           const std::string* raw_ms = request.FindParam("ms");
+           if (raw_ms != nullptr && !ParseUint64(*raw_ms, &ms)) {
+             frontend_.AnswerError(
+                 conn, 400,
+                 "parameter 'ms' must be a duration in milliseconds");
+             return;
+           }
+           ms = std::min<uint64_t>(ms, options_.debug_stall_limit_ms);
+           std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+           frontend_.Answer(conn, 200,
+                            StrFormat("{\"stalled_ms\":%llu}",
+                                      static_cast<unsigned long long>(ms)));
+         }});
   }
-  if (request.path == "/v1/wal") {
-    stat_requests_wal_.fetch_add(1, std::memory_order_relaxed);
-    if (updater_ == nullptr) {
-      QueueResponse(conn, 503,
-                    ErrorBody("Unavailable",
-                              "this server keeps no WAL (started without "
-                              "--graph/--wal); nothing to ship"));
-      return;
-    }
-    uint64_t from = 0;
-    const std::string* raw = request.FindParam("from");
-    if (raw != nullptr && !ParseUint64(*raw, &from)) {
-      QueueErrorResponse(conn, 400,
-                         "parameter 'from' must be a record index");
-      return;
-    }
-    // Served inline: WalRecordsFrom copies under its own mutex and never
-    // waits behind a patch, so a replica's poll cadence cannot be starved
-    // by busy workers.
-    QueueResponse(conn, 200, BuildWalStreamBody(*updater_, from), {},
-                  "text/plain");
-    return;
-  }
-
-  if (options_.replica && (endpoint == ServerEndpoint::kUpdate ||
-                           endpoint == ServerEndpoint::kCompact)) {
-    QueueResponse(
-        conn, 403,
-        ErrorBody("Forbidden",
-                  "this server is a replica; it applies batches by tailing "
-                  "its primary's WAL, never by direct writes"));
-    return;
-  }
-  if (options_.sharded && !is_internal) {
-    const ShardRange& range =
-        options_.shard_plan.shards[options_.shard_id];
-    const bool partial_shard =
-        range.begin != 0 || range.end != engine_.index().n();
-    if (partial_shard && (endpoint == ServerEndpoint::kSingleSource ||
-                          endpoint == ServerEndpoint::kTopK)) {
-      QueueResponse(
-          conn, 421,
-          ErrorBody("Misdirected",
-                    StrFormat("%s spans every shard; this shard serves "
-                              "only [%u, %u) — ask the router",
-                              request.path.c_str(), range.begin,
-                              range.end)));
-      return;
-    }
-  }
-
-  if ((endpoint == ServerEndpoint::kUpdate ||
-       endpoint == ServerEndpoint::kCompact) &&
-      updater_ == nullptr) {
-    QueueResponse(
-        conn, 503,
-        ErrorBody("Unavailable",
-                  "dynamic updates are disabled: the server was started "
-                  "without an update log (--graph/--wal)"));
-    return;
-  }
-  if (is_internal) {
-    // Internal exchanges ride the public admission classes of the work
-    // they stand in for: row fetch / partial row under single_source,
-    // slice top-k under topk, one-sided pair under pair.
-    endpoint = request.path == "/internal/topk" ? ServerEndpoint::kTopK
-               : request.path == "/internal/pair"
-                   ? ServerEndpoint::kPair
-                   : ServerEndpoint::kSingleSource;
-  }
-  DispatchQuery(conn, endpoint, request);
+  return routes;
 }
 
 namespace {
 
-/// Parses the required uint32 parameter `name`, appending a 400-worthy
-/// message to `error` when missing or malformed.
-bool ParseVertexParam(const HttpRequest& request, const char* name,
-                      uint32_t* out, std::string* error) {
+/// Parses the required parameter `name` into `*out` (a vertex id, a k or
+/// an overlay sequence), setting a 400-worthy `error` when it is missing,
+/// malformed or wider than `*out`.
+template <typename T>
+bool ParseUintParam(const HttpRequest& request, const char* name, T* out,
+                    std::string* error) {
   const std::string* raw = request.FindParam(name);
   if (raw == nullptr) {
     *error = StrFormat("missing required parameter '%s'", name);
     return false;
   }
   uint64_t value = 0;
-  if (!ParseUint64(*raw, &value) || value > UINT32_MAX) {
-    *error = StrFormat("parameter '%s' must be a vertex id, got '%s'", name,
-                       raw->c_str());
-    return false;
-  }
-  *out = static_cast<uint32_t>(value);
-  return true;
-}
-
-/// Parses the required uint64 parameter `name` (overlay sequences).
-bool ParseSeqParam(const HttpRequest& request, const char* name,
-                   uint64_t* out, std::string* error) {
-  const std::string* raw = request.FindParam(name);
-  if (raw == nullptr) {
-    *error = StrFormat("missing required parameter '%s'", name);
-    return false;
-  }
-  if (!ParseUint64(*raw, out)) {
-    *error = StrFormat("parameter '%s' must be an unsigned integer, got "
-                       "'%s'",
+  if (!ParseUint64(*raw, &value) || value > std::numeric_limits<T>::max()) {
+    *error = StrFormat(sizeof(T) == 4
+                           ? "parameter '%s' must be a vertex id, got '%s'"
+                           : "parameter '%s' must be an unsigned integer, "
+                             "got '%s'",
                        name, raw->c_str());
     return false;
   }
+  *out = static_cast<T>(value);
   return true;
+}
+
+/// Parses an /internal/* exchange's parameters into `args`.
+bool ParseInternalParams(const HttpRequest& request, InternalOp op,
+                         QueryArgs* args, std::string* error) {
+  switch (op) {
+    case InternalOp::kWalks:
+      return CheckAllowedParams(request, {"v"}, error) &&
+             ParseUintParam(request, "v", &args->v, error);
+    case InternalOp::kPartial:
+      return CheckAllowedParams(request, {"v", "seq"}, error) &&
+             ParseUintParam(request, "v", &args->v, error) &&
+             ParseUintParam(request, "seq", &args->seq, error);
+    case InternalOp::kTopK:
+      return CheckAllowedParams(request, {"v", "k", "seq"}, error) &&
+             ParseUintParam(request, "v", &args->v, error) &&
+             ParseUintParam(request, "seq", &args->seq, error) &&
+             (request.FindParam("k") == nullptr ||
+              ParseUintParam(request, "k", &args->k, error));
+    case InternalOp::kPair:
+      return CheckAllowedParams(request, {"b", "seq"}, error) &&
+             ParseUintParam(request, "b", &args->b, error) &&
+             ParseUintParam(request, "seq", &args->seq, error);
+    case InternalOp::kNone:
+      break;
+  }
+  return false;
 }
 
 }  // namespace
 
 Status ParsePublicQuery(const HttpRequest& request, ServerEndpoint endpoint,
                         PublicQuery* out) {
-  const bool is_get = endpoint == ServerEndpoint::kPair ||
-                      endpoint == ServerEndpoint::kSingleSource ||
-                      endpoint == ServerEndpoint::kTopK;
-  if (is_get && !request.body.empty()) {
-    return Status::InvalidArgument("GET endpoints take no request body");
-  }
   std::string error;
   bool ok = false;
   switch (endpoint) {
     case ServerEndpoint::kPair:
       ok = CheckAllowedParams(request, {"a", "b", "trace"}, &error) &&
-           ParseVertexParam(request, "a", &out->a, &error) &&
-           ParseVertexParam(request, "b", &out->b, &error);
+           ParseUintParam(request, "a", &out->a, &error) &&
+           ParseUintParam(request, "b", &out->b, &error);
       break;
     case ServerEndpoint::kSingleSource:
       ok = CheckAllowedParams(request, {"v", "trace"}, &error) &&
-           ParseVertexParam(request, "v", &out->v, &error);
+           ParseUintParam(request, "v", &out->v, &error);
       break;
     case ServerEndpoint::kTopK:
       ok = CheckAllowedParams(request, {"v", "k", "trace"}, &error) &&
-           ParseVertexParam(request, "v", &out->v, &error);
-      if (ok && request.FindParam("k") != nullptr) {
-        ok = ParseVertexParam(request, "k", &out->k, &error);
-      }
+           ParseUintParam(request, "v", &out->v, &error) &&
+           (request.FindParam("k") == nullptr ||
+            ParseUintParam(request, "k", &out->k, &error));
       break;
     case ServerEndpoint::kBatchPair:
     case ServerEndpoint::kUpdate:
@@ -1312,101 +831,69 @@ Status ParsePublicQuery(const HttpRequest& request, ServerEndpoint endpoint,
   return Status::OK();
 }
 
-void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
-                                  const HttpRequest& request) {
+void SimRankServer::DispatchQuery(Connection* conn,
+                                  const HttpRequest& request,
+                                  ServerEndpoint endpoint, InternalOp op) {
+  const bool write = endpoint == ServerEndpoint::kUpdate ||
+                     endpoint == ServerEndpoint::kCompact;
+  if (write && options_.replica) {
+    frontend_.Answer(
+        conn, 403,
+        ErrorBody("Forbidden",
+                  "this server is a replica; it applies batches by tailing "
+                  "its primary's WAL, never by direct writes"));
+    return;
+  }
+  if (op == InternalOp::kNone && options_.sharded &&
+      (endpoint == ServerEndpoint::kSingleSource ||
+       endpoint == ServerEndpoint::kTopK)) {
+    const ShardRange& range = options_.shard_plan.shards[options_.shard_id];
+    if (range.begin != 0 || range.end != engine_.index().n()) {
+      frontend_.Answer(
+          conn, 421,
+          ErrorBody("Misdirected",
+                    StrFormat("%s spans every shard; this shard serves "
+                              "only [%u, %u) — ask the router",
+                              request.path.c_str(), range.begin,
+                              range.end)));
+      return;
+    }
+  }
+  if (write && updater_ == nullptr) {
+    frontend_.Answer(
+        conn, 503,
+        ErrorBody("Unavailable",
+                  "dynamic updates are disabled: the server was started "
+                  "without an update log (--graph/--wal)"));
+    return;
+  }
   const auto slot = static_cast<size_t>(endpoint);
   stat_requests_[slot].fetch_add(1, std::memory_order_relaxed);
 
   QueryArgs args;
+  args.internal = op;
   std::string error;
   bool params_ok = false;
-  if (StartsWith(request.path, "/internal/")) {
-    if (request.path == "/internal/walks") {
-      args.internal = QueryArgs::Internal::kWalks;
-      params_ok = CheckAllowedParams(request, {"v"}, &error) &&
-                  ParseVertexParam(request, "v", &args.v, &error);
-    } else if (request.path == "/internal/partial") {
-      args.internal = QueryArgs::Internal::kPartial;
-      params_ok = CheckAllowedParams(request, {"v", "seq"}, &error) &&
-                  ParseVertexParam(request, "v", &args.v, &error) &&
-                  ParseSeqParam(request, "seq", &args.seq, &error);
-    } else if (request.path == "/internal/topk") {
-      args.internal = QueryArgs::Internal::kTopK;
-      params_ok = CheckAllowedParams(request, {"v", "k", "seq"}, &error) &&
-                  ParseVertexParam(request, "v", &args.v, &error) &&
-                  ParseSeqParam(request, "seq", &args.seq, &error);
-      if (params_ok && request.FindParam("k") != nullptr) {
-        params_ok = ParseVertexParam(request, "k", &args.k, &error);
-      }
-    } else {
-      args.internal = QueryArgs::Internal::kPair;
-      params_ok = CheckAllowedParams(request, {"b", "seq"}, &error) &&
-                  ParseVertexParam(request, "b", &args.b, &error) &&
-                  ParseSeqParam(request, "seq", &args.seq, &error);
-    }
-    args.body = request.body;
+  if (op != InternalOp::kNone) {
+    params_ok = ParseInternalParams(request, op, &args, &error);
   } else {
-    PublicQuery query;
-    const Status parsed = ParsePublicQuery(request, endpoint, &query);
+    const Status parsed = ParsePublicQuery(request, endpoint, &args);
     params_ok = parsed.ok();
     if (!params_ok) error = parsed.message();
-    args.a = query.a;
-    args.b = query.b;
-    args.v = query.v;
-    args.k = query.k;
-    args.trace_inline = query.trace_inline;
-    args.body = request.body;
   }
+  args.body = request.body;
   if (!params_ok) {
-    QueueErrorResponse(conn, 400, error);
+    frontend_.AnswerError(conn, 400, error);
     return;
   }
-  // X-Simrank-Trace activates tracing without touching the body: the
-  // trace comes back in the X-Simrank-Trace-Json response header. This is
-  // how the router threads one trace id through its shard fan-out (the
-  // /internal/* bodies are binary and must stay byte-exact).
-  if (const std::string* header = request.FindHeader("x-simrank-trace")) {
-    uint64_t id = 0;
-    if (ParseTraceId(*header, &id)) {
-      args.trace_header = true;
-      args.trace_id = id;
-    }
-  }
-  // Ambient tracing: every request when a slow-query threshold is armed
-  // (the slow ones must already have a trace by the time they turn out
-  // slow), else a trace_sample coin flip.
-  if (options_.slow_query_us > 0) {
-    args.trace_sampled = true;
-  } else if (options_.trace_sample > 0.0) {
-    // xorshift64*: cheap, loop-thread-only, statistical only.
-    sample_state_ ^= sample_state_ >> 12;
-    sample_state_ ^= sample_state_ << 25;
-    sample_state_ ^= sample_state_ >> 27;
-    const uint64_t draw = sample_state_ * 0x2545F4914F6CDD1Dull;
-    args.trace_sampled =
-        static_cast<double>(draw >> 11) * 0x1.0p-53 < options_.trace_sample;
-  }
-  const bool traced = args.traced();
-  if (traced) {
-    if (args.trace_id == 0) args.trace_id = GenerateTraceId();
-    // Reassembled path + query (the parser splits the raw target) so slow
-    // captures name the exact request.
-    args.target = request.path;
-    for (size_t i = 0; i < request.params.size(); ++i) {
-      args.target += i == 0 ? '?' : '&';
-      args.target += request.params[i].first;
-      args.target += '=';
-      args.target += request.params[i].second;
-    }
-    if (diagnostics_.log() != nullptr) conn->access_trace_id = args.trace_id;
-  }
-  if (options_.sharded && args.internal == QueryArgs::Internal::kNone &&
+  frontend_.ActivateTrace(conn, request, args.trace_inline, &args.trace);
+  if (options_.sharded && op == InternalOp::kNone &&
       endpoint == ServerEndpoint::kPair) {
     // A shard's pair answer is exact only when both rows are local.
     const ShardRange& range =
         options_.shard_plan.shards[options_.shard_id];
     if (!range.Contains(args.a) || !range.Contains(args.b)) {
-      QueueResponse(
+      frontend_.Answer(
           conn, 421,
           ErrorBody("Misdirected",
                     StrFormat("pair (%u, %u) is not fully inside this "
@@ -1421,382 +908,113 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
   // A pair whose answer sits in a fresh cached row costs one row load:
   // answer it here, with no worker hand-off and no admission (like
   // /healthz). A miss, and every other query, goes to the pool.
-  if (endpoint == ServerEndpoint::kPair &&
-      args.internal == QueryArgs::Internal::kNone &&
+  if (endpoint == ServerEndpoint::kPair && op == InternalOp::kNone &&
       AnswerPairFromCache(conn, args, dispatched_at)) {
     return;
   }
-
-  // Admission control: bounded queues, never buffered overload. The global
-  // cap answers 429 (the client is fanning out faster than the pool
-  // drains), the per-endpoint cap 503 (this endpoint specifically is
-  // saturated); both tell the client when to come back.
-  const std::vector<std::pair<std::string, std::string>> retry_after = {
-      {"Retry-After", StrFormat("%u", options_.retry_after_seconds)}};
-  if (inflight_ >= options_.max_inflight) {
-    stat_rejected_inflight_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        conn, 429,
-        ErrorBody("Overloaded",
-                  StrFormat("server is at its in-flight cap (%u); retry",
-                            options_.max_inflight)),
-        retry_after);
+  if (!frontend_.Admit(conn, static_cast<int>(slot),
+                       ServerEndpointPath(endpoint))) {
     return;
   }
-  if (endpoint_inflight_[slot] >= options_.max_endpoint_inflight) {
-    stat_rejected_endpoint_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        conn, 503,
-        ErrorBody("Overloaded",
-                  StrFormat("endpoint %s is at its in-flight cap (%u); retry",
-                            ServerEndpointPath(endpoint),
-                            options_.max_endpoint_inflight)),
-        retry_after);
-    return;
-  }
-
-  ++inflight_;
-  ++endpoint_inflight_[slot];
-  stat_inflight_.store(inflight_, std::memory_order_relaxed);
-  conn->awaiting = true;
-  const int fd = conn->fd;
-  const uint64_t connection_id = conn->id;
   // One clock read per *traced* dispatch; untraced requests skip it.
-  const uint64_t dispatch_ns = traced ? TraceNowNanos() : 0;
-  pool_.Submit([this, fd, connection_id, endpoint, dispatched_at,
-                dispatch_ns, args = std::move(args)] {
-    // Queue-wait component of latency: dispatch to the moment a worker
-    // actually picks the query up. Recorded before the synthetic
-    // handler delay so tests measure real scheduling, not the injection.
-    dispatch_latency_.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - dispatched_at)
-            .count()));
-    if (options_.handler_delay_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.handler_delay_ms));
-    }
-    const bool traced = args.traced();
-    std::optional<TraceRecorder> recorder;
-    if (traced) recorder.emplace(args.trace_id);
-    Completion completion;
-    completion.fd = fd;
-    completion.connection_id = connection_id;
-    completion.endpoint = endpoint;
-    {
-      // Bound for the duration of the query: every TraceScope/TraceAdd
-      // down in the engine lands in this recorder (or no-ops when null).
-      TraceBinding binding(traced ? &*recorder : nullptr);
-      if (traced) {
-        recorder->AddCompletedSpan(TraceStage::kQueueWait, dispatch_ns,
-                                   TraceNowNanos() - dispatch_ns);
-      }
-      TraceScope root(TraceStage::kRequest, ServerEndpointName(endpoint));
-      if (args.internal != QueryArgs::Internal::kNone) {
-        ExchangeResponse exchange =
-            ExecuteInternal(engine_, options_, args);
-        completion.status = exchange.status;
-        completion.body = std::move(exchange.body);
-        completion.content_type = std::move(exchange.content_type);
-        completion.headers = std::move(exchange.headers);
-      } else {
-        std::pair<int, std::string> result;
-        switch (endpoint) {
-          case ServerEndpoint::kPair:
-            result = ExecutePair(engine_, args);
-            break;
-          case ServerEndpoint::kSingleSource:
-            result = ExecuteSingleSource(engine_, args);
-            break;
-          case ServerEndpoint::kTopK:
-            result = ExecuteTopK(engine_, args);
-            break;
-          case ServerEndpoint::kBatchPair:
-            result = ExecuteBatchPair(engine_, args, options_);
-            break;
-          case ServerEndpoint::kUpdate:
-            result = ExecuteUpdate(*updater_, args);
-            break;
-          case ServerEndpoint::kCompact:
-            result = ExecuteCompact(*updater_, options_);
-            break;
+  const uint64_t dispatch_ns = args.trace.traced() ? TraceNowNanos() : 0;
+  frontend_.Submit(
+      frontend_.Park(conn), static_cast<int>(slot), dispatched_at,
+      [this, endpoint, dispatched_at, dispatch_ns, args = std::move(args)] {
+        // After the queue wait is recorded, so tests measure real
+        // scheduling, not the injection.
+        if (options_.handler_delay_ms > 0) {
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(options_.handler_delay_ms));
         }
-        completion.status = result.first;
-        completion.body = std::move(result.second);
-      }
-    }
-    FinishQuery(endpoint, args, dispatched_at,
-                traced ? &*recorder : nullptr, &completion);
-    {
-      std::lock_guard<std::mutex> lock(completions_mutex_);
-      completions_.push_back(std::move(completion));
-    }
-    const uint64_t one = 1;
-    [[maybe_unused]] const auto ignored =
-        ::write(wake_fd_, &one, sizeof(one));
-  });
+        const bool traced = args.trace.traced();
+        std::optional<TraceRecorder> recorder;
+        if (traced) recorder.emplace(args.trace.id);
+        HttpFrontend::Response response;
+        {
+          // Bound for the duration of the query: every TraceScope/TraceAdd
+          // down in the engine lands in this recorder (or no-ops when
+          // null).
+          TraceBinding binding(traced ? &*recorder : nullptr);
+          if (traced) {
+            recorder->AddCompletedSpan(TraceStage::kQueueWait, dispatch_ns,
+                                       TraceNowNanos() - dispatch_ns);
+          }
+          TraceScope root(TraceStage::kRequest, ServerEndpointName(endpoint));
+          if (args.internal != InternalOp::kNone) {
+            response = ExecuteInternal(engine_, options_, args);
+          } else {
+            std::pair<int, std::string> result;
+            switch (endpoint) {
+              case ServerEndpoint::kPair:
+                result = ExecutePair(engine_, args);
+                break;
+              case ServerEndpoint::kSingleSource:
+                result = ExecuteSingleSource(engine_, args);
+                break;
+              case ServerEndpoint::kTopK:
+                result = ExecuteTopK(engine_, args);
+                break;
+              case ServerEndpoint::kBatchPair:
+                result = ExecuteBatchPair(engine_, args, options_);
+                break;
+              case ServerEndpoint::kUpdate:
+                result = ExecuteUpdate(*updater_, args);
+                break;
+              case ServerEndpoint::kCompact:
+                result = ExecuteCompact(*updater_, options_);
+                break;
+            }
+            response.status = result.first;
+            response.body = std::move(result.second);
+          }
+        }
+        FinishQuery(endpoint, args, dispatched_at,
+                    traced ? &*recorder : nullptr, &response);
+        return response;
+      });
 }
 
 bool SimRankServer::AnswerPairFromCache(
     Connection* conn, const QueryArgs& args,
     std::chrono::steady_clock::time_point started) {
   // Traced like the worker path, minus its queue_wait span.
-  const bool traced = args.traced();
+  const bool traced = args.trace.traced();
   std::optional<TraceRecorder> recorder;
-  if (traced) recorder.emplace(args.trace_id);
-  Completion completion;
+  if (traced) recorder.emplace(args.trace.id);
+  HttpFrontend::Response response;
   {
     TraceBinding binding(traced ? &*recorder : nullptr);
     TraceScope root(TraceStage::kRequest,
                     ServerEndpointName(ServerEndpoint::kPair));
     const std::optional<double> score = engine_.PairFromCache(args.a, args.b);
     if (!score.has_value()) return false;
-    completion.status = 200;
-    completion.body = PairBody(args.a, args.b, *score);
+    TraceScope serialize(TraceStage::kSerialize);
+    response.status = 200;
+    response.body = PairBody(args.a, args.b, *score);
   }
   FinishQuery(ServerEndpoint::kPair, args, started,
-              traced ? &*recorder : nullptr, &completion);
-  // `awaiting` stays false: pipelined requests behind this one are parsed
-  // in the same pass, and their responses queue after this one.
-  QueueResponse(conn, completion.status, completion.body, completion.headers,
-                completion.content_type);
+              traced ? &*recorder : nullptr, &response);
+  // The connection is not parked: pipelined requests behind this one are
+  // parsed in the same pass, and their responses queue after this one.
+  frontend_.Answer(conn, response);
   return true;
 }
 
-void SimRankServer::DrainCompletions() {
-  std::deque<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(completions_mutex_);
-    batch.swap(completions_);
-  }
-  for (Completion& completion : batch) {
-    if (completion.admission) {
-      --inflight_;
-      --endpoint_inflight_[static_cast<size_t>(completion.endpoint)];
-      stat_inflight_.store(inflight_, std::memory_order_relaxed);
-    }
-    auto it = connections_.find(completion.fd);
-    if (it == connections_.end() ||
-        it->second->id != completion.connection_id) {
-      continue;  // the client hung up mid-query; drop the answer
-    }
-    Connection* conn = it->second.get();
-    conn->awaiting = false;
-    QueueResponse(conn, completion.status, completion.body,
-                  completion.headers, completion.content_type);
-    // The response is queued; pipelined follow-ups may now proceed (this
-    // also closes half-closed connections once they flush).
-    ProcessBufferedRequests(conn);
+void SimRankServer::FinishQuery(ServerEndpoint endpoint,
+                                const QueryArgs& args,
+                                std::chrono::steady_clock::time_point started,
+                                const TraceRecorder* recorder,
+                                HttpFrontend::Response* response) {
+  const auto elapsed_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count());
+  latency_[static_cast<size_t>(endpoint)].Record(elapsed_us);
+  if (recorder != nullptr) {
+    frontend_.FinishTrace(args.trace, elapsed_us, *recorder, response);
   }
 }
-
-void SimRankServer::HandleProfileRequest(Connection* conn,
-                                         const HttpRequest& request) {
-  stat_requests_debug_profile_.fetch_add(1, std::memory_order_relaxed);
-  if (request.method != "GET") {
-    QueueResponse(conn, 405,
-                  ErrorBody("MethodNotAllowed",
-                            "/v1/debug/profile only accepts GET"),
-                  {{"Allow", "GET"}});
-    return;
-  }
-  if (!request.body.empty()) {
-    QueueErrorResponse(conn, 400, "GET endpoints take no request body");
-    return;
-  }
-  double seconds = 0.0;
-  uint32_t hz = 0;
-  if (const Status params = ParseProfileParams(request, &seconds, &hz);
-      !params.ok()) {
-    QueueErrorResponse(conn, 400, params.message());
-    return;
-  }
-  bool expected = false;
-  if (!profile_busy_.compare_exchange_strong(expected, true)) {
-    QueueResponse(conn, 409,
-                  ErrorBody("Busy",
-                            "a profiling session is already running; retry "
-                            "when it finishes"));
-    return;
-  }
-  // Park the connection and capture on a dedicated thread: the session
-  // sleeps for `seconds`, which must not block the loop or hold a worker.
-  conn->awaiting = true;
-  const int fd = conn->fd;
-  const uint64_t connection_id = conn->id;
-  std::lock_guard<std::mutex> lock(profile_threads_mutex_);
-  // The previous session (if any) released profile_busy_ before pushing
-  // its completion, so these joins only wait out its final microseconds.
-  for (std::thread& thread : profile_threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  profile_threads_.clear();
-  profile_threads_.emplace_back([this, fd, connection_id, seconds, hz] {
-    auto profiled = CpuProfiler::Instance().ProfileFor(seconds, hz);
-    profile_busy_.store(false, std::memory_order_release);
-    Completion completion;
-    completion.fd = fd;
-    completion.connection_id = connection_id;
-    completion.admission = false;
-    if (!profiled.ok()) {
-      // The profiler itself was busy (e.g. a continuous-profiling period
-      // is mid-capture) or the platform lacks support.
-      completion.status = 409;
-      completion.body = ErrorBody("Busy", profiled.status().message());
-    } else {
-      completion.status = 200;
-      completion.content_type = "text/plain";
-      completion.body = RenderProfileReport(*profiled);
-    }
-    {
-      std::lock_guard<std::mutex> completions_lock(completions_mutex_);
-      completions_.push_back(std::move(completion));
-    }
-    const uint64_t one = 1;
-    [[maybe_unused]] const auto ignored =
-        ::write(wake_fd_, &one, sizeof(one));
-  });
-}
-
-void SimRankServer::StartDiagnostics() {
-  if (options_.watchdog_interval_ms > 0) {
-    WatchdogOptions watchdog_options;
-    watchdog_options.poll_interval_ms = options_.watchdog_interval_ms;
-    watchdog_options.stall_threshold_us = options_.watchdog_stall_us;
-    watchdog_options.name = "epoll-loop";
-    watchdog_.set_options(watchdog_options);
-    // Called from the loop thread itself, so this tid is the loop's.
-    watchdog_.SetWatchedTid(CurrentTid());
-    watchdog_.SetQueueDepthProvider([this] { return pool_.queue_depth(); });
-    watchdog_.Start();
-  }
-  diagnostics_.Start([this] { return CollectStats().Families(); });
-}
-
-void SimRankServer::StopDiagnostics() {
-  watchdog_.Stop();
-  diagnostics_.Stop();
-  std::lock_guard<std::mutex> lock(profile_threads_mutex_);
-  for (std::thread& thread : profile_threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  profile_threads_.clear();
-}
-
-void SimRankServer::QueueResponse(
-    Connection* conn, int status, std::string_view body,
-    const std::vector<std::pair<std::string, std::string>>& extra_headers,
-    std::string_view content_type) {
-  const bool keep =
-      conn->request_keep_alive && !draining_ && !conn->close_after_flush;
-  HttpResponseOptions response_options;
-  response_options.keep_alive = keep;
-  response_options.content_type = content_type;
-  response_options.extra_headers = extra_headers;
-  conn->out += BuildHttpResponse(status, body, response_options);
-  if (!keep) conn->close_after_flush = true;
-  CountResponse(status);
-  if (diagnostics_.log() != nullptr && !conn->access_method.empty()) {
-    LogAccess(*conn, status, body.size());
-    conn->access_method.clear();
-  }
-  UpdateEpoll(conn);
-}
-
-void SimRankServer::QueueErrorResponse(Connection* conn, int status,
-                                       std::string_view message) {
-  const char* code = status == 400 ? "InvalidArgument" : "BadRequest";
-  QueueResponse(conn, status, ErrorBody(code, message));
-}
-
-void SimRankServer::HandleWritable(Connection* conn) {
-  while (conn->out_sent < conn->out.size()) {
-    const ssize_t sent =
-        ::send(conn->fd, conn->out.data() + conn->out_sent,
-               conn->out.size() - conn->out_sent, MSG_NOSIGNAL);
-    if (sent > 0) {
-      conn->out_sent += static_cast<size_t>(sent);
-      continue;
-    }
-    if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    CloseConnection(conn);  // peer is gone; nothing left to deliver
-    return;
-  }
-  conn->out.clear();
-  conn->out_sent = 0;
-  if (conn->close_after_flush && !conn->awaiting) {
-    CloseConnection(conn);
-    return;
-  }
-  // Output drained: resume any requests that were parked on the
-  // output-backlog backpressure cap (no-op when there are none).
-  ProcessBufferedRequests(conn);
-}
-
-void SimRankServer::UpdateEpoll(Connection* conn) {
-  // Backpressure: a connection over its input or unsent-output budget is
-  // not read until the backlog drains (ProcessBufferedRequests and
-  // HandleWritable re-run this as they consume).
-  const bool over_budget =
-      conn->in.size() >= options_.http.max_request_bytes +
-                             options_.http.max_body_bytes +
-                             kInputBufferSlackBytes ||
-      conn->out.size() - conn->out_sent >= kMaxPendingOutputBytes;
-  uint32_t desired = 0;
-  if (!conn->close_after_flush && !conn->peer_eof && !over_budget) {
-    desired |= EPOLLIN;
-  }
-  if (conn->out_sent < conn->out.size()) desired |= EPOLLOUT;
-  if (desired == conn->epoll_events) return;
-  epoll_event event = {};
-  event.events = desired;
-  event.data.fd = conn->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &event);
-  conn->epoll_events = desired;
-}
-
-void SimRankServer::CloseConnection(Connection* conn) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  connections_.erase(conn->fd);
-  stat_connections_open_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-#else  // !OIPSIM_HAVE_EPOLL
-
-Status SimRankServer::Bind() {
-  return Status::Unimplemented(
-      "SimRankServer requires Linux epoll/eventfd");
-}
-Status SimRankServer::Serve() {
-  return Status::Unimplemented(
-      "SimRankServer requires Linux epoll/eventfd");
-}
-void SimRankServer::Shutdown() { stop_.store(true); }
-void SimRankServer::HandleAccept() {}
-void SimRankServer::HandleReadable(Connection*) {}
-void SimRankServer::HandleWritable(Connection*) {}
-void SimRankServer::ProcessBufferedRequests(Connection*) {}
-bool SimRankServer::MaybeCloseAfterEof(Connection*) { return false; }
-void SimRankServer::RouteRequest(Connection*, const HttpRequest&) {}
-void SimRankServer::DispatchQuery(Connection*, ServerEndpoint,
-                                  const HttpRequest&) {}
-bool SimRankServer::AnswerPairFromCache(
-    Connection*, const QueryArgs&, std::chrono::steady_clock::time_point) {
-  return false;
-}
-void SimRankServer::DrainCompletions() {}
-void SimRankServer::HandleProfileRequest(Connection*, const HttpRequest&) {}
-void SimRankServer::StartDiagnostics() {}
-void SimRankServer::StopDiagnostics() {}
-void SimRankServer::QueueResponse(
-    Connection*, int, std::string_view,
-    const std::vector<std::pair<std::string, std::string>>&) {}
-void SimRankServer::QueueErrorResponse(Connection*, int, std::string_view) {}
-void SimRankServer::UpdateEpoll(Connection*) {}
-void SimRankServer::CloseConnection(Connection*) {}
-
-#endif  // OIPSIM_HAVE_EPOLL
 
 Status SimRankServer::Warm(std::span<const VertexId> vertices) {
   const uint32_t n = engine_.index().n();
@@ -1817,54 +1035,33 @@ Status SimRankServer::Warm(std::span<const VertexId> vertices) {
 }
 
 ServerStats SimRankServer::stats() const {
+  auto load = [](const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  const FrontendCounters& frontend = frontend_.counters();
   ServerStats stats;
   for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
-    stats.requests[i] = stat_requests_[i].load(std::memory_order_relaxed);
+    stats.requests[i] = load(stat_requests_[i]);
   }
-  stats.requests_stats =
-      stat_requests_stats_.load(std::memory_order_relaxed);
-  stats.requests_healthz =
-      stat_requests_healthz_.load(std::memory_order_relaxed);
-  stats.requests_metrics =
-      stat_requests_metrics_.load(std::memory_order_relaxed);
-  stats.requests_wal = stat_requests_wal_.load(std::memory_order_relaxed);
-  stats.requests_debug_slow =
-      stat_requests_debug_slow_.load(std::memory_order_relaxed);
-  stats.requests_debug_profile =
-      stat_requests_debug_profile_.load(std::memory_order_relaxed);
-  stats.requests_debug_timeseries =
-      stat_requests_debug_timeseries_.load(std::memory_order_relaxed);
-  stats.traced_requests =
-      stat_traced_requests_.load(std::memory_order_relaxed);
-  stats.slow_captured = slow_log_.total_recorded();
-  stats.responses_2xx = stat_responses_2xx_.load(std::memory_order_relaxed);
-  stats.responses_4xx = stat_responses_4xx_.load(std::memory_order_relaxed);
-  stats.responses_5xx = stat_responses_5xx_.load(std::memory_order_relaxed);
-  stats.rejected_inflight =
-      stat_rejected_inflight_.load(std::memory_order_relaxed);
-  stats.rejected_endpoint =
-      stat_rejected_endpoint_.load(std::memory_order_relaxed);
-  stats.rejected_misdirected =
-      stat_rejected_misdirected_.load(std::memory_order_relaxed);
-  stats.connections_accepted =
-      stat_connections_accepted_.load(std::memory_order_relaxed);
-  stats.connections_open =
-      stat_connections_open_.load(std::memory_order_relaxed);
-  stats.inflight = stat_inflight_.load(std::memory_order_relaxed);
+  stats.requests_stats = load(frontend.requests_stats);
+  stats.requests_healthz = load(frontend.requests_healthz);
+  stats.requests_metrics = load(frontend.requests_metrics);
+  stats.requests_wal = load(stat_requests_wal_);
+  stats.requests_debug_slow = load(stat_requests_debug_slow_);
+  stats.requests_debug_profile = load(frontend.requests_debug_profile);
+  stats.requests_debug_timeseries = load(frontend.requests_debug_timeseries);
+  stats.traced_requests = load(frontend.traced_requests);
+  stats.slow_captured = frontend_.slow_log().total_recorded();
+  stats.responses_2xx = load(frontend.responses_2xx);
+  stats.responses_4xx = load(frontend.responses_4xx);
+  stats.responses_5xx = load(frontend.responses_5xx);
+  stats.rejected_inflight = load(frontend.rejected_inflight);
+  stats.rejected_endpoint = load(frontend.rejected_endpoint);
+  stats.rejected_misdirected = load(frontend.rejected_misdirected);
+  stats.connections_accepted = load(frontend.connections_accepted);
+  stats.connections_open = load(frontend.connections_open);
+  stats.inflight = load(frontend.inflight);
   return stats;
-}
-
-void SimRankServer::CountResponse(int status) {
-  if (status < 300) {
-    stat_responses_2xx_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status < 500) {
-    stat_responses_4xx_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stat_responses_5xx_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (status == 421) {
-    stat_rejected_misdirected_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 MetricSet SimRankServer::CollectStats() const {
@@ -1875,13 +1072,13 @@ MetricSet SimRankServer::CollectStats() const {
   m.Gauge("server.inflight", "simrank_inflight", stats.inflight)
       .Info("server.max_inflight", options_.max_inflight)
       .Info("server.max_endpoint_inflight", options_.max_endpoint_inflight)
-      .Info("server.threads", pool_.num_threads())
-      .Info("server.draining", draining_.load(std::memory_order_relaxed))
+      .Info("server.threads", frontend_.num_threads())
+      .Info("server.draining", frontend_.draining())
       .Gauge("server.uptime_seconds", "simrank_uptime_seconds",
              UptimeSeconds());
   CollectBuildInfo(m);
 
-  const Watchdog::Snapshot dog = watchdog_.snapshot();
+  const Watchdog::Snapshot dog = frontend_.watchdog_snapshot();
   m.Info("watchdog.armed", options_.watchdog_interval_ms > 0)
       .Duration("watchdog.loop_lag_us", "simrank_loop_lag_seconds",
                 dog.loop_lag_us)
@@ -1895,7 +1092,7 @@ MetricSet SimRankServer::CollectStats() const {
       // Dispatch-to-start latency: the queue wait workers observed.
       .Histogram("watchdog.dispatch_latency_us",
                  "simrank_dispatch_latency_seconds",
-                 dispatch_latency_.snapshot());
+                 frontend_.dispatch_latency());
   ProcessMemoryStats memory;
   if (ReadProcessMemoryStats(&memory)) {
     m.Gauge("process_memory.resident_bytes", "simrank_resident_bytes",
@@ -1961,18 +1158,19 @@ MetricSet SimRankServer::CollectStats() const {
                stats.traced_requests)
       .Counter("trace.slow_captured", "simrank_slow_queries_total",
                stats.slow_captured)
-      .Info("trace.slow_ring_capacity", slow_log_.capacity());
+      .Info("trace.slow_ring_capacity", frontend_.slow_log().capacity());
   for (uint32_t i = 0; i < kNumTraceStages; ++i) {
-    const char* name = TraceStageName(static_cast<TraceStage>(i));
+    const auto stage = static_cast<TraceStage>(i);
+    const char* name = TraceStageName(stage);
     m.Histogram(std::string("trace.stages.") + name,
-                "simrank_stage_duration_seconds", stage_latency_[i].snapshot(),
-                PromLabel("stage", name));
+                "simrank_stage_duration_seconds",
+                frontend_.stage_latency(stage), PromLabel("stage", name));
   }
   for (uint32_t c = 0; c < kNumTraceCounters; ++c) {
-    const char* name = TraceCounterName(static_cast<TraceCounter>(c));
+    const auto counter = static_cast<TraceCounter>(c);
+    const char* name = TraceCounterName(counter);
     m.Counter(std::string("trace.counters.") + name,
-              "simrank_stage_counter_total",
-              stage_counters_[c].load(std::memory_order_relaxed),
+              "simrank_stage_counter_total", frontend_.stage_counter(counter),
               PromLabel("counter", name));
   }
 
@@ -2070,26 +1268,16 @@ MetricSet SimRankServer::CollectStats() const {
   return m;
 }
 
-namespace {
-
-uint64_t WallClockMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 std::string SimRankServer::BuildSlowBody() const {
   // Hand-built (not JsonWriter): the captured traces are already
   // serialized JSON objects and are embedded verbatim.
-  const std::vector<SlowQueryEntry> entries = slow_log_.Snapshot();
+  const SlowQueryLog& slow_log = frontend_.slow_log();
+  const std::vector<SlowQueryEntry> entries = slow_log.Snapshot();
   std::string out = StrFormat(
       "{\"capacity\":%zu,\"total_recorded\":%llu,\"threshold_us\":%llu,"
       "\"entries\":[",
-      slow_log_.capacity(),
-      static_cast<unsigned long long>(slow_log_.total_recorded()),
+      slow_log.capacity(),
+      static_cast<unsigned long long>(slow_log.total_recorded()),
       static_cast<unsigned long long>(options_.slow_query_us));
   for (size_t i = 0; i < entries.size(); ++i) {
     const SlowQueryEntry& entry = entries[i];
@@ -2107,100 +1295,6 @@ std::string SimRankServer::BuildSlowBody() const {
   }
   out += "]}";
   return out;
-}
-
-void SimRankServer::FinishQuery(ServerEndpoint endpoint,
-                                const QueryArgs& args,
-                                std::chrono::steady_clock::time_point started,
-                                const TraceRecorder* recorder,
-                                Completion* completion) {
-  const auto elapsed_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count());
-  latency_[static_cast<size_t>(endpoint)].Record(elapsed_us);
-  if (recorder == nullptr) return;
-  stat_traced_requests_.fetch_add(1, std::memory_order_relaxed);
-  FoldTrace(*recorder);
-  const bool slow =
-      options_.slow_query_us > 0 && elapsed_us >= options_.slow_query_us;
-  const bool sampled_capture =
-      args.trace_sampled && options_.slow_query_us == 0;
-  if (slow || sampled_capture) {
-    CaptureTrace(*recorder, args.target, elapsed_us);
-  }
-  std::string& body = completion->body;
-  if (args.trace_inline && body.size() > 2 && body.front() == '{' &&
-      body.back() == '}') {
-    // Splice the trace into the JSON envelope. Only the explicit ?trace=1
-    // opt-in ever changes a response body.
-    body.insert(body.size() - 1, ",\"trace\":" + recorder->ToJson());
-  }
-  if (args.trace_header) {
-    completion->headers.emplace_back("X-Simrank-Trace-Json",
-                                     recorder->ToJson());
-  }
-}
-
-void SimRankServer::FoldTrace(const TraceRecorder& recorder) {
-  for (uint32_t i = 0; i < recorder.num_spans(); ++i) {
-    const TraceSpan& span = recorder.span(i);
-    stage_latency_[static_cast<size_t>(span.stage)].Record(
-        span.duration_ns / 1000);
-  }
-  for (uint32_t c = 0; c < kNumTraceCounters; ++c) {
-    const uint64_t value = recorder.counter(static_cast<TraceCounter>(c));
-    if (value > 0) {
-      stage_counters_[c].fetch_add(value, std::memory_order_relaxed);
-    }
-  }
-}
-
-void SimRankServer::CaptureTrace(const TraceRecorder& recorder,
-                                 std::string_view target,
-                                 uint64_t duration_micros) {
-  SlowQueryEntry entry;
-  entry.unix_micros = WallClockMicros();
-  entry.duration_micros = duration_micros;
-  entry.trace_id = recorder.trace_id();
-  entry.target = std::string(target);
-  entry.trace_json = recorder.ToJson();
-  if (diagnostics_.log() != nullptr) {
-    std::string line = StrFormat(
-        "{\"type\":\"trace\",\"unix_micros\":%llu,\"target\":\"",
-        static_cast<unsigned long long>(entry.unix_micros));
-    JsonEscape(target, &line);
-    line += StrFormat(
-        "\",\"duration_us\":%llu,\"trace\":",
-        static_cast<unsigned long long>(duration_micros));
-    line += entry.trace_json;
-    line += '}';
-    diagnostics_.log()->Append(std::move(line));
-  }
-  slow_log_.Record(std::move(entry));
-}
-
-void SimRankServer::LogAccess(const Connection& conn, int status,
-                              size_t body_bytes) {
-  const uint64_t micros =
-      conn.access_start_ns == 0
-          ? 0
-          : (TraceNowNanos() - conn.access_start_ns) / 1000;
-  std::string line = StrFormat(
-      "{\"type\":\"access\",\"unix_micros\":%llu,\"method\":\"",
-      static_cast<unsigned long long>(WallClockMicros()));
-  JsonEscape(conn.access_method, &line);
-  line += "\",\"path\":\"";
-  JsonEscape(conn.access_path, &line);
-  line += StrFormat("\",\"status\":%d,\"bytes\":%zu,\"micros\":%llu",
-                    status, body_bytes,
-                    static_cast<unsigned long long>(micros));
-  if (conn.access_trace_id != 0) {
-    line += StrFormat(",\"trace_id\":\"%s\"",
-                      TraceIdToHex(conn.access_trace_id).c_str());
-  }
-  line += '}';
-  diagnostics_.log()->Append(std::move(line));
 }
 
 }  // namespace simrank

@@ -1,15 +1,13 @@
-// Epoll HTTP serving frontend over a QueryEngine.
+// The single-node SimRank server: a route table over one HttpFrontend
+// (server/http_frontend.h) answering queries from a QueryEngine.
 //
-// One event-loop thread owns every socket: nonblocking accept on the
-// listener, buffered reads, request parsing (server/http.h), response
-// flushing, keep-alive and pipelining. Query work that computes never runs
-// on the loop: a validated request is *dispatched* to a worker pool and
-// the connection keeps reading-writing other traffic until the worker's
-// completion is handed back through an eventfd-signalled queue. Cheap
-// introspection endpoints (/healthz, /v1/stats) and pairs answered by a
-// cached row are answered inline on the loop, so they respond even when
-// every worker is busy — that is what makes the stats endpoint usable as
-// an overload probe.
+// Query work that computes never runs on the event loop: a validated
+// request is submitted to the frontend's worker pool under admission
+// control, and the connection keeps reading-writing other traffic until
+// the worker's response is handed back. Cheap introspection endpoints
+// (/healthz, /v1/stats) and pairs answered by a cached row are answered
+// on the loop, so they respond even when every worker is busy — that is
+// what makes the stats endpoint usable as an overload probe.
 //
 // Admission control protects cold rows: a request beyond the global
 // in-flight cap is rejected with 429, one beyond its endpoint's in-flight
@@ -42,13 +40,18 @@
 //   GET  /v1/debug/timeseries  metrics history ring as JSON
 //                              (?metric=NAME&window=SECONDS; no args
 //                              lists the available families)
-// /healthz, /v1/stats, /metrics, /v1/debug/slow and /v1/debug/timeseries
-// are answered inline; /v1/debug/profile parks the connection and answers
-// from a dedicated capture thread (the loop keeps serving while the
-// profile runs, and profiling a loaded server is the whole point). A
-// /v1/pair whose answer sits in a fresh cached row is answered inline too
-// — one row load, no worker hand-off, no in-flight slot; everything else
-// dispatches to the worker pool under admission control.
+//   GET  /v1/wal?from=&fingerprint=
+//                              WAL records from `from` on (text), for a
+//                              replica whose graph is at `fingerprint`;
+//                              409 when record from-1 did not end there
+// /healthz, /v1/stats, /metrics, /v1/wal, /v1/debug/slow and
+// /v1/debug/timeseries are answered inline; /v1/debug/profile parks the
+// connection and answers from a dedicated capture thread (the loop keeps
+// serving while the profile runs, and profiling a loaded server is the
+// whole point). A /v1/pair whose answer sits in a fresh cached row is
+// answered inline too — one row load, no worker hand-off, no in-flight
+// slot; everything else dispatches to the worker pool under admission
+// control.
 // Update/compact serialize inside the IndexUpdater while reads keep
 // flowing against RCU overlay snapshots — queries are never blocked by an
 // in-flight update, and a query admitted mid-update serves either the
@@ -61,38 +64,36 @@
 #ifndef OIPSIM_SIMRANK_SERVER_SERVER_H_
 #define OIPSIM_SIMRANK_SERVER_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "simrank/cluster/shard_plan.h"
 #include "simrank/common/latency_histogram.h"
 #include "simrank/common/status.h"
-#include "simrank/common/thread_pool.h"
 #include "simrank/extra/topk.h"
 #include "simrank/index/index_updater.h"
 #include "simrank/index/query_engine.h"
 #include "simrank/obs/diagnostics.h"
 #include "simrank/obs/metric_set.h"
 #include "simrank/obs/metrics_history.h"
-#include "simrank/obs/profiler.h"
 #include "simrank/obs/slow_query_log.h"
 #include "simrank/obs/trace.h"
 #include "simrank/obs/watchdog.h"
 #include "simrank/server/http.h"
+#include "simrank/server/http_frontend.h"
 
 namespace simrank {
 
 namespace internal {
-/// Parsed arguments of one dispatchable query (defined in server.cc).
+/// Parsed arguments of one dispatchable query, and which /internal/*
+/// exchange op it carries (both defined in server.cc).
 struct QueryArgs;
+enum class InternalOp : uint8_t;
 }  // namespace internal
 
 /// The dispatchable endpoints (inline endpoints are not admission-
@@ -125,11 +126,11 @@ struct PublicQuery {
   bool trace_inline = false;
 };
 
-/// Parses the parameters of public endpoint `endpoint` the one way both
-/// frontends do: only that endpoint's parameters plus ?trace=0|1, none
-/// twice, vertex ids (and k) as uint32, and no body on a GET endpoint.
-/// The error's message is the 400 answer's. Vertex ranges are checked
-/// later, with CheckVertexInRange's answer.
+/// Parses the parameters of public endpoint `endpoint` the one way the
+/// server and the router do: only that endpoint's parameters plus
+/// ?trace=0|1, none twice, vertex ids (and k) as uint32. The error's
+/// message is the 400 answer's. Vertex ranges are checked later, with
+/// CheckVertexInRange's answer.
 Status ParsePublicQuery(const HttpRequest& request, ServerEndpoint endpoint,
                         PublicQuery* out);
 
@@ -139,30 +140,22 @@ Status ParsePublicQuery(const HttpRequest& request, ServerEndpoint endpoint,
 Result<std::vector<std::pair<VertexId, VertexId>>> ParsePairBatch(
     std::string_view body, uint32_t max_pairs);
 
-// Shared by the server and the router, so both frontends answer alike:
-// the error envelope and the debug and build-info answers.
+// The bodies of the public answers, the server's and the router's: the
+// same answer is the same bytes.
+
+std::string PairBody(VertexId a, VertexId b, double score);
+std::string SingleSourceBody(VertexId v, std::span<const double> scores);
+std::string TopKBody(VertexId v, uint32_t k,
+                     std::span<const ScoredVertex> top);
+std::string BatchPairBody(std::span<const double> scores);
+/// /v1/update's summary; `counts` are applied, sequence,
+/// patched_vertices, changed_slots and wal_records.
+std::string UpdateBody(const std::array<uint64_t, 5>& counts,
+                       std::string_view graph_fingerprint);
 
 /// The JSON error envelope of every non-2xx answer:
 /// {"error":{"code":CODE,"message":MESSAGE}}.
 std::string ErrorBody(std::string_view code, std::string_view message);
-
-/// Parses GET /v1/debug/profile's ?seconds= (default 2, in (0,
-/// CpuProfiler::kMaxSeconds]) and ?hz= (default CpuProfiler::kDefaultHz,
-/// in [1, kMaxHz]). Any other or repeated parameter is an error; its
-/// message is the 400 answer's.
-Status ParseProfileParams(const HttpRequest& request, double* seconds,
-                          uint32_t* hz);
-
-/// The 200 text/plain body of /v1/debug/profile: a "# profile" line with
-/// the session's counts, then the collapsed stacks.
-std::string RenderProfileReport(const ProfileReport& report);
-
-/// Status and JSON body of GET /v1/debug/timeseries over `history` (null
-/// when the history is disabled): 503 when disabled, the recorded
-/// families without ?metric=, 400 on a malformed ?window=, else the
-/// series.
-std::pair<int, std::string> AnswerTimeseries(const MetricsHistory* history,
-                                             const HttpRequest& request);
 
 /// Declares /v1/stats' "build_info" object (version, compiler, build type,
 /// C++ standard, SIMD tier, io_uring support) and the simrank_build_info
@@ -298,16 +291,14 @@ struct ServerStats {
   uint64_t inflight = 0;
 };
 
-/// Single-listener epoll server. The engine (and its index) must outlive
-/// the server. Linux-only (epoll/eventfd); Bind returns Unimplemented
-/// elsewhere.
+/// The single-node server. The engine (and its index) must outlive the
+/// server. Linux-only (epoll/eventfd).
 class SimRankServer {
  public:
   /// `updater` (optional) enables the live-update endpoints; it must
   /// outlive the server and be bound to the same index the engine serves.
   SimRankServer(QueryEngine& engine, const ServerOptions& options,
                 IndexUpdater* updater = nullptr);
-  ~SimRankServer();
 
   OIPSIM_DISALLOW_COPY_AND_ASSIGN(SimRankServer);
 
@@ -315,16 +306,16 @@ class SimRankServer {
   Status Bind();
 
   /// The bound port (the kernel's choice when options.port was 0).
-  uint16_t port() const { return bound_port_; }
+  uint16_t port() const { return frontend_.port(); }
 
   /// Runs the event loop on the calling thread until Shutdown(). Returns
   /// OK after a clean drain.
-  Status Serve();
+  Status Serve() { return frontend_.Serve(); }
 
   /// Requests a graceful stop: stop accepting, finish in-flight queries,
   /// flush, return from Serve. Callable from any thread and from signal
   /// handlers (it only touches an atomic and an eventfd write).
-  void Shutdown();
+  void Shutdown() { frontend_.Shutdown(); }
 
   /// Faults in the storage pages of `vertices` (mmap backends) and
   /// populates the row cache, so first traffic hits warm rows. Call
@@ -344,166 +335,75 @@ class SimRankServer {
   /// Latency snapshot of one trace stage, folded from traced requests
   /// only; safe concurrently with Serve.
   LatencyHistogram::Snapshot stage_latency(TraceStage stage) const {
-    return stage_latency_[static_cast<size_t>(stage)].snapshot();
+    return frontend_.stage_latency(stage);
   }
 
   /// The slow-query ring (always constructed; empty when nothing was
   /// captured).
-  const SlowQueryLog& slow_log() const { return slow_log_; }
+  const SlowQueryLog& slow_log() const { return frontend_.slow_log(); }
 
   /// Watchdog view: epoll-loop heartbeat lag, worker queue depth, stall
   /// count; safe concurrently with Serve.
   Watchdog::Snapshot watchdog_snapshot() const {
-    return watchdog_.snapshot();
+    return frontend_.watchdog_snapshot();
   }
 
   /// Dispatch-to-start latency (queue wait before a worker picks a query
   /// up); safe concurrently with Serve.
   LatencyHistogram::Snapshot dispatch_latency() const {
-    return dispatch_latency_.snapshot();
+    return frontend_.dispatch_latency();
   }
 
   /// The metrics history ring; null when disabled.
   const MetricsHistory* metrics_history() const {
-    return diagnostics_.history();
+    return frontend_.metrics_history();
   }
 
  private:
-  struct Connection;
-  struct Completion;
+  using Connection = HttpFrontend::Connection;
 
-  // Event-loop steps (loop thread only).
-  void HandleAccept();
-  void HandleReadable(Connection* conn);
-  void HandleWritable(Connection* conn);
-  void ProcessBufferedRequests(Connection* conn);
-  bool MaybeCloseAfterEof(Connection* conn);
-  void RouteRequest(Connection* conn, const HttpRequest& request);
-  void DispatchQuery(Connection* conn, ServerEndpoint endpoint,
-                     const HttpRequest& request);
+  std::vector<HttpFrontend::Route> Routes();
+  /// Refuses what this server's role cannot answer (a replica's writes
+  /// 403, a partial shard's whole-row reads 421, writes without an
+  /// updater 503), parses and traces the query, then answers a cached pair
+  /// on the loop or submits the query to a worker under admission
+  /// control.
+  void DispatchQuery(Connection* conn, const HttpRequest& request,
+                     ServerEndpoint endpoint, internal::InternalOp op);
   /// Answers a public pair query on the loop thread when a fresh cached
   /// row holds it; returns false, having queued nothing, on a miss.
   bool AnswerPairFromCache(Connection* conn, const internal::QueryArgs& args,
                            std::chrono::steady_clock::time_point started);
   /// The tail every answered query shares, inline or worker-run: records
-  /// the endpoint latency since `started` and, given a trace, folds it,
-  /// captures it when slow or sampled, and attaches it to the response
-  /// (?trace=1 body splice, X-Simrank-Trace-Json header). Any thread.
+  /// the endpoint latency since `started` and, given a trace, finishes it
+  /// (HttpFrontend::FinishTrace). Any thread.
   void FinishQuery(ServerEndpoint endpoint, const internal::QueryArgs& args,
                    std::chrono::steady_clock::time_point started,
-                   const TraceRecorder* recorder, Completion* completion);
-  /// Parks the connection and runs the profile session on a dedicated
-  /// thread; the result comes back through the completion queue.
-  void HandleProfileRequest(Connection* conn, const HttpRequest& request);
-  /// Starts/stops the watchdog, metrics sampler, profile logger and any
-  /// in-flight profile capture threads (Serve entry/exit + destructor).
-  void StartDiagnostics();
-  void StopDiagnostics();
-  void DrainCompletions();
-  void QueueResponse(Connection* conn, int status, std::string_view body,
-                     const std::vector<std::pair<std::string, std::string>>&
-                         extra_headers = {},
-                     std::string_view content_type = "application/json");
-  void QueueErrorResponse(Connection* conn, int status,
-                          std::string_view message);
-  void UpdateEpoll(Connection* conn);
-  void CloseConnection(Connection* conn);
+                   const TraceRecorder* recorder,
+                   HttpFrontend::Response* response);
   /// Every statistic /v1/stats, /metrics and the metrics history show.
   /// Runs on the loop thread (/v1/stats, /metrics) and on the sampler
   /// thread, so it reads only atomics, snapshots and options.
   MetricSet CollectStats() const;
   std::string BuildSlowBody() const;
-  void CountResponse(int status);
-  /// Folds a finished trace into the per-stage histograms and counter
-  /// totals (any thread).
-  void FoldTrace(const TraceRecorder& recorder);
-  /// Captures a finished trace into the slow ring and the event log
-  /// (any thread).
-  void CaptureTrace(const TraceRecorder& recorder, std::string_view target,
-                    uint64_t duration_micros);
-  /// Appends one access record to the event log (loop thread; requires
-  /// the log).
-  void LogAccess(const Connection& conn, int status, size_t body_bytes);
 
   QueryEngine& engine_;
   ServerOptions options_;
   /// Optional live-update hook; null disables /v1/update and /v1/compact.
   IndexUpdater* updater_ = nullptr;
 
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  /// Sacrificial fd closed to accept-then-shed under EMFILE/ENFILE (the
-  /// level-triggered listener would otherwise busy-spin the loop).
-  int reserve_fd_ = -1;
-  uint16_t bound_port_ = 0;
-  std::atomic<bool> stop_{false};
-  /// Set once, by the loop thread; atomic for CollectStats.
-  std::atomic<bool> draining_{false};
-
-  /// Live connections by fd; ids disambiguate completions across fd reuse.
-  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
-  uint64_t next_connection_id_ = 1;
-
-  /// Loop-thread view of admission state.
-  uint32_t inflight_ = 0;
-  uint32_t endpoint_inflight_[kNumServerEndpoints] = {};
-
-  /// Worker -> loop handoff.
-  std::mutex completions_mutex_;
-  std::deque<Completion> completions_;
-
   /// Counters (relaxed atomics: read by stats() from other threads).
   mutable std::atomic<uint64_t> stat_requests_[kNumServerEndpoints] = {};
-  mutable std::atomic<uint64_t> stat_requests_stats_{0};
-  mutable std::atomic<uint64_t> stat_requests_healthz_{0};
-  mutable std::atomic<uint64_t> stat_requests_metrics_{0};
   mutable std::atomic<uint64_t> stat_requests_wal_{0};
   mutable std::atomic<uint64_t> stat_requests_debug_slow_{0};
-  mutable std::atomic<uint64_t> stat_requests_debug_profile_{0};
-  mutable std::atomic<uint64_t> stat_requests_debug_timeseries_{0};
-  mutable std::atomic<uint64_t> stat_traced_requests_{0};
-  mutable std::atomic<uint64_t> stat_responses_2xx_{0};
-  mutable std::atomic<uint64_t> stat_responses_4xx_{0};
-  mutable std::atomic<uint64_t> stat_responses_5xx_{0};
-  mutable std::atomic<uint64_t> stat_rejected_inflight_{0};
-  mutable std::atomic<uint64_t> stat_rejected_endpoint_{0};
-  mutable std::atomic<uint64_t> stat_rejected_misdirected_{0};
-  mutable std::atomic<uint64_t> stat_connections_accepted_{0};
-  mutable std::atomic<uint64_t> stat_connections_open_{0};
-  mutable std::atomic<uint64_t> stat_inflight_{0};
 
   /// Dispatch-to-completion latency per dispatchable endpoint (lock-free;
   /// workers record, stats/metrics snapshot).
   LatencyHistogram latency_[kNumServerEndpoints];
 
-  /// Per-stage latency and stage-counter totals, folded from traced
-  /// requests only (untraced requests never touch these).
-  LatencyHistogram stage_latency_[kNumTraceStages];
-  mutable std::atomic<uint64_t> stage_counters_[kNumTraceCounters] = {};
-
-  /// Captured slow/sampled traces (GET /v1/debug/slow).
-  SlowQueryLog slow_log_;
-  /// xorshift state for --trace-sample coin flips (loop thread only).
-  uint64_t sample_state_ = 0;
-
-  /// Self-diagnosis (obs/): loop/worker watchdog, the metrics history and
-  /// its sampler, the event log and the profile logger (opened in
-  /// Bind()), on-demand profile capture threads. All stopped by
-  /// StopDiagnostics() *before* pool_ is destroyed — the watchdog and
-  /// sampler read pool_.queue_depth().
-  Watchdog watchdog_;
-  Diagnostics diagnostics_;
-  /// Dispatch-to-start queue-wait latency (workers record).
-  LatencyHistogram dispatch_latency_;
-  /// Serializes /v1/debug/profile sessions (second request gets 409).
-  std::atomic<bool> profile_busy_{false};
-  std::mutex profile_threads_mutex_;
-  std::vector<std::thread> profile_threads_;
-
-  /// Declared last so its destructor joins workers before fds close and
-  /// the event log closes — workers may still be appending to it.
-  ThreadPool pool_;
+  /// Declared last: its destructor joins the workers, which run this
+  /// server's queries, before the members above go away.
+  HttpFrontend frontend_;
 };
 
 }  // namespace simrank

@@ -16,6 +16,11 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "simrank/cluster/shard_plan.h"
@@ -27,6 +32,7 @@
 #include "simrank/index/query_engine.h"
 #include "simrank/index/walk_index.h"
 #include "simrank/server/http_client.h"
+#include "simrank/server/http_frontend.h"
 #include "simrank/server/server.h"
 #include "testing/fixtures.h"
 
@@ -292,8 +298,8 @@ TEST(RouterTest, ConcurrentScattersStayBitwise) {
       expected.push_back(std::move(direct->body));
     }
   }
-  // One router connection thread per client, all scattering over the
-  // same shard pools at once.
+  // Four clients, all scattering through the router's one event loop and
+  // its shard connections at once.
   std::atomic<int> mismatches{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < 4; ++c) {
@@ -395,6 +401,26 @@ TEST(RouterTest, ErrorPathsMirrorTheSingleNodeSurface) {
   EXPECT_EQ(routed->status, 400);
   EXPECT_EQ(routed->status, direct->status);
   EXPECT_EQ(routed->body, direct->body);
+  // The introspection endpoints run the same checks: one frontend.
+  auto stats_with_body = [](uint16_t port) {
+    auto client = LoopbackHttpClient::Connect(port);
+    OIPSIM_CHECK(client.ok());
+    OIPSIM_CHECK(client
+                     ->SendRaw("GET /v1/stats HTTP/1.1\r\nHost: x\r\n"
+                               "Content-Length: 2\r\n\r\nab")
+                     .ok());
+    return client->ReadResponse();
+  };
+  for (const bool stats : {false, true}) {
+    auto routed_probe = stats ? stats_with_body(cluster.router_port())
+                              : HttpPost(cluster.router_port(), "/healthz", "x");
+    auto direct_probe = stats ? stats_with_body(cluster.single_port())
+                              : HttpPost(cluster.single_port(), "/healthz", "x");
+    ASSERT_TRUE(routed_probe.ok() && direct_probe.ok());
+    EXPECT_EQ(routed_probe->status, stats ? 400 : 405);
+    EXPECT_EQ(routed_probe->status, direct_probe->status);
+    EXPECT_EQ(routed_probe->body, direct_probe->body);
+  }
   // Unknown parameters on the body endpoints too.
   auto routed_post = HttpPost(cluster.router_port(), "/v1/batch_pair?x=1",
                               "0 1\n");
@@ -759,6 +785,234 @@ TEST(RouterTest, ConnectionHandlersAreJoinedAsConnectionsEnd) {
   EXPECT_LE(VirtualKiB(), virtual_before + 512 * 1024);
 }
 
+TEST(RouterTest, HeldConnectionsStartNoThreads) {
+  ClusterFixture cluster(testing::RandomGraph(60, 240, 11));
+  ASSERT_EQ(HttpGet(cluster.router_port(), "/healthz")->status, 200);
+  const size_t threads_before = CountThreads();
+  std::vector<LoopbackHttpClient> clients;
+  for (int i = 0; i < 256; ++i) {
+    auto client = LoopbackHttpClient::Connect(cluster.router_port());
+    ASSERT_TRUE(client.ok()) << "connection " << i;
+    auto response = client->Get("/healthz");
+    ASSERT_TRUE(response.ok()) << "connection " << i;
+    ASSERT_EQ(response->status, 200);
+    clients.push_back(std::move(*client));
+  }
+  // Every connection is open and kept alive; the router's one event loop
+  // holds them all.
+  EXPECT_LE(CountThreads(), threads_before + 8);
+}
+
+/// A listening socket that never accepts: connections complete into its
+/// backlog and requests are buffered, but nothing ever answers.
+class HungShard {
+ public:
+  HungShard() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    OIPSIM_CHECK(fd_ >= 0);
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    OIPSIM_CHECK(
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0);
+    OIPSIM_CHECK(::listen(fd_, 16) == 0);
+    socklen_t length = sizeof(addr);
+    OIPSIM_CHECK(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr),
+                               &length) == 0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~HungShard() { ::close(fd_); }
+  HungShard(const HungShard&) = delete;
+  HungShard& operator=(const HungShard&) = delete;
+  uint16_t port() const { return port_; }
+
+ private:
+  int fd_ = -1;
+  uint16_t port_ = 0;
+};
+
+TEST(RouterTest, HungShardsInOneScatterCostOneTimeout) {
+  // Shard 0 is live and owns the queried row; shards 1 and 2 hang.
+  const DiGraph graph = testing::RandomGraph(45, 180, 5);
+  const std::string tag = StrFormat("hung-%u-", g_fixture_counter++);
+  const WalkIndex full = BuildIndex(graph, 32);
+  auto plan = ShardPlan::EvenSplit(full.n(), full.graph_fingerprint(), 3);
+  ASSERT_TRUE(plan.ok());
+  const std::string shard_path = ::testing::TempDir() + tag + "shard-0.widx";
+  ASSERT_TRUE(
+      WriteShardIndex(full.store(), plan->shards[0], shard_path, false).ok());
+  ServerOptions shard_options;
+  shard_options.sharded = true;
+  shard_options.shard_plan = *plan;
+  ServerNode live(shard_path, graph, shard_options,
+                  ::testing::TempDir() + tag + "shard-0.wal");
+  HungShard hung1;
+  HungShard hung2;
+  RouterOptions options;
+  options.plan = *plan;
+  options.shards = {RouterShard{0, live.port(), 0},
+                    RouterShard{1, hung1.port(), 0},
+                    RouterShard{2, hung2.port(), 0}};
+  options.timeout_ms = 400;
+  options.scrape_interval_ms = 0;
+  SimRankRouter router(std::move(options));
+  ASSERT_TRUE(router.Bind().ok());
+  ASSERT_TRUE(router.Start().ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  auto response = HttpGet(router.port(), "/v1/topk?v=0&k=5");
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status, 503) << response->body;
+  EXPECT_NE(response->FindHeader("retry-after"), nullptr);
+  // Both hung legs wait at once: one timeout, not one per hung shard.
+  EXPECT_LT(elapsed_ms, 600) << "two hung shards cost " << elapsed_ms << " ms";
+  router.Shutdown();
+}
+
+TEST(RouterTest, BatchAgainstADeadShardAnswers503AndKeepsServing) {
+  ClusterFixture cluster(testing::RandomGraph(60, 240, 11));
+  const uint32_t boundary = cluster.plan().shards[0].end;
+  cluster.shard(1).Stop();
+  // A full batch: same-shard pairs on the live shard, one after another,
+  // then a pair owned by the dead one.
+  const uint32_t max_pairs = RouterOptions().max_batch_pairs;
+  std::string body;
+  for (uint32_t i = 0; i + 1 < max_pairs; ++i) {
+    body += StrFormat("%u %u\n", i % boundary, (i * 7 + 1) % boundary);
+  }
+  body += StrFormat("0 %u\n", boundary);
+  auto routed = HttpPost(cluster.router_port(), "/v1/batch_pair", body);
+  ASSERT_TRUE(routed.ok());
+  EXPECT_EQ(routed->status, 503) << routed->body;
+  // A batch whose every pair hits the dead shard fails at its first.
+  std::string dead;
+  for (uint32_t i = 0; i < max_pairs; ++i) {
+    dead += StrFormat("%u %u\n", boundary, boundary + 1);
+  }
+  auto all_dead = HttpPost(cluster.router_port(), "/v1/batch_pair", dead);
+  ASSERT_TRUE(all_dead.ok());
+  EXPECT_EQ(all_dead->status, 503) << all_dead->body;
+  // The router keeps serving what the live shard owns.
+  cluster.ExpectSameAsSingleNode("/v1/pair?a=0&b=1");
+  ASSERT_EQ(HttpGet(cluster.router_port(), "/healthz")->status, 200);
+}
+
+/// A stand-in shard that answers every pair and update with `200 {}`.
+class MalformedShard {
+ public:
+  MalformedShard()
+      : frontend_(
+            options_, [] { return MetricSet(); },
+            [] { return std::vector<PromFamily>(); }) {
+    options_.port = 0;
+    auto empty = [this](HttpFrontend::Connection* conn, const HttpRequest&,
+                        int) { frontend_.Answer(conn, 200, "{}"); };
+    frontend_.AddRoutes({{"/v1/pair", "GET", HttpFrontend::kNoAdmission,
+                          empty},
+                         {"/v1/update", "POST", HttpFrontend::kNoAdmission,
+                          empty}});
+    OIPSIM_CHECK(frontend_.Bind().ok());
+    thread_ = std::thread([this] { frontend_.Serve(); });
+  }
+  ~MalformedShard() {
+    frontend_.Shutdown();
+    thread_.join();
+  }
+  uint16_t port() const { return frontend_.port(); }
+
+ private:
+  ServerOptions options_;
+  HttpFrontend frontend_;
+  std::thread thread_;
+};
+
+TEST(RouterTest, MalformedShardRepliesAnswer500) {
+  MalformedShard shard;
+  auto plan = ShardPlan::EvenSplit(10, 0x1, 1);
+  ASSERT_TRUE(plan.ok());
+  RouterOptions options;
+  options.plan = *plan;
+  options.shards = {RouterShard{0, shard.port(), 0}};
+  options.scrape_interval_ms = 0;
+  SimRankRouter router(std::move(options));
+  ASSERT_TRUE(router.Bind().ok());
+  ASSERT_TRUE(router.Start().ok());
+  auto pair = HttpGet(router.port(), "/v1/pair?a=0&b=1");
+  ASSERT_TRUE(pair.ok());
+  EXPECT_EQ(pair->status, 500);
+  EXPECT_NE(pair->body.find("shard 0"), std::string::npos) << pair->body;
+  auto update = HttpPost(router.port(), "/v1/update", "+ 0 1\n");
+  ASSERT_TRUE(update.ok());
+  EXPECT_EQ(update->status, 500);
+  EXPECT_NE(update->body.find("shard 0"), std::string::npos) << update->body;
+  router.Shutdown();
+}
+
+TEST(ReplicationTest, ReplicaHaltsWhenThePrimaryResetsItsWal) {
+  const DiGraph graph = testing::RandomGraph(50, 200, 7);
+  const std::string prefix =
+      ::testing::TempDir() + StrFormat("reset-%u-", g_fixture_counter++);
+  ASSERT_TRUE(BuildIndex(graph, 32).Save(prefix + "full.widx").ok());
+  ServerOptions primary_options;
+  primary_options.compact_path = prefix + "compacted.widx";
+  primary_options.compact_graph_path = prefix + "compacted.graph.bin";
+  ServerNode primary(prefix + "full.widx", graph, primary_options,
+                     prefix + "primary.wal");
+  ServerOptions replica_options;
+  replica_options.replica = true;
+  ServerNode replica(prefix + "full.widx", graph, replica_options,
+                     prefix + "replica.wal");
+  WalTailerOptions tailer_options;
+  tailer_options.source_port = primary.port();
+  tailer_options.poll_interval_ms = 10;
+  WalTailer tailer(*replica.updater, tailer_options);
+  ASSERT_TRUE(tailer.Start().ok());
+
+  std::vector<Edge> fresh;
+  for (VertexId src = 0; src < graph.n() && fresh.size() < 4; ++src) {
+    if (src != 1 && !graph.HasEdge(src, 1)) fresh.push_back(Edge{src, 1});
+  }
+  ASSERT_EQ(fresh.size(), 4u);
+  auto apply = [&](const Edge& edge) {
+    auto applied = HttpPost(primary.port(), "/v1/update",
+                            StrFormat("+ %u %u\n", edge.src, edge.dst));
+    ASSERT_TRUE(applied.ok());
+    ASSERT_EQ(applied->status, 200) << applied->body;
+  };
+  auto wait_for = [](auto done, const char* what) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << what;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
+  apply(fresh[0]);
+  apply(fresh[1]);
+  wait_for([&] { return replica.updater->stats().batches_applied == 2; },
+           "the replica never caught up");
+  const uint64_t caught_up =
+      replica.updater->stats().current_graph_fingerprint;
+  EXPECT_EQ(caught_up, primary.updater->stats().current_graph_fingerprint);
+
+  // The compaction renumbers the primary's WAL; two more batches take its
+  // record count back to the replica's.
+  auto compacted = HttpPost(primary.port(), "/v1/compact", "");
+  ASSERT_TRUE(compacted.ok());
+  ASSERT_EQ(compacted->status, 200) << compacted->body;
+  apply(fresh[2]);
+  apply(fresh[3]);
+  wait_for([&] { return tailer.stats().halted; },
+           "the tailer never noticed the reset log");
+  EXPECT_NE(tailer.stats().last_error.find("reset"), std::string::npos)
+      << tailer.stats().last_error;
+  EXPECT_EQ(replica.updater->stats().current_graph_fingerprint, caught_up);
+  tailer.Stop();
+}
+
 TEST(RouterOptionsTest, ValidateRejectsInconsistentTopologies) {
   auto plan = ShardPlan::EvenSplit(10, 0x1, 2);
   ASSERT_TRUE(plan.ok());
@@ -916,8 +1170,7 @@ TEST(RouterTraceTest, RoutedTraceMergesShardSubTraces) {
   ASSERT_NE(body.find(",\"trace\":{\"trace_id\":\""), std::string::npos);
 
   // Router-side stages: the row fetch from v's owner, one exchange span
-  // per shard (timed from send to reply on the connection thread), and
-  // the merge.
+  // per shard (timed from send to reply), and the merge.
   EXPECT_NE(body.find("\"stage\":\"row_fetch\""), std::string::npos);
   EXPECT_NE(body.find("\"stage\":\"merge\""), std::string::npos);
   size_t cursor = body.find("\"stage\":\"request\"");

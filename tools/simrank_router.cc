@@ -131,8 +131,8 @@ int RealMain(int argc, char** argv) {
       router.options().plan.n, router.options().plan.shards.size(),
       router.options().bind_address.c_str(), router.port());
 
-  // The accept loop runs on its own thread; park this one until a signal
-  // requests a stop, then join everything.
+  // The event loop runs on its own thread; park this one until a signal
+  // requests a stop, then drain and join everything.
   int signal = 0;
   sigwait(&stop_signals, &signal);
   router.Shutdown();
