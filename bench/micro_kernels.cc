@@ -248,63 +248,6 @@ void BM_BucketIntersect(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketIntersect)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_SingleSourceAccumulate(benchmark::State& state) {
-  SimdLevel level;
-  if (!ResolveTier(state, &level)) return;
-  constexpr uint32_t kN = 1u << 16;
-  std::mt19937 rng(41);
-  // 64 buckets of strictly-ascending distinct ids, ~kN/8 entries each.
-  std::vector<std::vector<uint32_t>> buckets(64);
-  for (auto& bucket : buckets) {
-    for (uint32_t v = 0; v < kN; ++v) {
-      if (std::uniform_int_distribution<int>(0, 7)(rng) == 0) {
-        bucket.push_back(v);
-      }
-    }
-  }
-  std::vector<uint32_t> met(kN, 0);
-  std::vector<double> result(kN, 0.0);
-  uint32_t round = 0;
-  auto accumulate = [&]() {
-    ++round;
-    for (const auto& bucket : buckets) {
-      if (FindFirstInvalidVertex(level, bucket.data(), bucket.size(), kN) !=
-          bucket.size()) {
-        return false;
-      }
-      AccumulateBucket(level, bucket.data(), bucket.size(), round, 0.125,
-                       met.data(), result.data());
-    }
-    return true;
-  };
-  // Bitwise gate: one tier round vs one scalar round on fresh state.
-  {
-    std::vector<uint32_t> met_ref(kN, 0);
-    std::vector<double> result_ref(kN, 0.0);
-    for (const auto& bucket : buckets) {
-      AccumulateBucket(SimdLevel::kScalar, bucket.data(), bucket.size(), 1,
-                       0.125, met_ref.data(), result_ref.data());
-    }
-    if (!accumulate() || met != met_ref ||
-        std::memcmp(result.data(), result_ref.data(),
-                    kN * sizeof(double)) != 0) {
-      state.SkipWithError("tier output differs from scalar reference");
-      return;
-    }
-  }
-  uint64_t items = 0;
-  for (const auto& bucket : buckets) items += bucket.size();
-  for (auto _ : state) {
-    if (!accumulate()) {
-      state.SkipWithError("guard rejected a valid bucket");
-      return;
-    }
-    benchmark::DoNotOptimize(result.data());
-  }
-  state.SetItemsProcessed(state.iterations() * items);
-}
-BENCHMARK(BM_SingleSourceAccumulate)->Arg(0)->Arg(1)->Arg(2);
-
 }  // namespace
 }  // namespace simrank
 

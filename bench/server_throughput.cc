@@ -74,7 +74,10 @@ void CheckBitwise(double served, double expected, const char* what) {
 /// Asserts HTTP responses are bitwise-identical to direct engine calls on
 /// a sample of every endpoint. `reference` is a second engine over the
 /// same index, so cache state on the served engine cannot mask a
-/// discrepancy (the estimates are deterministic either way).
+/// discrepancy (the estimates are deterministic either way). Rows and
+/// top-k lists are also checked against the full row scan
+/// (EstimateSingleSourceScan + TopKFromRow), which shares no code with
+/// the engine's sparse rows.
 void CorrectnessGate(uint16_t port, QueryEngine& reference,
                      const std::vector<VertexId>& hot) {
   auto client = LoopbackHttpClient::Connect(port);
@@ -96,15 +99,18 @@ void CorrectnessGate(uint16_t port, QueryEngine& reference,
     const VertexId v = hot[i % hot.size()];
     auto response = client->Get(StrFormat("/v1/single_source?v=%u", v));
     OIPSIM_CHECK(response.ok() && response->status == 200);
-    const QueryEngine::Row row = *reference.SingleSource(v);
-    const std::vector<double>& expected = *row;
+    const std::vector<double> expected = (*reference.SingleSource(v))->Dense();
+    const std::vector<double> scan =
+        reference.index().EstimateSingleSourceScan(v);
     const std::vector<double> served =
         FindJsonNumberArray(response->body, "scores");
-    OIPSIM_CHECK_MSG(served.size() == expected.size(),
+    OIPSIM_CHECK_MSG(served.size() == expected.size() &&
+                         scan.size() == expected.size(),
                      "single_source row of %u has %zu entries, expected n",
                      v, served.size());
     for (size_t j = 0; j < expected.size(); ++j) {
       CheckBitwise(served[j], expected[j], "/v1/single_source");
+      CheckBitwise(served[j], scan[j], "/v1/single_source vs the row scan");
     }
   }
   for (uint32_t i = 0; i < kGateQueries; ++i) {
@@ -112,6 +118,10 @@ void CorrectnessGate(uint16_t port, QueryEngine& reference,
     auto response = client->Get(StrFormat("/v1/topk?v=%u&k=%u", v, kTopK));
     OIPSIM_CHECK(response.ok() && response->status == 200);
     const auto expected = *reference.TopK(v, kTopK);
+    OIPSIM_CHECK_MSG(
+        expected == TopKFromRow(reference.index().EstimateSingleSourceScan(v),
+                                v, kTopK),
+        "the engine's top-%u of %u differs from the row scan's", kTopK, v);
     size_t cursor = 0;
     for (const ScoredVertex& scored : expected) {
       const double vertex =

@@ -940,6 +940,7 @@ void SimRankRouter::ScrapeOnce() {
     double loop_lag_seconds = 0;
     double uptime_seconds = 0;
     double resident_bytes = 0;
+    bool replication_halted = false;
     std::shared_ptr<std::vector<PromFamily>> families;
     if (error.empty()) {
       families = std::make_shared<std::vector<PromFamily>>(
@@ -959,6 +960,8 @@ void SimRankRouter::ScrapeOnce() {
             uptime_seconds = sample.value;
           } else if (sample.name == "simrank_resident_bytes") {
             resident_bytes = sample.value;
+          } else if (sample.name == "simrank_replication_halted") {
+            replication_halted = sample.value != 0;
           }
         }
       }
@@ -969,9 +972,16 @@ void SimRankRouter::ScrapeOnce() {
     TargetState& target = targets_[i];
     target.last_attempt_unix_s = now_s;
     if (error.empty()) {
-      target.healthy = true;
+      // A replica whose WAL tailer halted answers scrapes but serves a
+      // graph its primary has moved past: unhealthy, and its record
+      // count no longer measures a lag.
+      target.healthy = !replication_halted;
       target.consecutive_failures = 0;
-      target.error.clear();
+      target.error =
+          replication_halted
+              ? "WAL replication halted: the replica no longer follows its "
+                "primary (its /v1/stats replication.last_error says why)"
+              : "";
       target.last_success_unix_s = now_s;
       target.overlay_sequence = overlay_sequence;
       target.wal_records = wal_records;
@@ -1062,7 +1072,8 @@ std::string SimRankRouter::BuildClusterHealth() const {
     if (replica != nullptr) {
       // WAL shipping lag: records the primary has durably appended that
       // the replica has not yet applied. Meaningful only when both
-      // scrapes are fresh.
+      // scrapes are fresh and the replica still follows (a halt reads
+      // unhealthy).
       const bool have_lag = primary != nullptr && primary->healthy &&
                             replica->healthy;
       const double lag =

@@ -306,12 +306,13 @@ class SimRankRouter {
     bool replica = false;
     uint16_t port = 0;
     /// False until the first successful scrape, and again from the first
-    /// failed one — a killed shard shows unhealthy within one interval.
+    /// failed one — a killed shard shows unhealthy within one interval —
+    /// or while a replica reports its WAL replication halted.
     bool healthy = false;
     uint64_t last_attempt_unix_s = 0;
     uint64_t last_success_unix_s = 0;
     uint64_t consecutive_failures = 0;
-    std::string error;  // last failure, "" while healthy
+    std::string error;  // last failure or the halt, "" while healthy
     /// Gauges lifted from the scraped exposition for the health summary.
     double overlay_sequence = 0;
     double wal_records = 0;

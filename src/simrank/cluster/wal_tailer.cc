@@ -135,19 +135,23 @@ void WalTailer::PollLoop() {
                       "the primary's WAL was reset under this replica: " +
                       response->body))
                 : ApplyStream(response->body);
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      if (applied.ok()) {
-        stats_.records_applied += *applied;
-      } else {
+      if (!applied.ok()) {
         // Divergence, a stream gap or a reset log is permanent: halt
         // instead of retrying into the same wall, and keep the reason
-        // visible.
-        stats_.halted = true;
-        stats_.last_error = applied.status().ToString();
+        // visible, here and in the replica's own stats.
+        const std::string error = applied.status().ToString();
         OIPSIM_LOG(kError) << "WAL tailer of port " << options_.source_port
-                           << " halted: " << stats_.last_error;
+                           << " halted: " << error;
+        {
+          std::lock_guard<std::mutex> lock(stats_mutex_);
+          stats_.halted = true;
+          stats_.last_error = error;
+        }
+        updater_.HaltReplication(error);
         break;
       }
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      stats_.records_applied += *applied;
     }
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options_.poll_interval_ms));

@@ -49,6 +49,8 @@ void JsonEscape(std::string_view value, std::string* out) {
 
 std::string JsonDouble(double value) {
   if (!std::isfinite(value)) return "null";
+  // Most entries of a single-source row are +0.0; -0.0 keeps "-0" below.
+  if (value == 0.0 && !std::signbit(value)) return "0";
   char buf[32];
   // 15 digits suffice for most values; escalate until the text parses back
   // to the identical bit pattern (17 always does).

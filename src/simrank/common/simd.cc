@@ -257,112 +257,7 @@ size_t ScanFirstGtSse4(const uint32_t* values, size_t begin, size_t end,
   return end;
 }
 
-// --------------------------------------------------------- bucket guard
-
-__attribute__((target("avx2"))) size_t FindFirstInvalidVertexAvx2(
-    const uint32_t* vertices, size_t count, uint32_t n) {
-  if (count == 0) return 0;
-  if (vertices[0] >= n) return 0;
-  const __m256i bias = _mm256_set1_epi32(INT_MIN);
-  const __m256i limit =
-      _mm256_set1_epi32(static_cast<int32_t>(n ^ 0x80000000u));
-  size_t i = 1;
-  for (; i + 8 <= count; i += 8) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vertices + i)),
-        bias);
-    const __m256i before = _mm256_xor_si256(
-        _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(vertices + i - 1)),
-        bias);
-    const __m256i ok = _mm256_and_si256(_mm256_cmpgt_epi32(limit, v),
-                                        _mm256_cmpgt_epi32(v, before));
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(ok)));
-    if (mask != 0xFF) {
-      return i + static_cast<size_t>(__builtin_ctz(~mask & 0xFF));
-    }
-  }
-  for (; i < count; ++i) {
-    if (vertices[i] >= n || vertices[i] <= vertices[i - 1]) return i;
-  }
-  return count;
-}
-
-size_t FindFirstInvalidVertexSse4(const uint32_t* vertices, size_t count,
-                                  uint32_t n) {
-  if (count == 0) return 0;
-  if (vertices[0] >= n) return 0;
-  const __m128i bias = _mm_set1_epi32(INT_MIN);
-  const __m128i limit = _mm_set1_epi32(static_cast<int32_t>(n ^ 0x80000000u));
-  size_t i = 1;
-  for (; i + 4 <= count; i += 4) {
-    const __m128i v = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(vertices + i)),
-        bias);
-    const __m128i before = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(vertices + i - 1)),
-        bias);
-    const __m128i ok =
-        _mm_and_si128(_mm_cmpgt_epi32(limit, v), _mm_cmpgt_epi32(v, before));
-    const unsigned mask =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(ok)));
-    if (mask != 0xF) {
-      return i + static_cast<size_t>(__builtin_ctz(~mask & 0xF));
-    }
-  }
-  for (; i < count; ++i) {
-    if (vertices[i] >= n || vertices[i] <= vertices[i - 1]) return i;
-  }
-  return count;
-}
-
-// --------------------------------------------------------- accumulation
-
-__attribute__((target("avx2"))) void AccumulateBucketAvx2(
-    const uint32_t* vertices, size_t count, uint32_t round, double weight,
-    uint32_t* met_round, double* result) {
-  const __m256i vround = _mm256_set1_epi32(static_cast<int32_t>(round));
-  size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(vertices + i));
-    // The guard proved all ids are in-range and distinct, so the gather
-    // is safe and no lane's stamp depends on a sibling lane's update.
-    const __m256i met = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(met_round), b, 4);
-    unsigned fresh =
-        ~static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(met, vround)))) &
-        0xFF;
-    while (fresh != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(fresh));
-      fresh &= fresh - 1;
-      const uint32_t v = vertices[i + lane];
-      result[v] += weight;
-      met_round[v] = round;
-    }
-  }
-  for (; i < count; ++i) {
-    const uint32_t v = vertices[i];
-    if (met_round[v] == round) continue;
-    result[v] += weight;
-    met_round[v] = round;
-  }
-}
-
 #endif  // OIPSIM_SIMD_X86
-
-void AccumulateBucketScalar(const uint32_t* vertices, size_t count,
-                            uint32_t round, double weight,
-                            uint32_t* met_round, double* result) {
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t v = vertices[i];
-    if (met_round[v] == round) continue;
-    result[v] += weight;
-    met_round[v] = round;
-  }
-}
 
 /// Branchless binary search narrowing the candidate window of the first
 /// element >= key to at most `window` entries. Returns {lo, len}: every
@@ -476,43 +371,6 @@ EqualRange EqualRangeU32(SimdLevel level, const uint32_t* values,
   const uint32_t* lo = std::lower_bound(begin, end, key);
   const uint32_t* hi = std::upper_bound(lo, end, key);
   return {static_cast<size_t>(lo - begin), static_cast<size_t>(hi - begin)};
-}
-
-size_t FindFirstInvalidVertex(SimdLevel level, const uint32_t* vertices,
-                              size_t count, uint32_t n) {
-#if OIPSIM_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return FindFirstInvalidVertexAvx2(vertices, count, n);
-    case SimdLevel::kSse4:
-      return FindFirstInvalidVertexSse4(vertices, count, n);
-    case SimdLevel::kScalar:
-      break;
-  }
-#else
-  (void)level;
-#endif
-  if (count == 0) return 0;
-  if (vertices[0] >= n) return 0;
-  for (size_t i = 1; i < count; ++i) {
-    if (vertices[i] >= n || vertices[i] <= vertices[i - 1]) return i;
-  }
-  return count;
-}
-
-void AccumulateBucket(SimdLevel level, const uint32_t* vertices,
-                      size_t count, uint32_t round, double weight,
-                      uint32_t* met_round, double* result) {
-#if OIPSIM_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    AccumulateBucketAvx2(vertices, count, round, weight, met_round, result);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  // The SSE tier has no 32-bit gather; its accumulate is the scalar loop.
-  AccumulateBucketScalar(vertices, count, round, weight, met_round, result);
 }
 
 }  // namespace simrank

@@ -1,12 +1,13 @@
 // Runtime-dispatched vector kernels for the serve path.
 //
-// Three hot loops dominate a walk-index query once the page cache is warm:
-// the LEB128 delta+varint segment decode (walk_store.cc), the
-// sorted-positions equal-range lookup behind WalkStore::Bucket, and the
-// per-bucket score accumulation of EstimateSingleSource. Each gets an AVX2
-// kernel with SSE4 and scalar fallbacks, selected once per process by
-// CPUID (clamped by the SIMRANK_SIMD_LEVEL environment variable) and
-// consulted per call, so one process can exercise every tier.
+// Two hot loops dominate a walk-index query once the page cache is warm:
+// the LEB128 delta+varint segment decode (walk_store.cc) and the
+// sorted-positions equal-range lookup behind WalkStore::Bucket. Each gets
+// an AVX2 kernel with SSE4 and scalar fallbacks, selected once per process
+// by CPUID (clamped by the SIMRANK_SIMD_LEVEL environment variable) and
+// consulted per call, so one process can exercise every tier. (The
+// single-source accumulation is scalar: a bucket holds about half an entry
+// on the benchmark graphs, too few for a gather to pay.)
 //
 // The contract that keeps the repo's bitwise-equality discipline intact:
 // a vector kernel never *replaces* the scalar path, it commits a prefix of
@@ -14,10 +15,7 @@
 // registers and either write it out and advance the cursor, or leave both
 // untouched and return early — the caller's scalar loop then handles the
 // tail, including every malformed-input case, at the exact byte offset the
-// scalar-only build would report. The accumulation kernel only runs after
-// a guard pass proved the bucket holds strictly-ascending in-range ids
-// (the invariant valid files always satisfy); anything else replays the
-// scalar walk so corruption diagnostics fire identically.
+// scalar-only build would report.
 #ifndef OIPSIM_SIMRANK_COMMON_SIMD_H_
 #define OIPSIM_SIMRANK_COMMON_SIMD_H_
 
@@ -83,22 +81,6 @@ struct EqualRange {
 };
 EqualRange EqualRangeU32(SimdLevel level, const uint32_t* values,
                          size_t count, uint32_t key);
-
-/// Index of the first element violating the valid-bucket invariant
-/// (vertices[i] < n and strictly ascending), or `count` when the whole
-/// array satisfies it. The guard in front of AccumulateBucket.
-size_t FindFirstInvalidVertex(SimdLevel level, const uint32_t* vertices,
-                              size_t count, uint32_t n);
-
-/// First-meeting accumulation over one valid bucket: for every b in
-/// `vertices` with met_round[b] != round, adds `weight` to result[b] and
-/// stamps met_round[b] = round. Caller guarantees the valid-bucket
-/// invariant (all ids < the result extent, strictly ascending), under
-/// which every level — including the gathered AVX2 path — performs the
-/// identical set of updates as the scalar loop.
-void AccumulateBucket(SimdLevel level, const uint32_t* vertices,
-                      size_t count, uint32_t round, double weight,
-                      uint32_t* met_round, double* result);
 
 }  // namespace simrank
 

@@ -28,20 +28,40 @@ std::vector<ScoredVertex> TopKFromRow(std::span<const double> row,
                                       VertexId query, uint32_t k,
                                       bool exclude_query = true);
 
-/// Top-k over a slice of a score row: `slice[i]` is s(query, base + i).
-/// Same ordering contract as TopKFromRow, with returned vertex ids offset
-/// by `base`. Merging per-shard results — each shard contributing its top
-/// min(k, slice length) over its vertex range — under the same
-/// (score desc, vertex asc) comparator reproduces TopKFromRow over the
-/// full row exactly: the comparator is a strict total order over distinct
-/// ids, and every global top-k member is in its own shard's top-k.
-std::vector<ScoredVertex> TopKFromRowSlice(std::span<const double> slice,
-                                           VertexId base, VertexId query,
-                                           uint32_t k,
-                                           bool exclude_query = true);
+/// A score row s(query, ·) of length n kept sparse: the vertices with a
+/// nonzero score, ascending by id. Every vertex not listed scores +0.0,
+/// so Dense() is the dense row bit for bit. A walk-index single-source
+/// row lists the query vertex itself, at 1.0.
+struct SparseRow {
+  uint32_t n = 0;
+  std::vector<ScoredVertex> entries;
 
-/// The TopKFromRow / TopKFromRowSlice comparator, exposed so a router can
-/// merge per-shard candidates with the identical tie-breaking.
+  /// s(query, b) by binary search; +0.0 for a vertex not listed.
+  double Score(VertexId b) const;
+  /// The n-entry row, zeros filled in.
+  std::vector<double> Dense() const;
+  /// Heap bytes the row holds: what caching it costs.
+  size_t HeapBytes() const {
+    return sizeof(SparseRow) + entries.capacity() * sizeof(ScoredVertex);
+  }
+};
+
+/// TopKFromRow over the vertices [begin, end) of a sparse row, query
+/// excluded: bitwise TopKFromRow(row.Dense(), query, k) restricted to that
+/// range. Every listed score is positive, so the listed vertices rank
+/// first; when k exceeds them the rest are zero-score vertices in
+/// ascending id order. Costs O(m log k) over the m listed vertices in
+/// range, plus the zero fill. Merging per-shard results — each shard
+/// contributing its top k over its range — under ScoredVertexBefore
+/// reproduces the full row's top-k exactly: the comparator is a strict
+/// total order over distinct ids, and every global top-k member is in its
+/// own shard's top-k.
+std::vector<ScoredVertex> TopKFromSparseRow(const SparseRow& row,
+                                            VertexId query, uint32_t k,
+                                            VertexId begin, VertexId end);
+
+/// The TopKFromRow / TopKFromSparseRow comparator, exposed so a router
+/// can merge per-shard candidates with the identical tie-breaking.
 inline bool ScoredVertexBefore(const ScoredVertex& a, const ScoredVertex& b) {
   return a.score != b.score ? a.score > b.score : a.vertex < b.vertex;
 }

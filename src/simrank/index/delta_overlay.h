@@ -290,18 +290,6 @@ void ForEachBucketVertex(const WalkStore& store, const DeltaOverlay* overlay,
   }
 }
 
-/// Materializes the ForEachBucketVertex sequence into `out` (cleared
-/// first) — the array form the vectorized accumulation kernel consumes.
-/// Same vertices, same ascending order.
-inline void CollectBucketVertices(const WalkStore& store,
-                                  const DeltaOverlay* overlay, uint32_t r,
-                                  uint32_t t, uint32_t position,
-                                  std::vector<VertexId>* out) {
-  out->clear();
-  ForEachBucketVertex(store, overlay, r, t, position,
-                      [out](const VertexId b) { out->push_back(b); });
-}
-
 }  // namespace simrank
 
 #endif  // OIPSIM_SIMRANK_INDEX_DELTA_OVERLAY_H_

@@ -1224,6 +1224,12 @@ DiGraph IndexUpdater::CurrentGraph() const {
   return std::move(builder).Build();
 }
 
+void IndexUpdater::HaltReplication(std::string error) {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.replication_halted = true;
+  stats_.replication_error = std::move(error);
+}
+
 IndexUpdateStats IndexUpdater::stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;

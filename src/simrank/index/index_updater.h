@@ -192,6 +192,11 @@ struct IndexUpdateStats {
   /// Current (updated) graph.
   uint64_t graph_edges = 0;
   uint64_t current_graph_fingerprint = 0;
+  /// A replica's WAL shipping stopped for good (HaltReplication): the
+  /// replica serves a graph its primary has moved past. The error says
+  /// why.
+  bool replication_halted = false;
+  std::string replication_error;
 };
 
 /// Owns the dynamic state of one served index: the current graph, the WAL,
@@ -227,6 +232,12 @@ class IndexUpdater {
   /// primary's fails loudly instead of silently forking. Thread-safe.
   Status ApplyReplicated(std::span<const EdgeUpdate> updates,
                          uint64_t expected_post_fingerprint);
+
+  /// Records that the replication feeding ApplyReplicated stopped for
+  /// good (a WalTailer halting on divergence, a gap or a reset log), so
+  /// whatever exports stats() — the replica's server — can report the
+  /// replica stale. Thread-safe.
+  void HaltReplication(std::string error);
 
   /// Copies WAL records [from, from + limit) in append order — the
   /// primary side of WAL shipping (a replica polls from its own record

@@ -138,6 +138,16 @@ class ShardedLruCache {
     return total;
   }
 
+  /// Calls `fn(value)` for every resident value, one shard lock at a time.
+  /// Counts nothing and leaves the recency order alone.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      for (const auto& entry : shard->lru) fn(entry.second);
+    }
+  }
+
   /// Aggregated hit/miss/eviction counters across all shards.
   Stats stats() const {
     Stats total;

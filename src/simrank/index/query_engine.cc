@@ -45,8 +45,13 @@ bool ValidUnder(VertexId v, uint64_t stamp, const DeltaOverlay* overlay) {
 
 QueryEngine::CacheStats QueryEngine::cache_stats() const {
   const LruCacheStats lru = cache_.stats();
-  return CacheStats{lru.hits, lru.misses, lru.evictions,
-                    restamped_.load(std::memory_order_relaxed)};
+  CacheStats stats{lru.hits, lru.misses, lru.evictions,
+                   restamped_.load(std::memory_order_relaxed)};
+  cache_.ForEach([&stats](const VersionedRow& entry) {
+    ++stats.rows;
+    stats.resident_bytes += entry.row->HeapBytes();
+  });
+  return stats;
 }
 
 QueryEngine::Row QueryEngine::GetFresh(VertexId v,
@@ -80,15 +85,17 @@ QueryEngine::Row QueryEngine::GetFresh(VertexId v,
   return hit->row;
 }
 
-bool QueryEngine::IsFresh(VertexId v, const DeltaOverlay* overlay) const {
+QueryEngine::Row QueryEngine::PeekFresh(VertexId v,
+                                        const DeltaOverlay* overlay) const {
   const std::optional<VersionedRow> entry = cache_.Peek(v);
-  return entry && ValidUnder(v, entry->sequence, overlay);
+  return entry && ValidUnder(v, entry->sequence, overlay) ? entry->row
+                                                          : nullptr;
 }
 
 std::optional<double> QueryEngine::CachedPair(VertexId a, VertexId b,
                                               const DeltaOverlay* overlay) {
-  if (Row row = GetFresh(a, overlay)) return (*row)[b];
-  if (Row row = GetFresh(b, overlay)) return (*row)[a];
+  if (Row row = GetFresh(a, overlay)) return row->Score(b);
+  if (Row row = GetFresh(b, overlay)) return row->Score(a);
   return std::nullopt;
 }
 
@@ -112,10 +119,28 @@ std::optional<double> QueryEngine::PairFromCache(VertexId a, VertexId b) {
   // LRU order, re-stamps and trace spans match the computing path. (A row
   // evicted between the two reads is counted as a miss here and again by
   // Pair.)
-  if (!IsFresh(a, overlay.get()) && !IsFresh(b, overlay.get())) {
+  if (PeekFresh(a, overlay.get()) == nullptr &&
+      PeekFresh(b, overlay.get()) == nullptr) {
     return std::nullopt;
   }
   return CachedPair(a, b, overlay.get());
+}
+
+std::optional<std::vector<ScoredVertex>> QueryEngine::TopKFromCache(
+    VertexId v, uint32_t k) {
+  if (v >= index_.n()) return std::nullopt;
+  const auto overlay = index_.overlay_snapshot();
+  // The same peek-then-count contract as PairFromCache. Any row GetFresh
+  // serves under this overlay is bitwise the peeked one, so the bound
+  // checked here holds for it.
+  const Row peeked = PeekFresh(v, overlay.get());
+  if (peeked == nullptr || peeked->entries.size() > kMaxCachedTopKEntries ||
+      k >= peeked->entries.size()) {
+    return std::nullopt;
+  }
+  const Row row = GetFresh(v, overlay.get());
+  if (row == nullptr) return std::nullopt;
+  return TopKFromSparseRow(*row, v, k, 0, row->n);
 }
 
 Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(
@@ -124,8 +149,8 @@ Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(
   const DeltaOverlay* overlay = at.overlay.get();
   if (Row row = GetFresh(v, overlay)) return row;
   const uint64_t sequence = SequenceOf(overlay);
-  Row row = std::make_shared<const std::vector<double>>(
-      index_.EstimateSingleSource(v, *at.store, overlay));
+  Row row = std::make_shared<const SparseRow>(
+      index_.EstimateSingleSourceSparse(v, *at.store, overlay));
   // Stamped with the sequence the row was actually computed under; if an
   // update raced us, the stamp is stale and the row reads as a miss —
   // and in that case skip the insert rather than overwrite a row another
@@ -140,7 +165,7 @@ Result<std::vector<ScoredVertex>> QueryEngine::TopKAtSnapshot(
     VertexId v, uint32_t k, const WalkIndex::Snapshot& at) {
   Result<Row> row = SingleSourceAtSnapshot(v, at);
   if (!row.ok()) return row.status();
-  return TopKFromRow(**row, v, k, /*exclude_query=*/true);
+  return TopKFromSparseRow(**row, v, k, 0, (*row)->n);
 }
 
 Result<double> QueryEngine::Pair(VertexId a, VertexId b) {

@@ -3,11 +3,13 @@
 // QueryEngine answers the three point-query shapes a SimRank service needs
 // — Pair(a, b), SingleSource(v) and TopK(v, k) — from a prebuilt walk
 // index, with a sharded LRU cache of single-source rows in front of the
-// estimator. A cached query is an O(1) row lookup; top-k and pair queries
-// are served from the cached row when one is resident. Row misses go
-// through the index's inverted-position path (output-sensitive, bitwise
-// identical to the legacy full scan — see WalkIndex::EstimateSingleSource),
-// so the engine serves identically whether the index is fully resident or
+// estimator. Rows are sparse (SparseRow: the nonzero (vertex, score)
+// entries, ascending — ~16 bytes per entry, ~0.5 KB for a median row
+// against 8n bytes dense), so a cached pair is a binary search and a
+// cached top-k a selection over the row's nonzeros. Row misses go through
+// the index's inverted-position path (output-sensitive, bitwise identical
+// to the full scan — see WalkIndex::EstimateSingleSourceSparse), so the
+// engine serves identically whether the index is fully resident or
 // mmap-backed. Batch variants fan the work across a thread pool (the cache
 // is thread-safe), which is how a server drains a request queue.
 #ifndef OIPSIM_SIMRANK_INDEX_QUERY_ENGINE_H_
@@ -61,7 +63,12 @@ struct QueryEngineOptions {
 class QueryEngine {
  public:
   /// A cached, immutable single-source score row s(v, ·).
-  using Row = std::shared_ptr<const std::vector<double>>;
+  using Row = std::shared_ptr<const SparseRow>;
+
+  /// TopKFromCache answers only from rows listing at most this many
+  /// vertices: the selection it runs stays a few microseconds, cheap
+  /// enough for an event loop.
+  static constexpr size_t kMaxCachedTopKEntries = 1024;
 
   explicit QueryEngine(const WalkIndex& index,
                        const QueryEngineOptions& options = {});
@@ -85,8 +92,18 @@ class QueryEngine {
   Result<Row> SingleSource(VertexId v);
 
   /// The k vertices most similar to `v` (self excluded), from the — cached
-  /// — single-source row. Ties break by ascending id.
+  /// — single-source row: a selection over its nonzeros, then zero-score
+  /// vertices by ascending id when k exceeds them. Ties break by ascending
+  /// id (bitwise TopKFromRow over the dense row).
   Result<std::vector<ScoredVertex>> TopK(VertexId v, uint32_t k);
+
+  /// TopK(v, k) when a resident row valid under the current overlay holds
+  /// it at bounded cost — at most kMaxCachedTopKEntries listed vertices
+  /// and at least k besides v, so no zero fill runs — else nullopt. Never
+  /// computes; like PairFromCache, a miss counts nothing in cache_stats()
+  /// and a hit counts exactly the lookup TopK would make.
+  std::optional<std::vector<ScoredVertex>> TopKFromCache(VertexId v,
+                                                         uint32_t k);
 
   /// Batch variants: answer[i] corresponds to queries[i]. Work is spread
   /// across the engine's thread pool; results are deterministic (identical
@@ -104,12 +121,16 @@ class QueryEngine {
 
   /// Cache counters since construction. A hit is a row served from the
   /// cache, fresh or re-stamped; `restamped` counts the re-stamps, the
-  /// rows carried across batches that could not change them.
+  /// rows carried across batches that could not change them. `rows` and
+  /// `resident_bytes` describe the rows resident now (SparseRow::HeapBytes
+  /// summed).
   struct CacheStats {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t restamped = 0;
+    uint64_t rows = 0;
+    uint64_t resident_bytes = 0;
   };
   CacheStats cache_stats() const;
 
@@ -128,9 +149,9 @@ class QueryEngine {
   /// (null: no batch yet, sequence 0), re-stamping it when it is valid
   /// through an older stamp; other older entries are erased.
   Row GetFresh(VertexId v, const DeltaOverlay* overlay);
-  /// Whether GetFresh would hit, without counting, tracing, re-stamping or
-  /// touching the LRU order.
-  bool IsFresh(VertexId v, const DeltaOverlay* overlay) const;
+  /// The row GetFresh would serve, without counting, tracing,
+  /// re-stamping or touching the LRU order; null when it would miss.
+  Row PeekFresh(VertexId v, const DeltaOverlay* overlay) const;
   /// s(a, b) from the fresh row of `a`, else of `b` — the lookups of
   /// every pair query, in their order; nullopt when neither is resident.
   std::optional<double> CachedPair(VertexId a, VertexId b,

@@ -1,11 +1,11 @@
 #include "simrank/index/walk_index.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
 
 #include "simrank/common/coupled_hash.h"
-#include "simrank/common/simd.h"
 #include "simrank/common/string_util.h"
 #include "simrank/common/thread_pool.h"
 #include "simrank/graph/graph_io.h"
@@ -167,68 +167,37 @@ const uint32_t* ServingRow(const WalkStore& store, const DeltaOverlay* overlay,
   return *row;
 }
 
-/// First-meeting accumulation over one bucket under base+overlay. The
-/// scalar path is the checked ForEachBucketVertex walk — the reference
-/// semantics, including the fatal diagnostic on out-of-range ids. With a
-/// vector tier active, the bucket is first guarded (all ids < n, strictly
-/// ascending — the invariant every valid file satisfies); only then does
-/// the vector kernel take over, performing the identical set of updates in
-/// the identical ascending order. A guard failure falls through to the
-/// scalar walk untouched, so corruption behaves exactly as before.
-void AccumulateBucketVertices(const WalkStore& store,
-                              const DeltaOverlay* overlay, uint32_t r,
-                              uint32_t t, uint32_t pv, uint32_t round,
-                              double weight, uint32_t n,
-                              std::vector<uint32_t>* merged_scratch,
-                              std::vector<uint32_t>* met_round,
-                              std::vector<double>* result) {
-  TraceRecorder* const recorder = CurrentTraceRecorder();
-  if (recorder != nullptr) {
-    recorder->Add(TraceCounter::kSlotsProbed, 1);
-    if (overlay != nullptr && overlay->Delta(r, t) != nullptr) {
-      recorder->Add(TraceCounter::kOverlayRowsMerged, 1);
+/// Per-thread scratch of the sparse estimator, grown to the largest n the
+/// thread has served (one thread may serve indexes of different n). A
+/// call takes the stamps base+1 .. base+R: stamp[b] > base marks b touched
+/// by this call (sum[b] live, b in `touched`), and stamp[b] == base+r+1
+/// met in fingerprint r. Older stamps read as untouched, so a call never
+/// clears the arrays; they are reset only when the stamps would wrap.
+struct RowScratch {
+  std::vector<uint32_t> stamp;
+  std::vector<double> sum;
+  std::vector<VertexId> touched;
+  uint32_t next_base = 0;
+
+  /// Readies the scratch for one row over n vertices and `rounds`
+  /// fingerprints; returns the call's base stamp.
+  uint32_t Begin(uint32_t n, uint32_t rounds) {
+    if (stamp.size() < n) {
+      stamp.resize(n, 0);
+      sum.resize(n);
     }
-  }
-  const SimdLevel simd = ActiveSimdLevel();
-  if (simd != SimdLevel::kScalar) {
-    const uint32_t* vertices = nullptr;
-    size_t count = 0;
-    const DeltaOverlay::SlotDelta* delta =
-        overlay == nullptr ? nullptr : overlay->Delta(r, t);
-    if (delta == nullptr) {
-      const std::span<const VertexId> base = store.Bucket(r, t, pv);
-      vertices = base.data();
-      count = base.size();
-    } else {
-      TraceScope merge_scope(TraceStage::kOverlayMerge);
-      CollectBucketVertices(store, overlay, r, t, pv, merged_scratch);
-      vertices = merged_scratch->data();
-      count = merged_scratch->size();
+    if (next_base > UINT32_MAX - rounds) {
+      std::fill(stamp.begin(), stamp.end(), 0);
+      next_base = 0;
     }
-    if (FindFirstInvalidVertex(simd, vertices, count, n) == count) {
-      if (recorder != nullptr) {
-        recorder->Add(TraceCounter::kBucketEntries, count);
-      }
-      AccumulateBucket(simd, vertices, count, round, weight,
-                       met_round->data(), result->data());
-      return;
-    }
+    touched.clear();
+    const uint32_t base = next_base;
+    next_base += rounds;
+    return base;
   }
-  size_t scanned = 0;
-  ForEachBucketVertex(store, overlay, r, t, pv, [&](const uint32_t b) {
-    OIPSIM_CHECK_MSG(b < n,
-                     "corrupt inverted index while serving: vertex id "
-                     "%u >= n=%u (run VerifyPayload on this file)",
-                     b, n);
-    ++scanned;
-    if ((*met_round)[b] == round) return;
-    (*result)[b] += weight;
-    (*met_round)[b] = round;
-  });
-  if (recorder != nullptr) {
-    recorder->Add(TraceCounter::kBucketEntries, scanned);
-  }
-}
+};
+
+thread_local RowScratch t_row_scratch;
 
 }  // namespace
 
@@ -242,7 +211,7 @@ double WalkIndex::EstimatePair(VertexId a, VertexId b, const WalkStore& store,
   return EstimatePairWithRow({row_a, store.WalkWords()}, b, store, overlay);
 }
 
-std::vector<double> WalkIndex::EstimateSingleSource(
+SparseRow WalkIndex::EstimateSingleSourceSparse(
     VertexId v, const WalkStore& store, const DeltaOverlay* overlay) const {
   OIPSIM_CHECK(v < store.meta().n);
   std::vector<uint32_t> scratch;
@@ -278,7 +247,7 @@ double WalkIndex::EstimatePairWithRow(std::span<const uint32_t> row_a,
   return sum / static_cast<double>(options_.num_fingerprints);
 }
 
-std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
+SparseRow WalkIndex::EstimateSingleSourceWithRow(
     VertexId v, std::span<const uint32_t> row_v, const WalkStore& store,
     const DeltaOverlay* overlay) const {
   const uint32_t n = store.meta().n;
@@ -292,41 +261,76 @@ std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
   // across the whole inverted region — start the readahead (a one-time
   // batched submission) before the first lookup faults.
   store.PrefetchSlots();
-  std::vector<double> result(n, 0.0);
-  // met_round[b] == r+1 marks that b's walk already met v's walk within
-  // fingerprint r (first-meeting semantics) — an epoch stamp, so the array
-  // is never re-cleared.
-  std::vector<uint32_t> met_round(n, 0);
-  std::vector<uint32_t> merged_scratch;
-  TraceScope probe_scope(TraceStage::kIndexProbe);
-  for (uint32_t r = 0; r < R; ++r) {
-    const uint32_t round = r + 1;
-    met_round[v] = round;
-    for (uint32_t t = 1; t <= L; ++t) {
-      const uint32_t pv = row_v[r * row + t];
-      if (pv == kDeadWalk) break;  // v's walk died: no further meetings
-      const double weight = damping_powers_[t];
-      // Only the vertices actually parked at pv in this slot — the
-      // output-sensitive core. Buckets (merged with the overlay's slot
-      // diff when one is active) are ascending by vertex id, the same
-      // per-b accumulation order as the scan, so each result entry is the
-      // identical left-to-right sum. Every id is bounds-checked before
-      // use (corruption can break the ascending invariant too, so
-      // checking only the last element would not do): an out-of-range id
-      // is payload corruption the (deliberately payload-blind) mmap open
-      // could not have seen, and it must not become an out-of-bounds
-      // write — AccumulateBucketVertices guards before any vector fast
-      // path and falls back to the checked scalar walk.
-      AccumulateBucketVertices(store, overlay, r, t, pv, round, weight, n,
-                               &merged_scratch, &met_round, &result);
+  RowScratch& scratch = t_row_scratch;
+  const uint32_t base = scratch.Begin(n, R);
+  uint32_t* const stamp = scratch.stamp.data();
+  double* const sum = scratch.sum.data();
+  TraceRecorder* const recorder = CurrentTraceRecorder();
+  {
+    TraceScope probe_scope(TraceStage::kIndexProbe);
+    for (uint32_t r = 0; r < R; ++r) {
+      const uint32_t round = base + r + 1;
+      stamp[v] = round;  // the diagonal is never accumulated
+      for (uint32_t t = 1; t <= L; ++t) {
+        const uint32_t pv = row_v[r * row + t];
+        if (pv == kDeadWalk) break;  // v's walk died: no further meetings
+        const double weight = damping_powers_[t];
+        const bool merged =
+            overlay != nullptr && overlay->Delta(r, t) != nullptr;
+        if (recorder != nullptr) {
+          recorder->Add(TraceCounter::kSlotsProbed, 1);
+          if (merged) recorder->Add(TraceCounter::kOverlayRowsMerged, 1);
+        }
+        // Only the vertices parked at pv in this slot — the
+        // output-sensitive core. Buckets (merged with the overlay's slot
+        // diff when one is active) ascend by vertex id and slots run in
+        // (r, t) order, so each vertex's sum takes its additions in the
+        // scan's order: the first is 0.0 + weight, exactly `weight`.
+        // Every id is bounds-checked before use: an out-of-range id is
+        // payload corruption the (deliberately payload-blind) mmap open
+        // could not have seen, and it must not become an out-of-bounds
+        // write.
+        size_t scanned = 0;
+        auto visit = [&](const VertexId b) {
+          OIPSIM_CHECK_MSG(b < n,
+                           "corrupt inverted index while serving: vertex id "
+                           "%u >= n=%u (run VerifyPayload on this file)",
+                           b, n);
+          ++scanned;
+          if (stamp[b] == round) return;  // first meeting only
+          if (stamp[b] > base) {
+            sum[b] += weight;
+          } else {
+            sum[b] = weight;
+            scratch.touched.push_back(b);
+          }
+          stamp[b] = round;
+        };
+        if (merged) {
+          TraceScope merge_scope(TraceStage::kOverlayMerge);
+          ForEachBucketVertex(store, overlay, r, t, pv, visit);
+        } else {
+          for (const VertexId b : store.Bucket(r, t, pv)) visit(b);
+        }
+        if (recorder != nullptr) {
+          recorder->Add(TraceCounter::kBucketEntries, scanned);
+        }
+      }
     }
   }
+  std::vector<VertexId>& touched = scratch.touched;
+  touched.push_back(v);
+  std::sort(touched.begin(), touched.end());
   // Divide (not multiply by a reciprocal) so every entry is bit-identical
   // to the corresponding EstimatePair result for any fingerprint count.
-  const double fingerprints =
-      static_cast<double>(options_.num_fingerprints);
-  for (double& score : result) score /= fingerprints;
-  result[v] = 1.0;
+  const double fingerprints = static_cast<double>(R);
+  SparseRow result;
+  result.n = n;
+  result.entries.reserve(touched.size());
+  for (const VertexId b : touched) {
+    result.entries.push_back(
+        ScoredVertex{b, b == v ? 1.0 : sum[b] / fingerprints});
+  }
   return result;
 }
 

@@ -75,7 +75,7 @@ std::pair<int, std::string> ExecuteSingleSource(QueryEngine& engine,
   auto row = engine.SingleSource(args.v);
   if (!row.ok()) return EngineErrorResponse(row.status());
   TraceScope serialize(TraceStage::kSerialize);
-  return {200, SingleSourceBody(args.v, **row)};
+  return {200, SingleSourceBody(args.v, (*row)->Dense())};
 }
 
 std::pair<int, std::string> ExecuteTopK(QueryEngine& engine,
@@ -443,23 +443,28 @@ HttpFrontend::Response ExecuteInternal(QueryEngine& engine,
                   row[0], args.v));
     return out;
   }
-  const std::vector<double> full =
+  const SparseRow scores =
       index.EstimateSingleSourceWithRow(args.v, row, store, overlay);
   if (args.internal == InternalOp::kPartial) {
+    // The dense slice: all-zero bytes are +0.0, then the listed scores.
     out.status = 200;
     out.content_type = "application/octet-stream";
     out.body.assign(
-        reinterpret_cast<const char*>(full.data() + range.begin),
-        static_cast<size_t>(range.end - range.begin) * sizeof(double));
+        static_cast<size_t>(range.end - range.begin) * sizeof(double), '\0');
+    for (const ScoredVertex& scored : scores.entries) {
+      if (!range.Contains(scored.vertex)) continue;
+      std::memcpy(out.body.data() +
+                      static_cast<size_t>(scored.vertex - range.begin) *
+                          sizeof(double),
+                  &scored.score, sizeof(double));
+    }
     return out;
   }
 
   // kTopK: this shard's top-k of its slice, as packed {u32 vertex,
   // f64 score} records in rank order.
-  const std::vector<ScoredVertex> top = TopKFromRowSlice(
-      std::span<const double>(full).subspan(range.begin,
-                                            range.end - range.begin),
-      range.begin, args.v, args.k);
+  const std::vector<ScoredVertex> top =
+      TopKFromSparseRow(scores, args.v, args.k, range.begin, range.end);
   out.status = 200;
   out.content_type = "application/octet-stream";
   out.body.reserve(top.size() * 12);
@@ -905,11 +910,14 @@ void SimRankServer::DispatchQuery(Connection* conn,
   }
 
   const auto dispatched_at = std::chrono::steady_clock::now();
-  // A pair whose answer sits in a fresh cached row costs one row load:
-  // answer it here, with no worker hand-off and no admission (like
-  // /healthz). A miss, and every other query, goes to the pool.
-  if (endpoint == ServerEndpoint::kPair && op == InternalOp::kNone &&
-      AnswerPairFromCache(conn, args, dispatched_at)) {
+  // A pair or a top-k whose answer sits in a fresh cached row costs a
+  // binary search or a bounded selection over the row's nonzeros: answer
+  // it here, with no worker hand-off and no admission (like /healthz). A
+  // miss, and every other query, goes to the pool.
+  if (op == InternalOp::kNone &&
+      (endpoint == ServerEndpoint::kPair ||
+       endpoint == ServerEndpoint::kTopK) &&
+      AnswerFromCache(conn, endpoint, args, dispatched_at)) {
     return;
   }
   if (!frontend_.Admit(conn, static_cast<int>(slot),
@@ -975,8 +983,8 @@ void SimRankServer::DispatchQuery(Connection* conn,
       });
 }
 
-bool SimRankServer::AnswerPairFromCache(
-    Connection* conn, const QueryArgs& args,
+bool SimRankServer::AnswerFromCache(
+    Connection* conn, ServerEndpoint endpoint, const QueryArgs& args,
     std::chrono::steady_clock::time_point started) {
   // Traced like the worker path, minus its queue_wait span.
   const bool traced = args.trace.traced();
@@ -985,16 +993,24 @@ bool SimRankServer::AnswerPairFromCache(
   HttpFrontend::Response response;
   {
     TraceBinding binding(traced ? &*recorder : nullptr);
-    TraceScope root(TraceStage::kRequest,
-                    ServerEndpointName(ServerEndpoint::kPair));
-    const std::optional<double> score = engine_.PairFromCache(args.a, args.b);
-    if (!score.has_value()) return false;
-    TraceScope serialize(TraceStage::kSerialize);
+    TraceScope root(TraceStage::kRequest, ServerEndpointName(endpoint));
+    if (endpoint == ServerEndpoint::kPair) {
+      const std::optional<double> score =
+          engine_.PairFromCache(args.a, args.b);
+      if (!score.has_value()) return false;
+      TraceScope serialize(TraceStage::kSerialize);
+      response.body = PairBody(args.a, args.b, *score);
+    } else {
+      const std::optional<std::vector<ScoredVertex>> top =
+          engine_.TopKFromCache(args.v, args.k);
+      if (!top.has_value()) return false;
+      TraceScope serialize(TraceStage::kSerialize);
+      response.body = TopKBody(args.v, args.k, *top);
+    }
     response.status = 200;
-    response.body = PairBody(args.a, args.b, *score);
   }
-  FinishQuery(ServerEndpoint::kPair, args, started,
-              traced ? &*recorder : nullptr, &response);
+  FinishQuery(endpoint, args, started, traced ? &*recorder : nullptr,
+              &response);
   // The connection is not parked: pipelined requests behind this one are
   // parsed in the same pass, and their responses queue after this one.
   frontend_.Answer(conn, response);
@@ -1088,7 +1104,8 @@ MetricSet SimRankServer::CollectStats() const {
       .Gauge("watchdog.max_queue_depth", "simrank_queue_depth_max",
              dog.max_queue_depth)
       .Counter("watchdog.stalls", "simrank_loop_stalls_total", dog.stalls)
-      .Duration("watchdog.last_stall_us", "", dog.last_stall_us)
+      .Duration("watchdog.last_stall_us", "simrank_loop_last_stall_seconds",
+                dog.last_stall_us)
       // Dispatch-to-start latency: the queue wait workers observed.
       .Histogram("watchdog.dispatch_latency_us",
                  "simrank_dispatch_latency_seconds",
@@ -1101,7 +1118,8 @@ MetricSet SimRankServer::CollectStats() const {
                memory.virtual_bytes)
         .Gauge("process_memory.peak_resident_bytes",
                "simrank_peak_resident_bytes", memory.peak_resident_bytes)
-        .Gauge("process_memory.data_bytes", "", memory.data_bytes);
+        .Gauge("process_memory.data_bytes", "simrank_data_bytes",
+               memory.data_bytes);
   }
 
   auto request_counter = [&m](const char* endpoint, uint64_t count) {
@@ -1141,7 +1159,10 @@ MetricSet SimRankServer::CollectStats() const {
       .Counter("cache.evictions", "simrank_cache_evictions_total",
                cache.evictions)
       .Counter("cache.restamped", "simrank_cache_restamped_total",
-               cache.restamped);
+               cache.restamped)
+      .Gauge("cache.rows", "simrank_cache_rows", cache.rows)
+      .Gauge("cache.resident_bytes", "simrank_cache_resident_bytes",
+             cache.resident_bytes);
   // Per-endpoint dispatch-to-completion latency.
   for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
     const char* name = ServerEndpointName(static_cast<ServerEndpoint>(i));
@@ -1178,7 +1199,9 @@ MetricSet SimRankServer::CollectStats() const {
     const IndexUpdateStats updates = updater_->stats();
     m.Counter("updates.batches_applied", "simrank_update_batches_total",
               updates.batches_applied)
-        .Counter("updates.batches_replayed", "", updates.batches_replayed)
+        .Counter("updates.batches_replayed",
+                 "simrank_update_batches_replayed_total",
+                 updates.batches_replayed)
         .Counter("updates.edges_inserted", "simrank_update_edges_total",
                  updates.edges_inserted, PromLabel("op", "insert"))
         .Counter("updates.edges_deleted", "simrank_update_edges_total",
@@ -1186,7 +1209,8 @@ MetricSet SimRankServer::CollectStats() const {
         .Counter("updates.walks_resimulated",
                  "simrank_update_walks_resimulated_total",
                  updates.walks_resimulated)
-        .Counter("updates.walks_changed", "", updates.walks_changed)
+        .Counter("updates.walks_changed", "simrank_update_walks_changed_total",
+                 updates.walks_changed)
         .Counter("updates.rows_invalidated",
                  "simrank_update_rows_invalidated_total",
                  updates.rows_invalidated)
@@ -1196,12 +1220,14 @@ MetricSet SimRankServer::CollectStats() const {
                updates.patched_vertices)
         .Gauge("updates.patched_walks", "simrank_overlay_patches",
                updates.patched_walks)
-        .Gauge("updates.changed_slots", "", updates.changed_slots)
+        .Gauge("updates.changed_slots", "simrank_overlay_changed_slots",
+               updates.changed_slots)
         .Gauge("updates.delta_entries", "simrank_overlay_delta_entries",
                updates.delta_entries)
         .Gauge("updates.overlay_bytes", "simrank_overlay_bytes",
                updates.overlay_bytes)
-        .Gauge("updates.graph_edges", "", updates.graph_edges)
+        .Gauge("updates.graph_edges", "simrank_graph_edges",
+               updates.graph_edges)
         .Info("updates.graph_fingerprint",
               FormatFingerprint(updates.current_graph_fingerprint))
         .Gauge("updates.wal_records", "simrank_wal_records",
@@ -1209,7 +1235,8 @@ MetricSet SimRankServer::CollectStats() const {
         .Gauge("updates.wal_bytes", "simrank_wal_bytes", updates.wal_bytes)
         .Counter("updates.wal_syncs", "simrank_wal_syncs_total",
                  updates.wal_syncs)
-        .Counter("updates.wal_truncated_bytes", "",
+        .Counter("updates.wal_truncated_bytes",
+                 "simrank_wal_truncated_bytes_total",
                  updates.wal_truncated_bytes)
         .Counter("updates.compaction.completed", "simrank_compactions_total",
                  updates.compactions)
@@ -1218,7 +1245,8 @@ MetricSet SimRankServer::CollectStats() const {
         .Counter("updates.compaction.auto_failures",
                  "simrank_auto_compact_failures_total",
                  updates.auto_compact_failures)
-        .Duration("updates.compaction.last_total_us", "",
+        .Duration("updates.compaction.last_total_us",
+                  "simrank_compaction_last_duration_seconds",
                   updates.last_compaction_micros)
         .Duration("updates.compaction.last_pause_us",
                   "simrank_compaction_pause_seconds",
@@ -1227,6 +1255,13 @@ MetricSet SimRankServer::CollectStats() const {
         .Histogram("updates.compaction",
                    "simrank_compaction_duration_seconds",
                    updater_->compaction_histogram().snapshot());
+    if (options_.replica) {
+      // A halted WAL tailer leaves this replica serving a graph its
+      // primary has moved past; a scraping router reads the gauge.
+      m.Gauge("replication.halted", "simrank_replication_halted",
+              updates.replication_halted ? 1 : 0)
+          .Info("replication.last_error", updates.replication_error);
+    }
   }
 
   const bool clustered = options_.sharded || options_.replica;

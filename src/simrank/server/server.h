@@ -366,14 +366,16 @@ class SimRankServer {
   /// Refuses what this server's role cannot answer (a replica's writes
   /// 403, a partial shard's whole-row reads 421, writes without an
   /// updater 503), parses and traces the query, then answers a cached pair
-  /// on the loop or submits the query to a worker under admission
-  /// control.
+  /// or top-k on the loop or submits the query to a worker under
+  /// admission control.
   void DispatchQuery(Connection* conn, const HttpRequest& request,
                      ServerEndpoint endpoint, internal::InternalOp op);
-  /// Answers a public pair query on the loop thread when a fresh cached
-  /// row holds it; returns false, having queued nothing, on a miss.
-  bool AnswerPairFromCache(Connection* conn, const internal::QueryArgs& args,
-                           std::chrono::steady_clock::time_point started);
+  /// Answers a public pair or top-k query on the loop thread when a fresh
+  /// cached row holds it (QueryEngine::PairFromCache / TopKFromCache);
+  /// returns false, having queued nothing, on a miss.
+  bool AnswerFromCache(Connection* conn, ServerEndpoint endpoint,
+                       const internal::QueryArgs& args,
+                       std::chrono::steady_clock::time_point started);
   /// The tail every answered query shares, inline or worker-run: records
   /// the endpoint latency since `started` and, given a trace, finishes it
   /// (HttpFrontend::FinishTrace). Any thread.

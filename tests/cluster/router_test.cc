@@ -970,6 +970,25 @@ TEST(ReplicationTest, ReplicaHaltsWhenThePrimaryResetsItsWal) {
   tailer_options.poll_interval_ms = 10;
   WalTailer tailer(*replica.updater, tailer_options);
   ASSERT_TRUE(tailer.Start().ok());
+  // A one-shard router scraping both, for /v1/cluster/health.
+  auto plan = ShardPlan::EvenSplit(graph.n(),
+                                   primary.index.graph_fingerprint(), 1);
+  ASSERT_TRUE(plan.ok());
+  RouterOptions router_options;
+  router_options.plan = *plan;
+  router_options.shards = {RouterShard{0, primary.port(), replica.port()}};
+  router_options.scrape_interval_ms = 20;
+  SimRankRouter router(std::move(router_options));
+  ASSERT_TRUE(router.Bind().ok());
+  ASSERT_TRUE(router.Start().ok());
+  // The replica's entry of the health body ("" until it is listed).
+  auto replica_health = [&router] {
+    auto health = HttpGet(router.port(), "/v1/cluster/health");
+    if (!health.ok()) return std::string();
+    const size_t at = health->body.find("\"replica\":{");
+    return at == std::string::npos ? std::string()
+                                   : health->body.substr(at);
+  };
 
   std::vector<Edge> fresh;
   for (VertexId src = 0; src < graph.n() && fresh.size() < 4; ++src) {
@@ -997,6 +1016,13 @@ TEST(ReplicationTest, ReplicaHaltsWhenThePrimaryResetsItsWal) {
   const uint64_t caught_up =
       replica.updater->stats().current_graph_fingerprint;
   EXPECT_EQ(caught_up, primary.updater->stats().current_graph_fingerprint);
+  wait_for(
+      [&] {
+        return replica_health().find("\"wal_lag_records\":0") !=
+               std::string::npos;
+      },
+      "the router never saw the replica caught up");
+  EXPECT_NE(replica_health().find("\"healthy\":true"), std::string::npos);
 
   // The compaction renumbers the primary's WAL; two more batches take its
   // record count back to the replica's.
@@ -1010,6 +1036,27 @@ TEST(ReplicationTest, ReplicaHaltsWhenThePrimaryResetsItsWal) {
   EXPECT_NE(tailer.stats().last_error.find("reset"), std::string::npos)
       << tailer.stats().last_error;
   EXPECT_EQ(replica.updater->stats().current_graph_fingerprint, caught_up);
+  // The replica reports the halt, and the router reads it unhealthy with
+  // no lag: its record count no longer measures one.
+  auto stats = HttpGet(replica.port(), "/v1/stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->body.find("\"replication\":{\"halted\":1,"),
+            std::string::npos)
+      << stats->body;
+  EXPECT_NE(stats->body.find("reset under this replica"), std::string::npos);
+  wait_for(
+      [&] {
+        return replica_health().find("\"healthy\":false") !=
+               std::string::npos;
+      },
+      "the router never saw the halt");
+  const std::string halted = replica_health();
+  EXPECT_EQ(halted.find("wal_lag_records"), std::string::npos) << halted;
+  EXPECT_NE(halted.find("\"error\":\"WAL replication halted"),
+            std::string::npos)
+      << halted;
+  EXPECT_TRUE(halted.ends_with("\"healthy\":false}")) << halted;
+  router.Shutdown();
   tailer.Stop();
 }
 

@@ -125,8 +125,9 @@ TEST(ShardSplitTest, SingleSourceSliceIsBitwiseEqualToFullIndex) {
     for (size_t s = 0; s < shards.size(); ++s) {
       const ShardRange& range = plan->shards[s];
       const std::vector<double> partial =
-          shards[s].EstimateSingleSourceWithRow(v, row, shards[s].store(),
-                                                nullptr);
+          shards[s]
+              .EstimateSingleSourceWithRow(v, row, shards[s].store(), nullptr)
+              .Dense();
       ASSERT_EQ(partial.size(), full.size());
       std::memcpy(stitched.data() + range.begin, partial.data() + range.begin,
                   (range.end - range.begin) * sizeof(double));

@@ -61,7 +61,9 @@ SPRT build_info.version
 SPR- cache.evictions
 SPR- cache.hits
 SPR- cache.misses
+SPR- cache.resident_bytes
 SPR- cache.restamped
+SPR- cache.rows
 ---T cluster.conflicts_retried
 ---T cluster.failovers
 -PR- cluster.overlay_sequence
@@ -124,6 +126,8 @@ SPR- process_memory.data_bytes
 SPR- process_memory.peak_resident_bytes
 SPR- process_memory.resident_bytes
 SPR- process_memory.virtual_bytes
+--R- replication.halted
+--R- replication.last_error
 SPRT requests.batch_pair
 ---T requests.cluster_health
 SPR- requests.compact
@@ -295,12 +299,16 @@ SPR- simrank_build_info gauge {version="_",compiler="_",build_type="_",simd="_",
 SPR- simrank_cache_evictions_total counter {}
 SPR- simrank_cache_hits_total counter {}
 SPR- simrank_cache_misses_total counter {}
+SPR- simrank_cache_resident_bytes gauge {}
 SPR- simrank_cache_restamped_total counter {}
+SPR- simrank_cache_rows gauge {}
 SPR- simrank_compaction_duration_seconds histogram {}
+SPR- simrank_compaction_last_duration_seconds gauge {}
 SPR- simrank_compaction_pause_seconds gauge {}
 SPR- simrank_compactions_total counter {}
 SPR- simrank_connections_accepted_total counter {}
 SPR- simrank_connections_open gauge {}
+SPR- simrank_data_bytes gauge {}
 SPR- simrank_dispatch_latency_seconds histogram {}
 ---T simrank_fleet_scrape_age_seconds gauge {shard="0",role="primary"}
 ---T simrank_fleet_scrape_age_seconds gauge {shard="0",role="replica"}
@@ -308,14 +316,17 @@ SPR- simrank_dispatch_latency_seconds histogram {}
 ---T simrank_fleet_scrape_rounds_total counter {}
 ---T simrank_fleet_target_healthy gauge {shard="0",role="primary"}
 ---T simrank_fleet_target_healthy gauge {shard="0",role="replica"}
+SPR- simrank_graph_edges gauge {}
 SPR- simrank_index_info gauge {backend="in-memory"}
 SPR- simrank_index_resident_bytes gauge {}
 SPR- simrank_index_vertices gauge {}
 SPR- simrank_inflight gauge {}
 SPR- simrank_loop_lag_max_seconds gauge {}
 SPR- simrank_loop_lag_seconds gauge {}
+SPR- simrank_loop_last_stall_seconds gauge {}
 SPR- simrank_loop_stalls_total counter {}
 SPR- simrank_overlay_bytes gauge {}
+SPR- simrank_overlay_changed_slots gauge {}
 SPR- simrank_overlay_delta_entries gauge {}
 SPR- simrank_overlay_patched_vertices gauge {}
 SPR- simrank_overlay_patches gauge {}
@@ -327,6 +338,7 @@ SPR- simrank_queue_depth_max gauge {}
 SPR- simrank_rejected_total counter {reason="endpoint"}
 SPR- simrank_rejected_total counter {reason="inflight"}
 SPR- simrank_rejected_total counter {reason="misdirected"}
+--R- simrank_replication_halted gauge {}
 SPR- simrank_request_duration_seconds histogram {endpoint="batch_pair"}
 SPR- simrank_request_duration_seconds histogram {endpoint="compact"}
 SPR- simrank_request_duration_seconds histogram {endpoint="pair"}
@@ -400,16 +412,19 @@ SPR- simrank_stage_duration_seconds histogram {stage="row_fetch"}
 SPR- simrank_stage_duration_seconds histogram {stage="serialize"}
 SPR- simrank_stage_duration_seconds histogram {stage="shard_exchange"}
 SPR- simrank_traced_requests_total counter {}
+SPR- simrank_update_batches_replayed_total counter {}
 SPR- simrank_update_batches_total counter {}
 SPR- simrank_update_edges_total counter {op="delete"}
 SPR- simrank_update_edges_total counter {op="insert"}
 SPR- simrank_update_rows_invalidated_total counter {}
+SPR- simrank_update_walks_changed_total counter {}
 SPR- simrank_update_walks_resimulated_total counter {}
 SPR- simrank_uptime_seconds gauge {}
 SPR- simrank_virtual_bytes gauge {}
 SPR- simrank_wal_bytes gauge {}
 SPR- simrank_wal_records gauge {}
 SPR- simrank_wal_syncs_total counter {}
+SPR- simrank_wal_truncated_bytes_total counter {}
 )";
 
 using NameSets = std::array<std::set<std::string>, kNumSurfaces>;

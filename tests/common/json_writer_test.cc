@@ -1,5 +1,6 @@
 #include "simrank/common/json_writer.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -80,6 +81,15 @@ TEST(JsonDoubleTest, ShortestFormRoundTripsBitwise) {
   // Human-scale values stay human-readable.
   EXPECT_EQ(JsonDouble(0.6), "0.6");
   EXPECT_EQ(JsonDouble(0.0), "0");
+}
+
+TEST(JsonDoubleTest, SignedZerosKeepTheirSign) {
+  EXPECT_EQ(JsonDouble(0.0), "0");
+  EXPECT_EQ(JsonDouble(-0.0), "-0");
+  EXPECT_TRUE(std::signbit(std::strtod(JsonDouble(-0.0).c_str(), nullptr)));
+  JsonWriter json;
+  json.BeginArray().Double(0.0).Double(-0.0).Double(0.5).EndArray();
+  EXPECT_EQ(json.str(), "[0,-0,0.5]");
 }
 
 TEST(JsonDoubleTest, NonFiniteRendersNull) {

@@ -347,103 +347,5 @@ TEST(EqualRangeU32Test, ExtremeKeysAndValues) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// FindFirstInvalidVertex
-
-size_t ScalarFirstInvalid(const std::vector<uint32_t>& vertices, uint32_t n) {
-  if (vertices.empty()) return 0;
-  if (vertices[0] >= n) return 0;
-  for (size_t i = 1; i < vertices.size(); ++i) {
-    if (vertices[i] >= n || vertices[i] <= vertices[i - 1]) return i;
-  }
-  return vertices.size();
-}
-
-TEST(FindFirstInvalidVertexTest, AgreesWithScalarOnEveryViolationSite) {
-  const uint32_t n = 100;
-  std::mt19937 rng(17);
-  for (size_t count : {0u, 1u, 3u, 7u, 8u, 9u, 16u, 33u, 50u}) {
-    // A valid strictly-ascending base array of ids < n.
-    std::vector<uint32_t> base;
-    for (uint32_t v = 1; v < n && base.size() < count; ++v) {
-      if (std::uniform_int_distribution<int>(0, 1)(rng) == 0) {
-        base.push_back(v);
-      }
-    }
-    const size_t m = base.size();
-    for (SimdLevel level : TestableLevels()) {
-      EXPECT_EQ(FindFirstInvalidVertex(level, base.data(), m, n), m)
-          << SimdLevelName(level);
-    }
-    // Inject each violation kind at each index.
-    for (size_t site = 0; site < m; ++site) {
-      for (int kind = 0; kind < 3; ++kind) {
-        std::vector<uint32_t> corrupted = base;
-        if (kind == 0) {
-          corrupted[site] = n + 7;  // out of range
-        } else if (kind == 1 && site > 0) {
-          corrupted[site] = corrupted[site - 1];  // duplicate
-        } else if (kind == 2 && site > 0) {
-          corrupted[site] = corrupted[site - 1] - 1;  // descending
-        } else {
-          continue;
-        }
-        const size_t expected = ScalarFirstInvalid(corrupted, n);
-        for (SimdLevel level : TestableLevels()) {
-          EXPECT_EQ(FindFirstInvalidVertex(level, corrupted.data(), m, n),
-                    expected)
-              << SimdLevelName(level) << " site=" << site
-              << " kind=" << kind;
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AccumulateBucket
-
-TEST(AccumulateBucketTest, BitwiseIdenticalToScalarOnValidBuckets) {
-  std::mt19937 rng(23);
-  const uint32_t n = 300;
-  for (int trial = 0; trial < 40; ++trial) {
-    // A valid bucket: strictly-ascending distinct ids < n.
-    std::vector<uint32_t> vertices;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (std::uniform_int_distribution<int>(0, 3)(rng) == 0) {
-        vertices.push_back(v);
-      }
-    }
-    const uint32_t round = 42;
-    const double weight = 0.015625;
-    // Some vertices already met this round, some stale.
-    std::vector<uint32_t> met_base(n);
-    std::vector<double> result_base(n);
-    for (uint32_t v = 0; v < n; ++v) {
-      met_base[v] =
-          std::uniform_int_distribution<int>(0, 2)(rng) == 0 ? round : 7;
-      result_base[v] =
-          std::uniform_real_distribution<double>(0.0, 1.0)(rng);
-    }
-    std::vector<uint32_t> met_expected = met_base;
-    std::vector<double> result_expected = result_base;
-    AccumulateBucket(SimdLevel::kScalar, vertices.data(), vertices.size(),
-                     round, weight, met_expected.data(),
-                     result_expected.data());
-    for (SimdLevel level : TestableLevels()) {
-      std::vector<uint32_t> met = met_base;
-      std::vector<double> result = result_base;
-      AccumulateBucket(level, vertices.data(), vertices.size(), round,
-                       weight, met.data(), result.data());
-      EXPECT_EQ(met, met_expected) << SimdLevelName(level);
-      // Same adds in the same order: bitwise-equal doubles, not just near.
-      for (uint32_t v = 0; v < n; ++v) {
-        ASSERT_EQ(result[v], result_expected[v])
-            << SimdLevelName(level) << " v=" << v;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace simrank

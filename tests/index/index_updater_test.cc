@@ -544,8 +544,10 @@ TEST(IndexUpdaterTest, ConcurrentQueriesDuringUpdatesAreSafe) {
     auto expected = fresh_engine.SingleSource(v);
     ASSERT_TRUE(served.ok());
     ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(std::memcmp((*served)->data(), (*expected)->data(),
-                          (*served)->size() * sizeof(double)),
+    const std::vector<double> served_row = (*served)->Dense();
+    const std::vector<double> expected_row = (*expected)->Dense();
+    EXPECT_EQ(std::memcmp(served_row.data(), expected_row.data(),
+                          served_row.size() * sizeof(double)),
               0);
   }
 }

@@ -75,7 +75,7 @@ TEST(QueryEngineTest, SingleSourceIsCachedAndStable) {
   EXPECT_EQ(first->get(), second->get());
   EXPECT_GE(engine.cache_stats().hits, 1u);
   for (VertexId b = 0; b < graph.n(); ++b) {
-    EXPECT_DOUBLE_EQ((**first)[b], index.EstimatePair(3, b));
+    EXPECT_DOUBLE_EQ((*first)->Score(b), index.EstimatePair(3, b));
   }
 }
 
@@ -311,9 +311,10 @@ TEST(QueryEngineTest, StaleRowsReadAsMissesAfterOverlayPublish) {
   ASSERT_TRUE(served.ok());
   const std::vector<double> expected =
       rebuilt->EstimateSingleSource(fresh.dst);
-  ASSERT_EQ((*served)->size(), expected.size());
+  const std::vector<double> dense = (*served)->Dense();
+  ASSERT_EQ(dense.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ((**served)[i], expected[i]) << "entry " << i;
+    ASSERT_EQ(dense[i], expected[i]) << "entry " << i;
   }
   // Pair served off cached rows obeys the same staleness rule.
   auto pair = engine.Pair(fresh.dst, fresh.src);
@@ -446,8 +447,9 @@ TEST(QueryEngineTest, SequenceStaysMonotoneAcrossCancellingBatches) {
   ASSERT_TRUE(served.ok());
   const std::vector<double> expected =
       rebuilt->EstimateSingleSource(fresh[1].dst);
+  const std::vector<double> dense = (*served)->Dense();
   for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ((**served)[i], expected[i]) << "entry " << i;
+    ASSERT_EQ(dense[i], expected[i]) << "entry " << i;
   }
 }
 

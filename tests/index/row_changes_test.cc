@@ -269,7 +269,7 @@ TEST(RowChangesTest, EngineServesOnlyRowsValidUnderItsSnapshot) {
       const auto after = index.overlay_snapshot();
       if (!row.ok() || before != after) continue;
       ++reader_checks;
-      if (!SameBits(**row, index.EstimateSingleSource(v, before.get()))) {
+      if (!SameBits((*row)->Dense(), index.EstimateSingleSource(v, before.get()))) {
         ++reader_mismatches;
       }
       if (pair.has_value()) {
@@ -310,7 +310,7 @@ TEST(RowChangesTest, EngineServesOnlyRowsValidUnderItsSnapshot) {
     for (VertexId v = 0; v < graph.n(); ++v) {
       auto served = engine.SingleSource(v);
       ASSERT_TRUE(served.ok());
-      if (!SameBits(**served, index.EstimateSingleSource(v, overlay.get()))) {
+      if (!SameBits((*served)->Dense(), index.EstimateSingleSource(v, overlay.get()))) {
         ++row_mismatches;
       }
     }
@@ -379,7 +379,7 @@ TEST(RowChangesTest, RowStampedBeforeTheOldestKeptSetIsAMiss) {
   ASSERT_TRUE(row.ok());
   EXPECT_EQ(engine.cache_stats().hits, before.hits);
   EXPECT_EQ(engine.cache_stats().misses, before.misses + 1);
-  EXPECT_TRUE(SameBits(**row, index.EstimateSingleSource(1)));
+  EXPECT_TRUE(SameBits((*row)->Dense(), index.EstimateSingleSource(1)));
   ASSERT_TRUE(engine.SingleSource(0).ok());
   EXPECT_EQ(engine.cache_stats().hits, before.hits + 1);
   EXPECT_EQ(engine.cache_stats().restamped, before.restamped + 1);
@@ -418,14 +418,14 @@ TEST(RowChangesTest, ReaderPinnedToOlderSnapshotSkipsNewerStampedRow) {
   const auto before = engine.cache_stats();
   auto row = engine.SingleSource(v);
   ASSERT_TRUE(row.ok());
-  EXPECT_TRUE(SameBits(**row, old_row));
+  EXPECT_TRUE(SameBits((*row)->Dense(), old_row));
   EXPECT_EQ(engine.cache_stats().hits, before.hits);
   EXPECT_EQ(engine.cache_stats().misses, before.misses + 1);
 
   index.PublishOverlay(newer);
   row = engine.SingleSource(v);
   ASSERT_TRUE(row.ok());
-  EXPECT_TRUE(SameBits(**row, new_row));
+  EXPECT_TRUE(SameBits((*row)->Dense(), new_row));
 }
 
 }  // namespace

@@ -149,7 +149,7 @@ TEST(ServerTest, SingleSourceRowMatchesBitwise) {
     ASSERT_EQ(response->status, 200) << response->body;
     auto direct = fixture.reference().SingleSource(v);
     ASSERT_TRUE(direct.ok());
-    const std::vector<double>& expected = **direct;
+    const std::vector<double> expected = (*direct)->Dense();
     const std::vector<double> served =
         FindJsonNumberArray(response->body, "scores");
     ASSERT_EQ(served.size(), expected.size());
@@ -849,8 +849,9 @@ TEST(ServerInlinePairTest, PipelinedHitsAndMissesMatchColdServerInOrder) {
     EXPECT_EQ(served[i].body, expected[i].body) << targets[i];
   }
   EXPECT_EQ(served[5].status, 400);
-  // Only the two misses, the 400 and the top-k reached a worker.
-  EXPECT_EQ(Dispatched(warm) - dispatched_before, 4u);
+  // Only the two misses and the 400 reached a worker: the top-k of the
+  // cached row 5 answered on the loop too.
+  EXPECT_EQ(Dispatched(warm) - dispatched_before, 3u);
   EXPECT_EQ(warm.server().latency(ServerEndpoint::kPair).count, 7u);
 }
 
@@ -888,6 +889,87 @@ TEST(ServerInlinePairTest, CachedPairSkipsAdmissionMissesKeepIt) {
   EXPECT_EQ(stats.requests[static_cast<size_t>(ServerEndpoint::kPair)], 3u);
 }
 
+/// The number of vertices row `v` lists besides `v` (its nonzeros).
+uint32_t RowNonzeros(ServerFixture& fixture, VertexId v) {
+  auto row = fixture.reference().SingleSource(v);
+  OIPSIM_CHECK(row.ok());
+  return static_cast<uint32_t>((*row)->entries.size()) - 1;
+}
+
+TEST(ServerInlineTopKTest, CachedTopKSkipsAdmissionMissesKeepIt) {
+  ServerOptions options;
+  options.threads = 1;
+  options.max_inflight = 1;
+  options.handler_delay_ms = 300;
+  ServerFixture fixture(options);
+  ServerFixture cold;
+  ASSERT_TRUE(fixture.engine().SingleSource(5).ok());
+  const uint32_t nonzeros = RowNonzeros(fixture, 5);
+  ASSERT_GE(nonzeros, 3u);
+
+  // An uncached pair takes the only worker and the only in-flight slot.
+  auto slow = LoopbackHttpClient::Connect(fixture.port());
+  ASSERT_TRUE(slow.ok());
+  ASSERT_TRUE(
+      slow->SendRaw("GET /v1/pair?a=0&b=1 HTTP/1.1\r\n\r\n").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // A cached top-k within the row's nonzeros answers from the loop.
+  const std::string hit_target = StrFormat("/v1/topk?v=5&k=%u", nonzeros);
+  auto hit = HttpGet(fixture.port(), hit_target);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit->status, 200) << hit->body;
+  // An uncached top-k, and a cached one whose k needs the zero fill
+  // (k above the loop bound), still meet admission control.
+  auto uncached = HttpGet(fixture.port(), "/v1/topk?v=6&k=3");
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ(uncached->status, 429) << uncached->body;
+  const std::string wide_target =
+      StrFormat("/v1/topk?v=5&k=%u", nonzeros + 1);
+  auto wide = HttpGet(fixture.port(), wide_target);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(wide->status, 429) << wide->body;
+  auto huge = HttpGet(fixture.port(), "/v1/topk?v=5&k=4294967295");
+  ASSERT_TRUE(huge.ok());
+  EXPECT_EQ(huge->status, 429) << huge->body;
+
+  auto first = slow->ReadResponse();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->status, 200);
+  EXPECT_EQ(hit->body, HttpGet(cold.port(), hit_target)->body);
+  EXPECT_EQ(HttpGet(fixture.port(), wide_target)->body,
+            HttpGet(cold.port(), wide_target)->body);
+  const ServerStats stats = fixture.server().stats();
+  EXPECT_EQ(stats.rejected_inflight, 3u);
+  EXPECT_EQ(stats.requests[static_cast<size_t>(ServerEndpoint::kTopK)], 5u);
+}
+
+TEST(ServerInlineTopKTest, TracedCachedTopKHasNoQueueWait) {
+  ServerFixture warm;
+  ServerFixture cold;
+  ASSERT_TRUE(warm.engine().SingleSource(5).ok());
+  const std::string target = "/v1/topk?v=5&k=2";
+  const uint64_t dispatched = Dispatched(warm);
+  auto plain = HttpGet(warm.port(), target);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_EQ(plain->status, 200);
+  EXPECT_EQ(plain->body, HttpGet(cold.port(), target)->body);
+
+  auto traced = HttpGet(warm.port(), target + "&trace=1");
+  ASSERT_TRUE(traced.ok());
+  ASSERT_EQ(traced->status, 200);
+  EXPECT_EQ(Dispatched(warm), dispatched);  // both answered on the loop
+  const std::string prefix = plain->body.substr(0, plain->body.size() - 1);
+  EXPECT_EQ(traced->body.substr(0, prefix.size()), prefix);
+  EXPECT_NE(traced->body.find("\"stage\":\"request\""), std::string::npos);
+  EXPECT_NE(traced->body.find("\"stage\":\"cache_lookup\""),
+            std::string::npos);
+  EXPECT_NE(traced->body.find("\"stage\":\"serialize\""), std::string::npos);
+  EXPECT_NE(traced->body.find("\"cache_hits\":1"), std::string::npos);
+  EXPECT_EQ(traced->body.find("queue_wait"), std::string::npos);
+  EXPECT_EQ(warm.server().stage_latency(TraceStage::kQueueWait).count, 0u);
+}
+
 TEST(ServerInlinePairTest, CacheStatsMatchWorkerPathAccounting) {
   ServerFixture fixture;
   ServerFixture cold;
@@ -902,7 +984,8 @@ TEST(ServerInlinePairTest, CacheStatsMatchWorkerPathAccounting) {
   const Read stream[] = {{true, 5, 0},    {false, 5, 9},   {false, 9, 5},
                          {false, 1, 2},   {false, 9, 9},   {true, 9, 0},
                          {false, 9, 5},   {false, 30, 9},  {false, 30, 31},
-                         {false, 5, 999}, {true, 30, 0},   {false, 31, 30}};
+                         {false, 5, 999}, {true, 30, 0},   {false, 31, 30},
+                         {true, 5, 0},    {true, 30, 0},   {true, 9, 0}};
   auto client = LoopbackHttpClient::Connect(fixture.port());
   auto cold_client = LoopbackHttpClient::Connect(cold.port());
   ASSERT_TRUE(client.ok());
