@@ -172,8 +172,10 @@ expect_same '/v1/pair?a=0&b=1'           # both in shard 0
 expect_same '/v1/pair?a=3&b=20'          # cross-shard
 expect_same '/v1/pair?a=11&b=12'         # across the shard boundary
 expect_same '/v1/single_source?v=5'
+expect_same '/v1/single_source?v=17'     # a row shard 1 owns
 expect_same '/v1/topk?v=0&k=24'          # k spans the boundary
 expect_same '/v1/topk?v=17&k=5'
+expect_same '/v1/topk?v=17&k=1000'       # k beyond n: the zero fill
 expect_same_post '/v1/batch_pair' '0 13
 5 12
 3 3
@@ -212,7 +214,9 @@ fi
 grep -q '"applied":3' "$WORK/routed.body"
 expect_same '/v1/pair?a=0&b=1'
 expect_same '/v1/single_source?v=3'
+expect_same '/v1/single_source?v=17'
 expect_same '/v1/topk?v=0&k=24'
+expect_same '/v1/topk?v=17&k=1000'
 
 echo "== replica tails the primary WAL"
 test "$(printf '+ 1 0\n' |
@@ -231,7 +235,9 @@ kill -TERM $SHARD0_PID
 wait $SHARD0_PID
 expect_same '/v1/pair?a=0&b=1'
 expect_same '/v1/single_source?v=2'
+expect_same '/v1/single_source?v=17'
 expect_same '/v1/topk?v=0&k=24'
+expect_same '/v1/topk?v=17&k=1000'
 curl -fs "$BASE:$ROUTER_PORT/metrics" >"$WORK/router.metrics"
 FAILOVERS=$(awk '$1 == "simrank_router_failovers_total" {print $2}' \
   "$WORK/router.metrics")

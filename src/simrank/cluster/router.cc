@@ -11,6 +11,7 @@
 #include "simrank/common/json_writer.h"
 #include "simrank/common/memory_tracker.h"
 #include "simrank/common/string_util.h"
+#include "simrank/extra/topk.h"
 #include "simrank/graph/graph_io.h"
 #include "simrank/obs/profiler.h"
 #include "simrank/server/server.h"
@@ -73,27 +74,12 @@ Status RouterOptions::Validate() const {
   return diagnostics.Validate();
 }
 
-std::vector<ScoredVertex> MergeTopK(
-    const std::vector<std::vector<ScoredVertex>>& parts, uint32_t k) {
-  std::vector<ScoredVertex> merged;
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  merged.reserve(total);
-  for (const auto& part : parts) {
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-  std::sort(merged.begin(), merged.end(), ScoredVertexBefore);
-  if (merged.size() > k) merged.resize(k);
-  return merged;
-}
-
 namespace {
 
 ServerOptions FrontendOptions(const RouterOptions& options) {
   ServerOptions frontend;
   frontend.bind_address = options.bind_address;
   frontend.port = options.port;
-  frontend.http = options.http;
   frontend.diagnostics = options.diagnostics;
   frontend.retry_after_seconds = options.retry_after_seconds;
   return frontend;
@@ -192,11 +178,18 @@ std::vector<HttpFrontend::Route> SimRankRouter::Routes() {
   };
   std::vector<HttpFrontend::Route> routes = {
       route("/v1/pair", "GET", &SimRankRouter::HandlePair),
-      route("/v1/topk", "GET", &SimRankRouter::HandleTopK),
-      route("/v1/single_source", "GET", &SimRankRouter::HandleSingleSource),
       route("/v1/batch_pair", "POST", &SimRankRouter::HandleBatchPair),
       route("/v1/update", "POST", &SimRankRouter::HandleUpdate),
   };
+  for (const ServerEndpoint endpoint :
+       {ServerEndpoint::kTopK, ServerEndpoint::kSingleSource}) {
+    routes.push_back({ServerEndpointPath(endpoint), "GET",
+                      HttpFrontend::kNoAdmission,
+                      [this, endpoint](Connection* conn,
+                                       const HttpRequest& request, int) {
+                        HandleRow(conn, request, endpoint);
+                      }});
+  }
   routes.push_back({"/v1/cluster/health", "GET", HttpFrontend::kNoAdmission,
                     [this](Connection* conn, const HttpRequest&, int) {
                       stat_requests_cluster_health_.fetch_add(
@@ -536,99 +529,53 @@ void SimRankRouter::HandlePair(Connection* conn, const HttpRequest& request) {
   });
 }
 
-void SimRankRouter::HandleSingleSource(Connection* conn,
-                                       const HttpRequest& request) {
-  stat_requests_single_source_.fetch_add(1, std::memory_order_relaxed);
+void SimRankRouter::HandleRow(Connection* conn, const HttpRequest& request,
+                              ServerEndpoint endpoint) {
+  const bool topk = endpoint == ServerEndpoint::kTopK;
+  (topk ? stat_requests_topk_ : stat_requests_single_source_)
+      .fetch_add(1, std::memory_order_relaxed);
   PublicQuery query;
-  CallPtr call =
-      StartCall(conn, request, ServerEndpoint::kSingleSource, &query);
-  if (call == nullptr) return;
-  call->conn = frontend_.Park(conn);
-  const VertexId v = query.v;
-  ExchangeRow(
-      call, v, StrFormat("/internal/partial?v=%u", v), 0,
-      static_cast<uint32_t>(options_.shards.size()), 0,
-      [this, call, v](std::vector<ShardReply> replies) {
-        // An n-entry row is O(n) to serialize: on a worker, not the loop.
-        frontend_.Submit(
-            call->conn, HttpFrontend::kNoAdmission,
-            std::chrono::steady_clock::now(),
-            [this, call, v, replies = std::move(replies)] {
-              Response response;
-              {
-                TraceBinding binding(call->recorder.get());
-                TraceScope merge(TraceStage::kMerge);
-                // The shard ranges partition [0, n) in order, so the
-                // concatenated slices are the full single-node score row,
-                // bit for bit.
-                std::vector<double> scores(options_.plan.n);
-                for (size_t i = 0; i < replies.size(); ++i) {
-                  const ShardRange& range = options_.plan.shards[i];
-                  const std::string& body = replies[i].body;
-                  const size_t bytes =
-                      (range.end - range.begin) * sizeof(double);
-                  if (body.size() != bytes) {
-                    response.body = ErrorBody(
-                        "Internal",
-                        StrFormat("shard %zu returned %zu score bytes, "
-                                  "expected %zu",
-                                  i, body.size(), bytes));
-                    break;
-                  }
-                  std::memcpy(scores.data() + range.begin, body.data(),
-                              bytes);
-                }
-                if (response.body.empty()) {
-                  response = Response{200, SingleSourceBody(v, scores)};
-                }
-              }
-              CloseTrace(*call, &response);
-              return response;
-            });
-      });
-}
-
-void SimRankRouter::HandleTopK(Connection* conn, const HttpRequest& request) {
-  stat_requests_topk_.fetch_add(1, std::memory_order_relaxed);
-  PublicQuery query;
-  CallPtr call = StartCall(conn, request, ServerEndpoint::kTopK, &query);
+  CallPtr call = StartCall(conn, request, endpoint, &query);
   if (call == nullptr) return;
   call->conn = frontend_.Park(conn);
   const VertexId v = query.v;
   const uint32_t k = query.k;
+  // The single node's answer from the legs' slices, or a 500 naming the
+  // first shard whose slice does not decode.
+  auto answer = [this, call, v, k,
+                 topk](const std::vector<ShardReply>& replies) -> Response {
+    TraceBinding binding(call->recorder.get());
+    TraceScope merge(TraceStage::kMerge);
+    SparseRow row;
+    row.n = options_.plan.n;
+    for (size_t i = 0; i < replies.size(); ++i) {
+      const ShardRange& range = options_.plan.shards[i];
+      const Status status =
+          AppendRowSlice(replies[i].body, range.begin, range.end, &row);
+      if (!status.ok()) {
+        return MalformedReply(i, "a well-formed row slice (" +
+                                     status.message() + ")");
+      }
+    }
+    return {200, topk ? TopKBody(v, k, TopKFromSparseRow(row, v, k))
+                      : SingleSourceBody(v, row)};
+  };
   ExchangeRow(
-      call, v, StrFormat("/internal/topk?v=%u&k=%u", v, k), 0,
+      call, v, StrFormat("/internal/row?v=%u", v), 0,
       static_cast<uint32_t>(options_.shards.size()), 0,
-      [this, call, v, k](std::vector<ShardReply> replies) {
-        Response response;
-        {
-          TraceBinding binding(call->recorder.get());
-          TraceScope merge(TraceStage::kMerge);
-          std::vector<std::vector<ScoredVertex>> parts(replies.size());
-          for (size_t i = 0; i < replies.size() && response.body.empty();
-               ++i) {
-            const std::string& body = replies[i].body;
-            if (body.size() % 12 != 0) {
-              response.body = ErrorBody(
-                  "Internal",
-                  StrFormat("shard %zu returned a %zu-byte top-k body (not "
-                            "a multiple of 12)",
-                            i, body.size()));
-              break;
-            }
-            parts[i].resize(body.size() / 12);
-            for (size_t r = 0; r < parts[i].size(); ++r) {
-              std::memcpy(&parts[i][r].vertex, body.data() + r * 12,
-                          sizeof(uint32_t));
-              std::memcpy(&parts[i][r].score, body.data() + r * 12 + 4,
-                          sizeof(double));
-            }
-          }
-          if (response.body.empty()) {
-            response = Response{200, TopKBody(v, k, MergeTopK(parts, k))};
-          }
+      [this, call, topk, answer](std::vector<ShardReply> replies) {
+        if (topk) {
+          Finish(call, answer(replies));
+          return;
         }
-        Finish(call, std::move(response));
+        // An n-entry row is O(n) to serialize: on a worker, not the loop.
+        frontend_.Submit(call->conn, HttpFrontend::kNoAdmission,
+                         std::chrono::steady_clock::now(),
+                         [this, call, answer, replies = std::move(replies)] {
+                           Response response = answer(replies);
+                           CloseTrace(*call, &response);
+                           return response;
+                         });
       });
 }
 

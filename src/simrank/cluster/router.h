@@ -2,21 +2,20 @@
 //
 // The router owns the shard plan and is the only process clients talk to.
 // It speaks the same public /v1/* dialect as a single-node simrank_server
-// and answers bitwise-identically to one — the merge is exact, not
+// and answers bitwise-identically to one — the composition is exact, not
 // approximate:
 //
 //   - pair(a, b) with both endpoints on one shard is forwarded verbatim;
 //     a cross-shard pair fetches a's walk row from its owner
 //     (/internal/walks) and has b's owner score it (/internal/pair), the
 //     double crossing the wire in native binary.
-//   - single_source(v) fetches v's row once, scatters it to every shard
-//     (/internal/partial), and concatenates the returned per-range score
-//     slices in shard order — the shard slices are disjoint and
-//     reproduce the single-node row exactly.
-//   - topk(v, k) scatters the row the same way (/internal/topk), then merges
-//     the per-shard top-k candidate lists under ScoredVertexBefore — the
-//     identical (score desc, vertex asc) total order the single-node
-//     engine sorts with, so cross-shard ties break the same way.
+//   - single_source(v) and topk(v, k) fetch v's walk row once and scatter
+//     it to every shard (/internal/row); each answers the nonzeros of v's
+//     score row in its own range (EncodeRowSlice). The ranges partition
+//     [0, n) in shard order, so the slices appended in shard order are the
+//     single node's SparseRow, bit for bit, and the router answers from it
+//     with the server's own code (SingleSourceBody, TopKFromSparseRow), so
+//     cross-shard ties break the same way.
 //   - batch_pair routes each pair as above and re-emits the scores; the
 //     shortest-round-trip double text a shard emitted parses back
 //     bit-exact, so even the forwarded path re-serializes identically.
@@ -35,11 +34,14 @@
 // connection the loop owns, so the shards compute concurrently, and its
 // legs wait concurrently too: a dead shard fails at connect or EOF at
 // once, a hung one (alive, not answering) costs one timeout_ms, and k hung
-// shards in one scatter still cost one. Pair and top-k merges finish on
+// shards in one scatter still cost one. Pair and top-k answers finish on
 // the loop; a single-source row and a batch_pair body, which are O(n) to
 // serialize, are serialized on the frontend's worker pool. The router's
 // threads are the loop, the worker pool, the fleet scraper and the
 // diagnostics threads; none is started per connection or per request.
+//
+// The /internal/* frames are native-endian and unversioned: a router and
+// its shards run the same build.
 //
 // Consistency across the scatter is pinned by overlay sequence: the row
 // fetch reports the owner's sequence, every scattered request carries it,
@@ -69,7 +71,6 @@
 #include "simrank/cluster/shard_plan.h"
 #include "simrank/common/macros.h"
 #include "simrank/common/status.h"
-#include "simrank/extra/topk.h"
 #include "simrank/obs/diagnostics.h"
 #include "simrank/obs/metric_set.h"
 #include "simrank/obs/trace.h"
@@ -108,7 +109,6 @@ struct RouterOptions {
   uint32_t retry_after_seconds = 1;
   /// Upper bound on pairs in one /v1/batch_pair body; positive.
   uint32_t max_batch_pairs = 4096;
-  HttpLimits http;
 
   /// Fleet scraping: every interval the router GETs each shard's (and
   /// replica's) /metrics with its own short timeout, feeding
@@ -121,8 +121,8 @@ struct RouterOptions {
   /// /v1/debug/timeseries, and the event log, as on the server: an
   /// "access" record per answered request, and "profile" records with
   /// continuous profiling. Frontend settings RouterOptions has no field
-  /// for (the connection and in-flight caps, the worker count, the
-  /// watchdog) take ServerOptions' defaults.
+  /// for (the in-flight caps, the worker count, the watchdog) take
+  /// ServerOptions' defaults.
   DiagnosticsOptions diagnostics;
 
   Status Validate() const;
@@ -159,14 +159,6 @@ struct RouterStats {
   uint64_t scrape_rounds = 0;
   uint64_t scrape_failures = 0;
 };
-
-/// Merges per-shard top-k candidate lists into the global top-k under
-/// ScoredVertexBefore — the exact comparator (score desc, vertex asc)
-/// TopKFromRow sorts with, so the merged ranking equals the single-node
-/// ranking whenever each part contains its range's top-min(k, range) and
-/// the parts' vertex sets are disjoint.
-std::vector<ScoredVertex> MergeTopK(
-    const std::vector<std::vector<ScoredVertex>>& parts, uint32_t k);
 
 /// The router process: a route table on one HttpFrontend. Bind() then
 /// Start(), which runs the event loop on a thread of its own; Shutdown()
@@ -281,8 +273,10 @@ class SimRankRouter {
   void ScorePair(const CallPtr& call, VertexId a, VertexId b, ScoreDone done);
 
   void HandlePair(Connection* conn, const HttpRequest& request);
-  void HandleSingleSource(Connection* conn, const HttpRequest& request);
-  void HandleTopK(Connection* conn, const HttpRequest& request);
+  /// /v1/single_source and /v1/topk: every shard's /internal/row slice,
+  /// appended in shard order into v's row, answered from that row.
+  void HandleRow(Connection* conn, const HttpRequest& request,
+                 ServerEndpoint endpoint);
   void HandleBatchPair(Connection* conn, const HttpRequest& request);
   void HandleUpdate(Connection* conn, const HttpRequest& request);
   /// /v1/update's broadcast: shard `shard_id` onward, in shard order.
@@ -334,8 +328,8 @@ class SimRankRouter {
   Response Unavailable(const std::string& message) const;
 
   RouterOptions options_;
-  /// The frontend's settings: the router's address, port, HTTP limits,
-  /// diagnostics and Retry-After, ServerOptions' defaults otherwise.
+  /// The frontend's settings: the router's address, port, diagnostics
+  /// and Retry-After, ServerOptions' defaults otherwise.
   ServerOptions frontend_options_;
 
   std::atomic<uint64_t> stat_requests_pair_{0};

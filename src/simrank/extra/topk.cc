@@ -5,6 +5,14 @@
 #include "simrank/common/macros.h"
 
 namespace simrank {
+namespace {
+
+/// The ranking order: descending score, ties broken by ascending id.
+bool ScoredVertexBefore(const ScoredVertex& a, const ScoredVertex& b) {
+  return a.score != b.score ? a.score > b.score : a.vertex < b.vertex;
+}
+
+}  // namespace
 
 std::vector<ScoredVertex> TopKFromRow(std::span<const double> row,
                                       VertexId query, uint32_t k,
@@ -37,27 +45,22 @@ std::vector<double> SparseRow::Dense() const {
 }
 
 std::vector<ScoredVertex> TopKFromSparseRow(const SparseRow& row,
-                                            VertexId query, uint32_t k,
-                                            VertexId begin, VertexId end) {
-  auto before_id = [](const ScoredVertex& e, VertexId id) {
-    return e.vertex < id;
-  };
-  const auto first = std::lower_bound(row.entries.begin(), row.entries.end(),
-                                      begin, before_id);
-  const auto last = std::lower_bound(first, row.entries.end(), end, before_id);
+                                            VertexId query, uint32_t k) {
   std::vector<ScoredVertex> top;
-  for (auto it = first; it != last; ++it) {
-    if (it->vertex != query) top.push_back(*it);
+  for (const ScoredVertex& scored : row.entries) {
+    if (scored.vertex != query) top.push_back(scored);
   }
   const size_t keep = std::min<size_t>(k, top.size());
   std::partial_sort(top.begin(), top.begin() + static_cast<int64_t>(keep),
                     top.end(), ScoredVertexBefore);
   top.resize(keep);
   // Every zero ties every other, so they follow by ascending id.
-  auto listed = first;
-  for (VertexId b = begin; b < end && top.size() < k; ++b) {
-    while (listed != last && listed->vertex < b) ++listed;
-    if (b == query || (listed != last && listed->vertex == b)) continue;
+  auto listed = row.entries.begin();
+  for (VertexId b = 0; b < row.n && top.size() < k; ++b) {
+    while (listed != row.entries.end() && listed->vertex < b) ++listed;
+    if (b == query || (listed != row.entries.end() && listed->vertex == b)) {
+      continue;
+    }
     top.push_back(ScoredVertex{b, 0.0});
   }
   return top;

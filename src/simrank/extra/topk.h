@@ -46,25 +46,12 @@ struct SparseRow {
   }
 };
 
-/// TopKFromRow over the vertices [begin, end) of a sparse row, query
-/// excluded: bitwise TopKFromRow(row.Dense(), query, k) restricted to that
-/// range. Every listed score is positive, so the listed vertices rank
-/// first; when k exceeds them the rest are zero-score vertices in
-/// ascending id order. Costs O(m log k) over the m listed vertices in
-/// range, plus the zero fill. Merging per-shard results — each shard
-/// contributing its top k over its range — under ScoredVertexBefore
-/// reproduces the full row's top-k exactly: the comparator is a strict
-/// total order over distinct ids, and every global top-k member is in its
-/// own shard's top-k.
+/// TopKFromRow(row.Dense(), query, k) bit for bit, query excluded. Every
+/// listed score is positive, so the listed vertices rank first; when k
+/// exceeds them the rest are zero-score vertices in ascending id order.
+/// Costs O(m log k) over the m listed vertices, plus the zero fill.
 std::vector<ScoredVertex> TopKFromSparseRow(const SparseRow& row,
-                                            VertexId query, uint32_t k,
-                                            VertexId begin, VertexId end);
-
-/// The TopKFromRow / TopKFromSparseRow comparator, exposed so a router
-/// can merge per-shard candidates with the identical tie-breaking.
-inline bool ScoredVertexBefore(const ScoredVertex& a, const ScoredVertex& b) {
-  return a.score != b.score ? a.score > b.score : a.vertex < b.vertex;
-}
+                                            VertexId query, uint32_t k);
 
 /// Returns the k vertices most similar to `query` (descending score, ties
 /// broken by ascending id for determinism). The query vertex itself is

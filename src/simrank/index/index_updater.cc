@@ -79,6 +79,16 @@ std::vector<Out> RunBlocks(ThreadPool& pool, size_t count, Fn&& fn) {
   return out;
 }
 
+/// The graph whose in-lists are `in_lists`. Build sorts every adjacency
+/// list, so this is the graph the lists were maintained from.
+DiGraph GraphFromInLists(const std::vector<std::vector<VertexId>>& in_lists) {
+  DiGraph::Builder builder(static_cast<uint32_t>(in_lists.size()));
+  for (VertexId dst = 0; dst < in_lists.size(); ++dst) {
+    for (const VertexId src : in_lists[dst]) builder.AddEdge(src, dst);
+  }
+  return std::move(builder).Build();
+}
+
 }  // namespace
 
 /// One pending change of vertex `vertex`'s inverted-index entry in slot
@@ -182,13 +192,10 @@ IndexUpdater::IndexUpdater(WalkIndex& index, const DiGraph& base_graph,
   n_ = base_graph.n();
   m_ = base_graph.m();
   in_lists_.resize(n_);
-  out_lists_.resize(n_);
   for (VertexId v = 0; v < n_; ++v) {
     const auto in = base_graph.InNeighbors(v);
     in_lists_[v].assign(in.begin(), in.end());  // src-ascending per dst
-    const auto out = base_graph.OutNeighbors(v);
-    out_lists_[v].assign(out.begin(), out.end());
-    for (const VertexId u : out) {
+    for (const VertexId u : base_graph.OutNeighbors(v)) {
       const uint64_t h = EdgeFingerprint(v, u);
       edge_sum_ += h;
       edge_xor_ ^= h;
@@ -513,15 +520,11 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   // reading the store is a fatal checked error, as everywhere).
   for (const EdgeUpdate& update : updates) {
     std::vector<VertexId>& in = in_lists_[update.dst];
-    std::vector<VertexId>& out = out_lists_[update.src];
     if (update.op == EdgeUpdate::Op::kInsert) {
       in.insert(std::lower_bound(in.begin(), in.end(), update.src),
                 update.src);
-      out.insert(std::lower_bound(out.begin(), out.end(), update.dst),
-                 update.dst);
     } else {
       in.erase(std::lower_bound(in.begin(), in.end(), update.src));
-      out.erase(std::lower_bound(out.begin(), out.end(), update.dst));
     }
   }
   m_ = post_m;
@@ -892,7 +895,7 @@ Status IndexUpdater::Compact(const std::string& path,
   WalkIndex::Snapshot pinned;
   uint64_t snap_fingerprint = 0;
   size_t records_at_snapshot = 0;
-  std::vector<std::vector<VertexId>> out_copy;
+  std::vector<std::vector<VertexId>> in_copy;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     pinned = index_.snapshot();
@@ -901,7 +904,7 @@ Status IndexUpdater::Compact(const std::string& path,
       std::lock_guard<std::mutex> records_lock(records_mutex_);
       records_at_snapshot = records_.size();
     }
-    if (!graph_path.empty()) out_copy = out_lists_;
+    if (!graph_path.empty()) in_copy = in_lists_;
   }
   const std::shared_ptr<const DeltaOverlay>& snap = pinned.overlay;
   const WalkStore& base = *pinned.store;
@@ -950,11 +953,7 @@ Status IndexUpdater::Compact(const std::string& path,
   if (!graph_path.empty()) {
     // The updated graph must be durable before the WAL forgets how to
     // re-derive it.
-    DiGraph::Builder builder(n_);
-    for (VertexId v = 0; v < n_; ++v) {
-      for (const VertexId dst : out_copy[v]) builder.AddEdge(v, dst);
-    }
-    const DiGraph graph = std::move(builder).Build();
+    const DiGraph graph = GraphFromInLists(in_copy);
     const std::string graph_tmp = graph_path + ".tmp";
     OIPSIM_RETURN_IF_ERROR(WriteBinary(graph, graph_tmp));
     if (std::rename(graph_tmp.c_str(), graph_path.c_str()) != 0) {
@@ -1217,11 +1216,7 @@ void IndexUpdater::DrainBackgroundCompaction() {
 
 DiGraph IndexUpdater::CurrentGraph() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  DiGraph::Builder builder(n_);
-  for (VertexId v = 0; v < n_; ++v) {
-    for (const VertexId dst : out_lists_[v]) builder.AddEdge(v, dst);
-  }
-  return std::move(builder).Build();
+  return GraphFromInLists(in_lists_);
 }
 
 void IndexUpdater::HaltReplication(std::string error) {

@@ -339,16 +339,14 @@ class IndexUpdater {
   UpdateWal wal_;
   IndexUpdaterOptions options_;
 
-  // The current graph as per-vertex sorted adjacency (src-ascending
-  // in-lists feed the re-simulation; dst-ascending out-lists reproduce
-  // the canonical edge enumeration for CurrentGraph and compaction),
-  // maintained *in place* in O(degree) per edge update, plus the
-  // commutative fingerprint accumulators maintained in O(1) per edge
-  // (graph_io's EdgeFingerprint / ComposeGraphFingerprint).
+  // The current graph as per-vertex src-ascending in-lists (they feed the
+  // re-simulation and, through GraphFromInLists, CurrentGraph and
+  // compaction's graph file), maintained *in place* in O(degree) per edge
+  // update, plus the commutative fingerprint accumulators maintained in
+  // O(1) per edge (graph_io's EdgeFingerprint / ComposeGraphFingerprint).
   uint32_t n_ = 0;
   uint64_t m_ = 0;
   std::vector<std::vector<VertexId>> in_lists_;
-  std::vector<std::vector<VertexId>> out_lists_;
   uint64_t edge_sum_ = 0;
   uint64_t edge_xor_ = 0;
   uint64_t graph_fingerprint_ = 0;

@@ -140,7 +140,7 @@ std::optional<std::vector<ScoredVertex>> QueryEngine::TopKFromCache(
   }
   const Row row = GetFresh(v, overlay.get());
   if (row == nullptr) return std::nullopt;
-  return TopKFromSparseRow(*row, v, k, 0, row->n);
+  return TopKFromSparseRow(*row, v, k);
 }
 
 Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(
@@ -165,7 +165,7 @@ Result<std::vector<ScoredVertex>> QueryEngine::TopKAtSnapshot(
     VertexId v, uint32_t k, const WalkIndex::Snapshot& at) {
   Result<Row> row = SingleSourceAtSnapshot(v, at);
   if (!row.ok()) return row.status();
-  return TopKFromSparseRow(**row, v, k, 0, (*row)->n);
+  return TopKFromSparseRow(**row, v, k);
 }
 
 Result<double> QueryEngine::Pair(VertexId a, VertexId b) {

@@ -71,10 +71,6 @@ Status Diagnostics::Open(const DiagnosticsOptions& options) {
     ProfileLogger::Options logger_options;
     logger_options.frequency_hz = options.profile_log_hz;
     logger_options.period_seconds = options.profile_log_period_s;
-    // Sample a slice of each period, not all of it: the profiler is a
-    // singleton, and a full-duty logger would starve every on-demand
-    // /v1/debug/profile session with 409s.
-    logger_options.duty_cycle = 0.1;
     auto logger = ProfileLogger::Start(logger_options, log_.get());
     if (!logger.ok()) return logger.status();
     profile_logger_ = std::move(*logger);

@@ -607,9 +607,6 @@ Result<std::unique_ptr<ProfileLogger>> ProfileLogger::Start(
   if (options.period_seconds == 0) {
     return Status::InvalidArgument("profile-log period must be positive");
   }
-  if (!(options.duty_cycle > 0.0) || options.duty_cycle > 1.0) {
-    return Status::InvalidArgument("profile-log duty cycle must be in (0, 1]");
-  }
   std::unique_ptr<ProfileLogger> logger(
       new ProfileLogger(std::move(options), log));
   logger->thread_ = std::thread([raw = logger.get()] { raw->Loop(); });
@@ -628,8 +625,12 @@ void ProfileLogger::Stop() {
 }
 
 void ProfileLogger::Loop() {
+  // Sample a slice of each period, not all of it: the profiler is a
+  // singleton, and a full-duty logger would starve every on-demand
+  // /v1/debug/profile session with 409s.
+  constexpr double kDutyCycle = 0.1;
   const double sample_seconds =
-      static_cast<double>(options_.period_seconds) * options_.duty_cycle;
+      static_cast<double>(options_.period_seconds) * kDutyCycle;
   while (!stop_.load(std::memory_order_acquire)) {
     const auto period_start = std::chrono::steady_clock::now();
     // An on-demand session owns the profiler for this period; skip it.

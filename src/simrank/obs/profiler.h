@@ -107,18 +107,16 @@ class ScopedProfiledThread {
 int64_t CurrentTid();
 
 /// Continuous low-rate background profiling behind --profile-log-period:
-/// every `period_seconds` it runs one CpuProfiler session at
-/// `frequency_hz` and appends a JSON line {type: "profile", unix_micros,
-/// duration_seconds, frequency_hz, samples, dropped, threads, collapsed}
-/// to the event log. Periods that lose the profiler to an on-demand
+/// every `period_seconds` it runs one CpuProfiler session over a tenth of
+/// the period at `frequency_hz` and appends a JSON line {type: "profile",
+/// unix_micros, duration_seconds, frequency_hz, samples, dropped, threads,
+/// collapsed} to the event log. Periods that lose the profiler to an on-demand
 /// /v1/debug/profile session are skipped, not queued.
 class ProfileLogger {
  public:
   struct Options {
     uint32_t frequency_hz = 19;
     uint32_t period_seconds = 60;
-    /// Fraction of each period spent sampling, (0, 1].
-    double duty_cycle = 1.0;
   };
 
   /// `log` must outlive the logger.

@@ -21,12 +21,21 @@
 namespace simrank {
 namespace {
 
+/// The request parser's hardening limits.
+constexpr HttpLimits kHttpLimits{};
+/// Connections beyond this are accepted and immediately closed.
+constexpr size_t kMaxConnections = 1024;
+
 /// Backpressure bounds: when a connection's unsent responses or unparsed
 /// input exceed these, the loop stops *reading* it (TCP pushes back on the
 /// peer) until the backlog drains — no connection can buffer the process
-/// into the ground, which is what keeps every queue bounded.
+/// into the ground, which is what keeps every queue bounded. The input
+/// budget covers a full head plus the largest admissible body — a request
+/// the parser would accept must be able to buffer completely, or the
+/// read-side backpressure would deadlock it.
 constexpr size_t kMaxPendingOutputBytes = 4u << 20;
-constexpr size_t kInputBufferSlackBytes = 64u << 10;
+constexpr size_t kMaxInputBytes = kHttpLimits.max_request_bytes +
+                                  kHttpLimits.max_body_bytes + (64u << 10);
 
 uint64_t WallClockMicros() {
   return static_cast<uint64_t>(
@@ -396,7 +405,7 @@ void HttpFrontend::HandleAccept() {
       return;  // EAGAIN, or a transient accept failure
     }
     counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    if (connections_.size() >= options_.max_connections) {
+    if (connections_.size() >= kMaxConnections) {
       // Beyond the connection cap there is no buffer to even parse a
       // request from; shedding at accept keeps existing traffic intact.
       ::close(fd);
@@ -419,13 +428,7 @@ void HttpFrontend::HandleAccept() {
 
 void HttpFrontend::HandleReadable(Connection* conn) {
   char buffer[4096];
-  // The budget covers a full head plus the largest admissible body — a
-  // request the parser would accept must be able to buffer completely, or
-  // the read-side backpressure below would deadlock it.
-  const size_t input_cap = options_.http.max_request_bytes +
-                           options_.http.max_body_bytes +
-                           kInputBufferSlackBytes;
-  while (conn->in.size() < input_cap) {
+  while (conn->in.size() < kMaxInputBytes) {
     const ssize_t got = ::recv(conn->fd, buffer, sizeof(buffer), 0);
     if (got > 0) {
       conn->in.append(buffer, static_cast<size_t>(got));
@@ -452,7 +455,7 @@ void HttpFrontend::ProcessBufferedRequests(Connection* conn) {
          conn->out.size() - conn->out_sent < kMaxPendingOutputBytes) {
     HttpRequest request;
     const HttpParseStatus parsed =
-        ParseHttpRequest(conn->in, options_.http, &request);
+        ParseHttpRequest(conn->in, kHttpLimits, &request);
     if (parsed.outcome == HttpParseStatus::kNeedMore) break;
     if (parsed.outcome == HttpParseStatus::kError) {
       conn->request_keep_alive = false;
@@ -759,9 +762,7 @@ void HttpFrontend::UpdateEpoll(Connection* conn) {
   // not read until the backlog drains (ProcessBufferedRequests and
   // HandleWritable re-run this as they consume).
   const bool over_budget =
-      conn->in.size() >= options_.http.max_request_bytes +
-                             options_.http.max_body_bytes +
-                             kInputBufferSlackBytes ||
+      conn->in.size() >= kMaxInputBytes ||
       conn->out.size() - conn->out_sent >= kMaxPendingOutputBytes;
   uint32_t desired = 0;
   if (!conn->close_after_flush && !conn->peer_eof && !over_budget) {

@@ -21,9 +21,8 @@ namespace internal {
 
 /// Which /internal/* exchange op a dispatch carries (kNone for the public
 /// endpoints). Internal ops share the public endpoints' admission
-/// classes: walks/partial count against single_source, topk against topk,
-/// pair against pair.
-enum class InternalOp : uint8_t { kNone, kWalks, kPartial, kTopK, kPair };
+/// classes: walks and row count against single_source, pair against pair.
+enum class InternalOp : uint8_t { kNone, kWalks, kRow, kPair };
 
 /// Parsed arguments of one dispatchable query: the public parameters plus
 /// what the internal ops and the worker need. Only the fields of the
@@ -75,7 +74,7 @@ std::pair<int, std::string> ExecuteSingleSource(QueryEngine& engine,
   auto row = engine.SingleSource(args.v);
   if (!row.ok()) return EngineErrorResponse(row.status());
   TraceScope serialize(TraceStage::kSerialize);
-  return {200, SingleSourceBody(args.v, (*row)->Dense())};
+  return {200, SingleSourceBody(args.v, **row)};
 }
 
 std::pair<int, std::string> ExecuteTopK(QueryEngine& engine,
@@ -134,10 +133,14 @@ std::string PairBody(VertexId a, VertexId b, double score) {
   return json.str();
 }
 
-std::string SingleSourceBody(VertexId v, std::span<const double> scores) {
+std::string SingleSourceBody(VertexId v, const SparseRow& row) {
   JsonWriter json;
   json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
-  for (const double score : scores) json.Double(score);
+  auto listed = row.entries.begin();
+  for (VertexId b = 0; b < row.n; ++b) {
+    const bool hit = listed != row.entries.end() && listed->vertex == b;
+    json.Double(hit ? (listed++)->score : 0.0);
+  }
   json.EndArray().EndObject();
   return json.str();
 }
@@ -194,6 +197,55 @@ std::string UpdateBody(const std::array<uint64_t, 5>& counts,
       .Uint(counts[4])
       .EndObject();
   return json.str();
+}
+
+namespace {
+constexpr size_t kRowRecordBytes = sizeof(uint32_t) + sizeof(double);
+}  // namespace
+
+std::string EncodeRowSlice(const SparseRow& row, VertexId begin,
+                           VertexId end) {
+  auto before_id = [](const ScoredVertex& e, VertexId id) {
+    return e.vertex < id;
+  };
+  const auto first = std::lower_bound(row.entries.begin(), row.entries.end(),
+                                      begin, before_id);
+  const auto last = std::lower_bound(first, row.entries.end(), end, before_id);
+  std::string frame(static_cast<size_t>(last - first) * kRowRecordBytes, '\0');
+  char* record = frame.data();
+  for (auto it = first; it != last; ++it, record += kRowRecordBytes) {
+    std::memcpy(record, &it->vertex, sizeof(uint32_t));
+    std::memcpy(record + sizeof(uint32_t), &it->score, sizeof(double));
+  }
+  return frame;
+}
+
+Status AppendRowSlice(std::string_view frame, VertexId begin, VertexId end,
+                      SparseRow* row) {
+  if (frame.size() % kRowRecordBytes != 0) {
+    return Status::ParseError(StrFormat(
+        "a %zu-byte frame is not a whole number of %zu-byte records",
+        frame.size(), kRowRecordBytes));
+  }
+  for (size_t at = 0; at < frame.size(); at += kRowRecordBytes) {
+    ScoredVertex scored;
+    std::memcpy(&scored.vertex, frame.data() + at, sizeof(uint32_t));
+    std::memcpy(&scored.score, frame.data() + at + sizeof(uint32_t),
+                sizeof(double));
+    if (scored.vertex < begin || scored.vertex >= end) {
+      return Status::ParseError(
+          StrFormat("vertex %u is outside the slice [%u, %u)", scored.vertex,
+                    begin, end));
+    }
+    // Earlier frames list only vertices below `begin`.
+    if (!row->entries.empty() && scored.vertex <= row->entries.back().vertex) {
+      return Status::ParseError(
+          StrFormat("vertex %u follows vertex %u: not strictly ascending",
+                    scored.vertex, row->entries.back().vertex));
+    }
+    row->entries.push_back(scored);
+  }
+  return Status::OK();
 }
 
 std::string ErrorBody(std::string_view code, std::string_view message) {
@@ -344,9 +396,9 @@ HttpHeaders ExchangeHeaders(const OverlayView& view,
 }
 
 /// The /internal/* exchange ops (shard role only). Bodies are binary —
-/// native-endian walk rows in, native-endian score slices out — so the
-/// doubles that cross the wire are the exact bits the estimators
-/// produced; the router's merge is then bitwise by construction.
+/// native-endian walk rows in, native-endian scores out — so the doubles
+/// that cross the wire are the exact bits the estimators produced; the
+/// router's row is then bitwise by construction.
 HttpFrontend::Response ExecuteInternal(QueryEngine& engine,
                                        const ServerOptions& options,
                                        const QueryArgs& args) {
@@ -443,37 +495,12 @@ HttpFrontend::Response ExecuteInternal(QueryEngine& engine,
                   row[0], args.v));
     return out;
   }
-  const SparseRow scores =
-      index.EstimateSingleSourceWithRow(args.v, row, store, overlay);
-  if (args.internal == InternalOp::kPartial) {
-    // The dense slice: all-zero bytes are +0.0, then the listed scores.
-    out.status = 200;
-    out.content_type = "application/octet-stream";
-    out.body.assign(
-        static_cast<size_t>(range.end - range.begin) * sizeof(double), '\0');
-    for (const ScoredVertex& scored : scores.entries) {
-      if (!range.Contains(scored.vertex)) continue;
-      std::memcpy(out.body.data() +
-                      static_cast<size_t>(scored.vertex - range.begin) *
-                          sizeof(double),
-                  &scored.score, sizeof(double));
-    }
-    return out;
-  }
-
-  // kTopK: this shard's top-k of its slice, as packed {u32 vertex,
-  // f64 score} records in rank order.
-  const std::vector<ScoredVertex> top =
-      TopKFromSparseRow(scores, args.v, args.k, range.begin, range.end);
+  // kRow: this shard's slice of v's row. Only v's owner lists v itself.
   out.status = 200;
   out.content_type = "application/octet-stream";
-  out.body.reserve(top.size() * 12);
-  for (const ScoredVertex& scored : top) {
-    char record[12];
-    std::memcpy(record, &scored.vertex, sizeof(uint32_t));
-    std::memcpy(record + 4, &scored.score, sizeof(double));
-    out.body.append(record, sizeof(record));
-  }
+  out.body = EncodeRowSlice(
+      index.EstimateSingleSourceWithRow(args.v, row, store, overlay),
+      range.begin, range.end);
   return out;
 }
 
@@ -547,9 +574,6 @@ Status ServerOptions::Validate() const {
     return Status::InvalidArgument(
         "--endpoint-inflight must be positive: a zero cap rejects every "
         "query");
-  }
-  if (max_connections == 0) {
-    return Status::InvalidArgument("max_connections must be positive");
   }
   if (max_batch_pairs == 0) {
     return Status::InvalidArgument(
@@ -651,20 +675,18 @@ std::vector<HttpFrontend::Route> SimRankServer::Routes() {
   }
   // The /internal/* exchange endpoints exist only in the shard role; a
   // standalone server 404s them like any unknown path. Each rides the
-  // public admission class of the work it stands in for: row fetch and
-  // partial row under single_source, slice top-k under topk, one-sided
-  // pair under pair.
+  // public admission class of the work it stands in for: walk-row fetch
+  // and row slice under single_source (a slice costs the same for
+  // /v1/single_source and /v1/topk), one-sided pair under pair.
   if (options_.sharded) {
     const std::pair<const char*, InternalOp> ops[] = {
         {"/internal/walks", InternalOp::kWalks},
-        {"/internal/partial", InternalOp::kPartial},
-        {"/internal/topk", InternalOp::kTopK},
+        {"/internal/row", InternalOp::kRow},
         {"/internal/pair", InternalOp::kPair}};
     for (const auto& [path, op] : ops) {
-      const ServerEndpoint endpoint =
-          op == InternalOp::kTopK  ? ServerEndpoint::kTopK
-          : op == InternalOp::kPair ? ServerEndpoint::kPair
-                                    : ServerEndpoint::kSingleSource;
+      const ServerEndpoint endpoint = op == InternalOp::kPair
+                                          ? ServerEndpoint::kPair
+                                          : ServerEndpoint::kSingleSource;
       routes.push_back({path, op == InternalOp::kWalks ? "GET" : "POST",
                         static_cast<int>(endpoint), query(op)});
     }
@@ -773,16 +795,10 @@ bool ParseInternalParams(const HttpRequest& request, InternalOp op,
     case InternalOp::kWalks:
       return CheckAllowedParams(request, {"v"}, error) &&
              ParseUintParam(request, "v", &args->v, error);
-    case InternalOp::kPartial:
+    case InternalOp::kRow:
       return CheckAllowedParams(request, {"v", "seq"}, error) &&
              ParseUintParam(request, "v", &args->v, error) &&
              ParseUintParam(request, "seq", &args->seq, error);
-    case InternalOp::kTopK:
-      return CheckAllowedParams(request, {"v", "k", "seq"}, error) &&
-             ParseUintParam(request, "v", &args->v, error) &&
-             ParseUintParam(request, "seq", &args->seq, error) &&
-             (request.FindParam("k") == nullptr ||
-              ParseUintParam(request, "k", &args->k, error));
     case InternalOp::kPair:
       return CheckAllowedParams(request, {"b", "seq"}, error) &&
              ParseUintParam(request, "b", &args->b, error) &&

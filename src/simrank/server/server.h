@@ -144,7 +144,8 @@ Result<std::vector<std::pair<VertexId, VertexId>>> ParsePairBatch(
 // same answer is the same bytes.
 
 std::string PairBody(VertexId a, VertexId b, double score);
-std::string SingleSourceBody(VertexId v, std::span<const double> scores);
+/// All row.n scores, "0" for every vertex the row does not list.
+std::string SingleSourceBody(VertexId v, const SparseRow& row);
 std::string TopKBody(VertexId v, uint32_t k,
                      std::span<const ScoredVertex> top);
 std::string BatchPairBody(std::span<const double> scores);
@@ -152,6 +153,20 @@ std::string BatchPairBody(std::span<const double> scores);
 /// patched_vertices, changed_slots and wal_records.
 std::string UpdateBody(const std::array<uint64_t, 5>& counts,
                        std::string_view graph_fingerprint);
+
+/// The /internal/row frame a shard answers with: the entries of `row` in
+/// [begin, end), ascending, as packed native-endian {u32 vertex, f64
+/// score} records. The doubles cross the wire as the estimator's bits, so
+/// a router that appends every shard's frame in shard order holds the
+/// single node's row exactly.
+std::string EncodeRowSlice(const SparseRow& row, VertexId begin,
+                           VertexId end);
+/// Appends one /internal/row frame for [begin, end) to `row`. The bytes
+/// come from another process, so they are checked: an error names a frame
+/// that is not a whole number of records, lists a vertex outside
+/// [begin, end), or lists its vertices out of strictly ascending order.
+Status AppendRowSlice(std::string_view frame, VertexId begin, VertexId end,
+                      SparseRow* row);
 
 /// The JSON error envelope of every non-2xx answer:
 /// {"error":{"code":CODE,"message":MESSAGE}}.
@@ -177,8 +192,6 @@ struct ServerOptions {
   /// Per-endpoint cap on dispatched-but-unfinished queries; the 503
   /// boundary (a single-source fanout cannot starve cheap pair traffic).
   uint32_t max_endpoint_inflight = 32;
-  /// Connections beyond this are accepted and immediately closed.
-  uint32_t max_connections = 1024;
   /// Retry-After value on 429/503 responses, in seconds.
   uint32_t retry_after_seconds = 1;
   /// Synthetic per-query service time, in milliseconds. Zero in
@@ -198,8 +211,6 @@ struct ServerOptions {
   /// reset makes the original --graph file stale, so a restart points
   /// --graph here; compaction refuses to run when this is unset.
   std::string compact_graph_path;
-  /// Request-parser hardening limits.
-  HttpLimits http;
 
   /// Shard role. With `sharded`, the server owns exactly
   /// shard_plan.shards[shard_id]'s vertex range: /v1/pair and

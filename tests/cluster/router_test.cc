@@ -229,29 +229,6 @@ DiGraph TieGraph() {
   return std::move(builder).Build();
 }
 
-TEST(MergeTopKTest, MergesUnderTheSingleNodeTotalOrder) {
-  const std::vector<std::vector<ScoredVertex>> parts = {
-      {{5, 0.5}, {1, 0.25}},
-      {{2, 0.5}, {7, 0.25}, {8, 0.125}},
-  };
-  const std::vector<ScoredVertex> merged = MergeTopK(parts, 4);
-  ASSERT_EQ(merged.size(), 4u);
-  // Ties break by ascending vertex, across parts.
-  EXPECT_EQ(merged[0].vertex, 2u);
-  EXPECT_EQ(merged[1].vertex, 5u);
-  EXPECT_EQ(merged[2].vertex, 1u);
-  EXPECT_EQ(merged[3].vertex, 7u);
-
-  // k beyond the union returns everything, still ordered.
-  const std::vector<ScoredVertex> all = MergeTopK(parts, 100);
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_EQ(all[4].vertex, 8u);
-
-  // Empty parts are fine.
-  EXPECT_TRUE(MergeTopK({}, 3).empty());
-  EXPECT_TRUE(MergeTopK({{}, {}}, 3).empty());
-}
-
 TEST(RouterTest, PairMatchesSingleNodeBitwise) {
   ClusterFixture cluster(testing::RandomGraph(60, 240, 11));
   const uint32_t boundary = cluster.plan().shards[0].end;
@@ -900,7 +877,19 @@ TEST(RouterTest, BatchAgainstADeadShardAnswers503AndKeepsServing) {
   ASSERT_EQ(HttpGet(cluster.router_port(), "/healthz")->status, 200);
 }
 
-/// A stand-in shard that answers every pair and update with `200 {}`.
+/// One {u32 vertex, f64 score} record of an /internal/row frame.
+std::string RowRecord(uint32_t vertex, double score) {
+  std::string record(12, '\0');
+  std::memcpy(record.data(), &vertex, sizeof(vertex));
+  std::memcpy(record.data() + 4, &score, sizeof(score));
+  return record;
+}
+
+/// A stand-in shard of a one-shard plan over 10 vertices (epoch 1). It
+/// answers every pair and update with `200 {}`, and every walk row with a
+/// row and the version headers. Its /internal/row frame for row v is
+/// well-formed for v = 0; for v = 1, 2 and 3 it is 13 bytes, lists vertex
+/// 10 (outside [0, 10)) and lists two vertices out of order.
 class MalformedShard {
  public:
   MalformedShard()
@@ -910,10 +899,34 @@ class MalformedShard {
     options_.port = 0;
     auto empty = [this](HttpFrontend::Connection* conn, const HttpRequest&,
                         int) { frontend_.Answer(conn, 200, "{}"); };
-    frontend_.AddRoutes({{"/v1/pair", "GET", HttpFrontend::kNoAdmission,
-                          empty},
-                         {"/v1/update", "POST", HttpFrontend::kNoAdmission,
-                          empty}});
+    const HttpHeaders versions = {{"X-Graph-Fingerprint", "0000000000000001"},
+                                  {"X-Overlay-Sequence", "0"},
+                                  {"X-Plan-Epoch", "1"}};
+    auto walks = [this, versions](HttpFrontend::Connection* conn,
+                                  const HttpRequest& request, int) {
+      uint32_t row[4] = {};
+      row[0] = static_cast<uint32_t>(std::stoul(*request.FindParam("v")));
+      frontend_.Answer(conn, 200,
+                       std::string_view(reinterpret_cast<char*>(row),
+                                        sizeof(row)),
+                       versions, "application/octet-stream");
+    };
+    auto row = [this, versions](HttpFrontend::Connection* conn,
+                                const HttpRequest& request, int) {
+      const std::string frames[] = {
+          RowRecord(0, 1.0) + RowRecord(4, 0.25),
+          RowRecord(0, 1.0) + "\x01",
+          RowRecord(2, 1.0) + RowRecord(10, 0.25),
+          RowRecord(5, 0.5) + RowRecord(3, 1.0)};
+      frontend_.Answer(conn, 200,
+                       frames[std::stoul(*request.FindParam("v")) % 4],
+                       versions, "application/octet-stream");
+    };
+    frontend_.AddRoutes(
+        {{"/v1/pair", "GET", HttpFrontend::kNoAdmission, empty},
+         {"/v1/update", "POST", HttpFrontend::kNoAdmission, empty},
+         {"/internal/walks", "GET", HttpFrontend::kNoAdmission, walks},
+         {"/internal/row", "POST", HttpFrontend::kNoAdmission, row}});
     OIPSIM_CHECK(frontend_.Bind().ok());
     thread_ = std::thread([this] { frontend_.Serve(); });
   }
@@ -948,6 +961,20 @@ TEST(RouterTest, MalformedShardRepliesAnswer500) {
   ASSERT_TRUE(update.ok());
   EXPECT_EQ(update->status, 500);
   EXPECT_NE(update->body.find("shard 0"), std::string::npos) << update->body;
+  // Row frames: a well-formed one answers, and each malformed one is a 500
+  // naming the shard, on the loop (top-k) and on a worker (single-source).
+  for (const char* endpoint : {"/v1/topk", "/v1/single_source"}) {
+    for (VertexId v = 0; v < 4; ++v) {
+      auto read = HttpGet(router.port(), StrFormat("%s?v=%u", endpoint, v));
+      ASSERT_TRUE(read.ok());
+      SCOPED_TRACE(StrFormat("%s?v=%u: %s", endpoint, v, read->body.c_str()));
+      EXPECT_EQ(read->status, v == 0 ? 200 : 500);
+      if (v > 0) EXPECT_NE(read->body.find("shard 0"), std::string::npos);
+    }
+  }
+  auto healthz = HttpGet(router.port(), "/healthz");
+  ASSERT_TRUE(healthz.ok());
+  EXPECT_EQ(healthz->status, 200);
   router.Shutdown();
 }
 

@@ -136,7 +136,6 @@ TEST(ProfileLoggerTest, WritesJsonlRecords) {
   ProfileLogger::Options options;
   options.frequency_hz = 211;
   options.period_seconds = 1;
-  options.duty_cycle = 0.3;
   auto logger = ProfileLogger::Start(options, log->get());
   ASSERT_TRUE(logger.ok()) << logger.status().ToString();
   const auto deadline =
