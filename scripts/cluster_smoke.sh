@@ -4,7 +4,10 @@
 # scatter-gather router, and require every routed response to be
 # byte-identical to a single-node simrank_server over the full index —
 # before an update, after a live /v1/update broadcast, and after the
-# shard-0 primary is killed and reads fail over to the replica.
+# shard-0 primary is killed and reads fail over to the replica. Every
+# routed /v1/topk and /v1/pair is read twice, the second time from the
+# router's row cache (revalidated with the row's owner), and the router
+# must report cache hits.
 #
 # usage: scripts/cluster_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -54,6 +57,14 @@ expect_same() {
     cat "$WORK/routed.body" >&2
     return 1
   fi
+}
+
+# expect_same twice: the first read caches the row it answers from (a
+# top-k) or finds one cached (a pair after a read of either endpoint), so
+# the second is a router cache hit, revalidated with the row's owner.
+expect_same_twice() {
+  expect_same "$1"
+  expect_same "$1"
 }
 
 expect_same_post() {
@@ -168,14 +179,15 @@ fetch_expect "$BASE:$ROUTER_PORT/metrics" \
   'simrank_uptime_seconds{shard="1",role="primary"}'
 
 echo "== routed queries are byte-identical to single-node"
-expect_same '/v1/pair?a=0&b=1'           # both in shard 0
-expect_same '/v1/pair?a=3&b=20'          # cross-shard
-expect_same '/v1/pair?a=11&b=12'         # across the shard boundary
+expect_same_twice '/v1/pair?a=0&b=1'     # both in shard 0, no row cached
+expect_same_twice '/v1/pair?a=3&b=20'    # cross-shard, no row cached
 expect_same '/v1/single_source?v=5'
 expect_same '/v1/single_source?v=17'     # a row shard 1 owns
-expect_same '/v1/topk?v=0&k=24'          # k spans the boundary
-expect_same '/v1/topk?v=17&k=5'
-expect_same '/v1/topk?v=17&k=1000'       # k beyond n: the zero fill
+expect_same_twice '/v1/topk?v=0&k=24'    # k spans the boundary
+expect_same_twice '/v1/topk?v=17&k=5'
+expect_same_twice '/v1/topk?v=17&k=1000' # k beyond n: the zero fill
+expect_same_twice '/v1/pair?a=0&b=1'     # from 0's cached row
+expect_same_twice '/v1/pair?a=11&b=17'   # across the boundary, from 17's
 expect_same_post '/v1/batch_pair' '0 13
 5 12
 3 3
@@ -212,11 +224,14 @@ if ! cmp -s "$WORK/single.norm" "$WORK/routed.norm"; then
   exit 1
 fi
 grep -q '"applied":3' "$WORK/routed.body"
-expect_same '/v1/pair?a=0&b=1'
+# Rows cached before the batch: each owner answers the revalidation with
+# its new walk row, so the first reads are recomputed.
+expect_same_twice '/v1/pair?a=0&b=1'
 expect_same '/v1/single_source?v=3'
 expect_same '/v1/single_source?v=17'
-expect_same '/v1/topk?v=0&k=24'
-expect_same '/v1/topk?v=17&k=1000'
+expect_same_twice '/v1/topk?v=0&k=24'
+expect_same_twice '/v1/topk?v=17&k=1000'
+expect_same_twice '/v1/pair?a=11&b=17'
 
 echo "== replica tails the primary WAL"
 test "$(printf '+ 1 0\n' |
@@ -233,16 +248,32 @@ fetch_expect "$BASE:$REPLICA_PORT/v1/stats" '"batches_applied":1' \
 echo "== kill the shard-0 primary: reads fail over to the replica"
 kill -TERM $SHARD0_PID
 wait $SHARD0_PID
-expect_same '/v1/pair?a=0&b=1'
+# Row 0 is cached: the replica revalidates it.
+expect_same_twice '/v1/pair?a=0&b=1'
 expect_same '/v1/single_source?v=2'
 expect_same '/v1/single_source?v=17'
-expect_same '/v1/topk?v=0&k=24'
-expect_same '/v1/topk?v=17&k=1000'
+expect_same_twice '/v1/topk?v=0&k=24'
+expect_same_twice '/v1/topk?v=17&k=1000'
+expect_same_twice '/v1/pair?a=11&b=17'
 curl -fs "$BASE:$ROUTER_PORT/metrics" >"$WORK/router.metrics"
 FAILOVERS=$(awk '$1 == "simrank_router_failovers_total" {print $2}' \
   "$WORK/router.metrics")
 test "${FAILOVERS:-0}" -ge 1
 fetch_expect "$BASE:$ROUTER_PORT/v1/stats" '"failovers":'
+
+echo "== the router answered cached reads"
+curl -fs "$BASE:$ROUTER_PORT/metrics" >"$WORK/router.metrics"
+CACHE_HITS=$(awk '$1 == "simrank_router_cache_hits_total" {print $2}' \
+  "$WORK/router.metrics")
+curl -fs "$BASE:$ROUTER_PORT/v1/stats" >"$WORK/router.stats"
+STATS_HITS=$(sed -n 's/.*"cache":{[^}]*"hits":\([0-9]*\).*/\1/p' \
+  "$WORK/router.stats")
+if [ "${STATS_HITS:-0}" -lt 1 ] || [ "${CACHE_HITS:-0}" -lt 1 ]; then
+  echo "FAIL: the router reports no cache hits" >&2
+  cat "$WORK/router.stats" >&2
+  exit 1
+fi
+echo "router cache hits: $STATS_HITS"
 
 echo "== fleet health reflects the killed primary within a scrape interval"
 for _ in $(seq 1 100); do

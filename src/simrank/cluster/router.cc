@@ -90,6 +90,8 @@ ServerOptions FrontendOptions(const RouterOptions& options) {
 SimRankRouter::SimRankRouter(RouterOptions options)
     : options_(std::move(options)),
       frontend_options_(FrontendOptions(options_)),
+      row_cache_(QueryEngineOptions().cache_shards,
+                 QueryEngineOptions().cache_capacity_per_shard),
       frontend_(
           frontend_options_, [this] { return CollectStats(); },
           [this] { return MetricFamilies(); }) {
@@ -125,6 +127,8 @@ RouterStats SimRankRouter::stats() const {
   stats.requests_debug_timeseries = load(frontend.requests_debug_timeseries);
   stats.scrape_rounds = load(stat_scrape_rounds_);
   stats.scrape_failures = load(stat_scrape_failures_);
+  stats.cache = row_cache_.stats();
+  stats.cache_stale = load(stat_cache_stale_);
   return stats;
 }
 
@@ -267,11 +271,13 @@ SimRankRouter::ShardReply SimRankRouter::ToShardReply(
   const std::string* fingerprint = response.FindHeader("x-graph-fingerprint");
   const std::string* sequence = response.FindHeader("x-overlay-sequence");
   const std::string* epoch = response.FindHeader("x-plan-epoch");
-  reply.have_versions =
-      fingerprint != nullptr && sequence != nullptr && epoch != nullptr &&
-      ParseFingerprint(*fingerprint, &reply.fingerprint) &&
-      ParseUint64(*sequence, &reply.sequence) &&
-      ParseUint64(*epoch, &reply.epoch);
+  ShardVersion version;
+  if (fingerprint != nullptr && sequence != nullptr && epoch != nullptr &&
+      ParseFingerprint(*fingerprint, &version.fingerprint) &&
+      ParseUint64(*sequence, &version.sequence) &&
+      ParseUint64(*epoch, &version.epoch)) {
+    reply.version = version;
+  }
   if (call.recorder != nullptr) {
     call.recorder->Add(TraceCounter::kShardsContacted, 1);
     if (const std::string* child =
@@ -347,113 +353,202 @@ void SimRankRouter::Scatter(const CallPtr& call, uint32_t first_shard,
   }
 }
 
-void SimRankRouter::ExchangeRow(const CallPtr& call, VertexId v,
-                                std::string target_prefix,
-                                uint32_t first_shard, uint32_t end_shard,
-                                uint32_t attempt, RowDone done) {
-  enum class Verdict { kUse, kRetry, kFail };
+SimRankRouter::Verdict SimRankRouter::CheckReply(uint32_t shard,
+                                                 Result<ShardReply>& reply,
+                                                 const ShardReply* row,
+                                                 uint32_t row_owner,
+                                                 Response* error) const {
+  if (!reply.ok()) {
+    *error = Unavailable(StrFormat("shard %u unreachable: %s", shard,
+                                   reply.status().message().c_str()));
+    return Verdict::kFail;
+  }
+  if (row != nullptr && reply->status == 409) return Verdict::kRetry;
+  if (reply->status != 200) {
+    *error = Response{reply->status, std::move(reply->body)};
+    return Verdict::kFail;
+  }
+  if (!reply->version || reply->version->epoch != options_.plan.epoch) {
+    const uint64_t epoch = reply->version ? reply->version->epoch : 0;
+    error->body = ErrorBody(
+        "Internal",
+        StrFormat("shard %u is serving plan epoch %llu, router has %llu",
+                  shard, static_cast<unsigned long long>(epoch),
+                  static_cast<unsigned long long>(options_.plan.epoch)));
+    return Verdict::kFail;
+  }
+  if (row != nullptr &&
+      reply->version->fingerprint != row->version->fingerprint) {
+    error->body = ErrorBody(
+        "Internal",
+        StrFormat("shard %u reports graph fingerprint %s but the row "
+                  "owner, shard %u, reports %s at the same overlay "
+                  "sequence; the cluster has diverged",
+                  shard,
+                  FormatFingerprint(reply->version->fingerprint).c_str(),
+                  row_owner,
+                  FormatFingerprint(row->version->fingerprint).c_str()));
+    return Verdict::kFail;
+  }
+  return Verdict::kUse;
+}
+
+void SimRankRouter::FetchWalks(const CallPtr& call, VertexId v,
+                               std::optional<ShardVersion> stamp,
+                               WalksDone done) {
   const uint32_t owner = options_.plan.OwnerOf(v);
-  // The one reply check for the row and every scattered leg; `row` is
-  // null for the row itself.
-  auto check = [this, owner](uint32_t shard, Result<ShardReply>& reply,
-                             const ShardReply* row, Response* error) {
-    if (!reply.ok()) {
-      *error = Unavailable(StrFormat("shard %u unreachable: %s", shard,
-                                     reply.status().message().c_str()));
-      return Verdict::kFail;
-    }
-    if (reply->status == 409) return Verdict::kRetry;
-    if (reply->status != 200) {
-      *error = Response{reply->status, std::move(reply->body)};
-      return Verdict::kFail;
-    }
-    if (!reply->have_versions || reply->epoch != options_.plan.epoch) {
-      error->body = ErrorBody(
-          "Internal",
-          StrFormat("shard %u is serving plan epoch %llu, router has %llu",
-                    shard, static_cast<unsigned long long>(reply->epoch),
-                    static_cast<unsigned long long>(options_.plan.epoch)));
-      return Verdict::kFail;
-    }
-    if (row != nullptr && reply->fingerprint != row->fingerprint) {
-      error->body = ErrorBody(
-          "Internal",
-          StrFormat("shard %u reports graph fingerprint %s but the row "
-                    "owner, shard %u, reports %s at the same overlay "
-                    "sequence; the cluster has diverged",
-                    shard, FormatFingerprint(reply->fingerprint).c_str(),
-                    owner, FormatFingerprint(row->fingerprint).c_str()));
-      return Verdict::kFail;
-    }
-    return Verdict::kUse;
-  };
-  // An update landed between the row fetch and the scatter: re-fetch, or
-  // degrade to 503 once the retries are spent.
-  auto retry = [this, call, v, first_shard, end_shard, attempt](
-                   std::string prefix, RowDone next) {
-    stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
-    if (call->recorder != nullptr) {
-      call->recorder->Add(TraceCounter::kConflictRetries, 1);
-    }
-    if (attempt < options_.retries) {
-      ExchangeRow(call, v, std::move(prefix), first_shard, end_shard,
-                  attempt + 1, std::move(next));
-      return;
-    }
-    Finish(call, Unavailable("overlay sequence kept moving during the "
-                             "shard exchange; retry after the update burst "
-                             "settles"));
-  };
+  const std::string target =
+      stamp ? StrFormat("/internal/walks?v=%u&stamp=%s", v,
+                        FormatShardVersion(*stamp).c_str())
+            : StrFormat("/internal/walks?v=%u", v);
   const uint64_t fetch_ns = call->recorder != nullptr ? TraceNowNanos() : 0;
   ReadFromShard(
-      call, owner,
-      BuildHttpRequest("GET", StrFormat("/internal/walks?v=%u", v), {}, {},
-                       TraceHeaders(*call)),
-      [this, call, owner, first_shard, end_shard, fetch_ns, check, retry,
-       target_prefix = std::move(target_prefix),
-       done = std::move(done)](Result<ShardReply> row) mutable {
+      call, owner, BuildHttpRequest("GET", target, {}, {}, TraceHeaders(*call)),
+      [this, call, owner, stamp, fetch_ns,
+       done = std::move(done)](Result<ShardReply> walks) {
         if (call->recorder != nullptr) {
           call->recorder->AddCompletedSpan(TraceStage::kRowFetch, fetch_ns,
                                            TraceNowNanos() - fetch_ns,
                                            StrFormat("shard=%u", owner));
         }
+        // A 304 counts only for the version asked about; anything else
+        // fails the check below like any status but 200.
+        if (walks.ok() && walks->status == 304 && stamp &&
+            walks->version == stamp) {
+          done(std::move(*walks));
+          return;
+        }
         Response error;
-        const Verdict verdict = check(owner, row, nullptr, &error);
-        if (verdict == Verdict::kFail) {
+        if (CheckReply(owner, walks, nullptr, owner, &error) !=
+            Verdict::kUse) {
           Finish(call, std::move(error));
           return;
         }
-        if (verdict == Verdict::kRetry) {
-          retry(std::move(target_prefix), std::move(done));
+        done(std::move(*walks));
+      });
+}
+
+void SimRankRouter::ScatterRow(const CallPtr& call, VertexId v,
+                               ShardReply row, std::string target_prefix,
+                               uint32_t first_shard, uint32_t end_shard,
+                               uint32_t attempt, RowDone done) {
+  const std::string request = BuildHttpRequest(
+      "POST",
+      StrFormat("%s&seq=%llu", target_prefix.c_str(),
+                static_cast<unsigned long long>(row.version->sequence)),
+      row.body, "application/octet-stream", TraceHeaders(*call));
+  Scatter(
+      call, first_shard, end_shard, request,
+      [this, call, v, first_shard, end_shard, attempt, row = std::move(row),
+       target_prefix = std::move(target_prefix),
+       done = std::move(done)](std::vector<Result<ShardReply>> legs) mutable {
+        const uint32_t owner = options_.plan.OwnerOf(v);
+        Response error;
+        std::vector<ShardReply> replies;
+        for (uint32_t i = 0; i < legs.size(); ++i) {
+          const Verdict verdict =
+              CheckReply(first_shard + i, legs[i], &row, owner, &error);
+          if (verdict == Verdict::kFail) {
+            Finish(call, std::move(error));
+            return;
+          }
+          if (verdict == Verdict::kRetry) {
+            // An update landed between the row fetch and the scatter:
+            // re-fetch, or degrade to 503 once the retries are spent.
+            stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
+            if (call->recorder != nullptr) {
+              call->recorder->Add(TraceCounter::kConflictRetries, 1);
+            }
+            if (attempt >= options_.retries) {
+              Finish(call,
+                     Unavailable("overlay sequence kept moving during the "
+                                 "shard exchange; retry after the update "
+                                 "burst settles"));
+              return;
+            }
+            FetchWalks(call, v, std::nullopt,
+                       [this, call, v, first_shard, end_shard, attempt,
+                        target_prefix = std::move(target_prefix),
+                        done = std::move(done)](ShardReply fresh) mutable {
+                         ScatterRow(call, v, std::move(fresh),
+                                    std::move(target_prefix), first_shard,
+                                    end_shard, attempt + 1, std::move(done));
+                       });
+            return;
+          }
+          replies.push_back(std::move(*legs[i]));
+        }
+        done(*row.version, std::move(replies));
+      });
+}
+
+namespace {
+
+/// The router's freshness rule, QueryEngine's with the owner's version for
+/// the overlay: a row answers while its owner serves the version it is
+/// stamped with. An entry stamped at an older sequence is erased; one
+/// stamped later is left to the reads that found the owner there.
+auto FreshAt(const ShardVersion& owner) {
+  return [owner](ShardVersion& stamp) {
+    if (stamp == owner) return CacheVerdict::kServe;
+    return stamp.sequence > owner.sequence ? CacheVerdict::kKeep
+                                           : CacheVerdict::kDrop;
+  };
+}
+
+}  // namespace
+
+SimRankRouter::Row SimRankRouter::LookUp(
+    Call& call, VertexId v, const ShardReply& walks,
+    const std::optional<CachedRow>& cached) {
+  TraceBinding binding(call.recorder.get());
+  Row row = row_cache_.Get(v, FreshAt(*walks.version));
+  if (walks.status == 304) return cached->row;
+  if (row == nullptr && cached) {
+    stat_cache_stale_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return row;
+}
+
+void SimRankRouter::ReadRow(const CallPtr& call, VertexId v, RowReady done) {
+  std::optional<CachedRow> cached = row_cache_.Peek(v);
+  std::optional<ShardVersion> stamp;
+  if (cached) stamp = cached->stamp;
+  FetchWalks(
+      call, v, stamp,
+      [this, call, v, cached = std::move(cached),
+       done = std::move(done)](ShardReply walks) mutable {
+        if (Row row = LookUp(*call, v, walks, cached)) {
+          done(std::move(row));
           return;
         }
-        const std::string request = BuildHttpRequest(
-            "POST",
-            StrFormat("%s&seq=%llu", target_prefix.c_str(),
-                      static_cast<unsigned long long>(row->sequence)),
-            row->body, "application/octet-stream", TraceHeaders(*call));
-        Scatter(call, first_shard, end_shard, request,
-                [this, call, first_shard, check, retry, row = std::move(*row),
-                 target_prefix = std::move(target_prefix),
-                 done = std::move(done)](
-                    std::vector<Result<ShardReply>> legs) mutable {
-                  Response error;
-                  std::vector<ShardReply> replies;
-                  for (uint32_t i = 0; i < legs.size(); ++i) {
-                    const Verdict verdict =
-                        check(first_shard + i, legs[i], &row, &error);
-                    if (verdict == Verdict::kFail) {
-                      Finish(call, std::move(error));
-                      return;
-                    }
-                    if (verdict == Verdict::kRetry) {
-                      retry(std::move(target_prefix), std::move(done));
-                      return;
-                    }
-                    replies.push_back(std::move(*legs[i]));
-                  }
-                  done(std::move(replies));
-                });
+        ScatterRow(
+            call, v, std::move(walks), StrFormat("/internal/row?v=%u", v), 0,
+            static_cast<uint32_t>(options_.shards.size()), 0,
+            [this, call, v, done = std::move(done)](
+                ShardVersion version, std::vector<ShardReply> replies) {
+              auto row = std::make_shared<SparseRow>();
+              row->n = options_.plan.n;
+              Status status;
+              size_t shard = 0;
+              {
+                TraceBinding binding(call->recorder.get());
+                TraceScope merge(TraceStage::kMerge);
+                for (; shard < replies.size() && status.ok(); ++shard) {
+                  const ShardRange& range = options_.plan.shards[shard];
+                  status = AppendRowSlice(replies[shard].body, range.begin,
+                                          range.end, row.get());
+                }
+              }
+              if (!status.ok()) {
+                Finish(call, MalformedReply(shard - 1,
+                                            "a well-formed row slice (" +
+                                                status.message() + ")"));
+                return;
+              }
+              row_cache_.Put(v, version, row);
+              done(std::move(row));
+            });
       });
 }
 
@@ -467,53 +562,81 @@ SimRankRouter::Response SimRankRouter::Unavailable(
 
 void SimRankRouter::ScorePair(const CallPtr& call, VertexId a, VertexId b,
                               ScoreDone done) {
-  const uint32_t owner_a = options_.plan.OwnerOf(a);
-  const uint32_t owner_b = options_.plan.OwnerOf(b);
-  if (owner_a == owner_b) {
-    const uint64_t start = call->recorder != nullptr ? TraceNowNanos() : 0;
-    ReadFromShard(
-        call, owner_a,
-        BuildHttpRequest("GET", StrFormat("/v1/pair?a=%u&b=%u", a, b), {},
-                         {}, TraceHeaders(*call)),
-        [this, call, owner_a, start,
-         done = std::move(done)](Result<ShardReply> reply) {
-          if (call->recorder != nullptr) {
-            call->recorder->AddCompletedSpan(
-                TraceStage::kShardExchange, start, TraceNowNanos() - start,
-                StrFormat("shard=%u", owner_a));
-          }
-          double score = 0.0;
-          if (!reply.ok()) {
-            Finish(call,
-                   Unavailable(StrFormat("shard %u unreachable: %s", owner_a,
-                                         reply.status().message().c_str())));
-          } else if (reply->status != 200) {
-            Finish(call, {reply->status, std::move(reply->body)});
-          } else if (!ReadJsonNumber(reply->body, "score", &score)) {
-            Finish(call, MalformedReply(owner_a, "a \"score\""));
-          } else {
-            done(score);
-          }
-        });
+  // s(from, to): `from` is the endpoint whose row is cached, if either is.
+  VertexId from = a;
+  VertexId to = b;
+  std::optional<CachedRow> cached = row_cache_.Peek(a);
+  if (!cached && (cached = row_cache_.Peek(b))) std::swap(from, to);
+  const uint32_t owner_to = options_.plan.OwnerOf(to);
+  // The cross-shard miss path: `to`'s owner scores `from`'s walk row.
+  auto score_on_owner = [this, call, from, to, owner_to,
+                         done](ShardReply walks) {
+    ScatterRow(call, from, std::move(walks),
+               StrFormat("/internal/pair?b=%u", to), owner_to, owner_to + 1,
+               0,
+               [this, call, owner_to, done](ShardVersion,
+                                            std::vector<ShardReply> replies) {
+                 if (replies[0].body.size() != sizeof(double)) {
+                   Finish(call,
+                          {500, ErrorBody("Internal",
+                                          StrFormat("shard %u returned a "
+                                                    "%zu-byte pair score",
+                                                    owner_to,
+                                                    replies[0].body.size()))});
+                   return;
+                 }
+                 double score = 0.0;
+                 std::memcpy(&score, replies[0].body.data(), sizeof(double));
+                 done(score);
+               });
+  };
+  if (cached) {
+    const ShardVersion stamp = cached->stamp;
+    FetchWalks(call, from, stamp,
+               [this, call, from, to, cached = std::move(cached), done,
+                score_on_owner](ShardReply walks) {
+                 if (Row row = LookUp(*call, from, walks, cached)) {
+                   done(row->Score(to));
+                   return;
+                 }
+                 score_on_owner(std::move(walks));
+               });
     return;
   }
-  ExchangeRow(call, a, StrFormat("/internal/pair?b=%u", b), owner_b,
-              owner_b + 1, 0,
-              [this, call, owner_b,
-               done = std::move(done)](std::vector<ShardReply> replies) {
-                if (replies[0].body.size() != sizeof(double)) {
-                  Finish(call,
-                         {500, ErrorBody("Internal",
-                                         StrFormat("shard %u returned a "
-                                                   "%zu-byte pair score",
-                                                   owner_b,
-                                                   replies[0].body.size()))});
-                  return;
-                }
-                double score = 0.0;
-                std::memcpy(&score, replies[0].body.data(), sizeof(double));
-                done(score);
-              });
+  {
+    // Neither row is resident: the read's one lookup misses.
+    TraceBinding binding(call->recorder.get());
+    row_cache_.Get(a, [](ShardVersion&) { return CacheVerdict::kKeep; });
+  }
+  if (options_.plan.OwnerOf(a) != owner_to) {
+    FetchWalks(call, a, std::nullopt, score_on_owner);
+    return;
+  }
+  const uint64_t start = call->recorder != nullptr ? TraceNowNanos() : 0;
+  ReadFromShard(
+      call, owner_to,
+      BuildHttpRequest("GET", StrFormat("/v1/pair?a=%u&b=%u", a, b), {}, {},
+                       TraceHeaders(*call)),
+      [this, call, owner_to, start,
+       done = std::move(done)](Result<ShardReply> reply) {
+        if (call->recorder != nullptr) {
+          call->recorder->AddCompletedSpan(TraceStage::kShardExchange, start,
+                                           TraceNowNanos() - start,
+                                           StrFormat("shard=%u", owner_to));
+        }
+        double score = 0.0;
+        if (!reply.ok()) {
+          Finish(call,
+                 Unavailable(StrFormat("shard %u unreachable: %s", owner_to,
+                                       reply.status().message().c_str())));
+        } else if (reply->status != 200) {
+          Finish(call, {reply->status, std::move(reply->body)});
+        } else if (!ReadJsonNumber(reply->body, "score", &score)) {
+          Finish(call, MalformedReply(owner_to, "a \"score\""));
+        } else {
+          done(score);
+        }
+      });
 }
 
 void SimRankRouter::HandlePair(Connection* conn, const HttpRequest& request) {
@@ -540,43 +663,20 @@ void SimRankRouter::HandleRow(Connection* conn, const HttpRequest& request,
   call->conn = frontend_.Park(conn);
   const VertexId v = query.v;
   const uint32_t k = query.k;
-  // The single node's answer from the legs' slices, or a 500 naming the
-  // first shard whose slice does not decode.
-  auto answer = [this, call, v, k,
-                 topk](const std::vector<ShardReply>& replies) -> Response {
-    TraceBinding binding(call->recorder.get());
-    TraceScope merge(TraceStage::kMerge);
-    SparseRow row;
-    row.n = options_.plan.n;
-    for (size_t i = 0; i < replies.size(); ++i) {
-      const ShardRange& range = options_.plan.shards[i];
-      const Status status =
-          AppendRowSlice(replies[i].body, range.begin, range.end, &row);
-      if (!status.ok()) {
-        return MalformedReply(i, "a well-formed row slice (" +
-                                     status.message() + ")");
-      }
+  ReadRow(call, v, [this, call, v, k, topk](Row row) {
+    if (topk) {
+      Finish(call, {200, TopKBody(v, k, TopKFromSparseRow(*row, v, k))});
+      return;
     }
-    return {200, topk ? TopKBody(v, k, TopKFromSparseRow(row, v, k))
-                      : SingleSourceBody(v, row)};
-  };
-  ExchangeRow(
-      call, v, StrFormat("/internal/row?v=%u", v), 0,
-      static_cast<uint32_t>(options_.shards.size()), 0,
-      [this, call, topk, answer](std::vector<ShardReply> replies) {
-        if (topk) {
-          Finish(call, answer(replies));
-          return;
-        }
-        // An n-entry row is O(n) to serialize: on a worker, not the loop.
-        frontend_.Submit(call->conn, HttpFrontend::kNoAdmission,
-                         std::chrono::steady_clock::now(),
-                         [this, call, answer, replies = std::move(replies)] {
-                           Response response = answer(replies);
-                           CloseTrace(*call, &response);
-                           return response;
-                         });
-      });
+    // An n-entry body is O(n) to serialize: on a worker, not the loop.
+    frontend_.Submit(call->conn, HttpFrontend::kNoAdmission,
+                     std::chrono::steady_clock::now(),
+                     [this, call, v, row = std::move(row)] {
+                       Response response{200, SingleSourceBody(v, *row)};
+                       CloseTrace(*call, &response);
+                       return response;
+                     });
+  });
 }
 
 struct SimRankRouter::BatchState {
@@ -808,7 +908,18 @@ MetricSet SimRankRouter::CollectStats() const {
                scraping ? "simrank_fleet_scrape_failures_total" : "",
                stats.scrape_failures)
       .Counter("trace.traced_requests", "simrank_router_traced_requests_total",
-               stats.traced_requests);
+               stats.traced_requests)
+      .Counter("cache.hits", "simrank_router_cache_hits_total",
+               stats.cache.hits)
+      .Counter("cache.misses", "simrank_router_cache_misses_total",
+               stats.cache.misses)
+      .Counter("cache.stale", "simrank_router_cache_stale_total",
+               stats.cache_stale)
+      .Counter("cache.evictions", "simrank_router_cache_evictions_total",
+               stats.cache.evictions)
+      .Gauge("cache.rows", "simrank_router_cache_rows", stats.cache.rows)
+      .Gauge("cache.resident_bytes", "simrank_router_cache_resident_bytes",
+             stats.cache.resident_bytes);
   ProcessMemoryStats memory;
   if (ReadProcessMemoryStats(&memory)) {
     m.Gauge("", "simrank_router_resident_bytes", memory.resident_bytes);

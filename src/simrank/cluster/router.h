@@ -5,10 +5,6 @@
 // and answers bitwise-identically to one — the composition is exact, not
 // approximate:
 //
-//   - pair(a, b) with both endpoints on one shard is forwarded verbatim;
-//     a cross-shard pair fetches a's walk row from its owner
-//     (/internal/walks) and has b's owner score it (/internal/pair), the
-//     double crossing the wire in native binary.
 //   - single_source(v) and topk(v, k) fetch v's walk row once and scatter
 //     it to every shard (/internal/row); each answers the nonzeros of v's
 //     score row in its own range (EncodeRowSlice). The ranges partition
@@ -16,6 +12,19 @@
 //     single node's SparseRow, bit for bit, and the router answers from it
 //     with the server's own code (SingleSourceBody, TopKFromSparseRow), so
 //     cross-shard ties break the same way.
+//   - The router caches that row (RowCache, QueryEngine's default 1,024
+//     rows), stamped with the version its shards answered at (ShardVersion:
+//     plan epoch, graph fingerprint, overlay sequence). A later
+//     single_source or topk of v, or a pair with v as either endpoint
+//     (SparseRow::Score), answers from it after one exchange: the walk-row
+//     fetch carries the stamp, and v's owner answers 304 Not Modified on
+//     its event loop while it still serves that version. Otherwise it
+//     answers its 200 walk row, which goes on down the miss path, so a
+//     stale row costs no extra exchange.
+//   - pair(a, b) with neither row cached and both endpoints on one shard
+//     is forwarded verbatim; a cross-shard pair fetches a's walk row from
+//     its owner (/internal/walks) and has b's owner score it
+//     (/internal/pair), the double crossing the wire in native binary.
 //   - batch_pair routes each pair as above and re-emits the scores; the
 //     shortest-round-trip double text a shard emitted parses back
 //     bit-exact, so even the forwarded path re-serializes identically.
@@ -23,6 +32,13 @@
 //     appends the batch to its own WAL before answering, so an acked
 //     update is durable on all shards. Divergent per-shard results
 //     (sequence, fingerprint) fail the request loudly.
+//
+// A cache hit is exact against every batch a router acknowledged: the ack
+// waits for every shard, the row's owner included, and every batch moves
+// the owner's overlay sequence, so an unchanged owner version means no
+// acknowledged batch is missing from the row. A write that bypasses the
+// routers onto a non-owner shard is divergence a hit cannot see; a miss
+// still answers it 500.
 //
 // The router is a route table on the same HttpFrontend the server runs
 // on (server/http_frontend.h), so there is one HTTP server in the
@@ -64,6 +80,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +88,7 @@
 #include "simrank/cluster/shard_plan.h"
 #include "simrank/common/macros.h"
 #include "simrank/common/status.h"
+#include "simrank/index/row_cache.h"
 #include "simrank/obs/diagnostics.h"
 #include "simrank/obs/metric_set.h"
 #include "simrank/obs/trace.h"
@@ -158,6 +176,13 @@ struct RouterStats {
   /// failed (connect error, timeout, non-200).
   uint64_t scrape_rounds = 0;
   uint64_t scrape_failures = 0;
+  /// The row cache. Each routed read makes one counted lookup: a hit is
+  /// answered from a cached row whose owner confirmed its version, a miss
+  /// found none.
+  RowCache<ShardVersion>::Stats cache;
+  /// The misses whose row was resident but whose owner answered the
+  /// revalidation with a 200: it had moved on.
+  uint64_t cache_stale = 0;
 };
 
 /// The router process: a route table on one HttpFrontend. Bind() then
@@ -192,15 +217,16 @@ class SimRankRouter {
   using Connection = HttpFrontend::Connection;
   using Response = HttpFrontend::Response;
 
-  /// One shard reply with its parsed version headers. A traced exchange
-  /// has already attached the shard's sub-trace to the recorder.
+  using Row = RowCache<ShardVersion>::Row;
+  using CachedRow = RowCache<ShardVersion>::Entry;
+
+  /// One shard reply with its parsed version headers (none when any is
+  /// missing or malformed). A traced exchange has already attached the
+  /// shard's sub-trace to the recorder.
   struct ShardReply {
     int status = 0;
     std::string body;
-    uint64_t sequence = 0;
-    uint64_t fingerprint = 0;
-    uint64_t epoch = 0;
-    bool have_versions = false;
+    std::optional<ShardVersion> version;
   };
 
   /// One routed request across the loop steps (and the worker step) that
@@ -216,9 +242,16 @@ class SimRankRouter {
   using CallPtr = std::shared_ptr<Call>;
   using ReplyDone = std::function<void(Result<ShardReply>)>;
   using LegsDone = std::function<void(std::vector<Result<ShardReply>>)>;
-  /// Run on success only: a step that fails answers the call itself.
-  using RowDone = std::function<void(std::vector<ShardReply> replies)>;
+  // Run on success only: a step that fails answers the call itself.
+  using WalksDone = std::function<void(ShardReply walks)>;
+  /// The scattered legs' replies, in shard order, and the version they
+  /// answered at.
+  using RowDone =
+      std::function<void(ShardVersion version, std::vector<ShardReply>)>;
+  using RowReady = std::function<void(Row row)>;
   using ScoreDone = std::function<void(double score)>;
+
+  enum class Verdict { kUse, kRetry, kFail };
 
   std::vector<HttpFrontend::Route> Routes();
 
@@ -257,24 +290,51 @@ class SimRankRouter {
   void Scatter(const CallPtr& call, uint32_t first_shard, uint32_t end_shard,
                const std::string& request, LegsDone done);
 
-  /// Fetches v's walk row from its owner, then scatters
-  /// `target_prefix&seq=<the row's overlay sequence>` with the row as body
-  /// to shards [first_shard, end_shard). Answers 503 for an unreachable
-  /// shard, passes any non-200 answer other than 409 through, and answers
-  /// 500 for a plan epoch other than the router's or a graph fingerprint
-  /// other than the row owner's. A 409 re-fetches the row and retries, up
-  /// to `retries` times, then 503. On success `done` gets the 200 replies
-  /// in shard order; a failure answers the call.
-  void ExchangeRow(const CallPtr& call, VertexId v, std::string target_prefix,
-                   uint32_t first_shard, uint32_t end_shard, uint32_t attempt,
-                   RowDone done);
+  /// The one check of a walk-row reply (`row` null) and of every
+  /// scattered leg: 503 for an unreachable shard, a retry for a leg's 409,
+  /// any other status but 200 passed through, and 500 for a plan epoch
+  /// other than the router's or a leg's graph fingerprint other than
+  /// `row`'s, which shard `row_owner` answered.
+  Verdict CheckReply(uint32_t shard, Result<ShardReply>& reply,
+                     const ShardReply* row, uint32_t row_owner,
+                     Response* error) const;
 
-  /// Scores one pair, cross-shard if needed; a failure answers the call.
+  /// Fetches v's walk row from its owner (/internal/walks), conditional on
+  /// `stamp` when given, and records a row_fetch span. `done` gets the
+  /// owner's 200, or its 304 when the owner still serves `stamp`; any
+  /// other answer fails CheckReply, which answers the call.
+  void FetchWalks(const CallPtr& call, VertexId v,
+                  std::optional<ShardVersion> stamp, WalksDone done);
+
+  /// Scatters `target_prefix&seq=<the row's overlay sequence>` with `row`,
+  /// v's 200 walk reply, as the body to shards [first_shard, end_shard),
+  /// checking every leg (CheckReply). A 409 re-fetches the row and
+  /// retries, up to `retries` times, then 503. On success `done` gets the
+  /// legs' replies; a failure answers the call.
+  void ScatterRow(const CallPtr& call, VertexId v, ShardReply row,
+                  std::string target_prefix, uint32_t first_shard,
+                  uint32_t end_shard, uint32_t attempt, RowDone done);
+
+  /// The one counted cache lookup of a read answered from v's row, once
+  /// v's owner has answered `walks` to a fetch conditional on `cached`
+  /// (or unconditional, `cached` empty): the cached row when its stamp is
+  /// the owner's version, else null. After a 304 it is the `cached` row,
+  /// served even if it was evicted meanwhile: the owner vouched for it.
+  Row LookUp(Call& call, VertexId v, const ShardReply& walks,
+             const std::optional<CachedRow>& cached);
+
+  /// v's score row: the cached one after one revalidating exchange, else
+  /// assembled from every shard's /internal/row slice and cached. A
+  /// failure answers the call.
+  void ReadRow(const CallPtr& call, VertexId v, RowReady done);
+
+  /// Scores one pair: from a cached row of either endpoint after one
+  /// revalidating exchange, else cross-shard if needed. A failure answers
+  /// the call.
   void ScorePair(const CallPtr& call, VertexId a, VertexId b, ScoreDone done);
 
   void HandlePair(Connection* conn, const HttpRequest& request);
-  /// /v1/single_source and /v1/topk: every shard's /internal/row slice,
-  /// appended in shard order into v's row, answered from that row.
+  /// /v1/single_source and /v1/topk, answered from v's row (ReadRow).
   void HandleRow(Connection* conn, const HttpRequest& request,
                  ServerEndpoint endpoint);
   void HandleBatchPair(Connection* conn, const HttpRequest& request);
@@ -343,6 +403,11 @@ class SimRankRouter {
   std::atomic<uint64_t> stat_requests_cluster_health_{0};
   std::atomic<uint64_t> stat_scrape_rounds_{0};
   std::atomic<uint64_t> stat_scrape_failures_{0};
+  std::atomic<uint64_t> stat_cache_stale_{0};
+
+  /// The rows ReadRow assembled, each stamped with the version its shards
+  /// answered at. Touched on the loop only (the stats read it anywhere).
+  RowCache<ShardVersion> row_cache_;
 
   mutable std::mutex targets_mutex_;
   std::vector<TargetState> targets_;

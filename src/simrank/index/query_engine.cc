@@ -1,7 +1,6 @@
 #include "simrank/index/query_engine.h"
 
 #include "simrank/common/string_util.h"
-#include "simrank/obs/trace.h"
 
 namespace simrank {
 
@@ -44,52 +43,36 @@ bool ValidUnder(VertexId v, uint64_t stamp, const DeltaOverlay* overlay) {
 }  // namespace
 
 QueryEngine::CacheStats QueryEngine::cache_stats() const {
-  const LruCacheStats lru = cache_.stats();
-  CacheStats stats{lru.hits, lru.misses, lru.evictions,
-                   restamped_.load(std::memory_order_relaxed)};
-  cache_.ForEach([&stats](const VersionedRow& entry) {
-    ++stats.rows;
-    stats.resident_bytes += entry.row->HeapBytes();
-  });
-  return stats;
+  return {cache_.stats(), restamped_.load(std::memory_order_relaxed)};
 }
 
 QueryEngine::Row QueryEngine::GetFresh(VertexId v,
                                        const DeltaOverlay* overlay) {
-  TraceScope scope(TraceStage::kCacheLookup);
   const uint64_t sequence = SequenceOf(overlay);
   bool restamped = false;
-  const std::optional<VersionedRow> hit =
-      cache_.Get(v, [&](VersionedRow& entry) {
-        // A *newer* stamp means this reader pinned its snapshot before an
-        // update landed — the resident row is the one current readers
-        // want; leave it to them.
-        if (entry.sequence > sequence) return CacheVerdict::kKeep;
-        // Erasing a row the batches changed keeps it from shadowing the
-        // recomputed one until eviction.
-        if (!ValidUnder(v, entry.sequence, overlay)) {
-          return CacheVerdict::kDrop;
-        }
-        // Carried across batches that cannot change it: the same row,
-        // valid under this reader's sequence.
-        restamped = entry.sequence != sequence;
-        entry.sequence = sequence;
-        return CacheVerdict::kServe;
-      });
-  if (!hit) {
-    TraceAdd(TraceCounter::kCacheMisses, 1);
-    return nullptr;
-  }
+  Row row = cache_.Get(v, [&](uint64_t& stamp) {
+    // A *newer* stamp means this reader pinned its snapshot before an
+    // update landed — the resident row is the one current readers want;
+    // leave it to them.
+    if (stamp > sequence) return CacheVerdict::kKeep;
+    // Erasing a row the batches changed keeps it from shadowing the
+    // recomputed one until eviction.
+    if (!ValidUnder(v, stamp, overlay)) return CacheVerdict::kDrop;
+    // Carried across batches that cannot change it: the same row, valid
+    // under this reader's sequence.
+    restamped = stamp != sequence;
+    stamp = sequence;
+    return CacheVerdict::kServe;
+  });
   if (restamped) restamped_.fetch_add(1, std::memory_order_relaxed);
-  TraceAdd(TraceCounter::kCacheHits, 1);
-  return hit->row;
+  return row;
 }
 
 QueryEngine::Row QueryEngine::PeekFresh(VertexId v,
                                         const DeltaOverlay* overlay) const {
-  const std::optional<VersionedRow> entry = cache_.Peek(v);
-  return entry && ValidUnder(v, entry->sequence, overlay) ? entry->row
-                                                          : nullptr;
+  const std::optional<RowCache<uint64_t>::Entry> entry = cache_.Peek(v);
+  return entry && ValidUnder(v, entry->stamp, overlay) ? entry->row
+                                                       : nullptr;
 }
 
 std::optional<double> QueryEngine::CachedPair(VertexId a, VertexId b,
@@ -156,7 +139,7 @@ Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(
   // and in that case skip the insert rather than overwrite a row another
   // reader may have cached under the newer overlay.
   if (index_.overlay_sequence() == sequence) {
-    cache_.Put(v, VersionedRow{sequence, row});
+    cache_.Put(v, sequence, row);
   }
   return row;
 }

@@ -26,7 +26,7 @@
 #include "simrank/common/thread_pool.h"
 #include "simrank/extra/topk.h"
 #include "simrank/graph/digraph.h"
-#include "simrank/index/lru_cache.h"
+#include "simrank/index/row_cache.h"
 #include "simrank/index/walk_index.h"
 
 namespace simrank {
@@ -63,7 +63,7 @@ struct QueryEngineOptions {
 class QueryEngine {
  public:
   /// A cached, immutable single-source score row s(v, ·).
-  using Row = std::shared_ptr<const SparseRow>;
+  using Row = RowCache<uint64_t>::Row;
 
   /// TopKFromCache answers only from rows listing at most this many
   /// vertices: the selection it runs stays a few microseconds, cheap
@@ -119,30 +119,18 @@ class QueryEngine {
   /// change reads as a miss through its stamp, and the others stay valid.
   void InvalidateCache() { cache_.Clear(); }
 
-  /// Cache counters since construction. A hit is a row served from the
-  /// cache, fresh or re-stamped; `restamped` counts the re-stamps, the
-  /// rows carried across batches that could not change them. `rows` and
-  /// `resident_bytes` describe the rows resident now (SparseRow::HeapBytes
-  /// summed).
-  struct CacheStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
+  /// Cache counters since construction (RowCache::Stats). A hit is a row
+  /// served from the cache, fresh or re-stamped; `restamped` counts the
+  /// re-stamps, the rows carried across batches that could not change
+  /// them.
+  struct CacheStats : RowCache<uint64_t>::Stats {
     uint64_t restamped = 0;
-    uint64_t rows = 0;
-    uint64_t resident_bytes = 0;
   };
   CacheStats cache_stats() const;
 
   const WalkIndex& index() const { return index_; }
 
  private:
-  /// Cache value: the row plus the overlay sequence it is valid under.
-  struct VersionedRow {
-    uint64_t sequence = 0;
-    Row row;
-  };
-
   Status CheckVertex(VertexId v) const;
 
   /// The cached row of `v` if it is resident and valid under `overlay`
@@ -169,7 +157,8 @@ class QueryEngine {
 
   const WalkIndex& index_;
   QueryEngineOptions options_;
-  ShardedLruCache<VertexId, VersionedRow> cache_;
+  /// Each row stamped with the overlay sequence it is valid under.
+  RowCache<uint64_t> cache_;
   std::atomic<uint64_t> restamped_{0};
   ThreadPool pool_;
 };

@@ -29,8 +29,6 @@ const char* TraceStageName(TraceStage stage) {
       return "cold_read";
     case TraceStage::kDecode:
       return "decode";
-    case TraceStage::kAccumulate:
-      return "accumulate";
     case TraceStage::kOverlayMerge:
       return "overlay_merge";
     case TraceStage::kSerialize:

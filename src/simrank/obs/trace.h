@@ -43,12 +43,11 @@ enum class TraceStage : uint8_t {
   kIndexProbe,     // inverted-index probe + accumulate loop
   kColdRead,       // segment prefetch / cold store read
   kDecode,         // walk-row varint decode
-  kAccumulate,     // score accumulation over bucket entries
   kOverlayMerge,   // delta-overlay row merge
   kSerialize,      // response body construction
   kRowFetch,       // router: fetch source row from owning shard
   kShardExchange,  // router: one shard round-trip (detail = shard)
-  kMerge,          // router: merge shard partials
+  kMerge,          // router: assemble the row from the shards' slices
   kNumStages,
 };
 

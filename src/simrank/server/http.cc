@@ -261,6 +261,8 @@ const char* HttpStatusReason(int status) {
   switch (status) {
     case 200:
       return "OK";
+    case 304:
+      return "Not Modified";
     case 400:
       return "Bad Request";
     case 404:

@@ -713,9 +713,12 @@ void HttpFrontend::Answer(Connection* conn, int status, std::string_view body,
   response_options.extra_headers = headers;
   conn->out += BuildHttpResponse(status, body, response_options);
   if (!keep) conn->close_after_flush = true;
-  std::atomic<uint64_t>& by_class = status < 300   ? counters_.responses_2xx
-                                    : status < 500 ? counters_.responses_4xx
-                                                   : counters_.responses_5xx;
+  // A 304 answers a conditional request successfully (a router's row
+  // revalidation), so it counts with the successes.
+  std::atomic<uint64_t>& by_class =
+      status < 300 || status == 304 ? counters_.responses_2xx
+      : status < 500                ? counters_.responses_4xx
+                                    : counters_.responses_5xx;
   by_class.fetch_add(1, std::memory_order_relaxed);
   if (status == 421) {
     counters_.rejected_misdirected.fetch_add(1, std::memory_order_relaxed);

@@ -93,6 +93,7 @@ struct FrontendCounters {
   std::atomic<uint64_t> requests_debug_profile{0};
   std::atomic<uint64_t> requests_debug_timeseries{0};
   std::atomic<uint64_t> traced_requests{0};
+  /// Responses by status class; a 304 counts with the 2xx.
   std::atomic<uint64_t> responses_2xx{0};
   std::atomic<uint64_t> responses_4xx{0};
   std::atomic<uint64_t> responses_5xx{0};

@@ -34,6 +34,9 @@ struct QueryArgs : PublicQuery {
   /// except walks): the shard answers 409 when its published sequence
   /// differs, so a scatter-gather never merges mixed-version slices.
   uint64_t seq = 0;
+  /// /internal/walks' optional `stamp`: the version of the router's
+  /// cached row, answered 304 while this shard still serves it.
+  std::optional<ShardVersion> stamp;
   std::string body;
   /// Decided on the loop thread, so the worker needs no access to the
   /// request.
@@ -248,6 +251,25 @@ Status AppendRowSlice(std::string_view frame, VertexId begin, VertexId end,
   return Status::OK();
 }
 
+std::string FormatShardVersion(const ShardVersion& version) {
+  return StrFormat("%llu-%s-%llu",
+                   static_cast<unsigned long long>(version.epoch),
+                   FormatFingerprint(version.fingerprint).c_str(),
+                   static_cast<unsigned long long>(version.sequence));
+}
+
+bool ParseShardVersion(std::string_view text, ShardVersion* out) {
+  const std::vector<std::string> parts = StrSplit(text, '-');
+  ShardVersion version;
+  if (parts.size() != 3 || !ParseUint64(parts[0], &version.epoch) ||
+      !ParseFingerprint(parts[1], &version.fingerprint) ||
+      !ParseUint64(parts[2], &version.sequence)) {
+    return false;
+  }
+  *out = version;
+  return true;
+}
+
 std::string ErrorBody(std::string_view code, std::string_view message) {
   JsonWriter json;
   json.BeginObject()
@@ -363,36 +385,36 @@ std::pair<int, std::string> ExecuteCompact(IndexUpdater& updater,
 }
 
 /// A consistent view for one internal exchange: the (store, overlay)
-/// pair the computation uses, pinned in one read, plus the sequence and
-/// graph fingerprint that overlay carries (before the first batch: 0 and
-/// the index's own fingerprint). Both come off the pinned overlay, so the
-/// headers always describe the state that answered.
+/// pair the computation uses, pinned in one read, plus the version that
+/// answers (the overlay's sequence and graph fingerprint; before the first
+/// batch 0 and the index's own fingerprint). Both come off the pinned
+/// overlay, so the headers always describe the state that answered.
 struct OverlayView {
   WalkIndex::Snapshot at;
-  uint64_t fingerprint = 0;
-  uint64_t sequence = 0;
+  ShardVersion version;
 };
 
-OverlayView SnapshotOverlay(const WalkIndex& index) {
+OverlayView SnapshotOverlay(const WalkIndex& index,
+                            const ServerOptions& options) {
   OverlayView view;
   view.at = index.snapshot();
   const DeltaOverlay* overlay = view.at.overlay.get();
-  view.fingerprint = overlay != nullptr ? overlay->graph_fingerprint()
-                                        : index.graph_fingerprint();
-  view.sequence = overlay != nullptr ? overlay->sequence() : 0;
+  view.version.epoch = options.shard_plan.epoch;
+  view.version.fingerprint = overlay != nullptr ? overlay->graph_fingerprint()
+                                                : index.graph_fingerprint();
+  view.version.sequence = overlay != nullptr ? overlay->sequence() : 0;
   return view;
 }
 
 /// The version headers of every /internal/* answer, which the router
 /// cross-checks.
-HttpHeaders ExchangeHeaders(const OverlayView& view,
-                            const ServerOptions& options) {
-  return {{"X-Graph-Fingerprint", FormatFingerprint(view.fingerprint)},
-          {"X-Overlay-Sequence",
-           StrFormat("%llu", static_cast<unsigned long long>(view.sequence))},
-          {"X-Plan-Epoch",
-           StrFormat("%llu", static_cast<unsigned long long>(
-                                 options.shard_plan.epoch))}};
+HttpHeaders ExchangeHeaders(const ShardVersion& version) {
+  auto text = [](uint64_t value) {
+    return StrFormat("%llu", static_cast<unsigned long long>(value));
+  };
+  return {{"X-Graph-Fingerprint", FormatFingerprint(version.fingerprint)},
+          {"X-Overlay-Sequence", text(version.sequence)},
+          {"X-Plan-Epoch", text(version.epoch)}};
 }
 
 /// The /internal/* exchange ops (shard role only). Bodies are binary —
@@ -404,11 +426,11 @@ HttpFrontend::Response ExecuteInternal(QueryEngine& engine,
                                        const QueryArgs& args) {
   const WalkIndex& index = engine.index();
   const ShardRange& range = options.shard_plan.shards[options.shard_id];
-  const OverlayView view = SnapshotOverlay(index);
+  const OverlayView view = SnapshotOverlay(index, options);
   const WalkStore& store = *view.at.store;
   const DeltaOverlay* overlay = view.at.overlay.get();
   HttpFrontend::Response out;
-  out.headers = ExchangeHeaders(view, options);
+  out.headers = ExchangeHeaders(view.version);
   const uint32_t n = index.n();
   const size_t words =
       static_cast<size_t>(index.options().num_fingerprints) *
@@ -437,14 +459,14 @@ HttpFrontend::Response ExecuteInternal(QueryEngine& engine,
 
   // The remaining ops compute against the sequence the router pinned; a
   // publish that raced the fan-out turns into a 409 the router retries.
-  if (args.seq != view.sequence) {
+  if (args.seq != view.version.sequence) {
     out.status = 409;
     out.body = ErrorBody(
         "Conflict",
         StrFormat("overlay sequence moved: request pinned %llu, serving "
                   "%llu; re-fetch the row and retry",
                   static_cast<unsigned long long>(args.seq),
-                  static_cast<unsigned long long>(view.sequence)));
+                  static_cast<unsigned long long>(view.version.sequence)));
     return out;
   }
   if (args.body.size() != words * sizeof(uint32_t)) {
@@ -792,9 +814,22 @@ bool ParseUintParam(const HttpRequest& request, const char* name, T* out,
 bool ParseInternalParams(const HttpRequest& request, InternalOp op,
                          QueryArgs* args, std::string* error) {
   switch (op) {
-    case InternalOp::kWalks:
-      return CheckAllowedParams(request, {"v"}, error) &&
-             ParseUintParam(request, "v", &args->v, error);
+    case InternalOp::kWalks: {
+      if (!CheckAllowedParams(request, {"v", "stamp"}, error) ||
+          !ParseUintParam(request, "v", &args->v, error)) {
+        return false;
+      }
+      const std::string* stamp = request.FindParam("stamp");
+      if (stamp == nullptr) return true;
+      args->stamp.emplace();
+      if (!ParseShardVersion(*stamp, &*args->stamp)) {
+        *error = StrFormat("parameter 'stamp' must be EPOCH-FINGERPRINT-"
+                           "SEQUENCE (FINGERPRINT 16 hex digits), got '%s'",
+                           stamp->c_str());
+        return false;
+      }
+      return true;
+    }
     case InternalOp::kRow:
       return CheckAllowedParams(request, {"v", "seq"}, error) &&
              ParseUintParam(request, "v", &args->v, error) &&
@@ -926,16 +961,12 @@ void SimRankServer::DispatchQuery(Connection* conn,
   }
 
   const auto dispatched_at = std::chrono::steady_clock::now();
-  // A pair or a top-k whose answer sits in a fresh cached row costs a
-  // binary search or a bounded selection over the row's nonzeros: answer
-  // it here, with no worker hand-off and no admission (like /healthz). A
+  // What costs no computing is answered here, with no worker hand-off and
+  // no admission (like /healthz): a pair or a top-k whose answer sits in a
+  // fresh cached row (a binary search or a bounded selection over the
+  // row's nonzeros), and a walk-row revalidation this shard answers 304. A
   // miss, and every other query, goes to the pool.
-  if (op == InternalOp::kNone &&
-      (endpoint == ServerEndpoint::kPair ||
-       endpoint == ServerEndpoint::kTopK) &&
-      AnswerFromCache(conn, endpoint, args, dispatched_at)) {
-    return;
-  }
+  if (AnswerOnLoop(conn, endpoint, args, dispatched_at)) return;
   if (!frontend_.Admit(conn, static_cast<int>(slot),
                        ServerEndpointPath(endpoint))) {
     return;
@@ -999,18 +1030,37 @@ void SimRankServer::DispatchQuery(Connection* conn,
       });
 }
 
-bool SimRankServer::AnswerFromCache(
+bool SimRankServer::AnswerOnLoop(
     Connection* conn, ServerEndpoint endpoint, const QueryArgs& args,
     std::chrono::steady_clock::time_point started) {
+  const bool revalidation = args.internal == InternalOp::kWalks;
+  if (revalidation ? !args.stamp.has_value()
+                   : args.internal != InternalOp::kNone ||
+                         (endpoint != ServerEndpoint::kPair &&
+                          endpoint != ServerEndpoint::kTopK)) {
+    return false;
+  }
   // Traced like the worker path, minus its queue_wait span.
   const bool traced = args.trace.traced();
   std::optional<TraceRecorder> recorder;
   if (traced) recorder.emplace(args.trace.id);
-  HttpFrontend::Response response;
+  HttpFrontend::Response response(200, {});
   {
     TraceBinding binding(traced ? &*recorder : nullptr);
     TraceScope root(TraceStage::kRequest, ServerEndpointName(endpoint));
-    if (endpoint == ServerEndpoint::kPair) {
+    if (revalidation) {
+      // The router's cached row of v is still this shard's while the
+      // snapshot it would answer from has the row's version. A vertex
+      // outside the range gets the worker's 421, a moved version its 200
+      // walk row.
+      const OverlayView view = SnapshotOverlay(engine_.index(), options_);
+      if (!options_.shard_plan.shards[options_.shard_id].Contains(args.v) ||
+          view.version != *args.stamp) {
+        return false;
+      }
+      response.status = 304;
+      response.headers = ExchangeHeaders(view.version);
+    } else if (endpoint == ServerEndpoint::kPair) {
       const std::optional<double> score =
           engine_.PairFromCache(args.a, args.b);
       if (!score.has_value()) return false;
@@ -1023,7 +1073,6 @@ bool SimRankServer::AnswerFromCache(
       TraceScope serialize(TraceStage::kSerialize);
       response.body = TopKBody(args.v, args.k, *top);
     }
-    response.status = 200;
   }
   FinishQuery(endpoint, args, started, traced ? &*recorder : nullptr,
               &response);

@@ -48,10 +48,11 @@
 // /v1/debug/timeseries are answered inline; /v1/debug/profile parks the
 // connection and answers from a dedicated capture thread (the loop keeps
 // serving while the profile runs, and profiling a loaded server is the
-// whole point). A /v1/pair whose answer sits in a fresh cached row is
-// answered inline too — one row load, no worker hand-off, no in-flight
-// slot; everything else dispatches to the worker pool under admission
-// control.
+// whole point). A /v1/pair or /v1/topk whose answer sits in a fresh
+// cached row is answered inline too — one row load, no worker hand-off,
+// no in-flight slot — and so is a shard's /internal/walks revalidation
+// whose stamp is the version it serves (304 Not Modified, no body);
+// everything else dispatches to the worker pool under admission control.
 // Update/compact serialize inside the IndexUpdater while reads keep
 // flowing against RCU overlay snapshots — queries are never blocked by an
 // in-flight update, and a query admitted mid-update serves either the
@@ -167,6 +168,28 @@ std::string EncodeRowSlice(const SparseRow& row, VertexId begin,
 /// [begin, end), or lists its vertices out of strictly ascending order.
 Status AppendRowSlice(std::string_view frame, VertexId begin, VertexId end,
                       SparseRow* row);
+
+/// The version a shard answers an /internal/* exchange at: its plan epoch
+/// and the graph fingerprint and overlay sequence of the snapshot that
+/// answered. Every /internal/* answer carries it in the X-Plan-Epoch,
+/// X-Graph-Fingerprint and X-Overlay-Sequence headers. A router stamps
+/// each row it caches with the version its shards answered at, and
+/// revalidates the row by sending the stamp back as /internal/walks'
+/// `stamp` parameter: the owner answers 304 Not Modified while it still
+/// serves that version.
+struct ShardVersion {
+  uint64_t epoch = 0;
+  uint64_t fingerprint = 0;
+  uint64_t sequence = 0;
+
+  bool operator==(const ShardVersion&) const = default;
+};
+
+/// The `stamp` parameter's form: "EPOCH-FINGERPRINT-SEQUENCE", the
+/// fingerprint as 16 lowercase hex digits.
+std::string FormatShardVersion(const ShardVersion& version);
+/// Parses FormatShardVersion's form; false on anything else.
+bool ParseShardVersion(std::string_view text, ShardVersion* out);
 
 /// The JSON error envelope of every non-2xx answer:
 /// {"error":{"code":CODE,"message":MESSAGE}}.
@@ -286,7 +309,8 @@ struct ServerStats {
   uint64_t traced_requests = 0;
   /// Traces captured into the slow-query ring (threshold or sampled).
   uint64_t slow_captured = 0;
-  /// Responses by status class.
+  /// Responses by status class; a 304 (a row revalidation) counts with
+  /// the 2xx.
   uint64_t responses_2xx = 0;
   uint64_t responses_4xx = 0;
   uint64_t responses_5xx = 0;
@@ -381,12 +405,14 @@ class SimRankServer {
   /// admission control.
   void DispatchQuery(Connection* conn, const HttpRequest& request,
                      ServerEndpoint endpoint, internal::InternalOp op);
-  /// Answers a public pair or top-k query on the loop thread when a fresh
-  /// cached row holds it (QueryEngine::PairFromCache / TopKFromCache);
-  /// returns false, having queued nothing, on a miss.
-  bool AnswerFromCache(Connection* conn, ServerEndpoint endpoint,
-                       const internal::QueryArgs& args,
-                       std::chrono::steady_clock::time_point started);
+  /// Answers on the loop thread what costs no computing: a public pair or
+  /// top-k query a fresh cached row holds (QueryEngine::PairFromCache /
+  /// TopKFromCache), and an /internal/walks revalidation whose stamp is
+  /// the version this shard serves (304 Not Modified, no body). Returns
+  /// false, having queued nothing, otherwise.
+  bool AnswerOnLoop(Connection* conn, ServerEndpoint endpoint,
+                    const internal::QueryArgs& args,
+                    std::chrono::steady_clock::time_point started);
   /// The tail every answered query shares, inline or worker-run: records
   /// the endpoint latency since `started` and, given a trace, finishes it
   /// (HttpFrontend::FinishTrace). Any thread.

@@ -637,6 +637,10 @@ TEST(RouterTest, ReplicaTailsWalAndServesFailoverReads) {
   EXPECT_EQ(cluster.replica()->updater->stats().current_graph_fingerprint,
             cluster.shard(0).updater->stats().current_graph_fingerprint);
 
+  // A row shard 0 owns, cached at the post-update version.
+  const std::string cached_read = "/v1/topk?v=3&k=8";
+  cluster.ExpectSameAsSingleNode(cached_read);
+
   // Kill the shard-0 primary: reads touching its range fail over to the
   // replica and still answer bitwise-identically (updated state included).
   cluster.shard(0).Stop();
@@ -644,6 +648,11 @@ TEST(RouterTest, ReplicaTailsWalAndServesFailoverReads) {
   cluster.ExpectSameAsSingleNode(
       StrFormat("/v1/single_source?v=%u", fresh.dst));
   cluster.ExpectSameAsSingleNode("/v1/topk?v=2&k=8");
+  // The cached row is revalidated on the replica, which serves the same
+  // version: a hit, still bitwise.
+  const uint64_t hits = cluster.router().stats().cache.hits;
+  cluster.ExpectSameAsSingleNode(cached_read);
+  EXPECT_EQ(cluster.router().stats().cache.hits, hits + 1);
   const RouterStats stats = cluster.router().stats();
   EXPECT_GE(stats.failovers, 3u);
   EXPECT_GE(stats.shard_errors, 3u);
@@ -719,6 +728,184 @@ TEST(RouterTest, ThreeShardClusterStaysBitwise) {
   }
   cluster.ExpectSameAsSingleNode("/v1/pair?a=1&b=44");
   cluster.ExpectSameAsSingleNode("/v1/pair?a=16&b=31");
+}
+
+TEST(RouterTest, CachedReadsAfterAnAcknowledgedUpdateMatchTheSingleNode) {
+  ClusterFixture cluster(testing::RandomGraph(50, 200, 7));
+  const uint32_t boundary = cluster.plan().shards[0].end;
+  const VertexId v = 3;  // owned by shard 0
+  const std::string topk = StrFormat("/v1/topk?v=%u&k=9", v);
+  const std::string pair = StrFormat("/v1/pair?a=%u&b=%u", boundary + 4, v);
+  // The top-k caches v's row; the cross-shard pair is answered from it.
+  cluster.ExpectSameAsSingleNode(topk);
+  cluster.ExpectSameAsSingleNode(pair);
+  cluster.ExpectSameAsSingleNode(topk);
+  EXPECT_EQ(cluster.router().stats().cache.hits, 2u);
+  auto before = HttpGet(cluster.single_port(), topk);
+  ASSERT_TRUE(before.ok());
+
+  // A fresh in-edge of v changes v's walks, so its row.
+  VertexId src = 0;
+  while (src == v || cluster.graph().HasEdge(src, v)) ++src;
+  const std::string batch = StrFormat("+ %u %u\n", src, v);
+  auto routed = HttpPost(cluster.router_port(), "/v1/update", batch);
+  ASSERT_TRUE(routed.ok());
+  ASSERT_EQ(routed->status, 200) << routed->body;
+  ASSERT_EQ(HttpPost(cluster.single_port(), "/v1/update", batch)->status, 200);
+  auto after = HttpGet(cluster.single_port(), topk);
+  ASSERT_TRUE(after.ok());
+  ASSERT_NE(after->body, before->body) << "the batch left v's row unchanged";
+
+  // The pair's revalidation finds the owner at the batch's version: its
+  // new walk row scores the pair, and the stale row is erased. So the
+  // top-k misses and caches the new row.
+  cluster.ExpectSameAsSingleNode(pair);
+  cluster.ExpectSameAsSingleNode(topk);
+  const RouterStats stats = cluster.router().stats();
+  EXPECT_EQ(stats.cache_stale, 1u);
+  EXPECT_EQ(stats.cache.hits, 2u);
+  EXPECT_EQ(stats.cache.misses, 3u);
+  // The top-k cached the new row: the next read of it hits.
+  cluster.ExpectSameAsSingleNode(pair);
+  EXPECT_EQ(cluster.router().stats().cache.hits, 3u);
+}
+
+TEST(RouterTest, CachedReadsCostOneShardRequest) {
+  ClusterFixture cluster(testing::RandomGraph(60, 240, 11));
+  const uint32_t boundary = cluster.plan().shards[0].end;
+  // Dispatched requests summed over both shards, the 304s included.
+  auto shard_requests = [&cluster] {
+    uint64_t total = 0;
+    for (size_t s = 0; s < 2; ++s) {
+      for (const uint64_t count : cluster.shard(s).server->stats().requests) {
+        total += count;
+      }
+    }
+    return total;
+  };
+  const std::string topk = "/v1/topk?v=5&k=6";
+  uint64_t before = shard_requests();
+  cluster.ExpectSameAsSingleNode(topk);  // the row fetch and two slices
+  EXPECT_EQ(shard_requests() - before, 3u);
+  before = shard_requests();
+  cluster.ExpectSameAsSingleNode(topk);
+  EXPECT_EQ(shard_requests() - before, 1u);
+  // Cross-shard pairs from v's row, as either endpoint.
+  for (const std::string& pair :
+       {StrFormat("/v1/pair?a=5&b=%u", boundary + 3),
+        StrFormat("/v1/pair?a=%u&b=5", boundary + 3)}) {
+    before = shard_requests();
+    cluster.ExpectSameAsSingleNode(pair);
+    EXPECT_EQ(shard_requests() - before, 1u) << pair;
+  }
+
+  const RouterStats stats = cluster.router().stats();
+  EXPECT_EQ(stats.cache.hits, 3u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_EQ(stats.cache_stale, 0u);
+  EXPECT_EQ(stats.cache.rows, 1u);
+  EXPECT_GT(stats.cache.resident_bytes, 0u);
+  // The owner's 304s count with its successes.
+  EXPECT_EQ(cluster.shard(0).server->stats().responses_4xx, 0u);
+  auto body = HttpGet(cluster.router_port(), "/v1/stats");
+  ASSERT_TRUE(body.ok());
+  size_t cursor = body->body.find("\"cache\":{");
+  ASSERT_NE(cursor, std::string::npos);
+  EXPECT_EQ(FindJsonNumber(body->body, "hits", &cursor), 3.0);
+  auto metrics = HttpGet(cluster.router_port(), "/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->body.find("simrank_router_cache_hits_total 3\n"),
+            std::string::npos);
+  EXPECT_NE(metrics->body.find("simrank_router_cache_rows 1\n"),
+            std::string::npos);
+}
+
+TEST(RouterTest, ShardAnswersAMatchingWalkStampWith304OnItsLoop) {
+  const DiGraph graph = testing::RandomGraph(40, 160, 3);
+  const std::string prefix =
+      ::testing::TempDir() + StrFormat("stamp-%u-", g_fixture_counter++);
+  const WalkIndex full = BuildIndex(graph, 32);
+  auto plan = ShardPlan::EvenSplit(full.n(), full.graph_fingerprint(), 2);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(WriteShardIndex(full.store(), plan->shards[0],
+                              prefix + "shard-0.widx", false)
+                  .ok());
+  ServerOptions options;
+  options.sharded = true;
+  options.shard_plan = *plan;
+  options.threads = 1;
+  options.handler_delay_ms = 500;
+  ServerNode shard(prefix + "shard-0.widx", graph, options,
+                   prefix + "shard-0.wal");
+  const ShardVersion current{plan->epoch, full.graph_fingerprint(), 0};
+  auto walks = [&shard](const std::string& stamp) {
+    return HttpGet(shard.port(), "/internal/walks?v=2&stamp=" + stamp);
+  };
+
+  // An unconditional fetch holds the only worker for half a second.
+  std::atomic<bool> held{true};
+  std::thread holder([&shard, &held] {
+    auto row = HttpGet(shard.port(), "/internal/walks?v=1");
+    OIPSIM_CHECK(row.ok() && row->status == 200);
+    held.store(false);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (shard.server->stats().inflight == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The matching stamp: 304 with the version headers and no body, from
+  // the loop, while the worker is still held.
+  auto fresh = walks(FormatShardVersion(current));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(held.load()) << "the 304 waited for the worker";
+  EXPECT_EQ(fresh->status, 304);
+  EXPECT_TRUE(fresh->body.empty());
+  ASSERT_NE(fresh->FindHeader("x-graph-fingerprint"), nullptr);
+  EXPECT_EQ(*fresh->FindHeader("x-graph-fingerprint"),
+            FormatFingerprint(full.graph_fingerprint()));
+  ASSERT_NE(fresh->FindHeader("x-overlay-sequence"), nullptr);
+  EXPECT_EQ(*fresh->FindHeader("x-overlay-sequence"), "0");
+  ASSERT_NE(fresh->FindHeader("x-plan-epoch"), nullptr);
+  EXPECT_EQ(*fresh->FindHeader("x-plan-epoch"),
+            StrFormat("%llu", static_cast<unsigned long long>(plan->epoch)));
+
+  // Malformed stamps are 400.
+  const std::string fingerprint = FormatFingerprint(full.graph_fingerprint());
+  for (const std::string& stamp :
+       {std::string(), std::string("1-2-3"), "1-" + fingerprint,
+        "x-" + fingerprint + "-0", "1-" + fingerprint + "-0-0",
+        "1-" + fingerprint.substr(1) + "-0"}) {
+    auto bad = walks(stamp);
+    ASSERT_TRUE(bad.ok());
+    EXPECT_EQ(bad->status, 400) << stamp << ": " << bad->body;
+  }
+  // A stale stamp gets the walk row an unconditional fetch gets, and a
+  // vertex outside the range its 421, whatever the stamp.
+  ShardVersion stale = current;
+  stale.sequence = 7;
+  auto moved = walks(FormatShardVersion(stale));
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->status, 200);
+  auto plain = HttpGet(shard.port(), "/internal/walks?v=2");
+  ASSERT_TRUE(plain.ok());
+  ASSERT_EQ(plain->status, 200);
+  EXPECT_EQ(moved->body, plain->body);
+  EXPECT_EQ(HttpGet(shard.port(),
+                    StrFormat("/internal/walks?v=%u&stamp=%s",
+                              plan->shards[1].begin,
+                              FormatShardVersion(current).c_str()))
+                ->status,
+            421);
+  holder.join();
+
+  // Every fetch counts as a request; the 304 counts with the successes.
+  const ServerStats stats = shard.server->stats();
+  EXPECT_EQ(stats.requests[static_cast<size_t>(ServerEndpoint::kSingleSource)],
+            11u);
+  EXPECT_EQ(stats.responses_2xx, 4u);
 }
 
 /// Threads of this process (entries of /proc/self/task).
@@ -962,7 +1149,7 @@ TEST(RouterTest, MalformedShardRepliesAnswer500) {
   EXPECT_EQ(update->status, 500);
   EXPECT_NE(update->body.find("shard 0"), std::string::npos) << update->body;
   // Row frames: a well-formed one answers, and each malformed one is a 500
-  // naming the shard, on the loop (top-k) and on a worker (single-source).
+  // naming the shard, for a top-k and a single-source alike.
   for (const char* endpoint : {"/v1/topk", "/v1/single_source"}) {
     for (VertexId v = 0; v < 4; ++v) {
       auto read = HttpGet(router.port(), StrFormat("%s?v=%u", endpoint, v));
@@ -1229,14 +1416,16 @@ TEST(RouterDebugTest, TimeseriesAnswers503WithHistoryDisabled) {
 TEST(RouterTraceTest, RoutedTraceMergesShardSubTraces) {
   ClusterFixture cluster(testing::RandomGraph(60, 240, 11));
   const VertexId v = cluster.plan().shards[0].end;  // owned by shard 1
-  auto plain =
-      HttpGet(cluster.router_port(), StrFormat("/v1/single_source?v=%u", v));
-  ASSERT_TRUE(plain.ok());
-  ASSERT_EQ(plain->status, 200);
+  // Traced first: the row is not cached yet, so this read scatters. The
+  // plain read after it is answered from the cached row.
   auto traced = HttpGet(cluster.router_port(),
                         StrFormat("/v1/single_source?v=%u&trace=1", v));
   ASSERT_TRUE(traced.ok());
   ASSERT_EQ(traced->status, 200);
+  auto plain =
+      HttpGet(cluster.router_port(), StrFormat("/v1/single_source?v=%u", v));
+  ASSERT_TRUE(plain.ok());
+  ASSERT_EQ(plain->status, 200);
   const std::string& body = traced->body;
   // The routed envelope is the plain body plus one spliced trace object.
   const std::string prefix = plain->body.substr(0, plain->body.size() - 1);
@@ -1288,6 +1477,32 @@ TEST(RouterTraceTest, RoutedTraceMergesShardSubTraces) {
   EXPECT_EQ(children, 3);
   // Shard sub-traces carry shard-side stages the router never records.
   EXPECT_NE(body.find("\"stage\":\"queue_wait\"", children_at),
+            std::string::npos);
+
+  // A cached read: the cache lookup, one revalidating row fetch whose
+  // child trace is the owner's (answered on its loop: no queue_wait), one
+  // hit, and no scatter.
+  auto hit = HttpGet(cluster.router_port(),
+                     StrFormat("/v1/single_source?v=%u&trace=1", v));
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit->status, 200);
+  const std::string& hit_body = hit->body;
+  EXPECT_EQ(hit_body.substr(0, prefix.size()), prefix);
+  EXPECT_NE(hit_body.find("\"stage\":\"cache_lookup\""), std::string::npos);
+  EXPECT_NE(hit_body.find("\"stage\":\"row_fetch\""), std::string::npos);
+  EXPECT_NE(hit_body.find("\"detail\":\"shard=1\""), std::string::npos);
+  EXPECT_EQ(hit_body.find("\"stage\":\"shard_exchange\""), std::string::npos);
+  EXPECT_EQ(hit_body.find("\"stage\":\"merge\""), std::string::npos);
+  cursor = hit_body.find("\"counters\":{");
+  ASSERT_NE(cursor, std::string::npos);
+  size_t hits_cursor = cursor;
+  EXPECT_EQ(FindJsonNumber(hit_body, "cache_hits", &hits_cursor), 1.0);
+  EXPECT_EQ(FindJsonNumber(hit_body, "shards_contacted", &cursor), 1.0);
+  const size_t hit_children_at = hit_body.find("\"children\":[");
+  ASSERT_NE(hit_children_at, std::string::npos);
+  EXPECT_NE(hit_body.find("{\"trace_id\":\"", hit_children_at),
+            std::string::npos);
+  EXPECT_EQ(hit_body.find("\"stage\":\"queue_wait\"", hit_children_at),
             std::string::npos);
 }
 

@@ -3,7 +3,9 @@
 // fixed script; then every /v1/stats key path and every /metrics family
 // (type and label set) each of them exports is compared against the lists
 // below. Dashboards and scrapers key on these names, so the lists may only
-// gain lines: a name that disappears is a break, not a cleanup.
+// gain lines: a name that disappears is a break, not a cleanup. Retiring a
+// name that never carries data is a deliberate edit that CHANGES.md
+// records.
 //
 // List format: a 4-character surface tag, a space, then the name. The tag
 // has S (standalone server), P (shard primary), R (replica) and T (router)
@@ -59,11 +61,17 @@ SPRT build_info.io_uring_enabled
 SPRT build_info.simd
 SPRT build_info.version
 SPR- cache.evictions
+---T cache.evictions
 SPR- cache.hits
+---T cache.hits
 SPR- cache.misses
+---T cache.misses
 SPR- cache.resident_bytes
+---T cache.resident_bytes
 SPR- cache.restamped
 SPR- cache.rows
+---T cache.rows
+---T cache.stale
 ---T cluster.conflicts_retried
 ---T cluster.failovers
 -PR- cluster.overlay_sequence
@@ -166,11 +174,6 @@ SPR- trace.sample_rate
 SPR- trace.slow_captured
 SPR- trace.slow_query_us
 SPR- trace.slow_ring_capacity
-SPR- trace.stages.accumulate.buckets
-SPR- trace.stages.accumulate.count
-SPR- trace.stages.accumulate.p50_us
-SPR- trace.stages.accumulate.p99_us
-SPR- trace.stages.accumulate.sum_us
 SPR- trace.stages.cache_lookup.buckets
 S--- trace.stages.cache_lookup.count
 -PR- trace.stages.cache_lookup.count
@@ -362,6 +365,12 @@ SPR- simrank_resident_bytes gauge {}
 SPR- simrank_responses_total counter {class="2xx"}
 SPR- simrank_responses_total counter {class="4xx"}
 SPR- simrank_responses_total counter {class="5xx"}
+---T simrank_router_cache_evictions_total counter {}
+---T simrank_router_cache_hits_total counter {}
+---T simrank_router_cache_misses_total counter {}
+---T simrank_router_cache_resident_bytes gauge {}
+---T simrank_router_cache_rows gauge {}
+---T simrank_router_cache_stale_total counter {}
 ---T simrank_router_conflicts_total counter {}
 ---T simrank_router_failovers_total counter {}
 ---T simrank_router_plan_epoch gauge {}
@@ -399,7 +408,6 @@ SPR- simrank_stage_counter_total counter {counter="overlay_rows_merged"}
 SPR- simrank_stage_counter_total counter {counter="rows_decoded"}
 SPR- simrank_stage_counter_total counter {counter="shards_contacted"}
 SPR- simrank_stage_counter_total counter {counter="slots_probed"}
-SPR- simrank_stage_duration_seconds histogram {stage="accumulate"}
 SPR- simrank_stage_duration_seconds histogram {stage="cache_lookup"}
 SPR- simrank_stage_duration_seconds histogram {stage="cold_read"}
 SPR- simrank_stage_duration_seconds histogram {stage="decode"}
