@@ -1,11 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // one propagation step of each SimRank backend, DMST construction, the
-// sparse sandwich product, symmetric-difference merges and the SVD.
+// sparse sandwich product, symmetric-difference merges, the SVD, the
+// segment decode per SIMD tier and the walk index's bucket searches.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <random>
+#include <span>
+#include <string>
 
 #include "simrank/benchlib/datasets.h"
 #include "simrank/common/simd.h"
@@ -16,6 +20,7 @@
 #include "simrank/core/psum.h"
 #include "simrank/gen/generators.h"
 #include "simrank/graph/set_ops.h"
+#include "simrank/index/walk_index.h"
 #include "simrank/linalg/sparse_matrix.h"
 #include "simrank/linalg/svd.h"
 
@@ -133,10 +138,10 @@ void BM_RandomizedSvd(benchmark::State& state) {
 BENCHMARK(BM_RandomizedSvd);
 
 // ---------------------------------------------------------------------------
-// Serve-path vector kernels, benchmarked per tier (Arg: 0 = scalar,
-// 1 = SSE4, 2 = AVX2). Each run first checks the tier produces bitwise the
-// same output as the scalar reference, then times it; unsupported tiers
-// skip instead of silently clamping.
+// The serve path's segment decode kernel, benchmarked per tier (Arg: 0 =
+// scalar, 1 = SSE4, 2 = AVX2). Each run first checks the tier produces
+// bitwise the same output as the scalar reference, then times it;
+// unsupported tiers skip instead of silently clamping.
 
 bool ResolveTier(benchmark::State& state, SimdLevel* level) {
   const auto requested = static_cast<uint8_t>(state.range(0));
@@ -210,43 +215,120 @@ void BM_VarintBlockDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_VarintBlockDecode)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_BucketIntersect(benchmark::State& state) {
-  SimdLevel level;
-  if (!ResolveTier(state, &level)) return;
-  // A realistic inverted slot: many duplicate positions, sorted ascending.
-  constexpr size_t kCount = 1u << 16;
-  constexpr uint32_t kPositions = 4096;
-  std::mt19937 rng(37);
-  std::vector<uint32_t> values(kCount);
-  for (auto& v : values) {
-    v = std::uniform_int_distribution<uint32_t>(0, kPositions - 1)(rng);
+// ---------------------------------------------------------------------------
+// The bucket searches of single-source rows (WalkStore::ResolveBuckets),
+// one search at a time (Arg 1) and grouped with Arg searches in flight, so
+// kRangeGroup can be re-measured. The slot set is serve_cold's graph family
+// and walk length at half its vertices and fingerprints: a 20k-vertex web
+// graph, R = 64, L = 8, so a row's live slots fill several groups, a slot
+// holds up to 20k positions and the slots (up to ~80 MB) outgrow the L2
+// cache. Each row's searches run as one batch, then its spans are
+// visited, as the estimator does. Each run first checks every span
+// against std::equal_range.
+
+struct RowProbes {
+  WalkIndex index;
+  /// Every live slot of 256 uniform rows, row by row in (r, t) order.
+  std::vector<RangeProbe> probes;
+  /// Row i's probes are [row_ends[i - 1], row_ends[i]).
+  std::vector<size_t> row_ends;
+};
+
+const RowProbes& ColdRows() {
+  static const RowProbes* const rows = [] {
+    gen::WebGraphParams params;
+    params.n = 20000;
+    params.out_degree = 3;
+    params.copy_prob = 0.5;
+    params.in_copy_prob = 0.3;
+    params.seed = 3;
+    auto graph = gen::WebGraph(params);
+    OIPSIM_CHECK(graph.ok());
+    WalkIndexOptions options;
+    options.num_fingerprints = 64;
+    options.walk_length = 8;
+    auto index = WalkIndex::Build(*graph, options);
+    OIPSIM_CHECK(index.ok());
+    auto* built = new RowProbes{std::move(index).value(), {}, {}};
+    const std::shared_ptr<const WalkStore> store =
+        built->index.snapshot().store;
+    const size_t width = options.walk_length + 1;
+    std::mt19937 rng(41);
+    std::vector<uint32_t> scratch;
+    for (int q = 0; q < 256; ++q) {
+      const auto v = std::uniform_int_distribution<VertexId>(
+          0, params.n - 1)(rng);
+      const uint32_t* row = *store->Row(v, &scratch);
+      for (uint32_t r = 0; r < options.num_fingerprints; ++r) {
+        for (uint32_t t = 1; t <= options.walk_length; ++t) {
+          const uint32_t position = row[r * width + t];
+          if (position == WalkStore::kDeadWalk) break;
+          const WalkStore::SlotView slot = store->Slot(r, t);
+          built->probes.push_back(
+              {slot.positions, slot.vertices, slot.count, position});
+        }
+      }
+      built->row_ends.push_back(built->probes.size());
+    }
+    return built;
+  }();
+  return *rows;
+}
+
+template <size_t Group>
+uint64_t ResolveAndVisitRows(std::vector<RangeProbe>* probes,
+                             const std::vector<size_t>& row_ends) {
+  uint64_t total = 0;
+  size_t begin = 0;
+  for (const size_t end : row_ends) {
+    ResolveEqualRanges<Group>(std::span(probes->data() + begin, end - begin));
+    for (size_t i = begin; i < end; ++i) {
+      const RangeProbe& probe = (*probes)[i];
+      for (size_t j = probe.begin; j < probe.end; ++j) {
+        total += probe.payload[j];
+      }
+    }
+    begin = end;
   }
-  std::sort(values.begin(), values.end());
-  std::vector<uint32_t> keys(1024);
-  for (auto& k : keys) {
-    k = std::uniform_int_distribution<uint32_t>(0, kPositions - 1)(rng);
-  }
-  for (uint32_t key : keys) {
-    const EqualRange got = EqualRangeU32(level, values.data(), kCount, key);
-    const auto [lo, hi] = std::equal_range(values.begin(), values.end(), key);
-    if (got.begin != static_cast<size_t>(lo - values.begin()) ||
-        got.end != static_cast<size_t>(hi - values.begin())) {
-      state.SkipWithError("tier output differs from scalar reference");
+  return total;
+}
+
+void BM_ResolveBuckets(benchmark::State& state) {
+  const RowProbes& rows = ColdRows();
+  std::vector<RangeProbe> probes = rows.probes;
+  const auto group = static_cast<size_t>(state.range(0));
+  auto run = [&]() -> uint64_t {
+    switch (group) {
+      case 1:
+        return ResolveAndVisitRows<1>(&probes, rows.row_ends);
+      case 8:
+        return ResolveAndVisitRows<8>(&probes, rows.row_ends);
+      case 16:
+        return ResolveAndVisitRows<16>(&probes, rows.row_ends);
+      case 32:
+        return ResolveAndVisitRows<32>(&probes, rows.row_ends);
+      case 64:
+        return ResolveAndVisitRows<64>(&probes, rows.row_ends);
+    }
+    OIPSIM_CHECK_MSG(false, "no instantiation for group %zu", group);
+    return 0;
+  };
+  run();
+  for (const RangeProbe& probe : probes) {
+    const auto [lo, hi] = std::equal_range(
+        probe.sorted, probe.sorted + probe.count, probe.key);
+    if (probe.begin != static_cast<size_t>(lo - probe.sorted) ||
+        probe.end != static_cast<size_t>(hi - probe.sorted)) {
+      state.SkipWithError("span differs from std::equal_range");
       return;
     }
   }
-  for (auto _ : state) {
-    size_t total = 0;
-    for (uint32_t key : keys) {
-      const EqualRange range =
-          EqualRangeU32(level, values.data(), kCount, key);
-      total += range.end - range.begin;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * keys.size());
+  state.SetLabel(group == 1 ? "one at a time"
+                            : "G=" + std::to_string(group));
+  for (auto _ : state) benchmark::DoNotOptimize(run());
+  state.SetItemsProcessed(state.iterations() * probes.size());
 }
-BENCHMARK(BM_BucketIntersect)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ResolveBuckets)->Arg(1)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 }  // namespace
 }  // namespace simrank

@@ -1,6 +1,5 @@
 #include "simrank/common/simd.h"
 
-#include <algorithm>
 #include <atomic>
 #include <climits>
 #include <cstdlib>
@@ -173,111 +172,7 @@ size_t CopyCheckedWordsSse4(const uint8_t** cursor, const uint8_t* end,
   return done;
 }
 
-// ------------------------------------------------------ equal-range scan
-
-__attribute__((target("avx2"))) size_t ScanFirstGeAvx2(
-    const uint32_t* values, size_t begin, size_t end, uint32_t key) {
-  const __m256i bias = _mm256_set1_epi32(INT_MIN);
-  const __m256i k = _mm256_set1_epi32(static_cast<int32_t>(key ^ 0x80000000u));
-  size_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i)),
-        bias);
-    const unsigned less = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(k, v))));
-    if (less != 0xFF) {
-      return i + static_cast<size_t>(__builtin_ctz(~less & 0xFF));
-    }
-  }
-  for (; i < end; ++i) {
-    if (values[i] >= key) return i;
-  }
-  return end;
-}
-
-__attribute__((target("avx2"))) size_t ScanFirstGtAvx2(
-    const uint32_t* values, size_t begin, size_t end, uint32_t key) {
-  const __m256i bias = _mm256_set1_epi32(INT_MIN);
-  const __m256i k = _mm256_set1_epi32(static_cast<int32_t>(key ^ 0x80000000u));
-  size_t i = begin;
-  for (; i + 8 <= end; i += 8) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i)),
-        bias);
-    const unsigned greater = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(v, k))));
-    if (greater != 0) {
-      return i + static_cast<size_t>(__builtin_ctz(greater));
-    }
-  }
-  for (; i < end; ++i) {
-    if (values[i] > key) return i;
-  }
-  return end;
-}
-
-size_t ScanFirstGeSse4(const uint32_t* values, size_t begin, size_t end,
-                       uint32_t key) {
-  const __m128i bias = _mm_set1_epi32(INT_MIN);
-  const __m128i k = _mm_set1_epi32(static_cast<int32_t>(key ^ 0x80000000u));
-  size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    const __m128i v = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i)), bias);
-    const unsigned less = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(k, v))));
-    if (less != 0xF) {
-      return i + static_cast<size_t>(__builtin_ctz(~less & 0xF));
-    }
-  }
-  for (; i < end; ++i) {
-    if (values[i] >= key) return i;
-  }
-  return end;
-}
-
-size_t ScanFirstGtSse4(const uint32_t* values, size_t begin, size_t end,
-                       uint32_t key) {
-  const __m128i bias = _mm_set1_epi32(INT_MIN);
-  const __m128i k = _mm_set1_epi32(static_cast<int32_t>(key ^ 0x80000000u));
-  size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    const __m128i v = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i)), bias);
-    const unsigned greater = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(v, k))));
-    if (greater != 0) {
-      return i + static_cast<size_t>(__builtin_ctz(greater));
-    }
-  }
-  for (; i < end; ++i) {
-    if (values[i] > key) return i;
-  }
-  return end;
-}
-
 #endif  // OIPSIM_SIMD_X86
-
-/// Branchless binary search narrowing the candidate window of the first
-/// element >= key to at most `window` entries. Returns {lo, len}: every
-/// index < lo holds a value < key, every index >= lo + len a value >= key.
-std::pair<size_t, size_t> LowerBoundWindow(const uint32_t* values,
-                                           size_t count, uint32_t key,
-                                           size_t window) {
-  size_t lo = 0;
-  size_t len = count;
-  while (len > window) {
-    const size_t half = len / 2;
-    if (values[lo + half] < key) {
-      lo += half + 1;
-      len -= half + 1;
-    } else {
-      len = half;
-    }
-  }
-  return {lo, len};
-}
 
 }  // namespace
 
@@ -343,34 +238,6 @@ size_t CopyCheckedWords(SimdLevel level, const uint8_t** cursor,
 #endif
   (void)cursor, (void)end, (void)n, (void)out, (void)count;
   return 0;
-}
-
-EqualRange EqualRangeU32(SimdLevel level, const uint32_t* values,
-                         size_t count, uint32_t key) {
-#if OIPSIM_SIMD_X86
-  if (level != SimdLevel::kScalar) {
-    constexpr size_t kWindow = 32;
-    const auto [lo, len] = LowerBoundWindow(values, count, key, kWindow);
-    size_t first;
-    size_t last;
-    if (level == SimdLevel::kAvx2) {
-      first = ScanFirstGeAvx2(values, lo, lo + len, key);
-      last = ScanFirstGtAvx2(values, first, count, key);
-    } else {
-      first = ScanFirstGeSse4(values, lo, lo + len, key);
-      last = ScanFirstGtSse4(values, first, count, key);
-    }
-    return {first, last};
-  }
-#else
-  (void)level;
-  (void)LowerBoundWindow;
-#endif
-  const uint32_t* begin = values;
-  const uint32_t* end = values + count;
-  const uint32_t* lo = std::lower_bound(begin, end, key);
-  const uint32_t* hi = std::upper_bound(lo, end, key);
-  return {static_cast<size_t>(lo - begin), static_cast<size_t>(hi - begin)};
 }
 
 }  // namespace simrank

@@ -249,11 +249,13 @@ inline Result<const uint32_t*> MaterializeRow(const WalkStore& store,
 /// `position` after t steps under base+overlay, in ascending vertex order —
 /// the exact sequence a store rebuilt on the updated graph would serve from
 /// WalkStore::Bucket, which is what keeps overlay-served single-source rows
-/// bitwise identical to a rebuild's. `overlay` may be null (base only).
+/// bitwise identical to a rebuild's. `base` is the store's bucket,
+/// store.Bucket(r, t, position) or a span ResolveBuckets resolved for it;
+/// `overlay` may be null (base only).
 template <typename Fn>
-void ForEachBucketVertex(const WalkStore& store, const DeltaOverlay* overlay,
-                         uint32_t r, uint32_t t, uint32_t position, Fn&& fn) {
-  const std::span<const VertexId> base = store.Bucket(r, t, position);
+void ForEachBucketVertex(std::span<const VertexId> base,
+                         const DeltaOverlay* overlay, uint32_t r, uint32_t t,
+                         uint32_t position, Fn&& fn) {
   const DeltaOverlay::SlotDelta* delta =
       overlay == nullptr ? nullptr : overlay->Delta(r, t);
   if (delta == nullptr) {

@@ -597,12 +597,11 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
             for (auto r = static_cast<uint32_t>(r_begin); r < r_end; ++r) {
               for (uint32_t t = 1; t + 1 <= L; ++t) {
                 for (const VertexId x : touched) {
-                  ForEachBucketVertex(base, old.get(), r, t, x,
-                                      [&](const VertexId v) {
-                                        out->emplace_back(
-                                            DeltaOverlay::WalkKey(v, r),
-                                            t + 1);
-                                      });
+                  ForEachBucketVertex(
+                      base.Bucket(r, t, x), old.get(), r, t, x,
+                      [&](const VertexId v) {
+                        out->emplace_back(DeltaOverlay::WalkKey(v, r), t + 1);
+                      });
                 }
               }
             }
@@ -706,14 +705,22 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   // either end of a moved step (see delta_overlay.h for why that is
   // exact). Any unmoved walk sits at the same position under the old and
   // the new overlay, so the buckets are read from the new one, once per
-  // distinct (slot, position) and in slot order.
+  // distinct (slot, position) and in slot order: the base buckets are
+  // resolved in one batch, then each is merged with the overlay.
   std::vector<std::pair<uint64_t, uint32_t>>& ends = diffs.moved_ends;
   std::sort(ends.begin(), ends.end());
   ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  std::vector<WalkStore::BucketKey> keys;
+  keys.reserve(ends.size());
   for (const auto& [slot, position] : ends) {
+    keys.push_back({static_cast<uint32_t>(slot / L),
+                    static_cast<uint32_t>(slot % L) + 1, position});
+  }
+  std::vector<std::span<const VertexId>> buckets(keys.size());
+  base.ResolveBuckets(keys, buckets);
+  for (size_t i = 0; i < keys.size(); ++i) {
     ForEachBucketVertex(
-        base, overlay.get(), static_cast<uint32_t>(slot / L),
-        static_cast<uint32_t>(slot % L) + 1, position,
+        buckets[i], overlay.get(), keys[i].r, keys[i].t, keys[i].position,
         [&row_changes](const VertexId b) { row_changes.push_back(b); });
   }
   std::sort(row_changes.begin(), row_changes.end());

@@ -173,10 +173,14 @@ const uint32_t* ServingRow(const WalkStore& store, const DeltaOverlay* overlay,
 /// by this call (sum[b] live, b in `touched`), and stamp[b] == base+r+1
 /// met in fingerprint r. Older stamps read as untouched, so a call never
 /// clears the arrays; they are reset only when the stamps would wrap.
+/// `keys` and `buckets` hold the call's live slots and their resolved
+/// base buckets, in (r, t) order.
 struct RowScratch {
   std::vector<uint32_t> stamp;
   std::vector<double> sum;
   std::vector<VertexId> touched;
+  std::vector<WalkStore::BucketKey> keys;
+  std::vector<std::span<const VertexId>> buckets;
   uint32_t next_base = 0;
 
   /// Readies the scratch for one row over n vertices and `rounds`
@@ -268,53 +272,63 @@ SparseRow WalkIndex::EstimateSingleSourceWithRow(
   TraceRecorder* const recorder = CurrentTraceRecorder();
   {
     TraceScope probe_scope(TraceStage::kIndexProbe);
+    // Phase 1: the base bucket of every live slot of v's walks, resolved
+    // in one batch so the searches' cache misses overlap.
+    std::vector<WalkStore::BucketKey>& keys = scratch.keys;
+    keys.clear();
     for (uint32_t r = 0; r < R; ++r) {
-      const uint32_t round = base + r + 1;
-      stamp[v] = round;  // the diagonal is never accumulated
       for (uint32_t t = 1; t <= L; ++t) {
         const uint32_t pv = row_v[r * row + t];
         if (pv == kDeadWalk) break;  // v's walk died: no further meetings
-        const double weight = damping_powers_[t];
-        const bool merged =
-            overlay != nullptr && overlay->Delta(r, t) != nullptr;
-        if (recorder != nullptr) {
-          recorder->Add(TraceCounter::kSlotsProbed, 1);
-          if (merged) recorder->Add(TraceCounter::kOverlayRowsMerged, 1);
-        }
-        // Only the vertices parked at pv in this slot — the
-        // output-sensitive core. Buckets (merged with the overlay's slot
-        // diff when one is active) ascend by vertex id and slots run in
-        // (r, t) order, so each vertex's sum takes its additions in the
-        // scan's order: the first is 0.0 + weight, exactly `weight`.
-        // Every id is bounds-checked before use: an out-of-range id is
-        // payload corruption the (deliberately payload-blind) mmap open
-        // could not have seen, and it must not become an out-of-bounds
-        // write.
-        size_t scanned = 0;
-        auto visit = [&](const VertexId b) {
-          OIPSIM_CHECK_MSG(b < n,
-                           "corrupt inverted index while serving: vertex id "
-                           "%u >= n=%u (run VerifyPayload on this file)",
-                           b, n);
-          ++scanned;
-          if (stamp[b] == round) return;  // first meeting only
-          if (stamp[b] > base) {
-            sum[b] += weight;
-          } else {
-            sum[b] = weight;
-            scratch.touched.push_back(b);
-          }
-          stamp[b] = round;
-        };
-        if (merged) {
-          TraceScope merge_scope(TraceStage::kOverlayMerge);
-          ForEachBucketVertex(store, overlay, r, t, pv, visit);
+        keys.push_back({r, t, pv});
+      }
+    }
+    scratch.buckets.resize(keys.size());
+    store.ResolveBuckets(keys, scratch.buckets);
+    // Phase 2: the visits, slot by slot in (r, t) order.
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const auto [r, t, pv] = keys[k];
+      const uint32_t round = base + r + 1;
+      stamp[v] = round;  // the diagonal is never accumulated
+      const double weight = damping_powers_[t];
+      const bool merged =
+          overlay != nullptr && overlay->Delta(r, t) != nullptr;
+      if (recorder != nullptr) {
+        recorder->Add(TraceCounter::kSlotsProbed, 1);
+        if (merged) recorder->Add(TraceCounter::kOverlayRowsMerged, 1);
+      }
+      // Only the vertices parked at pv in this slot — the output-sensitive
+      // core. Buckets (merged with the overlay's slot diff when one is
+      // active) ascend by vertex id and slots run in (r, t) order, so each
+      // vertex's sum takes its additions in the scan's order: the first is
+      // 0.0 + weight, exactly `weight`. Every id is bounds-checked before
+      // use: an out-of-range id is payload corruption the (deliberately
+      // payload-blind) mmap open could not have seen, and it must not
+      // become an out-of-bounds write.
+      size_t scanned = 0;
+      auto visit = [&](const VertexId b) {
+        OIPSIM_CHECK_MSG(b < n,
+                         "corrupt inverted index while serving: vertex id "
+                         "%u >= n=%u (run VerifyPayload on this file)",
+                         b, n);
+        ++scanned;
+        if (stamp[b] == round) return;  // first meeting only
+        if (stamp[b] > base) {
+          sum[b] += weight;
         } else {
-          for (const VertexId b : store.Bucket(r, t, pv)) visit(b);
+          sum[b] = weight;
+          scratch.touched.push_back(b);
         }
-        if (recorder != nullptr) {
-          recorder->Add(TraceCounter::kBucketEntries, scanned);
-        }
+        stamp[b] = round;
+      };
+      if (merged) {
+        TraceScope merge_scope(TraceStage::kOverlayMerge);
+        ForEachBucketVertex(scratch.buckets[k], overlay, r, t, pv, visit);
+      } else {
+        for (const VertexId b : scratch.buckets[k]) visit(b);
+      }
+      if (recorder != nullptr) {
+        recorder->Add(TraceCounter::kBucketEntries, scanned);
       }
     }
   }

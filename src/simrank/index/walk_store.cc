@@ -461,10 +461,28 @@ Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
 std::span<const VertexId> WalkStore::Bucket(uint32_t r, uint32_t t,
                                             uint32_t position) const {
   const SlotView slot = Slot(r, t);
-  // Exactly std::equal_range at every dispatch level.
-  const EqualRange range =
-      EqualRangeU32(ActiveSimdLevel(), slot.positions, slot.count, position);
-  return {slot.vertices + range.begin, range.end - range.begin};
+  RangeProbe probe{slot.positions, slot.vertices, slot.count, position};
+  ResolveEqualRanges<1>({&probe, 1});
+  return {slot.vertices + probe.begin, probe.end - probe.begin};
+}
+
+void WalkStore::ResolveBuckets(std::span<const BucketKey> keys,
+                               std::span<std::span<const VertexId>> out) const {
+  OIPSIM_DCHECK(out.size() == keys.size());
+  RangeProbe probes[kRangeGroup];
+  for (size_t at = 0; at < keys.size(); at += kRangeGroup) {
+    const size_t group = std::min(kRangeGroup, keys.size() - at);
+    for (size_t i = 0; i < group; ++i) {
+      const BucketKey& key = keys[at + i];
+      const SlotView slot = Slot(key.r, key.t);
+      probes[i] = {slot.positions, slot.vertices, slot.count, key.position};
+    }
+    ResolveEqualRanges(std::span(probes, group));
+    for (size_t i = 0; i < group; ++i) {
+      out[at + i] = {probes[i].payload + probes[i].begin,
+                     probes[i].end - probes[i].begin};
+    }
+  }
 }
 
 // ---------------------------------------------------------------- writer

@@ -113,9 +113,28 @@ class WalkStore {
 
   /// The vertices whose fingerprint-r walk sits at `position` after t
   /// steps, ascending — the output-sensitive single-source path iterates
-  /// exactly these instead of all n rows. O(log n) bucket lookup.
+  /// exactly these instead of all n rows. One O(log n) search: a batch of
+  /// one through ResolveBuckets' resolver.
   std::span<const VertexId> Bucket(uint32_t r, uint32_t t,
                                    uint32_t position) const;
+
+  /// One lookup of ResolveBuckets: the bucket of `position` in slot
+  /// (r, t).
+  struct BucketKey {
+    uint32_t r = 0;
+    uint32_t t = 0;
+    uint32_t position = 0;
+  };
+
+  /// Sets out[i] to Bucket(keys[i].r, keys[i].t, keys[i].position) for
+  /// every i (out.size() == keys.size()). The searches run kRangeGroup at a
+  /// time, interleaved and prefetched (ResolveEqualRanges), so a caller
+  /// that knows its lookups up front — a single-source row's R·L slots, an
+  /// update's row-change probes — overlaps their cache misses instead of
+  /// waiting on one search's chain of misses after another. Reads only
+  /// inside each slot's entries.
+  void ResolveBuckets(std::span<const BucketKey> keys,
+                      std::span<std::span<const VertexId>> out) const;
 
   /// Heap (plus, for mmap, unavoidably-touched page) bytes this store
   /// keeps resident, independent of what the kernel has faulted in.
@@ -158,7 +177,7 @@ class WalkStore {
 /// Serialization knobs of SaveWalkStore.
 struct WalkStoreSaveOptions {
   /// Delta+varint-compress the per-vertex segments (the inverted index
-  /// stays raw for O(log n) mmap bucket lookups). Roughly halves the
+  /// stays raw for O(log n) mmap bucket searches). Roughly halves the
   /// segment region on web-style graphs at a small decode cost.
   bool compress = false;
 };

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "simrank/common/varint.h"
@@ -304,47 +306,92 @@ TEST(CopyCheckedWordsTest, PrefixCommitAcrossAdversarialInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// EqualRangeU32
+// ResolveEqualRanges
 
-TEST(EqualRangeU32Test, MatchesStdEqualRange) {
+/// Resolves probes[0, size) `batch` at a time, Group searches in flight,
+/// and checks every span against std::equal_range.
+template <size_t Group = kRangeGroup>
+void ExpectEqualRanges(std::vector<RangeProbe> probes, size_t batch) {
+  for (size_t at = 0; at < probes.size(); at += batch) {
+    const size_t size = std::min(batch, probes.size() - at);
+    ResolveEqualRanges<Group>(std::span(probes.data() + at, size));
+  }
+  for (const RangeProbe& probe : probes) {
+    const auto [lo, hi] = std::equal_range(
+        probe.sorted, probe.sorted + probe.count, probe.key);
+    EXPECT_EQ(probe.begin, static_cast<size_t>(lo - probe.sorted))
+        << "group " << Group << " batch " << batch << " count "
+        << probe.count << " key " << probe.key;
+    EXPECT_EQ(probe.end, static_cast<size_t>(hi - probe.sorted))
+        << "group " << Group << " batch " << batch << " count "
+        << probe.count << " key " << probe.key;
+  }
+}
+
+/// Every batch size that splits groups differently: one search, a group
+/// short by one, a full group, one over, and three groups plus a tail.
+constexpr size_t kBatchSizes[] = {1, kRangeGroup - 1, kRangeGroup,
+                                  kRangeGroup + 1, 3 * kRangeGroup + 5};
+
+TEST(ResolveEqualRangesTest, MatchesStdEqualRange) {
   std::mt19937 rng(13);
+  // Exact-size arrays, so a read past an array's end is an overflow the
+  // sanitizer builds report.
+  std::vector<std::vector<uint32_t>> arrays;
   for (int trial = 0; trial < 60; ++trial) {
-    const size_t count = std::uniform_int_distribution<size_t>(0, 200)(rng);
-    std::vector<uint32_t> values(count);
+    std::vector<uint32_t> values(
+        std::uniform_int_distribution<size_t>(0, 200)(rng));
     for (auto& v : values) {
       v = std::uniform_int_distribution<uint32_t>(0, 60)(rng);
     }
     std::sort(values.begin(), values.end());
+    arrays.push_back(std::move(values));
+  }
+  // Every key of every array, shuffled so each group mixes arrays of
+  // different lengths and searches of different depths.
+  std::vector<RangeProbe> probes;
+  for (const std::vector<uint32_t>& values : arrays) {
     for (uint32_t key = 0; key <= 61; ++key) {
-      const auto [lo, hi] =
-          std::equal_range(values.begin(), values.end(), key);
-      for (SimdLevel level : TestableLevels()) {
-        const EqualRange range =
-            EqualRangeU32(level, values.data(), count, key);
-        EXPECT_EQ(range.begin,
-                  static_cast<size_t>(lo - values.begin()))
-            << SimdLevelName(level) << " key=" << key;
-        EXPECT_EQ(range.end, static_cast<size_t>(hi - values.begin()))
-            << SimdLevelName(level) << " key=" << key;
-      }
+      probes.push_back({values.data(), nullptr, values.size(), key});
     }
   }
+  std::shuffle(probes.begin(), probes.end(), rng);
+  for (const size_t batch : kBatchSizes) ExpectEqualRanges(probes, batch);
+  // The other group sizes bench/micro_kernels.cc compares.
+  ExpectEqualRanges<1>(probes, probes.size());
+  ExpectEqualRanges<8>(probes, probes.size());
+  ExpectEqualRanges<16>(probes, probes.size());
+  ExpectEqualRanges<32>(probes, probes.size());
 }
 
-TEST(EqualRangeU32Test, ExtremeKeysAndValues) {
+TEST(ResolveEqualRangesTest, ExtremeKeysAndValues) {
   const std::vector<uint32_t> values = {0, 0, 1, 5, 5, 5, UINT32_MAX - 1,
                                         UINT32_MAX, UINT32_MAX};
+  std::vector<RangeProbe> probes;
   for (uint32_t key : {0u, 1u, 2u, 5u, UINT32_MAX - 1, UINT32_MAX}) {
-    const auto [lo, hi] = std::equal_range(values.begin(), values.end(), key);
-    for (SimdLevel level : TestableLevels()) {
-      const EqualRange range =
-          EqualRangeU32(level, values.data(), values.size(), key);
-      EXPECT_EQ(range.begin, static_cast<size_t>(lo - values.begin()))
-          << SimdLevelName(level) << " key=" << key;
-      EXPECT_EQ(range.end, static_cast<size_t>(hi - values.begin()))
-          << SimdLevelName(level) << " key=" << key;
-    }
+    probes.push_back({values.data(), nullptr, values.size(), key});
   }
+  for (const size_t batch : kBatchSizes) ExpectEqualRanges(probes, batch);
+}
+
+TEST(ResolveEqualRangesTest, EmptyAndOneEntrySlots) {
+  // Empty slots carry no array at all: a read of one would fault. They
+  // share groups with one-entry slots and with deep searches.
+  const std::vector<uint32_t> one = {7};
+  std::vector<uint32_t> deep(5000);
+  std::iota(deep.begin(), deep.end(), 0u);
+  const std::vector<uint32_t> payload(deep.size());
+  std::vector<RangeProbe> probes;
+  for (uint32_t key : {0u, 6u, 7u, 8u, UINT32_MAX}) {
+    probes.push_back({nullptr, nullptr, 0, key});
+    probes.push_back({one.data(), nullptr, one.size(), key});
+    probes.push_back({deep.data(), payload.data(), deep.size(), key});
+  }
+  for (uint32_t key = 0; key < 100; ++key) {
+    probes.push_back({nullptr, nullptr, 0, key});
+    probes.push_back({deep.data(), payload.data(), deep.size(), key * 53});
+  }
+  for (const size_t batch : kBatchSizes) ExpectEqualRanges(probes, batch);
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 // code with the sparse one. Covered: the in-memory and mmap stores (raw
 // and compressed), an overlay with patches, vertices whose walks die at
 // once, tied scores, k above the row's nonzeros and k >= n, 1 and 3
-// engine threads, and the scalar and default SIMD tiers.
+// engine threads, and the scalar and default SIMD tiers; rows that fill
+// several bucket-resolver groups plus a tail, searches ~9 levels deep, and
+// resolver groups in which overlay-merged and base-only slots alternate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -85,6 +88,27 @@ class ScopedSimdLevel {
     ReloadSimdLevelFromEnv();
   }
 };
+
+/// The live (r, t) slots of v's walks under `at`, in the order the
+/// estimator resolves their buckets.
+std::vector<WalkStore::BucketKey> LiveSlots(const WalkIndex::Snapshot& at,
+                                            VertexId v) {
+  std::vector<uint32_t> scratch;
+  const Result<const uint32_t*> row =
+      MaterializeRow(*at.store, at.overlay.get(), v, &scratch);
+  OIPSIM_CHECK(row.ok());
+  const WalkStoreMeta& meta = at.store->meta();
+  const size_t width = static_cast<size_t>(meta.walk_length) + 1;
+  std::vector<WalkStore::BucketKey> keys;
+  for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
+    for (uint32_t t = 1; t <= meta.walk_length; ++t) {
+      const uint32_t position = (*row)[r * width + t];
+      if (position == WalkStore::kDeadWalk) break;
+      keys.push_back({r, t, position});
+    }
+  }
+  return keys;
+}
 
 /// What one check saw, so the callers can assert their case was covered.
 struct Coverage {
@@ -225,6 +249,84 @@ TEST_P(SparseRowTest, OverlayWithPatchesMatchesTheScan) {
                                       testing::kB}}})
                     .ok());
     ASSERT_GT((*updater)->stats().patched_walks, 0u);
+    Coverage coverage;
+    ExpectMatchesScan(index, GetParam().threads, &coverage);
+  }
+}
+
+TEST_P(SparseRowTest, GroupTailsAndDeepSearchesMatchTheScan) {
+  // A few hundred vertices and R·L = 256 slots: a row's lookups fill
+  // several resolver groups plus a tail, and a slot holds up to n entries,
+  // so a search runs ~9 levels deep.
+  const DiGraph graph = testing::RandomGraph(300, 1500, 11);
+  const WalkIndex built = BuildIndex(graph, 32, 8);
+  const WalkIndex::Snapshot at = built.snapshot();
+  size_t widest_row = 0;
+  uint32_t tails = 0;
+  for (VertexId v = 0; v < graph.n(); ++v) {
+    const size_t slots = LiveSlots(at, v).size();
+    widest_row = std::max(widest_row, slots);
+    tails += slots > kRangeGroup && slots % kRangeGroup != 0 ? 1 : 0;
+  }
+  EXPECT_GE(widest_row, 3 * kRangeGroup + 1);
+  EXPECT_GT(tails, 0u);
+  EXPECT_GE(at.store->Slot(0, 1).count, 256u);
+  const std::string raw = TempPath("deep-raw.widx");
+  const std::string packed = TempPath("deep-packed.widx");
+  ASSERT_TRUE(built.Save(raw).ok());
+  ASSERT_TRUE(built.Save(packed, {.compress = true}).ok());
+
+  Coverage coverage;
+  ExpectMatchesScan(built, GetParam().threads, &coverage);
+  ExpectMatchesScan(LoadIndex(raw, false), GetParam().threads, &coverage);
+  ExpectMatchesScan(LoadIndex(raw, true), GetParam().threads, &coverage);
+  ExpectMatchesScan(LoadIndex(packed, true), GetParam().threads, &coverage);
+}
+
+TEST_P(SparseRowTest, OverlayMergedAndBaseSlotsShareResolverGroups) {
+  const DiGraph graph = testing::RandomGraph(300, 1500, 11);
+  // Edits at a handful of vertices move some walks from some step on, so
+  // only some slots carry a diff.
+  std::vector<EdgeUpdate> batch;
+  for (const VertexId dst : {3u, 40u, 77u, 150u, 222u}) {
+    const auto in = graph.InNeighbors(dst);
+    ASSERT_FALSE(in.empty());
+    batch.push_back({EdgeUpdate::Op::kDelete, in[0], dst});
+    VertexId src = 0;
+    while (graph.HasEdge(src, dst) || src == dst) ++src;
+    batch.push_back({EdgeUpdate::Op::kInsert, src, dst});
+  }
+  for (const bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "mmap" : "in-memory");
+    const std::string path = TempPath("mixed-overlay.widx");
+    ASSERT_TRUE(BuildIndex(graph, 32, 8).Save(path).ok());
+    WalkIndex index = LoadIndex(path, use_mmap);
+    IndexUpdaterOptions options;
+    options.wal_path = TempPath("mixed-overlay.wal");
+    options.sync_wal = false;
+    auto updater = IndexUpdater::Open(index, graph, options);
+    ASSERT_TRUE(updater.ok());
+    ASSERT_TRUE((*updater)->ApplyUpdates(batch).ok());
+    // Some resolver group of some row must switch between merged and
+    // base-only slots at least twice.
+    const WalkIndex::Snapshot at = index.snapshot();
+    ASSERT_NE(at.overlay, nullptr);
+    uint32_t mixed_groups = 0;
+    for (VertexId v = 0; v < graph.n(); ++v) {
+      const std::vector<WalkStore::BucketKey> keys = LiveSlots(at, v);
+      for (size_t begin = 0; begin < keys.size(); begin += kRangeGroup) {
+        const size_t end = std::min(keys.size(), begin + kRangeGroup);
+        uint32_t switches = 0;
+        for (size_t k = begin + 1; k < end; ++k) {
+          const bool merged = at.overlay->Delta(keys[k].r, keys[k].t);
+          const bool before =
+              at.overlay->Delta(keys[k - 1].r, keys[k - 1].t);
+          switches += merged != before ? 1 : 0;
+        }
+        mixed_groups += switches >= 2 ? 1 : 0;
+      }
+    }
+    EXPECT_GT(mixed_groups, 0u);
     Coverage coverage;
     ExpectMatchesScan(index, GetParam().threads, &coverage);
   }
